@@ -159,8 +159,15 @@ func (a *Adversary) corrupt(node *core.Node) {
 		return chord.GetTableResp{Table: table}, true
 	}
 	if a.strategy.SelectiveDrop {
-		node.DropFilter = func(core.RelayForward, simnet.Address) bool {
-			return a.rng.Float64() < a.strategy.AttackRate
+		// A selective-DoS relay (Appendix II) silently discards relayed
+		// queries before the Octopus layer sees them: no receipt, no
+		// forward.
+		deliver := node.Chord.Extra
+		node.Chord.Extra = func(from simnet.Address, req simnet.Message) (simnet.Message, bool) {
+			if _, relayed := req.(core.RelayForward); relayed && a.rng.Float64() < a.strategy.AttackRate {
+				return nil, false
+			}
+			return deliver(from, req)
 		}
 	}
 }

@@ -198,16 +198,24 @@ func TestForgeFingersRespectsPlausibility(t *testing.T) {
 func TestSelectiveDropInstalls(t *testing.T) {
 	nw := buildNet(t, 9, 60)
 	adv := Install(nw.Network, 0.2, Strategy{AttackRate: 1, SelectiveDrop: true}, rand.New(rand.NewSource(10)))
-	var evil simnet.Address
-	for addr := range adv.Members {
-		evil = addr
-		break
+	evil, honest := simnet.Address(-1), simnet.Address(-1)
+	for addr := simnet.Address(0); addr < 60; addr++ {
+		if adv.Members[addr] && evil < 0 {
+			evil = addr
+		} else if !adv.Members[addr] && honest < 0 {
+			honest = addr
+		}
 	}
-	if nw.Node(evil).DropFilter == nil {
-		t.Fatal("DropFilter not installed")
+	// One relayed query each, on top of whatever the ring's own walks and
+	// probes route through the two nodes meanwhile.
+	nw.Net.Send(honest, evil, core.RelayForward{QID: 1, Depth: 1})
+	nw.Net.Send(evil, honest, core.RelayForward{QID: 2, Depth: 1})
+	nw.Sim.Run(time.Minute)
+	if got := nw.Node(evil).Stats().RelayedForwards; got != 0 {
+		t.Errorf("dropper relayed %d queries at AttackRate=1, want 0", got)
 	}
-	if !nw.Node(evil).DropFilter(core.RelayForward{}, 0) {
-		t.Error("DropFilter does not drop at AttackRate=1")
+	if nw.Node(honest).Stats().RelayedForwards == 0 {
+		t.Error("honest node relayed nothing: the drop is not selective")
 	}
 }
 

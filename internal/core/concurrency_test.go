@@ -164,8 +164,8 @@ func TestManagedPoolNeverHandsOutEvictedPair(t *testing.T) {
 
 	// Evict one member of a pooled pair via revocation and stop another
 	// (as a graceful leave / crash would).
-	revoked := node.pool[0].pair.First
-	stopped := node.pool[len(node.pool)-1].pair.Second
+	revoked := node.pairs.stock[0].pair.First
+	stopped := node.pairs.stock[len(node.pairs.stock)-1].pair.Second
 	nw.Dir.Revoke(revoked.ID)
 	if other := nw.Node(stopped.Addr); other != nil && other.Self().ID == stopped.ID {
 		other.Stop()
@@ -179,12 +179,12 @@ func TestManagedPoolNeverHandsOutEvictedPair(t *testing.T) {
 	drained := 0
 	for node.PoolSize() > 0 {
 		before := node.PoolSize()
-		pair, err := node.takePair()
+		pair, err := node.pairs.take(nil)
 		if err != nil {
 			break
 		}
 		if banned(pair) {
-			t.Fatalf("takePair handed out a pair with an evicted/left member: %+v", pair)
+			t.Fatalf("take handed out a pair with an evicted/left member: %+v", pair)
 		}
 		drained++
 		if node.PoolSize() >= before {
@@ -195,26 +195,22 @@ func TestManagedPoolNeverHandsOutEvictedPair(t *testing.T) {
 		t.Fatal("drained no pairs at all")
 	}
 
-	// Staleness: age the remaining stock past PairMaxAge without letting
+	// Staleness: age the remaining stock past pairMaxAge without letting
 	// refill walks run, then demand a pair — every aged entry must be
 	// discarded, not served.
 	node.Stop()
-	if len(node.pool) == 0 {
-		node.pool = append(node.pool, pooledPair{
-			pair:  RelayPair{First: nw.Node(2).Self(), Second: nw.Node(3).Self()},
-			added: net.Now(),
-		})
+	if len(node.pairs.stock) == 0 {
+		node.pairs.add(RelayPair{First: nw.Node(2).Self(), Second: nw.Node(3).Self()})
 	}
-	aged := make([]pooledPair, len(node.pool))
-	copy(aged, node.pool)
-	sim.Run(sim.Now() + cfg.PairMaxAge + time.Minute)
+	aged := len(node.pairs.stock)
+	sim.Run(sim.Now() + pairMaxAge + time.Minute)
 	before := node.Stats().PairsDiscarded
-	if _, err := node.takePair(); err == nil {
+	if _, err := node.pairs.take(nil); err == nil {
 		// Whatever was returned must be freshly synthesized from
 		// fingers, not one of the aged entries.
-		if node.Stats().PairsDiscarded < before+uint64(len(aged)) {
+		if node.Stats().PairsDiscarded < before+uint64(aged) {
 			t.Errorf("aged pairs not discarded: %d -> %d (had %d)",
-				before, node.Stats().PairsDiscarded, len(aged))
+				before, node.Stats().PairsDiscarded, aged)
 		}
 	}
 }

@@ -68,17 +68,11 @@ type Config struct {
 	// PairPoolTarget, when positive, turns the relay-pair pool into a
 	// managed stock: background walks are launched on demand to keep at
 	// least this many pre-built pairs ready, and pairs are vetted for
-	// freshness and member liveness before being handed out. Zero keeps
-	// the paper's passive pool (stocked only by the WalkEvery timer, no
-	// vetting) — required for bit-identical seeded experiment runs.
+	// freshness (5 minutes) and member liveness before being handed out.
+	// Zero keeps the paper's passive pool (stocked only by the WalkEvery
+	// timer, no vetting) — required for bit-identical seeded experiment
+	// runs.
 	PairPoolTarget int
-	// PairMaxAge bounds how stale a pooled pair may be before a managed
-	// pool (PairPoolTarget > 0) discards it instead of handing it out: a
-	// relay selected long ago may have churned away. Zero means 5 minutes.
-	PairMaxAge time.Duration
-	// PairRefillParallel caps the walks a managed pool keeps in flight
-	// while refilling. Zero means 4.
-	PairRefillParallel int
 	// StoreReplicas is the total number of copies the key-value store
 	// (internal/store) keeps of every entry: the owner plus StoreReplicas-1
 	// successors. Zero means 3. The lookup layer itself never reads it; it
@@ -114,10 +108,6 @@ type Config struct {
 	// buffered membership events are flushed to exponentially spaced
 	// peers at this cadence. Zero means 1 s. Ignored by the finger tier.
 	TierMaintainEvery time.Duration
-	// TierSyncPage bounds how many peers one TierSyncResp page carries
-	// when a joiner pulls the full table. Zero means 512. Ignored by the
-	// finger tier.
-	TierSyncPage int
 }
 
 // Routing tier names for Config.RoutingTier.
@@ -144,7 +134,6 @@ func DefaultConfig() Config {
 		MaxLookupQueries:  64,
 		LookupParallelism: 3,
 		PairPoolTarget:    16,
-		PairMaxAge:        5 * time.Minute,
 		LookupCacheSize:   256,
 		LookupCacheTTL:    60 * time.Second,
 		StoreReplicas:     3,

@@ -206,9 +206,9 @@ func TestWalkPhaseTwoHonestRoundTrip(t *testing.T) {
 	}
 	// A walk may legitimately circle back to the initiator; the POOL
 	// filter must reject such pairs (and degenerate ones).
-	node.addPair(RelayPair{First: node.Self(), Second: nw.Node(1).Self()})
-	node.addPair(RelayPair{First: nw.Node(2).Self(), Second: nw.Node(2).Self()})
-	for _, e := range node.pool {
+	node.pairs.add(RelayPair{First: node.Self(), Second: nw.Node(1).Self()})
+	node.pairs.add(RelayPair{First: nw.Node(2).Self(), Second: nw.Node(2).Self()})
+	for _, e := range node.pairs.stock {
 		if e.pair.contains(node.Self()) || e.pair.First.ID == e.pair.Second.ID {
 			t.Errorf("pool accepted a degenerate pair: %+v", e.pair)
 		}
@@ -267,7 +267,7 @@ func TestAnonLookupNeverRevealsKeyOrInitiator(t *testing.T) {
 		a := nw.Node(simnet.Address(1 + rng.Intn(79))).Self()
 		b := nw.Node(simnet.Address(1 + rng.Intn(79))).Self()
 		if a.ID != b.ID {
-			node.addPair(RelayPair{First: a, Second: b})
+			node.pairs.add(RelayPair{First: a, Second: b})
 		}
 	}
 
@@ -542,7 +542,7 @@ func TestSelectiveDoSDropperIdentified(t *testing.T) {
 	nw.Sim.Run(30 * time.Second)
 
 	dropper := nw.Node(25)
-	dropper.DropFilter = func(RelayForward, simnet.Address) bool { return true }
+	dropForwards(dropper)
 
 	// Use the dropper as relay Ci on a hand-built path so the query dies.
 	initiator := nw.Node(0)

@@ -52,9 +52,6 @@ func (n *Node) verifyReceipt(r Receipt) bool {
 // from the next hop within the RPC timeout, up to two witnesses retry the
 // delivery independently.
 func (n *Node) watchReceipt(qid uint64, next transport.Addr, payload *RelayForward) {
-	if n.DisableReceipts {
-		return
-	}
 	// Evidence retention must outlive the CA's delayed investigation.
 	retention := 20 * n.cfg.QueryTimeout
 	n.tr.After(n.Chord.Self.Addr, n.cfg.Chord.RPCTimeout, func() {

@@ -65,7 +65,7 @@ func TestWitnessFailureStatementShiftsBlame(t *testing.T) {
 
 	ci := nw.Node(3)
 	dropper := nw.Node(25) // Di: the hop after Ci
-	dropper.DropFilter = func(RelayForward, simnet.Address) bool { return true }
+	dropForwards(dropper)
 
 	initiator := nw.Node(0)
 	head := RelayPair{First: nw.Node(1).Self(), Second: nw.Node(2).Self()}

@@ -338,7 +338,7 @@ func (n *Node) AnonLookupFull(key id.ID, cb func(chord.Peer, DirectLookupResult,
 		}
 		n.stats.cacheMisses.Add(1)
 	}
-	head, err := n.takeHeadPair()
+	head, err := n.pairs.take(nil)
 	if err != nil {
 		n.stats.lookupsFailed.Add(1)
 		now := n.tr.Now()
@@ -350,7 +350,7 @@ func (n *Node) AnonLookupFull(key id.ID, cb func(chord.Peer, DirectLookupResult,
 	dummiesLeft := n.cfg.Dummies
 	var tl *tableLookup
 	send := func(target chord.Peer, done func(transport.Message, error)) bool {
-		pair, err := n.takePairDisjoint(head)
+		pair, err := n.pairs.take(&head)
 		if err != nil {
 			return false
 		}
@@ -422,7 +422,7 @@ func (n *Node) observeLookup(key id.ID, head RelayPair, st LookupStats, err erro
 // sendDummy issues one dummy query through a fresh pair to a target drawn
 // from the lookup's current knowledge, mimicking real query placement.
 func (n *Node) sendDummy(head RelayPair, tl *tableLookup) {
-	pair, err := n.takePairDisjoint(head)
+	pair, err := n.pairs.take(&head)
 	if err != nil {
 		return
 	}
@@ -460,12 +460,3 @@ func (n *Node) DirectTableLookup(key id.ID, cb func(DirectLookupResult, LookupSt
 	})
 	tl.step()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-var _ = time.Duration(0)

@@ -130,18 +130,3 @@ func (nw *Network) Eject(p chord.Peer) {
 		node.Stop()
 	}
 }
-
-// AliveMaliciousFraction is a convenience for security experiments: the
-// fraction of the population in `malicious` that is still running.
-func (nw *Network) AliveMaliciousFraction(malicious map[transport.Addr]bool) float64 {
-	if len(nw.Nodes) == 0 {
-		return 0
-	}
-	alive := 0
-	for addr := range malicious {
-		if node := nw.Node(addr); node != nil && node.Chord.Running() {
-			alive++
-		}
-	}
-	return float64(alive) / float64(len(nw.Nodes))
-}

@@ -12,22 +12,6 @@ import (
 	"github.com/octopus-dht/octopus/internal/transport"
 )
 
-// RelayPair is a pair of anonymization relays — the last two hops of one
-// random walk (Appendix I, Fig. 1(b)).
-type RelayPair struct {
-	First, Second chord.Peer
-}
-
-// Valid reports whether both relays are set.
-func (p RelayPair) Valid() bool { return p.First.Valid() && p.Second.Valid() }
-
-// pooledPair is one stocked relay pair plus the time its walk completed,
-// so a managed pool can refuse to hand out stale selections.
-type pooledPair struct {
-	pair  RelayPair
-	added time.Duration
-}
-
 // nodeCounters is the live, concurrency-safe form of obs.NodeCounters,
 // the canonical snapshot type nodes publish through obs.Collector. Counters
 // are bumped from the node's serialization context but read by daemons,
@@ -149,13 +133,8 @@ type Node struct {
 	// only); nil when Config.LookupCacheSize is zero.
 	lcache *lookupCache
 
-	// pool stocks unused relay pairs (host-context only; poolGauge
-	// mirrors its size for cross-goroutine observers). refills and
-	// refillWait drive the managed pool's walk-ahead restocking.
-	pool       []pooledPair
-	poolGauge  atomic.Int64
-	refills    int
-	refillWait bool
+	// pairs stocks the relay pairs anonymous operations draw from.
+	pairs *pairPool
 
 	proofQueue  []chord.RoutingTable
 	tableBuffer []chord.RoutingTable
@@ -176,17 +155,6 @@ type Node struct {
 	tracer       *obs.Tracer
 	obsLookupLat *obs.Histogram
 
-	// DropFilter, when set, makes this node a selective-DoS relay: any
-	// RelayForward for which it returns true is silently discarded
-	// (adversary hook, Appendix II).
-	DropFilter func(m RelayForward, from transport.Addr) bool
-	// OnForward observes relay traffic (adversary instrumentation).
-	OnForward func(qid uint64, from, next transport.Addr)
-	// OnExit observes exit queries (adversary instrumentation).
-	OnExit func(qid uint64, from, target transport.Addr)
-	// DisableReceipts turns off the Appendix II receipt protocol (used
-	// by experiments that do not study selective DoS, to isolate costs).
-	DisableReceipts bool
 	// OnNeighborCheck observes each completed neighbor-surveillance
 	// probe: the tested predecessor and whether a provable omission was
 	// found (experiment instrumentation for Table 2's accuracy rates).
@@ -248,6 +216,7 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 	default:
 		panic("core: unknown RoutingTier " + strconv.Quote(cfg.RoutingTier))
 	}
+	n.pairs = newPairPool(n)
 	return n
 }
 
@@ -276,7 +245,7 @@ func (n *Node) SeedTier(peers []chord.Peer) {
 
 // PoolSize reports the number of unused relay pairs. Safe from any
 // goroutine (it reads a gauge mirroring the host-context pool).
-func (n *Node) PoolSize() int { return int(n.poolGauge.Load()) }
+func (n *Node) PoolSize() int { return n.pairs.size() }
 
 // SetTracer installs the span tracer for this node's anonymous paths.
 // Call before Start; a nil tracer (the default) disables tracing.
@@ -367,7 +336,7 @@ func (n *Node) StartProtocols() {
 		return
 	}
 	n.stops = append(n.stops,
-		n.tr.Every(n.Chord.Self.Addr, n.cfg.WalkEvery, n.startWalk),
+		n.tr.Every(n.Chord.Self.Addr, n.cfg.WalkEvery, func() { n.startWalk(func(bool) {}) }),
 		n.tr.Every(n.Chord.Self.Addr, n.cfg.SurveilEvery, n.neighborSurveillance),
 		n.tr.Every(n.Chord.Self.Addr, n.cfg.SurveilEvery, n.fingerSurveillance),
 		n.tr.Every(n.Chord.Self.Addr, n.cfg.Chord.FixFingersEvery, n.secureFingerUpdate),
@@ -377,7 +346,7 @@ func (n *Node) StartProtocols() {
 	}
 	// A managed pool starts stocking immediately instead of waiting for
 	// the first WalkEvery tick.
-	n.maintainPool()
+	n.pairs.refill()
 }
 
 // Stop halts all timers and the Chord layer.
@@ -429,267 +398,6 @@ func (n *Node) bufferTable(t chord.RoutingTable) {
 	}
 }
 
-// addPair stocks a freshly selected relay pair. Pairs containing the node
-// itself are useless as anonymization relays (a walk can circle back) and
-// are discarded. It reports whether the pool grew.
-func (n *Node) addPair(p RelayPair) bool {
-	if !p.Valid() || p.contains(n.Chord.Self) || p.First.ID == p.Second.ID {
-		return false
-	}
-	if len(n.pool) >= n.cfg.RelayPoolMax {
-		return false
-	}
-	n.pool = append(n.pool, pooledPair{pair: p, added: n.tr.Now()})
-	n.poolGauge.Store(int64(len(n.pool)))
-	return true
-}
-
-// popPair removes and returns the most recently stocked pair.
-func (n *Node) popPair() pooledPair {
-	e := n.pool[len(n.pool)-1]
-	n.pool = n.pool[:len(n.pool)-1]
-	n.poolGauge.Store(int64(len(n.pool)))
-	return e
-}
-
-// restock returns rejected-but-usable pairs to the pool unchanged (their
-// original selection times survive the round trip).
-func (n *Node) restock(es []pooledPair) {
-	n.pool = append(n.pool, es...)
-	n.poolGauge.Store(int64(len(n.pool)))
-}
-
-// pairUsable vets a pooled pair before it is handed out. The paper's
-// passive pool (PairPoolTarget == 0) hands out every stocked pair, which
-// keeps seeded experiment runs bit-identical; a managed pool additionally
-// refuses pairs that are stale, contain a dead/stopped member, or contain
-// a member whose certificate has been revoked — a pre-built pair must
-// never resurrect an evicted or departed relay.
-func (n *Node) pairUsable(e pooledPair) bool {
-	if n.cfg.PairPoolTarget <= 0 {
-		return true
-	}
-	maxAge := n.cfg.PairMaxAge
-	if maxAge <= 0 {
-		maxAge = 5 * time.Minute
-	}
-	if n.tr.Now()-e.added > maxAge {
-		return false
-	}
-	for _, p := range [2]chord.Peer{e.pair.First, e.pair.Second} {
-		if !n.tr.Alive(p.Addr) {
-			return false
-		}
-		if n.dir != nil && n.dir.Revoked(p.ID) {
-			return false
-		}
-	}
-	return true
-}
-
-// maintainPool is the managed pool's walk-ahead restocking (Appendix I run
-// on demand): whenever the stock plus the walks already in flight fall
-// short of PairPoolTarget, launch more relay-selection walks immediately
-// instead of waiting for the next WalkEvery tick. Anonymous lookups then
-// draw pre-built pairs rather than paying a 2l-hop walk (or degrading to
-// fallback pairs) under load. Runs in the host's serialization context.
-func (n *Node) maintainPool() {
-	target := n.cfg.PairPoolTarget
-	if target <= 0 || !n.Chord.Running() {
-		return
-	}
-	limit := n.cfg.PairRefillParallel
-	if limit <= 0 {
-		limit = 4
-	}
-	// refillWait gates the loop itself, not just re-entry: runWalk fails
-	// SYNCHRONOUSLY when the finger table is empty (a just-admitted
-	// joiner, or a node whose fingers all churned away), and without the
-	// gate the loop would relaunch the failed walk forever inside the
-	// host's serialization context — wedging the actor so the very
-	// repairs that would refill the fingers could never run.
-	for !n.refillWait && len(n.pool)+n.refills < target && n.refills < limit {
-		n.refills++
-		n.stats.refillWalks.Add(1)
-		n.stats.walksStarted.Add(1)
-		n.runWalk(func(res walkResult, err error) {
-			n.refills--
-			for _, t := range res.tables {
-				n.bufferTable(t)
-			}
-			grew := false
-			if err != nil {
-				n.stats.walksFailed.Add(1)
-			} else {
-				n.stats.walksCompleted.Add(1)
-				grew = n.addPair(res.pair)
-			}
-			if grew {
-				n.maintainPool()
-				return
-			}
-			// A failed walk (or one whose pair was rejected) must not
-			// relaunch back-to-back — an unstocked bootstrap ring would
-			// spin. Retry after one walk period.
-			n.pauseRefill()
-		})
-	}
-}
-
-// pauseRefill schedules one delayed maintainPool retry, coalescing
-// concurrent failures into a single timer.
-func (n *Node) pauseRefill() {
-	if n.refillWait {
-		return
-	}
-	n.refillWait = true
-	n.tr.After(n.Chord.Self.Addr, n.cfg.WalkEvery, func() {
-		n.refillWait = false
-		n.maintainPool()
-	})
-}
-
-// overlaps reports whether two relay pairs (or a pair and the initiator)
-// share a node. Every relay on an anonymous path must be distinct — the
-// per-query reverse-path state lives at each relay, so a node appearing
-// twice on one path would clobber its own bookkeeping.
-func (p RelayPair) overlaps(q RelayPair) bool {
-	return p.First.ID == q.First.ID || p.First.ID == q.Second.ID ||
-		p.Second.ID == q.First.ID || p.Second.ID == q.Second.ID
-}
-
-func (p RelayPair) contains(id0 chord.Peer) bool {
-	return p.First.ID == id0.ID || p.Second.ID == id0.ID
-}
-
-// takePairDisjoint pops a relay pair disjoint from `head` and from the
-// initiator itself. Pool pairs are preferred (rejected ones go back,
-// unusable ones are dropped); when the pool runs dry a pair is synthesized
-// from the node's distinct fingers, explicitly excluding the head's
-// members.
-func (n *Node) takePairDisjoint(head RelayPair) (RelayPair, error) {
-	if head.contains(n.Chord.Self) {
-		return RelayPair{}, ErrNoRelays
-	}
-	var rejected []pooledPair
-	defer func() {
-		n.restock(rejected)
-		n.maintainPool()
-	}()
-	for tries := 0; tries < 8 && len(n.pool) > 0; tries++ {
-		e := n.popPair()
-		if !n.pairUsable(e) {
-			n.stats.pairsDiscarded.Add(1)
-			continue
-		}
-		if !e.pair.overlaps(head) && !e.pair.contains(n.Chord.Self) {
-			return e.pair, nil
-		}
-		rejected = append(rejected, e)
-	}
-	return n.synthPair(head)
-}
-
-// synthPair builds a fallback pair from the node's distinct fingers,
-// excluding the given pair's members. It sacrifices relay independence and
-// is counted in stats (used only when the walk-fed pool runs dry). A
-// managed pool (PairPoolTarget > 0) additionally draws on the successor
-// and predecessor lists: a small ring has only a handful of distinct
-// fingers, and a serving node must degrade to weaker relays rather than
-// fail lookups outright while its refill walks catch up. (The passive
-// paper-mode candidate set is untouched so seeded experiment runs replay
-// exactly.)
-func (n *Node) synthPair(exclude RelayPair) (RelayPair, error) {
-	seen := map[id.ID]bool{
-		n.Chord.Self.ID:  true,
-		exclude.First.ID: true, exclude.Second.ID: true,
-	}
-	managed := n.cfg.PairPoolTarget > 0
-	var candidates []chord.Peer
-	add := func(ps []chord.Peer) {
-		for _, f := range ps {
-			if !f.Valid() || seen[f.ID] {
-				continue
-			}
-			seen[f.ID] = true
-			// The same vetting the pool applies: a fallback relay must
-			// not be a stopped or revoked node either. (Managed mode
-			// only, like all vetting, to keep paper-mode runs exact.)
-			if managed && (!n.tr.Alive(f.Addr) || (n.dir != nil && n.dir.Revoked(f.ID))) {
-				continue
-			}
-			candidates = append(candidates, f)
-		}
-	}
-	add(n.tier.RelayCandidates())
-	if managed {
-		add(n.Chord.Successors())
-		add(n.Chord.Predecessors())
-	}
-	if len(candidates) < 2 {
-		return RelayPair{}, ErrNoRelays
-	}
-	rng := n.tr.Rand()
-	i := rng.Intn(len(candidates))
-	j := rng.Intn(len(candidates) - 1)
-	if j >= i {
-		j++
-	}
-	n.stats.fallbackPairs.Add(1)
-	return RelayPair{First: candidates[i], Second: candidates[j]}, nil
-}
-
-// peekPairDisjoint is the non-consuming variant for surveillance probes.
-func (n *Node) peekPairDisjoint(head RelayPair) (RelayPair, error) {
-	for tries := 0; tries < 8; tries++ {
-		p, err := n.peekPair()
-		if err != nil {
-			return RelayPair{}, err
-		}
-		if !p.overlaps(head) && !p.contains(n.Chord.Self) && !head.contains(n.Chord.Self) {
-			return p, nil
-		}
-	}
-	return RelayPair{}, ErrNoRelays
-}
-
-// peekPair picks a random relay pair WITHOUT consuming it. Surveillance
-// probes use it: they need source anonymity but not pairwise unlinkability
-// across queries, so reusing walk-produced pairs is safe and keeps the pool
-// from starving (real lookups still consume single-use pairs via takePair).
-func (n *Node) peekPair() (RelayPair, error) {
-	for len(n.pool) > 0 {
-		i := n.tr.Rand().Intn(len(n.pool))
-		e := n.pool[i]
-		if n.pairUsable(e) {
-			return e.pair, nil
-		}
-		// Vetting failed: remove the dead entry (order is irrelevant for
-		// random peeks) and redraw.
-		n.stats.pairsDiscarded.Add(1)
-		n.pool[i] = n.pool[len(n.pool)-1]
-		n.pool = n.pool[:len(n.pool)-1]
-		n.poolGauge.Store(int64(len(n.pool)))
-	}
-	return n.takePair() // fallback synthesizes from fingers
-}
-
-// takePair pops a relay pair from the pool; when the pool is dry it falls
-// back to synthesizing one from the node's own fingers. In managed mode
-// (PairPoolTarget > 0) every consumed pair triggers walk-ahead restocking.
-func (n *Node) takePair() (RelayPair, error) {
-	defer n.maintainPool()
-	for len(n.pool) > 0 {
-		e := n.popPair()
-		if !n.pairUsable(e) {
-			n.stats.pairsDiscarded.Add(1)
-			continue
-		}
-		return e.pair, nil
-	}
-	return n.synthPair(RelayPair{First: chord.NoPeer, Second: chord.NoPeer})
-}
-
 // handleExtra dispatches Octopus-specific messages arriving at the Chord
 // layer.
 func (n *Node) handleExtra(from transport.Addr, req transport.Message) (transport.Message, bool) {
@@ -739,13 +447,8 @@ func (n *Node) handleExtra(from transport.Addr, req transport.Message) (transpor
 // reverse path, honor the layer's artificial delay, then forward inward or
 // perform the exit query.
 func (n *Node) handleForward(from transport.Addr, m RelayForward) {
-	if n.DropFilter != nil && n.DropFilter(m, from) {
-		return // selective-DoS adversary
-	}
 	n.stats.relayedForwards.Add(1)
-	if !n.DisableReceipts {
-		n.sendReceipt(from, m.QID)
-	}
+	n.sendReceipt(from, m.QID)
 	n.backRoutes[m.QID] = backRoute{prev: from, delay: m.Delay}
 	// Reverse-path state for queries whose replies never come back must
 	// not accumulate forever.
@@ -755,9 +458,6 @@ func (n *Node) handleForward(from transport.Addr, m RelayForward) {
 	t0 := n.tr.Now()
 	deliver := func() {
 		if m.Exit != nil {
-			if n.OnExit != nil {
-				n.OnExit(m.QID, from, m.Exit.Target)
-			}
 			n.recordHopSpan("relay.exit", m.QID, t0, from, m.Exit.Target)
 			n.performExit(m.QID, *m.Exit)
 			return
@@ -768,9 +468,6 @@ func (n *Node) handleForward(from transport.Addr, m RelayForward) {
 		}
 		if m.Inner == nil || m.Next == transport.NoAddr {
 			return
-		}
-		if n.OnForward != nil {
-			n.OnForward(m.QID, from, m.Next)
 		}
 		n.recordHopSpan("relay.forward", m.QID, t0, from, m.Next)
 		n.tr.Send(n.Chord.Self.Addr, m.Next, *m.Inner)
@@ -921,19 +618,6 @@ func (n *Node) chainQuery(route []chord.Peer, target chord.Peer, req transport.M
 	return qid
 }
 
-// takeHeadPair draws a head relay pair that does not contain the node
-// itself, the shared precondition of every anonymous operation.
-func (n *Node) takeHeadPair() (RelayPair, error) {
-	head, err := n.takePair()
-	for tries := 0; err == nil && head.contains(n.Chord.Self) && tries < 4; tries++ {
-		head, err = n.takePair()
-	}
-	if err == nil && head.contains(n.Chord.Self) {
-		err = ErrNoRelays
-	}
-	return head, err
-}
-
 // AnonRPC sends one request to target over a fresh 4-relay anonymous path —
 // a head pair plus a disjoint per-query pair drawn exactly as a lookup's
 // queries draw theirs — and invokes cb exactly once with the target's
@@ -943,12 +627,12 @@ func (n *Node) takeHeadPair() (RelayPair, error) {
 // the node's serialization context; cb may run synchronously when no relay
 // pair can be assembled (ErrNoRelays).
 func (n *Node) AnonRPC(target chord.Peer, req transport.Message, cb func(transport.Message, error)) {
-	head, err := n.takeHeadPair()
+	head, err := n.pairs.take(nil)
 	if err != nil {
 		cb(nil, err)
 		return
 	}
-	pair, err := n.takePairDisjoint(head)
+	pair, err := n.pairs.take(&head)
 	if err != nil {
 		cb(nil, err)
 		return

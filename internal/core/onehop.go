@@ -87,6 +87,9 @@ const (
 	// oneHopRelayMax bounds RelayCandidates to keep fallback-pair draws
 	// cheap while still spreading them around the whole ring.
 	oneHopRelayMax = 32
+	// tierSyncPage bounds how many peers one TierSyncResp page carries when
+	// a joiner pulls the full table.
+	tierSyncPage = 512
 )
 
 func newOneHopTier(n *Node) *oneHopTier {
@@ -110,14 +113,6 @@ func (t *oneHopTier) maintainEvery() time.Duration {
 		return d
 	}
 	return time.Second
-}
-
-// syncPage returns the TierSyncResp page size.
-func (t *oneHopTier) syncPage() int {
-	if p := t.n.cfg.TierSyncPage; p > 0 {
-		return p
-	}
-	return 512
 }
 
 // start wires the tier's timers and, when the table was not seeded,
@@ -396,7 +391,7 @@ func (t *oneHopTier) requestSync(from id.ID) {
 		t.synced = true // nobody to ask: a singleton ring is its own table
 		return
 	}
-	req := TierSyncReq{From: from, Max: uint16(t.syncPage())}
+	req := TierSyncReq{From: from, Max: uint16(tierSyncPage)}
 	t.bytesSent.Add(uint64(req.Size()))
 	t.msgsSent.Add(1)
 	self := t.n.Chord.Self
@@ -434,7 +429,7 @@ func (t *oneHopTier) handleSyncReq(m TierSyncReq) TierSyncResp {
 	v := t.view()
 	max := int(m.Max)
 	if max <= 0 {
-		max = t.syncPage()
+		max = tierSyncPage
 	}
 	i := sort.Search(len(v), func(k int) bool { return v[k].ID > m.From })
 	var page []chord.Peer

@@ -1,0 +1,284 @@
+package core
+
+import (
+	"errors"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/octopus-dht/octopus/internal/chord"
+	"github.com/octopus-dht/octopus/internal/id"
+	"github.com/octopus-dht/octopus/internal/simnet"
+	"github.com/octopus-dht/octopus/internal/transport"
+)
+
+// dropForwards turns n into a selective-DoS relay (Appendix II): every
+// RelayForward reaching it is silently discarded before the Octopus layer
+// sees it — the same wrap of Chord.Extra internal/adversary installs.
+func dropForwards(n *Node) {
+	deliver := n.Chord.Extra
+	n.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+		if _, relayed := req.(RelayForward); relayed {
+			return nil, false
+		}
+		return deliver(from, req)
+	}
+}
+
+// testPeer is relay number i: distinct non-zero ID, distinct address.
+func testPeer(i int) chord.Peer {
+	return chord.Peer{ID: id.ID(1000 * i), Addr: transport.Addr(i)}
+}
+
+func testPair(i, j int) RelayPair { return RelayPair{First: testPeer(i), Second: testPeer(j)} }
+
+// testPool is a pairPool over a bare simulator clock: no nodes, no walks.
+// bad, when non-nil, makes it a managed pool whose vet refuses the listed
+// relays (what a stopped host or a revoked certificate does in newPairPool).
+func testPool(bad map[id.ID]bool) (*pairPool, *simnet.Simulator) {
+	sim := simnet.New(1)
+	p := &pairPool{
+		tr:         simnet.NewNetwork(sim, simnet.ConstantLatency{D: time.Millisecond}, 0),
+		self:       testPeer(99),
+		max:        8,
+		stats:      &nodeCounters{},
+		candidates: func() []chord.Peer { return nil },
+	}
+	if bad != nil {
+		p.vet = func(r chord.Peer) bool { return !bad[r.ID] }
+	}
+	return p, sim
+}
+
+func stockOf(p *pairPool) []RelayPair {
+	out := make([]RelayPair, len(p.stock))
+	for i, e := range p.stock {
+		out[i] = e.pair
+	}
+	return out
+}
+
+func TestPairPoolAddEnforcesInvariant(t *testing.T) {
+	p, _ := testPool(nil)
+	for _, c := range []struct {
+		name string
+		pair RelayPair
+		want bool
+	}{
+		{"two distinct relays", testPair(1, 2), true},
+		{"contains the node itself", RelayPair{First: p.self, Second: testPeer(3)}, false},
+		{"same relay twice", testPair(4, 4), false},
+		{"unset relay", RelayPair{First: testPeer(5), Second: chord.NoPeer}, false},
+	} {
+		if got := p.add(c.pair); got != c.want {
+			t.Errorf("%s: add = %v, want %v", c.name, got, c.want)
+		}
+	}
+	for i := 0; p.add(testPair(10+i, 30+i)); i++ {
+	}
+	if len(p.stock) != p.max || p.size() != p.max {
+		t.Errorf("pool holds %d pairs (gauge %d), want the cap %d", len(p.stock), p.size(), p.max)
+	}
+}
+
+// A passive pool (the paper's) hands out every stocked pair unvetted, however
+// old, newest first.
+func TestPairPoolPassiveHandsOutEverything(t *testing.T) {
+	p, sim := testPool(nil)
+	stocked := []RelayPair{testPair(1, 2), testPair(3, 4), testPair(5, 6)}
+	for _, pair := range stocked {
+		p.add(pair)
+	}
+	sim.Run(pairMaxAge + time.Hour)
+	for i := len(stocked) - 1; i >= 0; i-- {
+		got, err := p.take(nil)
+		if err != nil || got != stocked[i] {
+			t.Fatalf("take = %+v, %v; want %+v", got, err, stocked[i])
+		}
+	}
+	if d := p.stats.pairsDiscarded.Load(); d != 0 {
+		t.Errorf("passive pool discarded %d pairs", d)
+	}
+	if p.size() != 0 {
+		t.Errorf("gauge = %d after draining", p.size())
+	}
+}
+
+// A managed pool drops stale pairs and pairs holding a stopped or revoked
+// relay instead of handing them out, and counts each.
+func TestPairPoolManagedDiscardsUnusable(t *testing.T) {
+	good, spoiled := testPair(1, 2), testPair(3, 4)
+	for _, c := range []struct {
+		name  string
+		spoil func(bad map[id.ID]bool, sim *simnet.Simulator)
+	}{
+		{"stopped first relay", func(bad map[id.ID]bool, _ *simnet.Simulator) { bad[spoiled.First.ID] = true }},
+		{"revoked second relay", func(bad map[id.ID]bool, _ *simnet.Simulator) { bad[spoiled.Second.ID] = true }},
+		{"stale", func(_ map[id.ID]bool, sim *simnet.Simulator) { sim.Run(sim.Now() + pairMaxAge + time.Second) }},
+	} {
+		for _, draw := range []string{"take", "peek"} {
+			bad := map[id.ID]bool{}
+			p, sim := testPool(bad)
+			p.add(spoiled)
+			c.spoil(bad, sim)
+			p.add(good) // stocked after the wait: still fresh
+			if draw == "take" {
+				// LIFO: put the spoiled pair on top.
+				p.stock[0], p.stock[1] = p.stock[1], p.stock[0]
+			}
+			var got RelayPair
+			var err error
+			// peek draws at random: repeat until both entries were met.
+			for i := 0; i < 32 && p.stats.pairsDiscarded.Load() == 0; i++ {
+				if draw == "take" {
+					got, err = p.take(nil)
+				} else {
+					got, err = p.peek(nil)
+				}
+				if err != nil || got != good {
+					t.Fatalf("%s/%s: drew %+v, %v; want the good pair", c.name, draw, got, err)
+				}
+			}
+			if d := p.stats.pairsDiscarded.Load(); d != 1 {
+				t.Errorf("%s/%s: %d pairs discarded, want 1", c.name, draw, d)
+			}
+			for _, left := range stockOf(p) {
+				if left == spoiled {
+					t.Errorf("%s/%s: spoiled pair still stocked", c.name, draw)
+				}
+			}
+		}
+	}
+}
+
+// take(exclude) passes over pairs sharing a relay with the excluded pair and
+// puts them back on top in the order it passed them — the order every later
+// draw (and so every seeded run) depends on.
+func TestPairPoolTakeExcludingPassesOverOverlaps(t *testing.T) {
+	p, _ := testPool(nil)
+	head := testPair(1, 2)
+	a, b, c, d := testPair(3, 4), testPair(5, 6), testPair(1, 7), testPair(8, 2)
+	for _, pair := range []RelayPair{a, b, c, d} {
+		p.add(pair)
+	}
+	got, err := p.take(&head)
+	if err != nil || got != b {
+		t.Fatalf("take(&head) = %+v, %v; want %+v", got, err, b)
+	}
+	if want := []RelayPair{a, d, c}; !slices.Equal(stockOf(p), want) {
+		t.Errorf("stock after take = %+v, want %+v", stockOf(p), want)
+	}
+	if p.size() != 3 {
+		t.Errorf("gauge = %d, want 3", p.size())
+	}
+	// peek(exclude) never returns an overlapping pair and consumes nothing.
+	for i := 0; i < 20; i++ {
+		if got, err := p.peek(&head); err == nil && got != a {
+			t.Fatalf("peek(&head) = %+v, want %+v", got, a)
+		}
+	}
+	if len(p.stock) != 3 {
+		t.Errorf("peek consumed pairs: %d left", len(p.stock))
+	}
+}
+
+// A dry pool degrades to a pair synthesized from the node's own routing
+// state — never the node itself, never an excluded relay, never the same
+// relay twice — and counts it as a fallback pair.
+func TestPairPoolDryFallsBackToSynth(t *testing.T) {
+	p, _ := testPool(nil)
+	if _, err := p.take(nil); !errors.Is(err, ErrNoRelays) {
+		t.Fatalf("no candidates: err = %v, want ErrNoRelays", err)
+	}
+	head := testPair(1, 2)
+	p.candidates = func() []chord.Peer {
+		return []chord.Peer{p.self, head.First, testPeer(3), chord.NoPeer, testPeer(3), head.Second, testPeer(4)}
+	}
+	for i := 0; i < 10; i++ {
+		got, err := p.take(&head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != testPair(3, 4) && got != testPair(4, 3) {
+			t.Fatalf("synthesized %+v from candidates {3, 4}", got)
+		}
+	}
+	if f := p.stats.fallbackPairs.Load(); f != 10 {
+		t.Errorf("fallback pairs = %d, want 10", f)
+	}
+	// A managed pool vets fallback relays too; one candidate left is not a
+	// pair.
+	p.vet = func(r chord.Peer) bool { return r.ID != testPeer(4).ID }
+	if _, err := p.take(&head); !errors.Is(err, ErrNoRelays) {
+		t.Errorf("vetted-out candidate: err = %v, want ErrNoRelays", err)
+	}
+}
+
+// "Exclude nothing" is an explicit case, not a comparison against a
+// sentinel pair: the zero Peer{} is Valid (Addr 0 is a real slot) and does
+// occur inside stocked pairs, which must still be handed out.
+func TestPairPoolExcludeNothingKeepsZeroPeerPairs(t *testing.T) {
+	p, _ := testPool(nil)
+	phantom := RelayPair{First: testPeer(1), Second: chord.Peer{}}
+	if !p.add(phantom) {
+		t.Fatal("add refused a pair holding the zero Peer{}")
+	}
+	if got, err := p.peek(nil); err != nil || got != phantom {
+		t.Errorf("peek(nil) = %+v, %v; want the stocked pair", got, err)
+	}
+	if got, err := p.take(nil); err != nil || got != phantom {
+		t.Errorf("take(nil) = %+v, %v; want the stocked pair", got, err)
+	}
+}
+
+// refill keeps target pairs stocked or on the way, at most
+// pairRefillParallel walks at a time, and after a fruitless walk — even one
+// that fails synchronously — waits one retry period instead of spinning.
+func TestPairPoolRefill(t *testing.T) {
+	p, sim := testPool(map[id.ID]bool{})
+	var pending []func(grew bool)
+	p.target = 6
+	p.retry = 15 * time.Second
+	p.running = func() bool { return true }
+	p.walk = func(done func(bool)) { pending = append(pending, done) }
+
+	p.refill()
+	if len(pending) != pairRefillParallel {
+		t.Fatalf("launched %d walks, want %d", len(pending), pairRefillParallel)
+	}
+	// Each walk that stocks a pair makes room for the next one.
+	next := 1
+	for len(pending) > 0 {
+		done := pending[0]
+		pending = pending[1:]
+		done(p.add(testPair(next, next+1)))
+		next += 2
+	}
+	if len(p.stock) != p.target || p.inflight != 0 {
+		t.Fatalf("stock %d, in flight %d; want %d, 0", len(p.stock), p.inflight, p.target)
+	}
+	if w := p.stats.refillWalks.Load(); w != uint64(p.target) {
+		t.Errorf("refill walks = %d, want %d", w, p.target)
+	}
+
+	// Drain; walks now fail synchronously, as on a node with no fingers.
+	launched := 0
+	p.walk = func(done func(bool)) { launched++; done(false) }
+	p.setStock(nil)
+	p.refill()
+	if launched != 1 || !p.paused {
+		t.Fatalf("after a synchronous failure: %d walks, paused=%v; want 1, true", launched, p.paused)
+	}
+	p.refill()
+	if launched != 1 {
+		t.Errorf("refill relaunched while paused (%d walks)", launched)
+	}
+	sim.Run(sim.Now() + p.retry)
+	if launched != 2 {
+		t.Errorf("%d walks after the retry period, want 2", launched)
+	}
+
+	// A passive pool never walks ahead.
+	q, _ := testPool(nil)
+	q.refill() // walk and running are nil: would panic if consulted
+}

@@ -45,11 +45,11 @@ func (n *Node) neighborSurveillance() {
 		return
 	}
 	target := preds[n.tr.Rand().Intn(len(preds))]
-	head, err := n.peekPair()
+	head, err := n.pairs.peek(nil)
 	if err != nil {
 		return // relay pool still warming up
 	}
-	pair, err := n.peekPairDisjoint(head)
+	pair, err := n.pairs.peek(&head)
 	if err != nil {
 		return
 	}
@@ -206,12 +206,12 @@ func (n *Node) consistencyCheck(ideal id.ID, claimed chord.Peer,
 func (n *Node) probePredecessor(ideal id.ID, claimed chord.Peer,
 	predTable chord.RoutingTable, p1 chord.Peer,
 	cb func(chord.Peer, []chord.RoutingTable, error)) {
-	head, err := n.peekPair()
+	head, err := n.pairs.peek(nil)
 	if err != nil {
 		cb(chord.NoPeer, nil, err)
 		return
 	}
-	pair, err := n.peekPairDisjoint(head)
+	pair, err := n.pairs.peek(&head)
 	if err != nil {
 		cb(chord.NoPeer, nil, err)
 		return

@@ -37,8 +37,11 @@ type walkResult struct {
 	tables []chord.RoutingTable // every signed table seen (buffered for §4.4)
 }
 
-// startWalk launches one relay-selection walk; it runs every cfg.WalkEvery.
-func (n *Node) startWalk() {
+// startWalk launches one relay-selection walk and stocks the pair it selects.
+// Both sources of walks come through here — the cfg.WalkEvery tick and the
+// managed pool's walk-ahead refill, which learns through done whether the
+// stock grew.
+func (n *Node) startWalk(done func(grew bool)) {
 	n.stats.walksStarted.Add(1)
 	n.runWalk(func(res walkResult, err error) {
 		for _, t := range res.tables {
@@ -46,10 +49,11 @@ func (n *Node) startWalk() {
 		}
 		if err != nil {
 			n.stats.walksFailed.Add(1)
+			done(false)
 			return
 		}
 		n.stats.walksCompleted.Add(1)
-		n.addPair(res.pair)
+		done(n.pairs.add(res.pair))
 	})
 }
 

@@ -113,7 +113,6 @@ func TestSeededDigests(t *testing.T) {
 	got := make([]string, len(seededRuns))
 	t.Run("runs", func(t *testing.T) {
 		for i, r := range seededRuns {
-			i, r := i, r
 			t.Run(r.name, func(t *testing.T) {
 				t.Parallel() // each run owns its simulator; nothing is shared
 				got[i] = fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", r.run()))))
