@@ -5,7 +5,13 @@ import (
 	"os"
 	"os/exec"
 	"testing"
+
+	"github.com/octopus-dht/octopus/internal/daemon"
 )
+
+// ringConfig is the descriptor the multi-process tests in main_test.go write
+// for their daemons; they predate its move to internal/daemon.
+type ringConfig = daemon.RingConfig
 
 // TestHelpGolden pins the daemon's whole option surface — section titles,
 // flag names, order, help texts and defaults — to testdata/help.golden,

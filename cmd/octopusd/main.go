@@ -1,5 +1,6 @@
 // Command octopusd runs one process's slice of a multi-process Octopus
-// ring over real TCP sockets (internal/transport/nettransport).
+// ring over real TCP sockets (internal/transport/nettransport). This file
+// is the flag surface; the process lifecycle is internal/daemon.
 //
 // Every process of a deployment is started from the same ring configuration
 // file — an endpoint table assigning each node slot (and the CA) to a TCP
@@ -26,59 +27,18 @@
 package main
 
 import (
-	crand "crypto/rand"
-	"encoding/binary"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"github.com/octopus-dht/octopus/internal/chord"
 	"github.com/octopus-dht/octopus/internal/core"
-	"github.com/octopus-dht/octopus/internal/id"
-	"github.com/octopus-dht/octopus/internal/obs"
-	"github.com/octopus-dht/octopus/internal/store"
-	"github.com/octopus-dht/octopus/internal/transport"
-	"github.com/octopus-dht/octopus/internal/transport/nettransport"
-	"github.com/octopus-dht/octopus/internal/xcrypto"
+	"github.com/octopus-dht/octopus/internal/daemon"
 )
-
-// ringConfig is the JSON deployment descriptor shared by every process.
-type ringConfig struct {
-	// Seed drives the deterministic bootstrap; all processes must agree.
-	Seed int64 `json:"seed"`
-	// Nodes maps node slot i to the TCP endpoint of the process serving
-	// it. Multiple slots may share one endpoint (one process, many
-	// nodes).
-	Nodes []string `json:"nodes"`
-	// CA is the endpoint of the process hosting the certificate
-	// authority (address slot len(Nodes)).
-	CA string `json:"ca"`
-}
-
-func loadRingConfig(path string) (ringConfig, error) {
-	var rc ringConfig
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return rc, err
-	}
-	if err := json.Unmarshal(b, &rc); err != nil {
-		return rc, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(rc.Nodes) < 8 {
-		return rc, fmt.Errorf("%s: need at least 8 node slots, got %d", path, len(rc.Nodes))
-	}
-	if rc.CA == "" {
-		return rc, fmt.Errorf("%s: missing \"ca\" endpoint", path)
-	}
-	return rc, nil
-}
 
 // flagSection is one documented group in the -help output. Flags registered
 // through the sectioned helpers below are attributed to the most recently
@@ -122,72 +82,6 @@ func durFlag(p *time.Duration, name string, def time.Duration, usage string) {
 	noteFlag(name)
 }
 
-// cfgFlagRow is one row of the flag→core.Config table: the flag's name, its
-// octopusd default, its help text, and the Config field it binds. The flag
-// package writes parsed values straight into the field, so there is no
-// per-field copy step to forget when Config grows.
-type cfgFlagRow struct {
-	name  string
-	def   interface{}
-	usage string
-	field func(*core.Config) interface{}
-}
-
-// tuningFlags maps the protocol-tuning flags onto core.Config.
-var tuningFlags = []cfgFlagRow{
-	{"routing-tier", core.TierFinger, "routing tier: \"finger\" (the paper's O(log n) tables) or \"onehop\" (full tables, O(1) lookups, D1HT-style event dissemination)",
-		func(c *core.Config) interface{} { return &c.RoutingTier }},
-	{"tier-maintain-every", time.Second, "one-hop tier event-flush period (EDRA tick)",
-		func(c *core.Config) interface{} { return &c.TierMaintainEvery }},
-	{"walk-every", 500 * time.Millisecond, "relay-selection random-walk period",
-		func(c *core.Config) interface{} { return &c.WalkEvery }},
-	{"stabilize-every", time.Second, "Chord stabilization period (also the neighbor-suspicion period)",
-		func(c *core.Config) interface{} { return &c.Chord.StabilizeEvery }},
-	{"surveil-every", 15 * time.Second, "secret surveillance period",
-		func(c *core.Config) interface{} { return &c.SurveilEvery }},
-	{"fix-fingers-every", 10 * time.Second, "secured finger-update period",
-		func(c *core.Config) interface{} { return &c.Chord.FixFingersEvery }},
-	{"rpc-timeout", 2 * time.Second, "per-RPC timeout",
-		func(c *core.Config) interface{} { return &c.Chord.RPCTimeout }},
-	{"query-timeout", 4 * time.Second, "anonymous-query round-trip timeout",
-		func(c *core.Config) interface{} { return &c.QueryTimeout }},
-	{"dummies", 6, "dummy queries per anonymous lookup",
-		func(c *core.Config) interface{} { return &c.Dummies }},
-	{"relay-delay-max", 50 * time.Millisecond, "max artificial relay delay (timing defense)",
-		func(c *core.Config) interface{} { return &c.RelayDelayMax }},
-	{"alpha", 3, "α: concurrent table queries per lookup (1 = the paper's sequential schedule)",
-		func(c *core.Config) interface{} { return &c.LookupParallelism }},
-	{"pool-target", 16, "relay pairs the managed pool keeps pre-built (0 = passive WalkEvery-only pool)",
-		func(c *core.Config) interface{} { return &c.PairPoolTarget }},
-	{"cache-size", 256, "lookup-result cache entries per node (0 disables; membership events flush it)",
-		func(c *core.Config) interface{} { return &c.LookupCacheSize }},
-	{"cache-ttl", 60 * time.Second, "lookup-result cache entry lifetime",
-		func(c *core.Config) interface{} { return &c.LookupCacheTTL }},
-}
-
-// storageCfgFlags holds the Config-bound rows that belong under the Storage
-// section of -help rather than Protocol tuning.
-var storageCfgFlags = []cfgFlagRow{
-	{"store-replicas", 3, "total copies per stored entry (owner + successors)",
-		func(c *core.Config) interface{} { return &c.StoreReplicas }},
-}
-
-func registerCfgRows(cfg *core.Config, rows []cfgFlagRow) {
-	for _, row := range rows {
-		switch p := row.field(cfg).(type) {
-		case *time.Duration:
-			flag.DurationVar(p, row.name, row.def.(time.Duration), row.usage)
-		case *int:
-			flag.IntVar(p, row.name, row.def.(int), row.usage)
-		case *string:
-			flag.StringVar(p, row.name, row.def.(string), row.usage)
-		default:
-			panic(fmt.Sprintf("flag -%s: unsupported field type %T", row.name, p))
-		}
-		noteFlag(row.name)
-	}
-}
-
 // sectionedUsage renders -help grouped by the declared sections instead of
 // one flat alphabetical list.
 func sectionedUsage() {
@@ -221,888 +115,82 @@ func sectionedUsage() {
 }
 
 func main() {
-	opts := daemonOpts{cfg: core.DefaultConfig()}
-	var configPath, joinVia, listen string
+	opts := daemon.Options{Cfg: core.DefaultConfig()}
+	cfg := &opts.Cfg
 
 	section("Deployment")
-	strFlag(&configPath, "config", "", "ring configuration JSON (static deployment; mutually exclusive with -join)")
-	strFlag(&joinVia, "join", "", "TCP endpoint of any live daemon; join its ring dynamically instead of loading a config")
-	strFlag(&listen, "listen", "", "TCP endpoint this process serves (required)")
-	strFlag(&opts.idName, "id", "", "with -join: derive the ring identifier from this string instead of random (testing)")
+	strFlag(&opts.Config, "config", "", "ring configuration JSON (static deployment; mutually exclusive with -join)")
+	strFlag(&opts.Join, "join", "", "TCP endpoint of any live daemon; join its ring dynamically instead of loading a config")
+	strFlag(&opts.Listen, "listen", "", "TCP endpoint this process serves (required)")
+	strFlag(&opts.IDName, "id", "", "with -join: derive the ring identifier from this string instead of random (testing)")
 
 	section("Lookup verification")
-	strFlag(&opts.lookupKey, "lookup", "", "after warm-up, anonymously resolve this key from the first local node")
-	strFlag(&opts.expectID, "expect-id", "", "verify the -lookup against the owner identifier derived from this string (instead of the static ground truth), retrying until it matches")
-	durFlag(&opts.lookupWait, "lookup-retry", 2*time.Minute, "with -expect-id: how long to keep retrying the lookup")
-	boolFlag(&opts.once, "once", false, "exit after the -lookup completes (0 on success)")
-	intFlag(&opts.warmPairs, "warm-pairs", 16, "relay pairs to stock before the -lookup starts")
-	durFlag(&opts.warmMax, "warm-timeout", 90*time.Second, "abort if the relay pool is not stocked in time")
+	strFlag(&opts.LookupKey, "lookup", "", "after warm-up, anonymously resolve this key from the first local node")
+	strFlag(&opts.ExpectID, "expect-id", "", "verify the -lookup against the owner identifier derived from this string (instead of the static ground truth), retrying until it matches")
+	durFlag(&opts.LookupWait, "lookup-retry", 2*time.Minute, "with -expect-id: how long to keep retrying the lookup")
+	boolFlag(&opts.Once, "once", false, "exit after the -lookup completes (0 on success)")
+	intFlag(&opts.WarmPairs, "warm-pairs", 16, "relay pairs to stock before the -lookup starts")
+	durFlag(&opts.WarmMax, "warm-timeout", 90*time.Second, "abort if the relay pool is not stocked in time")
 
 	section("Protocol tuning")
-	registerCfgRows(&opts.cfg, tuningFlags)
+	strFlag(&cfg.RoutingTier, "routing-tier", core.TierFinger, "routing tier: \"finger\" (the paper's O(log n) tables) or \"onehop\" (full tables, O(1) lookups, D1HT-style event dissemination)")
+	durFlag(&cfg.TierMaintainEvery, "tier-maintain-every", time.Second, "one-hop tier event-flush period (EDRA tick)")
+	durFlag(&cfg.WalkEvery, "walk-every", 500*time.Millisecond, "relay-selection random-walk period")
+	durFlag(&cfg.Chord.StabilizeEvery, "stabilize-every", time.Second, "Chord stabilization period (also the neighbor-suspicion period)")
+	durFlag(&cfg.SurveilEvery, "surveil-every", 15*time.Second, "secret surveillance period")
+	durFlag(&cfg.Chord.FixFingersEvery, "fix-fingers-every", 10*time.Second, "secured finger-update period")
+	durFlag(&cfg.Chord.RPCTimeout, "rpc-timeout", 2*time.Second, "per-RPC timeout")
+	durFlag(&cfg.QueryTimeout, "query-timeout", 4*time.Second, "anonymous-query round-trip timeout")
+	intFlag(&cfg.Dummies, "dummies", 6, "dummy queries per anonymous lookup")
+	durFlag(&cfg.RelayDelayMax, "relay-delay-max", 50*time.Millisecond, "max artificial relay delay (timing defense)")
+	intFlag(&cfg.LookupParallelism, "alpha", 3, "α: concurrent table queries per lookup (1 = the paper's sequential schedule)")
+	intFlag(&cfg.PairPoolTarget, "pool-target", 16, "relay pairs the managed pool keeps pre-built (0 = passive WalkEvery-only pool)")
+	intFlag(&cfg.LookupCacheSize, "cache-size", 256, "lookup-result cache entries per node (0 disables; membership events flush it)")
+	durFlag(&cfg.LookupCacheTTL, "cache-ttl", 60*time.Second, "lookup-result cache entry lifetime")
 
 	section("Transport")
-	intFlag(&opts.batchBytes, "batch-bytes", 64<<10, "max bytes coalesced into one socket write per TCP link")
-	durFlag(&opts.batchLinger, "batch-linger", 0, "extra wait for more frames before flushing a non-full batch (0 = flush as soon as the link queue drains)")
+	intFlag(&opts.BatchBytes, "batch-bytes", 64<<10, "max bytes coalesced into one socket write per TCP link")
+	durFlag(&opts.BatchLinger, "batch-linger", 0, "extra wait for more frames before flushing a non-full batch (0 = flush as soon as the link queue drains)")
 
 	section("Client serving")
-	boolFlag(&opts.serveLookups, "serve-lookups", true, "serve ClientLookupReq (0x05xx) from external clients on the bootstrap channel")
-	intFlag(&opts.serveWorkers, "serve-workers", 8, "lookup-service worker slots (concurrent client lookups)")
-	intFlag(&opts.serveQueue, "serve-queue", 64, "lookup-service queue depth before clients see backpressure")
-	intFlag(&opts.servePer, "serve-per-client", 16, "queued+running lookups allowed per client IP")
-	durFlag(&opts.serveTO, "serve-timeout", 60*time.Second, "per-client-lookup service deadline")
+	boolFlag(&opts.ServeLookups, "serve-lookups", true, "serve ClientLookupReq (0x05xx) from external clients on the bootstrap channel")
+	intFlag(&opts.ServeWorkers, "serve-workers", 8, "lookup-service worker slots (concurrent client lookups)")
+	intFlag(&opts.ServeQueue, "serve-queue", 64, "lookup-service queue depth before clients see backpressure")
+	intFlag(&opts.ServePer, "serve-per-client", 16, "queued+running lookups allowed per client IP")
+	durFlag(&opts.ServeTO, "serve-timeout", 60*time.Second, "per-client-lookup service deadline")
 
 	section("Storage")
-	boolFlag(&opts.serveStore, "serve-store", true, "run the replicated key-value store (0x06xx) and serve client Put/Get on the bootstrap channel")
-	registerCfgRows(&opts.cfg, storageCfgFlags)
-	durFlag(&opts.storeSync, "store-sync-every", 5*time.Second, "re-replication sweep period")
+	boolFlag(&opts.ServeStore, "serve-store", true, "run the replicated key-value store (0x06xx) and serve client Put/Get on the bootstrap channel")
+	intFlag(&cfg.StoreReplicas, "store-replicas", 3, "total copies per stored entry (owner + successors)")
+	durFlag(&opts.StoreSync, "store-sync-every", 5*time.Second, "re-replication sweep period")
 
 	section("Observability")
-	strFlag(&opts.metricsListen, "metrics-listen", "", "serve Prometheus text metrics on http://ADDR/metrics and the span buffer on /trace")
-	intFlag(&opts.traceBuffer, "trace-buffer", 0, "per-hop span ring-buffer capacity (0 disables tracing)")
-	strFlag(&opts.traceRedact, "trace-redact", "anonymous", "span redaction: \"anonymous\" scrubs identities and trace ids at record time; \"off\" exports raw spans (debugging only — breaks the anonymity guarantee)")
-	durFlag(&opts.statusEach, "status-every", 5*time.Second, "period of the status log line")
+	strFlag(&opts.MetricsListen, "metrics-listen", "", "serve Prometheus text metrics on http://ADDR/metrics and the span buffer on /trace")
+	intFlag(&opts.TraceBuffer, "trace-buffer", 0, "per-hop span ring-buffer capacity (0 disables tracing)")
+	strFlag(&opts.TraceRedact, "trace-redact", "anonymous", "span redaction: \"anonymous\" scrubs identities and trace ids at record time; \"off\" exports raw spans (debugging only — breaks the anonymity guarantee)")
+	durFlag(&opts.StatusEach, "status-every", 5*time.Second, "period of the status log line")
 
 	flag.Usage = sectionedUsage
 	flag.Parse()
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
-	if listen == "" || (configPath == "") == (joinVia == "") {
+	if opts.Listen == "" || (opts.Config == "") == (opts.Join == "") {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if opts.cfg.RoutingTier != core.TierFinger && opts.cfg.RoutingTier != core.TierOneHop {
+	if cfg.RoutingTier != core.TierFinger && cfg.RoutingTier != core.TierOneHop {
 		// Catch this at the flag boundary: core.New treats an unknown tier
 		// as a programming error and panics.
-		log.Fatalf("octopusd: -routing-tier %q: want %q or %q", opts.cfg.RoutingTier, core.TierFinger, core.TierOneHop)
+		log.Fatalf("octopusd: -routing-tier %q: want %q or %q", cfg.RoutingTier, core.TierFinger, core.TierOneHop)
 	}
-	if joinVia != "" && opts.lookupKey != "" && opts.expectID == "" {
+	if opts.Join != "" && opts.LookupKey != "" && opts.ExpectID == "" {
 		// Catch this before joining: a dynamically joined ring has no
 		// deterministic ground truth, and failing after the join would
 		// skip the graceful leave.
 		log.Fatal("octopusd: -join with -lookup requires -expect-id (no deterministic ground truth in a joined ring)")
 	}
-	od, err := newDaemonObs(opts)
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := daemon.Run(ctx, opts); err != nil {
 		log.Fatalf("octopusd: %v", err)
-	}
-	opts.obs = od
-	if joinVia != "" {
-		err = runJoin(joinVia, listen, opts)
-	} else {
-		err = run(configPath, listen, opts)
-	}
-	if err != nil {
-		log.Fatalf("octopusd: %v", err)
-	}
-}
-
-type daemonOpts struct {
-	// cfg holds the protocol tuning: flags registered through tuningFlags
-	// and storageCfgFlags write straight into these fields.
-	cfg core.Config
-
-	lookupKey  string
-	expectID   string
-	lookupWait time.Duration
-	once       bool
-	idName     string
-	warmPairs  int
-	warmMax    time.Duration
-	statusEach time.Duration
-
-	batchBytes  int
-	batchLinger time.Duration
-
-	serveLookups bool
-	serveWorkers int
-	serveQueue   int
-	servePer     int
-	serveTO      time.Duration
-
-	serveStore bool
-	storeSync  time.Duration
-
-	metricsListen string
-	traceBuffer   int
-	traceRedact   string
-
-	obs *daemonObs
-}
-
-// coreConfig finalizes the flag-bound configuration for a ring of n nodes.
-// The tuning flags already wrote their values into opts.cfg; only the
-// derived fields remain.
-func (opts daemonOpts) coreConfig(n int) core.Config {
-	cfg := opts.cfg
-	cfg.EstimatedSize = n
-	cfg.Chord.SuspectEvery = cfg.Chord.StabilizeEvery
-	return cfg
-}
-
-// daemonObs carries the process-wide instrumentation: one collector that
-// every component registers with (nodes, lookup service, stores, the
-// transport) and one span tracer shared by all local nodes. The collector
-// always exists — the status log line reads from it — but HTTP serving and
-// tracing are opt-in.
-type daemonObs struct {
-	collector *obs.Collector
-	tracer    *obs.Tracer
-}
-
-func newDaemonObs(opts daemonOpts) (*daemonObs, error) {
-	d := &daemonObs{collector: obs.NewCollector()}
-	if opts.traceBuffer > 0 {
-		mode := obs.RedactAnonymous
-		switch opts.traceRedact {
-		case "", "anonymous":
-		case "off":
-			mode = obs.RedactOff
-			log.Printf("WARNING: -trace-redact=off exports raw trace ids and target keys; an observer of the telemetry can link initiators to targets")
-		default:
-			return nil, fmt.Errorf("-trace-redact must be \"anonymous\" or \"off\", got %q", opts.traceRedact)
-		}
-		d.tracer = obs.NewTracer(opts.traceBuffer, mode)
-		d.collector.Register(d.tracer)
-	}
-	return d, nil
-}
-
-// attachNode registers a live node with the collector from inside its
-// serialization context — the obs fields it installs are read on the node's
-// hot paths, so a plain write from the daemon goroutine would race.
-func (d *daemonObs) attachNode(tr transport.Transport, node *core.Node) {
-	inContext(tr, node.Self().Addr, func() {
-		node.AttachObs(d.collector)
-		node.SetTracer(d.tracer)
-	})
-}
-
-// serve starts the observability HTTP listener, or does nothing when the
-// flag is unset.
-func (d *daemonObs) serve(listen string) error {
-	if listen == "" {
-		return nil
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return fmt.Errorf("metrics listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Handler(d.collector))
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		out := struct {
-			Mode    string     `json:"mode"`
-			Dropped uint64     `json:"dropped"`
-			Spans   []obs.Span `json:"spans"`
-		}{Mode: "anonymous", Dropped: d.tracer.Dropped(), Spans: d.tracer.Spans()}
-		if d.tracer.Mode() == obs.RedactOff {
-			out.Mode = "off"
-		}
-		if out.Spans == nil {
-			out.Spans = []obs.Span{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
-	})
-	go http.Serve(ln, mux)
-	log.Printf("serving metrics on http://%s/metrics", ln.Addr())
-	return nil
-}
-
-// attachStores gives every local node its slice of the replicated key-value
-// store (replicas land wherever the ring places them, so every ring member
-// must hold data). Attachment happens inside each node's serialization
-// context: the nodes are already live, and the store chains onto the node's
-// message handler. It returns the gateway store — the first local node's —
-// that client Put/Get requests are served through.
-func (opts daemonOpts) attachStores(tr transport.Transport, local []*core.Node) *store.Store {
-	if !opts.serveStore {
-		return nil
-	}
-	var gateway *store.Store
-	for _, node := range local {
-		node := node
-		var st *store.Store
-		inContext(tr, node.Self().Addr, func() {
-			st = store.New(node, store.Config{SyncEvery: opts.storeSync})
-			if opts.obs != nil {
-				st.AttachObs(opts.obs.collector)
-			}
-			st.Start()
-		})
-		if gateway == nil {
-			gateway = st
-		}
-	}
-	return gateway
-}
-
-// newLookupService builds the client-serving lookup service over the
-// process's first local node, or nil when serving is disabled or the
-// process hosts only the CA.
-func (opts daemonOpts) newLookupService(local []*core.Node) *core.LookupService {
-	if !opts.serveLookups || len(local) == 0 {
-		return nil
-	}
-	svc := core.NewLookupService(local[0], core.ServiceConfig{
-		Workers:   opts.serveWorkers,
-		Queue:     opts.serveQueue,
-		PerClient: opts.servePer,
-	})
-	if opts.obs != nil {
-		svc.AttachObs(opts.obs.collector)
-	}
-	return svc
-}
-
-// bootstrapDispatcher routes bootstrap-channel frames: ClientLookupReq to
-// the lookup service, ClientPutReq/ClientGetReq to the gateway store (both
-// blocking this client connection's read goroutine, which is exactly the
-// per-client queue), everything else to the admission relay. A nil service
-// or store drops its requests silently — the client observes a timeout,
-// the transport's universal failure signal.
-func bootstrapDispatcher(svc *core.LookupService, gw *store.Store, serveTO time.Duration,
-	admission func(string, transport.Message) (transport.Message, bool)) func(string, transport.Message) (transport.Message, bool) {
-	return func(remote string, req transport.Message) (transport.Message, bool) {
-		switch m := req.(type) {
-		case core.ClientLookupReq:
-			if svc == nil {
-				return nil, false
-			}
-			client := remote
-			if host, _, err := net.SplitHostPort(remote); err == nil {
-				client = host // per-IP quota: ports churn per connection
-			}
-			return svc.ServeClientLookup(client, m, serveTO), true
-		case store.ClientPutReq:
-			if gw == nil {
-				return nil, false
-			}
-			return gw.ServeClientPut(m, serveTO), true
-		case store.ClientGetReq:
-			if gw == nil {
-				return nil, false
-			}
-			return gw.ServeClientGet(m, serveTO), true
-		}
-		return admission(remote, req)
-	}
-}
-
-func run(configPath, listen string, opts daemonOpts) error {
-	rc, err := loadRingConfig(configPath)
-	if err != nil {
-		return err
-	}
-	n := len(rc.Nodes)
-	endpoints := append(append([]string{}, rc.Nodes...), rc.CA)
-
-	tr, err := nettransport.New(nettransport.Config{
-		Listen:      listen,
-		Self:        listen,
-		Endpoints:   endpoints,
-		Seed:        rc.Seed,
-		BatchBytes:  opts.batchBytes,
-		BatchLinger: opts.batchLinger,
-	})
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-
-	cfg := opts.coreConfig(n)
-
-	isLocal := func(a transport.Addr) bool { return tr.Local(a) }
-	nw, err := core.BuildNetworkLocal(tr, n, cfg, isLocal)
-	if err != nil {
-		return err
-	}
-
-	var local []*core.Node
-	for _, node := range nw.Nodes {
-		if node != nil {
-			local = append(local, node)
-		}
-	}
-	servesCA := tr.Local(transport.Addr(n))
-	log.Printf("serving %d/%d nodes on %s (seed %d, CA %s)",
-		len(local), n, listen, rc.Seed, map[bool]string{true: "local", false: rc.CA}[servesCA])
-	for _, node := range local {
-		log.Printf("  node %s @ slot %d", node.Self().ID, node.Self().Addr)
-	}
-	if len(local) == 0 && !servesCA {
-		return fmt.Errorf("no node or CA slots map to %s in %s", listen, configPath)
-	}
-
-	od := opts.obs
-	od.collector.Register(tr)
-	for _, node := range local {
-		od.attachNode(tr, node)
-	}
-
-	svc := opts.newLookupService(local)
-	gw := opts.attachStores(tr, local)
-	enableDynamicMembership(tr, nw, local, svc, gw, opts)
-	if svc != nil {
-		log.Printf("serving client lookups (α=%d, pool target %d, %d workers, queue %d)",
-			cfg.LookupParallelism, cfg.PairPoolTarget, opts.serveWorkers, opts.serveQueue)
-	}
-	if gw != nil {
-		log.Printf("serving key-value storage (%d replicas, sync every %v)",
-			cfg.StoreReplicas, opts.storeSync)
-	}
-	if err := od.serve(opts.metricsListen); err != nil {
-		return err
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	if opts.lookupKey != "" {
-		if len(local) == 0 {
-			return fmt.Errorf("-lookup needs a local node, but %s serves only the CA", listen)
-		}
-		if err := warmAndLookup(tr, nw.Ring.OwnerAmong, n, local[0], opts); err != nil {
-			return err
-		}
-		if opts.once {
-			return nil
-		}
-	}
-
-	ticker := time.NewTicker(opts.statusEach)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			logStatus(od.collector, svc != nil, gw != nil)
-		case s := <-sig:
-			log.Printf("received %v, shutting down", s)
-			return nil
-		}
-	}
-}
-
-// enableDynamicMembership arms a static-deployment process for online
-// growth: it serves bootstrap admission requests from slotless joiners
-// (relaying them to the CA) and, when this process hosts the CA, wires the
-// CA's admission hooks to the transport's dynamic endpoint table and the
-// announce broadcast.
-func enableDynamicMembership(tr *nettransport.Transport, nw *core.Network, local []*core.Node,
-	svc *core.LookupService, gw *store.Store, opts daemonOpts) {
-	caAddr := nw.CA.Addr()
-	caller := caAddr
-	bootstrap := chord.NoPeer
-	if len(local) > 0 {
-		caller = local[0].Self().Addr
-		bootstrap = local[0].Self()
-	} else if peers := nw.Ring.Peers(); len(peers) > 0 {
-		bootstrap = peers[0] // served by another process; still a valid contact
-	}
-	tr.SetBootstrapHandler(bootstrapDispatcher(svc, gw, opts.serveTO,
-		core.NewAdmissionRelay(tr, caller, caAddr, bootstrap, opts.cfg.Chord.RPCTimeout)))
-
-	// CA admission hooks — only on the process that actually serves the
-	// CA, and installed from INSIDE the CA's serialization context: the
-	// CA handler is already reachable over TCP by the time this runs, so
-	// a plain field write from the daemon goroutine would race with a
-	// joiner's CertIssueReq.
-	if !tr.Local(caAddr) {
-		return
-	}
-	inContext(tr, caAddr, func() {
-		// Per-endpoint admission rate limit: a baseline resource bound,
-		// NOT Sybil resistance (which needs the external identity check
-		// the paper assumes of its CA, §3.2). A sliding window — rather
-		// than an absolute count — means an uncleanly crashed joiner
-		// regains admission once its old grants age out, while identity
-		// rotation from one endpoint stays throttled.
-		grantTimes := make(map[string][]time.Time)
-		var globalGrants []time.Time
-		const maxGrantsPerWindow = 8  // per endpoint string (honest-operator restart budget)
-		const maxGlobalPerWindow = 32 // across ALL endpoints — the endpoint string is
-		const grantWindow = time.Hour // attacker-chosen, so only a global cap truly bounds growth
-		pruneWindow := func(ts []time.Time) []time.Time {
-			cutoff := time.Now().Add(-grantWindow)
-			kept := ts[:0]
-			for _, at := range ts {
-				if at.After(cutoff) {
-					kept = append(kept, at)
-				}
-			}
-			return kept
-		}
-		nw.CA.AdmitPolicy = func(_ transport.Addr, req core.CertIssueReq) bool {
-			if req.Endpoint == "" {
-				return false
-			}
-			globalGrants = pruneWindow(globalGrants)
-			if len(globalGrants) >= maxGlobalPerWindow {
-				return false
-			}
-			recent := pruneWindow(grantTimes[req.Endpoint])
-			if len(recent) == 0 {
-				delete(grantTimes, req.Endpoint) // don't let dead keys accrete
-			}
-			if len(recent) >= maxGrantsPerWindow {
-				grantTimes[req.Endpoint] = recent
-				return false
-			}
-			grantTimes[req.Endpoint] = append(recent, time.Now())
-			globalGrants = append(globalGrants, time.Now())
-			return true
-		}
-		// Retirement releases the per-endpoint admission quota (the
-		// documented contract of CertRetireReq) and recycles the slot
-		// so join/leave cycling does not grow the endpoint tables. The
-		// GLOBAL cap is deliberately not released: it limits identity
-		// issuance per hour — identities are permanent state (directory
-		// keys, issuance records, rosters) whether or not their grants
-		// retire, so a join/retire loop must not mint them unboundedly.
-		var freeSlots []transport.Addr
-		nw.CA.OnRetire = func(endpoint string, addr transport.Addr) {
-			// Prune BEFORE dropping, or the drop could consume an
-			// already-expired timestamp and release nothing.
-			if ts := pruneWindow(grantTimes[endpoint]); len(ts) > 0 {
-				grantTimes[endpoint] = ts[1:]
-			} else {
-				delete(grantTimes, endpoint)
-			}
-			freeSlots = append(freeSlots, addr)
-		}
-		nw.CA.AllocAddr = func(endpoint string) (transport.Addr, bool) {
-			if endpoint == "" {
-				return transport.NoAddr, false
-			}
-			if n := len(freeSlots); n > 0 {
-				addr := freeSlots[n-1]
-				freeSlots = freeSlots[:n-1]
-				tr.SetEndpoint(addr, endpoint)
-				return addr, true
-			}
-			return tr.AddEndpoint(endpoint), true
-		}
-		nw.CA.Announce = func(m core.EndpointAnnounce) {
-			broadcastFromCA(tr, caAddr, []string{m.Endpoint}, m)
-		}
-		nw.CA.AnnounceRevocation = func(m core.RevocationAnnounce) {
-			broadcastFromCA(tr, caAddr, nil, m)
-		}
-	})
-	// Heal lost announces: endpoint announces are unacknowledged one-way
-	// sends, so a process that missed one would otherwise never learn a
-	// joiner's slot. Re-broadcasting is idempotent for receivers.
-	tr.Every(caAddr, 30*time.Second, nw.CA.ReAnnounce)
-}
-
-// broadcastFromCA sends one one-way copy of msg to the first node slot of
-// every other process (one per distinct endpoint), skipping the endpoints
-// in `skip`.
-func broadcastFromCA(tr *nettransport.Transport, caAddr transport.Addr,
-	skip []string, msg transport.Message) {
-	notified := map[string]bool{tr.Self(): true}
-	for _, ep := range skip {
-		notified[ep] = true
-	}
-	for slot, ep := range tr.Endpoints() {
-		if ep == "" || notified[ep] || transport.Addr(slot) == caAddr {
-			continue
-		}
-		notified[ep] = true
-		tr.Send(caAddr, transport.Addr(slot), msg)
-	}
-}
-
-// runJoin is the dynamic-membership mode: obtain a certified identity and a
-// slot from a live ring via one bootstrap exchange, then join it — no
-// configuration file, no shared seed, one contact endpoint.
-func runJoin(joinEP, listen string, opts daemonOpts) error {
-	scheme := xcrypto.SimScheme{}
-	// The identity key pair guards the leave/retire signatures and every
-	// signed table this node will ever publish — it MUST come from
-	// crypto/rand (a time-seeded math/rand key would be recoverable from
-	// the public ring identifier by seed enumeration). The transport's
-	// protocol randomness needs no such strength.
-	kp, err := scheme.GenerateKey(crand.Reader)
-	if err != nil {
-		return err
-	}
-	var idBuf [8]byte
-	if _, err := crand.Read(idBuf[:]); err != nil {
-		return err
-	}
-	ringID := id.ID(binary.BigEndian.Uint64(idBuf[:]))
-	if opts.idName != "" {
-		ringID = id.FromBytes([]byte(opts.idName))
-	}
-	seed := time.Now().UnixNano()
-
-	log.Printf("requesting admission from %s (id %s, endpoint %s)", joinEP, ringID, listen)
-	var adm core.RingAdmitResp
-	admitted := false
-	for attempt := 1; attempt <= 5 && !admitted; attempt++ {
-		resp, err := nettransport.BootstrapCall(joinEP,
-			core.RingAdmitReq{ID: ringID, Key: kp.Public, Endpoint: listen}, 10*time.Second)
-		if err != nil {
-			log.Printf("admission attempt %d: %v", attempt, err)
-			time.Sleep(time.Second)
-			continue
-		}
-		r, ok := resp.(core.RingAdmitResp)
-		if !ok || !r.OK {
-			return fmt.Errorf("admission refused by %s", joinEP)
-		}
-		adm, admitted = r, true
-	}
-	if !admitted {
-		return fmt.Errorf("could not reach %s for admission", joinEP)
-	}
-	grant := adm.Grant
-	self := grant.Self
-	log.Printf("admitted: certificate issued by the CA over the wire (id %s, slot %d, %d roster entries, %d endpoints)",
-		self.ID, self.Addr, len(grant.Roster), len(grant.Endpoints))
-	if int(self.Addr) >= len(grant.Endpoints) || grant.Endpoints[self.Addr] != listen {
-		return fmt.Errorf("admission endpoint table does not place %s at slot %d", listen, self.Addr)
-	}
-
-	tr, err := nettransport.New(nettransport.Config{
-		Listen:      listen,
-		Self:        listen,
-		Endpoints:   grant.Endpoints,
-		Seed:        seed, // private randomness: the joiner shares no deterministic state
-		BatchBytes:  opts.batchBytes,
-		BatchLinger: opts.batchLinger,
-	})
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-
-	dir := core.NewDirectory(scheme)
-	dir.SetCAKey(grant.CAKey)
-	for _, e := range grant.Roster {
-		dir.Register(e.ID, e.Key)
-	}
-	dir.Register(self.ID, kp.Public)
-	// Seed replay protection: without the granted per-slot ordinals a
-	// fresh process would accept a captured announce for a reused slot's
-	// previous occupant.
-	for slot, seq := range grant.SlotSeqs {
-		if seq > 0 {
-			dir.AdvanceSlotSeq(transport.Addr(slot), seq)
-		}
-	}
-
-	cfg := opts.coreConfig(len(grant.Endpoints) - 1)
-	chordCfg := cfg.Chord
-	chordCfg.SignTables = true
-	chordCfg.DisableFingerUpdates = true
-	cn := chord.NewNode(tr, chordCfg, self,
-		&chord.Identity{Scheme: scheme, Key: kp, Cert: grant.Cert})
-	node := core.New(cn, cfg, adm.CAAddr, dir)
-	od := opts.obs
-	od.collector.Register(tr)
-	var st *store.Store
-	inContext(tr, self.Addr, func() {
-		// The store attaches before the node joins, so replica batches
-		// arriving the moment neighbors learn of us already land.
-		if opts.serveStore {
-			st = store.New(node, store.Config{SyncEvery: opts.storeSync})
-			st.AttachObs(od.collector)
-		}
-		node.AttachObs(od.collector)
-		node.SetTracer(od.tracer)
-		cn.Start()
-	})
-
-	// The announce that teaches other processes our endpoint races with
-	// our first join RPCs, so retry until the ring answers.
-	joinDeadline := time.Now().Add(opts.warmMax)
-	for {
-		errc := make(chan error, 1)
-		tr.After(self.Addr, 0, func() { cn.Join(adm.Bootstrap, func(err error) { errc <- err }) })
-		err := <-errc
-		if err == nil {
-			break
-		}
-		if time.Now().After(joinDeadline) {
-			return fmt.Errorf("join never succeeded: %w", err)
-		}
-		log.Printf("join attempt failed (%v), retrying", err)
-		time.Sleep(500 * time.Millisecond)
-	}
-	inContext(tr, self.Addr, node.StartProtocols)
-	log.Printf("joined the ring as %s @ slot %d", self.ID, self.Addr)
-	if st != nil {
-		// Churn re-replication, joining half: pull the key range this node
-		// now owns from its successor (the previous owner).
-		tr.After(self.Addr, 0, func() {
-			st.Start()
-			st.PullOwnedRange(func(n int, err error) {
-				if err != nil {
-					log.Printf("store range pull failed: %v (the sync sweep will repair)", err)
-					return
-				}
-				log.Printf("pulled %d stored entries for the joined key range", n)
-			})
-		})
-	}
-
-	// A joined daemon serves future joiners — and, like a static daemon,
-	// client lookups and storage.
-	svc := opts.newLookupService([]*core.Node{node})
-	tr.SetBootstrapHandler(bootstrapDispatcher(svc, st, opts.serveTO,
-		core.NewAdmissionRelay(tr, self.Addr, adm.CAAddr, self, opts.cfg.Chord.RPCTimeout)))
-	if err := od.serve(opts.metricsListen); err != nil {
-		return err
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	leave := func() error {
-		// Storage handover FIRST: the successor must hold this node's
-		// entries before the ring splices us out, or the departed range
-		// would serve misses until the next sync sweep.
-		if st != nil {
-			handed := make(chan struct{}, 1)
-			tr.After(self.Addr, 0, func() {
-				st.Handover(func(n int, err error) {
-					if err != nil {
-						log.Printf("store handover incomplete: %v (replicas still cover the range)", err)
-					} else {
-						log.Printf("handed %d stored entries to the successor", n)
-					}
-					handed <- struct{}{}
-				})
-			})
-			handTO := time.NewTimer(15 * time.Second)
-			select {
-			case <-handed:
-			case <-handTO.C:
-			}
-			handTO.Stop()
-		}
-
-		// Ring-level leave next: retiring releases this slot for
-		// immediate reuse, so it must not happen while the leave
-		// handshake (whose acks are addressed to this slot) is still in
-		// flight.
-		var leaveErr error
-		errc := make(chan error, 1)
-		tr.After(self.Addr, 0, func() { node.Leave(func(err error) { errc <- err }) })
-		leaveTO := time.NewTimer(15 * time.Second)
-		select {
-		case leaveErr = <-errc:
-			leaveTO.Stop()
-		case <-leaveTO.C:
-			return fmt.Errorf("leave handshake stalled")
-		}
-
-		// Best-effort grant retirement: releases this endpoint's
-		// admission quota at the CA and frees the slot. A timeout only
-		// means the quota frees when the window ages out.
-		retireSig, _ := scheme.Sign(kp, core.RetireStatement(self))
-		retired := make(chan struct{}, 1)
-		tr.After(self.Addr, 0, func() {
-			tr.Call(self.Addr, adm.CAAddr, core.CertRetireReq{Who: self, Sig: retireSig}, opts.cfg.Chord.RPCTimeout,
-				func(transport.Message, error) { retired <- struct{}{} })
-		})
-		retireTO := time.NewTimer(opts.cfg.Chord.RPCTimeout + time.Second)
-		select {
-		case <-retired:
-		case <-retireTO.C:
-		}
-		retireTO.Stop()
-
-		if leaveErr != nil {
-			return fmt.Errorf("left the ring with unacknowledged neighbors: %w", leaveErr)
-		}
-		log.Printf("left the ring cleanly (neighbors acknowledged the leave)")
-		return nil
-	}
-
-	if opts.lookupKey != "" {
-		if err := warmAndLookup(tr, nil, 0, node, opts); err != nil {
-			return err
-		}
-		if opts.once {
-			return leave()
-		}
-	}
-
-	ticker := time.NewTicker(opts.statusEach)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			logStatus(od.collector, svc != nil, st != nil)
-		case s := <-sig:
-			log.Printf("received %v, leaving the ring", s)
-			return leave()
-		}
-	}
-}
-
-// inContext runs fn inside a node's serialization context and waits for it —
-// the only legal way to touch protocol state from the daemon's goroutine.
-func inContext(tr transport.Transport, addr transport.Addr, fn func()) {
-	done := make(chan struct{})
-	tr.After(addr, 0, func() {
-		fn()
-		close(done)
-	})
-	<-done
-}
-
-// warmAndLookup waits for the node's relay pool to stock, then resolves the
-// key anonymously and verifies the answer. Verification has two modes:
-// against the deterministic ground truth every static process derives
-// locally (truth != nil; staticSlots is the initial population, whose
-// slots the truth covers), or — when -expect-id names an owner, e.g. a
-// dynamically joined node no seed can predict — against that identifier,
-// retrying until the ring has converged on it or -lookup-retry expires.
-func warmAndLookup(tr transport.Transport, truth func(id.ID) chord.Peer, staticSlots int,
-	node *core.Node, opts daemonOpts) error {
-	self := node.Self()
-	deadline := time.Now().Add(opts.warmMax)
-	for {
-		var pool int
-		var walks uint64
-		inContext(tr, self.Addr, func() {
-			pool = node.PoolSize()
-			walks = node.Stats().WalksCompleted
-		})
-		if pool >= opts.warmPairs {
-			log.Printf("relay pool stocked: %d pairs after %d walks", pool, walks)
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("relay pool still at %d/%d pairs after %v (%d walks done) — are the other processes up?",
-				pool, opts.warmPairs, opts.warmMax, walks)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-
-	key := id.FromBytes([]byte(opts.lookupKey))
-	log.Printf("anonymous lookup of %q (key %s) from node %s", opts.lookupKey, key, self.ID)
-
-	if opts.expectID != "" {
-		want := id.FromBytes([]byte(opts.expectID))
-		retryUntil := time.Now().Add(opts.lookupWait)
-		for {
-			owner, _, err := oneLookup(tr, node, key)
-			if err == nil && owner.ID == want {
-				log.Printf("owner: %s @ slot %d", owner.ID, owner.Addr)
-				log.Printf("lookup verified against expected owner %s", want)
-				return nil
-			}
-			if time.Now().After(retryUntil) {
-				return fmt.Errorf("lookup never resolved to expected owner %s (last: owner=%v err=%v)", want, owner, err)
-			}
-			if err != nil {
-				log.Printf("lookup attempt failed (%v), retrying", err)
-			} else {
-				log.Printf("owner %s != expected %s yet, retrying", owner.ID, want)
-			}
-			time.Sleep(2 * time.Second)
-		}
-	}
-
-	if truth == nil {
-		return fmt.Errorf("-lookup without -expect-id needs a deterministic deployment for ground truth")
-	}
-	// Ground truth from the full deterministic INITIAL topology. The ring
-	// can have grown since (this process serves admissions), so a dynamic
-	// joiner legitimately owning the key is not a failure — only a wrong
-	// answer within the static population is.
-	want := truth(key)
-	start := time.Now()
-	owner, stats, err := oneLookup(tr, node, key)
-	if err != nil {
-		return fmt.Errorf("lookup failed: %w", err)
-	}
-	ep := "?"
-	if nt, ok := tr.(*nettransport.Transport); ok {
-		ep = nt.Endpoint(owner.Addr)
-	}
-	log.Printf("owner: %s @ slot %d (%s) — %d queries + %d dummies, %v",
-		owner.ID, owner.Addr, ep, stats.Queries, stats.Dummies,
-		time.Since(start).Round(time.Millisecond))
-	if owner.ID != want.ID {
-		if staticSlots > 0 && int(owner.Addr) > staticSlots {
-			log.Printf("lookup resolved to dynamically joined node %s @ slot %d (static ground truth was %s); use -expect-id to verify grown rings",
-				owner.ID, owner.Addr, want.ID)
-			return nil
-		}
-		return fmt.Errorf("lookup verification FAILED: owner %s, ground truth %s", owner.ID, want.ID)
-	}
-	log.Printf("lookup verified against ground truth")
-	return nil
-}
-
-// oneLookup performs a single anonymous lookup from the node's context and
-// waits for the outcome.
-func oneLookup(tr transport.Transport, node *core.Node, key id.ID) (chord.Peer, core.LookupStats, error) {
-	type outcome struct {
-		owner chord.Peer
-		stats core.LookupStats
-		err   error
-	}
-	ch := make(chan outcome, 1)
-	tr.After(node.Self().Addr, 0, func() {
-		node.AnonLookup(key, func(owner chord.Peer, stats core.LookupStats, err error) {
-			ch <- outcome{owner, stats, err}
-		})
-	})
-	// NewTimer + Stop, not time.After: -expect-id retries call oneLookup in
-	// a loop, and each unstopped timer would stay live for two minutes.
-	deadline := time.NewTimer(2 * time.Minute)
-	defer deadline.Stop()
-	select {
-	case out := <-ch:
-		return out.owner, out.stats, out.err
-	case <-deadline.C:
-		return chord.NoPeer, core.LookupStats{}, fmt.Errorf("lookup never completed")
-	}
-}
-
-// logStatus renders the periodic status line from the same snapshots the
-// /metrics endpoint serves — one instrumentation path, two consumers.
-func logStatus(c *obs.Collector, haveSvc, haveStore bool) {
-	s := c.Snapshot()
-	line := fmt.Sprintf("status: pool=%d walks=%d lookups=%d queries=%d wire=%s out / %s in",
-		int(s.GaugeSum("octopus_pool_pairs")),
-		uint64(s.CounterSum("octopus_walks_completed_total")),
-		uint64(s.CounterSum("octopus_lookups_completed_total")),
-		uint64(s.CounterSum("octopus_lookup_queries_total")),
-		fmtBytes(uint64(s.CounterSum("octopus_transport_bytes_sent_total"))),
-		fmtBytes(uint64(s.CounterSum("octopus_transport_bytes_received_total"))))
-	if haveSvc {
-		line += fmt.Sprintf(" | served=%d failed=%d busy=%d active=%d queued=%d",
-			uint64(s.CounterSum("octopus_service_lookups_completed_total")),
-			uint64(s.CounterSum("octopus_service_lookups_failed_total")),
-			uint64(s.CounterSum("octopus_service_rejected_total")),
-			int(s.GaugeSum("octopus_service_active_lookups")),
-			int(s.GaugeSum("octopus_service_queued_lookups")))
-	}
-	if haveStore {
-		line += fmt.Sprintf(" | store: keys=%d puts=%d gets=%d hits=%d",
-			int(s.GaugeSum("octopus_store_keys")),
-			uint64(s.CounterSum("octopus_store_puts_total")),
-			uint64(s.CounterSum("octopus_store_gets_total")),
-			uint64(s.CounterSum("octopus_store_hits_total")))
-	}
-	log.Print(line)
-}
-
-func fmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
 	}
 }

@@ -22,14 +22,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"time"
-)
 
-// ringConfig mirrors cmd/octopusd's deployment descriptor.
-type ringConfig struct {
-	Seed  int64    `json:"seed"`
-	Nodes []string `json:"nodes"`
-	CA    string   `json:"ca"`
-}
+	"github.com/octopus-dht/octopus/internal/daemon"
+)
 
 func main() {
 	if err := run(); err != nil {
@@ -56,7 +51,7 @@ func run() error {
 		return err
 	}
 	const n = 12
-	rc := ringConfig{Seed: 42, CA: eps[0]}
+	rc := daemon.RingConfig{Seed: 42, CA: eps[0]}
 	for i := 0; i < n; i++ {
 		rc.Nodes = append(rc.Nodes, eps[i%2]) // even slots on A, odd on B
 	}
