@@ -226,7 +226,8 @@ func tierLoadConfig(tier string) experiments.LoadConfig {
 // one-hop tier. The gate pins both p95s and their ratio — the one-hop
 // tier's reason to exist is cutting the multi-hop convergence phase to a
 // single confirming query, and p95-gain is that claim as a number.
-// Runs minutes, not seconds: pass -timeout ≥ 45m and -benchtime 1x.
+// Runs minutes, not seconds (about four on a 2-core box): pass
+// -timeout 15m and -benchtime 1x.
 func BenchmarkTierLoad10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		finger := experiments.RunLoad(tierLoadConfig(core.TierFinger))

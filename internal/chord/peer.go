@@ -87,7 +87,10 @@ func (rt RoutingTable) All() []Peer {
 
 // signedBytes is the canonical byte encoding covered by the table signature.
 func (rt RoutingTable) signedBytes() []byte {
-	buf := make([]byte, 0, 16+10*rt.Items()+8)
+	// Exact, so the buffer never regrows (sign and verify each build it once
+	// per table): three 8-byte header words, a tag and a count per peer
+	// list, the exponent count, and 16 bytes per peer.
+	buf := make([]byte, 0, 24+3*2+1+16*rt.Items()+len(rt.FingerExps))
 	var tmp [8]byte
 	put := func(v uint64) {
 		binary.BigEndian.PutUint64(tmp[:], v)

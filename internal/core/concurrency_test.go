@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,6 +37,32 @@ func TestSeededIndexWalkerVerifierAgree(t *testing.T) {
 	if seededIndex(1, 1, 0) != 0 || seededIndex(1, 1, -3) != 0 {
 		t.Error("degenerate widths must yield 0")
 	}
+}
+
+// TestSeededIndexMatchesFreshSource pins the draw itself: a recycled,
+// re-seeded generator must return what a newly allocated one returns for the
+// same mixed seed, or walker and verifier on different builds would disagree
+// and seeded figures would move. Four goroutines draw at once, as hosts do
+// under the concurrent transports, so -race sees the pool shared.
+func TestSeededIndexMatchesFreshSource(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(g + 1))
+			for i := 0; i < 2500; i++ {
+				seed, step, n := int64(rng.Uint64()), 1+rng.Intn(16), 1+rng.Intn(200)
+				mixed := splitmix64(uint64(seed) + uint64(step)*0x9e3779b97f4a7c15)
+				want := rand.New(rand.NewSource(int64(mixed))).Intn(n)
+				if got := seededIndex(seed, step, n); got != want {
+					t.Errorf("seededIndex(%d, %d, %d) = %d, a fresh source draws %d", seed, step, n, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSeededIndexDecorrelated demonstrates the bug the splitmix64 mix
@@ -131,6 +159,18 @@ func TestNodeStatsRaceOverlappingLookups(t *testing.T) {
 		}
 	}
 	close(stop)
+	// Every node walks on its own goroutine at the 50 ms cadence, as walker
+	// (runPhaseTwo) and as verifier (verifyPhaseTwo), so seededIndex and its
+	// recycled generators were shared across hosts while the lookups ran.
+	walkers := 0
+	for i := 0; i < n; i++ {
+		if nw.Node(transport.Addr(i)).Stats().WalksCompleted > 0 {
+			walkers++
+		}
+	}
+	if walkers < 3 {
+		t.Errorf("only %d of %d nodes completed a walk; the overlap this test is for did not happen", walkers, n)
+	}
 	st := node.Stats()
 	if st.LookupsStarted != lookups {
 		t.Errorf("LookupsStarted = %d, want %d", st.LookupsStarted, lookups)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -70,9 +72,8 @@ type tableLookup struct {
 	alpha          int
 	inFlight       int
 	finished       bool
-	known          map[id.ID]chord.Peer
-	source         map[id.ID]chord.RoutingTable
-	queried        map[id.ID]bool
+	cands          []candidate          // every peer learned so far, sorted by ID
+	tables         []chord.RoutingTable // absorbed tables, in arrival order
 	closestQueried chord.Peer
 	stats          LookupStats
 	send           func(target chord.Peer, done func(transport.Message, error)) bool
@@ -89,6 +90,33 @@ type tableLookup struct {
 	ownerEvidence chord.RoutingTable
 	ownerSrcDist  uint64
 	ownerFound    bool
+}
+
+// candidate is one peer the lookup knows of.
+type candidate struct {
+	peer    chord.Peer
+	src     int32 // index in tables of the table that introduced it; -1 for a tier seed
+	queried bool
+}
+
+// find returns where x is, or would be inserted, in the ID-sorted candidate
+// set, and whether it is there.
+func (tl *tableLookup) find(x id.ID) (int, bool) {
+	return slices.BinarySearchFunc(tl.cands, x, func(c candidate, x id.ID) int {
+		return cmp.Compare(c.peer.ID, x)
+	})
+}
+
+// learn adds p as introduced by tables[src]. The first table to name a peer
+// stays its source; only tier seeds (src < 0) overwrite an entry.
+func (tl *tableLookup) learn(p chord.Peer, src int32) {
+	i, found := tl.find(p.ID)
+	switch {
+	case !found:
+		tl.cands = slices.Insert(tl.cands, i, candidate{peer: p, src: src})
+	case src < 0:
+		tl.cands[i] = candidate{peer: p, src: src}
+	}
 }
 
 func (n *Node) newTableLookup(key id.ID,
@@ -109,9 +137,6 @@ func (n *Node) newTableLookup(key id.ID,
 		n:              n,
 		key:            key,
 		alpha:          alpha,
-		known:          make(map[id.ID]chord.Peer),
-		source:         make(map[id.ID]chord.RoutingTable),
-		queried:        make(map[id.ID]bool),
 		closestQueried: n.Chord.Self,
 		send:           send,
 		finish:         finish,
@@ -122,28 +147,40 @@ func (n *Node) newTableLookup(key id.ID,
 	// successor list), keeping seeded paper-mode runs bit-identical; a
 	// full-state tier returns a bounded neighborhood tightly preceding
 	// the key, which normally contains the owner's immediate predecessor.
-	for _, p := range n.tier.Candidates(key) {
-		tl.known[p.ID] = p
+	seeds := n.tier.Candidates(key)
+	tl.cands = make([]candidate, 0, 4*len(seeds))
+	for _, p := range seeds {
+		tl.learn(p, -1)
 	}
 	return tl
 }
 
-// bestUnqueried returns the known node most tightly preceding the key that
-// improves on closestQueried.
-func (tl *tableLookup) bestUnqueried() (chord.Peer, bool) {
+// bestUnqueried returns the position in cands of the known node most
+// tightly preceding the key that improves on closestQueried.
+func (tl *tableLookup) bestUnqueried() (int, bool) {
 	self := tl.n.Chord.Self
-	best, found := chord.NoPeer, false
+	best, found := 0, false
 	var bestDist uint64
-	for _, p := range tl.known {
-		if tl.queried[p.ID] || !id.StrictBetween(p.ID, tl.closestQueried.ID, tl.key) {
+	for i, c := range tl.cands {
+		if c.queried || !id.StrictBetween(c.peer.ID, tl.closestQueried.ID, tl.key) {
 			continue
 		}
-		d := self.ID.Distance(p.ID)
+		d := self.ID.Distance(c.peer.ID)
 		if !found || d > bestDist {
-			best, bestDist, found = p, d, true
+			best, bestDist, found = i, d, true
 		}
 	}
 	return best, found
+}
+
+// dummyTarget draws where a dummy query goes: uniformly from what the lookup
+// knows, as an index into the ID order, so the choice is a function of the
+// seed and of the set, never of the order peers were learned in.
+func (tl *tableLookup) dummyTarget(rng *rand.Rand) (chord.Peer, bool) {
+	if len(tl.cands) == 0 {
+		return chord.NoPeer, false
+	}
+	return tl.cands[rng.Intn(len(tl.cands))].peer, true
 }
 
 // recordOwnerCandidate checks whether a queried node's successor list
@@ -170,13 +207,11 @@ func (tl *tableLookup) recordOwnerCandidate(t chord.RoutingTable) {
 
 // absorb merges a verified table into the knowledge set.
 func (tl *tableLookup) absorb(from chord.Peer, t chord.RoutingTable) {
+	src := int32(len(tl.tables))
+	tl.tables = append(tl.tables, t)
 	add := func(p chord.Peer) {
-		if !p.Valid() || p.ID == tl.n.Chord.Self.ID {
-			return
-		}
-		if _, seen := tl.known[p.ID]; !seen {
-			tl.known[p.ID] = p
-			tl.source[p.ID] = t
+		if p.Valid() && p.ID != tl.n.Chord.Self.ID {
+			tl.learn(p, src)
 		}
 	}
 	for _, p := range boundCheck(t.Owner, t.Fingers, tl.n.cfg.EstimatedSize, tl.n.cfg.BoundFactor) {
@@ -240,10 +275,12 @@ func (tl *tableLookup) step() {
 	}
 }
 
-// issue sends one query to next and wires its response back into the
-// engine. It reports whether the query could be sent at all.
-func (tl *tableLookup) issue(next chord.Peer) bool {
-	tl.queried[next.ID] = true
+// issue sends one query to the candidate at position i and wires its
+// response back into the engine. It reports whether the query could be sent
+// at all.
+func (tl *tableLookup) issue(i int) bool {
+	tl.cands[i].queried = true
+	next := tl.cands[i].peer
 	tl.stats.Queries++
 	tl.stats.Queried = append(tl.stats.Queried, next)
 	tl.inFlight++
@@ -298,8 +335,8 @@ func (tl *tableLookup) done(owner chord.Peer, err error) {
 			res.Evidence = tl.ownerEvidence
 			res.HasEvidence = true
 		default:
-			if t, ok := tl.source[owner.ID]; ok {
-				res.Evidence = t
+			if i, ok := tl.find(owner.ID); ok && tl.cands[i].src >= 0 {
+				res.Evidence = tl.tables[tl.cands[i].src]
 				res.HasEvidence = true
 			}
 		}
@@ -426,17 +463,10 @@ func (n *Node) sendDummy(head RelayPair, tl *tableLookup) {
 	if err != nil {
 		return
 	}
-	// Candidates are sorted so the random choice is deterministic per
-	// seed (map iteration order is not).
-	candidates := make([]chord.Peer, 0, len(tl.known))
-	for _, p := range tl.known {
-		candidates = append(candidates, p)
-	}
-	if len(candidates) == 0 {
+	target, ok := tl.dummyTarget(n.tr.Rand())
+	if !ok {
 		return
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].ID < candidates[j].ID })
-	target := candidates[n.tr.Rand().Intn(len(candidates))]
 	tl.stats.Dummies++
 	tl.stats.PairsUsed++
 	n.stats.dummiesSent.Add(1)

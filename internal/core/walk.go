@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -239,9 +240,19 @@ func seededIndex(seed int64, step, n int) int {
 		return 0
 	}
 	mixed := splitmix64(uint64(seed) + uint64(step)*0x9e3779b97f4a7c15)
-	r := rand.New(rand.NewSource(int64(mixed)))
-	return r.Intn(n)
+	r := seededRands.Get().(*rand.Rand)
+	r.Seed(int64(mixed))
+	i := r.Intn(n)
+	seededRands.Put(r)
+	return i
 }
+
+// seededRands recycles seededIndex's generators: a math/rand source is 4.9 KB
+// of state, too much to allocate per walk hop for one draw. Seed resets all
+// of that state, so the draw equals a new generator's. A pool, not a field:
+// hosts run on their own goroutines under the concurrent transports, and
+// seededIndex stays a pure function.
+var seededRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // splitmix64 is the SplitMix64 finalizer (Steele, Lea, Flood): a cheap
 // full-avalanche 64-bit mixer — every input bit flips each output bit with

@@ -279,11 +279,17 @@ func (d *daemon) serve(ctx context.Context) error {
 			return nil
 		}
 	}
-	ticker := time.NewTicker(d.opts.StatusEach)
-	defer ticker.Stop()
+	// A non-positive period means no status line: the nil channel never
+	// becomes ready (and time.NewTicker would panic on it).
+	var tick <-chan time.Time
+	if d.opts.StatusEach > 0 {
+		ticker := time.NewTicker(d.opts.StatusEach)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	for {
 		select {
-		case <-ticker.C:
+		case <-tick:
 			d.logStatus()
 		case <-ctx.Done():
 			log.Printf("shutting down")

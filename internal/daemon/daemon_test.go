@@ -398,3 +398,17 @@ func TestInProcessJoinLeave(t *testing.T) {
 	}
 	finish("A (serve)", cancelA, doneA)
 }
+
+// TestServeWithoutStatusLine: a non-positive -status-every means no status
+// line. It used to reach time.NewTicker, which panics on such a period.
+func TestServeWithoutStatusLine(t *testing.T) {
+	for _, period := range []time.Duration{0, -time.Second} {
+		d := &daemon{opts: Options{StatusEach: period}}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		err := d.serve(ctx)
+		cancel()
+		if err != nil {
+			t.Errorf("serve with -status-every %v returned %v, want nil at cancellation", period, err)
+		}
+	}
+}

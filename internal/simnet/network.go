@@ -178,6 +178,24 @@ func (n *Network) transmit(from, to Address) (time.Duration, bool) {
 	return delay, true
 }
 
+// send is one one-way message in flight.
+type send struct {
+	timer    Timer
+	n        *Network
+	from, to Address
+	msg      Message
+}
+
+func (d *send) fire() {
+	h := d.n.hosts[d.to]
+	if !h.alive || h.handler == nil {
+		d.n.dropped.Add(1)
+		return
+	}
+	d.n.account(d.from, d.to, d.msg)
+	h.handler(d.from, d.msg)
+}
+
 // Send delivers a one-way message. The destination's handler runs after the
 // sampled latency; its response, if any, is discarded.
 func (n *Network) Send(from, to Address, msg Message) {
@@ -188,15 +206,61 @@ func (n *Network) Send(from, to Address, msg Message) {
 	if !ok {
 		return
 	}
-	n.sim.After(delay, func() {
-		h := n.hosts[to]
-		if !h.alive || h.handler == nil {
-			n.dropped.Add(1)
-			return
+	d := &send{n: n, from: from, to: to, msg: msg}
+	n.sim.schedule(&d.timer, delay, d)
+}
+
+// call is one RPC in flight: a single record carrying both of its queue
+// entries, the deadline and whichever leg (request, then response) is
+// travelling. cb is nil once the caller has been answered either way.
+type call struct {
+	deadline, leg Timer
+	n             *Network
+	from, to      Address
+	msg           Message // the request, then the response
+	answered      bool    // msg is the response, on its way back
+	cb            func(Message, error)
+}
+
+// callDeadline is the call's timeout event; the call itself is its leg event.
+type callDeadline call
+
+func (c *callDeadline) fire() {
+	cb := c.cb
+	c.cb = nil
+	cb(nil, ErrTimeout)
+}
+
+func (c *call) fire() {
+	n := c.n
+	if c.answered {
+		if c.cb == nil {
+			return // timeout already fired
 		}
-		n.account(from, to, msg)
-		h.handler(from, msg)
-	})
+		cb := c.cb
+		c.cb = nil
+		c.deadline.Cancel()
+		n.account(c.to, c.from, c.msg)
+		cb(c.msg, nil)
+		return
+	}
+	h := n.hosts[c.to]
+	if !h.alive || h.handler == nil {
+		n.dropped.Add(1)
+		return // caller will observe the timeout
+	}
+	n.account(c.from, c.to, c.msg)
+	resp, ok := h.handler(c.from, c.msg)
+	if !ok {
+		n.dropped.Add(1)
+		return
+	}
+	back, revOK := n.transmit(c.to, c.from)
+	if !revOK {
+		return // response lost in flight: caller observes the timeout
+	}
+	c.msg, c.answered = resp, true
+	n.sim.schedule(&c.leg, back, c)
 }
 
 // Call performs a request/response RPC. Exactly one of the callback's
@@ -208,42 +272,11 @@ func (n *Network) Call(from, to Address, req Message, timeout time.Duration, cb 
 		n.sim.After(0, func() { cb(nil, ErrUnreachable) })
 		return
 	}
-	done := false
-	timer := n.sim.After(timeout, func() {
-		if done {
-			return
-		}
-		done = true
-		cb(nil, ErrTimeout)
-	})
+	c := &call{n: n, from: from, to: to, msg: req, cb: cb}
+	n.sim.schedule(&c.deadline, timeout, (*callDeadline)(c))
 	delay, fwdOK := n.transmit(from, to)
 	if !fwdOK {
 		return // request lost in flight: caller observes the timeout
 	}
-	n.sim.After(delay, func() {
-		h := n.hosts[to]
-		if !h.alive || h.handler == nil {
-			n.dropped.Add(1)
-			return // caller will observe the timeout
-		}
-		n.account(from, to, req)
-		resp, ok := h.handler(from, req)
-		if !ok {
-			n.dropped.Add(1)
-			return
-		}
-		back, revOK := n.transmit(to, from)
-		if !revOK {
-			return // response lost in flight: caller observes the timeout
-		}
-		n.sim.After(back, func() {
-			if done {
-				return // timeout already fired
-			}
-			done = true
-			timer.Cancel()
-			n.account(to, from, resp)
-			cb(resp, nil)
-		})
-	})
+	n.sim.schedule(&c.leg, delay, c)
 }

@@ -8,67 +8,66 @@
 // The simulator itself is single-goroutine by design: protocol handlers run
 // inline when their events fire, so no synchronization is needed inside the
 // protocols under test.
+//
+// The event queue is a 4-ary heap whose slots carry their (time, sequence)
+// key by value, and a cancelled timer leaves it at once. Nearly every RPC is
+// answered long before its deadline: a timeout left queued until then would
+// pin the request, the callback and the whole lookup state behind it, and
+// such entries would make up most of the queue's depth.
 package simnet
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
 
-// Timer is a handle to a scheduled event that can be cancelled.
+// event is what a queue entry runs when its time comes.
+type event interface{ fire() }
+
+// funcEvent adapts a plain callback; func values are pointer-shaped, so the
+// conversion to event does not allocate.
+type funcEvent func()
+
+func (f funcEvent) fire() { f() }
+
+// Timer is a handle to a scheduled event that can be cancelled. The zero
+// value is an unscheduled timer: the simulator's own records (an RPC, a
+// periodic tick) embed theirs and re-arm it instead of allocating one per
+// event.
 type Timer struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int // heap index, -1 once popped
+	sim *Simulator
+	ev  event
+	pos int // 1 + index in sim.events; 0 when not queued
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op.
+// Cancel prevents the event from firing: it leaves the queue and lets go of
+// its callback. Cancelling an already-fired or already-cancelled timer is a
+// no-op.
 func (t *Timer) Cancel() {
-	t.cancelled = true
-}
-
-// eventHeap orders timers by (time, sequence) so simultaneous events fire in
-// scheduling order, which keeps runs deterministic.
-type eventHeap []*Timer
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	t, ok := x.(*Timer)
-	if !ok {
+	if t.pos == 0 {
 		return
 	}
-	t.index = len(*h)
-	*h = append(*h, t)
+	t.sim.remove(t.pos - 1)
+	t.ev = nil
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
+
+// slot is one queue entry. Simultaneous events fire in scheduling order
+// (seq), which keeps runs deterministic; holding the key here means sifting
+// compares slots without touching the timers they point to.
+type slot struct {
+	at  time.Duration
+	seq uint64
+	t   *Timer
+}
+
+func (a slot) before(b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Simulator owns the virtual clock and the event queue.
 type Simulator struct {
 	now    time.Duration
-	events eventHeap
+	events []slot // 4-ary min-heap on (at, seq)
 	rng    *rand.Rand
 	seq    uint64
 	fired  uint64
@@ -89,59 +88,134 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Fired reports how many events have executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are queued (including cancelled ones not
-// yet reaped).
+// Pending reports how many events are queued. Cancelled timers are not
+// among them: Cancel removes its entry.
 func (s *Simulator) Pending() int { return len(s.events) }
 
 // After schedules fn to run delay after the current virtual time and returns
 // a cancellable handle. Negative delays are clamped to zero.
 func (s *Simulator) After(delay time.Duration, fn func()) *Timer {
+	t := &Timer{}
+	s.schedule(t, delay, funcEvent(fn))
+	return t
+}
+
+// schedule queues ev on t, which must not be queued already.
+func (s *Simulator) schedule(t *Timer, delay time.Duration, ev event) {
 	if delay < 0 {
 		delay = 0
 	}
-	t := &Timer{at: s.now + delay, seq: s.seq, fn: fn}
+	t.sim, t.ev = s, ev
+	s.events = append(s.events, slot{at: s.now + delay, seq: s.seq, t: t})
 	s.seq++
-	heap.Push(&s.events, t)
-	return t
+	s.up(len(s.events) - 1)
+}
+
+// up moves the slot at i toward the root until its parent fires first.
+func (s *Simulator) up(i int) {
+	h := s.events
+	sl := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !sl.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].t.pos = i + 1
+		i = p
+	}
+	h[i] = sl
+	sl.t.pos = i + 1
+}
+
+// down moves the slot at i toward the leaves until it fires before all of
+// its (up to four) children.
+func (s *Simulator) down(i int) {
+	h := s.events
+	sl := h[i]
+	for {
+		first := 4*i + 1
+		if first >= len(h) {
+			break
+		}
+		m := first
+		for c := first + 1; c < first+4 && c < len(h); c++ {
+			if h[c].before(h[m]) {
+				m = c
+			}
+		}
+		if !h[m].before(sl) {
+			break
+		}
+		h[i] = h[m]
+		h[i].t.pos = i + 1
+		i = m
+	}
+	h[i] = sl
+	sl.t.pos = i + 1
+}
+
+// remove takes the slot at i out of the queue and returns it.
+func (s *Simulator) remove(i int) slot {
+	h := s.events
+	out, last := h[i], len(h)-1
+	out.t.pos = 0
+	moved := h[last]
+	h[last] = slot{}
+	s.events = h[:last]
+	if i < last {
+		h[i] = moved
+		if i > 0 && moved.before(h[(i-1)/4]) {
+			s.up(i)
+		} else {
+			s.down(i)
+		}
+	}
+	return out
+}
+
+// ticker is one Every schedule: a single record whose timer is re-armed
+// after each tick.
+type ticker struct {
+	timer   Timer
+	period  time.Duration
+	fn      func()
+	stopped bool
+}
+
+func (k *ticker) fire() {
+	if k.stopped {
+		return
+	}
+	k.fn()
+	if !k.stopped {
+		k.timer.sim.schedule(&k.timer, k.period, k)
+	}
 }
 
 // Every schedules fn to run repeatedly with the given period, starting one
 // period from now. The returned stop function cancels future firings.
 func (s *Simulator) Every(period time.Duration, fn func()) (stop func()) {
-	stopped := false
-	var schedule func()
-	schedule = func() {
-		s.After(period, func() {
-			if stopped {
-				return
-			}
-			fn()
-			if !stopped {
-				schedule()
-			}
-		})
-	}
-	schedule()
-	return func() { stopped = true }
+	k := &ticker{period: period, fn: fn}
+	s.schedule(&k.timer, period, k)
+	// stop does not cancel the tick already queued; it fires as an empty
+	// event, because Fired() is part of what seeded runs are compared on.
+	return func() { k.stopped = true }
 }
 
 // Step executes the next pending event, advancing the clock to its firing
 // time. It returns false when the queue is empty.
 func (s *Simulator) Step() bool {
-	for len(s.events) > 0 {
-		t, ok := heap.Pop(&s.events).(*Timer)
-		if !ok {
-			return false
-		}
-		if t.cancelled {
-			continue
-		}
-		s.now = t.at
-		s.fired++
-		t.fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	next := s.remove(0)
+	ev := next.t.ev
+	next.t.ev = nil // a kept handle must not pin the callback; records re-arm
+	s.now = next.at
+	s.fired++
+	ev.fire()
+	return true
 }
 
 // Run executes events until the queue is empty or the clock would pass
@@ -149,14 +223,7 @@ func (s *Simulator) Step() bool {
 // exactly `until` still fire.
 func (s *Simulator) Run(until time.Duration) uint64 {
 	start := s.fired
-	for len(s.events) > 0 {
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > until {
-			break
-		}
+	for len(s.events) > 0 && s.events[0].at <= until {
 		s.Step()
 	}
 	if s.now < until {
@@ -171,15 +238,4 @@ func (s *Simulator) RunAll() uint64 {
 	for s.Step() {
 	}
 	return s.fired - start
-}
-
-func (s *Simulator) peek() *Timer {
-	for len(s.events) > 0 {
-		t := s.events[0]
-		if !t.cancelled {
-			return t
-		}
-		heap.Pop(&s.events)
-	}
-	return nil
 }

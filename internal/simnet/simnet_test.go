@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -40,9 +41,104 @@ func TestCancel(t *testing.T) {
 	fired := false
 	timer := s.After(time.Second, func() { fired = true })
 	timer.Cancel()
+	if s.Pending() != 0 {
+		t.Errorf("pending = %d after Cancel, want 0: a cancelled timer leaves the queue", s.Pending())
+	}
 	s.RunAll()
 	if fired {
 		t.Error("cancelled timer fired")
+	}
+	if s.Fired() != 0 {
+		t.Errorf("Fired() = %d, want 0: a cancelled event is not an executed one", s.Fired())
+	}
+}
+
+// TestQueueMatchesSortedModel drives random interleavings of After and Cancel
+// — from outside and from inside running callbacks — against a reference that
+// is nothing but a list searched for its least live (at, seq). The victims of
+// Cancel are drawn from every timer ever made, so they include timers that
+// already fired, timers cancelled before, same-instant siblings of the
+// running event and the running timer itself; delays of 0 and -1 re-enter the
+// current instant.
+func TestQueueMatchesSortedModel(t *testing.T) {
+	type ref struct {
+		at   time.Duration
+		live bool
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(0)
+		var model []ref // indexed by scheduling order, which is seq
+		var timers []*Timer
+		lastFired := -1
+		cancel := func(id int) {
+			timers[id].Cancel()
+			model[id].live = false
+		}
+		var schedule func()
+		schedule = func() {
+			if len(timers) >= 4000 {
+				return
+			}
+			id, delay := len(timers), time.Duration(rng.Intn(5)-1)
+			model = append(model, ref{at: s.Now() + max(delay, 0), live: true})
+			timers = append(timers, s.After(delay, func() {
+				lastFired = id
+				for k := rng.Intn(5); k > 0; k-- {
+					switch rng.Intn(8) {
+					case 0:
+						cancel(id) // itself, while firing
+					case 1, 2:
+						victim := rng.Intn(len(timers))
+						cancel(victim)
+						cancel(victim) // twice
+					default:
+						schedule()
+					}
+				}
+			}))
+		}
+		for i := 0; i < 300; i++ {
+			schedule()
+		}
+		for i := 0; i < 40; i++ {
+			cancel(rng.Intn(len(timers)))
+		}
+		for fired := uint64(0); ; fired++ {
+			next, live := -1, 0
+			for id, r := range model {
+				if !r.live {
+					continue
+				}
+				live++
+				if next < 0 || r.at < model[next].at { // ids ascend, so ties keep the lower seq
+					next = id
+				}
+			}
+			if s.Pending() != live {
+				t.Fatalf("seed %d after %d events: Pending() = %d, model has %d live", seed, fired, s.Pending(), live)
+			}
+			if s.Fired() != fired {
+				t.Fatalf("seed %d: Fired() = %d after %d executed events", seed, s.Fired(), fired)
+			}
+			if next < 0 {
+				if s.Step() {
+					t.Fatalf("seed %d: Step ran an event the model does not have", seed)
+				}
+				if fired < 1000 {
+					t.Fatalf("seed %d: only %d events ran; the script is too short to mean anything", seed, fired)
+				}
+				break
+			}
+			model[next].live = false
+			if !s.Step() {
+				t.Fatalf("seed %d: queue empty, model expects timer %d", seed, next)
+			}
+			if lastFired != next || s.Now() != model[next].at {
+				t.Fatalf("seed %d event %d: fired timer %d at %v, model expects %d at %v",
+					seed, fired, lastFired, s.Now(), next, model[next].at)
+			}
+		}
 	}
 }
 
@@ -225,6 +321,35 @@ func TestTimeoutDoesNotDoubleFire(t *testing.T) {
 	}
 }
 
+// TestAnsweredCallsLeaveNothingQueued: an answered RPC takes its timeout out
+// of the queue when the answer arrives, not when the deadline passes.
+func TestAnsweredCallsLeaveNothingQueued(t *testing.T) {
+	s := New(1)
+	n := NewNetwork(s, ConstantLatency{D: time.Millisecond}, 2)
+	n.Bind(1, func(_ Address, req Message) (Message, bool) { return req, true })
+	s.After(time.Hour, func() {}) // something unrelated stays queued throughout
+	before := s.Pending()
+	const calls = 10000
+	answered := 0
+	for i := 0; i < calls; i++ {
+		n.Call(0, 1, testMsg{bytes: 1}, time.Minute, func(_ Message, err error) {
+			if err == nil {
+				answered++
+			}
+		})
+	}
+	if s.Pending() != before+2*calls {
+		t.Fatalf("pending = %d with %d calls in flight, want a deadline and a leg each", s.Pending(), calls)
+	}
+	s.Run(time.Second) // far short of any deadline
+	if answered != calls {
+		t.Fatalf("%d of %d calls answered", answered, calls)
+	}
+	if s.Pending() != before {
+		t.Errorf("pending = %d once every call is answered, want %d as before the calls", s.Pending(), before)
+	}
+}
+
 func TestBandwidthAccounting(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s, ConstantLatency{D: time.Millisecond}, 2)
@@ -310,4 +435,25 @@ func BenchmarkEventLoop(b *testing.B) {
 		s.After(time.Duration(i), func() {})
 	}
 	s.RunAll()
+}
+
+// BenchmarkCallLoop is one answered RPC per iteration: request, handler,
+// response, and the timeout cancelled. The deadline is far enough out that a
+// queue which kept cancelled timeouts would be hundreds deep here.
+func BenchmarkCallLoop(b *testing.B) {
+	s := New(1)
+	n := NewNetwork(s, ConstantLatency{D: time.Millisecond}, 2)
+	n.Bind(1, func(_ Address, req Message) (Message, bool) { return req, true })
+	answered := 0
+	cb := func(Message, error) { answered++ }
+	var req Message = testMsg{bytes: 64}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Call(0, 1, req, time.Second, cb)
+		s.Run(s.Now() + 2*time.Millisecond)
+	}
+	if answered != b.N {
+		b.Fatalf("%d of %d calls answered", answered, b.N)
+	}
 }

@@ -544,17 +544,19 @@ func decodeFrame(r *Reader) Wire {
 }
 
 // EncodedSize returns the exact frame size Encode would produce, computed by
-// running the encoder in counting mode (no allocation). Protocol messages
-// implement Size() by delegating here, so bandwidth accounting always equals
-// the real serialized size. It returns 0 for non-codec messages.
-func EncodedSize(m Message) int {
-	wm, ok := m.(Wire)
-	if !ok {
-		return 0
-	}
-	w := NewCountingWriter()
-	wm.EncodePayload(w)
-	return frameHeaderSize + w.Len()
+// running the encoder in counting mode. Protocol messages implement Size() by
+// delegating here, so bandwidth accounting always equals the real serialized
+// size. It allocates nothing: the Writer is pooled (it escapes through the
+// encoder, and Size() runs twice per delivered message), and the type
+// parameter lets a value-receiver Size() pass its message on without boxing
+// it into an interface again.
+func EncodedSize[M Wire](m M) int {
+	w := writerPool.Get().(*Writer)
+	w.n, w.countOnly = 0, true
+	m.EncodePayload(w)
+	n := w.n
+	writerPool.Put(w) // AcquireWriter and EncodeTo reset the mode themselves
+	return frameHeaderSize + n
 }
 
 // EncodeNested writes a framed message as a length-prefixed field inside

@@ -119,9 +119,6 @@ func TestEncodeRejectsNonWireMessages(t *testing.T) {
 	if _, err := Encode(unregistered{}); err == nil {
 		t.Fatal("Encode accepted a message without a codec")
 	}
-	if got := EncodedSize(unregistered{}); got != 0 {
-		t.Fatalf("EncodedSize of non-wire message = %d, want 0", got)
-	}
 }
 
 func TestDecodeRejectsUnknownTypeAndTrailingBytes(t *testing.T) {
