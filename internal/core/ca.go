@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -159,10 +161,7 @@ func (ca *CA) Addr() transport.Addr { return ca.addr }
 // Stats returns a copy of the CA's casework counters.
 func (ca *CA) Stats() CAStats {
 	out := ca.stats
-	out.ByKind = make(map[ReportKind]uint64, len(ca.stats.ByKind))
-	for k, v := range ca.stats.ByKind {
-		out.ByKind[k] = v
-	}
+	out.ByKind = maps.Clone(ca.stats.ByKind)
 	return out
 }
 
@@ -251,21 +250,14 @@ func (ca *CA) verified(t chord.RoutingTable) bool {
 func (ca *CA) ping(p chord.Peer, cb func(alive bool)) {
 	ca.tr.Call(ca.addr, p.Addr, chord.GetTableReq{}, ca.RPCTimeout,
 		func(resp transport.Message, err error) {
-			if err != nil {
-				cb(false)
-				return
-			}
 			r, ok := resp.(chord.GetTableResp)
-			cb(ok && r.Table.Owner.ID == p.ID && ca.dir.VerifyTable(r.Table))
+			cb(err == nil && ok && r.Table.Owner.ID == p.ID && ca.dir.VerifyTable(r.Table))
 		})
 }
 
-// settled reports whether a node's certificate is old enough relative to a
-// table's timestamp for its omission from that table to be incriminating.
-func (ca *CA) settled(node id.ID, tableTime time.Duration) bool {
-	return ca.settledBy(node, tableTime, ca.SettleTime)
-}
-
+// settledBy reports whether a node's certificate is old enough — by slack —
+// relative to a table's timestamp for its omission from that table to be
+// incriminating.
 func (ca *CA) settledBy(node id.ID, tableTime, slack time.Duration) bool {
 	issued, known := ca.auth.IssuedAt(node)
 	if !known {
@@ -295,15 +287,12 @@ func (ca *CA) investigateOmission(m ReportMsg, done func(chord.Peer, ReportKind)
 		return
 	}
 	evidence := m.Evidence[0]
-	if evidence.Owner.ID != m.Accused.ID || !ca.verified(evidence) ||
-		!OmittedFromSuccessors(evidence, m.Missing) {
-		done(chord.NoPeer, m.Kind)
-		return
-	}
 	// An omission only incriminates if the omitted node existed long
 	// enough before the table was signed for stabilization to have
 	// propagated it (churn tolerance; Table 2's zero false positives).
-	if !ca.settled(m.Missing.ID, evidence.Timestamp) {
+	if evidence.Owner.ID != m.Accused.ID || !ca.verified(evidence) ||
+		!OmittedFromSuccessors(evidence, m.Missing) ||
+		!ca.settledBy(m.Missing.ID, evidence.Timestamp, ca.SettleTime) {
 		done(chord.NoPeer, m.Kind)
 		return
 	}
@@ -333,11 +322,7 @@ func (ca *CA) investigateOmission(m ReportMsg, done func(chord.Peer, ReportKind)
 // new committed list.
 func (ca *CA) chainStep(m ReportMsg, cur chord.Peer, committed chord.RoutingTable,
 	depth int, done func(chord.Peer, ReportKind)) {
-	if depth <= 0 {
-		done(chord.NoPeer, m.Kind)
-		return
-	}
-	if len(committed.Successors) == 0 {
+	if depth <= 0 || len(committed.Successors) == 0 {
 		done(chord.NoPeer, m.Kind)
 		return
 	}
@@ -424,12 +409,11 @@ func (ca *CA) investigateFinger(m ReportMsg, done func(chord.Peer, ReportKind)) 
 	// for manipulation reports, the finger at exactly the ideal position
 	// in dispute; for pollution reports, any entry vouching for the
 	// biased owner.
+	asserted := assertsOwner(claim, m.IdealID, m.ClaimedFinger)
 	if m.Kind == ReportFingerManipulation {
-		if !fingerAssertsAt(claim, m.ClaimedFinger, m.IdealID) {
-			done(chord.NoPeer, m.Kind)
-			return
-		}
-	} else if !assertsOwner(claim, m.IdealID, m.ClaimedFinger) {
+		asserted = fingerAssertsAt(claim, m.ClaimedFinger, m.IdealID)
+	}
+	if !asserted {
 		done(chord.NoPeer, m.Kind)
 		return
 	}
@@ -438,24 +422,9 @@ func (ca *CA) investigateFinger(m ReportMsg, done func(chord.Peer, ReportKind)) 
 	// (the §4.4 anonymous probe) or in F''s own predecessor list (the
 	// direct check).
 	witness := m.Evidence[len(m.Evidence)-1]
-	if !ca.verified(witness) {
-		done(chord.NoPeer, m.Kind)
-		return
-	}
-	found := false
-	for _, s := range witness.Successors {
-		if s.ID == m.Missing.ID && inHalfOpenLeft(s.ID, m.IdealID, m.ClaimedFinger.ID) {
-			found = true
-			break
-		}
-	}
-	for _, p := range witness.Predecessors {
-		if p.ID == m.Missing.ID && inHalfOpenLeft(p.ID, m.IdealID, m.ClaimedFinger.ID) {
-			found = true
-			break
-		}
-	}
-	if !found {
+	listed := func(p chord.Peer) bool { return p.ID == m.Missing.ID }
+	if !ca.verified(witness) || !inHalfOpenLeft(m.Missing.ID, m.IdealID, m.ClaimedFinger.ID) ||
+		!(slices.ContainsFunc(witness.Successors, listed) || slices.ContainsFunc(witness.Predecessors, listed)) {
 		done(chord.NoPeer, m.Kind)
 		return
 	}
@@ -487,10 +456,6 @@ func (ca *CA) provenanceWalk(m ReportMsg, cur chord.Peer, claimTime time.Duratio
 			done(chord.NoPeer, m.Kind)
 			return
 		}
-		if DebugFinger != nil {
-			DebugFinger("no-provenance guilty accused=%v claimed=%v missing=%v claimTS=%v",
-				cur, m.ClaimedFinger, m.Missing, claimTime)
-		}
 		done(cur, m.Kind)
 	}
 	if depth <= 0 {
@@ -499,12 +464,8 @@ func (ca *CA) provenanceWalk(m ReportMsg, cur chord.Peer, claimTime time.Duratio
 	}
 	ca.tr.Call(ca.addr, cur.Addr, ProofReq{FingerClaim: m.ClaimedFinger}, ca.RPCTimeout,
 		func(resp transport.Message, err error) {
-			if err != nil {
-				convictCur()
-				return
-			}
 			r, ok := resp.(ProofResp)
-			if !ok || !r.HasProvenance || !r.Provenance.Owner.Valid() ||
+			if err != nil || !ok || !r.HasProvenance || !r.Provenance.Owner.Valid() ||
 				r.Provenance.Owner.ID == cur.ID ||
 				!ca.dir.VerifyTable(r.Provenance) ||
 				!assertsOwner(r.Provenance, m.IdealID, m.ClaimedFinger) {
@@ -522,8 +483,63 @@ func (ca *CA) provenanceWalk(m ReportMsg, cur chord.Peer, claimTime time.Duratio
 		})
 }
 
-// DebugFinger, when set, traces finger investigations (tests only).
-var DebugFinger func(format string, args ...any)
+// investigateDrop is the CA's side of the selective-DoS defense (Appendix
+// II; relays collect the evidence — relay.go, evidence.go — and an initiator
+// whose query vanished reports the chain — paths.go). It walks the receipt
+// trail of the reported query: the first relay that holds neither its next
+// hop's receipt nor witness statements proving a refused delivery is the
+// dropper; a relay with failure statements shifts the blame to its next hop.
+func (ca *CA) investigateDrop(m ReportMsg, done func(chord.Peer, ReportKind)) {
+	if len(m.Relays) == 0 || m.QID == 0 || !m.HasHeadReceipt {
+		done(chord.NoPeer, m.Kind)
+		return
+	}
+	chain := m.Relays
+	var step func(i int)
+	step = func(i int) {
+		hop := chain[i]
+		ca.ping(hop, func(alive bool) {
+			if !alive {
+				done(chord.NoPeer, m.Kind) // churn, not an attack
+				return
+			}
+			if i == len(chain)-1 {
+				// The exit holds no onward receipt by design; if
+				// everything before it checked out, it is the
+				// dropper.
+				done(hop, m.Kind)
+				return
+			}
+			ca.tr.Call(ca.addr, hop.Addr, ProofReq{QID: m.QID}, ca.RPCTimeout,
+				func(resp transport.Message, err error) {
+					r, ok := resp.(ProofResp)
+					if err != nil || !ok {
+						done(hop, m.Kind) // refused the investigation
+						return
+					}
+					next := chain[i+1]
+					for _, rc := range r.Receipts {
+						if rc.QID == m.QID && rc.Issuer.ID == next.ID && ca.dir.VerifyReceipt(rc) {
+							step(i + 1) // delivered onward; move down the chain
+							return
+						}
+					}
+					for _, st := range r.Statements {
+						if st.QID == m.QID && !st.Delivered && ca.dir.VerifyStatement(st) {
+							// Witnesses confirm the next hop refused
+							// delivery while alive.
+							done(next, m.Kind)
+							return
+						}
+					}
+					// No receipt and no witness evidence: this relay
+					// never actually forwarded.
+					done(hop, m.Kind)
+				})
+		})
+	}
+	step(0)
+}
 
 // fingerAssertsAt reports whether a signed table claims `p` as the finger
 // for exactly the given ideal position.

@@ -44,7 +44,7 @@ func TestAnonQueryRoundTrip(t *testing.T) {
 
 	var got chord.RoutingTable
 	done := false
-	initiator.anonQuery(head, pair, target.Self(), chord.GetTableReq{IncludeSuccessors: true},
+	initiator.paths.anonQuery(head, pair, target.Self(), chord.GetTableReq{IncludeSuccessors: true},
 		func(resp simnet.Message, err error) {
 			done = true
 			if err != nil {
@@ -88,7 +88,7 @@ func TestAnonQueryHidesInitiator(t *testing.T) {
 		}
 		return honest, ok
 	}
-	initiator.anonQuery(head, pair, target.Self(), chord.GetTableReq{}, func(simnet.Message, error) {})
+	initiator.paths.anonQuery(head, pair, target.Self(), chord.GetTableReq{}, func(simnet.Message, error) {})
 	nw.Sim.Run(nw.Sim.Now() + 30*time.Second)
 	if !seen[pair.Second.Addr] {
 		t.Errorf("queried node never saw the exit relay %v (saw %v)", pair.Second.Addr, seen)
@@ -106,7 +106,7 @@ func TestRelayDelayApplied(t *testing.T) {
 
 	start := nw.Sim.Now()
 	var took time.Duration
-	initiator.anonQuery(head, pair, nw.Node(5).Self(), chord.GetTableReq{},
+	initiator.paths.anonQuery(head, pair, nw.Node(5).Self(), chord.GetTableReq{},
 		func(_ simnet.Message, err error) {
 			if err != nil {
 				t.Fatalf("anonQuery: %v", err)
@@ -133,7 +133,7 @@ func TestRandomWalkFillsPool(t *testing.T) {
 		t.Errorf("no walks completed: %+v", st)
 	}
 	// Walks must also feed the finger-surveillance buffer.
-	if len(node.tableBuffer) == 0 {
+	if len(node.evidence.tableBuffer) == 0 {
 		t.Error("walks did not buffer any fingertables")
 	}
 }
@@ -548,7 +548,7 @@ func TestSelectiveDoSDropperIdentified(t *testing.T) {
 	initiator := nw.Node(0)
 	head := RelayPair{First: nw.Node(1).Self(), Second: nw.Node(2).Self()}
 	pair := RelayPair{First: dropper.Self(), Second: nw.Node(4).Self()}
-	initiator.anonQuery(head, pair, nw.Node(5).Self(), chord.GetTableReq{},
+	initiator.paths.anonQuery(head, pair, nw.Node(5).Self(), chord.GetTableReq{},
 		func(_ simnet.Message, err error) {
 			if err == nil {
 				t.Error("dropped query unexpectedly succeeded")

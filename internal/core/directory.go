@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"sync"
@@ -164,6 +165,37 @@ func (d *Directory) VerifyTable(t chord.RoutingTable) bool {
 		return false
 	}
 	return t.VerifySig(d.scheme, key)
+}
+
+// receiptBytes is the canonical byte string covered by a receipt signature.
+func receiptBytes(qid uint64, issuer chord.Peer) []byte {
+	buf := make([]byte, 24, 25)
+	binary.BigEndian.PutUint64(buf[0:8], qid)
+	binary.BigEndian.PutUint64(buf[8:16], uint64(issuer.ID))
+	binary.BigEndian.PutUint64(buf[16:24], uint64(issuer.Addr))
+	return buf
+}
+
+// statementBytes is the byte string a witness signs: a receipt's bytes in
+// the witness's name, then the outcome.
+func statementBytes(st WitnessResp) []byte {
+	outcome := byte(0)
+	if st.Delivered {
+		outcome = 1
+	}
+	return append(receiptBytes(st.QID, st.Witness), outcome)
+}
+
+// VerifyReceipt checks a delivery receipt's signature (Appendix II).
+func (d *Directory) VerifyReceipt(r Receipt) bool {
+	key, ok := d.Key(r.Issuer.ID)
+	return ok && d.scheme.Verify(key, receiptBytes(r.QID, r.Issuer), r.Sig)
+}
+
+// VerifyStatement checks a witness statement's signature.
+func (d *Directory) VerifyStatement(st WitnessResp) bool {
+	key, ok := d.Key(st.Witness.ID)
+	return ok && d.scheme.Verify(key, statementBytes(st), st.Statement)
 }
 
 // NewIdentityFactory returns a chord.IdentityFactory that mints a key pair

@@ -27,7 +27,7 @@ func TestPickWitnessesSmallRing(t *testing.T) {
 	accused := succs[0]
 
 	for _, k := range []int{1, 2, 10} {
-		witnesses := node.pickWitnesses(k, accused.Addr)
+		witnesses := node.relay.pickWitnesses(k, accused.Addr)
 		if len(witnesses) > k {
 			t.Errorf("k=%d: got %d witnesses", k, len(witnesses))
 		}
@@ -46,7 +46,7 @@ func TestPickWitnessesSmallRing(t *testing.T) {
 		}
 	}
 	// Only 2 distinct candidates exist once the accused is excluded.
-	if got := len(node.pickWitnesses(10, accused.Addr)); got != 2 {
+	if got := len(node.relay.pickWitnesses(10, accused.Addr)); got != 2 {
 		t.Errorf("over-asking yielded %d witnesses, want the 2 distinct non-accused peers", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestWitnessFailureStatementShiftsBlame(t *testing.T) {
 	head := RelayPair{First: nw.Node(1).Self(), Second: nw.Node(2).Self()}
 	pair := RelayPair{First: ci.Self(), Second: dropper.Self()}
 	failed := false
-	initiator.anonQuery(head, pair, nw.Node(5).Self(), chord.GetTableReq{},
+	initiator.paths.anonQuery(head, pair, nw.Node(5).Self(), chord.GetTableReq{},
 		func(_ simnet.Message, err error) { failed = err != nil })
 	nw.Sim.Run(nw.Sim.Now() + 5*time.Minute)
 
@@ -111,13 +111,13 @@ func TestLateReplyCancelsDropReport(t *testing.T) {
 		target.Stop() // the exit's query will time out
 
 		start := nw.Sim.Now()
-		initiator.anonQuery(head, pair, target.Self(), chord.GetTableReq{},
+		initiator.paths.anonQuery(head, pair, target.Self(), chord.GetTableReq{},
 			func(_ simnet.Message, err error) {
 				if err == nil {
 					t.Error("query against a dead target succeeded")
 				}
 			})
-		qid := initiator.qidSeq<<16 | uint64(initiator.Chord.Self.Addr)&0xffff
+		qid := initiator.paths.qidSeq<<16 | uint64(initiator.Chord.Self.Addr)&0xffff
 		if injectLateReply {
 			// Let the deadline fire, then deliver the reply while the
 			// report's relay pings are still in flight.
@@ -156,7 +156,7 @@ func TestServeWitnessSignsFailureStatement(t *testing.T) {
 		WitnessReq{QID: qid, Deliver: dead.Self().Addr, Payload: payload})
 	nw.Sim.Run(nw.Sim.Now() + 30*time.Second)
 
-	sts := requester.statements[qid]
+	sts, _ := requester.evidence.statements.get(qid)
 	if len(sts) == 0 {
 		t.Fatal("witness never returned a statement")
 	}
@@ -167,19 +167,19 @@ func TestServeWitnessSignsFailureStatement(t *testing.T) {
 	if st.Witness.ID != witness.Self().ID {
 		t.Errorf("statement names witness %v, want %v", st.Witness, witness.Self())
 	}
-	if !nw.CA.verifyStatement(st) {
+	if !nw.Dir.VerifyStatement(st) {
 		t.Error("witness failure statement does not verify against the directory")
 	}
 	// A forged statement (flipped outcome) must NOT verify.
 	forged := st
 	forged.Delivered = true
-	if nw.CA.verifyStatement(forged) {
+	if nw.Dir.VerifyStatement(forged) {
 		t.Error("statement with a flipped outcome verified")
 	}
 }
 
 // TestWitnessStatementsServedToCA pins the evidence-request branch: a
-// relay's collected statements for a query are returned by handleProofReq,
+// relay's collected statements for a query are returned by evidence.answer,
 // and unrelated queries stay out.
 func TestWitnessStatementsServedToCA(t *testing.T) {
 	nw := buildTestNet(t, 19, 12, nil)
@@ -188,17 +188,17 @@ func TestWitnessStatementsServedToCA(t *testing.T) {
 	relay := nw.Node(2)
 	w := nw.Node(3).Self()
 	st := WitnessResp{QID: 77, Delivered: false, Witness: w, Statement: []byte("sig")}
-	relay.statements[77] = []WitnessResp{st}
-	relay.receipts[42] = Receipt{QID: 42, Issuer: w}
+	relay.evidence.statements.put(77, []WitnessResp{st})
+	relay.evidence.receipts.put(42, Receipt{QID: 42, Issuer: w})
 
-	resp := relay.handleProofReq(ProofReq{QID: 77})
+	resp := relay.evidence.answer(ProofReq{QID: 77})
 	if len(resp.Statements) != 1 || resp.Statements[0].QID != 77 {
 		t.Fatalf("proof response missing the query's statements: %+v", resp.Statements)
 	}
 	if len(resp.Receipts) != 0 {
 		t.Errorf("unrelated receipt leaked into the proof response: %+v", resp.Receipts)
 	}
-	resp = relay.handleProofReq(ProofReq{QID: 42})
+	resp = relay.evidence.answer(ProofReq{QID: 42})
 	if len(resp.Receipts) != 1 || len(resp.Statements) != 0 {
 		t.Errorf("qid 42 evidence wrong: receipts %+v statements %+v", resp.Receipts, resp.Statements)
 	}

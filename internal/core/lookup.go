@@ -302,13 +302,8 @@ func (tl *tableLookup) issue(i int) bool {
 
 // handleResponse verifies and absorbs one queried node's signed table.
 func (tl *tableLookup) handleResponse(next chord.Peer, resp transport.Message) {
-	r, ok := resp.(chord.GetTableResp)
-	if !ok {
-		return
-	}
-	table := r.Table
-	if table.Owner.ID != next.ID ||
-		(tl.n.dir != nil && !tl.n.dir.VerifyTable(table)) {
+	table, err := tl.n.signedTableOf(resp, nil, next)
+	if err != nil {
 		// Wrong responder (address reuse after churn) or bad
 		// signature: discard.
 		tl.stats.Rejected++
@@ -319,7 +314,7 @@ func (tl *tableLookup) handleResponse(next chord.Peer, resp transport.Message) {
 	}
 	tl.absorb(next, table)
 	tl.recordOwnerCandidate(table)
-	tl.n.bufferTable(table)
+	tl.n.evidence.bufferTable(table)
 }
 
 func (tl *tableLookup) done(owner chord.Peer, err error) {
@@ -392,7 +387,7 @@ func (n *Node) AnonLookupFull(key id.ID, cb func(chord.Peer, DirectLookupResult,
 			return false
 		}
 		tl.stats.PairsUsed++
-		n.anonQuery(head, pair, target, chord.GetTableReq{IncludeSuccessors: true}, done)
+		n.paths.anonQuery(head, pair, target, chord.GetTableReq{IncludeSuccessors: true}, done)
 		// Interleave dummy queries so an observer cannot tell real
 		// query positions from padding (§4.2). Half-probability per
 		// real step spreads them across the lookup.
@@ -470,7 +465,7 @@ func (n *Node) sendDummy(head RelayPair, tl *tableLookup) {
 	tl.stats.Dummies++
 	tl.stats.PairsUsed++
 	n.stats.dummiesSent.Add(1)
-	n.anonQuery(head, pair, target, chord.GetTableReq{IncludeSuccessors: true},
+	n.paths.anonQuery(head, pair, target, chord.GetTableReq{IncludeSuccessors: true},
 		func(transport.Message, error) {}) // dummy answers are discarded
 }
 

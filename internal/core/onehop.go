@@ -279,7 +279,7 @@ func (t *oneHopTier) apply(ev tierEvent) {
 		// identity never re-enters the table. (Signed-table verification
 		// at lookup time bounds the damage of any fabricated entry to
 		// one wasted query.)
-		if t.n.dir != nil && t.n.dir.Revoked(ev.peer.ID) {
+		if t.n.dir.Revoked(ev.peer.ID) {
 			return
 		}
 		if i, ok := t.find(ev.peer.ID); ok && t.table[i].Addr == ev.peer.Addr {

@@ -112,7 +112,7 @@ func newPairPool(n *Node) *pairPool {
 	p.target = n.cfg.PairPoolTarget
 	// A pre-built pair must never resurrect an evicted or departed relay.
 	p.vet = func(r chord.Peer) bool {
-		return n.tr.Alive(r.Addr) && (n.dir == nil || !n.dir.Revoked(r.ID))
+		return n.tr.Alive(r.Addr) && !n.dir.Revoked(r.ID)
 	}
 	// A small ring has only a handful of distinct fingers, and a serving
 	// node must degrade to weaker relays rather than fail lookups outright

@@ -45,44 +45,45 @@ func (n *Node) neighborSurveillance() {
 		return
 	}
 	target := preds[n.tr.Rand().Intn(len(preds))]
+	sent := n.probeSuccessors(target, func(table chord.RoutingTable, err error) {
+		if err != nil {
+			// A dead neighbor is stabilization's business, and an
+			// unverifiable table cannot back a report.
+			return
+		}
+		detected := OmittedFromSuccessors(table, n.Chord.Self)
+		if n.OnNeighborCheck != nil {
+			n.OnNeighborCheck(target, detected)
+		}
+		if detected {
+			n.report(ReportMsg{
+				Kind:     ReportNeighborOmission,
+				Accused:  target,
+				Missing:  n.Chord.Self,
+				Evidence: []chord.RoutingTable{table},
+			})
+		}
+	})
+	if sent {
+		n.stats.checksRun.Add(1)
+	}
+}
+
+// probeSuccessors anonymously fetches target's signed successor list — the
+// probe both surveillance checks end in — over peeked pairs, and reports
+// whether it could be sent at all (the relay pool may still be warming up).
+func (n *Node) probeSuccessors(target chord.Peer, cb func(chord.RoutingTable, error)) bool {
 	head, err := n.pairs.peek(nil)
 	if err != nil {
-		return // relay pool still warming up
+		return false
 	}
 	pair, err := n.pairs.peek(&head)
 	if err != nil {
-		return
+		return false
 	}
-	n.stats.checksRun.Add(1)
-	n.anonQuery(head, pair, target, chord.GetTableReq{IncludeSuccessors: true},
-		func(resp transport.Message, err error) {
-			if err != nil {
-				return // dead neighbor: stabilization handles it
-			}
-			r, ok := resp.(chord.GetTableResp)
-			if !ok {
-				return
-			}
-			table := r.Table
-			if table.Owner.ID != target.ID {
-				return
-			}
-			if n.dir != nil && !n.dir.VerifyTable(table) {
-				return // unverifiable tables cannot back a report
-			}
-			detected := OmittedFromSuccessors(table, n.Chord.Self)
-			if n.OnNeighborCheck != nil {
-				n.OnNeighborCheck(target, detected)
-			}
-			if detected {
-				n.report(ReportMsg{
-					Kind:     ReportNeighborOmission,
-					Accused:  target,
-					Missing:  n.Chord.Self,
-					Evidence: []chord.RoutingTable{table},
-				})
-			}
-		})
+	n.paths.anonQuery(head, pair, target, chord.GetTableReq{IncludeSuccessors: true},
+		func(resp transport.Message, err error) { cb(n.signedTableOf(resp, err, target)) })
+	return true
 }
 
 // matchIdealFinger returns the ideal finger position a claimed finger is
@@ -111,12 +112,9 @@ func inHalfOpenLeft(x, lo, hi id.ID) bool {
 // successor list and look for a live node closer to the ideal finger
 // position than F'.
 func (n *Node) fingerSurveillance() {
-	if len(n.tableBuffer) == 0 {
-		return
-	}
 	rng := n.tr.Rand()
-	table := n.tableBuffer[rng.Intn(len(n.tableBuffer))]
-	if len(table.Fingers) == 0 {
+	table, ok := n.evidence.bufferedTable(rng)
+	if !ok || len(table.Fingers) == 0 {
 		return
 	}
 	idx := rng.Intn(len(table.Fingers))
@@ -156,18 +154,9 @@ func (n *Node) consistencyCheck(ideal id.ID, claimed chord.Peer,
 	n.tr.Call(n.Chord.Self.Addr, claimed.Addr,
 		chord.GetTableReq{IncludePredecessors: true}, n.cfg.Chord.RPCTimeout,
 		func(resp transport.Message, err error) {
+			predTable, err := n.signedTableOf(resp, err, claimed)
 			if err != nil {
 				cb(chord.NoPeer, nil, err)
-				return
-			}
-			r, ok := resp.(chord.GetTableResp)
-			if !ok || r.Table.Owner.ID != claimed.ID {
-				cb(chord.NoPeer, nil, errWalkBadResponse)
-				return
-			}
-			predTable := r.Table
-			if n.dir != nil && !n.dir.VerifyTable(predTable) {
-				cb(chord.NoPeer, nil, errWalkBadSig)
 				return
 			}
 			// Step 1: any predecessor of F' that itself lies in
@@ -206,43 +195,25 @@ func (n *Node) consistencyCheck(ideal id.ID, claimed chord.Peer,
 func (n *Node) probePredecessor(ideal id.ID, claimed chord.Peer,
 	predTable chord.RoutingTable, p1 chord.Peer,
 	cb func(chord.Peer, []chord.RoutingTable, error)) {
-	head, err := n.pairs.peek(nil)
-	if err != nil {
-		cb(chord.NoPeer, nil, err)
-		return
+	sent := n.probeSuccessors(p1, func(succTable chord.RoutingTable, err error) {
+		if err != nil {
+			cb(chord.NoPeer, nil, err)
+			return
+		}
+		// The true finger must be the first live node at or after the
+		// ideal position: any successor of P'1 in [ideal, F') contradicts
+		// the claim.
+		for _, s := range succTable.Successors {
+			if s.Valid() && s.ID != claimed.ID && inHalfOpenLeft(s.ID, ideal, claimed.ID) {
+				cb(s, []chord.RoutingTable{predTable, succTable}, nil)
+				return
+			}
+		}
+		cb(chord.NoPeer, []chord.RoutingTable{predTable, succTable}, nil)
+	})
+	if !sent {
+		cb(chord.NoPeer, nil, ErrNoRelays)
 	}
-	pair, err := n.pairs.peek(&head)
-	if err != nil {
-		cb(chord.NoPeer, nil, err)
-		return
-	}
-	n.anonQuery(head, pair, p1, chord.GetTableReq{IncludeSuccessors: true},
-		func(resp transport.Message, err error) {
-			if err != nil {
-				cb(chord.NoPeer, nil, err)
-				return
-			}
-			r, ok := resp.(chord.GetTableResp)
-			if !ok || r.Table.Owner.ID != p1.ID {
-				cb(chord.NoPeer, nil, errWalkBadResponse)
-				return
-			}
-			succTable := r.Table
-			if n.dir != nil && !n.dir.VerifyTable(succTable) {
-				cb(chord.NoPeer, nil, errWalkBadSig)
-				return
-			}
-			// The true finger must be the first live node at or
-			// after the ideal position: any successor of P'1 in
-			// [ideal, F') contradicts the claim.
-			for _, s := range succTable.Successors {
-				if s.Valid() && s.ID != claimed.ID && inHalfOpenLeft(s.ID, ideal, claimed.ID) {
-					cb(s, []chord.RoutingTable{predTable, succTable}, nil)
-					return
-				}
-			}
-			cb(chord.NoPeer, []chord.RoutingTable{predTable, succTable}, nil)
-		})
 }
 
 // secureFingerUpdate is one round of Octopus's secured finger maintenance
@@ -278,7 +249,7 @@ func (n *Node) updateFingerSlot(slot int) {
 			if !closer.Valid() {
 				n.Chord.SetFinger(slot, res.Owner)
 				if res.HasEvidence {
-					n.recordFingerProvenance(res.Owner.ID, res.Evidence)
+					n.evidence.recordFingerProvenance(res.Owner.ID, res.Evidence)
 				}
 				return
 			}
@@ -301,6 +272,33 @@ func (n *Node) updateFingerSlot(slot int) {
 			})
 		})
 	})
+}
+
+// signedTable vets the outcome (resp, err) of a GetTableReq: the query must
+// have succeeded and the table's signature must verify. It does not tie the
+// table to whoever was asked: walk phase 1, alone among the signed-table
+// fetches, never has (ROADMAP item 5 records it) and calls this directly;
+// everything else goes through signedTableOf.
+func (n *Node) signedTable(resp transport.Message, err error) (chord.RoutingTable, error) {
+	r, ok := resp.(chord.GetTableResp)
+	switch {
+	case err != nil:
+	case !ok:
+		err = errWalkBadResponse
+	case !n.dir.VerifyTable(r.Table):
+		err = errWalkBadSig
+	}
+	return r.Table, err
+}
+
+// signedTableOf also requires the table to be owner's own: anything else is a
+// wrong responder (address reuse after churn) or a substitution.
+func (n *Node) signedTableOf(resp transport.Message, err error, owner chord.Peer) (chord.RoutingTable, error) {
+	t, err := n.signedTable(resp, err)
+	if err == nil && t.Owner.ID != owner.ID {
+		err = errWalkBadResponse
+	}
+	return t, err
 }
 
 // report submits a surveillance report to the CA.

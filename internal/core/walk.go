@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,7 +47,7 @@ func (n *Node) startWalk(done func(grew bool)) {
 	n.stats.walksStarted.Add(1)
 	n.runWalk(func(res walkResult, err error) {
 		for _, t := range res.tables {
-			n.bufferTable(t)
+			n.evidence.bufferTable(t)
 		}
 		if err != nil {
 			n.stats.walksFailed.Add(1)
@@ -77,21 +78,13 @@ func (n *Node) runWalk(cb func(walkResult, error)) {
 	var phase1 func(hop int)
 	phase1 = func(hop int) {
 		cur := visited[hop-1]
-		route := clonePeers(visited[:hop-1])
-		n.chainQuery(route, cur, chord.GetTableReq{}, n.cfg.QueryTimeout, -1,
+		route := slices.Clone(visited[:hop-1])
+		n.paths.chainQuery(route, cur, chord.GetTableReq{}, n.cfg.QueryTimeout, -1,
 			func(resp transport.Message, err error) {
+				// Not signedTableOf: see signedTable.
+				table, err := n.signedTable(resp, err)
 				if err != nil {
 					cb(res, err)
-					return
-				}
-				r, ok := resp.(chord.GetTableResp)
-				if !ok {
-					cb(res, errWalkBadResponse)
-					return
-				}
-				table := r.Table
-				if n.dir != nil && !n.dir.VerifyTable(table) {
-					cb(res, errWalkBadSig)
 					return
 				}
 				res.tables = append(res.tables, table)
@@ -117,11 +110,10 @@ func (n *Node) phaseTwo(visited []chord.Peer, cb func(walkResult, error), res *w
 	rng := n.tr.Rand()
 	seed := rng.Int63()
 	l := n.cfg.WalkLength
-	n.walkSeq++
-	req := WalkSeedReq{WalkID: n.walkSeq, Seed: seed, Hops: l}
+	req := WalkSeedReq{WalkID: n.paths.nextWalkID(), Seed: seed, Hops: l}
 	timeout := 2*n.cfg.QueryTimeout + time.Duration(l)*n.cfg.Chord.RPCTimeout
 	// Local delivery to Ul through U1..U_{l-1}.
-	n.chainQuery(clonePeers(visited), chord.NoPeer, req, timeout, -1,
+	n.paths.chainQuery(slices.Clone(visited), chord.NoPeer, req, timeout, -1,
 		func(resp transport.Message, err error) {
 			if err != nil {
 				cb(*res, err)
@@ -132,13 +124,8 @@ func (n *Node) phaseTwo(visited []chord.Peer, cb func(walkResult, error), res *w
 				cb(*res, errWalkBadResponse)
 				return
 			}
-			pair, err := n.verifyPhaseTwo(visited[l-1], seed, reply.Tables, res)
-			if err != nil {
-				cb(*res, err)
-				return
-			}
-			res.pair = pair
-			cb(*res, nil)
+			res.pair, err = n.verifyPhaseTwo(visited[l-1], seed, reply.Tables, res)
+			cb(*res, err)
 		})
 }
 
@@ -147,16 +134,13 @@ func (n *Node) phaseTwo(visited []chord.Peer, cb func(walkResult, error), res *w
 // tampered with the walk.
 func (n *Node) verifyPhaseTwo(ul chord.Peer, seed int64, tables []chord.RoutingTable, res *walkResult) (RelayPair, error) {
 	l := n.cfg.WalkLength
-	if len(tables) != l {
-		return RelayPair{}, errWalkDishonest
-	}
-	if tables[0].Owner.ID != ul.ID {
+	if len(tables) != l || tables[0].Owner.ID != ul.ID {
 		return RelayPair{}, errWalkDishonest
 	}
 	var hops []chord.Peer // U_{l+1} .. U_{2l}
 	for i := 1; i <= l; i++ {
 		t := tables[i-1]
-		if n.dir != nil && !n.dir.VerifyTable(t) {
+		if !n.dir.VerifyTable(t) {
 			return RelayPair{}, errWalkBadSig
 		}
 		res.tables = append(res.tables, t)
@@ -180,9 +164,10 @@ func (n *Node) verifyPhaseTwo(ul chord.Peer, seed int64, tables []chord.RoutingT
 // reverse path.
 func (n *Node) runPhaseTwo(qid uint64, m WalkSeedReq) {
 	tables := []chord.RoutingTable{n.Chord.Table(false, false)}
-	fail := func() {
-		n.routeReplyBack(qid, RelayReply{QID: qid, Resp: WalkSeedResp{WalkID: m.WalkID, OK: false}, Depth: 1})
+	answer := func(tables []chord.RoutingTable, ok bool) {
+		n.relay.reply(RelayReply{QID: qid, Resp: WalkSeedResp{WalkID: m.WalkID, Tables: tables, OK: ok}, Depth: 1})
 	}
+	fail := func() { answer(nil, false) }
 	var step func(i int)
 	step = func(i int) {
 		prev := tables[i-1]
@@ -195,21 +180,13 @@ func (n *Node) runPhaseTwo(qid uint64, m WalkSeedReq) {
 		if i == m.Hops {
 			// U_{2l} itself is never queried; its identity follows
 			// from the last table plus the seed.
-			n.routeReplyBack(qid, RelayReply{
-				QID:   qid,
-				Resp:  WalkSeedResp{WalkID: m.WalkID, Tables: tables, OK: true},
-				Depth: 1,
-			})
+			answer(tables, true)
 			return
 		}
 		n.tr.Call(n.Chord.Self.Addr, next.Addr, chord.GetTableReq{}, n.cfg.Chord.RPCTimeout,
 			func(resp transport.Message, err error) {
-				if err != nil {
-					fail()
-					return
-				}
 				r, ok := resp.(chord.GetTableResp)
-				if !ok {
+				if err != nil || !ok {
 					fail()
 					return
 				}
@@ -218,12 +195,6 @@ func (n *Node) runPhaseTwo(qid uint64, m WalkSeedReq) {
 			})
 	}
 	step(1)
-}
-
-func clonePeers(ps []chord.Peer) []chord.Peer {
-	out := make([]chord.Peer, len(ps))
-	copy(out, ps)
-	return out
 }
 
 // seededIndex derives the phase-2 hop choice for step i from the walk seed,

@@ -35,6 +35,7 @@ var Catalog = []MetricDef{
 	{"octopus_pool_pairs_discarded_total", "counter", "Pooled pairs dropped by freshness/liveness vetting."},
 	{"octopus_relay_forwards_total", "counter", "Anonymous queries this node forwarded as a relay."},
 	{"octopus_relay_replies_total", "counter", "Anonymous replies this node carried back as a relay."},
+	{"octopus_relay_state_evictions_total", "counter", "Per-query relay state (reverse routes, tombstones, receipts, witness statements) retired early because a table was full: is someone exhausting my relay state?"},
 	{"octopus_walks_started_total", "counter", "Random walks started (relay-pair discovery)."},
 	{"octopus_walks_completed_total", "counter", "Random walks that produced a relay pair."},
 	{"octopus_walks_failed_total", "counter", "Random walks that died en route."},

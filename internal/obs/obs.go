@@ -217,24 +217,25 @@ func EmitTraffic(s *Snapshot, backend string, t Traffic) {
 // lookups, relay-pair pool, surveillance walks, relaying, lookup cache, and
 // membership events).
 type NodeCounters struct {
-	LookupsStarted   uint64
-	LookupsCompleted uint64
-	LookupsFailed    uint64
-	QueriesSent      uint64
-	DummiesSent      uint64
-	WalksStarted     uint64
-	WalksCompleted   uint64
-	WalksFailed      uint64
-	ReportsSent      uint64
-	FallbackPairs    uint64
-	ChecksRun        uint64
-	RelayedForwards  uint64
-	RelayedReplies   uint64
-	RefillWalks      uint64
-	PairsDiscarded   uint64
-	CacheHits        uint64
-	CacheMisses      uint64
-	CacheFlushes     uint64
+	LookupsStarted      uint64
+	LookupsCompleted    uint64
+	LookupsFailed       uint64
+	QueriesSent         uint64
+	DummiesSent         uint64
+	WalksStarted        uint64
+	WalksCompleted      uint64
+	WalksFailed         uint64
+	ReportsSent         uint64
+	FallbackPairs       uint64
+	ChecksRun           uint64
+	RelayedForwards     uint64
+	RelayedReplies      uint64
+	RelayStateEvictions uint64 // per-query entries retired early: table full
+	RefillWalks         uint64
+	PairsDiscarded      uint64
+	CacheHits           uint64
+	CacheMisses         uint64
+	CacheFlushes        uint64
 	// Membership events observed by this node.
 	Announces        uint64
 	Revocations      uint64
