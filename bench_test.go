@@ -18,6 +18,7 @@ import (
 	"github.com/octopus-dht/octopus/internal/id"
 	"github.com/octopus-dht/octopus/internal/transport"
 	"github.com/octopus-dht/octopus/internal/transport/chantransport"
+	"github.com/octopus-dht/octopus/internal/xcrypto"
 )
 
 func benchSecurityConfig(strategy adversary.Strategy) experiments.SecurityConfig {
@@ -381,6 +382,46 @@ func BenchmarkCodecSizeTable(b *testing.B) {
 			b.Fatal("zero size")
 		}
 	}
+}
+
+// BenchmarkTableSign and BenchmarkTableVerify measure what every table-
+// carrying message pays under the simulation scheme: the canonical signed
+// bytes built in a pooled buffer, one SHA-256 over them, and for Sign the
+// 40-byte signature — its only allocation; Verify makes none.
+func BenchmarkTableSign(b *testing.B) {
+	rt, scheme, kp := benchSignedTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rt.Sign(scheme, kp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTableVerify(b *testing.B) {
+	rt, scheme, kp := benchSignedTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !rt.VerifySig(scheme, kp.Public) {
+			b.Fatal("signature rejected")
+		}
+	}
+}
+
+// benchSignedTable is benchTable's table, signed under a fixed SimScheme key.
+func benchSignedTable(b *testing.B) (chord.RoutingTable, xcrypto.Scheme, xcrypto.KeyPair) {
+	rt := benchTable().Table
+	scheme := xcrypto.SimScheme{}
+	kp, err := scheme.GenerateKey(rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rt.Sign(scheme, kp); err != nil {
+		b.Fatal(err)
+	}
+	return rt, scheme, kp
 }
 
 // BenchmarkChanTransportRPC measures the full serialized round-trip:

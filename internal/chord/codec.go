@@ -142,6 +142,11 @@ func EncodePeers(w *transport.Writer, ps []Peer) {
 	if ps == nil {
 		return
 	}
+	if w.Counting() {
+		// Size() runs per delivered message; the items are fixed-width.
+		w.Pad(2 + len(ps)*peerWireSize)
+		return
+	}
 	w.U16(uint16(len(ps)))
 	for _, p := range ps {
 		EncodePeer(w, p)

@@ -3,6 +3,7 @@ package chord
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/octopus-dht/octopus/internal/transport"
 	"github.com/octopus-dht/octopus/internal/xcrypto"
@@ -246,7 +247,7 @@ func (n *Node) handleLeave(m LeaveReq) LeaveResp {
 	n.dropNeighbor(m.Who, true)
 	n.dropNeighbor(m.Who, false)
 	splice := func(own, theirs []Peer) []Peer {
-		merged := clonePeers(own)
+		merged := slices.Clone(own)
 		for _, p := range theirs {
 			if p.Valid() && p.ID != m.Who.ID {
 				merged = append(merged, p)
@@ -333,8 +334,8 @@ func (n *Node) Leave(done func(error)) {
 	}
 	req := LeaveReq{
 		Who:          n.Self,
-		Successors:   clonePeers(n.succs),
-		Predecessors: clonePeers(n.preds),
+		Successors:   slices.Clone(n.succs),
+		Predecessors: slices.Clone(n.preds),
 	}
 	if n.ident != nil {
 		// Signing failures cannot occur with the in-tree schemes; a nil

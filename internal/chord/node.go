@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"slices"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/id"
@@ -149,19 +150,19 @@ func (n *Node) Identity() *Identity { return n.ident }
 func (n *Node) Running() bool { return n.running }
 
 // Successors returns a copy of the successor list.
-func (n *Node) Successors() []Peer { return clonePeers(n.succs) }
+func (n *Node) Successors() []Peer { return slices.Clone(n.succs) }
 
 // Predecessors returns a copy of the predecessor list.
-func (n *Node) Predecessors() []Peer { return clonePeers(n.preds) }
+func (n *Node) Predecessors() []Peer { return slices.Clone(n.preds) }
 
 // Fingers returns a copy of the fingertable.
-func (n *Node) Fingers() []Peer { return clonePeers(n.fingers) }
+func (n *Node) Fingers() []Peer { return slices.Clone(n.fingers) }
 
 // SetSuccessors overwrites the successor list (ring bootstrap and tests).
-func (n *Node) SetSuccessors(ps []Peer) { n.succs = clonePeers(ps) }
+func (n *Node) SetSuccessors(ps []Peer) { n.succs = slices.Clone(ps) }
 
 // SetPredecessors overwrites the predecessor list.
-func (n *Node) SetPredecessors(ps []Peer) { n.preds = clonePeers(ps) }
+func (n *Node) SetPredecessors(ps []Peer) { n.preds = slices.Clone(ps) }
 
 // SetFinger overwrites one finger slot.
 func (n *Node) SetFinger(i int, p Peer) {
@@ -210,20 +211,46 @@ func (n *Node) Stop() {
 }
 
 // Table assembles the node's routing table for a querier, signing it when
-// the node runs in signed mode.
+// the node runs in signed mode. The table owns its storage — one peers array
+// shared by the three lists, each capped at its own length — so what a
+// receiver keeps never aliases this node's state.
 func (n *Node) Table(includeSucc, includePred bool) RoutingTable {
-	fingers, exps := n.fingersWithExps()
+	total := len(n.fingers)
+	if includeSucc {
+		total += len(n.succs)
+	}
+	if includePred {
+		total += len(n.preds)
+	}
+	peers := make([]Peer, 0, total)
+	exps := make([]uint8, 0, len(n.fingers))
+	for slot, f := range n.fingers {
+		if f.Valid() {
+			peers = append(peers, f)
+			exps = append(exps, uint8(id.Bits-n.Cfg.Fingers+slot))
+		}
+	}
+	// carve appends a list to the array; nil stays nil ("not requested")
+	// and empty stays empty, which the wire format tells apart.
+	carve := func(list []Peer) []Peer {
+		if list == nil {
+			return nil
+		}
+		at := len(peers)
+		peers = append(peers, list...)
+		return peers[at:len(peers):len(peers)]
+	}
 	rt := RoutingTable{
 		Owner:      n.Self,
-		Fingers:    fingers,
+		Fingers:    peers[:len(peers):len(peers)],
 		FingerExps: exps,
 		Timestamp:  n.tr.Now(),
 	}
 	if includeSucc {
-		rt.Successors = clonePeers(n.succs)
+		rt.Successors = carve(n.succs)
 	}
 	if includePred {
-		rt.Predecessors = clonePeers(n.preds)
+		rt.Predecessors = carve(n.preds)
 	}
 	n.signTable(&rt)
 	return rt
@@ -246,20 +273,6 @@ func (n *Node) validFingers() []Peer {
 		}
 	}
 	return out
-}
-
-// fingersWithExps returns the valid fingers alongside the exponent of each
-// one's ideal position.
-func (n *Node) fingersWithExps() ([]Peer, []uint8) {
-	fingers := make([]Peer, 0, len(n.fingers))
-	exps := make([]uint8, 0, len(n.fingers))
-	for slot, f := range n.fingers {
-		if f.Valid() {
-			fingers = append(fingers, f)
-			exps = append(exps, uint8(id.Bits-n.Cfg.Fingers+slot))
-		}
-	}
-	return fingers, exps
 }
 
 // knownPeers returns every peer the node can route through.
@@ -391,7 +404,7 @@ func (n *Node) handleStabilize(m StabilizeReq) StabilizeResp {
 	if m.Clockwise {
 		rt := RoutingTable{
 			Owner:      n.Self,
-			Successors: clonePeers(n.succs),
+			Successors: slices.Clone(n.succs),
 			Timestamp:  n.tr.Now(),
 		}
 		n.signTable(&rt)
@@ -403,7 +416,7 @@ func (n *Node) handleStabilize(m StabilizeReq) StabilizeResp {
 	}
 	rt := RoutingTable{
 		Owner:        n.Self,
-		Predecessors: clonePeers(n.preds),
+		Predecessors: slices.Clone(n.preds),
 		Timestamp:    n.tr.Now(),
 	}
 	n.signTable(&rt)

@@ -14,6 +14,7 @@ package chord
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/id"
@@ -38,6 +39,14 @@ func (p Peer) Valid() bool { return p.Addr != transport.NoAddr }
 // predecessor list is included only for the surveillance RPCs that ask for
 // it. Tables are signed by their owner with a timestamp so a manipulated
 // table is a non-repudiable proof of misbehaviour.
+//
+// A table is immutable once built: its slices are never written through, so
+// copies of the struct may share them — across messages (the simulator
+// delivers by reference), proof queues and table buffers — without a deep
+// copy. Whoever needs a changed table changes a Clone. The one exception to
+// "retain freely" is a table decoded with transport.DecodeBorrowed (no
+// production caller today): its slices alias the reader's buffer and scratch,
+// so it must be Cloned before it outlives the reader.
 type RoutingTable struct {
 	Owner Peer
 	// Fingers lists the owner's valid fingers; FingerExps[i] is the
@@ -85,38 +94,34 @@ func (rt RoutingTable) All() []Peer {
 	return out
 }
 
-// signedBytes is the canonical byte encoding covered by the table signature.
-func (rt RoutingTable) signedBytes() []byte {
-	// Exact, so the buffer never regrows (sign and verify each build it once
-	// per table): three 8-byte header words, a tag and a count per peer
-	// list, the exponent count, and 16 bytes per peer.
-	buf := make([]byte, 0, 24+3*2+1+16*rt.Items()+len(rt.FingerExps))
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
+// appendSignedBytes appends the canonical byte encoding covered by the table
+// signature to dst.
+func (rt *RoutingTable) appendSignedBytes(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(rt.Owner.ID))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(rt.Owner.Addr))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(rt.Timestamp))
+	dst = appendSignedPeers(dst, 1, rt.Fingers)
+	dst = append(dst, byte(len(rt.FingerExps)))
+	dst = append(dst, rt.FingerExps...)
+	dst = appendSignedPeers(dst, 2, rt.Successors)
+	return appendSignedPeers(dst, 3, rt.Predecessors)
+}
+
+func appendSignedPeers(dst []byte, tag byte, ps []Peer) []byte {
+	dst = append(dst, tag, byte(len(ps)))
+	for _, p := range ps {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(p.ID))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(p.Addr))
 	}
-	put(uint64(rt.Owner.ID))
-	put(uint64(rt.Owner.Addr))
-	put(uint64(rt.Timestamp))
-	putPeers := func(tag byte, ps []Peer) {
-		buf = append(buf, tag, byte(len(ps)))
-		for _, p := range ps {
-			put(uint64(p.ID))
-			put(uint64(p.Addr))
-		}
-	}
-	putPeers(1, rt.Fingers)
-	buf = append(buf, byte(len(rt.FingerExps)))
-	buf = append(buf, rt.FingerExps...)
-	putPeers(2, rt.Successors)
-	putPeers(3, rt.Predecessors)
-	return buf
+	return dst
 }
 
 // Sign attaches the owner's signature to the table.
 func (rt *RoutingTable) Sign(scheme xcrypto.Scheme, kp xcrypto.KeyPair) error {
-	sig, err := scheme.Sign(kp, rt.signedBytes())
+	b := transport.AcquireBuf()
+	b.B = rt.appendSignedBytes(b.B)
+	sig, err := scheme.Sign(kp, b.B)
+	b.Release()
 	if err != nil {
 		return err
 	}
@@ -126,32 +131,22 @@ func (rt *RoutingTable) Sign(scheme xcrypto.Scheme, kp xcrypto.KeyPair) error {
 
 // VerifySig checks the table signature against the owner's public key.
 func (rt RoutingTable) VerifySig(scheme xcrypto.Scheme, ownerKey xcrypto.PublicKey) bool {
-	return scheme.Verify(ownerKey, rt.signedBytes(), rt.Sig)
+	b := transport.AcquireBuf()
+	b.B = rt.appendSignedBytes(b.B)
+	ok := scheme.Verify(ownerKey, b.B, rt.Sig)
+	b.Release()
+	return ok
 }
 
-// clonePeers copies a peer slice (tables cross node boundaries, and on the
-// in-process simulator messages are passed by reference, so state must never
-// be aliased).
-func clonePeers(ps []Peer) []Peer {
-	if ps == nil {
-		return nil
-	}
-	out := make([]Peer, len(ps))
-	copy(out, ps)
-	return out
-}
-
-// Clone returns a deep copy of the table.
+// Clone returns a deep copy of the table, for a caller that is about to
+// change it. Nil and empty slices stay what they were, so the copy encodes
+// byte for byte like the original.
 func (rt RoutingTable) Clone() RoutingTable {
 	out := rt
-	out.Fingers = clonePeers(rt.Fingers)
-	out.Successors = clonePeers(rt.Successors)
-	out.Predecessors = clonePeers(rt.Predecessors)
-	if rt.FingerExps != nil {
-		out.FingerExps = append([]uint8(nil), rt.FingerExps...)
-	}
-	if rt.Sig != nil {
-		out.Sig = append([]byte(nil), rt.Sig...)
-	}
+	out.Fingers = slices.Clone(rt.Fingers)
+	out.FingerExps = slices.Clone(rt.FingerExps)
+	out.Successors = slices.Clone(rt.Successors)
+	out.Predecessors = slices.Clone(rt.Predecessors)
+	out.Sig = slices.Clone(rt.Sig)
 	return out
 }

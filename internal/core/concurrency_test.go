@@ -39,22 +39,50 @@ func TestSeededIndexWalkerVerifierAgree(t *testing.T) {
 	}
 }
 
-// TestSeededIndexMatchesFreshSource pins the draw itself: a recycled,
-// re-seeded generator must return what a newly allocated one returns for the
-// same mixed seed, or walker and verifier on different builds would disagree
-// and seeded figures would move. Four goroutines draw at once, as hosts do
-// under the concurrent transports, so -race sees the pool shared.
+// TestSeededIndexMatchesFreshSource pins the draw itself: seededIndex computes
+// one word of the generator in closed form, and must return what a newly
+// seeded math/rand generator's Intn returns, or walker and verifier on
+// different builds would disagree and seeded figures would move. A million
+// random (seed, step, n): n = 1, powers of two, table-sized widths, and
+// widths near 2³⁰ and 2³¹−1, where Int31n rejects up to half of all first
+// words and the fallback generator must take over.
 func TestSeededIndexMatchesFreshSource(t *testing.T) {
+	perWorker := 250_000
+	if testing.Short() {
+		perWorker = 25_000
+	}
 	var wg sync.WaitGroup
 	for g := int64(0); g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(g + 1))
-			for i := 0; i < 2500; i++ {
-				seed, step, n := int64(rng.Uint64()), 1+rng.Intn(16), 1+rng.Intn(200)
+			// Seed resets a generator completely; one in 16 references is
+			// nevertheless drawn from a newly allocated one.
+			ref := rand.New(rand.NewSource(0))
+			for i := 0; i < perWorker; i++ {
+				seed, step := int64(rng.Uint64()), 1+rng.Intn(16)
+				var n int
+				switch i % 16 {
+				case 0:
+					n = 1
+				case 1, 2:
+					n = 1 << rng.Intn(31)
+				case 3:
+					n = 1<<30 + 1 + rng.Intn(1<<20)
+				case 4:
+					n = math.MaxInt32 - rng.Intn(3)
+				case 5:
+					n = math.MaxInt32 + 1 + rng.Intn(1<<20) // beyond Int31n
+				default:
+					n = 1 + rng.Intn(200)
+				}
 				mixed := splitmix64(uint64(seed) + uint64(step)*0x9e3779b97f4a7c15)
-				want := rand.New(rand.NewSource(int64(mixed))).Intn(n)
+				if i%16 == 15 {
+					ref = rand.New(rand.NewSource(0))
+				}
+				ref.Seed(int64(mixed))
+				want := ref.Intn(n)
 				if got := seededIndex(seed, step, n); got != want {
 					t.Errorf("seededIndex(%d, %d, %d) = %d, a fresh source draws %d", seed, step, n, got, want)
 					return
@@ -63,6 +91,49 @@ func TestSeededIndexMatchesFreshSource(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFirstInt63 checks the closed form under seededIndex at the seeds
+// rngSource.Seed treats specially — multiples of 2³¹−1 (replaced by a
+// constant), negatives (reduced, then shifted up) and the int64 extremes —
+// and recomputes the two Lehmer powers it relies on.
+func TestFirstInt63(t *testing.T) {
+	const m = lehmerM
+	seeds := []int64{0, 1, -1, m, -m, m - 1, m + 1, 2 * m, -2 * m, 1 << 31, 89482311,
+		math.MaxInt64, math.MinInt64, math.MaxInt64 - math.MaxInt64%m, math.MinInt64 - math.MinInt64%m}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		seeds = append(seeds, int64(rng.Uint64()), -rng.Int63n(m), rng.Int63n(1<<20)*m)
+	}
+	for _, s := range seeds {
+		if got, want := firstInt63(s), rand.NewSource(s).Int63(); got != want {
+			t.Errorf("firstInt63(%d) = %d, rand.NewSource draws %d", s, got, want)
+		}
+	}
+	pow := func(e int) uint64 {
+		x := uint64(1)
+		for i := 0; i < e; i++ {
+			x = x * lehmerA % m
+		}
+		return x
+	}
+	if pow(1020) != lehmerA1020 || pow(1839) != lehmerA1839 {
+		t.Errorf("48271^1020, 48271^1839 mod 2^31-1 = %d, %d; constants say %d, %d",
+			pow(1020), pow(1839), uint64(lehmerA1020), uint64(lehmerA1839))
+	}
+}
+
+// BenchmarkSeededIndex measures one phase-2 hop draw at a table-sized width
+// (part of CI's micro set).
+func BenchmarkSeededIndex(b *testing.B) {
+	b.ReportAllocs()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += seededIndex(int64(i)*0x9e3779b9, 1+i%3, 11)
+	}
+	if sum < 0 {
+		b.Fatal("negative index")
+	}
 }
 
 // TestSeededIndexDecorrelated demonstrates the bug the splitmix64 mix
@@ -113,14 +184,14 @@ func TestNodeStatsRaceOverlappingLookups(t *testing.T) {
 	node := nw.Node(0)
 
 	const lookups = 8
-	done := make(chan error, lookups)
+	done := make(chan LookupStats, lookups)
 	// All lookups start back-to-back in the node's context, so their
 	// query windows overlap.
 	tr.After(node.Self().Addr, 0, func() {
 		for i := 0; i < lookups; i++ {
 			key := id.ID(uint64(i)*0x9e3779b97f4a7c15 + 7)
-			node.AnonLookup(key, func(_ chord.Peer, _ LookupStats, err error) {
-				done <- err
+			node.AnonLookup(key, func(_ chord.Peer, st LookupStats, _ error) {
+				done <- st
 			})
 		}
 	})
@@ -153,15 +224,21 @@ func TestNodeStatsRaceOverlappingLookups(t *testing.T) {
 		}
 		timeout.Reset(30 * time.Second)
 		select {
-		case <-done:
+		case st := <-done:
+			// Every host signs and verifies through the same buffer pool,
+			// each on its own goroutine. In a static honest ring a rejected
+			// table can only mean a buffer was shared while in use.
+			if st.Rejected != 0 {
+				t.Errorf("lookup %d rejected %d signed tables of an honest ring", i, st.Rejected)
+			}
 		case <-timeout.C:
 			t.Fatalf("lookup %d never completed", i)
 		}
 	}
 	close(stop)
 	// Every node walks on its own goroutine at the 50 ms cadence, as walker
-	// (runPhaseTwo) and as verifier (verifyPhaseTwo), so seededIndex and its
-	// recycled generators were shared across hosts while the lookups ran.
+	// (runPhaseTwo) and as verifier (verifyPhaseTwo), so table signing and
+	// verification overlapped across hosts while the lookups ran.
 	walkers := 0
 	for i := 0; i < n; i++ {
 		if nw.Node(transport.Addr(i)).Stats().WalksCompleted > 0 {

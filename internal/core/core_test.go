@@ -133,7 +133,7 @@ func TestRandomWalkFillsPool(t *testing.T) {
 		t.Errorf("no walks completed: %+v", st)
 	}
 	// Walks must also feed the finger-surveillance buffer.
-	if len(node.evidence.tableBuffer) == 0 {
+	if node.evidence.tableBuffer.len() == 0 {
 		t.Error("walks did not buffer any fingertables")
 	}
 }

@@ -167,35 +167,45 @@ func (d *Directory) VerifyTable(t chord.RoutingTable) bool {
 	return t.VerifySig(d.scheme, key)
 }
 
-// receiptBytes is the canonical byte string covered by a receipt signature.
-func receiptBytes(qid uint64, issuer chord.Peer) []byte {
-	buf := make([]byte, 24, 25)
-	binary.BigEndian.PutUint64(buf[0:8], qid)
-	binary.BigEndian.PutUint64(buf[8:16], uint64(issuer.ID))
-	binary.BigEndian.PutUint64(buf[16:24], uint64(issuer.Addr))
-	return buf
+// receiptBuf returns, in a pooled buffer the signer or verifier releases, the
+// canonical byte string covered by a receipt signature.
+func receiptBuf(qid uint64, issuer chord.Peer) *transport.Buf {
+	b := transport.AcquireBuf()
+	b.B = binary.BigEndian.AppendUint64(b.B, qid)
+	b.B = binary.BigEndian.AppendUint64(b.B, uint64(issuer.ID))
+	b.B = binary.BigEndian.AppendUint64(b.B, uint64(issuer.Addr))
+	return b
 }
 
-// statementBytes is the byte string a witness signs: a receipt's bytes in
-// the witness's name, then the outcome.
-func statementBytes(st WitnessResp) []byte {
+// statementBuf is the byte string a witness signs: a receipt's bytes in the
+// witness's name, then the outcome.
+func statementBuf(st WitnessResp) *transport.Buf {
+	b := receiptBuf(st.QID, st.Witness)
 	outcome := byte(0)
 	if st.Delivered {
 		outcome = 1
 	}
-	return append(receiptBytes(st.QID, st.Witness), outcome)
+	b.B = append(b.B, outcome)
+	return b
+}
+
+// verifyBuf checks sig over msg under signer's registered key, and releases
+// msg.
+func (d *Directory) verifyBuf(signer id.ID, msg *transport.Buf, sig []byte) bool {
+	key, ok := d.Key(signer)
+	ok = ok && d.scheme.Verify(key, msg.B, sig)
+	msg.Release()
+	return ok
 }
 
 // VerifyReceipt checks a delivery receipt's signature (Appendix II).
 func (d *Directory) VerifyReceipt(r Receipt) bool {
-	key, ok := d.Key(r.Issuer.ID)
-	return ok && d.scheme.Verify(key, receiptBytes(r.QID, r.Issuer), r.Sig)
+	return d.verifyBuf(r.Issuer.ID, receiptBuf(r.QID, r.Issuer), r.Sig)
 }
 
 // VerifyStatement checks a witness statement's signature.
 func (d *Directory) VerifyStatement(st WitnessResp) bool {
-	key, ok := d.Key(st.Witness.ID)
-	return ok && d.scheme.Verify(key, statementBytes(st), st.Statement)
+	return d.verifyBuf(st.Witness.ID, statementBuf(st), st.Statement)
 }
 
 // NewIdentityFactory returns a chord.IdentityFactory that mints a key pair
@@ -224,27 +234,24 @@ func NewIdentityFactory(dir *Directory, ca *xcrypto.CA, rng *rand.Rand) chord.Id
 	}
 }
 
-// boundCheck filters a claimed fingertable against its owner's ideal finger
-// positions, NISAN-style (§4.1: "the initiator applies bound checking on
-// the fingertables returned by intermediate nodes of the random walk to
-// limit fingertable manipulation"). A finger is accepted when it trails
-// some ideal position by at most `factor` expected inter-node gaps.
-func boundCheck(owner chord.Peer, fingers []chord.Peer, estSize int, factor float64) []chord.Peer {
-	if estSize < 2 {
-		estSize = 2
+// gapBound is `factor` expected inter-node gaps of a ring of estSize nodes.
+func gapBound(estSize int, factor float64) uint64 {
+	return uint64(float64(^uint64(0)/uint64(max(2, estSize))) * factor)
+}
+
+// withinFingerBound checks one claimed finger against its owner's ideal
+// finger positions, NISAN-style (§4.1: "the initiator applies bound checking
+// on the fingertables returned by intermediate nodes of the random walk to
+// limit fingertable manipulation"). A finger is accepted when it trails some
+// ideal position by at most bound (see gapBound).
+func withinFingerBound(owner, f chord.Peer, bound uint64) bool {
+	if !f.Valid() || f.ID == owner.ID {
+		return false
 	}
-	bound := uint64(float64(^uint64(0)/uint64(estSize)) * factor)
-	out := make([]chord.Peer, 0, len(fingers))
-	for _, f := range fingers {
-		if !f.Valid() || f.ID == owner.ID {
-			continue
-		}
-		for i := 0; i < id.Bits; i++ {
-			if owner.ID.FingerTarget(i).Distance(f.ID) <= bound {
-				out = append(out, f)
-				break
-			}
+	for i := 0; i < id.Bits; i++ {
+		if owner.ID.FingerTarget(i).Distance(f.ID) <= bound {
+			return true
 		}
 	}
-	return out
+	return false
 }

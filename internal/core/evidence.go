@@ -11,12 +11,13 @@ import (
 // evidence is what the node keeps so that it, or the CA on its behalf, can
 // later prove something: the signed tables behind pollution and finger
 // reports (§4.3–4.5), and the receipts and witness statements of Appendix II.
-// All of it arrives from peers, so all of it is bounded.
+// All of it arrives from peers, so all of it is bounded. Tables are kept as
+// received: a chord.RoutingTable is immutable, so retaining one needs no copy.
 type evidence struct {
 	n *Node
 
-	proofQueue  []chord.RoutingTable
-	tableBuffer []chord.RoutingTable
+	proofQueue  tableRing
+	tableBuffer tableRing
 	// fingerProv records, by the installed finger's identifier, the signed
 	// table that vouched for it during its secured update (§4.5). When the
 	// CA later questions the finger — possibly after the slot has healed —
@@ -29,16 +30,37 @@ type evidence struct {
 	statements *qidTable[[]WitnessResp]
 }
 
+// tableRing keeps the most recent tables in a fixed ring: once full, a push
+// overwrites the oldest in place, so a long-running node's queues stop
+// allocating.
+type tableRing struct {
+	buf  []chord.RoutingTable
+	head int // position of the oldest table once the ring is full
+}
+
+// push adds t, evicting the oldest table when keep are held.
+func (r *tableRing) push(t chord.RoutingTable, keep int) {
+	switch {
+	case len(r.buf) < keep:
+		r.buf = append(r.buf, t)
+	case keep > 0:
+		r.buf[r.head] = t
+		r.head = (r.head + 1) % len(r.buf)
+	}
+}
+
+func (r *tableRing) len() int { return len(r.buf) }
+
+// at returns the i-th oldest table.
+func (r *tableRing) at(i int) chord.RoutingTable { return r.buf[(r.head+i)%len(r.buf)] }
+
 // recordProof keeps the most recent signed successor lists received during
 // stabilization — the pollution proofs of §4.3 (Fig. 2(b)).
 func (e *evidence) recordProof(_ chord.Peer, table chord.RoutingTable) {
 	if table.Successors == nil {
 		return // anti-clockwise tables carry predecessors; not proofs
 	}
-	e.proofQueue = append(e.proofQueue, table.Clone())
-	if keep := e.n.cfg.ProofQueue; len(e.proofQueue) > keep {
-		e.proofQueue = e.proofQueue[len(e.proofQueue)-keep:]
-	}
+	e.proofQueue.push(table, e.n.cfg.ProofQueue)
 }
 
 // recordFingerProvenance stores a finger's vouching table. Entries are
@@ -54,7 +76,7 @@ func (e *evidence) recordFingerProvenance(finger id.ID, vouch chord.RoutingTable
 			}
 		}
 	}
-	e.fingerProv[finger] = vouch.Clone()
+	e.fingerProv[finger] = vouch
 }
 
 // bufferTable stores a received fingertable for later secret finger
@@ -63,18 +85,15 @@ func (e *evidence) bufferTable(t chord.RoutingTable) {
 	if len(t.Fingers) == 0 {
 		return
 	}
-	e.tableBuffer = append(e.tableBuffer, t.Clone())
-	if keep := e.n.cfg.TableBuffer; len(e.tableBuffer) > keep {
-		e.tableBuffer = e.tableBuffer[len(e.tableBuffer)-keep:]
-	}
+	e.tableBuffer.push(t, e.n.cfg.TableBuffer)
 }
 
 // bufferedTable draws one buffered fingertable, if any is held.
 func (e *evidence) bufferedTable(rng *rand.Rand) (chord.RoutingTable, bool) {
-	if len(e.tableBuffer) == 0 {
+	if e.tableBuffer.len() == 0 {
 		return chord.RoutingTable{}, false
 	}
-	return e.tableBuffer[rng.Intn(len(e.tableBuffer))], true
+	return e.tableBuffer.at(rng.Intn(e.tableBuffer.len())), true
 }
 
 // addReceipt keeps a receipt whose signature verifies unless the query has
@@ -110,8 +129,8 @@ func (e *evidence) addStatement(st WitnessResp) {
 // Appendix II receipt collection).
 func (e *evidence) answer(m ProofReq) ProofResp {
 	resp := ProofResp{Own: e.n.Chord.Table(true, false)}
-	for _, p := range e.proofQueue {
-		resp.Proofs = append(resp.Proofs, p.Clone())
+	for i := 0; i < e.proofQueue.len(); i++ {
+		resp.Proofs = append(resp.Proofs, e.proofQueue.at(i))
 	}
 	if m.QID != 0 {
 		if r, ok := e.receipts.get(m.QID); ok {
@@ -122,7 +141,7 @@ func (e *evidence) answer(m ProofReq) ProofResp {
 	}
 	if m.FingerClaim.Valid() {
 		if prov, ok := e.fingerProv[m.FingerClaim.ID]; ok {
-			resp.Provenance = prov.Clone()
+			resp.Provenance = prov
 			resp.HasProvenance = true
 		}
 	}

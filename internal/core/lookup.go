@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"math/rand"
 	"slices"
@@ -102,9 +101,16 @@ type candidate struct {
 // find returns where x is, or would be inserted, in the ID-sorted candidate
 // set, and whether it is there.
 func (tl *tableLookup) find(x id.ID) (int, bool) {
-	return slices.BinarySearchFunc(tl.cands, x, func(c candidate, x id.ID) int {
-		return cmp.Compare(c.peer.ID, x)
-	})
+	lo, hi := 0, len(tl.cands)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tl.cands[mid].peer.ID < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(tl.cands) && tl.cands[lo].peer.ID == x
 }
 
 // learn adds p as introduced by tables[src]. The first table to name a peer
@@ -214,8 +220,11 @@ func (tl *tableLookup) absorb(from chord.Peer, t chord.RoutingTable) {
 			tl.learn(p, src)
 		}
 	}
-	for _, p := range boundCheck(t.Owner, t.Fingers, tl.n.cfg.EstimatedSize, tl.n.cfg.BoundFactor) {
-		add(p)
+	bound := gapBound(tl.n.cfg.EstimatedSize, tl.n.cfg.BoundFactor)
+	for _, p := range t.Fingers {
+		if withinFingerBound(t.Owner, p, bound) {
+			add(p)
+		}
 	}
 	// Successor-list entries sit immediately after the owner; a separate
 	// tight bound applies (k consecutive nodes span about k expected

@@ -34,7 +34,7 @@ type relay struct {
 func (r *relay) forward(from transport.Addr, m RelayForward) {
 	n, self := r.n, r.n.Chord.Self
 	n.stats.relayedForwards.Add(1)
-	n.tr.Send(self.Addr, from, Receipt{QID: m.QID, Issuer: self, Sig: r.sign(receiptBytes(m.QID, self))})
+	n.tr.Send(self.Addr, from, Receipt{QID: m.QID, Issuer: self, Sig: r.sign(receiptBuf(m.QID, self))})
 	r.routes.put(m.QID, backRoute{prev: from, delay: m.Delay})
 
 	t0 := n.tr.Now()
@@ -117,11 +117,12 @@ func (r *relay) reply(m RelayReply) {
 	}
 }
 
-// sign signs msg with the node's identity; an unsigned node (or a failed
-// signature) yields nil, which no verifier accepts.
-func (r *relay) sign(msg []byte) []byte {
+// sign signs msg with the node's identity and releases it; an unsigned node
+// (or a failed signature) yields nil, which no verifier accepts.
+func (r *relay) sign(msg *transport.Buf) []byte {
+	defer msg.Release()
 	if ident := r.n.Chord.Identity(); ident != nil {
-		sig, _ := ident.Scheme.Sign(ident.Key, msg)
+		sig, _ := ident.Scheme.Sign(ident.Key, msg.B)
 		return sig
 	}
 	return nil
@@ -170,7 +171,7 @@ func (r *relay) serveWitness(from transport.Addr, m WitnessReq) {
 	n.tr.Send(n.Chord.Self.Addr, m.Deliver, *m.Payload)
 	n.tr.After(n.Chord.Self.Addr, n.cfg.Chord.RPCTimeout, func() {
 		resp := WitnessResp{QID: m.QID, Delivered: n.evidence.hasReceipt(m.QID), Witness: n.Chord.Self}
-		resp.Statement = r.sign(statementBytes(resp))
+		resp.Statement = r.sign(statementBuf(resp))
 		n.tr.Send(n.Chord.Self.Addr, from, resp)
 	})
 }

@@ -13,13 +13,13 @@ import (
 // signedReceipt is the receipt issuer would send for qid.
 func signedReceipt(issuer *Node, qid uint64) Receipt {
 	self := issuer.Self()
-	return Receipt{QID: qid, Issuer: self, Sig: issuer.relay.sign(receiptBytes(qid, self))}
+	return Receipt{QID: qid, Issuer: self, Sig: issuer.relay.sign(receiptBuf(qid, self))}
 }
 
 // signedStatement is witness's statement that its retry for qid failed.
 func signedStatement(witness *Node, qid uint64) WitnessResp {
 	st := WitnessResp{QID: qid, Witness: witness.Self()}
-	st.Statement = witness.relay.sign(statementBytes(st))
+	st.Statement = witness.relay.sign(statementBuf(st))
 	return st
 }
 

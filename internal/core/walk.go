@@ -2,9 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -59,9 +59,18 @@ func (n *Node) startWalk(done func(grew bool)) {
 	})
 }
 
-// acceptedFingers applies the walk's bound check to a verified table.
+// acceptedFingers applies the walk's bound check to a verified table. The
+// result is indexed by a draw, so it is a slice; a lookup only iterates and
+// filters in place (tableLookup.absorb).
 func (n *Node) acceptedFingers(t chord.RoutingTable) []chord.Peer {
-	return boundCheck(t.Owner, t.Fingers, n.cfg.EstimatedSize, n.cfg.BoundFactor)
+	bound := gapBound(n.cfg.EstimatedSize, n.cfg.BoundFactor)
+	out := make([]chord.Peer, 0, len(t.Fingers))
+	for _, f := range t.Fingers {
+		if withinFingerBound(t.Owner, f, bound) {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 func (n *Node) runWalk(cb func(walkResult, error)) {
@@ -206,24 +215,69 @@ func (n *Node) runPhaseTwo(qid uint64, m WalkSeedReq) {
 // independent, which a malicious U_l could exploit to nudge the walk
 // toward colluders. Walker (runPhaseTwo) and verifier (verifyPhaseTwo)
 // share this one derivation, so honest walks still verify.
+//
+// The draw is defined as rand.New(rand.NewSource(mixed)).Intn(n). That
+// needs one word of the generator, which firstInt63 computes without
+// seeding all 607; only when Int31n would reject that word and draw again
+// (probability below n/2³¹) is a generator built.
 func seededIndex(seed int64, step, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	mixed := splitmix64(uint64(seed) + uint64(step)*0x9e3779b97f4a7c15)
-	r := seededRands.Get().(*rand.Rand)
-	r.Seed(int64(mixed))
-	i := r.Intn(n)
-	seededRands.Put(r)
-	return i
+	mixed := int64(splitmix64(uint64(seed) + uint64(step)*0x9e3779b97f4a7c15))
+	if n <= math.MaxInt32 {
+		// rand.Rand.Int31n, on Int31() = Int63() >> 32.
+		v, w := int32(firstInt63(mixed)>>32), int32(n)
+		if w&(w-1) == 0 {
+			return int(v & (w - 1))
+		}
+		if v <= int32(math.MaxInt32-(1<<31)%uint32(w)) {
+			return int(v % w)
+		}
+	}
+	return rand.New(rand.NewSource(mixed)).Intn(n)
 }
 
-// seededRands recycles seededIndex's generators: a math/rand source is 4.9 KB
-// of state, too much to allocate per walk hop for one draw. Seed resets all
-// of that state, so the draw equals a new generator's. A pool, not a field:
-// hosts run on their own goroutines under the concurrent transports, and
-// seededIndex stays a pure function.
-var seededRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// The seeding procedure of math/rand's additive lagged-Fibonacci source
+// (rngSource.Seed, $GOROOT/src/math/rand/rng.go): a Lehmer generator
+// x ← 48271·x mod 2³¹−1 runs 20 warm-up steps, then three steps per state
+// word, and vec[i] is the three states packed 40/20/0 bits apart, XOR
+// rngCooked[i]. The first output adds vec[333] and vec[606] (feed and tap
+// after their first decrement), whose Lehmer states start at steps
+// 20+3·333+1 = 1020 and 20+3·606+1 = 1839.
+const (
+	lehmerM = 1<<31 - 1
+	lehmerA = 48271
+	// 48271^1020 and 48271^1839 mod 2³¹−1 (TestFirstInt63 recomputes them).
+	lehmerA1020 = 2082024995
+	lehmerA1839 = 933195560
+	// rngCooked[333] and rngCooked[606], copied from go1.24
+	// $GOROOT/src/math/rand/rng.go line 108 (second value) and line 176
+	// (third value). math/rand is frozen under the Go 1 compatibility
+	// promise: seeded sequences never change.
+	rngCooked333 = -4633371852008891965
+	rngCooked606 = 4152330101494654406
+)
+
+// firstInt63 returns what rand.NewSource(seed).Int63() returns first.
+func firstInt63(seed int64) int64 {
+	seed %= lehmerM
+	if seed < 0 {
+		seed += lehmerM
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	// word is one state word: x is the Lehmer state at its first step.
+	word := func(x uint64, cooked int64) int64 {
+		y := x * lehmerA % lehmerM
+		z := y * lehmerA % lehmerM
+		return int64(x)<<40 ^ int64(y)<<20 ^ int64(z) ^ cooked
+	}
+	x := uint64(seed)
+	v := word(x*lehmerA1020%lehmerM, rngCooked333) + word(x*lehmerA1839%lehmerM, rngCooked606)
+	return v & math.MaxInt64
+}
 
 // splitmix64 is the SplitMix64 finalizer (Steele, Lea, Flood): a cheap
 // full-avalanche 64-bit mixer — every input bit flips each output bit with

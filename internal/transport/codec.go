@@ -23,6 +23,10 @@ type Writer struct {
 // them. Used to derive Size() from the encoding.
 func NewCountingWriter() *Writer { return &Writer{countOnly: true} }
 
+// Counting reports whether w only tallies lengths, so an encoder may add a
+// fixed-width run in one step (Pad) instead of walking it.
+func (w *Writer) Counting() bool { return w.countOnly }
+
 // Len returns the number of bytes written (or counted).
 func (w *Writer) Len() int {
 	if w.countOnly {

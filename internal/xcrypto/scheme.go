@@ -18,6 +18,7 @@
 package xcrypto
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -41,7 +42,8 @@ type KeyPair struct {
 type Scheme interface {
 	// GenerateKey creates a fresh key pair from the given entropy source.
 	GenerateKey(rng io.Reader) (KeyPair, error)
-	// Sign produces a signature binding msg to the key pair.
+	// Sign produces a signature binding msg to the key pair. Neither Sign
+	// nor Verify may retain msg: callers build it in recycled buffers.
 	Sign(kp KeyPair, msg []byte) ([]byte, error)
 	// Verify reports whether sig is a valid signature on msg under pub.
 	Verify(pub PublicKey, msg, sig []byte) bool
@@ -147,39 +149,35 @@ func (SimScheme) GenerateKey(rng io.Reader) (KeyPair, error) {
 	return KeyPair{Public: sum[:20], private: seed}, nil
 }
 
-// simDigest produces the 40-byte simulated signature: the SHA-256 digest of
-// pub ∥ msg padded with its own leading bytes to the accounted ECDSA size.
-func simDigest(pub PublicKey, msg []byte) []byte {
-	h := sha256.New()
-	h.Write(pub)
-	h.Write(msg)
-	sum := h.Sum(nil)
-	sig := make([]byte, SigWireSize)
-	copy(sig, sum)
-	copy(sig[len(sum):], sum)
-	return sig
+// simSum hashes pub ∥ msg in one pass. The buffer stays on the stack for
+// anything up to a full routing table, so neither Sign nor Verify allocates
+// for the hash.
+func simSum(pub PublicKey, msg []byte) [sha256.Size]byte {
+	buf := make([]byte, 0, 512)
+	return sha256.Sum256(append(append(buf, pub...), msg...))
 }
 
-// Sign implements Scheme.
+// Sign implements Scheme: the digest padded with its own leading bytes to the
+// accounted ECDSA size. The signature is the only allocation.
 func (SimScheme) Sign(kp KeyPair, msg []byte) ([]byte, error) {
 	if len(kp.Public) == 0 {
 		return nil, ErrBadKey
 	}
-	return simDigest(kp.Public, msg), nil
+	sum := simSum(kp.Public, msg)
+	sig := make([]byte, SigWireSize)
+	n := copy(sig, sum[:])
+	copy(sig[n:], sum[:])
+	return sig, nil
 }
 
-// Verify implements Scheme.
+// Verify implements Scheme. It allocates nothing.
 func (SimScheme) Verify(pub PublicKey, msg, sig []byte) bool {
 	if len(sig) != SigWireSize || len(pub) == 0 {
 		return false
 	}
-	want := simDigest(pub, msg)
-	for i := range want {
-		if want[i] != sig[i] {
-			return false
-		}
-	}
-	return true
+	sum := simSum(pub, msg)
+	return bytes.Equal(sig[:sha256.Size], sum[:]) &&
+		bytes.Equal(sig[sha256.Size:], sum[:SigWireSize-sha256.Size])
 }
 
 // SigSize implements Scheme.

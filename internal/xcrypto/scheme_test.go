@@ -91,6 +91,51 @@ func TestVerifyRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestSimVerifyRejectsEveryBitFlip walks every bit of the message, the
+// signature (digest and padding alike) and the key: Verify compares in place
+// against the digest, and no position may be left uncompared.
+func TestSimVerifyRejectsEveryBitFlip(t *testing.T) {
+	s := SimScheme{}
+	kp, _ := s.GenerateKey(rand.New(rand.NewSource(9)))
+	msg := []byte("a signed, timestamped routing table")
+	sig, _ := s.Sign(kp, msg)
+	if !s.Verify(kp.Public, msg, sig) {
+		t.Fatal("valid signature rejected")
+	}
+	for _, part := range []struct {
+		name string
+		b    []byte
+	}{{"message", msg}, {"signature", sig}, {"key", kp.Public}} {
+		for bit := 0; bit < 8*len(part.b); bit++ {
+			part.b[bit/8] ^= 1 << (bit % 8)
+			if s.Verify(kp.Public, msg, sig) {
+				t.Errorf("%s with bit %d flipped still verifies", part.name, bit)
+			}
+			part.b[bit/8] ^= 1 << (bit % 8)
+		}
+	}
+	if !s.Verify(kp.Public, msg, sig) {
+		t.Fatal("flips were not undone")
+	}
+}
+
+// TestSimSchemeAllocs pins what the simulator pays per signature: Sign
+// allocates the signature and nothing else, Verify nothing at all — for a
+// message the size of a full routing table (fingers, successors and
+// predecessors: 24 peers).
+func TestSimSchemeAllocs(t *testing.T) {
+	s := SimScheme{}
+	kp, _ := s.GenerateKey(rand.New(rand.NewSource(10)))
+	msg := make([]byte, 24+3*2+1+12+16*24)
+	sig, _ := s.Sign(kp, msg)
+	if n := testing.AllocsPerRun(200, func() { _, _ = s.Sign(kp, msg) }); n != 1 {
+		t.Errorf("Sign allocates %v times per call, want 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { s.Verify(kp.Public, msg, sig) }); n != 0 {
+		t.Errorf("Verify allocates %v times per call, want 0", n)
+	}
+}
+
 func TestSimSchemeSigSize(t *testing.T) {
 	s := SimScheme{}
 	kp, _ := s.GenerateKey(rand.New(rand.NewSource(7)))
