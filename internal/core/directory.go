@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -243,15 +244,19 @@ func gapBound(estSize int, factor float64) uint64 {
 // finger positions, NISAN-style (§4.1: "the initiator applies bound checking
 // on the fingertables returned by intermediate nodes of the random walk to
 // limit fingertable manipulation"). A finger is accepted when it trails some
-// ideal position by at most bound (see gapBound).
+// ideal position owner+2^i by at most bound (see gapBound).
+//
+// Only two of the 64 positions can be the nearest one behind f. With d the
+// clockwise distance from owner to f, the positions not past f are the 2^i ≤ d,
+// and the nearest is 2^top, top the highest set bit of d. Every other position
+// is reached only the long way round, d + (2^64 − 2^i) behind f, least for
+// i = 63 — which is among those others only when top < 63, and then d < 2^63
+// so the sum cannot overflow.
 func withinFingerBound(owner, f chord.Peer, bound uint64) bool {
 	if !f.Valid() || f.ID == owner.ID {
 		return false
 	}
-	for i := 0; i < id.Bits; i++ {
-		if owner.ID.FingerTarget(i).Distance(f.ID) <= bound {
-			return true
-		}
-	}
-	return false
+	d := owner.ID.Distance(f.ID)
+	top := bits.Len64(d) - 1
+	return d-1<<top <= bound || (top < 63 && d+1<<63 <= bound)
 }

@@ -71,8 +71,9 @@ type tableLookup struct {
 	alpha          int
 	inFlight       int
 	finished       bool
-	cands          []candidate          // every peer learned so far, sorted by ID
-	tables         []chord.RoutingTable // absorbed tables, in arrival order
+	seeded         bool        // the tier's seeds are in cands
+	padded         bool        // dummy queries are drawn from cands: see keeps
+	cands          []candidate // the peers kept so far, sorted by ID
 	closestQueried chord.Peer
 	stats          LookupStats
 	send           func(target chord.Peer, done func(transport.Message, error)) bool
@@ -94,7 +95,6 @@ type tableLookup struct {
 // candidate is one peer the lookup knows of.
 type candidate struct {
 	peer    chord.Peer
-	src     int32 // index in tables of the table that introduced it; -1 for a tier seed
 	queried bool
 }
 
@@ -113,19 +113,52 @@ func (tl *tableLookup) find(x id.ID) (int, bool) {
 	return lo, lo < len(tl.cands) && tl.cands[lo].peer.ID == x
 }
 
-// learn adds p as introduced by tables[src]. The first table to name a peer
-// stays its source; only tier seeds (src < 0) overwrite an entry.
-func (tl *tableLookup) learn(p chord.Peer, src int32) {
+// keeps reports whether a peer with identifier x is worth a place in the set.
+// A padded lookup draws its dummy targets from everything it knows, so it
+// keeps every peer. Otherwise the set is read only by bestUnqueried, which
+// never looks outside (closestQueried, key); and since closestQueried only
+// moves to a peer inside that interval, a peer outside it now stays outside.
+func (tl *tableLookup) keeps(x id.ID) bool {
+	return tl.padded || id.StrictBetween(x, tl.closestQueried.ID, tl.key)
+}
+
+// learn adds p if it is worth keeping. Whoever named an identifier first —
+// the tier or an earlier table — keeps the entry; only a later tier seed
+// overwrites an earlier one.
+func (tl *tableLookup) learn(p chord.Peer, seed bool) {
+	if !tl.keeps(p.ID) {
+		return
+	}
 	i, found := tl.find(p.ID)
 	switch {
 	case !found:
-		tl.cands = slices.Insert(tl.cands, i, candidate{peer: p, src: src})
-	case src < 0:
-		tl.cands[i] = candidate{peer: p, src: src}
+		tl.cands = slices.Insert(tl.cands, i, candidate{peer: p})
+	case seed:
+		tl.cands[i].peer = p
 	}
 }
 
-func (n *Node) newTableLookup(key id.ID,
+// seed puts the routing tier's candidates for the key into the set, once, on
+// first need: a key inside the local successor window resolves without them.
+// It runs before anything is queried, so no table has been absorbed yet. The
+// finger tier returns exactly the peers the engine formerly collected itself
+// (valid fingers, then the successor list), keeping seeded paper-mode runs
+// bit-identical; a full-state tier returns a bounded neighborhood tightly
+// preceding the key, which normally contains the owner's immediate
+// predecessor.
+func (tl *tableLookup) seed() {
+	if tl.seeded {
+		return
+	}
+	tl.seeded = true
+	seeds := tl.n.tier.Candidates(tl.key)
+	tl.cands = make([]candidate, 0, 4*len(seeds))
+	for _, p := range seeds {
+		tl.learn(p, true)
+	}
+}
+
+func (n *Node) newTableLookup(key id.ID, padded bool,
 	send func(chord.Peer, func(transport.Message, error)) bool,
 	finish func(chord.Peer, DirectLookupResult, error)) *tableLookup {
 	alpha := n.cfg.LookupParallelism
@@ -143,46 +176,46 @@ func (n *Node) newTableLookup(key id.ID,
 		n:              n,
 		key:            key,
 		alpha:          alpha,
+		padded:         padded,
 		closestQueried: n.Chord.Self,
 		send:           send,
 		finish:         finish,
 	}
 	tl.stats.Started = n.tr.Now()
-	// Seed from the routing tier. The finger tier returns exactly the
-	// peers the engine formerly collected itself (valid fingers, then the
-	// successor list), keeping seeded paper-mode runs bit-identical; a
-	// full-state tier returns a bounded neighborhood tightly preceding
-	// the key, which normally contains the owner's immediate predecessor.
-	seeds := n.tier.Candidates(key)
-	tl.cands = make([]candidate, 0, 4*len(seeds))
-	for _, p := range seeds {
-		tl.learn(p, -1)
-	}
 	return tl
 }
 
 // bestUnqueried returns the position in cands of the known node most
-// tightly preceding the key that improves on closestQueried.
+// tightly preceding the key that improves on closestQueried: the last
+// unqueried candidate before the key. closestQueried starts as the node
+// itself and only ever moves to a peer inside (closestQueried, key), so it
+// lies in [self, key) and, within the interval the choice is made from,
+// clockwise distance from the node grows with position in the set: walking
+// back from the key, the first unqueried candidate is the furthest one, and
+// the first candidate outside the interval ends the walk.
 func (tl *tableLookup) bestUnqueried() (int, bool) {
-	self := tl.n.Chord.Self
-	best, found := 0, false
-	var bestDist uint64
-	for i, c := range tl.cands {
-		if c.queried || !id.StrictBetween(c.peer.ID, tl.closestQueried.ID, tl.key) {
-			continue
+	i, _ := tl.find(tl.key)
+	for range tl.cands {
+		if i == 0 {
+			i = len(tl.cands)
 		}
-		d := self.ID.Distance(c.peer.ID)
-		if !found || d > bestDist {
-			best, bestDist, found = i, d, true
+		i--
+		c := tl.cands[i]
+		if !id.StrictBetween(c.peer.ID, tl.closestQueried.ID, tl.key) {
+			break
+		}
+		if !c.queried {
+			return i, true
 		}
 	}
-	return best, found
+	return 0, false
 }
 
 // dummyTarget draws where a dummy query goes: uniformly from what the lookup
 // knows, as an index into the ID order, so the choice is a function of the
 // seed and of the set, never of the order peers were learned in.
 func (tl *tableLookup) dummyTarget(rng *rand.Rand) (chord.Peer, bool) {
+	tl.seed()
 	if len(tl.cands) == 0 {
 		return chord.NoPeer, false
 	}
@@ -213,11 +246,9 @@ func (tl *tableLookup) recordOwnerCandidate(t chord.RoutingTable) {
 
 // absorb merges a verified table into the knowledge set.
 func (tl *tableLookup) absorb(from chord.Peer, t chord.RoutingTable) {
-	src := int32(len(tl.tables))
-	tl.tables = append(tl.tables, t)
 	add := func(p chord.Peer) {
 		if p.Valid() && p.ID != tl.n.Chord.Self.ID {
-			tl.learn(p, src)
+			tl.learn(p, false)
 		}
 	}
 	bound := gapBound(tl.n.cfg.EstimatedSize, tl.n.cfg.BoundFactor)
@@ -254,6 +285,7 @@ func (tl *tableLookup) step() {
 			return
 		}
 	}
+	tl.seed()
 	for tl.inFlight < tl.alpha {
 		if tl.stats.Queries >= tl.n.cfg.MaxLookupQueries {
 			if tl.inFlight == 0 {
@@ -333,17 +365,10 @@ func (tl *tableLookup) done(owner chord.Peer, err error) {
 	tl.finished = true
 	tl.stats.Finished = tl.n.tr.Now()
 	res := DirectLookupResult{Owner: owner}
-	if owner.Valid() {
-		switch {
-		case tl.ownerFound && tl.ownerBest.ID == owner.ID:
-			res.Evidence = tl.ownerEvidence
-			res.HasEvidence = true
-		default:
-			if i, ok := tl.find(owner.ID); ok && tl.cands[i].src >= 0 {
-				res.Evidence = tl.tables[tl.cands[i].src]
-				res.HasEvidence = true
-			}
-		}
+	// An owner resolved inside the local successor window was known
+	// without asking anyone: there is no table to show for it.
+	if owner.Valid() && tl.ownerFound && tl.ownerBest.ID == owner.ID {
+		res.Evidence, res.HasEvidence = tl.ownerEvidence, true
 	}
 	tl.finish(owner, res, err)
 }
@@ -406,7 +431,7 @@ func (n *Node) AnonLookupFull(key id.ID, cb func(chord.Peer, DirectLookupResult,
 		}
 		return true
 	}
-	tl = n.newTableLookup(key, send, func(owner chord.Peer, res DirectLookupResult, err error) {
+	tl = n.newTableLookup(key, true, send, func(owner chord.Peer, res DirectLookupResult, err error) {
 		// Flush any dummies the probabilistic interleaving left over.
 		for dummiesLeft > 0 {
 			dummiesLeft--
@@ -489,7 +514,7 @@ func (n *Node) DirectTableLookup(key id.ID, cb func(DirectLookupResult, LookupSt
 			chord.GetTableReq{IncludeSuccessors: true}, n.cfg.Chord.RPCTimeout, done)
 		return true
 	}
-	tl = n.newTableLookup(key, send, func(_ chord.Peer, res DirectLookupResult, err error) {
+	tl = n.newTableLookup(key, false, send, func(_ chord.Peer, res DirectLookupResult, err error) {
 		cb(res, tl.stats, err)
 	})
 	tl.step()

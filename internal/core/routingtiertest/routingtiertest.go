@@ -187,7 +187,18 @@ func testChurnStaleness(t *testing.T, mk transporttest.Factory, tier string) {
 	h.Advance(20 * tick)
 
 	const victim = transport.Addr(7)
-	h.Tr.After(victim, 0, func() { nw.Ring.Kill(victim) })
+	killed := make(chan struct{})
+	h.Tr.After(victim, 0, func() { nw.Ring.Kill(victim); close(killed) })
+	// The kill runs on the victim's goroutine and this one reads the ring
+	// below: wait for it, without letting virtual time pass.
+	for ran := false; !ran; {
+		select {
+		case <-killed:
+			ran = true
+		default:
+			h.Advance(0)
+		}
+	}
 
 	// The failure detector (stabilization probes) must notice the crash
 	// and, for the one-hop tier, EDRA must spread it to every live node.

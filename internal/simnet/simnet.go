@@ -194,8 +194,13 @@ func (k *ticker) fire() {
 }
 
 // Every schedules fn to run repeatedly with the given period, starting one
-// period from now. The returned stop function cancels future firings.
+// period from now. The returned stop function cancels future firings. A
+// non-positive period is taken as 1 ms, as the concurrent backends do: re-armed
+// at a delay of zero the ticker would fire forever without the clock moving.
 func (s *Simulator) Every(period time.Duration, fn func()) (stop func()) {
+	if period <= 0 {
+		period = time.Millisecond
+	}
 	k := &ticker{period: period, fn: fn}
 	s.schedule(&k.timer, period, k)
 	// stop does not cancel the tick already queued; it fires as an empty

@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,6 +106,7 @@ func RunConformance(t *testing.T, mk Factory) {
 	t.Run("AliveLifecycle", func(t *testing.T) { testAliveLifecycle(t, mk) })
 	t.Run("AfterAndCancel", func(t *testing.T) { testAfterAndCancel(t, mk) })
 	t.Run("EveryRepeatsUntilStopped", func(t *testing.T) { testEvery(t, mk) })
+	t.Run("EveryNonPositivePeriod", func(t *testing.T) { testEveryNonPositivePeriod(t, mk) })
 	t.Run("NowMonotone", func(t *testing.T) { testNowMonotone(t, mk) })
 	t.Run("HandlerSerialization", func(t *testing.T) { testSerialization(t, mk) })
 	t.Run("PipelinedCallsOneLink", func(t *testing.T) { testPipelinedCalls(t, mk) })
@@ -365,6 +368,43 @@ func testEvery(t *testing.T, mk Factory) {
 	drained := len(fired)
 	if drained > n+1 {
 		t.Errorf("timer kept firing after stop: %d -> %d", n, drained)
+	}
+}
+
+// testEveryNonPositivePeriod: a zero or negative period is taken as 1 ms by
+// every backend. Unclamped, a virtual-clock ticker re-arms at the current
+// instant and fires forever without time passing; the cap below turns that
+// into a failure instead of a hang.
+func testEveryNonPositivePeriod(t *testing.T, mk Factory) {
+	for _, period := range []time.Duration{0, -tick} {
+		h := mk(t, 1)
+		h.Tr.Bind(0, echoHandler)
+		const span = 3 * tick
+		limit := 4 * int64(span/time.Millisecond)
+		var fired atomic.Int64
+		var mu sync.Mutex // orders the callback's read of stop after its assignment
+		var stop func()
+		mu.Lock()
+		stop = h.Tr.Every(0, period, func() {
+			if fired.Add(1) == limit+1 {
+				mu.Lock()
+				defer mu.Unlock()
+				stop()
+			}
+		})
+		mu.Unlock()
+		h.Advance(span)
+		if n := fired.Load(); n < 1 || n > limit {
+			t.Errorf("period %v: %d firings in %v, want between 1 and %d (a 1 ms period)", period, n, span, limit)
+		}
+		stop()
+		h.Advance(tick) // lets a firing already in flight land
+		n := fired.Load()
+		h.Advance(3 * tick)
+		if after := fired.Load(); after != n {
+			t.Errorf("period %v: ticker kept firing after stop: %d -> %d", period, n, after)
+		}
+		closeH(h)
 	}
 }
 
