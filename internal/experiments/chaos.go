@@ -253,7 +253,8 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 
 	// Client traffic, attributed to whichever phase an operation completes
 	// in (cur). Lookups are judged against the ring's ground truth at
-	// completion time; reads against the set of acknowledged writes.
+	// completion time; reads against the set of writes acknowledged when
+	// the read was issued.
 	cur := &res.Baseline
 	stopTraffic := false
 	acked := make(map[id.ID]bool)
@@ -295,12 +296,13 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 			gw := stores[opArrivals.Intn(cfg.ServingNodes)]
 			key := keys[opArrivals.Intn(len(keys))]
 			if opArrivals.Float64() < cfg.ReadFraction {
+				written := acked[key] // when issued: a Put may be acknowledged mid-Get
 				gw.Get(key, func(r store.GetResult) {
 					cur.Gets++
 					switch {
 					case r.Found:
 						cur.Hits++
-					case !acked[key]:
+					case !written:
 						cur.Unwritten++
 					default:
 						cur.Misses++

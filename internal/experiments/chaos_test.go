@@ -99,3 +99,20 @@ func TestChaosReplaysByteIdentically(t *testing.T) {
 		t.Fatalf("two runs from seed %d diverged:\n--- A ---\n%s\n--- B ---\n%s", cfg.Seed, a, b)
 	}
 }
+
+// TestChaosCalmReadsNeverMiss pins the read verdict to the instant the Get
+// was issued: on a ring nothing is done to, a Get that finds nothing can only
+// have raced the key's first Put, which makes it Unwritten, not a Miss. Judged
+// at completion instead, seeds 1, 5 and 9 each count one such race as a miss.
+func TestChaosCalmReadsNeverMiss(t *testing.T) {
+	for _, seed := range []int64{1, 5, 9} {
+		cfg := scaledChaosConfig()
+		cfg.Seed = seed
+		cfg.Script = nil
+		cfg.Baseline = time.Minute
+		cfg.StormHold, cfg.SLO.RecoverWithin, cfg.PostRecovery = time.Second, time.Second, time.Second
+		if b := RunChaos(cfg).Baseline; b.Misses != 0 || b.Gets == 0 {
+			t.Errorf("seed %d: calm phase %+v, want reads and no misses", seed, b)
+		}
+	}
+}

@@ -141,12 +141,13 @@ func RunStorage(cfg StorageConfig) StorageResult {
 			start := sim.Now()
 			if arrivals.Float64() < cfg.ReadFraction {
 				res.Gets++
+				written := acked[key] // when issued: a Put may be acknowledged mid-Get
 				gw.Get(key, func(r store.GetResult) {
 					getLat.AddDuration(sim.Now() - start)
 					switch {
 					case r.Found:
 						res.Hits++
-					case !acked[key]:
+					case !written:
 						res.Unwritten++
 					default:
 						res.Misses++
