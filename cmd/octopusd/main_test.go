@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -56,18 +55,41 @@ func (s *logSink) String() string {
 
 func (s *logSink) attach(t *testing.T, name string, cmd *exec.Cmd) {
 	t.Helper()
-	stdout, _ := cmd.StdoutPipe()
-	cmd.Stderr = cmd.Stdout
-	sc := bufio.NewScanner(stdout)
-	go func() {
-		for sc.Scan() {
-			line := sc.Text()
-			s.mu.Lock()
-			fmt.Fprintln(&s.b, line)
-			s.mu.Unlock()
-			t.Logf("[%s] %s", name, line)
+	captureLines(cmd, func(line string) {
+		s.mu.Lock()
+		fmt.Fprintln(&s.b, line)
+		s.mu.Unlock()
+		t.Logf("[%s] %s", name, line)
+	})
+}
+
+// lineWriter hands each complete line written to it to emit.
+type lineWriter struct {
+	buf  []byte
+	emit func(line string)
+}
+
+func (w *lineWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	for {
+		i := bytes.IndexByte(w.buf, '\n')
+		if i < 0 {
+			return len(p), nil
 		}
-	}()
+		w.emit(string(w.buf[:i]))
+		w.buf = w.buf[i+1:]
+	}
+}
+
+// captureLines feeds cmd's interleaved stdout/stderr to emit line by line.
+// The writer is not an *os.File, so os/exec copies into it from a goroutine of
+// its own and cmd.Wait returns only after that copy reached EOF: every line
+// the process wrote has been emitted by then. A reader on cmd.StdoutPipe gives
+// no such guarantee — Wait closes the pipe under it and the last lines are
+// lost.
+func captureLines(cmd *exec.Cmd, emit func(line string)) {
+	w := &lineWriter{emit: emit}
+	cmd.Stdout, cmd.Stderr = w, w
 }
 
 // waitForLog polls a sink until the marker appears.
@@ -131,20 +153,14 @@ func TestMultiprocessAnonymousLookup(t *testing.T) {
 	var logMu sync.Mutex
 	var logB bytes.Buffer
 	pipe := func(name string, cmd *exec.Cmd, keep *bytes.Buffer) {
-		stdout, _ := cmd.StdoutPipe()
-		cmd.Stderr = cmd.Stdout
-		sc := bufio.NewScanner(stdout)
-		go func() {
-			for sc.Scan() {
-				line := sc.Text()
-				logMu.Lock()
-				if keep != nil {
-					fmt.Fprintln(keep, line)
-				}
-				logMu.Unlock()
-				t.Logf("[%s] %s", name, line)
+		captureLines(cmd, func(line string) {
+			logMu.Lock()
+			if keep != nil {
+				fmt.Fprintln(keep, line)
 			}
-		}()
+			logMu.Unlock()
+			t.Logf("[%s] %s", name, line)
+		})
 	}
 
 	procA := exec.Command(bin, "-config", cfgPath, "-listen", eps[0],
@@ -528,9 +544,7 @@ func TestDynamicJoinLeave(t *testing.T) {
 	waitForLog(t, sinkB, "lookup verified against expected owner", 2*time.Minute,
 		"lookup of the joined node")
 
-	// Graceful departure: SIGTERM, clean leave, exit 0. The log marker is
-	// awaited BEFORE cmd.Wait — Wait closes the stdout pipe and would
-	// discard the final unread lines.
+	// Graceful departure: SIGTERM, clean leave, exit 0.
 	if err := procC.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("signal C: %v", err)
 	}

@@ -80,13 +80,13 @@ func run() error {
 	procB := exec.Command(bin, "-config", cfgPath, "-listen", eps[1],
 		"-walk-every", "300ms", "-stabilize-every", "500ms",
 		"-lookup", "cross-process", "-once")
-	stream("B", procB)
+	printed := stream("B", procB)
 	if err := procB.Start(); err != nil {
 		return err
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- procB.Wait() }()
+	go func() { <-printed; done <- procB.Wait() }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -101,16 +101,20 @@ func run() error {
 	return nil
 }
 
-// stream prefixes and forwards a process's combined output.
-func stream(name string, cmd *exec.Cmd) {
+// stream prefixes and forwards a process's combined output. done closes at
+// EOF; cmd.Wait closes the pipe and must not run before that.
+func stream(name string, cmd *exec.Cmd) (done <-chan struct{}) {
 	stdout, _ := cmd.StdoutPipe()
 	cmd.Stderr = cmd.Stdout
 	sc := bufio.NewScanner(stdout)
+	eof := make(chan struct{})
 	go func() {
+		defer close(eof)
 		for sc.Scan() {
 			fmt.Printf("  [%s] %s\n", name, sc.Text())
 		}
 	}()
+	return eof
 }
 
 // freePorts reserves k kernel-assigned loopback ports.
