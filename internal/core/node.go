@@ -281,7 +281,7 @@ func (n *Node) StartProtocols() {
 		return
 	}
 	n.stops = append(n.stops,
-		n.tr.Every(n.Chord.Self.Addr, n.cfg.WalkEvery, func() { n.startWalk(func(bool) {}) }),
+		n.tr.Every(n.Chord.Self.Addr, n.cfg.WalkEvery, n.pairs.beat),
 		n.tr.Every(n.Chord.Self.Addr, n.cfg.SurveilEvery, n.neighborSurveillance),
 		n.tr.Every(n.Chord.Self.Addr, n.cfg.SurveilEvery, n.fingerSurveillance),
 		n.tr.Every(n.Chord.Self.Addr, n.cfg.Chord.FixFingersEvery, n.secureFingerUpdate),

@@ -81,17 +81,17 @@ type pairPool struct {
 	max   int // RelayPoolMax
 	stats *nodeCounters
 	// candidates lists, in draw order, the peers synth builds a fallback
-	// pair from.
+	// pair from; walk runs one relay-selection walk and tells done whether
+	// its pair was stocked.
 	candidates func() []chord.Peer
+	walk       func(done func(grew bool))
 
 	// target is the stock refill keeps ready; vet reports whether a relay
-	// may still be used (alive, certificate not revoked); walk runs one
-	// relay-selection walk and tells done whether its pair was stocked;
-	// running gates refills on the node's Chord layer; retry is the pause
-	// after a fruitless walk. All zero in a passive pool.
+	// may still be used (alive, certificate not revoked); running gates
+	// refills on the node's Chord layer; retry is the pause after a
+	// fruitless walk. All zero in a passive pool.
 	target  int
 	vet     func(chord.Peer) bool
-	walk    func(done func(grew bool))
 	running func() bool
 	retry   time.Duration
 }
@@ -105,6 +105,7 @@ func newPairPool(n *Node) *pairPool {
 		max:        n.cfg.RelayPoolMax,
 		stats:      &n.stats,
 		candidates: n.tier.RelayCandidates,
+		walk:       n.startWalk,
 	}
 	if n.cfg.PairPoolTarget <= 0 {
 		return p
@@ -122,7 +123,6 @@ func newPairPool(n *Node) *pairPool {
 		c := append(n.tier.RelayCandidates(), n.Chord.Successors()...)
 		return append(c, n.Chord.Predecessors()...)
 	}
-	p.walk = n.startWalk
 	p.running = n.Chord.Running
 	p.retry = n.cfg.WalkEvery
 	return p
@@ -272,6 +272,10 @@ func (p *pairPool) synth(exclude *RelayPair) (RelayPair, error) {
 	p.stats.fallbackPairs.Add(1)
 	return RelayPair{First: candidates[i], Second: candidates[j]}, nil
 }
+
+// beat is the cfg.WalkEvery tick: one relay-selection walk per period,
+// whatever the pool holds.
+func (p *pairPool) beat() { p.walk(func(bool) {}) }
 
 // refill is the managed pool's walk-ahead restocking (Appendix I run on
 // demand): whenever the stock plus the walks already in flight fall short

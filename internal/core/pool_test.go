@@ -282,3 +282,191 @@ func TestPairPoolRefill(t *testing.T) {
 	q, _ := testPool(nil)
 	q.refill() // walk and running are nil: would panic if consulted
 }
+
+// managedTestPool is a managed testPool that keeps target pairs: its walks
+// only queue their done callbacks in *walks, for the test to complete.
+func managedTestPool(bad map[id.ID]bool, target int) (*pairPool, *simnet.Simulator, *[]func(grew bool)) {
+	p, sim := testPool(bad)
+	walks := new([]func(bool))
+	p.target = target
+	p.retry = 500 * time.Millisecond
+	p.running = func() bool { return true }
+	p.walk = func(done func(bool)) { *walks = append(*walks, done) }
+	return p, sim, walks
+}
+
+// On the WalkEvery beat a managed pool walks only while it is short of
+// target, and that walk stays outside refill's accounting: it is what stocks
+// the pool while every refill slot waits out a timeout.
+func TestPairPoolBeatWalksOnlyBelowTarget(t *testing.T) {
+	p, _, walks := managedTestPool(map[id.ID]bool{}, 4)
+	next := 1
+	stock := func() {
+		p.add(testPair(next, next+1))
+		next += 2
+	}
+	for len(p.stock) < p.target {
+		stock()
+	}
+	for _, held := range []string{"at target", "above target"} {
+		for i := 0; i < 100; i++ {
+			p.beat()
+		}
+		if len(*walks) != 0 {
+			t.Fatalf("%s (%d pairs): %d walks over 100 beats, want 0", held, len(p.stock), len(*walks))
+		}
+		stock()
+	}
+
+	p.setStock(p.stock[:p.target-1])
+	p.inflight, p.paused = pairRefillParallel, true
+	for i := 0; i < 100; i++ {
+		p.beat()
+	}
+	if len(*walks) != 100 {
+		t.Errorf("below target: %d walks over 100 beats, want one per beat", len(*walks))
+	}
+	if r := p.stats.refillWalks.Load(); r != 0 || p.inflight != pairRefillParallel || !p.paused {
+		t.Errorf("beat walks went through refill: %d refill walks, in flight %d, paused=%v",
+			r, p.inflight, p.paused)
+	}
+}
+
+// The beat expires every pair the pool would refuse to hand out — nobody has
+// to take or peek for that — and the beats after it restock up to target.
+func TestPairPoolBeatExpiresAndTopsUp(t *testing.T) {
+	const target = 4
+	for _, c := range []struct {
+		name    string
+		spoil   func(bad map[id.ID]bool, sim *simnet.Simulator)
+		expired int
+	}{
+		{"stale", func(_ map[id.ID]bool, sim *simnet.Simulator) { sim.Run(sim.Now() + time.Second) }, target},
+		{"stopped first relay", func(bad map[id.ID]bool, _ *simnet.Simulator) { bad[testPeer(3).ID] = true }, 1},
+		{"revoked second relay", func(bad map[id.ID]bool, _ *simnet.Simulator) { bad[testPeer(4).ID] = true }, 1},
+	} {
+		bad := map[id.ID]bool{}
+		p, sim, walks := managedTestPool(bad, target)
+		for i := 0; i < target; i++ {
+			p.add(testPair(2*i+1, 2*i+2))
+		}
+		// A pair is good for pairMaxAge, to the tick.
+		sim.Run(pairMaxAge)
+		p.beat()
+		if len(p.stock) != target || len(*walks) != 0 {
+			t.Fatalf("%s: at pairMaxAge the pool holds %d pairs and started %d walks", c.name, len(p.stock), len(*walks))
+		}
+		c.spoil(bad, sim)
+		p.beat()
+		if d := int(p.stats.pairsDiscarded.Load()); d != c.expired || len(p.stock) != target-c.expired {
+			t.Fatalf("%s: beat discarded %d pairs and left %d, want %d and %d",
+				c.name, d, len(p.stock), c.expired, target-c.expired)
+		}
+		for _, left := range p.stock {
+			if !p.usable(left) {
+				t.Errorf("%s: %+v still stocked", c.name, left.pair)
+			}
+		}
+		// Finish every walk as it is started; keep beating.
+		for beats, next := 0, 101; beats < 10*target; beats++ {
+			for _, done := range *walks {
+				done(p.add(testPair(next, next+1)))
+				next += 2
+			}
+			*walks = (*walks)[:0]
+			p.beat()
+		}
+		if len(p.stock) != target || len(*walks) != 0 {
+			t.Errorf("%s: %d pairs and %d walks in flight after restocking, want %d and 0",
+				c.name, len(p.stock), len(*walks), target)
+		}
+	}
+}
+
+// A passive pool's beat is the paper's: one walk per WalkEvery, whatever the
+// pool holds, and nothing ever leaves the stock by age.
+func TestPairPoolBeatPassiveWalksEveryTick(t *testing.T) {
+	p, sim := testPool(nil)
+	walks := 0
+	p.walk = func(func(bool)) { walks++ }
+	for i := 0; i < 100; i++ {
+		p.beat()
+	}
+	for i := 0; p.add(testPair(10+i, 50+i)); i++ {
+	}
+	sim.Run(pairMaxAge + time.Hour)
+	for i := 0; i < 100; i++ {
+		p.beat()
+	}
+	if walks != 200 {
+		t.Errorf("%d walks over 200 beats, want one per beat", walks)
+	}
+	if len(p.stock) != p.max || p.stats.pairsDiscarded.Load() != 0 {
+		t.Errorf("passive beat touched the stock: %d pairs left of %d, %d discarded",
+			len(p.stock), p.max, p.stats.pairsDiscarded.Load())
+	}
+}
+
+// A managed ring on the daemon's cadence, left idle: every node walks to
+// stock its pool and to replace what expires, and for nothing else — while
+// the stock stays fresh and at target, and the walks that remain still feed
+// secret surveillance its tables (§4.4).
+func TestIdleManagedRingWalksOnlyToRestock(t *testing.T) {
+	const (
+		n    = 64
+		idle = 12 * time.Minute
+		// One cohort of target pairs at start-up and one per pairMaxAge
+		// after it, each with a few walks to spare (refused pairs, beat
+		// walks finishing beside refill's at start-up).
+		maxWalks = 100
+		// Beats a node may stay short of target in a row: one per pair of
+		// an expired cohort (16; measured 19 with refused pairs and the
+		// walks' own time), and some slack.
+		maxShort = 24
+	)
+	var cfg Config
+	nw := buildTestNet(t, 1, n, func(c *Config) {
+		c.WalkEvery = 500 * time.Millisecond
+		c.SurveilEvery = 15 * time.Second
+		cfg = *c
+	})
+	short := make([]int, n)
+	checks := make([]uint64, n)
+	for now := cfg.WalkEvery; now <= idle; now += cfg.WalkEvery {
+		nw.Sim.Run(now)
+		surveilled := now > 2*cfg.SurveilEvery && now%cfg.SurveilEvery == 0
+		for i, node := range nw.Nodes {
+			p := node.pairs
+			if len(p.stock) > cfg.RelayPoolMax {
+				t.Fatalf("t=%v node %d: %d pairs stocked, RelayPoolMax is %d", now, i, len(p.stock), cfg.RelayPoolMax)
+			}
+			for _, e := range p.stock {
+				if age := now - e.added; age > pairMaxAge+cfg.WalkEvery {
+					t.Fatalf("t=%v node %d: a stocked pair is %v old", now, i, age)
+				}
+			}
+			if len(p.stock) >= cfg.PairPoolTarget {
+				short[i] = 0
+			} else if short[i]++; short[i] > maxShort {
+				t.Fatalf("t=%v node %d: %d pairs, short of target %d for %d beats",
+					now, i, len(p.stock), cfg.PairPoolTarget, short[i])
+			}
+			if !surveilled {
+				continue
+			}
+			if node.evidence.tableBuffer.len() == 0 {
+				t.Fatalf("t=%v node %d: table buffer empty, finger surveillance starved", now, i)
+			}
+			c := node.stats.checksRun.Load()
+			if c <= checks[i] {
+				t.Fatalf("t=%v node %d: no surveillance check in the last %v (%d so far)", now, i, cfg.SurveilEvery, c)
+			}
+			checks[i] = c
+		}
+	}
+	for i, node := range nw.Nodes {
+		if w := node.stats.walksStarted.Load(); w > maxWalks {
+			t.Errorf("node %d started %d walks in %v idle, want at most %d", i, w, idle, maxWalks)
+		}
+	}
+}
