@@ -60,10 +60,12 @@ const (
 //
 // What a serving node adds to the paper's pool (§4.2, Appendix I) is policy,
 // fixed once by newPairPool. The zero policy is the paper's passive pool:
-// stocked only by the WalkEvery tick, every stocked pair handed out as is —
-// required for bit-identical seeded experiment runs. A managed pool
-// (target > 0) vets pairs and fallback relays before use and restocks by
-// walking ahead of demand.
+// stocked only by the WalkEvery beat, one walk on every beat whatever it
+// holds, every stocked pair handed out as is — required for bit-identical
+// seeded experiment runs. A managed pool (target > 0) keeps target pairs
+// ready: it vets pairs and fallback relays before use, restocks by walking
+// ahead of demand, and on the beat expires what it would not hand out and
+// walks only while short of target.
 //
 // Host serialization context only, except size.
 type pairPool struct {
@@ -273,9 +275,23 @@ func (p *pairPool) synth(exclude *RelayPair) (RelayPair, error) {
 	return RelayPair{First: candidates[i], Second: candidates[j]}, nil
 }
 
-// beat is the cfg.WalkEvery tick: one relay-selection walk per period,
-// whatever the pool holds.
-func (p *pairPool) beat() { p.walk(func(bool) {}) }
+// beat is the cfg.WalkEvery tick. A passive pool walks, whatever it holds; a
+// managed pool expires what it would refuse to hand out, so that no draw has
+// to find the stock stale, and walks only while short of target. That walk
+// stays outside refill's inflight/paused accounting: at start-up every refill
+// slot can sit in QueryTimeout on peers not listening yet. Nor does the beat
+// call refill: after a mass failure every survivor expires most of its stock
+// at once, and refill's pace sends twice the walks into the broken ring.
+func (p *pairPool) beat() {
+	for i := len(p.stock) - 1; i >= 0; i-- {
+		if !p.usable(p.stock[i]) { // never, in a passive pool
+			p.discard(i)
+		}
+	}
+	if p.target <= 0 || len(p.stock) < p.target {
+		p.walk(func(bool) {})
+	}
+}
 
 // refill is the managed pool's walk-ahead restocking (Appendix I run on
 // demand): whenever the stock plus the walks already in flight fall short
