@@ -55,7 +55,7 @@ func (s *logSink) String() string {
 
 func (s *logSink) attach(t *testing.T, name string, cmd *exec.Cmd) {
 	t.Helper()
-	captureLines(cmd, func(line string) {
+	captureLines(t, cmd, func(line string) {
 		s.mu.Lock()
 		fmt.Fprintln(&s.b, line)
 		s.mu.Unlock()
@@ -81,15 +81,25 @@ func (w *lineWriter) Write(p []byte) (int, error) {
 	}
 }
 
+// flush emits what a process wrote after its last newline, if anything.
+func (w *lineWriter) flush() {
+	if len(w.buf) > 0 {
+		w.emit(string(w.buf))
+		w.buf = nil
+	}
+}
+
 // captureLines feeds cmd's interleaved stdout/stderr to emit line by line.
 // The writer is not an *os.File, so os/exec copies into it from a goroutine of
 // its own and cmd.Wait returns only after that copy reached EOF: every line
 // the process wrote has been emitted by then. A reader on cmd.StdoutPipe gives
 // no such guarantee — Wait closes the pipe under it and the last lines are
-// lost.
-func captureLines(cmd *exec.Cmd, emit func(line string)) {
+// lost. An unterminated last line (a child cut off mid-write) is emitted when
+// the test ends, after every Wait.
+func captureLines(t *testing.T, cmd *exec.Cmd, emit func(line string)) {
 	w := &lineWriter{emit: emit}
 	cmd.Stdout, cmd.Stderr = w, w
+	t.Cleanup(w.flush)
 }
 
 // waitForLog polls a sink until the marker appears.
@@ -153,7 +163,7 @@ func TestMultiprocessAnonymousLookup(t *testing.T) {
 	var logMu sync.Mutex
 	var logB bytes.Buffer
 	pipe := func(name string, cmd *exec.Cmd, keep *bytes.Buffer) {
-		captureLines(cmd, func(line string) {
+		captureLines(t, cmd, func(line string) {
 			logMu.Lock()
 			if keep != nil {
 				fmt.Fprintln(keep, line)
