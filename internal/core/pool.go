@@ -64,8 +64,7 @@ const (
 // holds, every stocked pair handed out as is — required for bit-identical
 // seeded experiment runs. A managed pool (target > 0) keeps target pairs
 // ready: it vets pairs and fallback relays before use, restocks by walking
-// ahead of demand, and on the beat expires what it would not hand out and
-// walks only while short of target.
+// ahead of demand, and on the beat walks only while short of target.
 //
 // Host serialization context only, except size.
 type pairPool struct {
@@ -276,18 +275,12 @@ func (p *pairPool) synth(exclude *RelayPair) (RelayPair, error) {
 }
 
 // beat is the cfg.WalkEvery tick. A passive pool walks, whatever it holds; a
-// managed pool expires what it would refuse to hand out, so that no draw has
-// to find the stock stale, and walks only while short of target. That walk
-// stays outside refill's inflight/paused accounting: at start-up every refill
-// slot can sit in QueryTimeout on peers not listening yet. Nor does the beat
-// call refill: after a mass failure every survivor expires most of its stock
-// at once, and refill's pace sends twice the walks into the broken ring.
+// managed pool walks only while short of target. That walk stays outside
+// refill's inflight/paused accounting: at start-up every refill slot can sit
+// in QueryTimeout on peers not listening yet. Nor does the beat expire stock
+// (take and peek do, at hand-out) or call refill: under the chaos storm either
+// one cost recoveries after the mass kill (CHANGES.md, PR 23).
 func (p *pairPool) beat() {
-	for i := len(p.stock) - 1; i >= 0; i-- {
-		if !p.usable(p.stock[i]) { // never, in a passive pool
-			p.discard(i)
-		}
-	}
 	if p.target <= 0 || len(p.stock) < p.target {
 		p.walk(func(bool) {})
 	}
