@@ -115,7 +115,7 @@ func randForward(rng *rand.Rand, depth int) RelayForward {
 }
 
 func randCoreMessage(rng *rand.Rand, i int) transport.Message {
-	switch i % 11 {
+	switch i % 14 {
 	case 0:
 		return randForward(rng, 1+rng.Intn(5))
 	case 1:
@@ -166,6 +166,16 @@ func randCoreMessage(rng *rand.Rand, i int) transport.Message {
 			m.Statements = append(m.Statements, randWitnessResp(rng))
 		}
 		return m
+	case 11:
+		m := TierEventNotify{TTL: uint8(rng.Intn(64)), Joins: randPeersC(rng, 6), Leaves: make([]id.ID, rng.Intn(4))}
+		for k := range m.Leaves {
+			m.Leaves[k] = id.ID(rng.Uint64())
+		}
+		return m
+	case 12:
+		return TierSyncReq{From: id.ID(rng.Uint64()), Max: uint16(rng.Intn(1 << 16))}
+	case 13:
+		return TierSyncResp{More: rng.Intn(2) == 0, Peers: randPeersC(rng, 8)}
 	default:
 		return ReportAck{}
 	}
@@ -191,7 +201,7 @@ func roundTripCore(t *testing.T, m transport.Message) {
 
 func TestCoreMessagesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 440; i++ {
+	for i := 0; i < 560; i++ {
 		roundTripCore(t, randCoreMessage(rng, i))
 	}
 }

@@ -2,12 +2,14 @@ package torsk
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
 	"github.com/octopus-dht/octopus/internal/id"
 	"github.com/octopus-dht/octopus/internal/simnet"
+	"github.com/octopus-dht/octopus/internal/transport"
 )
 
 // newTorskNet builds a ring where every node runs the buddy server and
@@ -142,12 +144,24 @@ func TestTorskDeadBuddyTimesOut(t *testing.T) {
 	}
 }
 
+// TestProxyMessageSizes round-trips both 0x04xx messages through the wire
+// codec with Size() equal to the encoding, and checks that the response
+// (which carries the result) outweighs the request.
 func TestProxyMessageSizes(t *testing.T) {
-	req := ProxyLookupReq{}
-	if req.Size() <= 0 {
-		t.Error("request size must be positive")
+	req := ProxyLookupReq{Key: 42}
+	resp := ProxyLookupResp{Key: 42, Owner: chord.Peer{ID: 7, Addr: 3}, Hops: 5, OK: true}
+	for _, m := range []transport.Message{req, resp} {
+		enc, err := transport.Encode(m)
+		if err != nil {
+			t.Fatalf("Encode(%T): %v", m, err)
+		}
+		if len(enc) != m.Size() {
+			t.Errorf("%T: Size() = %d but len(Encode) = %d", m, m.Size(), len(enc))
+		}
+		if dec, err := transport.Decode(enc); err != nil || !reflect.DeepEqual(dec, m) {
+			t.Errorf("%T round trip: got %#v, %v", m, dec, err)
+		}
 	}
-	resp := ProxyLookupResp{}
 	if resp.Size() <= req.Size() {
 		t.Error("response should be larger than request (carries the result)")
 	}

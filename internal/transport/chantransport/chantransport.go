@@ -7,8 +7,9 @@
 // proves protocol logic under deterministic virtual time, chantransport
 // proves the same logic (and the codecs) under true parallelism and real
 // time. It honors the transport.Transport serialization contract with a
-// per-host actor loop: a host's handler, RPC callbacks, and timer callbacks
-// all run on that host's goroutine, so protocol state stays lock-free.
+// per-host actor loop (internal/transport/actor): a host's handler, RPC
+// callbacks, and timer callbacks all run on that host's goroutine, so
+// protocol state stays lock-free.
 //
 // Unlike the simulator, messages cross host boundaries only as bytes; a
 // message type without a registered codec cannot travel at all, which makes
@@ -24,138 +25,18 @@ import (
 
 	"github.com/octopus-dht/octopus/internal/obs"
 	"github.com/octopus-dht/octopus/internal/transport"
+	"github.com/octopus-dht/octopus/internal/transport/actor"
 )
-
-// mailbox is an unbounded FIFO of closures with blocking take. The queue is
-// a ring: a steady-state actor loop recycles its slots instead of forcing an
-// append reallocation every time the tail catches the slice capacity.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []func()
-	head   int
-	n      int
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-// put enqueues fn; it reports false after close.
-func (m *mailbox) put(fn func()) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	if m.n == len(m.q) {
-		grown := make([]func(), max(2*len(m.q), 16))
-		for i := 0; i < m.n; i++ {
-			grown[i] = m.q[(m.head+i)%len(m.q)]
-		}
-		m.q = grown
-		m.head = 0
-	}
-	m.q[(m.head+m.n)%len(m.q)] = fn
-	m.n++
-	m.cond.Signal()
-	return true
-}
-
-// take blocks for the next closure; ok=false means the mailbox is closed
-// and drained.
-func (m *mailbox) take() (func(), bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.n == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if m.n == 0 {
-		return nil, false
-	}
-	fn := m.q[m.head]
-	m.q[m.head] = nil
-	m.head = (m.head + 1) % len(m.q)
-	m.n--
-	return fn, true
-}
-
-func (m *mailbox) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// host is one actor: its mailbox loop runs every callback addressed to it.
-type host struct {
-	box *mailbox
-
-	mu      sync.Mutex
-	handler transport.Handler
-	alive   bool
-	stats   obs.Traffic
-}
-
-func (h *host) getHandler() (transport.Handler, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.handler, h.alive && h.handler != nil
-}
-
-func (h *host) addSent(bytes int) {
-	h.mu.Lock()
-	h.stats.BytesSent += uint64(bytes)
-	h.stats.MsgsSent++
-	h.mu.Unlock()
-}
-
-func (h *host) addReceived(bytes int) {
-	h.mu.Lock()
-	h.stats.BytesReceived += uint64(bytes)
-	h.stats.MsgsReceived++
-	h.mu.Unlock()
-}
-
-// lockedSource is a rand.Source64 safe for use from every host goroutine.
-type lockedSource struct {
-	mu  sync.Mutex
-	src rand.Source64
-}
-
-func (s *lockedSource) Int63() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Int63()
-}
-
-func (s *lockedSource) Uint64() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Uint64()
-}
-
-func (s *lockedSource) Seed(seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.src.Seed(seed)
-}
 
 // Network is a set of concurrently running hosts wired by serialized
 // in-process links.
 type Network struct {
-	hosts   []*host
+	hosts   []*actor.Host
 	rng     *rand.Rand
 	start   time.Time
 	latency time.Duration
 	wg      sync.WaitGroup
 	closed  atomic.Bool
-	// done is closed by Close so periodic-timer goroutines terminate even
-	// when their owners never called stop (nodes left running at Close).
-	done chan struct{}
 
 	dropped     atomic.Uint64
 	codecErrors atomic.Uint64
@@ -176,28 +57,15 @@ func WithLatency(d time.Duration) Option {
 // randomness reproducible in aggregate. Call Close when done.
 func New(n int, seed int64, opts ...Option) *Network {
 	nw := &Network{
-		hosts: make([]*host, n),
-		rng:   rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)}),
+		hosts: make([]*actor.Host, n),
+		rng:   actor.NewRand(seed),
 		start: time.Now(),
-		done:  make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(nw)
 	}
 	for i := range nw.hosts {
-		h := &host{box: newMailbox()}
-		nw.hosts[i] = h
-		nw.wg.Add(1)
-		go func() {
-			defer nw.wg.Done()
-			for {
-				fn, ok := h.box.take()
-				if !ok {
-					return
-				}
-				fn()
-			}
-		}()
+		nw.hosts[i] = actor.Start(&nw.wg)
 	}
 	return nw
 }
@@ -208,9 +76,8 @@ func (n *Network) Close() {
 	if !n.closed.CompareAndSwap(false, true) {
 		return
 	}
-	close(n.done)
 	for _, h := range n.hosts {
-		h.box.close()
+		h.Close()
 	}
 	n.wg.Wait()
 }
@@ -225,71 +92,42 @@ func (n *Network) Dropped() uint64 { return n.dropped.Load() }
 // nonzero value means some message type lacks a registered wire codec.
 func (n *Network) CodecErrors() uint64 { return n.codecErrors.Load() }
 
-func (n *Network) hostAt(addr transport.Addr) *host {
+// hostAt returns the host of addr, nil when addr is out of range.
+func (n *Network) hostAt(addr transport.Addr) *actor.Host {
 	if addr < 0 || int(addr) >= len(n.hosts) {
 		return nil
 	}
 	return n.hosts[addr]
 }
 
-// post runs fn in the serialization context of addr; if addr is invalid the
-// closure is dropped.
-func (n *Network) post(addr transport.Addr, fn func()) {
-	if h := n.hostAt(addr); h != nil {
-		h.box.put(fn)
-	}
-}
-
 // Bind implements transport.Transport.
-func (n *Network) Bind(addr transport.Addr, hd transport.Handler) {
-	h := n.hostAt(addr)
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.handler = hd
-	h.alive = true
-	h.mu.Unlock()
-}
+func (n *Network) Bind(addr transport.Addr, hd transport.Handler) { n.hostAt(addr).Bind(hd) }
 
 // SetAlive implements transport.Transport.
-func (n *Network) SetAlive(addr transport.Addr, alive bool) {
-	h := n.hostAt(addr)
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.alive = alive
-	h.mu.Unlock()
-}
+func (n *Network) SetAlive(addr transport.Addr, alive bool) { n.hostAt(addr).SetAlive(alive) }
 
 // Alive implements transport.Transport.
-func (n *Network) Alive(addr transport.Addr) bool {
-	h := n.hostAt(addr)
-	if h == nil {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.alive && h.handler != nil
-}
+func (n *Network) Alive(addr transport.Addr) bool { return n.hostAt(addr).Alive() }
 
 // Stats implements transport.Transport.
-func (n *Network) Stats(addr transport.Addr) obs.Traffic {
-	h := n.hostAt(addr)
-	if h == nil {
-		return obs.Traffic{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
-}
+func (n *Network) Stats(addr transport.Addr) obs.Traffic { return n.hostAt(addr).Stats() }
 
 // Now implements transport.Transport: wall time since the network started.
 func (n *Network) Now() time.Duration { return time.Since(n.start) }
 
 // Rand implements transport.Transport with a lock-guarded seeded source.
 func (n *Network) Rand() *rand.Rand { return n.rng }
+
+// After implements transport.Transport: fn runs on owner's loop.
+func (n *Network) After(owner transport.Addr, delay time.Duration, fn func()) transport.Timer {
+	return n.hostAt(owner).After(delay, fn)
+}
+
+// Every implements transport.Transport: fn runs on owner's loop once per
+// period until stop is called.
+func (n *Network) Every(owner transport.Addr, period time.Duration, fn func()) (stop func()) {
+	return n.hostAt(owner).Every(period, fn)
+}
 
 // deliver moves an encoded frame to `to`, decodes it there, and invokes the
 // handler on the receiver's loop. respond, when non-nil, receives the
@@ -298,11 +136,11 @@ func (n *Network) Rand() *rand.Rand { return n.rng }
 // dropped), so steady-state traffic recycles its buffers.
 func (n *Network) deliver(from, to transport.Addr, frame *transport.Buf,
 	respond func(resp transport.Message, ok bool)) {
+	h := n.hostAt(to)
 	// One closure serves both the direct and the delayed path: it is the
 	// per-message allocation, so it is not duplicated per hop.
 	receive := func() {
-		h := n.hostAt(to)
-		hd, ok := h.getHandler()
+		hd, ok := h.Handler()
 		if !ok {
 			frame.Release()
 			n.dropped.Add(1)
@@ -315,20 +153,18 @@ func (n *Network) deliver(from, to transport.Addr, frame *transport.Buf,
 			n.codecErrors.Add(1)
 			return
 		}
-		if src := n.hostAt(from); src != nil {
-			src.addSent(size)
-		}
-		h.addReceived(size)
+		n.hostAt(from).AddSent(size)
+		h.AddReceived(size)
 		resp, handled := hd(from, msg)
 		if respond != nil {
 			respond(resp, handled)
 		}
 	}
 	if n.latency > 0 {
-		time.AfterFunc(n.latency, func() { n.post(to, receive) })
+		time.AfterFunc(n.latency, func() { h.Post(receive) })
 		return
 	}
-	n.post(to, receive)
+	h.Post(receive)
 }
 
 // Send implements transport.Transport: one serialized, one-way delivery.
@@ -348,19 +184,20 @@ func (n *Network) Send(from, to transport.Addr, msg transport.Message) {
 // cross the "wire" as encoded frames; cb runs on the caller's loop.
 func (n *Network) Call(from, to transport.Addr, req transport.Message,
 	timeout time.Duration, cb func(transport.Message, error)) {
+	caller := n.hostAt(from)
 	if n.hostAt(to) == nil {
-		n.post(from, func() { cb(nil, transport.ErrUnreachable) })
+		caller.Post(func() { cb(nil, transport.ErrUnreachable) })
 		return
 	}
 	frame, err := transport.EncodeBuf(req)
 	if err != nil {
 		n.codecErrors.Add(1)
-		n.post(from, func() { cb(nil, transport.ErrUnreachable) })
+		caller.Post(func() { cb(nil, transport.ErrUnreachable) })
 		return
 	}
 	// done is only touched on the caller's loop, so it needs no lock.
 	done := false
-	timer := n.After(from, timeout, func() {
+	timer := caller.After(timeout, func() {
 		if done {
 			return
 		}
@@ -395,87 +232,20 @@ func (n *Network) Call(from, to transport.Addr, req transport.Message,
 			}
 			done = true
 			timer.Cancel()
-			if dst := n.hostAt(to); dst != nil {
-				dst.addSent(size)
-			}
-			if src := n.hostAt(from); src != nil {
-				src.addReceived(size)
-			}
+			n.hostAt(to).AddSent(size)
+			caller.AddReceived(size)
 			cb(msg, nil)
 		}
 		if n.latency > 0 {
-			time.AfterFunc(n.latency, func() { n.post(from, back) })
+			time.AfterFunc(n.latency, func() { caller.Post(back) })
 			return
 		}
-		n.post(from, back)
+		caller.Post(back)
 	})
 }
 
-// chanTimer implements transport.Timer over a real-time timer plus a
-// cancellation flag (the flag closes the race between Stop and an
-// already-queued firing).
-type chanTimer struct {
-	cancelled atomic.Bool
-	t         *time.Timer
-}
-
-// Cancel implements transport.Timer.
-func (ct *chanTimer) Cancel() {
-	ct.cancelled.Store(true)
-	if ct.t != nil {
-		ct.t.Stop()
-	}
-}
-
-// After implements transport.Transport: fn runs on owner's loop.
-func (n *Network) After(owner transport.Addr, delay time.Duration, fn func()) transport.Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	ct := &chanTimer{}
-	ct.t = time.AfterFunc(delay, func() {
-		n.post(owner, func() {
-			if ct.cancelled.Load() {
-				return
-			}
-			fn()
-		})
-	})
-	return ct
-}
-
-// Every implements transport.Transport: fn runs on owner's loop once per
-// period until stop is called.
-func (n *Network) Every(owner transport.Addr, period time.Duration, fn func()) (stop func()) {
-	if period <= 0 {
-		period = time.Millisecond
-	}
-	stopCh := make(chan struct{})
-	var once sync.Once
-	var stopped atomic.Bool
-	go func() {
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-n.done:
-				return // Close without a prior stop: don't leak the ticker
-			case <-tick.C:
-				n.post(owner, func() {
-					if stopped.Load() {
-						return
-					}
-					fn()
-				})
-			}
-		}
-	}()
-	return func() {
-		once.Do(func() {
-			stopped.Store(true)
-			close(stopCh)
-		})
-	}
+// CollectObs implements obs.Source: aggregate traffic across every host,
+// safe to call from any goroutine while the network runs.
+func (n *Network) CollectObs(s *obs.Snapshot) {
+	obs.EmitTraffic(s, "chan", actor.SumStats(n.hosts))
 }

@@ -10,10 +10,10 @@
 // table mapping every address slot to a TCP "host:port", a listener serving
 // the slots whose endpoint is this process's own (the local hosts), and
 // dial-on-demand persistent connections to every other endpoint. The
-// per-host serialization contract is honored exactly as in chantransport —
-// one actor loop per local host runs that host's handler, RPC callbacks, and
-// timer callbacks — so protocol state stays lock-free no matter which
-// backend it runs on.
+// per-host serialization contract is honored by internal/transport/actor,
+// the runtime chantransport shares — one actor loop per local host runs that
+// host's handler, RPC callbacks, and timer callbacks — so protocol state
+// stays lock-free no matter which backend it runs on.
 //
 // RPCs are correlated by a per-process request id carried in the frame
 // header. Requests that are dropped (dead host, selective-DoS handler,
@@ -42,6 +42,7 @@ import (
 
 	"github.com/octopus-dht/octopus/internal/obs"
 	"github.com/octopus-dht/octopus/internal/transport"
+	"github.com/octopus-dht/octopus/internal/transport/actor"
 )
 
 // Config describes one process's slice of a deployment.
@@ -111,37 +112,6 @@ func (cfg *Config) fillDefaults() {
 	}
 }
 
-// host is one local actor: its mailbox loop runs every callback addressed
-// to it, which is what guarantees the serialization contract.
-type host struct {
-	box *mailbox
-
-	mu      sync.Mutex
-	handler transport.Handler
-	alive   bool
-	stats   obs.Traffic
-}
-
-func (h *host) getHandler() (transport.Handler, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.handler, h.alive && h.handler != nil
-}
-
-func (h *host) addSent(bytes int) {
-	h.mu.Lock()
-	h.stats.BytesSent += uint64(bytes)
-	h.stats.MsgsSent++
-	h.mu.Unlock()
-}
-
-func (h *host) addReceived(bytes int) {
-	h.mu.Lock()
-	h.stats.BytesReceived += uint64(bytes)
-	h.stats.MsgsReceived++
-	h.mu.Unlock()
-}
-
 // pendingCall is one outstanding RPC awaiting its response frame.
 type pendingCall struct {
 	from  transport.Addr
@@ -162,7 +132,7 @@ type Transport struct {
 	// both slices; nil host entries are remote slots.
 	tableMu   sync.RWMutex
 	endpoints []string
-	hosts     []*host
+	hosts     []*actor.Host
 
 	bootstrapMu sync.RWMutex
 	bootstrap   func(remote string, req transport.Message) (transport.Message, bool)
@@ -218,11 +188,11 @@ func New(cfg Config) (*Transport, error) {
 		self:      self,
 		ln:        ln,
 		endpoints: append([]string(nil), cfg.Endpoints...),
-		hosts:     make([]*host, len(cfg.Endpoints)),
+		hosts:     make([]*actor.Host, len(cfg.Endpoints)),
 		links:     make(map[string]*link),
 		pending:   make(map[uint64]*pendingCall),
 		conns:     make(map[net.Conn]struct{}),
-		rng:       rand.New(&lockedSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}),
+		rng:       actor.NewRand(cfg.Seed),
 		start:     time.Now(),
 		done:      make(chan struct{}),
 	}
@@ -232,7 +202,7 @@ func New(cfg Config) (*Transport, error) {
 			continue
 		}
 		local++
-		t.hosts[i] = t.newHost()
+		t.hosts[i] = actor.Start(&t.wg)
 	}
 	if local == 0 {
 		ln.Close()
@@ -241,23 +211,6 @@ func New(cfg Config) (*Transport, error) {
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
-}
-
-// newHost creates a local host slot and launches its actor loop.
-func (t *Transport) newHost() *host {
-	h := &host{box: newMailbox()}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		for {
-			fn, ok := h.box.take()
-			if !ok {
-				return
-			}
-			fn()
-		}
-	}()
-	return h
 }
 
 // Self returns the endpoint this process serves.
@@ -312,7 +265,7 @@ func (t *Transport) SetEndpoint(addr transport.Addr, endpoint string) {
 	// The closed check happens under tableMu so it orders against Close's
 	// host snapshot: no actor goroutine can be created after Close ran.
 	if endpoint == t.self && t.hosts[addr] == nil && !t.closed.Load() {
-		t.hosts[addr] = t.newHost()
+		t.hosts[addr] = actor.Start(&t.wg)
 	}
 }
 
@@ -323,9 +276,9 @@ func (t *Transport) AddEndpoint(endpoint string) transport.Addr {
 	defer t.tableMu.Unlock()
 	addr := transport.Addr(len(t.endpoints))
 	t.endpoints = append(t.endpoints, endpoint)
-	var h *host
+	var h *actor.Host
 	if endpoint == t.self && !t.closed.Load() {
-		h = t.newHost()
+		h = actor.Start(&t.wg)
 	}
 	t.hosts = append(t.hosts, h)
 	return addr
@@ -395,18 +348,13 @@ func (t *Transport) Close() {
 	t.mu.Unlock()
 	for _, pc := range inFlight {
 		cb := pc.cb
-		t.post(pc.from, func() { cb(nil, transport.ErrClosed) })
+		t.hostAt(pc.from).Post(func() { cb(nil, transport.ErrClosed) })
 	}
-	// Snapshot under tableMu: a concurrent SetEndpoint/AddEndpoint either
-	// ordered before this lock (its host is in the snapshot and gets
-	// closed) or after (it observes closed and creates no host).
-	t.tableMu.Lock()
-	hosts := append([]*host(nil), t.hosts...)
-	t.tableMu.Unlock()
-	for _, h := range hosts {
-		if h != nil {
-			h.box.close()
-		}
+	// The snapshot orders against a concurrent SetEndpoint/AddEndpoint:
+	// either its host is in the snapshot and gets closed, or it observes
+	// closed and creates no host.
+	for _, h := range t.localHosts() {
+		h.Close()
 	}
 	t.wg.Wait()
 }
@@ -417,7 +365,8 @@ func (t *Transport) inTable(addr transport.Addr) bool {
 	return addr >= 0 && int(addr) < len(t.hosts)
 }
 
-func (t *Transport) hostAt(addr transport.Addr) *host {
+// hostAt returns the local host of addr; nil for a remote or invalid slot.
+func (t *Transport) hostAt(addr transport.Addr) *actor.Host {
 	t.tableMu.RLock()
 	defer t.tableMu.RUnlock()
 	if addr < 0 || int(addr) >= len(t.hosts) {
@@ -426,38 +375,20 @@ func (t *Transport) hostAt(addr transport.Addr) *host {
 	return t.hosts[addr]
 }
 
-// post runs fn in the serialization context of a local addr; closures for
-// remote or invalid addresses are dropped.
-func (t *Transport) post(addr transport.Addr, fn func()) {
-	if h := t.hostAt(addr); h != nil {
-		h.box.put(fn)
-	}
+// localHosts snapshots the host table under tableMu (remote slots are nil).
+func (t *Transport) localHosts() []*actor.Host {
+	t.tableMu.RLock()
+	defer t.tableMu.RUnlock()
+	return append([]*actor.Host(nil), t.hosts...)
 }
 
 // Bind implements transport.Transport. Binding a remote slot is a no-op:
 // that host lives in another process.
-func (t *Transport) Bind(addr transport.Addr, hd transport.Handler) {
-	h := t.hostAt(addr)
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.handler = hd
-	h.alive = true
-	h.mu.Unlock()
-}
+func (t *Transport) Bind(addr transport.Addr, hd transport.Handler) { t.hostAt(addr).Bind(hd) }
 
 // SetAlive implements transport.Transport (local hosts only; a process
 // cannot toggle liveness of a host it does not run).
-func (t *Transport) SetAlive(addr transport.Addr, alive bool) {
-	h := t.hostAt(addr)
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.alive = alive
-	h.mu.Unlock()
-}
+func (t *Transport) SetAlive(addr transport.Addr, alive bool) { t.hostAt(addr).SetAlive(alive) }
 
 // Alive implements transport.Transport. Remote hosts are presumed alive —
 // on a real network liveness is only discoverable by talking to them, and
@@ -468,33 +399,17 @@ func (t *Transport) Alive(addr transport.Addr) bool {
 	// lock would race with append's reallocation.
 	t.tableMu.RLock()
 	inRange := addr >= 0 && int(addr) < len(t.hosts)
-	var h *host
+	var h *actor.Host
 	if inRange {
 		h = t.hosts[addr]
 	}
 	t.tableMu.RUnlock()
-	if !inRange {
-		return false
-	}
-	if h == nil {
-		return true
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.alive && h.handler != nil
+	return inRange && (h == nil || h.Alive())
 }
 
 // Stats implements transport.Transport. Only local hosts accumulate
 // counters; remote slots report zeros.
-func (t *Transport) Stats(addr transport.Addr) obs.Traffic {
-	h := t.hostAt(addr)
-	if h == nil {
-		return obs.Traffic{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
-}
+func (t *Transport) Stats(addr transport.Addr) obs.Traffic { return t.hostAt(addr).Stats() }
 
 // Now implements transport.Transport: wall time since the transport
 // started.
@@ -502,6 +417,18 @@ func (t *Transport) Now() time.Duration { return time.Since(t.start) }
 
 // Rand implements transport.Transport with a lock-guarded seeded source.
 func (t *Transport) Rand() *rand.Rand { return t.rng }
+
+// After implements transport.Transport: fn runs on owner's actor loop; a
+// remote owner's timer never fires.
+func (t *Transport) After(owner transport.Addr, delay time.Duration, fn func()) transport.Timer {
+	return t.hostAt(owner).After(delay, fn)
+}
+
+// Every implements transport.Transport: fn runs on owner's actor loop once
+// per period until stop is called (or the transport closes).
+func (t *Transport) Every(owner transport.Addr, period time.Duration, fn func()) (stop func()) {
+	return t.hostAt(owner).Every(period, fn)
+}
 
 // Send implements transport.Transport: one frame, no response expected.
 func (t *Transport) Send(from, to transport.Addr, msg transport.Message) {
@@ -524,18 +451,18 @@ func (t *Transport) Call(from, to transport.Addr, req transport.Message,
 	if t.closed.Load() {
 		// Fail fast without registering: a pending entry created here
 		// would never be drained by Close (it already ran).
-		t.post(from, func() { cb(nil, transport.ErrClosed) })
+		t.hostAt(from).Post(func() { cb(nil, transport.ErrClosed) })
 		return
 	}
 	if !t.inTable(to) {
-		t.post(from, func() { cb(nil, transport.ErrUnreachable) })
+		t.hostAt(from).Post(func() { cb(nil, transport.ErrUnreachable) })
 		return
 	}
 	id := t.nextReq.Add(1)
 	fb, size, err := frameFor(frameRequest, from, to, id, req)
 	if err != nil {
 		t.codecErrors.Add(1)
-		t.post(from, func() { cb(nil, transport.ErrUnreachable) })
+		t.hostAt(from).Post(func() { cb(nil, transport.ErrUnreachable) })
 		return
 	}
 	pc := &pendingCall{from: from, to: to, cb: cb}
@@ -549,13 +476,13 @@ func (t *Transport) Call(from, to transport.Addr, req transport.Message,
 		// inserted now would leak until its timer fired.
 		t.mu.Unlock()
 		fb.Release()
-		t.post(from, func() { cb(nil, transport.ErrClosed) })
+		t.hostAt(from).Post(func() { cb(nil, transport.ErrClosed) })
 		return
 	}
 	t.pending[id] = pc
 	pc.timer = time.AfterFunc(timeout, func() {
 		if got := t.takePending(id, nil); got != nil {
-			t.post(got.from, func() { got.cb(nil, transport.ErrTimeout) })
+			t.hostAt(got.from).Post(func() { got.cb(nil, transport.ErrTimeout) })
 		}
 	})
 	t.mu.Unlock()
@@ -607,9 +534,7 @@ func (t *Transport) enqueue(kind uint8, from, to transport.Addr, reqID uint64, f
 	case l.ch <- fb:
 		t.framesOut.Add(1)
 		if t.hostAt(to) == nil {
-			if src := t.hostAt(from); src != nil {
-				src.addSent(size)
-			}
+			t.hostAt(from).AddSent(size)
 		}
 	default:
 		fb.Release()
@@ -630,7 +555,7 @@ func (t *Transport) dropRequest(kind uint8, reqID uint64) {
 	}
 	if pc := t.takePending(reqID, nil); pc != nil {
 		pc.timer.Stop()
-		t.post(pc.from, func() { pc.cb(nil, transport.ErrTimeout) })
+		t.hostAt(pc.from).Post(func() { pc.cb(nil, transport.ErrTimeout) })
 	}
 }
 
@@ -678,8 +603,8 @@ func (t *Transport) dispatchRequest(h frameHeader, fb *transport.Buf) {
 		t.protoErrors.Add(1) // misaddressed: this process does not serve h.to
 		return
 	}
-	host.box.put(func() {
-		hd, ok := host.getHandler()
+	host.Post(func() {
+		hd, ok := host.Handler()
 		if !ok {
 			fb.Release()
 			t.dropped.Add(1)
@@ -693,10 +618,8 @@ func (t *Transport) dispatchRequest(h frameHeader, fb *transport.Buf) {
 			t.codecErrors.Add(1)
 			return
 		}
-		if src := t.hostAt(h.from); src != nil {
-			src.addSent(size)
-		}
-		host.addReceived(size)
+		t.hostAt(h.from).AddSent(size)
+		host.AddReceived(size)
 		resp, handled := hd(h.from, msg)
 		if h.kind != frameRequest {
 			return
@@ -737,13 +660,9 @@ func (t *Transport) dispatchResponse(h frameHeader, fb *transport.Buf) {
 		return // late, duplicate, or misattributed response
 	}
 	pc.timer.Stop()
-	t.post(pc.from, func() {
-		if src := t.hostAt(h.from); src != nil {
-			src.addSent(size)
-		}
-		if dst := t.hostAt(pc.from); dst != nil {
-			dst.addReceived(size)
-		}
+	t.hostAt(pc.from).Post(func() {
+		t.hostAt(h.from).AddSent(size)
+		t.hostAt(pc.from).AddReceived(size)
 		pc.cb(msg, nil)
 	})
 }
@@ -1032,158 +951,4 @@ func (l *link) run() {
 			l.releaseBatch(batch)
 		}
 	}
-}
-
-// chanTimer implements transport.Timer over a wall-clock timer plus a
-// cancellation flag (the flag closes the race between Cancel and an
-// already-queued firing).
-type chanTimer struct {
-	cancelled atomic.Bool
-	t         *time.Timer
-}
-
-// Cancel implements transport.Timer.
-func (ct *chanTimer) Cancel() {
-	ct.cancelled.Store(true)
-	if ct.t != nil {
-		ct.t.Stop()
-	}
-}
-
-// After implements transport.Transport: fn runs on owner's actor loop.
-func (t *Transport) After(owner transport.Addr, delay time.Duration, fn func()) transport.Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	ct := &chanTimer{}
-	ct.t = time.AfterFunc(delay, func() {
-		t.post(owner, func() {
-			if ct.cancelled.Load() {
-				return
-			}
-			fn()
-		})
-	})
-	return ct
-}
-
-// Every implements transport.Transport: fn runs on owner's actor loop once
-// per period until stop is called (or the transport closes).
-func (t *Transport) Every(owner transport.Addr, period time.Duration, fn func()) (stop func()) {
-	if period <= 0 {
-		period = time.Millisecond
-	}
-	stopCh := make(chan struct{})
-	var once sync.Once
-	var stopped atomic.Bool
-	go func() {
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.done:
-				return
-			case <-tick.C:
-				t.post(owner, func() {
-					if stopped.Load() {
-						return
-					}
-					fn()
-				})
-			}
-		}
-	}()
-	return func() {
-		once.Do(func() {
-			stopped.Store(true)
-			close(stopCh)
-		})
-	}
-}
-
-// mailbox is an unbounded FIFO of closures with blocking take — the actor
-// queue behind each local host. The queue is a ring so a steady-state actor
-// loop recycles its slots instead of reallocating on every wrap.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []func()
-	head   int
-	n      int
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) put(fn func()) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	if m.n == len(m.q) {
-		grown := make([]func(), max(2*len(m.q), 16))
-		for i := 0; i < m.n; i++ {
-			grown[i] = m.q[(m.head+i)%len(m.q)]
-		}
-		m.q = grown
-		m.head = 0
-	}
-	m.q[(m.head+m.n)%len(m.q)] = fn
-	m.n++
-	m.cond.Signal()
-	return true
-}
-
-func (m *mailbox) take() (func(), bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.n == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if m.n == 0 {
-		return nil, false
-	}
-	fn := m.q[m.head]
-	m.q[m.head] = nil
-	m.head = (m.head + 1) % len(m.q)
-	m.n--
-	return fn, true
-}
-
-func (m *mailbox) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// lockedSource is a rand.Source64 safe for use from every goroutine.
-type lockedSource struct {
-	mu  sync.Mutex
-	src rand.Source64
-}
-
-func (s *lockedSource) Int63() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Int63()
-}
-
-func (s *lockedSource) Uint64() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Uint64()
-}
-
-func (s *lockedSource) Seed(seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.src.Seed(seed)
 }

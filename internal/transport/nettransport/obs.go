@@ -1,31 +1,16 @@
 package nettransport
 
-import "github.com/octopus-dht/octopus/internal/obs"
+import (
+	"github.com/octopus-dht/octopus/internal/obs"
+	"github.com/octopus-dht/octopus/internal/transport/actor"
+)
 
 // CollectObs implements obs.Source: codec-byte traffic aggregated over the
 // local hosts (remote slots hold no counters), plus the socket-layer frame,
 // dial, drop, and error counters that only this backend has. Safe to call
 // from any goroutine while the transport runs.
 func (t *Transport) CollectObs(s *obs.Snapshot) {
-	var agg obs.Traffic
-	t.tableMu.RLock()
-	hosts := make([]*host, 0, len(t.hosts))
-	for _, h := range t.hosts {
-		if h != nil {
-			hosts = append(hosts, h)
-		}
-	}
-	t.tableMu.RUnlock()
-	for _, h := range hosts {
-		h.mu.Lock()
-		st := h.stats
-		h.mu.Unlock()
-		agg.BytesSent += st.BytesSent
-		agg.BytesReceived += st.BytesReceived
-		agg.MsgsSent += st.MsgsSent
-		agg.MsgsReceived += st.MsgsReceived
-	}
-	obs.EmitTraffic(s, "net", agg)
+	obs.EmitTraffic(s, "net", actor.SumStats(t.localHosts()))
 
 	backend := obs.L("backend", "net")
 	in, out := t.Frames()

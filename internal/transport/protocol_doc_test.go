@@ -1,67 +1,135 @@
 package transport_test
 
-// Pins the size arithmetic stated in docs/PROTOCOL.md to the real
-// encoders, so the spec cannot drift from the implementation silently.
-
 import (
+	"bufio"
+	"os"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
-	"github.com/octopus-dht/octopus/internal/chord"
-	"github.com/octopus-dht/octopus/internal/core"
-	"github.com/octopus-dht/octopus/internal/store"
-	"github.com/octopus-dht/octopus/internal/torsk"
+	_ "github.com/octopus-dht/octopus/internal/chord"
+	_ "github.com/octopus-dht/octopus/internal/core"
+	_ "github.com/octopus-dht/octopus/internal/store"
+	_ "github.com/octopus-dht/octopus/internal/torsk"
 	"github.com/octopus-dht/octopus/internal/transport"
 )
 
-func TestProtocolDocFixedSizes(t *testing.T) {
-	cases := []struct {
-		name string
-		m    transport.Message
-		want int
-	}{
-		{"PingReq", chord.PingReq{}, 2},
-		{"PingResp", chord.PingResp{}, 2},
-		{"FindNextReq", chord.FindNextReq{}, 10},
-		{"FindNextResp", chord.FindNextResp{}, 31},
-		{"GetTableReq", chord.GetTableReq{}, 4},
-		{"StabilizeReq", chord.StabilizeReq{}, 3},
-		{"NotifyReq", chord.NotifyReq{}, 17},
-		{"NotifyResp", chord.NotifyResp{}, 2},
-		{"ReportAck", core.ReportAck{}, 2},
-		{"WalkSeedReq", core.WalkSeedReq{}, 20},
-		{"LeaveResp", chord.LeaveResp{}, 3},
-		{"SuspectReq", chord.SuspectReq{}, 2},
-		{"SuspectResp", chord.SuspectResp{}, 16},
-		{"ClientLookupReq", core.ClientLookupReq{}, 18},
-		{"ClientLookupResp", core.ClientLookupResp{}, 49},
-		{"StoreReq", store.StoreReq{}, 12},
-		{"StoreResp", store.StoreResp{}, 5},
-		{"FetchReq", store.FetchReq{}, 10},
-		{"FetchResp", store.FetchResp{}, 13},
-		{"ReplicateReq", store.ReplicateReq{}, 4},
-		{"ReplicateResp", store.ReplicateResp{}, 5},
-		{"PullReq", store.PullReq{}, 18},
-		{"PullResp", store.PullResp{}, 4},
-		{"ClientPutReq", store.ClientPutReq{}, 20},
-		{"ClientPutResp", store.ClientPutResp{}, 21},
-		{"ClientGetReq", store.ClientGetReq{}, 18},
-		{"ClientGetResp", store.ClientGetResp{}, 31},
-		{"ProxyLookupReq", torsk.ProxyLookupReq{}, 10},
-		{"ProxyLookupResp", torsk.ProxyLookupResp{}, 27},
-		{"TierEventNotify", core.TierEventNotify{}, 6},
-		{"TierSyncReq", core.TierSyncReq{}, 12},
-		{"TierSyncResp", core.TierSyncResp{}, 4},
+// docRow is one row of a docs/PROTOCOL.md registry table; size is -1 for
+// "variable".
+type docRow struct {
+	name string
+	size int
+	line int
+}
+
+// registryHeader matches the header of a registry table: code, message,
+// payload, and a size column ("size", "fixed size", "empty size").
+var registryHeader = regexp.MustCompile(`^\| code \| message \| payload \| [a-z ]*size \|$`)
+
+// readRegistryRows parses every registry-table row of PROTOCOL.md, keyed by
+// wire code.
+func readRegistryRows(t *testing.T, path string) map[uint16]docRow {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := c.m.Size(); got != c.want {
-			t.Errorf("%s: Size() = %d, docs/PROTOCOL.md says %d", c.name, got, c.want)
+	defer f.Close()
+	rows := map[uint16]docRow{}
+	inTable := false
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if registryHeader.MatchString(line) {
+			inTable = true
+			continue
 		}
-		enc, err := transport.Encode(c.m)
+		if !inTable || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			inTable = false
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 4 {
+			t.Errorf("PROTOCOL.md:%d: registry row has %d cells, want 4", n, len(cells))
+			continue
+		}
+		cell := func(i int) string { return strings.Trim(strings.TrimSpace(cells[i]), "`") }
+		code, err := strconv.ParseUint(strings.TrimPrefix(cell(0), "0x"), 16, 16)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Errorf("PROTOCOL.md:%d: bad code %q", n, cell(0))
+			continue
 		}
-		if len(enc) != c.m.Size() {
-			t.Errorf("%s: len(Encode) = %d != Size() %d", c.name, len(enc), c.m.Size())
+		row := docRow{name: cell(1), size: -1, line: n}
+		if s := cell(3); s != "variable" {
+			if row.size, err = strconv.Atoi(s); err != nil {
+				t.Errorf("PROTOCOL.md:%d: size %q is neither an integer nor \"variable\"", n, s)
+				continue
+			}
+		}
+		if prev, dup := rows[uint16(code)]; dup {
+			t.Errorf("PROTOCOL.md:%d: 0x%04X already has a row at line %d", n, code, prev.line)
+		}
+		rows[uint16(code)] = row
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestProtocolDocMatchesRegistry binds docs/PROTOCOL.md's registry tables
+// to the live wire registry: every protocol code (0x0100–0x7EFF; 0x7Fxx is
+// test-reserved) has exactly one row and every row a registration, the
+// row names the Go type the decoder returns, that type's zero value claims
+// the code, and every integer size is the zero value's Size() and encoded
+// length.
+func TestProtocolDocMatchesRegistry(t *testing.T) {
+	rows := readRegistryRows(t, "../../docs/PROTOCOL.md")
+	reg := transport.Registry()
+	for code, dec := range reg {
+		if code < 0x0100 || code > 0x7EFF {
+			continue
+		}
+		row, ok := rows[code]
+		if !ok {
+			t.Errorf("0x%04X is registered but has no PROTOCOL.md registry row", code)
+			continue
+		}
+		decoded := dec(transport.NewReader(nil))
+		if decoded == nil {
+			t.Errorf("0x%04X: decoder returned nil on an empty payload; cannot name its type", code)
+			continue
+		}
+		typ := reflect.TypeOf(decoded)
+		if typ.Name() != row.name {
+			t.Errorf("PROTOCOL.md:%d names 0x%04X %q, but its decoder returns %s", row.line, code, row.name, typ)
+			continue
+		}
+		zero := reflect.Zero(typ).Interface().(transport.Wire)
+		if got := zero.WireType(); got != code {
+			t.Errorf("%s{}.WireType() = 0x%04X, registered as 0x%04X", row.name, got, code)
+		}
+		if row.size < 0 {
+			continue
+		}
+		if got := zero.Size(); got != row.size {
+			t.Errorf("%s{}.Size() = %d, PROTOCOL.md:%d says %d", row.name, got, row.line, row.size)
+		}
+		enc, err := transport.Encode(zero)
+		if err != nil {
+			t.Errorf("%s{}: %v", row.name, err)
+		} else if len(enc) != row.size {
+			t.Errorf("len(Encode(%s{})) = %d, PROTOCOL.md:%d says %d", row.name, len(enc), row.line, row.size)
+		}
+	}
+	for code, row := range rows {
+		if _, ok := reg[code]; !ok {
+			t.Errorf("PROTOCOL.md:%d documents 0x%04X %s, which nothing registers", row.line, code, row.name)
 		}
 	}
 }

@@ -141,12 +141,3 @@ func ConstString(info *types.Info, e ast.Expr) (string, bool) {
 	}
 	return constant.StringVal(tv.Value), true
 }
-
-// ConstUint returns the constant unsigned integer value of e, if any.
-func ConstUint(info *types.Info, e ast.Expr) (uint64, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Uint64Val(tv.Value)
-}

@@ -59,7 +59,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Dir is the package's source directory on disk, used by passes that
-	// cross-check repository files (wirereg against docs/PROTOCOL.md).
+	// read repository files (anonleak's live sensitive-key list).
 	Dir string
 	// DocRoot overrides repository-root discovery for passes that read
 	// repo-level files. Empty means "walk up from Dir to go.mod". Tests
@@ -79,7 +79,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // IsTestFile reports whether the file is a _test.go file. Passes that
-// guard runtime invariants (determinism, anonleak, wirereg, atomicstats)
+// guard runtime invariants (determinism, anonleak, atomicstats)
 // skip test files; timerleak deliberately includes them.
 func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")

@@ -54,13 +54,6 @@ func stdImporter() types.ImporterFrom {
 // and diffs reported findings against the // want expectations.
 func Run(t *testing.T, dir string, a *lintcore.Analyzer, pkgPath string) {
 	t.Helper()
-	RunDocRoot(t, dir, "", a, pkgPath)
-}
-
-// RunDocRoot is Run with an explicit repository-root override for passes
-// that cross-check repo files (wirereg's PROTOCOL.md tables).
-func RunDocRoot(t *testing.T, dir, docRoot string, a *lintcore.Analyzer, pkgPath string) {
-	t.Helper()
 	mu.Lock()
 	defer mu.Unlock()
 
@@ -71,7 +64,7 @@ func RunDocRoot(t *testing.T, dir, docRoot string, a *lintcore.Analyzer, pkgPath
 	}
 
 	findings, err := lintcore.RunPackage(fset, target.files, target.pkg, target.info,
-		filepath.Join(ld.root, pkgPath), docRoot, []*lintcore.Analyzer{a})
+		filepath.Join(ld.root, pkgPath), "", []*lintcore.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

@@ -1,8 +1,7 @@
 // Command octolint is the repository's project-specific static-analysis
-// suite: five analyzers that mechanically enforce invariants the compiler
+// suite: four analyzers that mechanically enforce invariants the compiler
 // cannot see — seeded-replay determinism, telemetry anonymity, timer
-// hygiene, wire-registry/PROTOCOL.md coherence, and atomic-access
-// discipline. See docs/STATIC_ANALYSIS.md for each invariant, the
+// hygiene, and atomic-access discipline. See docs/STATIC_ANALYSIS.md for each invariant, the
 // incident that motivated it, and the escape-pragma policy
 // (//octolint:allow <analyzer> <reason>).
 //
@@ -23,7 +22,7 @@
 // protocol means bundling them later is mechanical.
 //
 // Analyzer selection follows vet convention: with no analyzer flags all
-// five run; naming any (-determinism, -anonleak, ...) runs only those.
+// four run; naming any (-determinism, -anonleak, ...) runs only those.
 package main
 
 import (
@@ -38,7 +37,6 @@ import (
 	"github.com/octopus-dht/octopus/tools/octolint/passes/atomicstats"
 	"github.com/octopus-dht/octopus/tools/octolint/passes/determinism"
 	"github.com/octopus-dht/octopus/tools/octolint/passes/timerleak"
-	"github.com/octopus-dht/octopus/tools/octolint/passes/wirereg"
 )
 
 // analyzers is the full suite, in documentation order.
@@ -46,7 +44,6 @@ var analyzers = []*lintcore.Analyzer{
 	determinism.Analyzer,
 	anonleak.Analyzer,
 	timerleak.Analyzer,
-	wirereg.Analyzer,
 	atomicstats.Analyzer,
 }
 

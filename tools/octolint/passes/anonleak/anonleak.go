@@ -62,6 +62,7 @@ var protocolPkgs = []string{
 	"internal/store",
 	"internal/simnet",
 	"internal/transport",
+	"internal/transport/actor",
 	"internal/transport/chantransport",
 	"internal/transport/nettransport",
 }
