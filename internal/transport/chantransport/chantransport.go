@@ -36,7 +36,6 @@ type Network struct {
 	start   time.Time
 	latency time.Duration
 	wg      sync.WaitGroup
-	closed  atomic.Bool
 
 	dropped     atomic.Uint64
 	codecErrors atomic.Uint64
@@ -71,11 +70,8 @@ func New(n int, seed int64, opts ...Option) *Network {
 }
 
 // Close shuts every host loop and periodic timer down and waits for them
-// to drain.
+// to drain. Closing twice is a no-op.
 func (n *Network) Close() {
-	if !n.closed.CompareAndSwap(false, true) {
-		return
-	}
 	for _, h := range n.hosts {
 		h.Close()
 	}
