@@ -1,5 +1,5 @@
 // Package id implements identifier arithmetic on the Chord ring used by every
-// DHT in this repository (Chord, Halo, NISAN, Torsk, and Octopus).
+// DHT in this repository (Chord, Halo, and Octopus).
 //
 // Identifiers are unsigned 64-bit integers on a ring of size 2^64. All
 // arithmetic wraps modulo 2^64, which the Go uint64 type provides natively.

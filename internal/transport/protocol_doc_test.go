@@ -12,7 +12,6 @@ import (
 	_ "github.com/octopus-dht/octopus/internal/chord"
 	_ "github.com/octopus-dht/octopus/internal/core"
 	_ "github.com/octopus-dht/octopus/internal/store"
-	_ "github.com/octopus-dht/octopus/internal/torsk"
 	"github.com/octopus-dht/octopus/internal/transport"
 )
 
