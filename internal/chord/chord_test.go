@@ -351,30 +351,6 @@ func TestLookupTimeoutOnDeadHop(t *testing.T) {
 	}
 }
 
-func TestFingerCandidateHookVetoes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FixFingersEvery = time.Second
-	sim := simnet.New(3)
-	net := simnet.NewNetwork(sim, simnet.ConstantLatency{D: time.Millisecond}, 20)
-	ring := BuildRing(net, cfg, 20, nil)
-	node := ring.Node(0)
-	vetoed := 0
-	node.FingerCandidate = func(slot int, cand Peer, accept func(bool)) {
-		vetoed++
-		accept(false)
-	}
-	// Corrupt a finger, then let fixFingers try to repair: the veto must
-	// keep it corrupted.
-	node.SetFinger(0, NoPeer)
-	sim.Run(sim.Now() + time.Minute)
-	if vetoed == 0 {
-		t.Fatal("FingerCandidate hook never invoked")
-	}
-	if node.Fingers()[0].Valid() {
-		t.Error("vetoed finger was installed anyway")
-	}
-}
-
 func TestFixFingersRepairs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FixFingersEvery = time.Second

@@ -43,7 +43,7 @@ func (n *Node) Lookup(key id.ID, cb func(Peer, LookupStats, error)) {
 }
 
 // LookupVia starts the iterative lookup at the given first hop instead of
-// the local routing state (used by joins and by the Torsk buddy protocol).
+// the local routing state (used by joins).
 func (n *Node) LookupVia(first Peer, key id.ID, cb func(Peer, LookupStats, error)) {
 	n.lookupFrom(first, key, cb)
 }
@@ -52,9 +52,6 @@ func (n *Node) lookupFrom(first Peer, key id.ID, cb func(Peer, LookupStats, erro
 	stats := LookupStats{Started: n.tr.Now()}
 	finish := func(owner Peer, err error) {
 		stats.Finished = n.tr.Now()
-		if n.OnLookupDone != nil {
-			n.OnLookupDone(key, owner, err)
-		}
 		cb(owner, stats, err)
 	}
 

@@ -102,10 +102,6 @@ type Node struct {
 	// see LeaveStatement). Nil accepts every leave notice, as the
 	// unsigned baselines must.
 	VetLeave func(m LeaveReq) bool
-	// FingerCandidate, when set, vets the result of a finger-update
-	// lookup before installation (Octopus secure finger update, §4.5).
-	// The implementation must call accept exactly once.
-	FingerCandidate func(slot int, cand Peer, accept func(bool))
 	// OnNeighborTable fires whenever a stabilization exchange delivers a
 	// neighbor's signed table (Octopus proof queue, §4.3).
 	OnNeighborTable func(src Peer, table RoutingTable)
@@ -115,8 +111,6 @@ type Node struct {
 	// it to invalidate cached lookup results: any membership shift can
 	// move key ownership.
 	OnNeighborDropped func(p Peer)
-	// OnLookupDone fires after each locally-initiated lookup completes.
-	OnLookupDone func(key id.ID, owner Peer, err error)
 	// Tier, when set, overrides the peer set next-hop selection routes
 	// through (handleFindNext and the FindNext-driven Lookup). Nil routes
 	// through the node's own fingers + successor list — exactly what a
@@ -607,14 +601,6 @@ func (n *Node) fixNextFinger() {
 	target := n.FingerTarget(slot)
 	n.Lookup(target, func(owner Peer, _ LookupStats, err error) {
 		if err != nil || !n.running || !owner.Valid() {
-			return
-		}
-		if n.FingerCandidate != nil {
-			n.FingerCandidate(slot, owner, func(accept bool) {
-				if accept && n.running {
-					n.SetFinger(slot, owner)
-				}
-			})
 			return
 		}
 		n.SetFinger(slot, owner)

@@ -84,16 +84,6 @@ func (rt RoutingTable) WireSize() int {
 	return w.Len()
 }
 
-// All returns every peer in the table (fingers, successors, predecessors) in
-// a freshly allocated slice.
-func (rt RoutingTable) All() []Peer {
-	out := make([]Peer, 0, rt.Items())
-	out = append(out, rt.Fingers...)
-	out = append(out, rt.Successors...)
-	out = append(out, rt.Predecessors...)
-	return out
-}
-
 // appendSignedBytes appends the canonical byte encoding covered by the table
 // signature to dst.
 func (rt *RoutingTable) appendSignedBytes(dst []byte) []byte {
