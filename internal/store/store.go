@@ -1,8 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -37,25 +38,21 @@ type Config struct {
 	// unplanned deaths (no handover) are regrown as soon as the ring
 	// heals. Zero means 10s.
 	SyncEvery time.Duration
-	// MaxInflight bounds concurrently served client operations (the
-	// ServeClientPut/Get bridges); excess requests answer Busy. Zero
-	// means 16.
-	MaxInflight int
-	// ChunkSize bounds entries per ReplicateReq batch. Zero means 32.
-	ChunkSize int
 }
 
 func (c *Config) fillDefaults() {
 	if c.SyncEvery <= 0 {
 		c.SyncEvery = 10 * time.Second
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 16
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 32
-	}
 }
+
+const (
+	// maxInflight bounds concurrently served client operations (the
+	// ServeClientPut/Get bridges); excess requests answer Busy.
+	maxInflight = 16
+	// chunkSize bounds entries per ReplicateReq batch.
+	chunkSize = 32
+)
 
 // entry is one stored value.
 type entry struct {
@@ -272,14 +269,16 @@ func (s *Store) handleReplicate(m ReplicateReq) ReplicateResp {
 	return ReplicateResp{OK: true, Stored: uint16(stored)}
 }
 
+// handlePull answers with every held entry in (From, To], in ascending key
+// order. Only the in-range keys are sorted, not the whole keyspace.
 func (s *Store) handlePull(m PullReq) PullResp {
 	var out []KV
-	for _, key := range s.sortedKeys() {
-		if id.Between(key, m.From, m.To) {
-			e := s.data[key]
-			out = append(out, KV{Key: key, Version: e.version, Value: e.value})
+	for k, e := range s.data {
+		if id.Between(k, m.From, m.To) {
+			out = append(out, KV{Key: k, Version: e.version, Value: e.value})
 		}
 	}
+	slices.SortFunc(out, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
 	return PullResp{Entries: out}
 }
 
@@ -315,7 +314,7 @@ func (s *Store) sortedKeys() []id.ID {
 	for k := range s.data {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -381,8 +380,8 @@ func (s *Store) sync() {
 		}
 	}
 	for _, p := range targets {
-		for at := 0; at < len(owned); at += s.cfg.ChunkSize {
-			end := at + s.cfg.ChunkSize
+		for at := 0; at < len(owned); at += chunkSize {
+			end := at + chunkSize
 			if end > len(owned) {
 				end = len(owned)
 			}
@@ -452,10 +451,10 @@ func (s *Store) Handover(cb func(handed int, err error)) {
 		all = append(all, KV{Key: key, Version: e.version, Value: e.value})
 	}
 	target := succs[0]
-	remaining := (len(all) + s.cfg.ChunkSize - 1) / s.cfg.ChunkSize
+	remaining := (len(all) + chunkSize - 1) / chunkSize
 	var firstErr error
-	for at := 0; at < len(all); at += s.cfg.ChunkSize {
-		end := at + s.cfg.ChunkSize
+	for at := 0; at < len(all); at += chunkSize {
+		end := at + chunkSize
 		if end > len(all) {
 			end = len(all)
 		}
@@ -656,7 +655,7 @@ func (s *Store) tryFetch(key id.ID, owner chord.Peer, cands []chord.Peer, i int,
 // ServeClientPut bridges one wire write into the store and blocks — up to
 // timeout — for the outcome. Like LookupService.ServeClientLookup it is
 // meant for a bootstrap-channel dispatcher, which runs on the client
-// connection's read goroutine; the MaxInflight gate bounds what one daemon
+// connection's read goroutine; the maxInflight gate bounds what one daemon
 // accepts across all connections.
 func (s *Store) ServeClientPut(m ClientPutReq, timeout time.Duration) ClientPutResp {
 	resp := ClientPutResp{Seq: m.Seq}
@@ -699,13 +698,13 @@ func (s *Store) ServeClientGet(m ClientGetReq, timeout time.Duration) ClientGetR
 }
 
 // bridge runs one client operation in the host context behind the
-// MaxInflight gate and blocks for its outcome; the bool reports a timeout.
+// maxInflight gate and blocks for its outcome; the bool reports a timeout.
 // The deadline is a stopped-on-exit timer (time.After in a per-request
 // bridge would leak a live timer per served call).
 func bridge[T any](s *Store, timeout time.Duration, busy T, op func(done func(T))) (T, bool) {
 	ch := make(chan T, 1)
 	s.tr.After(s.n.Self().Addr, 0, func() {
-		if s.inflight >= s.cfg.MaxInflight {
+		if s.inflight >= maxInflight {
 			ch <- busy
 			return
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -234,6 +235,40 @@ func TestJoinPull(t *testing.T) {
 	for _, key := range keys {
 		if id.Between(key, preds[0].ID, self.ID) && !st.Has(key) {
 			t.Errorf("joiner owns key %s but did not pull it", key)
+		}
+	}
+}
+
+// TestHandlePullExactRange checks the previous owner's side of a pull: the
+// response holds exactly the held keys in (From, To], in ascending order,
+// for a plain range and for one that wraps past zero.
+func TestHandlePullExactRange(t *testing.T) {
+	const top = ^id.ID(0)
+	held := []id.ID{top, 900, 5, top - 7, 400, 0, 100, 101, 1 << 40}
+	s := &Store{data: map[id.ID]entry{}}
+	for i, k := range held {
+		s.data[k] = entry{version: uint64(i + 1), value: []byte{byte(i)}}
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to id.ID
+		want     []id.ID
+	}{
+		{"plain", 100, 900, []id.ID{101, 400, 900}},
+		{"wrap", 1 << 40, 100, []id.ID{0, 5, 100, top - 7, top}},
+		{"empty", 5, 99, nil},
+	} {
+		resp := s.handlePull(PullReq{From: tc.from, To: tc.to})
+		got := make([]id.ID, len(resp.Entries))
+		for i, e := range resp.Entries {
+			got[i] = e.Key
+			if want := s.data[e.Key]; e.Version != want.version || !bytes.Equal(e.Value, want.value) {
+				t.Errorf("%s: key %v carries version %d value %v, want %d %v",
+					tc.name, e.Key, e.Version, e.Value, want.version, want.value)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: (%v, %v] pulled %v, want %v", tc.name, tc.from, tc.to, got, tc.want)
 		}
 	}
 }
