@@ -743,32 +743,23 @@ func NewAdmissionRelay(tr transport.Transport, caller, caAddr transport.Addr,
 			grant CertIssueResp
 			err   error
 		}
-		ch := make(chan outcome, 1)
-		tr.Call(caller, caAddr, issue, timeout, func(resp transport.Message, err error) {
-			r, _ := resp.(CertIssueResp)
-			ch <- outcome{grant: r, err: err}
+		out, ok := transport.Await(tr, caller, timeout+timeout/2, func(done func(outcome)) {
+			tr.Call(caller, caAddr, issue, timeout, func(resp transport.Message, err error) {
+				r, _ := resp.(CertIssueResp)
+				done(outcome{grant: r, err: err})
+			})
 		})
-		// NewTimer + Stop, not time.After: the handler runs once per
-		// admission attempt, and an unstopped timer would outlive every
-		// fast CA round trip by 1.5 timeouts.
-		deadline := time.NewTimer(timeout + timeout/2)
-		defer deadline.Stop()
-		select {
-		case out := <-ch:
-			if out.err != nil {
-				// Transient: the CA was unreachable from the relay.
-				// Stay silent so the joiner observes a bootstrap
-				// timeout and RETRIES — a RingAdmitResp{OK:false}
-				// means a real refusal and stops the retry loop.
-				return nil, false
-			}
-			if !out.grant.OK {
-				return RingAdmitResp{}, true
-			}
-			return RingAdmitResp{OK: true, Grant: out.grant, CAAddr: caAddr, Bootstrap: bootstrap}, true
-		case <-deadline.C:
+		if !ok || out.err != nil {
+			// Transient: the CA was unreachable from the relay. Stay
+			// silent so the joiner observes a bootstrap timeout and
+			// RETRIES — a RingAdmitResp{OK:false} means a real refusal
+			// and stops the retry loop.
 			return nil, false
 		}
+		if !out.grant.OK {
+			return RingAdmitResp{}, true
+		}
+		return RingAdmitResp{OK: true, Grant: out.grant, CAAddr: caAddr, Bootstrap: bootstrap}, true
 	}
 }
 

@@ -388,7 +388,7 @@ func (d *daemon) oneLookup(node *core.Node, key id.ID) (chord.Peer, core.LookupS
 		stats core.LookupStats
 		err   error
 	}
-	out, ok := await(d.tr, node.Self().Addr, 2*time.Minute, func(done func(outcome)) {
+	out, ok := transport.Await(d.tr, node.Self().Addr, 2*time.Minute, func(done func(outcome)) {
 		node.AnonLookup(key, func(owner chord.Peer, stats core.LookupStats, err error) {
 			done(outcome{owner, stats, err})
 		})
@@ -399,32 +399,12 @@ func (d *daemon) oneLookup(node *core.Node, key id.ID) (chord.Peer, core.LookupS
 	return out.owner, out.stats, out.err
 }
 
-// forever is await's "no deadline".
+// forever is transport.Await's "no deadline".
 const forever = time.Duration(1<<63 - 1)
-
-// await runs start inside addr's serialization context — the only legal way
-// to touch protocol state from the daemon's goroutines — and waits up to
-// timeout for it to hand a result to done. ok is false when the deadline
-// passed first; a late done is then dropped.
-func await[T any](tr transport.Transport, addr transport.Addr, timeout time.Duration,
-	start func(done func(T))) (v T, ok bool) {
-	ch := make(chan T, 1)
-	tr.After(addr, 0, func() { start(func(v T) { ch <- v }) })
-	// NewTimer + Stop, not time.After: callers retry in loops, and each
-	// unstopped timer would stay live for its whole (minutes-long) deadline.
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	select {
-	case v = <-ch:
-		return v, true
-	case <-deadline.C:
-		return v, false
-	}
-}
 
 // inContext runs fn inside a node's serialization context and waits for it.
 func inContext(tr transport.Transport, addr transport.Addr, fn func()) {
-	await(tr, addr, forever, func(done func(struct{})) {
+	transport.Await(tr, addr, forever, func(done func(struct{})) {
 		fn()
 		done(struct{}{})
 	})

@@ -186,7 +186,7 @@ func (d *daemon) startJoined(ctx context.Context) error {
 	// our first join RPCs, so retry until the ring answers.
 	joinDeadline := time.Now().Add(opts.WarmMax)
 	for {
-		err, _ := await(tr, self.Addr, forever, func(done func(error)) { cn.Join(adm.Bootstrap, done) })
+		err, _ := transport.Await(tr, self.Addr, forever, func(done func(error)) { cn.Join(adm.Bootstrap, done) })
 		if err == nil {
 			break
 		}
@@ -268,7 +268,7 @@ func (d *daemon) leaveRing(retire core.CertRetireReq) error {
 	// entries before the ring splices us out, or the departed range
 	// would serve misses until the next sync sweep.
 	if st := d.gateway; st != nil {
-		await(tr, self, 15*time.Second, func(done func(struct{})) {
+		transport.Await(tr, self, 15*time.Second, func(done func(struct{})) {
 			st.Handover(func(n int, err error) {
 				if err != nil {
 					log.Printf("store handover incomplete: %v (replicas still cover the range)", err)
@@ -284,7 +284,7 @@ func (d *daemon) leaveRing(retire core.CertRetireReq) error {
 	// immediate reuse, so it must not happen while the leave
 	// handshake (whose acks are addressed to this slot) is still in
 	// flight.
-	leaveErr, ok := await(tr, self, 15*time.Second, node.Leave)
+	leaveErr, ok := transport.Await(tr, self, 15*time.Second, node.Leave)
 	if !ok {
 		return fmt.Errorf("leave handshake stalled")
 	}
@@ -292,7 +292,7 @@ func (d *daemon) leaveRing(retire core.CertRetireReq) error {
 	// Best-effort grant retirement: releases this endpoint's
 	// admission quota at the CA and frees the slot. A timeout only
 	// means the quota frees when the window ages out.
-	await(tr, self, rpcTimeout+time.Second, func(done func(struct{})) {
+	transport.Await(tr, self, rpcTimeout+time.Second, func(done func(struct{})) {
 		tr.Call(self, d.caAddr, retire, rpcTimeout, func(transport.Message, error) { done(struct{}{}) })
 	})
 

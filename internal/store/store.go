@@ -699,28 +699,17 @@ func (s *Store) ServeClientGet(m ClientGetReq, timeout time.Duration) ClientGetR
 
 // bridge runs one client operation in the host context behind the
 // maxInflight gate and blocks for its outcome; the bool reports a timeout.
-// The deadline is a stopped-on-exit timer (time.After in a per-request
-// bridge would leak a live timer per served call).
 func bridge[T any](s *Store, timeout time.Duration, busy T, op func(done func(T))) (T, bool) {
-	ch := make(chan T, 1)
-	s.tr.After(s.n.Self().Addr, 0, func() {
+	res, ok := transport.Await(s.tr, s.n.Self().Addr, timeout, func(done func(T)) {
 		if s.inflight >= maxInflight {
-			ch <- busy
+			done(busy)
 			return
 		}
 		s.inflight++
 		op(func(res T) {
 			s.inflight--
-			ch <- res
+			done(res)
 		})
 	})
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	select {
-	case res := <-ch:
-		return res, false
-	case <-deadline.C:
-		var zero T
-		return zero, true
-	}
+	return res, !ok
 }

@@ -2,6 +2,7 @@ package chantransport_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -157,4 +158,42 @@ func TestChanTransportFaultConformance(t *testing.T) {
 			Close:   net.Close,
 		}
 	})
+}
+
+// TestAwaitDeadlineDropsLateResult checks transport.Await over a concurrent
+// backend: at its deadline it returns (zero, false); the late done that
+// follows neither blocks the host's loop nor leaves a goroutine behind.
+func TestAwaitDeadlineDropsLateResult(t *testing.T) {
+	defer transporttest.CheckGoroutineLeak(t, runtime.NumGoroutine())
+	net := chantransport.New(1, 1)
+	stuck := false
+	defer func() {
+		if !stuck { // Close would wait forever on a blocked host loop
+			net.Close()
+		}
+	}()
+
+	const late = 100 * time.Millisecond
+	delivered := make(chan struct{})
+	v, ok := transport.Await(net, 0, 10*time.Millisecond, func(done func(int)) {
+		net.After(0, late, func() {
+			done(7)
+			close(delivered)
+		})
+	})
+	if ok || v != 0 {
+		t.Fatalf("Await past its deadline = (%d, %v), want (0, false)", v, ok)
+	}
+	stall := time.NewTimer(5 * time.Second)
+	defer stall.Stop()
+	select {
+	case <-delivered:
+	case <-stall.C:
+		stuck = true
+		t.Fatal("the late done blocked the host's loop")
+	}
+	// The host still serves its context after the dropped answer.
+	if v, ok := transport.Await(net, 0, 5*time.Second, func(done func(int)) { done(9) }); !ok || v != 9 {
+		t.Fatalf("Await after a dropped answer = (%d, %v), want (9, true)", v, ok)
+	}
 }

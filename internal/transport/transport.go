@@ -121,3 +121,23 @@ type Transport interface {
 	// returned stop function cancels future firings.
 	Every(owner Addr, period time.Duration, fn func()) (stop func())
 }
+
+// Await runs start inside addr's serialization context — the only legal way
+// to touch protocol state from a goroutine outside the transport — and waits
+// up to timeout of wall-clock time for it to hand a result to done. ok is
+// false when the deadline passed first; a late done is then dropped.
+func Await[T any](tr Transport, addr Addr, timeout time.Duration,
+	start func(done func(T))) (v T, ok bool) {
+	ch := make(chan T, 1)
+	tr.After(addr, 0, func() { start(func(v T) { ch <- v }) })
+	// NewTimer + Stop, not time.After: callers retry in loops, and each
+	// unstopped timer would stay live for its whole (minutes-long) deadline.
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	select {
+	case v = <-ch:
+		return v, true
+	case <-deadline.C:
+		return v, false
+	}
+}
