@@ -269,8 +269,7 @@ func (s *Store) handleReplicate(m ReplicateReq) ReplicateResp {
 	return ReplicateResp{OK: true, Stored: uint16(stored)}
 }
 
-// handlePull answers with every held entry in (From, To], in ascending key
-// order. Only the in-range keys are sorted, not the whole keyspace.
+// handlePull answers with every held entry in (From, To], ascending by key.
 func (s *Store) handlePull(m PullReq) PullResp {
 	var out []KV
 	for k, e := range s.data {

@@ -241,7 +241,7 @@ func TestJoinPull(t *testing.T) {
 
 // TestHandlePullExactRange checks the previous owner's side of a pull: the
 // response holds exactly the held keys in (From, To], in ascending order,
-// for a plain range and for one that wraps past zero.
+// for a plain range, one that wraps past zero, and an empty one.
 func TestHandlePullExactRange(t *testing.T) {
 	const top = ^id.ID(0)
 	held := []id.ID{top, 900, 5, top - 7, 400, 0, 100, 101, 1 << 40}
