@@ -366,6 +366,29 @@ func TestFixFingersRepairs(t *testing.T) {
 	}
 }
 
+// With DisableFingerUpdates set, as Octopus runs Chord so that its secured
+// update (§4.5) is the only writer of fingers, the node never rewrites a
+// finger itself: a cleared finger stays cleared until its owner sets it.
+func TestDisableFingerUpdatesLeavesFingers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FixFingersEvery = time.Second
+	cfg.DisableFingerUpdates = true
+	sim := simnet.New(3)
+	net := simnet.NewNetwork(sim, simnet.ConstantLatency{D: time.Millisecond}, 20)
+	ring := BuildRing(net, cfg, 20, nil)
+	node := ring.Node(0)
+	want := node.Fingers()[0]
+	node.SetFinger(0, NoPeer)
+	sim.Run(sim.Now() + time.Minute)
+	if got := node.Fingers()[0]; got.Valid() {
+		t.Errorf("finger 0 rewritten to %v with finger updates disabled", got)
+	}
+	node.SetFinger(0, want)
+	if got := node.Fingers()[0]; got != want {
+		t.Errorf("finger 0 = %v after SetFinger, want %v", got, want)
+	}
+}
+
 func TestOnNeighborTableFires(t *testing.T) {
 	env := newEnv(t, 10, DefaultConfig())
 	node := env.ring.Node(0)

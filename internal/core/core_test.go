@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -354,6 +355,209 @@ func TestDirectTableLookupEvidence(t *testing.T) {
 	nw.Sim.Run(nw.Sim.Now() + time.Minute)
 	if !fired {
 		t.Fatal("lookup did not complete")
+	}
+}
+
+func TestDirectTableLookupCorrect(t *testing.T) {
+	nw := buildTestNet(t, 14, 120, nil)
+	nw.Sim.Run(10 * time.Second)
+	rng := nw.Sim.Rand()
+	const lookups = 40
+	done := 0
+	for i := 0; i < lookups; i++ {
+		node := nw.Node(simnet.Address(rng.Intn(120)))
+		key := id.ID(rng.Uint64())
+		want := nw.Ring.Owner(key)
+		node.DirectTableLookup(key, func(res DirectLookupResult, _ LookupStats, err error) {
+			done++
+			if err != nil {
+				t.Errorf("direct lookup failed: %v", err)
+				return
+			}
+			if res.Owner != want {
+				t.Errorf("owner = %v, want %v", res.Owner, want)
+			}
+		})
+	}
+	nw.Sim.Run(nw.Sim.Now() + time.Minute)
+	if done != lookups {
+		t.Fatalf("%d/%d lookups completed", done, lookups)
+	}
+}
+
+// A lookup over signed tables never puts the key on the wire: every node it
+// queries is sent a GetTableReq, and no node ever sees a FindNextReq.
+func TestDirectTableLookupSendsOnlyTableRequests(t *testing.T) {
+	nw := buildTestNet(t, 18, 80, nil)
+	nw.Sim.Run(10 * time.Second)
+	node := nw.Node(0)
+	self := node.Self().Addr
+	sawFindNext := false
+	askedForTable := map[simnet.Address]bool{}
+	for _, peer := range nw.Nodes {
+		peer.Chord.Intercept = func(from simnet.Address, req, honest simnet.Message, ok bool) (simnet.Message, bool) {
+			switch req.(type) {
+			case chord.FindNextReq:
+				sawFindNext = true
+			case chord.GetTableReq:
+				if from == self {
+					askedForTable[peer.Self().Addr] = true
+				}
+			}
+			return honest, ok
+		}
+	}
+	fired := false
+	node.DirectTableLookup(node.Self().ID.Add(1<<63), func(_ DirectLookupResult, st LookupStats, err error) {
+		fired = true
+		if err != nil {
+			t.Fatalf("lookup failed: %v", err)
+		}
+		if st.Queries == 0 {
+			t.Fatal("a key across the ring resolved without a query")
+		}
+		for _, p := range st.Queried {
+			if !askedForTable[p.Addr] {
+				t.Errorf("queried node %v was never sent a GetTableReq", p)
+			}
+		}
+	})
+	nw.Sim.Run(nw.Sim.Now() + time.Minute)
+	if !fired {
+		t.Fatal("lookup did not complete")
+	}
+	if sawFindNext {
+		t.Error("a lookup over signed tables exposed the key via FindNextReq")
+	}
+}
+
+// An anonymous lookup whose every relay and candidate is dead reaches nobody;
+// it must still end, with an error, once its queries time out.
+func TestAnonLookupDeadNetworkFails(t *testing.T) {
+	nw := buildTestNet(t, 20, 50, nil)
+	nw.Sim.Run(2 * time.Minute) // stock the relay pool
+	node := nw.Node(0)
+	if node.PoolSize() == 0 {
+		t.Fatal("relay pool empty before the network dies")
+	}
+	for i := 1; i < 50; i++ {
+		nw.Node(simnet.Address(i)).Stop()
+	}
+	fired := false
+	node.AnonLookup(node.Self().ID.Add(1<<63), func(owner chord.Peer, _ LookupStats, err error) {
+		fired = true
+		if err == nil {
+			t.Errorf("lookup against a dead network resolved %v", owner)
+		}
+	})
+	nw.Sim.Run(nw.Sim.Now() + 10*time.Minute)
+	if !fired {
+		t.Fatal("lookup never terminated")
+	}
+}
+
+// fingerUpdateNet builds a deployment whose periodic machinery is off, so a
+// test drives the §4.5 finger update by hand, and stocks the initiator's
+// relay pool by hand for the consistency probe's anonymous second step.
+func fingerUpdateNet(t *testing.T, seed int64) (*testNet, *Node) {
+	t.Helper()
+	nw := buildTestNet(t, seed, 60, func(cfg *Config) {
+		cfg.WalkEvery = time.Hour
+		cfg.SurveilEvery = time.Hour
+		cfg.Chord.FixFingersEvery = time.Hour
+		cfg.PairPoolTarget = 0
+	})
+	nw.Sim.Run(10 * time.Second)
+	node := nw.Node(0)
+	rng := nw.Sim.Rand()
+	for i := 0; i < 40; i++ {
+		a := nw.Node(simnet.Address(1 + rng.Intn(59))).Self()
+		b := nw.Node(simnet.Address(1 + rng.Intn(59))).Self()
+		if a.ID != b.ID {
+			node.pairs.add(RelayPair{First: a, Second: b})
+		}
+	}
+	return nw, node
+}
+
+// countProbes counts the consistency probes (predecessor-list requests) the
+// node at from sends to target.
+func countProbes(target *Node, from simnet.Address) *int {
+	probes := 0
+	target.Chord.Intercept = func(src simnet.Address, req, honest simnet.Message, ok bool) (simnet.Message, bool) {
+		if r, isTable := req.(chord.GetTableReq); isTable && r.IncludePredecessors && src == from {
+			probes++
+		}
+		return honest, ok
+	}
+	return &probes
+}
+
+// A lookup result equal to the installed finger was vetted when first
+// installed: the update sends it no consistency probe and keeps the finger.
+func TestFingerUpdateSkipsProbeWhenUnchanged(t *testing.T) {
+	nw, node := fingerUpdateNet(t, 21)
+	slot := node.cfg.Chord.Fingers - 1
+	want := nw.Ring.Owner(node.Chord.FingerTarget(slot))
+	if got := node.Chord.Fingers()[slot]; got != want {
+		t.Fatalf("finger %d = %v before the update, want %v", slot, got, want)
+	}
+	probes := countProbes(nw.Node(want.Addr), node.Self().Addr)
+	node.updateFingerSlot(slot)
+	nw.Sim.Run(nw.Sim.Now() + time.Minute)
+	if *probes != 0 {
+		t.Errorf("%d probes for a finger the lookup confirmed, want 0", *probes)
+	}
+	if got := node.Chord.Fingers()[slot]; got != want {
+		t.Errorf("finger %d = %v after the update, want %v", slot, got, want)
+	}
+}
+
+// A finger slot whose lookup result differs from the installed finger gets
+// the result only after the consistency probe passes.
+func TestFingerUpdateInstallsVettedOwner(t *testing.T) {
+	nw, node := fingerUpdateNet(t, 21)
+	slot := node.cfg.Chord.Fingers - 1
+	want := nw.Ring.Owner(node.Chord.FingerTarget(slot))
+	probes := countProbes(nw.Node(want.Addr), node.Self().Addr)
+
+	node.Chord.SetFinger(slot, chord.NoPeer)
+	node.updateFingerSlot(slot)
+	nw.Sim.Run(nw.Sim.Now() + time.Minute)
+	if *probes != 1 {
+		t.Errorf("%d probes for a cleared finger, want 1", *probes)
+	}
+	if got := node.Chord.Fingers()[slot]; got != want {
+		t.Errorf("finger %d = %v after the update, want %v", slot, got, want)
+	}
+	if got := node.Stats().ReportsSent; got != 0 {
+		t.Errorf("%d reports for an honest update", got)
+	}
+}
+
+// A lookup biased by the key's predecessor, which drops the true owner from
+// its successor list, names a later node; the consistency probe finds the
+// true owner in between, so the biased result is never installed and the
+// node whose signed table vouched for it is reported.
+func TestFingerUpdateVetoesBiasedOwner(t *testing.T) {
+	nw, node := fingerUpdateNet(t, 22)
+	slot := node.cfg.Chord.Fingers - 1
+	want := nw.Ring.Owner(node.Chord.FingerTarget(slot))
+	peers := nw.Ring.AlivePeers()
+	i := slices.Index(peers, want)
+	evil := peers[(i+len(peers)-1)%len(peers)]
+	if evil.Addr == node.Self().Addr {
+		t.Fatal("the initiator precedes the finger target's owner: pick another seed")
+	}
+	installSuccListManipulator(nw.Network, evil.Addr)
+
+	node.updateFingerSlot(slot)
+	nw.Sim.Run(nw.Sim.Now() + time.Minute)
+	if got := node.Chord.Fingers()[slot]; got != want {
+		t.Errorf("finger %d = %v after a biased update, want it left at %v", slot, got, want)
+	}
+	if got := node.Stats().ReportsSent; got != 1 {
+		t.Errorf("%d reports sent, want one against %v", got, evil)
 	}
 }
 

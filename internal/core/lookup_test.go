@@ -107,6 +107,198 @@ func TestCandidateSetAbsorbKeepsFirstSource(t *testing.T) {
 	}
 }
 
+// gapBound is factor expected gaps of a ring of the estimated size, to within
+// float64's 53 bits; sizes below two count as two.
+func TestGapBound(t *testing.T) {
+	const top = ^uint64(0)
+	near := func(got, want uint64) bool {
+		d := got - want
+		if want > got {
+			d = want - got
+		}
+		return d <= want>>52
+	}
+	for _, tc := range []struct {
+		size   int
+		factor float64
+		want   uint64
+	}{
+		{2, 1, top / 2},
+		{4, 1, top / 4},
+		{1000, 1, top / 1000},
+		{1000, 8, top / 1000 * 8},
+		{1000, 0.5, top / 2000},
+	} {
+		if got := gapBound(tc.size, tc.factor); !near(got, tc.want) {
+			t.Errorf("gapBound(%d, %v) = %d, want %d", tc.size, tc.factor, got, tc.want)
+		}
+	}
+	for _, size := range []int{-1, 0, 1} {
+		if got, want := gapBound(size, 0.5), gapBound(2, 0.5); got != want {
+			t.Errorf("gapBound(%d, 0.5) = %d, want %d: a ring has at least two nodes", size, got, want)
+		}
+	}
+}
+
+// A table's fingers enter the candidate set only when they trail an ideal
+// position of their owner by at most the bound, and its successors only
+// within k expected gaps of it: fingers pushed far from every ideal position
+// (at a colluder, say) add nothing.
+func TestAbsorbDropsEntriesOutOfBound(t *testing.T) {
+	tl, _ := newCandidateLookup(9000, nil, nil)
+	tl.n.cfg.EstimatedSize, tl.n.cfg.BoundFactor = 1000, 1
+	bound := gapBound(1000, 1)
+	owner := chord.Peer{ID: 2000, Addr: 7}
+	const colluder = transport.Addr(99)
+
+	near := chord.Peer{ID: owner.ID.Add(bound), Addr: 8}
+	table := tableOf(owner, 1, near, chord.Peer{ID: owner.ID.Add(1 << 62), Addr: colluder})
+	want := []id.ID{near.ID}
+	for k := 56; k < 64; k++ {
+		honest := owner.ID.Add(1<<k + bound/2)
+		wild := owner.ID.Add(1<<k + 1<<(k-1)) // halfway to the next ideal position
+		table.Fingers = append(table.Fingers,
+			chord.Peer{ID: honest, Addr: transport.Addr(10 + k)}, chord.Peer{ID: wild, Addr: colluder})
+		want = append(want, honest)
+	}
+	tl.absorb(owner, table)
+
+	if got := candidateIDs(tl); !slices.Equal(got, want) {
+		t.Errorf("candidates = %v, want only the in-bound entries %v", got, want)
+	}
+	for _, c := range tl.cands {
+		if c.peer.Addr == colluder {
+			t.Errorf("out-of-bound entry %v entered the candidate set", c.peer)
+		}
+	}
+}
+
+// The query budget caps a lookup: it ends having sent at most
+// MaxLookupQueries queries, with an owner or ErrLookupExhausted. A budget of
+// zero ends it before the first query.
+func TestLookupQueryBudget(t *testing.T) {
+	nw := buildTestNet(t, 15, 80, nil)
+	nw.Sim.Run(10 * time.Second)
+	node := nw.Node(0)
+	key := node.Self().ID.Add(1 << 63)
+	for _, budget := range []int{0, 1, 2} {
+		node.cfg.MaxLookupQueries = budget
+		fired := false
+		node.DirectTableLookup(key, func(_ DirectLookupResult, st LookupStats, err error) {
+			fired = true
+			if st.Queries > budget {
+				t.Errorf("budget %d: %d queries sent", budget, st.Queries)
+			}
+			if err != nil && err != ErrLookupExhausted {
+				t.Errorf("budget %d: err = %v, want nil or ErrLookupExhausted", budget, err)
+			}
+			if budget == 0 && (err != ErrLookupExhausted || st.Queries != 0) {
+				t.Errorf("budget 0: %d queries, err = %v; want none and ErrLookupExhausted", st.Queries, err)
+			}
+		})
+		nw.Sim.Run(nw.Sim.Now() + time.Minute)
+		if !fired {
+			t.Fatalf("budget %d: lookup did not terminate", budget)
+		}
+	}
+}
+
+// Stats.Queried lists each real query once, as many as Stats.Queries counts,
+// for both kinds of lookup.
+func TestLookupStatsListQueriesOnce(t *testing.T) {
+	nw := buildTestNet(t, 16, 100, nil)
+	nw.Sim.Run(3 * time.Minute) // stock the relay pools
+	rng := rand.New(rand.NewSource(16))
+	done, queries := 0, 0
+	check := func(kind string, st LookupStats, err error) {
+		done++
+		queries += st.Queries
+		if err != nil {
+			t.Errorf("%s lookup failed: %v", kind, err)
+		}
+		if len(st.Queried) != st.Queries {
+			t.Errorf("%s lookup lists %d queried nodes for %d queries", kind, len(st.Queried), st.Queries)
+		}
+		seen := map[id.ID]bool{}
+		for _, p := range st.Queried {
+			if seen[p.ID] {
+				t.Errorf("%s lookup queried %v twice", kind, p)
+			}
+			seen[p.ID] = true
+		}
+	}
+	const lookups = 10
+	for i := 0; i < lookups; i++ {
+		node := nw.Node(simnet.Address(rng.Intn(100)))
+		key := id.ID(rng.Uint64())
+		node.DirectTableLookup(key, func(_ DirectLookupResult, st LookupStats, err error) { check("direct", st, err) })
+		node.AnonLookup(key, func(_ chord.Peer, st LookupStats, err error) { check("anonymous", st, err) })
+		nw.Sim.Run(nw.Sim.Now() + time.Minute)
+	}
+	if done != 2*lookups {
+		t.Fatalf("%d/%d lookups completed", done, 2*lookups)
+	}
+	if queries <= 2*lookups {
+		t.Errorf("%d queries over %d lookups: the check needs lookups that query several nodes", queries, 2*lookups)
+	}
+}
+
+// A node serving re-signed tables whose fingers sit far from every ideal
+// position, all pointing at a colluder, cannot steer a lookup that queries
+// it: the bound check keeps the wild fingers out, so every node queried is a
+// ring member and the owner is the true one.
+func TestDirectTableLookupIgnoresWildFingers(t *testing.T) {
+	nw := buildTestNet(t, 17, 100, nil)
+	nw.Sim.Run(10 * time.Second)
+	node := nw.Node(0)
+	// The initiator's best candidate for a key just short of self+2^63 is
+	// its finger toward self+2^62: nothing else it knows lies in between.
+	key := node.Self().ID.Add(1<<63 - 1)
+	evil := nw.Node(nw.Ring.Owner(node.Self().ID.Add(1 << 62)).Addr)
+	colluder := nw.Node(10).Self().Addr
+	ident := evil.Chord.Identity()
+	evil.Chord.Intercept = func(_ simnet.Address, _, honest simnet.Message, ok bool) (simnet.Message, bool) {
+		if r, isTable := honest.(chord.GetTableResp); isTable {
+			r.Table = r.Table.Clone()
+			for i := range r.Table.Fingers {
+				// Between the evil node and the key, and further behind
+				// 2^61 than the bound (8 expected gaps) allows.
+				r.Table.Fingers[i] = chord.Peer{ID: r.Table.Owner.ID.Add(1<<61 + 1<<60 + 1<<59 + uint64(i)), Addr: colluder}
+			}
+			_ = r.Table.Sign(ident.Scheme, ident.Key)
+			return r, ok
+		}
+		return honest, ok
+	}
+	members := map[id.ID]bool{}
+	for _, p := range nw.Ring.AlivePeers() {
+		members[p.ID] = true
+	}
+
+	fired := false
+	node.DirectTableLookup(key, func(res DirectLookupResult, st LookupStats, err error) {
+		fired = true
+		if err != nil {
+			t.Fatalf("lookup failed: %v", err)
+		}
+		if want := nw.Ring.Owner(key); res.Owner != want {
+			t.Errorf("owner = %v, want %v", res.Owner, want)
+		}
+		if len(st.Queried) == 0 || st.Queried[0] != evil.Self() {
+			t.Fatalf("queried %v: the lookup must ask the manipulating node %v first", st.Queried, evil.Self())
+		}
+		for _, p := range st.Queried {
+			if !members[p.ID] {
+				t.Errorf("lookup queried %v, a finger the bound check should have dropped", p)
+			}
+		}
+	})
+	nw.Sim.Run(nw.Sim.Now() + time.Minute)
+	if !fired {
+		t.Fatal("lookup did not complete")
+	}
+}
+
 func TestDummyTargetDrawsOverIDOrder(t *testing.T) {
 	var seeds []chord.Peer
 	for _, v := range rand.New(rand.NewSource(3)).Perm(40) {
