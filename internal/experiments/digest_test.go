@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/adversary"
+	"github.com/octopus-dht/octopus/internal/core"
 )
 
 // update re-pins testdata/digests.txt from the code under test:
@@ -27,22 +28,22 @@ const digestFile = "testdata/digests.txt"
 // not scaled by -short — so the same digests hold in every test mode.
 var seededRuns = []struct {
 	name string
-	run  func() interface{}
+	run  func(t *testing.T) any
 }{
-	{"security-bias", func() interface{} {
+	{"security-bias", func(*testing.T) any {
 		return RunSecurity(digestSecurity(adversary.Strategy{AttackRate: 1, BiasLookups: true}))
 	}},
-	{"security-dos", func() interface{} {
+	{"security-dos", func(*testing.T) any {
 		cfg := digestSecurity(adversary.Strategy{AttackRate: 1, SelectiveDrop: true})
 		cfg.DoSDefense = true
 		return RunSecurity(cfg)
 	}},
-	{"security-finger", func() interface{} {
+	{"security-finger", func(*testing.T) any {
 		return RunSecurity(digestSecurity(adversary.Strategy{
 			AttackRate: 1, ManipulateFingers: true, ConsistentPredRate: 0.5,
 		}))
 	}},
-	{"efficiency-octopus", func() interface{} {
+	{"efficiency-octopus", func(*testing.T) any {
 		cfg := DefaultEfficiencyConfig()
 		cfg.Nodes = 100
 		cfg.Lookups = 60
@@ -50,9 +51,9 @@ var seededRuns = []struct {
 		cfg.BandwidthWindow = 2 * time.Minute
 		return RunOctopusEfficiency(cfg)
 	}},
-	{"load-managed", func() interface{} { return RunLoad(digestLoad(DefaultLoadConfig)) }},
-	{"load-sequential", func() interface{} { return RunLoad(digestLoad(SequentialLoadConfig)) }},
-	{"storage", func() interface{} {
+	{"load-managed", func(*testing.T) any { return RunLoad(digestLoad(DefaultLoadConfig)) }},
+	{"load-sequential", func(*testing.T) any { return RunLoad(digestLoad(SequentialLoadConfig)) }},
+	{"storage", func(*testing.T) any {
 		cfg := DefaultStorageConfig()
 		cfg.N = 80
 		cfg.Rate = 6
@@ -61,12 +62,47 @@ var seededRuns = []struct {
 		cfg.Kills = 2
 		return RunStorage(cfg)
 	}},
-	{"chaos", func() interface{} {
+	{"chaos", func(*testing.T) any {
 		cfg := scaledChaosConfig()
 		cfg.N = 120
 		cfg.WarmUp = 30 * time.Second
 		cfg.PostRecovery = 30 * time.Second
 		return RunChaos(cfg)
+	}},
+	// The headline rows: each logs the numbers the README and ROADMAP quote,
+	// so -v prints them.
+	{"timing-table1", func(t *testing.T) any {
+		cfg := adversary.DefaultTimingConfig()
+		cfg.N = 100_000
+		cfg.SamplePairs = 100
+		res := adversary.SimulateTimingAttack(cfg)
+		t.Logf("err%% %.4g  leak-bits %.4g", res.ErrorRate*100, res.InfoLeakBits)
+		// At err% 100 the result is the same for every sample size, so the
+		// configuration is pinned beside it.
+		return []any{cfg, res}
+	}},
+	{"load-headline", func(t *testing.T) any {
+		seq := RunLoad(testLoadConfig(SequentialLoadConfig))
+		par := RunLoad(testLoadConfig(DefaultLoadConfig))
+		t.Logf("thr-seq/s %.4g  thr-par/s %.4g  speedup %.4g  p95-s %.4g",
+			seq.Throughput, par.Throughput, par.Throughput/seq.Throughput, par.P95.Seconds())
+		return []LoadResult{seq, par}
+	}},
+	{"storage-headline", func(t *testing.T) any {
+		res := RunStorage(testStorageConfig())
+		t.Logf("hit%% %.4g  get-p95-s %.4g  put-p95-s %.4g",
+			res.HitRate*100, res.GetP95.Seconds(), res.PutP95.Seconds())
+		return res
+	}},
+	// The one-hop tier's maintenance cost where it is worst: every event of
+	// the storm must reach the whole ring. Seed 1 until a seed sweep picks one.
+	{"chaos-onehop", func(t *testing.T) any {
+		cfg := scaledChaosConfig()
+		cfg.Tier = core.TierOneHop
+		res := RunChaos(cfg)
+		t.Logf("maint-B/node/s %.4g  success%% %.4g",
+			res.TierMaintBytesPerNodeSec, res.PostRecovery.LookupSuccess*100)
+		return res
 	}},
 }
 
@@ -115,7 +151,7 @@ func TestSeededDigests(t *testing.T) {
 		for i, r := range seededRuns {
 			t.Run(r.name, func(t *testing.T) {
 				t.Parallel() // each run owns its simulator; nothing is shared
-				got[i] = fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", r.run()))))
+				got[i] = fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", r.run(t)))))
 				if !*update && got[i] != want[r.name] {
 					t.Errorf("digest %s, committed %s: seeded results moved "+
 						"(re-pin ONLY if that was the point: go test ./internal/experiments -run TestSeededDigests -update)",
