@@ -47,18 +47,6 @@ func benchAnonConfig(scheme anonymity.Scheme, dummies int) anonymity.Config {
 	}
 }
 
-func BenchmarkTable1TimingAnalysis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := adversary.DefaultTimingConfig()
-		cfg.N = 100_000
-		cfg.SamplePairs = 100
-		cfg.Seed = int64(i + 1)
-		res := adversary.SimulateTimingAttack(cfg)
-		b.ReportMetric(res.ErrorRate*100, "err%")
-		b.ReportMetric(res.InfoLeakBits, "leak-bits")
-	}
-}
-
 func BenchmarkTable2Identification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchSecurityConfig(adversary.Strategy{AttackRate: 1, BiasLookups: true})
@@ -178,28 +166,6 @@ func BenchmarkFig7bCAWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadAnonLookup is the serving-path headline: open-loop load on
-// a deployment served sequentially (the paper's path: α=1, one worker,
-// passive pool) versus concurrently (α=3, 8 workers, managed pool). The
-// custom units are deterministic under the fixed seed, so the benchmark
-// gate pins both throughput ceilings and their ratio.
-func BenchmarkLoadAnonLookup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		seqCfg := experiments.SequentialLoadConfig()
-		seqCfg.N = 100
-		seqCfg.Duration = time.Minute
-		parCfg := experiments.DefaultLoadConfig()
-		parCfg.N = 100
-		parCfg.Duration = time.Minute
-		seq := experiments.RunLoad(seqCfg)
-		par := experiments.RunLoad(parCfg)
-		b.ReportMetric(seq.Throughput, "thr-seq/s")
-		b.ReportMetric(par.Throughput, "thr-par/s")
-		b.ReportMetric(par.Throughput/seq.Throughput, "speedup")
-		b.ReportMetric(par.P95.Seconds(), "p95-s")
-	}
-}
-
 // tierLoadConfig is the routing-tier comparison point: 10k simulated
 // nodes, α=1, no result cache and uniform keys, so every lookup pays the
 // tier's full post-walk convergence cost — the axis under measurement.
@@ -224,60 +190,29 @@ func tierLoadConfig(tier string) experiments.LoadConfig {
 
 // BenchmarkTierLoad10k is the routing-tier headline: the load experiment
 // at 10k simulated nodes, same seed and offered load, finger tier versus
-// one-hop tier. The gate pins both p95s and their ratio — the one-hop
-// tier's reason to exist is cutting the multi-hop convergence phase to a
-// single confirming query, and p95-gain is that claim as a number.
-// Runs minutes, not seconds (about four on a 2-core box): pass
-// -timeout 15m and -benchtime 1x.
+// one-hop tier. The one-hop tier's reason to exist is cutting the
+// multi-hop convergence phase to a single confirming query, and p95-gain
+// is that claim as a number: the benchmark fails below minTierP95Gain.
+// Runs minutes, not seconds (two to four on a 2-core box), so it runs
+// nightly, not in tier-1: pass -timeout 15m and -benchtime 1x.
 func BenchmarkTierLoad10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		finger := experiments.RunLoad(tierLoadConfig(core.TierFinger))
 		onehop := experiments.RunLoad(tierLoadConfig(core.TierOneHop))
+		gain := finger.P95.Seconds() / onehop.P95.Seconds()
 		b.ReportMetric(finger.P95.Seconds(), "finger-p95-s")
 		b.ReportMetric(onehop.P95.Seconds(), "onehop-p95-s")
-		b.ReportMetric(finger.P95.Seconds()/onehop.P95.Seconds(), "p95-gain")
+		b.ReportMetric(gain, "p95-gain")
+		if gain < minTierP95Gain {
+			b.Fatalf("finger p95 %v / one-hop p95 %v = %.3f, want ≥ %v",
+				finger.P95, onehop.P95, gain, minTierP95Gain)
+		}
 	}
 }
 
-// BenchmarkTierChaosMaintenance pins the one-hop tier's maintenance cost
-// where it is worst: the chaos storm (40% mass-kill, rolling partitions,
-// flash-crowd rejoin), every event of which must be disseminated
-// ring-wide. The gated unit is maintenance bytes per live node per
-// simulated second — the D1HT-style aggregation argument as a number; a
-// drift upward means event batching regressed.
-func BenchmarkTierChaosMaintenance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultChaosConfig()
-		cfg.N = 200
-		cfg.Tier = core.TierOneHop
-		cfg.WarmUp = 45 * time.Second
-		cfg.Baseline = 30 * time.Second
-		cfg.PostRecovery = time.Minute
-		cfg.Seed = int64(i + 1)
-		res := experiments.RunChaos(cfg)
-		b.ReportMetric(res.TierMaintBytesPerNodeSec, "maint-B/node/s")
-		b.ReportMetric(res.PostRecovery.LookupSuccess*100, "success%")
-	}
-}
-
-// BenchmarkStorageWorkload is the storage headline: a read/write mix on the
-// replicated key-value store under mid-run churn (internal/experiments
-// RunStorage). Hit rate and the client-observed latency percentiles are
-// deterministic under the fixed seed, so the benchmark gate pins them.
-func BenchmarkStorageWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultStorageConfig()
-		cfg.N = 80
-		cfg.Keys = 24
-		cfg.Duration = time.Minute
-		cfg.WarmUp = 30 * time.Second
-		cfg.Kills = 2
-		res := experiments.RunStorage(cfg)
-		b.ReportMetric(res.HitRate*100, "hit%")
-		b.ReportMetric(res.GetP95.Seconds(), "get-p95-s")
-		b.ReportMetric(res.PutP95.Seconds(), "put-p95-s")
-	}
-}
+// minTierP95Gain is the least finger/one-hop p95 ratio at 10k nodes that
+// still shows the one-hop tier's claim; seed 1 reads 6.14.
+const minTierP95Gain = 4
 
 // --- Ablations ---
 

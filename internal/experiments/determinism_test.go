@@ -9,9 +9,9 @@ import (
 // Every experiment in this package is a pure function of (seed, config):
 // the simulator is single-threaded over a seeded RNG, all arrival processes
 // draw from their own seeded streams, and nothing reads the wall clock.
-// These regression tests pin that property for the gate experiments by
+// These regression tests pin that property for the headline experiments by
 // running each twice and comparing the fully serialized results byte for
-// byte — the same property the benchmark gate and the chaos replay
+// byte — the same property the committed digests and the chaos replay
 // workflow stand on. A diff here means nondeterminism leaked in (a map
 // iteration, a time.Now, an unseeded rand), which would silently turn
 // every committed baseline into noise.

@@ -155,7 +155,7 @@ func RunLoad(cfg LoadConfig) LoadResult {
 	if err != nil {
 		// A build failure is harness misconfiguration, not a measurable
 		// outcome: a silent zero result would flow NaN speedups into the
-		// benchmark gate instead of failing visibly.
+		// headline digests instead of failing visibly.
 		panic(fmt.Sprintf("experiments: load harness build failed: %v", err))
 	}
 	sim.Run(cfg.WarmUp)

@@ -43,7 +43,7 @@ func TestLoadExperiment(t *testing.T) {
 		t.Error("managed pool never launched a walk-ahead refill under load")
 	}
 
-	// Determinism: the benchmark gate pins these numbers, so a repeat run
+	// Determinism: the load-headline digest pins these numbers, so a repeat run
 	// with the same seed must reproduce them exactly.
 	again := RunLoad(testLoadConfig(DefaultLoadConfig))
 	if again != par {

@@ -22,7 +22,7 @@ import (
 // kills nodes mid-window (each replaced by an online rejoin that pulls its
 // key range). The headline numbers — hit rate against the set of
 // acknowledged writes, and client-observed latency percentiles — are
-// deterministic per (seed, config), so the benchmark gate pins them.
+// deterministic per (seed, config), so TestSeededDigests pins them.
 
 // StorageConfig parameterizes one storage run.
 type StorageConfig struct {

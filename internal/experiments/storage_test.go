@@ -17,8 +17,8 @@ func testStorageConfig() StorageConfig {
 }
 
 // TestStorageExperiment pins the storage workload's contract: the run is
-// deterministic (same seed, same numbers — what lets the benchmark gate pin
-// its headline units), the offered mix actually lands, reads of written
+// deterministic (same seed, same numbers — what lets the storage-headline
+// digest pin them), the offered mix actually lands, reads of written
 // keys hit despite mid-run churn, and the churn script really killed and
 // re-admitted nodes.
 func TestStorageExperiment(t *testing.T) {

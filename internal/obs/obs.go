@@ -2,7 +2,7 @@
 // API that every subsystem (chord/core routing, the lookup service, the
 // store, all transport backends, and the simulator) registers against, and
 // that every consumer (the Prometheus-text exporter, octopusd's status
-// loop, octopus-bench, and the benchmark gate's headline units) reads from.
+// loop, octopus-bench, and the experiments' headline numbers) reads from.
 // It replaces the four bespoke stats surfaces that grew up independently
 // (node, service, transport, and simulator drop counters) — the structs
 // defined here are the only stats types; the transitional aliases the
