@@ -2,7 +2,12 @@
 
 package chord
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"github.com/octopus-dht/octopus/internal/transport"
+)
 
 // TestVerifySigAllocatesNothing: the signed bytes are built in a pooled
 // buffer and SimScheme compares in place. Not under -race, where sync.Pool
@@ -20,5 +25,40 @@ func TestVerifySigAllocatesNothing(t *testing.T) {
 	// Sign: the signature, nothing else.
 	if allocs := testing.AllocsPerRun(200, func() { _ = rt.Sign(scheme, n.ident.Key) }); allocs != 1 {
 		t.Errorf("Sign allocates %v times per call, want 1", allocs)
+	}
+}
+
+// TestTableCodecAllocations pins the codec on the message that dominates the
+// wire, a signed lookup table of 12 fingers and 6 successors: encoding into a
+// reused buffer and Size() allocate nothing; a borrowed decode allocates once,
+// boxing the result into a transport.Message. Not under -race, for the
+// pooled writers and readers.
+func TestTableCodecAllocations(t *testing.T) {
+	resp := GetTableResp{Table: goldenTables()[0].table}
+	resp.Table.Sig = bytes.Repeat([]byte{7}, 40)
+	var msg transport.Message = resp
+	var buf []byte
+	encode := func() {
+		var err error
+		if buf, err = transport.EncodeTo(buf[:0], msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	if a := testing.AllocsPerRun(200, encode); a != 0 {
+		t.Errorf("EncodeTo allocates %v times per call, want 0", a)
+	}
+	decode := func() {
+		r := transport.AcquireReader(buf)
+		if _, err := transport.DecodeBorrowed(r); err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+	if a := testing.AllocsPerRun(200, decode); a != 1 {
+		t.Errorf("DecodeBorrowed allocates %v times per call, want 1", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { _ = resp.Size() }); a != 0 {
+		t.Errorf("Size allocates %v times per call, want 0", a)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -121,87 +120,6 @@ func TestFirstInt63(t *testing.T) {
 	if pow(1020) != lehmerA1020 || pow(1839) != lehmerA1839 {
 		t.Errorf("48271^1020, 48271^1839 mod 2^31-1 = %d, %d; constants say %d, %d",
 			pow(1020), pow(1839), uint64(lehmerA1020), uint64(lehmerA1839))
-	}
-}
-
-// BenchmarkSeededIndex measures one phase-2 hop draw at a table-sized width
-// (part of CI's micro set).
-func BenchmarkSeededIndex(b *testing.B) {
-	b.ReportAllocs()
-	sum := 0
-	for i := 0; i < b.N; i++ {
-		sum += seededIndex(int64(i)*0x9e3779b9, 1+i%3, 11)
-	}
-	if sum < 0 {
-		b.Fatal("negative index")
-	}
-}
-
-// BenchmarkBoundCheck is the finger bound check on the top, a middle and the
-// bottom finger of one owner, as absorb and the walk run it on every finger of
-// every verified table (part of CI's micro set).
-func BenchmarkBoundCheck(b *testing.B) {
-	owner := chord.Peer{ID: 0x9e3779b97f4a7c15, Addr: 1}
-	bound := gapBound(1000, 8)
-	var fingers [3]chord.Peer
-	for i, slot := range []int{63, 58, 52} {
-		fingers[i] = chord.Peer{ID: owner.ID.FingerTarget(slot).Add(bound / 3), Addr: 2}
-	}
-	b.ReportAllocs()
-	accepted := 0
-	for i := 0; i < b.N; i++ {
-		for _, f := range fingers {
-			if withinFingerBound(owner, f, bound) {
-				accepted++
-			}
-		}
-	}
-	if accepted != 3*b.N {
-		b.Fatalf("%d of %d fingers accepted", accepted, 3*b.N)
-	}
-}
-
-// BenchmarkLookupAbsorb merges one verified table — 12 fingers, 6 successors,
-// half of them news — into a lookup that already knows 100 peers (part of CI's
-// micro set). Each iteration starts from the same 100 and takes the next of
-// eight tables, so the searches are not one memorised sequence of branches.
-func BenchmarkLookupAbsorb(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.EstimatedSize = 1000
-	self := chord.Peer{ID: 1 << 40, Addr: 0}
-	tl := &tableLookup{n: &Node{cfg: cfg, Chord: &chord.Node{Self: self}}, key: self.ID.Sub(1), padded: true, seeded: true}
-	rng := rand.New(rand.NewSource(19))
-	gap := gapBound(1000, 1)
-	var tables [8]chord.RoutingTable
-	for t := range tables {
-		owner := chord.Peer{ID: id.ID(rng.Uint64()), Addr: 1}
-		tables[t].Owner = owner
-		for slot := 52; slot < 64; slot++ {
-			tables[t].Fingers = append(tables[t].Fingers, chord.Peer{ID: owner.ID.FingerTarget(slot).Add(gap / 2), Addr: 2})
-		}
-		for k := 1; k <= 6; k++ {
-			tables[t].Successors = append(tables[t].Successors, chord.Peer{ID: owner.ID.Add(uint64(k) * gap), Addr: 3})
-		}
-		for i, p := range append(slices.Clone(tables[t].Fingers), tables[t].Successors...) {
-			if i%2 == 0 {
-				tl.learn(p, false)
-			}
-		}
-	}
-	for len(tl.cands) < 100 {
-		tl.learn(chord.Peer{ID: id.ID(rng.Uint64()), Addr: 4}, false)
-	}
-	known := slices.Clone(tl.cands)
-	tl.cands = make([]candidate, 0, 4*len(known))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.cands = append(tl.cands[:0], known...)
-		t := &tables[i%len(tables)]
-		tl.absorb(t.Owner, *t)
-	}
-	if len(tl.cands) != 109 {
-		b.Fatalf("%d candidates after the merge, want the 100 and the table's 9 news", len(tl.cands))
 	}
 }
 
