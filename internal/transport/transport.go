@@ -130,14 +130,10 @@ func Await[T any](tr Transport, addr Addr, timeout time.Duration,
 	start func(done func(T))) (v T, ok bool) {
 	ch := make(chan T, 1)
 	tr.After(addr, 0, func() { start(func(v T) { ch <- v }) })
-	// NewTimer + Stop, not time.After: callers retry in loops, and each
-	// unstopped timer would stay live for its whole (minutes-long) deadline.
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
 	select {
 	case v = <-ch:
 		return v, true
-	case <-deadline.C:
+	case <-time.After(timeout):
 		return v, false
 	}
 }

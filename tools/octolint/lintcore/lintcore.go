@@ -80,7 +80,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // IsTestFile reports whether the file is a _test.go file. Passes that
 // guard runtime invariants (determinism, anonleak, atomicstats)
-// skip test files; timerleak deliberately includes them.
+// skip test files.
 func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }

@@ -1,7 +1,7 @@
 // Command octolint is the repository's project-specific static-analysis
-// suite: four analyzers that mechanically enforce invariants the compiler
-// cannot see — seeded-replay determinism, telemetry anonymity, timer
-// hygiene, and atomic-access discipline. See docs/STATIC_ANALYSIS.md for each invariant, the
+// suite: three analyzers that mechanically enforce invariants the compiler
+// cannot see — seeded-replay determinism, telemetry anonymity, and
+// atomic-access discipline. See docs/STATIC_ANALYSIS.md for each invariant, the
 // incident that motivated it, and the escape-pragma policy
 // (//octolint:allow <analyzer> <reason>).
 //
@@ -22,7 +22,7 @@
 // protocol means bundling them later is mechanical.
 //
 // Analyzer selection follows vet convention: with no analyzer flags all
-// four run; naming any (-determinism, -anonleak, ...) runs only those.
+// three run; naming any (-determinism, -anonleak, ...) runs only those.
 package main
 
 import (
@@ -36,14 +36,12 @@ import (
 	"github.com/octopus-dht/octopus/tools/octolint/passes/anonleak"
 	"github.com/octopus-dht/octopus/tools/octolint/passes/atomicstats"
 	"github.com/octopus-dht/octopus/tools/octolint/passes/determinism"
-	"github.com/octopus-dht/octopus/tools/octolint/passes/timerleak"
 )
 
 // analyzers is the full suite, in documentation order.
 var analyzers = []*lintcore.Analyzer{
 	determinism.Analyzer,
 	anonleak.Analyzer,
-	timerleak.Analyzer,
 	atomicstats.Analyzer,
 }
 
