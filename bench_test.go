@@ -2,7 +2,9 @@
 // paper's evaluation (README.md maps each to its experiment runner), at
 // bench-friendly scale. The full-scale numbers come from cmd/octopus-bench;
 // these targets exercise the identical code paths and report the headline
-// metric of each experiment as a custom unit.
+// metric of each experiment as a custom unit. Table 1's timing attack and
+// the load, storage and one-hop chaos headlines are seeded runs pinned
+// exactly by TestSeededDigests (internal/experiments) instead.
 package octopus
 
 import (

@@ -69,8 +69,8 @@ var seededRuns = []struct {
 		cfg.PostRecovery = 30 * time.Second
 		return RunChaos(cfg)
 	}},
-	// The headline rows: each logs the numbers the README and ROADMAP quote,
-	// so -v prints them.
+	// The headline rows also log the numbers ROADMAP.md and CHANGES.md
+	// quote; -v prints them.
 	{"timing-table1", func(t *testing.T) any {
 		cfg := adversary.DefaultTimingConfig()
 		cfg.N = 100_000

@@ -21,8 +21,8 @@ import (
 // pool. Arrivals are open-loop on purpose: a closed loop would slow its
 // own offered load down when the system saturates, hiding the ceiling.
 // Everything runs on the deterministic simulator, so a (seed, config) pair
-// always reproduces the same numbers — which is what lets the benchmark
-// gate pin them.
+// always reproduces the same numbers — which is what lets TestSeededDigests
+// pin them.
 
 // LoadConfig parameterizes one load run.
 type LoadConfig struct {

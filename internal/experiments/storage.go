@@ -55,7 +55,7 @@ type StorageConfig struct {
 	Seed int64
 }
 
-// DefaultStorageConfig is the gate configuration: a read-heavy mix with
+// DefaultStorageConfig is the headline configuration: a read-heavy mix with
 // mid-run churn.
 func DefaultStorageConfig() StorageConfig {
 	return StorageConfig{

@@ -1,6 +1,6 @@
 // Package determinism enforces the seeded-replay invariant: every run of
 // the simulated protocol stack with the same seed must be bit-identical,
-// because the committed figures, BENCH_baseline.json headline units, and
+// because the committed figures, the seeded digest rows, and
 // the chaos-replay regression tests are all pinned to exact seeded
 // trajectories. Three bug classes have broken that repeatedly:
 //
