@@ -194,7 +194,7 @@ func tierLoadConfig(tier string) experiments.LoadConfig {
 // at 10k simulated nodes, same seed and offered load, finger tier versus
 // one-hop tier. The one-hop tier's reason to exist is cutting the
 // multi-hop convergence phase to a single confirming query, and p95-gain
-// is that claim as a number: the benchmark fails below minTierP95Gain.
+// is that claim as a number: the benchmark fails below 4 (seed 1 reads 6.14).
 // Runs minutes, not seconds (two to four on a 2-core box), so it runs
 // nightly, not in tier-1: pass -timeout 15m and -benchtime 1x.
 func BenchmarkTierLoad10k(b *testing.B) {
@@ -205,16 +205,11 @@ func BenchmarkTierLoad10k(b *testing.B) {
 		b.ReportMetric(finger.P95.Seconds(), "finger-p95-s")
 		b.ReportMetric(onehop.P95.Seconds(), "onehop-p95-s")
 		b.ReportMetric(gain, "p95-gain")
-		if gain < minTierP95Gain {
-			b.Fatalf("finger p95 %v / one-hop p95 %v = %.3f, want ≥ %v",
-				finger.P95, onehop.P95, gain, minTierP95Gain)
+		if gain < 4 {
+			b.Fatalf("finger p95 %v / one-hop p95 %v = %.3f, want ≥ 4", finger.P95, onehop.P95, gain)
 		}
 	}
 }
-
-// minTierP95Gain is the least finger/one-hop p95 ratio at 10k nodes that
-// still shows the one-hop tier's claim; seed 1 reads 6.14.
-const minTierP95Gain = 4
 
 // --- Ablations ---
 
