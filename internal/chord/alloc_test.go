@@ -37,28 +37,43 @@ func TestTableCodecAllocations(t *testing.T) {
 	resp := GetTableResp{Table: goldenTables()[0].table}
 	resp.Table.Sig = bytes.Repeat([]byte{7}, 40)
 	var msg transport.Message = resp
-	var buf []byte
-	encode := func() {
-		var err error
-		if buf, err = transport.EncodeTo(buf[:0], msg); err != nil {
-			t.Fatal(err)
+	wire, err := transport.EncodeTo(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("EncodeTo", func(t *testing.T) {
+		buf := make([]byte, 0, len(wire))
+		encode := func() {
+			var err error
+			if buf, err = transport.EncodeTo(buf[:0], msg); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	encode()
-	if a := testing.AllocsPerRun(200, encode); a != 0 {
-		t.Errorf("EncodeTo allocates %v times per call, want 0", a)
-	}
-	decode := func() {
-		r := transport.AcquireReader(buf)
-		if _, err := transport.DecodeBorrowed(r); err != nil {
-			t.Fatal(err)
+		if a := testing.AllocsPerRun(200, encode); a != 0 {
+			t.Errorf("EncodeTo allocates %v times per call, want 0", a)
 		}
-		r.Release()
-	}
-	if a := testing.AllocsPerRun(200, decode); a != 1 {
-		t.Errorf("DecodeBorrowed allocates %v times per call, want 1", a)
-	}
-	if a := testing.AllocsPerRun(200, func() { _ = resp.Size() }); a != 0 {
-		t.Errorf("Size allocates %v times per call, want 0", a)
-	}
+		if !bytes.Equal(buf, wire) {
+			t.Error("re-encoding into a reused buffer changed the bytes")
+		}
+	})
+	t.Run("DecodeBorrowed", func(t *testing.T) {
+		decode := func() {
+			r := transport.AcquireReader(wire)
+			if _, err := transport.DecodeBorrowed(r); err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
+		}
+		if a := testing.AllocsPerRun(200, decode); a != 1 {
+			t.Errorf("DecodeBorrowed allocates %v times per call, want 1", a)
+		}
+	})
+	t.Run("Size", func(t *testing.T) {
+		if a := testing.AllocsPerRun(200, func() { _ = resp.Size() }); a != 0 {
+			t.Errorf("Size allocates %v times per call, want 0", a)
+		}
+		if got := resp.Size(); got != len(wire) {
+			t.Errorf("Size() = %d, want the %d bytes EncodeTo writes", got, len(wire))
+		}
+	})
 }

@@ -13,23 +13,37 @@ import (
 // finger of every verified table and per lookup answer: the phase-2 hop draw,
 // the finger bound check and merging a verified table into a lookup.
 func TestHotPathsAllocateNothing(t *testing.T) {
-	sum := 0
-	if a := testing.AllocsPerRun(200, func() { sum += seededIndex(int64(sum)*0x9e3779b9, 2, 11) }); a != 0 {
-		t.Errorf("seededIndex allocates %v times per call, want 0", a)
-	}
-	owner, fingers, bound := boundCheckFixture()
-	if a := testing.AllocsPerRun(200, func() {
-		for _, f := range fingers {
-			withinFingerBound(owner, f, bound)
+	t.Run("seededIndex", func(t *testing.T) {
+		sum := 0
+		if a := testing.AllocsPerRun(200, func() { sum += seededIndex(int64(sum)*0x9e3779b9, 2, 11) }); a != 0 {
+			t.Errorf("seededIndex allocates %v times per call, want 0", a)
 		}
-	}); a != 0 {
-		t.Errorf("the bound check allocates %v times per table, want 0", a)
-	}
-	merge, _ := absorbFixture()
-	i := 0
-	if a := testing.AllocsPerRun(200, func() { merge(i); i++ }); a != 0 {
-		t.Errorf("absorb allocates %v times per table, want 0", a)
-	}
+	})
+	t.Run("withinFingerBound", func(t *testing.T) {
+		owner, fingers, bound := boundCheckFixture()
+		for i, f := range fingers {
+			if !withinFingerBound(owner, f, bound) {
+				t.Fatalf("fixture finger %d is rejected", i)
+			}
+		}
+		if a := testing.AllocsPerRun(200, func() {
+			for _, f := range fingers {
+				withinFingerBound(owner, f, bound)
+			}
+		}); a != 0 {
+			t.Errorf("the bound check allocates %v times per table, want 0", a)
+		}
+	})
+	t.Run("absorb", func(t *testing.T) {
+		merge, tl := absorbFixture()
+		i := 0
+		if a := testing.AllocsPerRun(200, func() { merge(i); i++ }); a != 0 {
+			t.Errorf("absorb allocates %v times per table, want 0", a)
+		}
+		if len(tl.cands) != 109 {
+			t.Errorf("%d candidates after the merge, want the 100 and the table's 9 news", len(tl.cands))
+		}
+	})
 }
 
 // BenchmarkSeededIndex measures one phase-2 hop draw at a table-sized width.
