@@ -291,15 +291,13 @@ func BenchmarkCodecDecodeTable(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := transport.AcquireReader(enc)
-		m, err := transport.DecodeBorrowed(r)
+		m, err := transport.Decode(enc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, ok := m.(chord.GetTableResp); !ok {
 			b.Fatalf("decoded %T", m)
 		}
-		r.Release()
 	}
 }
 

@@ -148,10 +148,6 @@ func main() {
 	intFlag(&cfg.LookupCacheSize, "cache-size", 256, "lookup-result cache entries per node (0 disables; membership events flush it)")
 	durFlag(&cfg.LookupCacheTTL, "cache-ttl", 60*time.Second, "lookup-result cache entry lifetime")
 
-	section("Transport")
-	intFlag(&opts.BatchBytes, "batch-bytes", 64<<10, "max bytes coalesced into one socket write per TCP link")
-	durFlag(&opts.BatchLinger, "batch-linger", 0, "extra wait for more frames before flushing a non-full batch (0 = flush as soon as the link queue drains)")
-
 	section("Client serving")
 	boolFlag(&opts.ServeLookups, "serve-lookups", true, "serve ClientLookupReq (0x05xx) from external clients on the bootstrap channel")
 	intFlag(&opts.ServeWorkers, "serve-workers", 8, "lookup-service worker slots (concurrent client lookups)")

@@ -66,10 +66,6 @@ func init() {
 		return NotifyReq{Clockwise: r.Bool(), Who: DecodePeer(r)}
 	})
 	transport.RegisterType(wireNotifyResp, func(r *transport.Reader) transport.Wire { return notifyRespBoxed })
-	// Table-carrying responses decode through the slab/alias paths below, so
-	// a caller that owns the buffer lifetime may decode them borrowed.
-	transport.MarkBorrowSafe(wireGetTableResp)
-	transport.MarkBorrowSafe(wireStabilizeResp)
 }
 
 func b2i(b bool) int {
@@ -77,49 +73,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// tableScratch is the reusable peer slab behind borrow-mode table decodes.
-// It lives in the pooled Reader's scratch slot; AcquireReader calls Reset.
-type tableScratch struct {
-	peers []Peer
-	used  int
-}
-
-// Reset recycles the slab for the Reader's next acquisition.
-func (s *tableScratch) Reset() { s.used = 0 }
-
-// peerSlab returns an n-peer slice: heap-allocated normally, carved from the
-// reader's reusable scratch in borrow mode (valid until the reader is
-// released or reused, like every borrow-mode result).
-func peerSlab(r *transport.Reader, n int) []Peer {
-	if n == 0 {
-		return make([]Peer, 0)
-	}
-	if !r.Borrowing() {
-		return make([]Peer, n)
-	}
-	s, _ := r.Scratch().(*tableScratch)
-	if s == nil {
-		s = &tableScratch{}
-		r.SetScratch(s)
-	}
-	if len(s.peers)-s.used < n {
-		c := 2 * cap(s.peers)
-		if c < n {
-			c = n
-		}
-		if c < 64 {
-			c = 64
-		}
-		// Slices carved earlier keep the old backing array; only future
-		// carves use the new slab.
-		s.peers = make([]Peer, c)
-		s.used = 0
-	}
-	ps := s.peers[s.used : s.used+n : s.used+n]
-	s.used += n
-	return ps
 }
 
 // EncodePeer writes a routing item: ring identifier (8 bytes) plus endpoint
@@ -163,7 +116,7 @@ func DecodePeers(r *transport.Reader) []Peer {
 		r.Fail()
 		return nil
 	}
-	ps := peerSlab(r, n)
+	ps := make([]Peer, n)
 	for i := range ps {
 		ps[i] = DecodePeer(r)
 	}

@@ -15,9 +15,12 @@ var (
 	// ErrLookupDiverged means a hop failed to make clockwise progress
 	// toward the key — either a routing anomaly or active manipulation.
 	ErrLookupDiverged = errors.New("chord: lookup stopped converging")
-	// ErrLookupHops means MaxLookupHops was exceeded.
+	// ErrLookupHops means maxLookupHops was exceeded.
 	ErrLookupHops = errors.New("chord: lookup exceeded max hops")
 )
+
+// maxLookupHops aborts lookups that stop converging.
+const maxLookupHops = 128
 
 // LookupStats describes one completed (or failed) lookup.
 type LookupStats struct {
@@ -57,7 +60,7 @@ func (n *Node) lookupFrom(first Peer, key id.ID, cb func(Peer, LookupStats, erro
 
 	var step func(cur Peer)
 	step = func(cur Peer) {
-		if stats.Hops >= n.Cfg.MaxLookupHops {
+		if stats.Hops >= maxLookupHops {
 			finish(NoPeer, ErrLookupHops)
 			return
 		}

@@ -33,8 +33,6 @@ type Config struct {
 	FixFingersEvery time.Duration
 	// RPCTimeout bounds every request/response exchange.
 	RPCTimeout time.Duration
-	// MaxLookupHops aborts lookups that stop converging.
-	MaxLookupHops int
 	// SignTables attaches owner signatures and timestamps to all routing
 	// tables (required by Octopus; baselines leave it off).
 	SignTables bool
@@ -53,7 +51,6 @@ func DefaultConfig() Config {
 		StabilizeEvery:  2 * time.Second,
 		FixFingersEvery: 30 * time.Second,
 		RPCTimeout:      2 * time.Second,
-		MaxLookupHops:   128,
 	}
 }
 

@@ -43,10 +43,7 @@ func (p Peer) Valid() bool { return p.Addr != transport.NoAddr }
 // A table is immutable once built: its slices are never written through, so
 // copies of the struct may share them — across messages (the simulator
 // delivers by reference), proof queues and table buffers — without a deep
-// copy. Whoever needs a changed table changes a Clone. The one exception to
-// "retain freely" is a table decoded with transport.DecodeBorrowed (no
-// production caller today): its slices alias the reader's buffer and scratch,
-// so it must be Cloned before it outlives the reader.
+// copy. Whoever needs a changed table changes a Clone.
 type RoutingTable struct {
 	Owner Peer
 	// Fingers lists the owner's valid fingers; FingerExps[i] is the
@@ -68,11 +65,6 @@ func (rt RoutingTable) IdealOf(i int) (id.ID, bool) {
 		return 0, false
 	}
 	return rt.Owner.ID.FingerTarget(int(rt.FingerExps[i])), true
-}
-
-// Items returns the number of routing items carried by the table.
-func (rt RoutingTable) Items() int {
-	return len(rt.Fingers) + len(rt.Successors) + len(rt.Predecessors)
 }
 
 // WireSize returns the exact serialized size of the table, derived from the

@@ -27,25 +27,15 @@ type IdentityFactory func(self Peer) *Identity
 // consistent routing state everywhere (correct fingers, successor and
 // predecessor lists), binds every node, and starts its maintenance timers.
 func BuildRing(tr transport.Transport, cfg Config, n int, identFor IdentityFactory) *Ring {
-	return BuildRingLocal(tr, cfg, n, identFor, nil)
-}
-
-// BuildRingLocal is BuildRing for one process of a multi-process
-// deployment: it derives the same deterministic global topology (every
-// identifier, identity, and initial routing table comes from tr.Rand(), so
-// processes sharing a transport seed derive identical rings), but binds and
-// starts only the nodes for which local reports true. The remaining Node
-// structs exist as the ground-truth view — their addresses are served by
-// other processes over the shared transport. A nil local starts everything.
-func BuildRingLocal(tr transport.Transport, cfg Config, n int, identFor IdentityFactory,
-	local func(transport.Addr) bool) *Ring {
 	r := BuildRingPaused(tr, cfg, n, identFor)
-	r.StartLocal(local)
+	r.StartLocal(nil)
 	return r
 }
 
-// BuildRingPaused derives the same deterministic topology as BuildRingLocal
-// but starts nothing: no node is bound, no timer runs. Higher layers
+// BuildRingPaused derives the same deterministic topology as BuildRing (every
+// identifier, identity, and initial routing table comes from tr.Rand(), so
+// processes sharing a transport seed derive identical rings) but starts
+// nothing: no node is bound, no timer runs. Higher layers
 // (internal/core) wire themselves onto the Node structs first — mutating an
 // unstarted node is race-free on concurrent transports, whereas a started
 // node may already be serving RPCs from its serialization context — and

@@ -121,15 +121,10 @@ func init() {
 func (s *LookupService) ServeClientLookup(client string, m ClientLookupReq, timeout time.Duration) ClientLookupResp {
 	ch := make(chan ServiceResult, 1)
 	cancel := s.EnqueueCancellable(client, m.Key, func(res ServiceResult) { ch <- res })
-	// NewTimer + Stop, not time.After: this runs once per pipelined client
-	// request, and an unstopped time.After timer would stay live for the
-	// full serve deadline after every fast response.
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
 	var res ServiceResult
 	select {
 	case res = <-ch:
-	case <-deadline.C:
+	case <-time.After(timeout):
 		// Withdraw the job if it is still queued — the client is told
 		// busy and will retry, and its retry must not stack on top of an
 		// abandoned queue entry still holding its quota.

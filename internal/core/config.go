@@ -43,14 +43,6 @@ type Config struct {
 	// Dummies is the number of dummy queries interleaved into each
 	// anonymous lookup (§4.2; the anonymity evaluation uses 2 and 6).
 	Dummies int
-	// ProofQueue is the number of most recent signed successor lists kept
-	// as pollution proofs (6, §5.1).
-	ProofQueue int
-	// TableBuffer is the number of received fingertables buffered for
-	// secret finger surveillance.
-	TableBuffer int
-	// RelayPoolMax caps the stock of unused relay pairs.
-	RelayPoolMax int
 	// QueryTimeout bounds one anonymous query round trip.
 	QueryTimeout time.Duration
 	// RelayDelayMax is the maximum random delay added by the second
@@ -126,9 +118,6 @@ func DefaultConfig() Config {
 		WalkEvery:         15 * time.Second,
 		SurveilEvery:      60 * time.Second,
 		Dummies:           6,
-		ProofQueue:        6,
-		TableBuffer:       16,
-		RelayPoolMax:      32,
 		QueryTimeout:      4 * time.Second,
 		RelayDelayMax:     100 * time.Millisecond,
 		MaxLookupQueries:  64,

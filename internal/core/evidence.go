@@ -54,13 +54,21 @@ func (r *tableRing) len() int { return len(r.buf) }
 // at returns the i-th oldest table.
 func (r *tableRing) at(i int) chord.RoutingTable { return r.buf[(r.head+i)%len(r.buf)] }
 
+// proofQueueLen is the number of most recent signed successor lists kept as
+// pollution proofs (6, §5.1).
+const proofQueueLen = 6
+
+// tableBufferLen is the number of received fingertables buffered for secret
+// finger surveillance.
+const tableBufferLen = 16
+
 // recordProof keeps the most recent signed successor lists received during
 // stabilization — the pollution proofs of §4.3 (Fig. 2(b)).
 func (e *evidence) recordProof(_ chord.Peer, table chord.RoutingTable) {
 	if table.Successors == nil {
 		return // anti-clockwise tables carry predecessors; not proofs
 	}
-	e.proofQueue.push(table, e.n.cfg.ProofQueue)
+	e.proofQueue.push(table, proofQueueLen)
 }
 
 // recordFingerProvenance stores a finger's vouching table. Entries are
@@ -85,7 +93,7 @@ func (e *evidence) bufferTable(t chord.RoutingTable) {
 	if len(t.Fingers) == 0 {
 		return
 	}
-	e.tableBuffer.push(t, e.n.cfg.TableBuffer)
+	e.tableBuffer.push(t, tableBufferLen)
 }
 
 // bufferedTable draws one buffered fingertable, if any is held.

@@ -49,6 +49,8 @@ const (
 	// pairDrawTries bounds the stocked pairs one excluding draw goes
 	// through before giving up on the stock.
 	pairDrawTries = 8
+	// relayPoolMax caps the stock of unused relay pairs.
+	relayPoolMax = 32
 )
 
 // pairPool is a node's stock of relay pairs: walks add to it, anonymous
@@ -79,7 +81,7 @@ type pairPool struct {
 
 	tr    transport.Transport
 	self  chord.Peer
-	max   int // RelayPoolMax
+	max   int // relayPoolMax
 	stats *nodeCounters
 	// candidates lists, in draw order, the peers synth builds a fallback
 	// pair from; walk runs one relay-selection walk and tells done whether
@@ -103,7 +105,7 @@ func newPairPool(n *Node) *pairPool {
 	p := &pairPool{
 		tr:         n.tr,
 		self:       n.Chord.Self,
-		max:        n.cfg.RelayPoolMax,
+		max:        relayPoolMax,
 		stats:      &n.stats,
 		candidates: n.tier.RelayCandidates,
 		walk:       n.startWalk,

@@ -438,8 +438,8 @@ func TestIdleManagedRingWalksOnlyToRestock(t *testing.T) {
 		surveilled := now > 2*cfg.SurveilEvery && now%cfg.SurveilEvery == 0
 		for i, node := range nw.Nodes {
 			p := node.pairs
-			if len(p.stock) > cfg.RelayPoolMax {
-				t.Fatalf("t=%v node %d: %d pairs stocked, RelayPoolMax is %d", now, i, len(p.stock), cfg.RelayPoolMax)
+			if len(p.stock) > relayPoolMax {
+				t.Fatalf("t=%v node %d: %d pairs stocked, relayPoolMax is %d", now, i, len(p.stock), relayPoolMax)
 			}
 			if len(p.stock) >= cfg.PairPoolTarget {
 				short[i] = 0

@@ -43,9 +43,6 @@ type Options struct {
 	WarmMax    time.Duration
 	StatusEach time.Duration
 
-	BatchBytes  int
-	BatchLinger time.Duration
-
 	ServeLookups bool
 	ServeWorkers int
 	ServeQueue   int
@@ -175,12 +172,10 @@ func (d *daemon) stop() {
 // listen opens the process's transport over the given endpoint table.
 func (d *daemon) listen(endpoints []string, seed int64) (err error) {
 	d.tr, err = nettransport.New(nettransport.Config{
-		Listen:      d.opts.Listen,
-		Self:        d.opts.Listen,
-		Endpoints:   endpoints,
-		Seed:        seed,
-		BatchBytes:  d.opts.BatchBytes,
-		BatchLinger: d.opts.BatchLinger,
+		Listen:    d.opts.Listen,
+		Self:      d.opts.Listen,
+		Endpoints: endpoints,
+		Seed:      seed,
 	})
 	return err
 }

@@ -42,7 +42,6 @@ func testOptions() Options {
 		WarmPairs:    16,
 		WarmMax:      90 * time.Second,
 		StatusEach:   5 * time.Second,
-		BatchBytes:   64 << 10,
 		ServeLookups: true,
 		ServeWorkers: 8,
 		ServeQueue:   64,

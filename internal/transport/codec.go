@@ -239,14 +239,6 @@ type Reader struct {
 	b   []byte
 	off int
 	err error
-	// borrow lets byte-slice reads alias the input instead of copying. It is
-	// only ever true inside DecodeBorrowed, and only for types whose registry
-	// entry allows it (MarkBorrowSafe).
-	borrow bool
-	// scratch is decoder-owned reusable state (slab allocations for repeated
-	// borrow-mode decodes). It survives Release/Acquire cycles; if it
-	// implements interface{ Reset() }, AcquireReader resets it.
-	scratch any
 }
 
 // NewReader wraps b for decoding.
@@ -258,31 +250,16 @@ var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 // data is no longer needed; until then b must stay unchanged.
 func AcquireReader(b []byte) *Reader {
 	r := readerPool.Get().(*Reader)
-	r.b, r.off, r.err, r.borrow = b, 0, nil, false
-	if s, ok := r.scratch.(interface{ Reset() }); ok {
-		s.Reset()
-	}
+	r.b, r.off, r.err = b, 0, nil
 	return r
 }
 
-// Release returns r to the pool. Messages decoded in borrow mode become
-// invalid: they may alias r's input buffer and scratch storage.
+// Release returns r to the pool. Decoded messages stay valid: every decode
+// copies out of the input.
 func (r *Reader) Release() {
 	r.b = nil
 	readerPool.Put(r)
 }
-
-// Borrowing reports whether the current decode runs in borrow mode (byte
-// fields may alias the input; slabs may come from Scratch).
-func (r *Reader) Borrowing() bool { return r.borrow }
-
-// Scratch returns the decoder-owned scratch value installed by SetScratch
-// (nil on a fresh Reader).
-func (r *Reader) Scratch() any { return r.scratch }
-
-// SetScratch installs decoder-owned reusable state on r. One decoding
-// package owns the slot at a time; it persists across pool cycles.
-func (r *Reader) SetScratch(s any) { r.scratch = s }
 
 // Err returns the first decode error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -376,32 +353,24 @@ func (r *Reader) Duration() time.Duration { return time.Duration(r.I64()) }
 func (r *Reader) Addr() Addr { return Addr(int64(r.U48()) - 1) }
 
 // Bytes16 reads a length-prefixed byte string. It returns nil for length 0
-// so optional fields (signatures) round-trip exactly. In borrow mode the
-// returned slice aliases the input buffer.
+// so optional fields (signatures) round-trip exactly. The result is a copy.
 func (r *Reader) Bytes16() []byte {
 	n := int(r.U16())
 	p := r.take(n)
 	if p == nil || n == 0 {
 		return nil
 	}
-	if r.borrow {
-		return p
-	}
 	out := make([]byte, n)
 	copy(out, p)
 	return out
 }
 
-// Raw reads k bytes without a length prefix (fixed-width fields). It copies
-// by default and aliases the input in borrow mode; nil on short buffer or
-// k == 0.
+// Raw reads a copy of k bytes without a length prefix (fixed-width fields);
+// nil on short buffer or k == 0.
 func (r *Reader) Raw(k int) []byte {
 	p := r.take(k)
 	if p == nil || k == 0 {
 		return nil
-	}
-	if r.borrow {
-		return p
 	}
 	out := make([]byte, k)
 	copy(out, p)
@@ -427,16 +396,9 @@ type Wire interface {
 
 // decoder reconstructs a message payload. It must consume exactly the bytes
 // EncodePayload produced.
-type decoder func(r *Reader) Wire
+type decoder = func(r *Reader) Wire
 
-// typeInfo is one registry entry: the payload decoder plus whether the type
-// may be decoded in borrow mode (its decoded form aliasing the input).
-type typeInfo struct {
-	dec    decoder
-	borrow bool
-}
-
-var decoders = map[uint16]typeInfo{}
+var decoders = map[uint16]decoder{}
 
 // RegisterType installs the payload decoder for a wire type code. It is
 // called from package init functions; duplicate registrations panic, which
@@ -445,21 +407,7 @@ func RegisterType(code uint16, dec func(r *Reader) Wire) {
 	if _, dup := decoders[code]; dup {
 		panic(fmt.Sprintf("transport: duplicate wire type 0x%04x", code))
 	}
-	decoders[code] = typeInfo{dec: dec}
-}
-
-// MarkBorrowSafe declares that a registered type's decoder honors borrow
-// mode: under DecodeBorrowed its byte fields may alias the input buffer and
-// its slices may come from the Reader's scratch, so the message is only
-// valid until the Reader is released or reused. Types not marked always
-// decode by copying, even under DecodeBorrowed.
-func MarkBorrowSafe(code uint16) {
-	info, ok := decoders[code]
-	if !ok {
-		panic(fmt.Sprintf("transport: MarkBorrowSafe before RegisterType for 0x%04x", code))
-	}
-	info.borrow = true
-	decoders[code] = info
+	decoders[code] = dec
 }
 
 // Encode serializes a message into a self-describing frame:
@@ -507,16 +455,9 @@ func Decode(b []byte) (Wire, error) {
 	return r.decodeAll()
 }
 
-// DecodeBorrowed parses one frame from the remainder of a pooled Reader in
-// borrow mode: types the registry marks borrow-safe may alias r's input
-// buffer and scratch storage, so the message is only valid until r is
-// released or reused. Types without the mark decode exactly as Decode.
-func DecodeBorrowed(r *Reader) (Wire, error) {
-	r.borrow = true
-	m, err := r.decodeAll()
-	r.borrow = false
-	return m, err
-}
+// DecodeBorrowed parses one frame from the remainder of a pooled Reader,
+// copying exactly as Decode does.
+func DecodeBorrowed(r *Reader) (Wire, error) { return r.decodeAll() }
 
 func (r *Reader) decodeAll() (Wire, error) {
 	m := decodeFrame(r)
@@ -535,16 +476,12 @@ func decodeFrame(r *Reader) Wire {
 	if r.Err() != nil {
 		return nil
 	}
-	info, ok := decoders[code]
+	dec, ok := decoders[code]
 	if !ok {
 		r.err = fmt.Errorf("%w: 0x%04x", ErrUnknownType, code)
 		return nil
 	}
-	save := r.borrow
-	r.borrow = save && info.borrow
-	m := info.dec(r)
-	r.borrow = save
-	return m
+	return dec(r)
 }
 
 // EncodedSize returns the exact frame size Encode would produce, computed by

@@ -63,54 +63,36 @@ type Config struct {
 	// bootstrap state (ring identifiers, key material) is derived
 	// deterministically from this stream.
 	Seed int64
-	// MaxFrame bounds one frame's size; DefaultMaxFrame when zero.
-	MaxFrame int
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
 	// RedialBackoff is the quiet period after a failed dial during which
 	// outbound frames to that endpoint are dropped without redialing
 	// (default 250ms). Drops surface as RPC timeouts, the same signal a
 	// dead peer produces.
 	RedialBackoff time.Duration
-	// WriteTimeout bounds one frame write (default 5s); a wedged peer
-	// costs one write deadline, not a stuck writer goroutine.
-	WriteTimeout time.Duration
-	// LinkQueue is the per-endpoint outbound queue depth (default 1024).
-	// A full queue drops frames rather than blocking a host's actor loop.
-	LinkQueue int
-	// BatchBytes caps how many frame bytes one writer flush coalesces
-	// (default 64 KiB). Frames already waiting in a link's queue are
-	// gathered into a single vectored write instead of one syscall each;
-	// the queue draining — not the cap — is what normally ends a batch, so
-	// a lone frame is never delayed.
-	BatchBytes int
-	// BatchLinger, when positive, lets the writer wait up to this long for
-	// more frames before flushing a non-full batch. Zero (the default)
-	// flushes as soon as the queue drains: coalescing then only captures
-	// natural bursts and adds no latency.
-	BatchLinger time.Duration
 }
 
 func (cfg *Config) fillDefaults() {
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = DefaultMaxFrame
-	}
-	if cfg.BatchBytes == 0 {
-		cfg.BatchBytes = 64 << 10
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.RedialBackoff == 0 {
 		cfg.RedialBackoff = 250 * time.Millisecond
 	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 5 * time.Second
-	}
-	if cfg.LinkQueue == 0 {
-		cfg.LinkQueue = 1024
-	}
 }
+
+// Link and writer bounds. Inbound frames are bounded by DefaultMaxFrame.
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// writeTimeout bounds one frame write: a wedged peer costs one write
+	// deadline, not a stuck writer goroutine.
+	writeTimeout = 5 * time.Second
+	// linkQueue is the per-endpoint outbound queue depth. A full queue drops
+	// frames rather than blocking a host's actor loop.
+	linkQueue = 1024
+	// batchBytes caps how many frame bytes one writer flush coalesces.
+	// Frames already waiting in a link's queue are gathered into a single
+	// vectored write instead of one syscall each; the queue draining — not
+	// the cap — is what normally ends a batch, so a lone frame is never
+	// delayed.
+	batchBytes = 64 << 10
+)
 
 // pendingCall is one outstanding RPC awaiting its response frame.
 type pendingCall struct {
@@ -701,7 +683,7 @@ func (t *Transport) serveConn(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
 	for {
-		h, fb, err := readFrameBuf(br, t.cfg.MaxFrame)
+		h, fb, err := readFrameBuf(br, DefaultMaxFrame)
 		if err != nil {
 			if err != io.EOF && !t.closed.Load() {
 				t.protoErrors.Add(1)
@@ -750,7 +732,7 @@ func (t *Transport) serveBootstrap(c net.Conn, h frameHeader, payload []byte) er
 		t.codecErrors.Add(1)
 		return nil
 	}
-	c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+	c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	err = writeAll(c, fb.B)
 	fb.Release()
 	if err != nil {
@@ -814,7 +796,7 @@ func (t *Transport) linkTo(endpoint string) *link {
 		if t.closed.Load() {
 			return nil // shutting down: no new writer goroutines
 		}
-		l = &link{t: t, endpoint: endpoint, ch: make(chan *transport.Buf, t.cfg.LinkQueue)}
+		l = &link{t: t, endpoint: endpoint, ch: make(chan *transport.Buf, linkQueue)}
 		t.links[endpoint] = l
 		t.wg.Add(1)
 		go l.run()
@@ -823,7 +805,7 @@ func (t *Transport) linkTo(endpoint string) *link {
 }
 
 func (l *link) dial() net.Conn {
-	c, err := net.DialTimeout("tcp", l.endpoint, l.t.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", l.endpoint, dialTimeout)
 	if err != nil {
 		return nil
 	}
@@ -832,15 +814,12 @@ func (l *link) dial() net.Conn {
 }
 
 // gather collects the current batch: the first (blocking-received) frame
-// plus whatever else is already queued, up to BatchBytes. With BatchLinger
-// set it then waits once up to that long for stragglers, so near-simultaneous
-// frames from different actor loops coalesce even if the queue momentarily
-// ran dry.
+// plus whatever else is already queued, up to batchBytes.
 func (l *link) gather(first *transport.Buf) []*transport.Buf {
 	batch := append(l.batch[:0], first)
 	total := len(first.B)
 drain:
-	for total < l.t.cfg.BatchBytes {
+	for total < batchBytes {
 		select {
 		case fb := <-l.ch:
 			batch = append(batch, fb)
@@ -848,22 +827,6 @@ drain:
 		default:
 			break drain
 		}
-	}
-	if l.t.cfg.BatchLinger > 0 && total < l.t.cfg.BatchBytes {
-		timer := time.NewTimer(l.t.cfg.BatchLinger)
-	linger:
-		for total < l.t.cfg.BatchBytes {
-			select {
-			case fb := <-l.ch:
-				batch = append(batch, fb)
-				total += len(fb.B)
-			case <-timer.C:
-				break linger
-			case <-l.t.done:
-				break linger
-			}
-		}
-		timer.Stop()
 	}
 	l.batch = batch
 	return batch
@@ -873,7 +836,7 @@ drain:
 // indirection). net.Buffers consumes the slice-of-slices, not the frames, so
 // a retry after redial can rebuild it from the same batch.
 func (l *link) writeBatch(conn net.Conn, batch []*transport.Buf) error {
-	conn.SetWriteDeadline(time.Now().Add(l.t.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if len(batch) == 1 {
 		return writeAll(conn, batch[0].B)
 	}

@@ -79,7 +79,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // IsTestFile reports whether the file is a _test.go file. Passes that
-// guard runtime invariants (determinism, anonleak, atomicstats)
+// guard runtime invariants (determinism, anonleak)
 // skip test files.
 func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")

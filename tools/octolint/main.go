@@ -1,7 +1,6 @@
 // Command octolint is the repository's project-specific static-analysis
-// suite: three analyzers that mechanically enforce invariants the compiler
-// cannot see — seeded-replay determinism, telemetry anonymity, and
-// atomic-access discipline. See docs/STATIC_ANALYSIS.md for each invariant, the
+// suite: two analyzers that mechanically enforce invariants the compiler
+// cannot see — seeded-replay determinism and telemetry anonymity. See docs/STATIC_ANALYSIS.md for each invariant, the
 // incident that motivated it, and the escape-pragma policy
 // (//octolint:allow <analyzer> <reason>).
 //
@@ -21,8 +20,8 @@
 // and are gated until this module grows that dependency; the vettool
 // protocol means bundling them later is mechanical.
 //
-// Analyzer selection follows vet convention: with no analyzer flags all
-// three run; naming any (-determinism, -anonleak, ...) runs only those.
+// Analyzer selection follows vet convention: with no analyzer flags both
+// run; naming any (-determinism, -anonleak, ...) runs only those.
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 
 	"github.com/octopus-dht/octopus/tools/octolint/lintcore"
 	"github.com/octopus-dht/octopus/tools/octolint/passes/anonleak"
-	"github.com/octopus-dht/octopus/tools/octolint/passes/atomicstats"
 	"github.com/octopus-dht/octopus/tools/octolint/passes/determinism"
 )
 
@@ -42,7 +40,6 @@ import (
 var analyzers = []*lintcore.Analyzer{
 	determinism.Analyzer,
 	anonleak.Analyzer,
-	atomicstats.Analyzer,
 }
 
 // curatedVetPasses are the toolchain-shipped go vet analyzers octolint
