@@ -30,8 +30,9 @@ func TestVerifySigAllocatesNothing(t *testing.T) {
 
 // TestTableCodecAllocations pins the codec on the message that dominates the
 // wire, a signed lookup table of 12 fingers and 6 successors: encoding into a
-// reused buffer and Size() allocate nothing; a decode allocates five times:
-// fingers, exponents, successors, signature and the interface box. Not under
+// reused buffer and Size() allocate nothing; Decode and DecodeBorrowed on a
+// pooled Reader each allocate five times: fingers, exponents, successors,
+// signature and the interface box. Not under
 // -race, for the pooled writers and readers.
 func TestTableCodecAllocations(t *testing.T) {
 	resp := GetTableResp{Table: goldenTables()[0].table}
@@ -64,6 +65,18 @@ func TestTableCodecAllocations(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(200, decode); a != 5 {
 			t.Errorf("Decode allocates %v times per call, want 5", a)
+		}
+	})
+	t.Run("DecodeBorrowed", func(t *testing.T) {
+		decode := func() {
+			r := transport.AcquireReader(wire)
+			if _, err := transport.DecodeBorrowed(r); err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
+		}
+		if a := testing.AllocsPerRun(200, decode); a != 5 {
+			t.Errorf("DecodeBorrowed allocates %v times per call, want 5", a)
 		}
 	})
 	t.Run("Size", func(t *testing.T) {

@@ -237,18 +237,20 @@ func TestDecodeCopies(t *testing.T) {
 		},
 	}
 	for name, decode := range decoders {
-		frame, err := Encode(m)
-		if err != nil {
-			t.Fatalf("Encode: %v", err)
-		}
-		dec, err := decode(frame)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		clear(frame)
-		if got := dec.(poolMsg); got.A != m.A || !bytes.Equal(got.Blob, m.Blob) {
-			t.Errorf("%s result changed with its input: %+v, want %+v", name, got, m)
-		}
+		t.Run(name, func(t *testing.T) {
+			frame, err := Encode(m)
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			dec, err := decode(frame)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			clear(frame)
+			if got := dec.(poolMsg); got.A != m.A || !bytes.Equal(got.Blob, m.Blob) {
+				t.Errorf("%s result changed with its input: %+v, want %+v", name, got, m)
+			}
+		})
 	}
 }
 
