@@ -451,29 +451,18 @@ func TestSingletonRing(t *testing.T) {
 func TestTableWireSizeAccounting(t *testing.T) {
 	env := newEnv(t, 30, DefaultConfig())
 	rt := env.ring.Node(0).Table(true, false)
-	// WireSize is derived from the real encoding: it must match the bytes
-	// the codec actually produces for the table.
-	measure := func(rt RoutingTable) int {
-		w := &transport.Writer{}
-		EncodeTable(w, rt)
-		return w.Len()
-	}
-	if got, want := rt.WireSize(), measure(rt); got != want {
-		t.Errorf("unsigned WireSize = %d, encoded length = %d", got, want)
+	// Size is derived from the real encoding: it must match the bytes the
+	// codec actually produces for the table, signed or not.
+	unsigned := GetTableResp{Table: rt}.Size()
+	rt.Sig = make([]byte, xcrypto.SigWireSize)
+	for _, resp := range []GetTableResp{{Table: rt}, {Table: env.ring.Node(0).Table(true, false)}} {
+		if enc, err := transport.Encode(resp); err != nil || len(enc) != resp.Size() {
+			t.Errorf("GetTableResp Size() = %d, len(Encode) = %d (err %v)", resp.Size(), len(enc), err)
+		}
 	}
 	// Signing grows the table by exactly the signature bytes.
-	unsigned := rt.WireSize()
-	rt.Sig = make([]byte, xcrypto.SigWireSize)
-	if got, want := rt.WireSize(), measure(rt); got != want {
-		t.Errorf("signed WireSize = %d, encoded length = %d", got, want)
-	}
-	if got, want := rt.WireSize(), unsigned+xcrypto.SigWireSize; got != want {
-		t.Errorf("signed WireSize = %d, want unsigned+sig = %d", got, want)
-	}
-	// And the GetTableResp frame carrying it sizes as frame header + table.
-	resp := GetTableResp{Table: rt}
-	if enc, err := transport.Encode(resp); err != nil || len(enc) != resp.Size() {
-		t.Errorf("GetTableResp Size() = %d, len(Encode) = %d (err %v)", resp.Size(), len(enc), err)
+	if got, want := (GetTableResp{Table: rt}).Size(), unsigned+xcrypto.SigWireSize; got != want {
+		t.Errorf("signed Size() = %d, want unsigned+sig = %d", got, want)
 	}
 }
 

@@ -1,15 +1,12 @@
 package chord
 
-import (
-	"github.com/octopus-dht/octopus/internal/id"
-	"github.com/octopus-dht/octopus/internal/transport"
-)
+import "github.com/octopus-dht/octopus/internal/transport"
 
 // Binary wire codec for the routing-layer messages. Every message is a
-// transport.Wire: it encodes to a self-describing frame and its Size() is
-// derived from the real encoding (transport.EncodedSize), so bandwidth
-// accounting and actual serialization can never drift apart. The codec tests
-// fuzz round-trips and enforce Size() == len(Encode(m)) for every type.
+// transport.Wire whose Code method is its one field list: the same function
+// encodes it, sizes it (transport.EncodedSize) and decodes it, so bandwidth
+// accounting, serialization and parsing can never drift apart. The codec
+// tests fuzz round-trips and enforce Size() == len(Encode(m)) for every type.
 
 // Wire type codes of the chord package (0x01xx block).
 const (
@@ -25,16 +22,11 @@ const (
 	wireNotifyResp    = 0x010A
 )
 
-// Pre-boxed singletons for the field-free and two-bool message types: their
-// decoders return shared interface values instead of heap-boxing a fresh
-// struct per frame. Receivers get value copies on type assertion, so sharing
-// is invisible.
-var (
-	pingReqBoxed     transport.Wire = PingReq{}
-	pingRespBoxed    transport.Wire = PingResp{}
-	notifyRespBoxed  transport.Wire = NotifyResp{}
-	getTableReqBoxed [2][2]transport.Wire
-)
+// getTableReqBoxed holds the four GetTableReq values, boxed once: every
+// lookup query sends one, and its decoder returns a shared interface value
+// instead of heap-boxing a fresh struct per frame. Receivers get value
+// copies on type assertion, so sharing is invisible.
+var getTableReqBoxed [2][2]transport.Wire
 
 func init() {
 	for _, s := range []bool{false, true} {
@@ -42,30 +34,8 @@ func init() {
 			getTableReqBoxed[b2i(s)][b2i(p)] = GetTableReq{IncludeSuccessors: s, IncludePredecessors: p}
 		}
 	}
-	transport.RegisterType(wirePingReq, func(r *transport.Reader) transport.Wire { return pingReqBoxed })
-	transport.RegisterType(wirePingResp, func(r *transport.Reader) transport.Wire { return pingRespBoxed })
-	transport.RegisterType(wireFindNextReq, func(r *transport.Reader) transport.Wire {
-		return FindNextReq{Key: id.ID(r.U64())}
-	})
-	transport.RegisterType(wireFindNextResp, func(r *transport.Reader) transport.Wire {
-		return FindNextResp{Done: r.Bool(), Owner: DecodePeer(r), Next: DecodePeer(r)}
-	})
-	transport.RegisterType(wireGetTableReq, func(r *transport.Reader) transport.Wire {
-		return getTableReqBoxed[b2i(r.Bool())][b2i(r.Bool())]
-	})
-	transport.RegisterType(wireGetTableResp, func(r *transport.Reader) transport.Wire {
-		return GetTableResp{Table: DecodeTable(r)}
-	})
-	transport.RegisterType(wireStabilizeReq, func(r *transport.Reader) transport.Wire {
-		return StabilizeReq{Clockwise: r.Bool()}
-	})
-	transport.RegisterType(wireStabilizeResp, func(r *transport.Reader) transport.Wire {
-		return StabilizeResp{Table: DecodeTable(r), Back: DecodePeer(r)}
-	})
-	transport.RegisterType(wireNotifyReq, func(r *transport.Reader) transport.Wire {
-		return NotifyReq{Clockwise: r.Bool(), Who: DecodePeer(r)}
-	})
-	transport.RegisterType(wireNotifyResp, func(r *transport.Reader) transport.Wire { return notifyRespBoxed })
+	transport.Register(PingReq{}, PingResp{}, FindNextReq{}, FindNextResp{}, GetTableReq{},
+		GetTableResp{}, StabilizeReq{}, StabilizeResp{}, NotifyReq{}, NotifyResp{})
 }
 
 func b2i(b bool) int {
@@ -75,163 +45,125 @@ func b2i(b bool) int {
 	return 0
 }
 
-// EncodePeer writes a routing item: ring identifier (8 bytes) plus endpoint
+// CodePeer codes a routing item: ring identifier (8 bytes) plus endpoint
 // address (6 bytes, the width of an IPv4:port pair).
-func EncodePeer(w *transport.Writer, p Peer) {
-	w.U64(uint64(p.ID))
-	w.Addr(p.Addr)
+func CodePeer(c *transport.Codec, p *Peer) {
+	c.ID(&p.ID)
+	c.Addr(&p.Addr)
 }
 
-// DecodePeer reads a routing item written by EncodePeer.
-func DecodePeer(r *transport.Reader) Peer {
-	return Peer{ID: id.ID(r.U64()), Addr: r.Addr()}
-}
-
-// EncodePeers writes a peer list with a presence flag so nil and empty
-// slices round-trip distinctly (the protocol distinguishes "no successor
+// CodePeers codes a peer list behind a presence flag, so nil and empty
+// lists round-trip distinctly (the protocol distinguishes "no successor
 // list requested" from "empty successor list").
-func EncodePeers(w *transport.Writer, ps []Peer) {
-	w.Bool(ps != nil)
-	if ps == nil {
-		return
-	}
-	if w.Counting() {
+func CodePeers(c *transport.Codec, ps *[]Peer) {
+	switch {
+	case !transport.Present(c, ps):
+	case c.Counting():
 		// Size() runs per delivered message; the items are fixed-width.
-		w.Pad(2 + len(ps)*peerWireSize)
-		return
-	}
-	w.U16(uint16(len(ps)))
-	for _, p := range ps {
-		EncodePeer(w, p)
+		c.Pad(2 + len(*ps)*peerWireSize)
+	default:
+		transport.List(c, ps, peerWireSize, CodePeer)
 	}
 }
 
-// DecodePeers reads a peer list written by EncodePeers.
-func DecodePeers(r *transport.Reader) []Peer {
-	if !r.Bool() {
-		return nil
+// CodeTable codes the full signed-table wire format.
+func CodeTable(c *transport.Codec, rt *RoutingTable) {
+	CodePeer(c, &rt.Owner)
+	c.Duration(&rt.Timestamp)
+	CodePeers(c, &rt.Fingers)
+	if transport.Present(c, &rt.FingerExps) {
+		c.Bytes16(&rt.FingerExps)
 	}
-	n := int(r.U16())
-	if r.Err() != nil || r.Remaining() < n*peerWireSize {
-		r.Fail()
-		return nil
-	}
-	ps := make([]Peer, n)
-	for i := range ps {
-		ps[i] = DecodePeer(r)
-	}
-	return ps
-}
-
-// EncodeTable writes the full signed-table wire format.
-func EncodeTable(w *transport.Writer, rt RoutingTable) {
-	EncodePeer(w, rt.Owner)
-	w.Duration(rt.Timestamp)
-	EncodePeers(w, rt.Fingers)
-	w.Bool(rt.FingerExps != nil)
-	if rt.FingerExps != nil {
-		w.U16(uint16(len(rt.FingerExps)))
-		w.Raw(rt.FingerExps)
-	}
-	EncodePeers(w, rt.Successors)
-	EncodePeers(w, rt.Predecessors)
-	w.Bytes16(rt.Sig)
-}
-
-// DecodeTable reads a table written by EncodeTable.
-func DecodeTable(r *transport.Reader) RoutingTable {
-	rt := RoutingTable{
-		Owner:     DecodePeer(r),
-		Timestamp: r.Duration(),
-		Fingers:   DecodePeers(r),
-	}
-	if r.Bool() {
-		n := int(r.U16())
-		if r.Err() != nil || r.Remaining() < n {
-			r.Fail()
-			return RoutingTable{}
-		}
-		if n == 0 {
-			rt.FingerExps = []uint8{} // presence flag: empty, not nil
-		} else {
-			rt.FingerExps = r.Raw(n)
-		}
-	}
-	rt.Successors = DecodePeers(r)
-	rt.Predecessors = DecodePeers(r)
-	rt.Sig = r.Bytes16()
-	return rt
+	CodePeers(c, &rt.Successors)
+	CodePeers(c, &rt.Predecessors)
+	c.Bytes16(&rt.Sig)
 }
 
 // WireType implements transport.Wire.
 func (PingReq) WireType() uint16 { return wirePingReq }
 
-// EncodePayload implements transport.Wire.
-func (PingReq) EncodePayload(*transport.Writer) {}
+// Code implements transport.Wire.
+func (m PingReq) Code(c *transport.Codec) transport.Wire { return transport.Decoded(c, &m) }
 
 // WireType implements transport.Wire.
 func (PingResp) WireType() uint16 { return wirePingResp }
 
-// EncodePayload implements transport.Wire.
-func (PingResp) EncodePayload(*transport.Writer) {}
+// Code implements transport.Wire.
+func (m PingResp) Code(c *transport.Codec) transport.Wire { return transport.Decoded(c, &m) }
 
 // WireType implements transport.Wire.
 func (FindNextReq) WireType() uint16 { return wireFindNextReq }
 
-// EncodePayload implements transport.Wire.
-func (m FindNextReq) EncodePayload(w *transport.Writer) { w.U64(uint64(m.Key)) }
+// Code implements transport.Wire.
+func (m FindNextReq) Code(c *transport.Codec) transport.Wire {
+	c.ID(&m.Key)
+	return transport.Decoded(c, &m)
+}
 
 // WireType implements transport.Wire.
 func (FindNextResp) WireType() uint16 { return wireFindNextResp }
 
-// EncodePayload implements transport.Wire.
-func (m FindNextResp) EncodePayload(w *transport.Writer) {
-	w.Bool(m.Done)
-	EncodePeer(w, m.Owner)
-	EncodePeer(w, m.Next)
+// Code implements transport.Wire.
+func (m FindNextResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.Done)
+	CodePeer(c, &m.Owner)
+	CodePeer(c, &m.Next)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (GetTableReq) WireType() uint16 { return wireGetTableReq }
 
-// EncodePayload implements transport.Wire.
-func (m GetTableReq) EncodePayload(w *transport.Writer) {
-	w.Bool(m.IncludeSuccessors)
-	w.Bool(m.IncludePredecessors)
+// Code implements transport.Wire.
+func (m GetTableReq) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.IncludeSuccessors)
+	c.Bool(&m.IncludePredecessors)
+	if !c.Decoding() {
+		return nil
+	}
+	return getTableReqBoxed[b2i(m.IncludeSuccessors)][b2i(m.IncludePredecessors)]
 }
 
 // WireType implements transport.Wire.
 func (GetTableResp) WireType() uint16 { return wireGetTableResp }
 
-// EncodePayload implements transport.Wire.
-func (m GetTableResp) EncodePayload(w *transport.Writer) { EncodeTable(w, m.Table) }
+// Code implements transport.Wire.
+func (m GetTableResp) Code(c *transport.Codec) transport.Wire {
+	CodeTable(c, &m.Table)
+	return transport.Decoded(c, &m)
+}
 
 // WireType implements transport.Wire.
 func (StabilizeReq) WireType() uint16 { return wireStabilizeReq }
 
-// EncodePayload implements transport.Wire.
-func (m StabilizeReq) EncodePayload(w *transport.Writer) { w.Bool(m.Clockwise) }
+// Code implements transport.Wire.
+func (m StabilizeReq) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.Clockwise)
+	return transport.Decoded(c, &m)
+}
 
 // WireType implements transport.Wire.
 func (StabilizeResp) WireType() uint16 { return wireStabilizeResp }
 
-// EncodePayload implements transport.Wire.
-func (m StabilizeResp) EncodePayload(w *transport.Writer) {
-	EncodeTable(w, m.Table)
-	EncodePeer(w, m.Back)
+// Code implements transport.Wire.
+func (m StabilizeResp) Code(c *transport.Codec) transport.Wire {
+	CodeTable(c, &m.Table)
+	CodePeer(c, &m.Back)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (NotifyReq) WireType() uint16 { return wireNotifyReq }
 
-// EncodePayload implements transport.Wire.
-func (m NotifyReq) EncodePayload(w *transport.Writer) {
-	w.Bool(m.Clockwise)
-	EncodePeer(w, m.Who)
+// Code implements transport.Wire.
+func (m NotifyReq) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.Clockwise)
+	CodePeer(c, &m.Who)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (NotifyResp) WireType() uint16 { return wireNotifyResp }
 
-// EncodePayload implements transport.Wire.
-func (NotifyResp) EncodePayload(*transport.Writer) {}
+// Code implements transport.Wire.
+func (m NotifyResp) Code(c *transport.Codec) transport.Wire { return transport.Decoded(c, &m) }

@@ -84,10 +84,10 @@ type LeaveReq struct {
 // signed statement in the system (routing tables, and the 0x01–0x03
 // CA/retire attestations in internal/core).
 func LeaveStatement(who Peer) []byte {
-	w := &transport.Writer{}
-	w.U8(0x04)
-	EncodePeer(w, who)
-	return w.Bytes()
+	c, tag := &transport.Codec{}, uint8(0x04)
+	c.U8(&tag)
+	CodePeer(c, &who)
+	return c.Bytes()
 }
 
 // Size implements transport.Message.
@@ -130,74 +130,65 @@ const (
 )
 
 func init() {
-	transport.RegisterType(wireJoinReq, func(r *transport.Reader) transport.Wire {
-		return JoinReq{Who: DecodePeer(r), Cert: xcrypto.UnmarshalCertificate(r)}
-	})
-	transport.RegisterType(wireJoinResp, func(r *transport.Reader) transport.Wire {
-		return JoinResp{OK: r.Bool(), Successors: DecodePeers(r), Predecessors: DecodePeers(r)}
-	})
-	transport.RegisterType(wireLeaveReq, func(r *transport.Reader) transport.Wire {
-		return LeaveReq{Who: DecodePeer(r), Successors: DecodePeers(r),
-			Predecessors: DecodePeers(r), Sig: r.Bytes16()}
-	})
-	transport.RegisterType(wireLeaveResp, func(r *transport.Reader) transport.Wire {
-		return LeaveResp{OK: r.Bool()}
-	})
-	transport.RegisterType(wireSuspectReq, func(r *transport.Reader) transport.Wire {
-		return SuspectReq{}
-	})
-	transport.RegisterType(wireSuspectResp, func(r *transport.Reader) transport.Wire {
-		return SuspectResp{Who: DecodePeer(r)}
-	})
+	transport.Register(JoinReq{}, JoinResp{}, LeaveReq{}, LeaveResp{}, SuspectReq{}, SuspectResp{})
 }
 
 // WireType implements transport.Wire.
 func (JoinReq) WireType() uint16 { return wireJoinReq }
 
-// EncodePayload implements transport.Wire.
-func (m JoinReq) EncodePayload(w *transport.Writer) {
-	EncodePeer(w, m.Who)
-	m.Cert.MarshalWire(w)
+// Code implements transport.Wire.
+func (m JoinReq) Code(c *transport.Codec) transport.Wire {
+	CodePeer(c, &m.Who)
+	xcrypto.CodeCertificate(c, &m.Cert)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (JoinResp) WireType() uint16 { return wireJoinResp }
 
-// EncodePayload implements transport.Wire.
-func (m JoinResp) EncodePayload(w *transport.Writer) {
-	w.Bool(m.OK)
-	EncodePeers(w, m.Successors)
-	EncodePeers(w, m.Predecessors)
+// Code implements transport.Wire.
+func (m JoinResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.OK)
+	CodePeers(c, &m.Successors)
+	CodePeers(c, &m.Predecessors)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (LeaveReq) WireType() uint16 { return wireLeaveReq }
 
-// EncodePayload implements transport.Wire.
-func (m LeaveReq) EncodePayload(w *transport.Writer) {
-	EncodePeer(w, m.Who)
-	EncodePeers(w, m.Successors)
-	EncodePeers(w, m.Predecessors)
-	w.Bytes16(m.Sig)
+// Code implements transport.Wire.
+func (m LeaveReq) Code(c *transport.Codec) transport.Wire {
+	CodePeer(c, &m.Who)
+	CodePeers(c, &m.Successors)
+	CodePeers(c, &m.Predecessors)
+	c.Bytes16(&m.Sig)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (LeaveResp) WireType() uint16 { return wireLeaveResp }
 
-// EncodePayload implements transport.Wire.
-func (m LeaveResp) EncodePayload(w *transport.Writer) { w.Bool(m.OK) }
+// Code implements transport.Wire.
+func (m LeaveResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.OK)
+	return transport.Decoded(c, &m)
+}
 
 // WireType implements transport.Wire.
 func (SuspectReq) WireType() uint16 { return wireSuspectReq }
 
-// EncodePayload implements transport.Wire.
-func (SuspectReq) EncodePayload(*transport.Writer) {}
+// Code implements transport.Wire.
+func (m SuspectReq) Code(c *transport.Codec) transport.Wire { return transport.Decoded(c, &m) }
 
 // WireType implements transport.Wire.
 func (SuspectResp) WireType() uint16 { return wireSuspectResp }
 
-// EncodePayload implements transport.Wire.
-func (m SuspectResp) EncodePayload(w *transport.Writer) { EncodePeer(w, m.Who) }
+// Code implements transport.Wire.
+func (m SuspectResp) Code(c *transport.Codec) transport.Wire {
+	CodePeer(c, &m.Who)
+	return transport.Decoded(c, &m)
+}
 
 // --- Node-side membership handling ---
 

@@ -11,7 +11,7 @@ import (
 // reports the exact frame length of that encoding via transport.EncodedSize.
 
 // peerWireSize is the encoded size of one routing item: ring identifier
-// plus endpoint address (see EncodePeer).
+// plus endpoint address (see CodePeer).
 const peerWireSize = xcrypto.RoutingItemWireSize
 
 // PingReq checks liveness.

@@ -67,15 +67,6 @@ func (rt RoutingTable) IdealOf(i int) (id.ID, bool) {
 	return rt.Owner.ID.FingerTarget(int(rt.FingerExps[i])), true
 }
 
-// WireSize returns the exact serialized size of the table, derived from the
-// real wire encoding (codec.go). Unsigned tables (the Chord/Halo baselines)
-// simply carry an empty signature field.
-func (rt RoutingTable) WireSize() int {
-	w := transport.NewCountingWriter()
-	EncodeTable(w, rt)
-	return w.Len()
-}
-
 // appendSignedBytes appends the canonical byte encoding covered by the table
 // signature to dst.
 func (rt *RoutingTable) appendSignedBytes(dst []byte) []byte {

@@ -19,7 +19,7 @@ func listShapes() map[string][]Peer {
 
 // TestCloneEncodesIdentically pins Clone as a faithful copy: for nil, empty
 // and filled values of every slice field, the clone encodes byte for byte like
-// its original (EncodeTable writes presence flags, so nil and empty differ on
+// its original (CodeTable writes presence flags, so nil and empty differ on
 // the wire) and shares no storage with it.
 func TestCloneEncodesIdentically(t *testing.T) {
 	for fn, fingers := range listShapes() {
@@ -58,7 +58,7 @@ func TestCloneEncodesIdentically(t *testing.T) {
 	}
 }
 
-// TestTableSizeMatchesEncoding checks the counting shortcut of EncodePeers:
+// TestTableSizeMatchesEncoding checks the counting shortcut of CodePeers:
 // Size() adds a peer list's length in one step, and must still equal the
 // encoder's output for every list length, across the one- and two-byte range
 // of the count.
@@ -83,9 +83,6 @@ func TestTableSizeMatchesEncoding(t *testing.T) {
 						t.Errorf("%T with %d/%d/%d peers: Size() = %d, len(Encode()) = %d",
 							m, len(fingers), len(succs), len(preds), m.Size(), len(enc))
 					}
-				}
-				if payload := (GetTableResp{Table: rt}).Size() - 2; rt.WireSize() != payload {
-					t.Errorf("WireSize() = %d, frame payload is %d", rt.WireSize(), payload)
 				}
 			}
 		}

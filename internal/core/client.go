@@ -41,10 +41,11 @@ func (m ClientLookupReq) Size() int { return transport.EncodedSize(m) }
 // WireType implements transport.Wire.
 func (ClientLookupReq) WireType() uint16 { return wireClientLookupReq }
 
-// EncodePayload implements transport.Wire.
-func (m ClientLookupReq) EncodePayload(w *transport.Writer) {
-	w.U64(m.Seq)
-	w.U64(uint64(m.Key))
+// Code implements transport.Wire.
+func (m ClientLookupReq) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.Seq)
+	c.ID(&m.Key)
+	return transport.Decoded(c, &m)
 }
 
 // ClientLookupResp reports one served lookup. Busy distinguishes
@@ -72,45 +73,21 @@ func (m ClientLookupResp) Size() int { return transport.EncodedSize(m) }
 // WireType implements transport.Wire.
 func (ClientLookupResp) WireType() uint16 { return wireClientLookupResp }
 
-// EncodePayload implements transport.Wire.
-func (m ClientLookupResp) EncodePayload(w *transport.Writer) {
-	w.U64(m.Seq)
-	var flags uint8
-	if m.OK {
-		flags |= 1
-	}
-	if m.Busy {
-		flags |= 2
-	}
-	w.U8(flags)
-	chord.EncodePeer(w, m.Owner)
-	w.U16(m.Queries)
-	w.U16(m.Dummies)
-	w.U16(m.PairsUsed)
-	w.U16(m.Rejected)
-	w.U64(m.LatencyMicros)
-	w.U64(m.WaitMicros)
+// Code implements transport.Wire.
+func (m ClientLookupResp) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.Seq)
+	c.Flags(&m.OK, &m.Busy)
+	chord.CodePeer(c, &m.Owner)
+	c.U16(&m.Queries)
+	c.U16(&m.Dummies)
+	c.U16(&m.PairsUsed)
+	c.U16(&m.Rejected)
+	c.U64(&m.LatencyMicros)
+	c.U64(&m.WaitMicros)
+	return transport.Decoded(c, &m)
 }
 
-func init() {
-	transport.RegisterType(wireClientLookupReq, func(r *transport.Reader) transport.Wire {
-		return ClientLookupReq{Seq: r.U64(), Key: id.ID(r.U64())}
-	})
-	transport.RegisterType(wireClientLookupResp, func(r *transport.Reader) transport.Wire {
-		m := ClientLookupResp{Seq: r.U64()}
-		flags := r.U8()
-		m.OK = flags&1 != 0
-		m.Busy = flags&2 != 0
-		m.Owner = chord.DecodePeer(r)
-		m.Queries = r.U16()
-		m.Dummies = r.U16()
-		m.PairsUsed = r.U16()
-		m.Rejected = r.U16()
-		m.LatencyMicros = r.U64()
-		m.WaitMicros = r.U64()
-		return m
-	})
-}
+func init() { transport.Register(ClientLookupReq{}, ClientLookupResp{}) }
 
 // ServeClientLookup bridges one wire request into the service and blocks —
 // up to timeout — for the outcome. It is intended for a bootstrap-channel

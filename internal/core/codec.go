@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/octopus-dht/octopus/internal/chord"
-	"github.com/octopus-dht/octopus/internal/id"
 	"github.com/octopus-dht/octopus/internal/transport"
 	"github.com/octopus-dht/octopus/internal/xcrypto"
 )
@@ -30,283 +29,203 @@ const (
 )
 
 func init() {
-	transport.RegisterType(wireRelayForward, func(r *transport.Reader) transport.Wire { return decodeRelayForward(r) })
-	transport.RegisterType(wireRelayReply, func(r *transport.Reader) transport.Wire { return decodeRelayReply(r) })
-	transport.RegisterType(wireWalkSeedReq, func(r *transport.Reader) transport.Wire {
-		return WalkSeedReq{WalkID: r.U64(), Seed: r.I64(), Hops: int(r.U16())}
-	})
-	transport.RegisterType(wireWalkSeedResp, func(r *transport.Reader) transport.Wire {
-		return WalkSeedResp{WalkID: r.U64(), OK: r.Bool(), Tables: decodeTables(r)}
-	})
-	transport.RegisterType(wireReceipt, func(r *transport.Reader) transport.Wire { return decodeReceipt(r) })
-	transport.RegisterType(wireWitnessReq, func(r *transport.Reader) transport.Wire {
-		m := WitnessReq{QID: r.U64(), Deliver: r.Addr()}
-		if fwd, ok := transport.DecodeNested(r).(RelayForward); ok {
-			m.Payload = &fwd
-		}
-		return m
-	})
-	transport.RegisterType(wireWitnessResp, func(r *transport.Reader) transport.Wire { return decodeWitnessResp(r) })
-	transport.RegisterType(wireReportMsg, func(r *transport.Reader) transport.Wire {
-		return ReportMsg{
-			Kind:           ReportKind(r.U8()),
-			Accused:        chord.DecodePeer(r),
-			Missing:        chord.DecodePeer(r),
-			IdealID:        id.ID(r.U64()),
-			ClaimedFinger:  chord.DecodePeer(r),
-			Evidence:       decodeTables(r),
-			Relays:         chord.DecodePeers(r),
-			QID:            r.U64(),
-			HasHeadReceipt: r.Bool(),
-		}
-	})
-	transport.RegisterType(wireProofReq, func(r *transport.Reader) transport.Wire {
-		return ProofReq{Missing: chord.DecodePeer(r), QID: r.U64(), FingerClaim: chord.DecodePeer(r)}
-	})
-	transport.RegisterType(wireProofResp, func(r *transport.Reader) transport.Wire {
-		m := ProofResp{Own: chord.DecodeTable(r), Proofs: decodeTables(r), HasProvenance: r.Bool()}
-		if m.HasProvenance {
-			m.Provenance = chord.DecodeTable(r)
-		}
-		nr := int(r.U16())
-		for i := 0; i < nr && r.Err() == nil; i++ {
-			m.Receipts = append(m.Receipts, decodeReceipt(r))
-		}
-		ns := int(r.U16())
-		for i := 0; i < ns && r.Err() == nil; i++ {
-			m.Statements = append(m.Statements, decodeWitnessResp(r))
-		}
-		return m
-	})
-	transport.RegisterType(wireReportAck, func(r *transport.Reader) transport.Wire { return ReportAck{} })
+	transport.Register(RelayForward{}, RelayReply{}, WalkSeedReq{}, WalkSeedResp{}, Receipt{},
+		WitnessReq{}, WitnessResp{}, ReportMsg{}, ProofReq{}, ProofResp{}, ReportAck{})
 }
 
 // minTableWireSize is the smallest possible encoded routing table: owner
 // peer (14) + timestamp (8) + four presence flags + signature length (2).
-// decodeTables uses it to bound up-front allocation against frames that
+// codeTables uses it to bound up-front allocation against frames that
 // claim far more tables than their bytes could hold.
 const minTableWireSize = 14 + 8 + 4 + 2
 
-// encodeTables writes a table list with a presence flag (nil round-trips).
-func encodeTables(w *transport.Writer, ts []chord.RoutingTable) {
-	w.Bool(ts != nil)
-	if ts == nil {
-		return
-	}
-	w.U16(uint16(len(ts)))
-	for _, t := range ts {
-		chord.EncodeTable(w, t)
+// codeTables codes a table list behind a presence flag (nil round-trips).
+func codeTables(c *transport.Codec, ts *[]chord.RoutingTable) {
+	if transport.Present(c, ts) {
+		transport.List(c, ts, minTableWireSize, chord.CodeTable)
 	}
 }
 
-func decodeTables(r *transport.Reader) []chord.RoutingTable {
-	if !r.Bool() {
-		return nil
+// codeU16 codes a small int (an onion depth, a hop count) in a uint16.
+func codeU16(c *transport.Codec, p *int) {
+	v := uint16(*p)
+	c.U16(&v)
+	if c.Decoding() {
+		*p = int(v)
 	}
-	n := int(r.U16())
-	if r.Err() != nil || r.Remaining() < n*minTableWireSize {
-		r.Fail()
-		return nil
+}
+
+// codeForward codes an optional onion layer as a nested frame. A reader
+// leaves *p nil unless the frame holds a RelayForward.
+func codeForward(c *transport.Codec, p **RelayForward) {
+	var m transport.Message
+	if *p != nil {
+		m = **p
 	}
-	ts := make([]chord.RoutingTable, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		ts = append(ts, chord.DecodeTable(r))
+	c.Nested(&m)
+	if !c.Decoding() {
+		return
 	}
-	return ts
+	if fwd, ok := m.(RelayForward); ok {
+		*p = &fwd
+	}
 }
 
 // WireType implements transport.Wire.
 func (RelayForward) WireType() uint16 { return wireRelayForward }
 
-// EncodePayload implements transport.Wire. Each onion layer carries the
-// query identifier, its artificial-delay budget, the remaining depth, the
-// AES-CTR IV of the layer, and exactly one of: the exit action, a local
-// delivery, or the next hop plus the peeled inner onion.
-func (m RelayForward) EncodePayload(w *transport.Writer) {
-	w.U64(m.QID)
-	w.Duration(m.Delay)
-	w.U16(uint16(m.Depth))
-	w.Pad(xcrypto.AESBlockSize) // this layer's onion IV
-	var flags uint8
-	if m.Exit != nil {
-		flags |= 1
-	}
-	if m.Local != nil {
-		flags |= 2
-	}
-	if m.Inner != nil {
-		flags |= 4
-	}
-	w.U8(flags)
-	if m.Exit != nil {
-		w.Addr(m.Exit.Target)
-		transport.EncodeNested(w, m.Exit.Req)
-	}
-	if m.Local != nil {
-		transport.EncodeNested(w, m.Local)
-	}
-	if m.Inner != nil {
-		w.Addr(m.Next)
-		transport.EncodeNested(w, *m.Inner)
-	}
-}
-
-func decodeRelayForward(r *transport.Reader) RelayForward {
-	m := RelayForward{QID: r.U64(), Delay: r.Duration(), Depth: int(r.U16()), Next: transport.NoAddr}
-	r.Skip(xcrypto.AESBlockSize)
-	flags := r.U8()
-	if flags&1 != 0 {
-		exit := ExitAction{Target: r.Addr()}
-		exit.Req = transport.DecodeNested(r)
-		m.Exit = &exit
-	}
-	if flags&2 != 0 {
-		m.Local = transport.DecodeNested(r)
-	}
-	if flags&4 != 0 {
-		m.Next = r.Addr()
-		inner, ok := transport.DecodeNested(r).(RelayForward)
-		if !ok {
-			r.Fail()
-			return RelayForward{}
+// Code implements transport.Wire. Each onion layer carries the query
+// identifier, its artificial-delay budget, the remaining depth, the AES-CTR
+// IV of the layer, and exactly one of: the exit action, a local delivery,
+// or the next hop plus the peeled inner onion.
+func (m RelayForward) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.QID)
+	c.Duration(&m.Delay)
+	codeU16(c, &m.Depth)
+	c.Pad(xcrypto.AESBlockSize) // this layer's onion IV
+	exit, local, inner := m.Exit != nil, m.Local != nil, m.Inner != nil
+	c.Flags(&exit, &local, &inner)
+	if exit {
+		if m.Exit == nil {
+			m.Exit = new(ExitAction)
 		}
-		m.Inner = &inner
+		c.Addr(&m.Exit.Target)
+		c.Nested(&m.Exit.Req)
 	}
-	return m
+	if local {
+		c.Nested(&m.Local)
+	}
+	if !inner {
+		m.Next = transport.NoAddr
+		return transport.Decoded(c, &m)
+	}
+	c.Addr(&m.Next)
+	if codeForward(c, &m.Inner); m.Inner == nil {
+		c.Fail()
+	}
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (RelayReply) WireType() uint16 { return wireRelayReply }
 
-// EncodePayload implements transport.Wire. The pad models the reply's
-// remaining onion layers: one next-hop endpoint plus one AES-CTR IV each.
-func (m RelayReply) EncodePayload(w *transport.Writer) {
-	w.U64(m.QID)
-	w.Bool(m.Failed)
-	w.U16(uint16(m.Depth))
-	transport.EncodeNested(w, m.Resp)
-	w.Pad(xcrypto.OnionWireOverhead(m.Depth))
-}
-
-func decodeRelayReply(r *transport.Reader) RelayReply {
-	m := RelayReply{QID: r.U64(), Failed: r.Bool(), Depth: int(r.U16())}
-	m.Resp = transport.DecodeNested(r)
-	r.Skip(xcrypto.OnionWireOverhead(m.Depth))
-	return m
+// Code implements transport.Wire. The pad models the reply's remaining
+// onion layers: one next-hop endpoint plus one AES-CTR IV each.
+func (m RelayReply) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.QID)
+	c.Bool(&m.Failed)
+	codeU16(c, &m.Depth)
+	c.Nested(&m.Resp)
+	c.Pad(xcrypto.OnionWireOverhead(m.Depth))
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (WalkSeedReq) WireType() uint16 { return wireWalkSeedReq }
 
-// EncodePayload implements transport.Wire.
-func (m WalkSeedReq) EncodePayload(w *transport.Writer) {
-	w.U64(m.WalkID)
-	w.I64(m.Seed)
-	w.U16(uint16(m.Hops))
+// Code implements transport.Wire.
+func (m WalkSeedReq) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.WalkID)
+	c.I64(&m.Seed)
+	codeU16(c, &m.Hops)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (WalkSeedResp) WireType() uint16 { return wireWalkSeedResp }
 
-// EncodePayload implements transport.Wire.
-func (m WalkSeedResp) EncodePayload(w *transport.Writer) {
-	w.U64(m.WalkID)
-	w.Bool(m.OK)
-	encodeTables(w, m.Tables)
+// Code implements transport.Wire.
+func (m WalkSeedResp) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.WalkID)
+	c.Bool(&m.OK)
+	codeTables(c, &m.Tables)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (Receipt) WireType() uint16 { return wireReceipt }
 
-// EncodePayload implements transport.Wire.
-func (m Receipt) EncodePayload(w *transport.Writer) {
-	w.U64(m.QID)
-	chord.EncodePeer(w, m.Issuer)
-	w.Bytes16(m.Sig)
-}
-
-func decodeReceipt(r *transport.Reader) Receipt {
-	return Receipt{QID: r.U64(), Issuer: chord.DecodePeer(r), Sig: r.Bytes16()}
+// Code implements transport.Wire.
+func (m Receipt) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.QID)
+	chord.CodePeer(c, &m.Issuer)
+	c.Bytes16(&m.Sig)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (WitnessReq) WireType() uint16 { return wireWitnessReq }
 
-// EncodePayload implements transport.Wire.
-func (m WitnessReq) EncodePayload(w *transport.Writer) {
-	w.U64(m.QID)
-	w.Addr(m.Deliver)
-	if m.Payload != nil {
-		transport.EncodeNested(w, *m.Payload)
-	} else {
-		transport.EncodeNested(w, nil)
-	}
+// Code implements transport.Wire.
+func (m WitnessReq) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.QID)
+	c.Addr(&m.Deliver)
+	codeForward(c, &m.Payload)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (WitnessResp) WireType() uint16 { return wireWitnessResp }
 
-// EncodePayload implements transport.Wire.
-func (m WitnessResp) EncodePayload(w *transport.Writer) {
-	w.U64(m.QID)
-	w.Bool(m.Delivered)
-	w.Bytes16(m.Statement)
-	chord.EncodePeer(w, m.Witness)
-}
-
-func decodeWitnessResp(r *transport.Reader) WitnessResp {
-	return WitnessResp{QID: r.U64(), Delivered: r.Bool(), Statement: r.Bytes16(), Witness: chord.DecodePeer(r)}
+// Code implements transport.Wire.
+func (m WitnessResp) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.QID)
+	c.Bool(&m.Delivered)
+	c.Bytes16(&m.Statement)
+	chord.CodePeer(c, &m.Witness)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (ReportMsg) WireType() uint16 { return wireReportMsg }
 
-// EncodePayload implements transport.Wire.
-func (m ReportMsg) EncodePayload(w *transport.Writer) {
-	w.U8(uint8(m.Kind))
-	chord.EncodePeer(w, m.Accused)
-	chord.EncodePeer(w, m.Missing)
-	w.U64(uint64(m.IdealID))
-	chord.EncodePeer(w, m.ClaimedFinger)
-	encodeTables(w, m.Evidence)
-	chord.EncodePeers(w, m.Relays)
-	w.U64(m.QID)
-	w.Bool(m.HasHeadReceipt)
+// Code implements transport.Wire.
+func (m ReportMsg) Code(c *transport.Codec) transport.Wire {
+	kind := uint8(m.Kind)
+	c.U8(&kind)
+	m.Kind = ReportKind(kind)
+	chord.CodePeer(c, &m.Accused)
+	chord.CodePeer(c, &m.Missing)
+	c.ID(&m.IdealID)
+	chord.CodePeer(c, &m.ClaimedFinger)
+	codeTables(c, &m.Evidence)
+	chord.CodePeers(c, &m.Relays)
+	c.U64(&m.QID)
+	c.Bool(&m.HasHeadReceipt)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (ProofReq) WireType() uint16 { return wireProofReq }
 
-// EncodePayload implements transport.Wire.
-func (m ProofReq) EncodePayload(w *transport.Writer) {
-	chord.EncodePeer(w, m.Missing)
-	w.U64(m.QID)
-	chord.EncodePeer(w, m.FingerClaim)
+// Code implements transport.Wire.
+func (m ProofReq) Code(c *transport.Codec) transport.Wire {
+	chord.CodePeer(c, &m.Missing)
+	c.U64(&m.QID)
+	chord.CodePeer(c, &m.FingerClaim)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (ProofResp) WireType() uint16 { return wireProofResp }
 
-// EncodePayload implements transport.Wire.
-func (m ProofResp) EncodePayload(w *transport.Writer) {
-	chord.EncodeTable(w, m.Own)
-	encodeTables(w, m.Proofs)
-	w.Bool(m.HasProvenance)
+// Code implements transport.Wire. The list bounds are the smallest
+// encodings of a receipt (qid, issuer, signature length) and of a witness
+// statement (qid, outcome, statement length, witness).
+func (m ProofResp) Code(c *transport.Codec) transport.Wire {
+	chord.CodeTable(c, &m.Own)
+	codeTables(c, &m.Proofs)
+	c.Bool(&m.HasProvenance)
 	if m.HasProvenance {
-		chord.EncodeTable(w, m.Provenance)
+		chord.CodeTable(c, &m.Provenance)
 	}
-	w.U16(uint16(len(m.Receipts)))
-	for _, rc := range m.Receipts {
-		rc.EncodePayload(w)
-	}
-	w.U16(uint16(len(m.Statements)))
-	for _, st := range m.Statements {
-		st.EncodePayload(w)
-	}
+	transport.List(c, &m.Receipts, 8+14+2, transport.Elem[Receipt])
+	transport.List(c, &m.Statements, 8+1+2+14, transport.Elem[WitnessResp])
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (ReportAck) WireType() uint16 { return wireReportAck }
 
-// EncodePayload implements transport.Wire.
-func (ReportAck) EncodePayload(*transport.Writer) {}
+// Code implements transport.Wire.
+func (m ReportAck) Code(c *transport.Codec) transport.Wire { return transport.Decoded(c, &m) }

@@ -167,9 +167,9 @@ func randCoreMessage(rng *rand.Rand, i int) transport.Message {
 		}
 		return m
 	case 11:
-		m := TierEventNotify{TTL: uint8(rng.Intn(64)), Joins: randPeersC(rng, 6), Leaves: make([]id.ID, rng.Intn(4))}
-		for k := range m.Leaves {
-			m.Leaves[k] = id.ID(rng.Uint64())
+		m := TierEventNotify{TTL: uint8(rng.Intn(64)), Joins: randPeersC(rng, 6)}
+		for k := rng.Intn(4); k > 0; k-- {
+			m.Leaves = append(m.Leaves, id.ID(rng.Uint64()))
 		}
 		return m
 	case 12:

@@ -15,7 +15,7 @@ import (
 
 // Directory models certificate distribution: the in-process equivalent of
 // every node caching its peers' CA-issued certificates (whose real wire
-// format lives in xcrypto.Certificate.MarshalWire). Any receiver can verify
+// format lives in xcrypto.CodeCertificate). Any receiver can verify
 // a table owner's signature after checking the owner's certificate against
 // the CA key; the in-process deployments keep the equivalent key material in
 // one shared map instead of copying certificates into every message value.

@@ -176,182 +176,113 @@ const (
 )
 
 func init() {
-	transport.RegisterType(wireCertIssueReq, func(r *transport.Reader) transport.Wire {
-		return CertIssueReq{
-			ID:         id.ID(r.U64()),
-			Addr:       r.Addr(),
-			Key:        xcrypto.PublicKey(r.Bytes16()),
-			Endpoint:   string(r.Bytes16()),
-			WantRoster: r.Bool(),
-		}
-	})
-	transport.RegisterType(wireCertIssueResp, func(r *transport.Reader) transport.Wire {
-		m := CertIssueResp{
-			OK:    r.Bool(),
-			Self:  chord.DecodePeer(r),
-			Cert:  xcrypto.UnmarshalCertificate(r),
-			CAKey: xcrypto.PublicKey(r.Bytes16()),
-		}
-		if n := int(r.U16()); n > 0 {
-			if r.Err() != nil || r.Remaining() < n*10 {
-				r.Fail()
-				return CertIssueResp{}
-			}
-			m.Roster = make([]RosterEntry, n)
-			for i := range m.Roster {
-				m.Roster[i] = RosterEntry{ID: id.ID(r.U64()), Key: xcrypto.PublicKey(r.Bytes16())}
-			}
-		}
-		if n := int(r.U16()); n > 0 {
-			if r.Err() != nil || r.Remaining() < n*2 {
-				r.Fail()
-				return CertIssueResp{}
-			}
-			m.Endpoints = make([]string, n)
-			for i := range m.Endpoints {
-				m.Endpoints[i] = string(r.Bytes16())
-			}
-		}
-		if n := int(r.U16()); n > 0 {
-			if r.Err() != nil || r.Remaining() < n*8 {
-				r.Fail()
-				return CertIssueResp{}
-			}
-			m.SlotSeqs = make([]uint64, n)
-			for i := range m.SlotSeqs {
-				m.SlotSeqs[i] = r.U64()
-			}
-		}
-		return m
-	})
-	transport.RegisterType(wireEndpointAnnounce, func(r *transport.Reader) transport.Wire {
-		return EndpointAnnounce{
-			Who:      chord.DecodePeer(r),
-			Endpoint: string(r.Bytes16()),
-			Cert:     xcrypto.UnmarshalCertificate(r),
-			Seq:      r.U64(),
-			Sig:      r.Bytes16(),
-		}
-	})
-	transport.RegisterType(wireRingAdmitReq, func(r *transport.Reader) transport.Wire {
-		return RingAdmitReq{
-			ID:       id.ID(r.U64()),
-			Key:      xcrypto.PublicKey(r.Bytes16()),
-			Endpoint: string(r.Bytes16()),
-		}
-	})
-	transport.RegisterType(wireCertRetireReq, func(r *transport.Reader) transport.Wire {
-		return CertRetireReq{Who: chord.DecodePeer(r), Sig: r.Bytes16()}
-	})
-	transport.RegisterType(wireCertRetireResp, func(r *transport.Reader) transport.Wire {
-		return CertRetireResp{OK: r.Bool()}
-	})
-	transport.RegisterType(wireRevocationAnnounce, func(r *transport.Reader) transport.Wire {
-		return RevocationAnnounce{Node: id.ID(r.U64()), Sig: r.Bytes16()}
-	})
-	transport.RegisterType(wireRingAdmitResp, func(r *transport.Reader) transport.Wire {
-		m := RingAdmitResp{OK: r.Bool(), CAAddr: r.Addr(), Bootstrap: chord.DecodePeer(r)}
-		if grant, ok := transport.DecodeNested(r).(CertIssueResp); ok {
-			m.Grant = grant
-		} else {
-			r.Fail()
-			return RingAdmitResp{}
-		}
-		return m
-	})
+	transport.Register(CertIssueReq{}, CertIssueResp{}, EndpointAnnounce{}, RingAdmitReq{},
+		RingAdmitResp{}, CertRetireReq{}, CertRetireResp{}, RevocationAnnounce{})
 }
 
 // WireType implements transport.Wire.
 func (CertIssueReq) WireType() uint16 { return wireCertIssueReq }
 
-// EncodePayload implements transport.Wire.
-func (m CertIssueReq) EncodePayload(w *transport.Writer) {
-	w.U64(uint64(m.ID))
-	w.Addr(m.Addr)
-	w.Bytes16(m.Key)
-	w.Bytes16([]byte(m.Endpoint))
-	w.Bool(m.WantRoster)
+// Code implements transport.Wire.
+func (m CertIssueReq) Code(c *transport.Codec) transport.Wire {
+	c.ID(&m.ID)
+	c.Addr(&m.Addr)
+	c.Bytes16((*[]byte)(&m.Key))
+	c.String16(&m.Endpoint)
+	c.Bool(&m.WantRoster)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (CertIssueResp) WireType() uint16 { return wireCertIssueResp }
 
-// EncodePayload implements transport.Wire.
-func (m CertIssueResp) EncodePayload(w *transport.Writer) {
-	w.Bool(m.OK)
-	chord.EncodePeer(w, m.Self)
-	m.Cert.MarshalWire(w)
-	w.Bytes16(m.CAKey)
-	w.U16(uint16(len(m.Roster)))
-	for _, e := range m.Roster {
-		w.U64(uint64(e.ID))
-		w.Bytes16(e.Key)
-	}
-	w.U16(uint16(len(m.Endpoints)))
-	for _, ep := range m.Endpoints {
-		w.Bytes16([]byte(ep))
-	}
-	w.U16(uint16(len(m.SlotSeqs)))
-	for _, s := range m.SlotSeqs {
-		w.U64(s)
-	}
+// Code implements transport.Wire. The list bounds are the smallest
+// encodings of a roster entry (identifier, key length), an endpoint (its
+// length) and a slot ordinal.
+func (m CertIssueResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.OK)
+	chord.CodePeer(c, &m.Self)
+	xcrypto.CodeCertificate(c, &m.Cert)
+	c.Bytes16((*[]byte)(&m.CAKey))
+	transport.List(c, &m.Roster, 8+2, func(c *transport.Codec, e *RosterEntry) {
+		c.ID(&e.ID)
+		c.Bytes16((*[]byte)(&e.Key))
+	})
+	transport.List(c, &m.Endpoints, 2, (*transport.Codec).String16)
+	transport.List(c, &m.SlotSeqs, 8, (*transport.Codec).U64)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (RingAdmitReq) WireType() uint16 { return wireRingAdmitReq }
 
-// EncodePayload implements transport.Wire.
-func (m RingAdmitReq) EncodePayload(w *transport.Writer) {
-	w.U64(uint64(m.ID))
-	w.Bytes16(m.Key)
-	w.Bytes16([]byte(m.Endpoint))
+// Code implements transport.Wire.
+func (m RingAdmitReq) Code(c *transport.Codec) transport.Wire {
+	c.ID(&m.ID)
+	c.Bytes16((*[]byte)(&m.Key))
+	c.String16(&m.Endpoint)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (RingAdmitResp) WireType() uint16 { return wireRingAdmitResp }
 
-// EncodePayload implements transport.Wire.
-func (m RingAdmitResp) EncodePayload(w *transport.Writer) {
-	w.Bool(m.OK)
-	w.Addr(m.CAAddr)
-	chord.EncodePeer(w, m.Bootstrap)
-	transport.EncodeNested(w, m.Grant)
+// Code implements transport.Wire. The grant travels as a nested frame,
+// which must hold a CertIssueResp.
+func (m RingAdmitResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.OK)
+	c.Addr(&m.CAAddr)
+	chord.CodePeer(c, &m.Bootstrap)
+	var grant transport.Message = m.Grant
+	c.Nested(&grant)
+	g, ok := grant.(CertIssueResp)
+	if !ok {
+		c.Fail()
+	}
+	m.Grant = g
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (CertRetireReq) WireType() uint16 { return wireCertRetireReq }
 
-// EncodePayload implements transport.Wire.
-func (m CertRetireReq) EncodePayload(w *transport.Writer) {
-	chord.EncodePeer(w, m.Who)
-	w.Bytes16(m.Sig)
+// Code implements transport.Wire.
+func (m CertRetireReq) Code(c *transport.Codec) transport.Wire {
+	chord.CodePeer(c, &m.Who)
+	c.Bytes16(&m.Sig)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (CertRetireResp) WireType() uint16 { return wireCertRetireResp }
 
-// EncodePayload implements transport.Wire.
-func (m CertRetireResp) EncodePayload(w *transport.Writer) { w.Bool(m.OK) }
+// Code implements transport.Wire.
+func (m CertRetireResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.OK)
+	return transport.Decoded(c, &m)
+}
 
 // WireType implements transport.Wire.
 func (RevocationAnnounce) WireType() uint16 { return wireRevocationAnnounce }
 
-// EncodePayload implements transport.Wire.
-func (m RevocationAnnounce) EncodePayload(w *transport.Writer) {
-	w.U64(uint64(m.Node))
-	w.Bytes16(m.Sig)
+// Code implements transport.Wire.
+func (m RevocationAnnounce) Code(c *transport.Codec) transport.Wire {
+	c.ID(&m.Node)
+	c.Bytes16(&m.Sig)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (EndpointAnnounce) WireType() uint16 { return wireEndpointAnnounce }
 
-// EncodePayload implements transport.Wire.
-func (m EndpointAnnounce) EncodePayload(w *transport.Writer) {
-	chord.EncodePeer(w, m.Who)
-	w.Bytes16([]byte(m.Endpoint))
-	m.Cert.MarshalWire(w)
-	w.U64(m.Seq)
-	w.Bytes16(m.Sig)
+// Code implements transport.Wire.
+func (m EndpointAnnounce) Code(c *transport.Codec) transport.Wire {
+	chord.CodePeer(c, &m.Who)
+	c.String16(&m.Endpoint)
+	xcrypto.CodeCertificate(c, &m.Cert)
+	c.U64(&m.Seq)
+	c.Bytes16(&m.Sig)
+	return transport.Decoded(c, &m)
 }
 
 // EndpointRegistry is the optional transport capability dynamic membership
@@ -380,10 +311,10 @@ const (
 // RetireStatement is the canonical byte statement a CertRetireReq
 // signature covers, signed with the retiring identity's OWN key.
 func RetireStatement(who chord.Peer) []byte {
-	b := &transport.Writer{}
-	b.U8(attestRetire)
-	chord.EncodePeer(b, who)
-	return b.Bytes()
+	c, tag := &transport.Codec{}, uint8(attestRetire)
+	c.U8(&tag)
+	chord.CodePeer(c, &who)
+	return c.Bytes()
 }
 
 // attestedEndpoint is the canonical byte statement the CA's endpoint
@@ -393,21 +324,21 @@ func RetireStatement(who chord.Peer) []byte {
 // rebind a live slot to an attacker's endpoint; the ordinal keeps genuine
 // OLD announces from rebinding a retired identity's reused slot.
 func attestedEndpoint(seq uint64, who chord.Peer, endpoint string) []byte {
-	b := &transport.Writer{}
-	b.U8(attestEndpoint)
-	b.U64(seq)
-	chord.EncodePeer(b, who)
-	b.Bytes16([]byte(endpoint))
-	return b.Bytes()
+	c, tag := &transport.Codec{}, uint8(attestEndpoint)
+	c.U8(&tag)
+	c.U64(&seq)
+	chord.CodePeer(c, &who)
+	c.String16(&endpoint)
+	return c.Bytes()
 }
 
 // attestedRevocation is the canonical byte statement behind a
 // RevocationAnnounce signature.
 func attestedRevocation(node id.ID) []byte {
-	b := &transport.Writer{}
-	b.U8(attestRevocation)
-	b.U64(uint64(node))
-	return b.Bytes()
+	c, tag := &transport.Codec{}, uint8(attestRevocation)
+	c.U8(&tag)
+	c.ID(&node)
+	return c.Bytes()
 }
 
 // handleCertIssue is the CA's online admission path: validate the request,

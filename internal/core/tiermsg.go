@@ -53,52 +53,32 @@ func (m TierSyncResp) Size() int { return transport.EncodedSize(m) }
 // WireType implements transport.Wire.
 func (TierEventNotify) WireType() uint16 { return wireTierEventNotify }
 
-// EncodePayload implements transport.Wire.
-func (m TierEventNotify) EncodePayload(w *transport.Writer) {
-	w.U8(m.TTL)
-	chord.EncodePeers(w, m.Joins)
-	w.U16(uint16(len(m.Leaves)))
-	for _, nid := range m.Leaves {
-		w.U64(uint64(nid))
-	}
+// Code implements transport.Wire.
+func (m TierEventNotify) Code(c *transport.Codec) transport.Wire {
+	c.U8(&m.TTL)
+	chord.CodePeers(c, &m.Joins)
+	transport.List(c, &m.Leaves, 8, (*transport.Codec).ID)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (TierSyncReq) WireType() uint16 { return wireTierSyncReq }
 
-// EncodePayload implements transport.Wire.
-func (m TierSyncReq) EncodePayload(w *transport.Writer) {
-	w.U64(uint64(m.From))
-	w.U16(m.Max)
+// Code implements transport.Wire.
+func (m TierSyncReq) Code(c *transport.Codec) transport.Wire {
+	c.ID(&m.From)
+	c.U16(&m.Max)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (TierSyncResp) WireType() uint16 { return wireTierSyncResp }
 
-// EncodePayload implements transport.Wire.
-func (m TierSyncResp) EncodePayload(w *transport.Writer) {
-	w.Bool(m.More)
-	chord.EncodePeers(w, m.Peers)
+// Code implements transport.Wire.
+func (m TierSyncResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.More)
+	chord.CodePeers(c, &m.Peers)
+	return transport.Decoded(c, &m)
 }
 
-func init() {
-	transport.RegisterType(wireTierEventNotify, func(r *transport.Reader) transport.Wire {
-		m := TierEventNotify{TTL: r.U8(), Joins: chord.DecodePeers(r)}
-		n := int(r.U16())
-		if r.Err() != nil || r.Remaining() < n*8 {
-			r.Fail()
-			return m
-		}
-		m.Leaves = make([]id.ID, n)
-		for i := range m.Leaves {
-			m.Leaves[i] = id.ID(r.U64())
-		}
-		return m
-	})
-	transport.RegisterType(wireTierSyncReq, func(r *transport.Reader) transport.Wire {
-		return TierSyncReq{From: id.ID(r.U64()), Max: r.U16()}
-	})
-	transport.RegisterType(wireTierSyncResp, func(r *transport.Reader) transport.Wire {
-		return TierSyncResp{More: r.Bool(), Peers: chord.DecodePeers(r)}
-	})
-}
+func init() { transport.Register(TierEventNotify{}, TierSyncReq{}, TierSyncResp{}) }

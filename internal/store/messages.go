@@ -51,41 +51,14 @@ type KV struct {
 	Value   []byte
 }
 
-func encodeKV(w *transport.Writer, e KV) {
-	w.U64(uint64(e.Key))
-	w.U64(e.Version)
-	w.Bytes16(e.Value)
-}
-
-func decodeKV(r *transport.Reader) KV {
-	return KV{Key: id.ID(r.U64()), Version: r.U64(), Value: r.Bytes16()}
-}
-
 // minKVWireSize bounds up-front allocation for entry lists: key + version +
 // value length prefix.
 const minKVWireSize = 8 + 8 + 2
 
-func encodeKVs(w *transport.Writer, es []KV) {
-	w.U16(uint16(len(es)))
-	for _, e := range es {
-		encodeKV(w, e)
-	}
-}
-
-func decodeKVs(r *transport.Reader) []KV {
-	n := int(r.U16())
-	if n == 0 {
-		return nil
-	}
-	if r.Err() != nil || r.Remaining() < n*minKVWireSize {
-		r.Fail()
-		return nil
-	}
-	es := make([]KV, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		es = append(es, decodeKV(r))
-	}
-	return es
+func codeKV(c *transport.Codec, e *KV) {
+	c.ID(&e.Key)
+	c.U64(&e.Version)
+	c.Bytes16(&e.Value)
 }
 
 // StoreReq asks the key's owner to store a value. It arrives over an
@@ -222,175 +195,131 @@ type ClientGetResp struct {
 func (m ClientGetResp) Size() int { return transport.EncodedSize(m) }
 
 func init() {
-	transport.RegisterType(wireStoreReq, func(r *transport.Reader) transport.Wire {
-		return StoreReq{Key: id.ID(r.U64()), Value: r.Bytes16()}
-	})
-	transport.RegisterType(wireStoreResp, func(r *transport.Reader) transport.Wire {
-		return StoreResp{OK: r.Bool(), Replicas: r.U16()}
-	})
-	transport.RegisterType(wireFetchReq, func(r *transport.Reader) transport.Wire {
-		return FetchReq{Key: id.ID(r.U64())}
-	})
-	transport.RegisterType(wireFetchResp, func(r *transport.Reader) transport.Wire {
-		return FetchResp{Found: r.Bool(), Version: r.U64(), Value: r.Bytes16()}
-	})
-	transport.RegisterType(wireReplicateReq, func(r *transport.Reader) transport.Wire {
-		return ReplicateReq{Entries: decodeKVs(r)}
-	})
-	transport.RegisterType(wireReplicateResp, func(r *transport.Reader) transport.Wire {
-		return ReplicateResp{OK: r.Bool(), Stored: r.U16()}
-	})
-	transport.RegisterType(wirePullReq, func(r *transport.Reader) transport.Wire {
-		return PullReq{From: id.ID(r.U64()), To: id.ID(r.U64())}
-	})
-	transport.RegisterType(wirePullResp, func(r *transport.Reader) transport.Wire {
-		return PullResp{Entries: decodeKVs(r)}
-	})
-	transport.RegisterType(wireClientPutReq, func(r *transport.Reader) transport.Wire {
-		return ClientPutReq{Seq: r.U64(), Key: id.ID(r.U64()), Value: r.Bytes16()}
-	})
-	transport.RegisterType(wireClientPutResp, func(r *transport.Reader) transport.Wire {
-		m := ClientPutResp{Seq: r.U64()}
-		flags := r.U8()
-		m.OK = flags&1 != 0
-		m.Busy = flags&2 != 0
-		m.Replicas = r.U16()
-		m.LatencyMicros = r.U64()
-		return m
-	})
-	transport.RegisterType(wireClientGetReq, func(r *transport.Reader) transport.Wire {
-		return ClientGetReq{Seq: r.U64(), Key: id.ID(r.U64())}
-	})
-	transport.RegisterType(wireClientGetResp, func(r *transport.Reader) transport.Wire {
-		m := ClientGetResp{Seq: r.U64()}
-		flags := r.U8()
-		m.Found = flags&1 != 0
-		m.Busy = flags&2 != 0
-		m.Version = r.U64()
-		m.Value = r.Bytes16()
-		m.Tried = r.U16()
-		m.LatencyMicros = r.U64()
-		return m
-	})
+	transport.Register(StoreReq{}, StoreResp{}, FetchReq{}, FetchResp{}, ReplicateReq{}, ReplicateResp{},
+		PullReq{}, PullResp{}, ClientPutReq{}, ClientPutResp{}, ClientGetReq{}, ClientGetResp{})
 }
 
 // WireType implements transport.Wire.
 func (StoreReq) WireType() uint16 { return wireStoreReq }
 
-// EncodePayload implements transport.Wire.
-func (m StoreReq) EncodePayload(w *transport.Writer) {
-	w.U64(uint64(m.Key))
-	w.Bytes16(m.Value)
+// Code implements transport.Wire.
+func (m StoreReq) Code(c *transport.Codec) transport.Wire {
+	c.ID(&m.Key)
+	c.Bytes16(&m.Value)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (StoreResp) WireType() uint16 { return wireStoreResp }
 
-// EncodePayload implements transport.Wire.
-func (m StoreResp) EncodePayload(w *transport.Writer) {
-	w.Bool(m.OK)
-	w.U16(m.Replicas)
+// Code implements transport.Wire.
+func (m StoreResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.OK)
+	c.U16(&m.Replicas)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (FetchReq) WireType() uint16 { return wireFetchReq }
 
-// EncodePayload implements transport.Wire.
-func (m FetchReq) EncodePayload(w *transport.Writer) { w.U64(uint64(m.Key)) }
+// Code implements transport.Wire.
+func (m FetchReq) Code(c *transport.Codec) transport.Wire {
+	c.ID(&m.Key)
+	return transport.Decoded(c, &m)
+}
 
 // WireType implements transport.Wire.
 func (FetchResp) WireType() uint16 { return wireFetchResp }
 
-// EncodePayload implements transport.Wire.
-func (m FetchResp) EncodePayload(w *transport.Writer) {
-	w.Bool(m.Found)
-	w.U64(m.Version)
-	w.Bytes16(m.Value)
+// Code implements transport.Wire.
+func (m FetchResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.Found)
+	c.U64(&m.Version)
+	c.Bytes16(&m.Value)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (ReplicateReq) WireType() uint16 { return wireReplicateReq }
 
-// EncodePayload implements transport.Wire.
-func (m ReplicateReq) EncodePayload(w *transport.Writer) { encodeKVs(w, m.Entries) }
+// Code implements transport.Wire.
+func (m ReplicateReq) Code(c *transport.Codec) transport.Wire {
+	transport.List(c, &m.Entries, minKVWireSize, codeKV)
+	return transport.Decoded(c, &m)
+}
 
 // WireType implements transport.Wire.
 func (ReplicateResp) WireType() uint16 { return wireReplicateResp }
 
-// EncodePayload implements transport.Wire.
-func (m ReplicateResp) EncodePayload(w *transport.Writer) {
-	w.Bool(m.OK)
-	w.U16(m.Stored)
+// Code implements transport.Wire.
+func (m ReplicateResp) Code(c *transport.Codec) transport.Wire {
+	c.Bool(&m.OK)
+	c.U16(&m.Stored)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (PullReq) WireType() uint16 { return wirePullReq }
 
-// EncodePayload implements transport.Wire.
-func (m PullReq) EncodePayload(w *transport.Writer) {
-	w.U64(uint64(m.From))
-	w.U64(uint64(m.To))
+// Code implements transport.Wire.
+func (m PullReq) Code(c *transport.Codec) transport.Wire {
+	c.ID(&m.From)
+	c.ID(&m.To)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (PullResp) WireType() uint16 { return wirePullResp }
 
-// EncodePayload implements transport.Wire.
-func (m PullResp) EncodePayload(w *transport.Writer) { encodeKVs(w, m.Entries) }
+// Code implements transport.Wire.
+func (m PullResp) Code(c *transport.Codec) transport.Wire {
+	transport.List(c, &m.Entries, minKVWireSize, codeKV)
+	return transport.Decoded(c, &m)
+}
 
 // WireType implements transport.Wire.
 func (ClientPutReq) WireType() uint16 { return wireClientPutReq }
 
-// EncodePayload implements transport.Wire.
-func (m ClientPutReq) EncodePayload(w *transport.Writer) {
-	w.U64(m.Seq)
-	w.U64(uint64(m.Key))
-	w.Bytes16(m.Value)
+// Code implements transport.Wire.
+func (m ClientPutReq) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.Seq)
+	c.ID(&m.Key)
+	c.Bytes16(&m.Value)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (ClientPutResp) WireType() uint16 { return wireClientPutResp }
 
-// EncodePayload implements transport.Wire.
-func (m ClientPutResp) EncodePayload(w *transport.Writer) {
-	w.U64(m.Seq)
-	var flags uint8
-	if m.OK {
-		flags |= 1
-	}
-	if m.Busy {
-		flags |= 2
-	}
-	w.U8(flags)
-	w.U16(m.Replicas)
-	w.U64(m.LatencyMicros)
+// Code implements transport.Wire.
+func (m ClientPutResp) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.Seq)
+	c.Flags(&m.OK, &m.Busy)
+	c.U16(&m.Replicas)
+	c.U64(&m.LatencyMicros)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (ClientGetReq) WireType() uint16 { return wireClientGetReq }
 
-// EncodePayload implements transport.Wire.
-func (m ClientGetReq) EncodePayload(w *transport.Writer) {
-	w.U64(m.Seq)
-	w.U64(uint64(m.Key))
+// Code implements transport.Wire.
+func (m ClientGetReq) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.Seq)
+	c.ID(&m.Key)
+	return transport.Decoded(c, &m)
 }
 
 // WireType implements transport.Wire.
 func (ClientGetResp) WireType() uint16 { return wireClientGetResp }
 
-// EncodePayload implements transport.Wire.
-func (m ClientGetResp) EncodePayload(w *transport.Writer) {
-	w.U64(m.Seq)
-	var flags uint8
-	if m.Found {
-		flags |= 1
-	}
-	if m.Busy {
-		flags |= 2
-	}
-	w.U8(flags)
-	w.U64(m.Version)
-	w.Bytes16(m.Value)
-	w.U16(m.Tried)
-	w.U64(m.LatencyMicros)
+// Code implements transport.Wire.
+func (m ClientGetResp) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.Seq)
+	c.Flags(&m.Found, &m.Busy)
+	c.U64(&m.Version)
+	c.Bytes16(&m.Value)
+	c.U16(&m.Tried)
+	c.U64(&m.LatencyMicros)
+	return transport.Decoded(c, &m)
 }

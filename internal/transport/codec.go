@@ -1,186 +1,366 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
+
+	"github.com/octopus-dht/octopus/internal/id"
 )
 
-// Codec primitives: a big-endian Writer/Reader pair over byte slices. The
-// Writer doubles as a size counter (countOnly mode) so Message.Size() can be
-// derived from the real encoding without allocating.
-
-// Writer serializes wire primitives. The zero value writes into a fresh
-// buffer; NewCountingWriter only tallies lengths.
-type Writer struct {
-	b         []byte
-	n         int
-	countOnly bool
+// Codec is the wire codec: a big-endian field list run in one of three
+// modes. Every method takes a pointer to the field it codes. A writer
+// appends the field to its buffer, a counter only adds up the bytes a writer
+// would append (so Message.Size() is derived from the encoding itself,
+// without allocating), and a reader reads the next input bytes into the
+// field. A message's Code method, written once, is therefore its encoder,
+// its size and its decoder.
+//
+// Writers and counters only read through the pointers they are given:
+// messages are shared between goroutines, and encoding one must not write
+// to it. A reader's error is sticky: after the first failure every read
+// leaves its field as it was and Err reports the cause.
+type Codec struct {
+	mode mode
+	b    []byte // writer: the output; reader: the input
+	off  int    // reader: bytes consumed
+	n    int    // counter: bytes counted
+	err  error
 }
 
-// NewCountingWriter returns a Writer that discards bytes and only counts
-// them. Used to derive Size() from the encoding.
-func NewCountingWriter() *Writer { return &Writer{countOnly: true} }
+type mode uint8
 
-// Counting reports whether w only tallies lengths, so an encoder may add a
-// fixed-width run in one step (Pad) instead of walking it.
-func (w *Writer) Counting() bool { return w.countOnly }
+const (
+	writing mode = iota // the zero Codec writes into a fresh buffer
+	counting
+	reading
+)
 
-// Len returns the number of bytes written (or counted).
-func (w *Writer) Len() int {
-	if w.countOnly {
-		return w.n
+// NewReader returns a Codec that decodes b.
+func NewReader(b []byte) *Codec { return &Codec{mode: reading, b: b} }
+
+// Counting reports whether c only counts bytes, so that a field list may
+// count a run of fixed-width fields in one step.
+func (c *Codec) Counting() bool { return c.mode == counting }
+
+// Decoding reports whether c reads its fields from input.
+func (c *Codec) Decoding() bool { return c.mode == reading }
+
+// Bytes returns a writer's output.
+func (c *Codec) Bytes() []byte { return c.b }
+
+// Err returns a reader's first decode error, if any.
+func (c *Codec) Err() error { return c.err }
+
+// Remaining reports the number of input bytes a reader has not read.
+func (c *Codec) Remaining() int { return len(c.b) - c.off }
+
+// Fail marks a reader's input as corrupt (structural validation failures).
+func (c *Codec) Fail() {
+	if c.err == nil {
+		c.err = ErrCorrupt
 	}
-	return len(w.b)
 }
 
-// Bytes returns the encoded buffer.
-func (w *Writer) Bytes() []byte { return w.b }
-
-func (w *Writer) grow(k int) []byte {
-	n := len(w.b)
-	if cap(w.b) < n+k {
-		// Manual doubling instead of append(w.b, make([]byte, k)...): the
-		// extension must be reachable without a throwaway slice, and pooled
-		// buffers are reused so stale bytes must be cleared explicitly.
-		c := cap(w.b) * 2
-		if c < n+k {
-			c = n + k
+// field returns the k bytes of the next field: a zeroed slot appended to a
+// writer's output, or the next k input bytes of a reader. A counter counts
+// k and gets nil, as does a reader that has failed or runs short.
+func (c *Codec) field(k int) []byte {
+	switch c.mode {
+	case counting:
+		c.n += k
+		return nil
+	case reading:
+		if c.err != nil {
+			return nil
 		}
-		if c < 64 {
-			c = 64
+		if k > c.Remaining() {
+			c.err = ErrShortBuffer
+			return nil
 		}
-		nb := make([]byte, n, c)
-		copy(nb, w.b)
-		w.b = nb
+		c.off += k
+		return c.b[c.off-k : c.off]
 	}
-	w.b = w.b[:n+k]
-	p := w.b[n:]
-	clear(p)
-	return p
+	n := len(c.b)
+	c.b = slices.Grow(c.b, k)[:n+k]
+	clear(c.b[n:]) // a pooled buffer holds stale bytes
+	return c.b[n:]
 }
 
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	if w.countOnly {
-		w.n++
-		return
+// fixed codes the low k bytes of v big-endian and returns the field's
+// value: v itself when writing or counting, or when a reader has failed;
+// the bytes read otherwise. Callers store it only when reading, so writing
+// and counting never write through their pointer.
+func (c *Codec) fixed(v uint64, k int) uint64 {
+	if c.mode == counting {
+		c.n += k // kept inlinable: Size() counts every field of every delivered message
+		return v
 	}
-	w.b = append(w.b, v)
+	return c.transfer(v, k)
 }
 
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+// transfer writes or reads a fixed-width field for fixed.
+func (c *Codec) transfer(v uint64, k int) uint64 {
+	if c.mode == writing {
+		// Append all eight bytes with v's low k at the front, keep k.
+		c.b = binary.BigEndian.AppendUint64(c.b, v<<(64-8*k))[:len(c.b)+k]
+		return v
 	}
+	b := c.field(k)
+	if b == nil {
+		return v
+	}
+	v = 0
+	for _, x := range b {
+		v = v<<8 | uint64(x)
+	}
+	return v
 }
 
-// U16 writes a big-endian uint16.
-func (w *Writer) U16(v uint16) {
-	if w.countOnly {
-		w.n += 2
-		return
-	}
-	p := w.grow(2)
-	p[0], p[1] = byte(v>>8), byte(v)
-}
-
-// U32 writes a big-endian uint32.
-func (w *Writer) U32(v uint32) {
-	if w.countOnly {
-		w.n += 4
-		return
-	}
-	p := w.grow(4)
-	p[0], p[1], p[2], p[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-// U48 writes the low 48 bits of v big-endian — the width of a real IPv4:port
-// endpoint, used for transport addresses.
-func (w *Writer) U48(v uint64) {
-	if w.countOnly {
-		w.n += 6
-		return
-	}
-	p := w.grow(6)
-	p[0], p[1], p[2] = byte(v>>40), byte(v>>32), byte(v>>24)
-	p[3], p[4], p[5] = byte(v>>16), byte(v>>8), byte(v)
-}
-
-// U64 writes a big-endian uint64.
-func (w *Writer) U64(v uint64) {
-	if w.countOnly {
-		w.n += 8
-		return
-	}
-	p := w.grow(8)
-	for i := 0; i < 8; i++ {
-		p[i] = byte(v >> (56 - 8*i))
+// U8 codes one byte.
+func (c *Codec) U8(p *uint8) {
+	if v := c.fixed(uint64(*p), 1); c.mode == reading {
+		*p = uint8(v)
 	}
 }
 
-// I64 writes a big-endian int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Duration writes a time.Duration as its nanosecond count.
-func (w *Writer) Duration(d time.Duration) { w.I64(int64(d)) }
-
-// Addr writes a transport address in 6 bytes. NoAddr round-trips.
-func (w *Writer) Addr(a Addr) { w.U48(uint64(int64(a) + 1)) }
-
-// Bytes16 writes a length-prefixed (uint16) byte string.
-func (w *Writer) Bytes16(p []byte) {
-	w.U16(uint16(len(p)))
-	w.Raw(p)
-}
-
-// Raw writes p verbatim.
-func (w *Writer) Raw(p []byte) {
-	if w.countOnly {
-		w.n += len(p)
-		return
+// U16 codes a big-endian uint16.
+func (c *Codec) U16(p *uint16) {
+	if v := c.fixed(uint64(*p), 2); c.mode == reading {
+		*p = uint16(v)
 	}
-	w.b = append(w.b, p...)
 }
 
-// Pad writes k zero bytes (used to model fixed-width fields such as the
-// per-layer AES-CTR IV of onion encryption).
-func (w *Writer) Pad(k int) {
-	if w.countOnly {
-		w.n += k
-		return
+// U32 codes a big-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if v := c.fixed(uint64(*p), 4); c.mode == reading {
+		*p = uint32(v)
 	}
-	w.grow(k)
 }
 
-// maxPooledBuf bounds the buffer capacity a released Writer (or frame pool
+// U64 codes a big-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if v := c.fixed(*p, 8); c.mode == reading {
+		*p = v
+	}
+}
+
+// I64 codes a big-endian int64 (two's complement).
+func (c *Codec) I64(p *int64) {
+	if v := c.fixed(uint64(*p), 8); c.mode == reading {
+		*p = int64(v)
+	}
+}
+
+// Duration codes a time.Duration as its nanosecond count.
+func (c *Codec) Duration(p *time.Duration) { c.I64((*int64)(p)) }
+
+// ID codes a ring identifier in 8 bytes.
+func (c *Codec) ID(p *id.ID) { c.U64((*uint64)(p)) }
+
+// Addr codes a transport address in 6 bytes, the width of a real IPv4:port
+// endpoint, as address+1 so that NoAddr round-trips.
+func (c *Codec) Addr(p *Addr) {
+	if v := c.fixed(uint64(int64(*p)+1), 6); c.mode == reading {
+		*p = Addr(int64(v) - 1)
+	}
+}
+
+// Bool codes a boolean as one byte, written as 1 or 0; a reader takes any
+// nonzero byte as true.
+func (c *Codec) Bool(p *bool) {
+	var v uint64
+	if *p {
+		v = 1
+	}
+	if v = c.fixed(v, 1); c.mode == reading {
+		*p = v != 0
+	}
+}
+
+// Flags codes up to eight booleans as the bits of one byte, the first as
+// bit 0. A reader ignores the bits it has no field for.
+func (c *Codec) Flags(bits ...*bool) {
+	var v uint64
+	for i, b := range bits {
+		if *b {
+			v |= 1 << i
+		}
+	}
+	if v = c.fixed(v, 1); c.mode == reading {
+		for i, b := range bits {
+			*b = v&(1<<i) != 0
+		}
+	}
+}
+
+// Bytes16 codes a byte string behind a uint16 length. A reader copies the
+// bytes out of its input and leaves the field as it was for length 0 (nil in
+// a message being decoded), so optional fields such as signatures
+// round-trip exactly.
+func (c *Codec) Bytes16(p *[]byte) {
+	n := uint16(len(*p))
+	c.U16(&n)
+	switch b := c.field(int(n)); {
+	case len(b) == 0:
+	case c.mode == reading:
+		*p = bytes.Clone(b)
+	default:
+		copy(b, *p)
+	}
+}
+
+// String16 codes a string behind a uint16 length, as Bytes16 codes bytes.
+func (c *Codec) String16(p *string) {
+	n := uint16(len(*p))
+	c.U16(&n)
+	switch b := c.field(int(n)); {
+	case len(b) == 0:
+	case c.mode == reading:
+		*p = string(b)
+	default:
+		copy(b, *p)
+	}
+}
+
+// Pad codes k zero bytes, reserving a fixed-width field whose content the
+// model does not carry (such as the per-layer AES-CTR IV of onion
+// encryption). A reader skips them.
+func (c *Codec) Pad(k int) { c.field(k) }
+
+// Count codes the uint16 element count of a list and returns it: n when
+// writing or counting, the decoded count when reading. minSize is the
+// fewest bytes one element encodes in; a reader whose remaining input
+// cannot hold the decoded count fails, so a hostile count allocates nothing.
+func (c *Codec) Count(n, minSize int) int {
+	v := uint16(n)
+	c.U16(&v)
+	if c.mode == reading && int(v)*minSize > c.Remaining() {
+		c.Fail()
+		return 0
+	}
+	return int(v)
+}
+
+// List codes a slice as its Count followed by each element through elem.
+// A reader makes the slice only for a nonzero count, so a decoded empty
+// list stays as the field was: nil, unless Present set it.
+func List[T any](c *Codec, p *[]T, minSize int, elem func(*Codec, *T)) {
+	n := c.Count(len(*p), minSize)
+	if c.mode == reading && n > 0 {
+		*p = make([]T, n)
+	}
+	for i := range *p {
+		elem(c, &(*p)[i])
+	}
+}
+
+// Present codes the presence flag of an optional list, so that nil and
+// empty lists round-trip distinctly, and reports whether the list is there.
+// A reader sets a present list to empty, not nil, before its elements.
+func Present[T any](c *Codec, p *[]T) bool {
+	var v uint64
+	if *p != nil {
+		v = 1
+	}
+	if c.fixed(v, 1) == 0 { // coded as Bool codes it
+		return false
+	}
+	if *p == nil {
+		*p = []T{}
+	}
+	return true
+}
+
+// Nested codes a whole frame, type code and payload, behind a uint32
+// length, as a field of another message (onion payloads, relayed
+// responses). A nil message, or one without a registered codec, has length
+// 0, which a reader decodes as nil. A nested frame must fill its length
+// exactly.
+func (c *Codec) Nested(p *Message) {
+	switch m, _ := (*p).(Wire); c.mode {
+	case counting:
+		c.n += 4
+		if m != nil {
+			c.frame(m)
+		}
+	case writing:
+		at := len(c.b)
+		c.b = append(c.b, 0, 0, 0, 0)
+		if m != nil {
+			c.frame(m)
+		}
+		binary.BigEndian.PutUint32(c.b[at:], uint32(len(c.b)-at-4))
+	default:
+		var n uint32
+		c.U32(&n)
+		if n == 0 || c.err != nil {
+			return
+		}
+		if int(n) > c.Remaining() {
+			c.err = ErrShortBuffer
+			return
+		}
+		end, all := c.off+int(n), c.b
+		c.b = c.b[:end]
+		*p = c.decodeFrame()
+		if c.err == nil && c.off != end {
+			c.Fail()
+		}
+		c.b = all
+	}
+}
+
+// Elem codes a message as an element of another message's list: its
+// payload, without a type code.
+func Elem[M Wire](c *Codec, p *M) {
+	if m := (*p).Code(c); m != nil {
+		*p = m.(M)
+	}
+}
+
+// maxPooledBuf bounds the buffer capacity a released writer (or frame pool
 // entry) keeps: a rare oversized message must not pin megabytes inside the
 // pool forever.
 const maxPooledBuf = 64 << 10
 
-var writerPool = sync.Pool{New: func() any { return &Writer{b: make([]byte, 0, 512)} }}
+var (
+	writerPool = sync.Pool{New: func() any { return &Codec{b: make([]byte, 0, 512)} }}
+	readerPool = sync.Pool{New: func() any { return new(Codec) }}
+)
 
-// AcquireWriter returns an empty pooled Writer. Release it when the encoded
+// AcquireWriter returns an empty pooled writer. Release it when the encoded
 // bytes have been consumed; the backing buffer is recycled.
-func AcquireWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.b = w.b[:0]
-	w.n = 0
-	w.countOnly = false
-	return w
+func AcquireWriter() *Codec {
+	c := writerPool.Get().(*Codec)
+	c.mode, c.b = writing, c.b[:0]
+	return c
 }
 
-// Release returns w to the pool. The slice previously returned by Bytes()
-// becomes invalid: it aliases the recycled buffer.
-func (w *Writer) Release() {
-	if cap(w.b) > maxPooledBuf {
-		w.b = nil
+// AcquireReader returns a pooled reader over b.
+func AcquireReader(b []byte) *Codec {
+	c := readerPool.Get().(*Codec)
+	c.mode, c.b, c.off, c.err = reading, b, 0, nil
+	return c
+}
+
+// Release returns c to its pool. A writer's Bytes() become invalid: they
+// alias the recycled buffer. Messages a reader decoded stay valid: every
+// decode copies out of the input.
+func (c *Codec) Release() {
+	if c.mode == reading {
+		c.b = nil
+		readerPool.Put(c)
+		return
 	}
-	writerPool.Put(w)
+	if cap(c.b) > maxPooledBuf {
+		c.b = nil
+	}
+	writerPool.Put(c)
 }
 
 var bufPool = sync.Pool{New: func() any { return new(Buf) }}
@@ -225,7 +405,7 @@ func EncodeBuf(m Message) (*Buf, error) {
 var (
 	// ErrShortBuffer means a decode ran past the end of the input.
 	ErrShortBuffer = errors.New("transport: short buffer")
-	// ErrUnknownType means the frame's type code has no registered decoder.
+	// ErrUnknownType means the frame's type code is not registered.
 	ErrUnknownType = errors.New("transport: unknown wire type")
 	// ErrNotWire means the message type has no registered codec.
 	ErrNotWire = errors.New("transport: message type not codec-registered")
@@ -233,181 +413,68 @@ var (
 	ErrCorrupt = errors.New("transport: corrupt frame")
 )
 
-// Reader decodes wire primitives with a sticky error: after the first
-// failure every read returns zero values and Err() reports the cause.
-type Reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-// NewReader wraps b for decoding.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-var readerPool = sync.Pool{New: func() any { return new(Reader) }}
-
-// AcquireReader returns a pooled Reader over b. Release it when the decoded
-// data is no longer needed; until then b must stay unchanged.
-func AcquireReader(b []byte) *Reader {
-	r := readerPool.Get().(*Reader)
-	r.b, r.off, r.err = b, 0, nil
-	return r
-}
-
-// Release returns r to the pool. Decoded messages stay valid: every decode
-// copies out of the input.
-func (r *Reader) Release() {
-	r.b = nil
-	readerPool.Put(r)
-}
-
-// Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining reports the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.b) - r.off }
-
-// Fail marks the reader as corrupt (structural validation failures).
-func (r *Reader) Fail() {
-	if r.err == nil {
-		r.err = ErrCorrupt
-	}
-}
-
-func (r *Reader) take(k int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+k > len(r.b) {
-		r.err = ErrShortBuffer
-		return nil
-	}
-	p := r.b[r.off : r.off+k]
-	r.off += k
-	return p
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-// Bool reads a boolean byte.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U16 reads a big-endian uint16.
-func (r *Reader) U16() uint16 {
-	p := r.take(2)
-	if p == nil {
-		return 0
-	}
-	return uint16(p[0])<<8 | uint16(p[1])
-}
-
-// U32 reads a big-endian uint32.
-func (r *Reader) U32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3])
-}
-
-// U48 reads a 6-byte big-endian unsigned integer.
-func (r *Reader) U48() uint64 {
-	p := r.take(6)
-	if p == nil {
-		return 0
-	}
-	var v uint64
-	for _, c := range p {
-		v = v<<8 | uint64(c)
-	}
-	return v
-}
-
-// U64 reads a big-endian uint64.
-func (r *Reader) U64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	var v uint64
-	for _, c := range p {
-		v = v<<8 | uint64(c)
-	}
-	return v
-}
-
-// I64 reads a big-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Duration reads a nanosecond count.
-func (r *Reader) Duration() time.Duration { return time.Duration(r.I64()) }
-
-// Addr reads a 6-byte transport address.
-func (r *Reader) Addr() Addr { return Addr(int64(r.U48()) - 1) }
-
-// Bytes16 reads a length-prefixed byte string. It returns nil for length 0
-// so optional fields (signatures) round-trip exactly. The result is a copy.
-func (r *Reader) Bytes16() []byte {
-	n := int(r.U16())
-	p := r.take(n)
-	if p == nil || n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, p)
-	return out
-}
-
-// Raw reads a copy of k bytes without a length prefix (fixed-width fields);
-// nil on short buffer or k == 0.
-func (r *Reader) Raw(k int) []byte {
-	p := r.take(k)
-	if p == nil || k == 0 {
-		return nil
-	}
-	out := make([]byte, k)
-	copy(out, p)
-	return out
-}
-
-// Skip discards k bytes (fixed pads).
-func (r *Reader) Skip(k int) { r.take(k) }
-
 // frameHeaderSize is the per-message framing overhead: the uint16 type code.
 const frameHeaderSize = 2
 
 // Wire is a Message with a registered binary encoding. Every protocol
-// message in internal/chord and internal/core implements it.
+// message in internal/chord, internal/core and internal/store implements it.
 type Wire interface {
 	Message
 	// WireType returns the message's registered type code.
 	WireType() uint16
-	// EncodePayload appends the message body (everything after the type
-	// code) to w.
-	EncodePayload(w *Writer)
+	// Code is the message's codec: it runs every payload field (everything
+	// after the type code) through c in wire order and returns
+	// Decoded(c, &m). Writing and counting read the fields of m; reading
+	// starts from the registered zero value and fills them.
+	Code(c *Codec) Wire
 }
 
-// decoder reconstructs a message payload. It must consume exactly the bytes
-// EncodePayload produced.
-type decoder = func(r *Reader) Wire
-
-var decoders = map[uint16]decoder{}
-
-// RegisterType installs the payload decoder for a wire type code. It is
-// called from package init functions; duplicate registrations panic, which
-// surfaces code-allocation clashes at program start.
-func RegisterType(code uint16, dec func(r *Reader) Wire) {
-	if _, dup := decoders[code]; dup {
-		panic(fmt.Sprintf("transport: duplicate wire type 0x%04x", code))
+// Decoded ends every Code method. It returns *m, the message whose fields c
+// has just read, when c is a reader, and nil otherwise, so that writing and
+// counting never copy m into an interface.
+func Decoded[M Wire](c *Codec, m *M) Wire {
+	if c.mode != reading {
+		return nil
 	}
-	decoders[code] = dec
+	return *m
+}
+
+var registry = map[uint16]Wire{}
+
+// Register adds message types to the wire registry under their WireType
+// codes; each argument is the zero value a reader starts from. It is called
+// from package init functions; a code registered twice panics, which
+// surfaces code-allocation clashes at program start.
+func Register(zeros ...Wire) {
+	for _, m := range zeros {
+		code := m.WireType()
+		if _, dup := registry[code]; dup {
+			panic(fmt.Sprintf("transport: duplicate wire type 0x%04x", code))
+		}
+		registry[code] = m
+	}
+}
+
+// frame codes m's type code and payload.
+func (c *Codec) frame(m Wire) {
+	code := m.WireType()
+	c.U16(&code)
+	m.Code(c)
+}
+
+// decodeFrame reads one [type code][payload] frame.
+func (c *Codec) decodeFrame() Wire {
+	var code uint16
+	c.U16(&code)
+	if c.err != nil {
+		return nil
+	}
+	zero, ok := registry[code]
+	if !ok {
+		c.err = fmt.Errorf("%w: 0x%04x", ErrUnknownType, code)
+		return nil
+	}
+	return zero.Code(c)
 }
 
 // Encode serializes a message into a self-describing frame:
@@ -422,9 +489,7 @@ func Encode(m Message) ([]byte, error) {
 		return nil, err
 	}
 	w.b = b // keep the (possibly regrown) buffer pooled
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
+	return bytes.Clone(b), nil
 }
 
 // EncodeTo appends the self-describing frame for m to dst and returns the
@@ -435,14 +500,13 @@ func EncodeTo(dst []byte, m Message) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("%w: %T", ErrNotWire, m)
 	}
-	w := writerPool.Get().(*Writer)
-	own := w.b // dst belongs to the caller; park the pooled buffer meanwhile
-	w.b, w.countOnly = dst, false
-	w.U16(wm.WireType())
-	wm.EncodePayload(w)
-	out := w.b
-	w.b = own
-	writerPool.Put(w)
+	c := writerPool.Get().(*Codec)
+	own := c.b // dst belongs to the caller; park the pooled buffer meanwhile
+	c.mode, c.b = writing, dst
+	c.frame(wm)
+	out := c.b
+	c.b = own
+	writerPool.Put(c)
 	return out, nil
 }
 
@@ -452,15 +516,13 @@ func EncodeTo(dst []byte, m Message) ([]byte, error) {
 func Decode(b []byte) (Wire, error) {
 	r := AcquireReader(b)
 	defer r.Release()
-	return r.decodeAll()
+	return DecodeBorrowed(r)
 }
 
-// DecodeBorrowed parses one frame from the remainder of a pooled Reader,
+// DecodeBorrowed parses one frame from the rest of a pooled reader,
 // copying exactly as Decode does.
-func DecodeBorrowed(r *Reader) (Wire, error) { return r.decodeAll() }
-
-func (r *Reader) decodeAll() (Wire, error) {
-	m := decodeFrame(r)
+func DecodeBorrowed(r *Codec) (Wire, error) {
+	m := r.decodeFrame()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -470,88 +532,18 @@ func (r *Reader) decodeAll() (Wire, error) {
 	return m, nil
 }
 
-// decodeFrame reads one [type][payload] frame from r.
-func decodeFrame(r *Reader) Wire {
-	code := r.U16()
-	if r.Err() != nil {
-		return nil
-	}
-	dec, ok := decoders[code]
-	if !ok {
-		r.err = fmt.Errorf("%w: 0x%04x", ErrUnknownType, code)
-		return nil
-	}
-	return dec(r)
-}
-
 // EncodedSize returns the exact frame size Encode would produce, computed by
-// running the encoder in counting mode. Protocol messages implement Size() by
-// delegating here, so bandwidth accounting always equals the real serialized
-// size. It allocates nothing: the Writer is pooled (it escapes through the
-// encoder, and Size() runs twice per delivered message), and the type
+// running the message's Code in counting mode. Protocol messages implement
+// Size() by delegating here, so bandwidth accounting always equals the real
+// serialized size. It allocates nothing: the counter is pooled (it escapes
+// through Code, and Size() runs twice per delivered message), and the type
 // parameter lets a value-receiver Size() pass its message on without boxing
 // it into an interface again.
 func EncodedSize[M Wire](m M) int {
-	w := writerPool.Get().(*Writer)
-	w.n, w.countOnly = 0, true
-	m.EncodePayload(w)
-	n := w.n
-	writerPool.Put(w) // AcquireWriter and EncodeTo reset the mode themselves
-	return frameHeaderSize + n
-}
-
-// EncodeNested writes a framed message as a length-prefixed field inside
-// another message (onion payloads, relayed responses). A nil message writes
-// length 0.
-func EncodeNested(w *Writer, m Message) {
-	if m == nil {
-		w.U32(0)
-		return
-	}
-	wm, ok := m.(Wire)
-	if !ok {
-		// Unencodable nested payloads become empty frames; Size() and
-		// Encode stay consistent because both paths take this branch.
-		w.U32(0)
-		return
-	}
-	if w.countOnly {
-		w.n += 4 + frameHeaderSize // length prefix + type code
-		wm.EncodePayload(w)
-		return
-	}
-	// Reserve the length slot, encode, then patch.
-	at := len(w.b)
-	w.U32(0)
-	w.U16(wm.WireType())
-	wm.EncodePayload(w)
-	n := len(w.b) - at - 4
-	w.b[at] = byte(n >> 24)
-	w.b[at+1] = byte(n >> 16)
-	w.b[at+2] = byte(n >> 8)
-	w.b[at+3] = byte(n)
-}
-
-// DecodeNested reads a field written by EncodeNested. A zero length yields
-// nil.
-func DecodeNested(r *Reader) Wire {
-	n := int(r.U32())
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	p := r.take(n)
-	if p == nil {
-		return nil
-	}
-	sub := NewReader(p)
-	m := decodeFrame(sub)
-	if sub.Err() != nil {
-		r.err = sub.Err()
-		return nil
-	}
-	if sub.Remaining() != 0 {
-		r.Fail()
-		return nil
-	}
-	return m
+	c := writerPool.Get().(*Codec)
+	c.mode, c.n = counting, frameHeaderSize
+	m.Code(c)
+	n := c.n
+	writerPool.Put(c) // AcquireWriter and EncodeTo reset the mode themselves
+	return n
 }

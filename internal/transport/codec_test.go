@@ -3,111 +3,104 @@ package transport
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+
+	"github.com/octopus-dht/octopus/internal/id"
 )
 
-// TestPrimitiveRoundTrips drives every Writer/Reader primitive pair with
-// random values.
+// primitives holds one field of every Codec primitive.
+type primitives struct {
+	U8     uint8
+	U16    uint16
+	U32    uint32
+	U64    uint64
+	I64    int64
+	D      time.Duration
+	ID     id.ID
+	Addr   Addr
+	Blob   []byte
+	Str    string
+	Flag   bool
+	Hi, Lo bool
+}
+
+func (f *primitives) code(c *Codec) {
+	c.U8(&f.U8)
+	c.U16(&f.U16)
+	c.U32(&f.U32)
+	c.U64(&f.U64)
+	c.I64(&f.I64)
+	c.Duration(&f.D)
+	c.ID(&f.ID)
+	c.Addr(&f.Addr)
+	c.Bytes16(&f.Blob)
+	c.String16(&f.Str)
+	c.Bool(&f.Flag)
+	c.Flags(&f.Hi, &f.Lo)
+	c.Pad(7)
+}
+
+// TestPrimitiveRoundTrips runs one field list of every primitive through a
+// writer, a counter and a reader with random values.
 func TestPrimitiveRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
-		u8 := uint8(rng.Uint32())
-		u16 := uint16(rng.Uint32())
-		u32 := rng.Uint32()
-		u48 := rng.Uint64() & ((1 << 48) - 1)
-		u64 := rng.Uint64()
-		i64 := rng.Int63() - rng.Int63()
-		d := time.Duration(rng.Int63())
-		addr := Addr(rng.Int31())
+		want := primitives{
+			U8:   uint8(rng.Uint32()),
+			U16:  uint16(rng.Uint32()),
+			U32:  rng.Uint32(),
+			U64:  rng.Uint64(),
+			I64:  rng.Int63() - rng.Int63(),
+			D:    time.Duration(rng.Int63()),
+			ID:   id.ID(rng.Uint64()),
+			Addr: Addr(rng.Int31()),
+			Str:  string(rune('a' + rng.Intn(26))),
+			Flag: rng.Intn(2) == 0,
+			Hi:   rng.Intn(2) == 0,
+			Lo:   rng.Intn(2) == 0,
+		}
 		if rng.Intn(8) == 0 {
-			addr = NoAddr
+			want.Addr, want.Str = NoAddr, ""
 		}
-		b := make([]byte, rng.Intn(64))
-		rng.Read(b)
-		var blob []byte
-		if len(b) > 0 {
-			blob = b
-		}
-		flag := rng.Intn(2) == 0
-
-		w := &Writer{}
-		w.U8(u8)
-		w.U16(u16)
-		w.U32(u32)
-		w.U48(u48)
-		w.U64(u64)
-		w.I64(i64)
-		w.Duration(d)
-		w.Addr(addr)
-		w.Bytes16(blob)
-		w.Bool(flag)
-		w.Pad(7)
-
-		// The counting writer must agree byte-for-byte with the real one.
-		c := NewCountingWriter()
-		c.U8(u8)
-		c.U16(u16)
-		c.U32(u32)
-		c.U48(u48)
-		c.U64(u64)
-		c.I64(i64)
-		c.Duration(d)
-		c.Addr(addr)
-		c.Bytes16(blob)
-		c.Bool(flag)
-		c.Pad(7)
-		if c.Len() != w.Len() {
-			t.Fatalf("counting writer length %d != real length %d", c.Len(), w.Len())
+		if n := rng.Intn(64); n > 0 {
+			want.Blob = make([]byte, n)
+			rng.Read(want.Blob)
 		}
 
+		w := &Codec{}
+		want.code(w)
+		// The counter must agree byte-for-byte with the writer.
+		c := &Codec{mode: counting}
+		want.code(c)
+		if c.n != len(w.Bytes()) {
+			t.Fatalf("counted length %d != written length %d", c.n, len(w.Bytes()))
+		}
+
+		var got primitives
 		r := NewReader(w.Bytes())
-		if got := r.U8(); got != u8 {
-			t.Fatalf("u8 %d != %d", got, u8)
-		}
-		if got := r.U16(); got != u16 {
-			t.Fatalf("u16 %d != %d", got, u16)
-		}
-		if got := r.U32(); got != u32 {
-			t.Fatalf("u32 %d != %d", got, u32)
-		}
-		if got := r.U48(); got != u48 {
-			t.Fatalf("u48 %d != %d", got, u48)
-		}
-		if got := r.U64(); got != u64 {
-			t.Fatalf("u64 %d != %d", got, u64)
-		}
-		if got := r.I64(); got != i64 {
-			t.Fatalf("i64 %d != %d", got, i64)
-		}
-		if got := r.Duration(); got != d {
-			t.Fatalf("duration %v != %v", got, d)
-		}
-		if got := r.Addr(); got != addr {
-			t.Fatalf("addr %v != %v", got, addr)
-		}
-		if got := r.Bytes16(); !bytes.Equal(got, blob) {
-			t.Fatalf("bytes16 %v != %v", got, blob)
-		}
-		if got := r.Bool(); got != flag {
-			t.Fatalf("bool %v != %v", got, flag)
-		}
-		r.Skip(7)
+		got.code(r)
 		if r.Err() != nil || r.Remaining() != 0 {
 			t.Fatalf("err=%v remaining=%d after full read", r.Err(), r.Remaining())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 		}
 	}
 }
 
 func TestReaderShortBuffer(t *testing.T) {
 	r := NewReader([]byte{1, 2, 3})
-	_ = r.U64()
+	var v uint64
+	r.U64(&v)
 	if r.Err() != ErrShortBuffer {
 		t.Fatalf("err = %v, want ErrShortBuffer", r.Err())
 	}
-	// Sticky: subsequent reads stay failed and return zero values.
-	if got := r.U16(); got != 0 || r.Err() != ErrShortBuffer {
-		t.Fatalf("sticky error violated: %d, %v", got, r.Err())
+	// Sticky: subsequent reads stay failed and leave their fields alone.
+	var x uint16
+	if r.U16(&x); x != 0 || r.Err() != ErrShortBuffer {
+		t.Fatalf("sticky error violated: %d, %v", x, r.Err())
 	}
 }
 
@@ -139,16 +132,13 @@ type poolMsg struct {
 
 func (m poolMsg) Size() int      { return EncodedSize(m) }
 func (poolMsg) WireType() uint16 { return 0x7FF0 }
-func (m poolMsg) EncodePayload(w *Writer) {
-	w.U64(m.A)
-	w.Bytes16(m.Blob)
+func (m poolMsg) Code(c *Codec) Wire {
+	c.U64(&m.A)
+	c.Bytes16(&m.Blob)
+	return Decoded(c, &m)
 }
 
-func init() {
-	RegisterType(0x7FF0, func(r *Reader) Wire {
-		return poolMsg{A: r.U64(), Blob: r.Bytes16()}
-	})
-}
+func init() { Register(poolMsg{}) }
 
 // TestPooledEncodePaths: Encode, EncodeTo (into a caller buffer, with and
 // without spare capacity), and EncodeBuf must produce byte-identical frames,
@@ -199,14 +189,17 @@ func TestPooledEncodePaths(t *testing.T) {
 // the previous user did.
 func TestPooledWriterReuse(t *testing.T) {
 	w := AcquireWriter()
-	w.U64(0x1122334455667788)
+	v := uint64(0x1122334455667788)
+	w.U64(&v)
 	w.Release()
+	_ = (poolMsg{}).Size() // leaves a pooled Codec in counting mode
 	for i := 0; i < 8; i++ {
 		w := AcquireWriter()
-		if w.Len() != 0 || len(w.Bytes()) != 0 {
-			t.Fatalf("acquired writer not empty: len=%d", w.Len())
+		if len(w.Bytes()) != 0 {
+			t.Fatalf("acquired writer not empty: len=%d", len(w.Bytes()))
 		}
-		w.U16(uint16(i))
+		x := uint16(i)
+		w.U16(&x)
 		if got := w.Bytes(); len(got) != 2 {
 			t.Fatalf("pooled writer in count-only mode: Bytes()=%v", got)
 		}
@@ -215,7 +208,7 @@ func TestPooledWriterReuse(t *testing.T) {
 
 	// An oversized buffer must not be parked in the pool.
 	big := AcquireWriter()
-	big.Raw(make([]byte, maxPooledBuf+1))
+	big.Pad(maxPooledBuf + 1)
 	big.Release()
 	if w := AcquireWriter(); cap(w.b) > maxPooledBuf {
 		t.Errorf("oversized buffer (cap %d) survived Release into the pool", cap(w.b))

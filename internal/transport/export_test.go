@@ -1,5 +1,5 @@
 package transport
 
-// Registry returns every registered wire code with its decoder, for the
-// registry-versus-PROTOCOL.md test.
-func Registry() map[uint16]decoder { return decoders }
+// Registry returns every registered wire code with the zero value a reader
+// starts from, for the registry-versus-PROTOCOL.md test.
+func Registry() map[uint16]Wire { return registry }

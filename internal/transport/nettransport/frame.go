@@ -14,14 +14,15 @@ import (
 //
 //	uint32  length   — bytes that follow (header + codec frame)
 //	uint8   kind     — frameOneway | frameRequest | frameResponse
-//	6 bytes from     — source address (transport.Writer.Addr encoding)
+//	6 bytes from     — source address (transport.Codec.Addr encoding)
 //	6 bytes to       — destination address
 //	uint64  reqID    — RPC correlation id; 0 for one-way sends
 //	[]byte  payload  — the self-describing codec frame (transport.Encode)
 //
-// All integers are big-endian, reusing the codec's Writer/Reader primitives
-// so the framing layer and the message layer share one set of encoding
-// rules. docs/PROTOCOL.md is the written form of this contract.
+// All integers are big-endian: the header is one field list (frameHeader.code)
+// on the message codec, so the framing layer and the message layer share one
+// set of encoding rules. docs/PROTOCOL.md is the written form of this
+// contract.
 
 // Frame kinds.
 const (
@@ -58,16 +59,21 @@ type frameHeader struct {
 	reqID uint64
 }
 
+// code codes the fixed header; writing and reading share this one list.
+func (h *frameHeader) code(c *transport.Codec) {
+	c.U8(&h.kind)
+	c.Addr(&h.from)
+	c.Addr(&h.to)
+	c.U64(&h.reqID)
+}
+
 // appendFrame builds a complete wire frame (length prefix included).
 func appendFrame(kind uint8, from, to transport.Addr, reqID uint64, payload []byte) []byte {
-	w := &transport.Writer{}
-	w.U32(uint32(frameHeaderSize + len(payload)))
-	w.U8(kind)
-	w.Addr(from)
-	w.Addr(to)
-	w.U64(reqID)
-	w.Raw(payload)
-	return w.Bytes()
+	c, n := &transport.Codec{}, uint32(frameHeaderSize+len(payload))
+	c.U32(&n)
+	h := frameHeader{kind, from, to, reqID}
+	h.code(c)
+	return append(c.Bytes(), payload...)
 }
 
 // frameFor encodes msg as one complete wire frame in a pooled buffer —
@@ -79,11 +85,10 @@ func frameFor(kind uint8, from, to transport.Addr, reqID uint64, msg transport.M
 	w := transport.AcquireWriter()
 	// Header with a zero length placeholder, patched once the payload size
 	// is known.
-	w.U32(0)
-	w.U8(kind)
-	w.Addr(from)
-	w.Addr(to)
-	w.U64(reqID)
+	var length uint32
+	w.U32(&length)
+	h := frameHeader{kind, from, to, reqID}
+	h.code(w)
 	b, err := transport.EncodeTo(append(fb.B, w.Bytes()...), msg)
 	w.Release()
 	if err != nil {
@@ -131,8 +136,9 @@ func readFrameBuf(br *bufio.Reader, max int) (frameHeader, *transport.Buf, error
 		fb.Release()
 		return frameHeader{}, nil, fmt.Errorf("nettransport: truncated frame: %w", err)
 	}
+	var h frameHeader
 	r := transport.AcquireReader(fb.B)
-	h := frameHeader{kind: r.U8(), from: r.Addr(), to: r.Addr(), reqID: r.U64()}
+	h.code(r)
 	r.Release()
 	if h.kind != frameOneway && h.kind != frameRequest && h.kind != frameResponse {
 		fb.Release()

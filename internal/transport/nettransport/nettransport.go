@@ -545,21 +545,18 @@ func (t *Transport) dropRequest(kind uint8, reqID uint64) {
 // failure paths); it recovers kind and reqID from the frame bytes, then
 // releases the buffer.
 func (t *Transport) dropFrame(fb *transport.Buf) {
-	// Layout per frameFor: u32 length, u8 kind, 6-byte from, 6-byte to,
-	// u64 reqID.
+	// The header follows frameFor's u32 length prefix.
 	if len(fb.B) < 4+frameHeaderSize {
 		fb.Release()
 		t.sendDrops.Add(1)
 		return
 	}
+	var h frameHeader
 	r := transport.AcquireReader(fb.B[4:])
-	kind := r.U8()
-	r.Addr()
-	r.Addr()
-	reqID := r.U64()
+	h.code(r)
 	r.Release()
 	fb.Release()
-	t.dropRequest(kind, reqID)
+	t.dropRequest(h.kind, h.reqID)
 }
 
 // dispatch routes one inbound frame, taking ownership of its pooled buffer.

@@ -84,13 +84,12 @@ func readRegistryRows(t *testing.T, path string) map[uint16]docRow {
 // TestProtocolDocMatchesRegistry binds docs/PROTOCOL.md's registry tables
 // to the live wire registry: every protocol code (0x0100–0x7EFF; 0x7Fxx is
 // test-reserved) has exactly one row and every row a registration, the
-// row names the Go type the decoder returns, that type's zero value claims
-// the code, and every integer size is the zero value's Size() and encoded
-// length.
+// row names the registered Go type, and every integer size is that type's
+// zero-value Size() and encoded length.
 func TestProtocolDocMatchesRegistry(t *testing.T) {
 	rows := readRegistryRows(t, "../../docs/PROTOCOL.md")
 	reg := transport.Registry()
-	for code, dec := range reg {
+	for code, zero := range reg {
 		if code < 0x0100 || code > 0x7EFF {
 			continue
 		}
@@ -99,19 +98,9 @@ func TestProtocolDocMatchesRegistry(t *testing.T) {
 			t.Errorf("0x%04X is registered but has no PROTOCOL.md registry row", code)
 			continue
 		}
-		decoded := dec(transport.NewReader(nil))
-		if decoded == nil {
-			t.Errorf("0x%04X: decoder returned nil on an empty payload; cannot name its type", code)
+		if typ := reflect.TypeOf(zero); typ.Name() != row.name {
+			t.Errorf("PROTOCOL.md:%d names 0x%04X %q, but the registry holds %s", row.line, code, row.name, typ)
 			continue
-		}
-		typ := reflect.TypeOf(decoded)
-		if typ.Name() != row.name {
-			t.Errorf("PROTOCOL.md:%d names 0x%04X %q, but its decoder returns %s", row.line, code, row.name, typ)
-			continue
-		}
-		zero := reflect.Zero(typ).Interface().(transport.Wire)
-		if got := zero.WireType(); got != code {
-			t.Errorf("%s{}.WireType() = 0x%04X, registered as 0x%04X", row.name, got, code)
 		}
 		if row.size < 0 {
 			continue

@@ -31,17 +31,14 @@ func (m Echo) Size() int { return transport.EncodedSize(m) }
 // WireType implements transport.Wire.
 func (Echo) WireType() uint16 { return 0x7F01 }
 
-// EncodePayload implements transport.Wire.
-func (m Echo) EncodePayload(w *transport.Writer) {
-	w.U64(m.N)
-	w.Bytes16(m.Payload)
+// Code implements transport.Wire.
+func (m Echo) Code(c *transport.Codec) transport.Wire {
+	c.U64(&m.N)
+	c.Bytes16(&m.Payload)
+	return transport.Decoded(c, &m)
 }
 
-func init() {
-	transport.RegisterType(0x7F01, func(r *transport.Reader) transport.Wire {
-		return Echo{N: r.U64(), Payload: r.Bytes16()}
-	})
-}
+func init() { transport.Register(Echo{}) }
 
 // Harness adapts one transport implementation to the suite.
 type Harness struct {

@@ -121,14 +121,11 @@ func TestCertWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
-	w := &transport.Writer{}
-	cert.MarshalWire(w)
-	// WireSize must equal the real encoded length.
-	if got := cert.WireSize(); got != w.Len() {
-		t.Errorf("WireSize = %d, encoded length = %d", got, w.Len())
-	}
+	w := &transport.Codec{}
+	CodeCertificate(w, &cert)
+	var back Certificate
 	r := transport.NewReader(w.Bytes())
-	back := UnmarshalCertificate(r)
+	CodeCertificate(r, &back)
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("unmarshal: err=%v remaining=%d", r.Err(), r.Remaining())
 	}

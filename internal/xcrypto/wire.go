@@ -1,9 +1,6 @@
 package xcrypto
 
-import (
-	"github.com/octopus-dht/octopus/internal/id"
-	"github.com/octopus-dht/octopus/internal/transport"
-)
+import "github.com/octopus-dht/octopus/internal/transport"
 
 // Wire-layout constants of the real binary codec (internal/transport). The
 // seed implementation carried the paper's hand-computed accounting (§7,
@@ -39,32 +36,13 @@ func OnionWireOverhead(layers int) int {
 	return layers * (AddrWireSize + AESBlockSize)
 }
 
-// MarshalWire appends the certificate's binary encoding to w. Certificates
-// are self-contained on the wire: identity, endpoint, public key, expiry,
-// and the CA signature, each length-prefixed where variable.
-func (c Certificate) MarshalWire(w *transport.Writer) {
-	w.U64(uint64(c.Node))
-	w.I64(c.Addr)
-	w.Bytes16(c.Key)
-	w.Duration(c.Expiry)
-	w.Bytes16(c.Sig)
-}
-
-// UnmarshalCertificate reads a certificate written by MarshalWire.
-func UnmarshalCertificate(r *transport.Reader) Certificate {
-	return Certificate{
-		Node:   id.ID(r.U64()),
-		Addr:   r.I64(),
-		Key:    PublicKey(r.Bytes16()),
-		Expiry: r.Duration(),
-		Sig:    r.Bytes16(),
-	}
-}
-
-// WireSize returns the exact encoded size of the certificate, derived from
-// the real encoding.
-func (c Certificate) WireSize() int {
-	w := transport.NewCountingWriter()
-	c.MarshalWire(w)
-	return w.Len()
+// CodeCertificate codes a certificate through c. Certificates are
+// self-contained on the wire: identity, endpoint, public key, expiry, and
+// the CA signature, each length-prefixed where variable.
+func CodeCertificate(c *transport.Codec, cert *Certificate) {
+	c.ID(&cert.Node)
+	c.I64(&cert.Addr)
+	c.Bytes16((*[]byte)(&cert.Key))
+	c.Duration(&cert.Expiry)
+	c.Bytes16(&cert.Sig)
 }

@@ -58,7 +58,6 @@ var globalRandFuncs = map[string]bool{
 // not trigger (the loop then ranges over a slice).
 var encodeSinkNames = map[string]bool{
 	"Encode": true, "EncodeTo": true, "EncodeBuf": true,
-	"EncodeNested": true, "EncodePayload": true,
 	"Send": true, "Call": true, "BootstrapCall": true, "AnonRPC": true,
 	"Sum64": true,
 }
@@ -176,16 +175,18 @@ func subtreeReadsClock(info *types.Info, e ast.Expr) bool {
 	return found
 }
 
-// functionFeedsEncoding reports whether the function's body contains a
-// call that emits encoded/wire/hash output: a name from encodeSinkNames,
-// any method on transport.Writer, or the function being an EncodePayload
-// method itself.
+// functionFeedsEncoding reports whether the function emits encoded/wire/hash
+// output: it takes a transport.Codec (a message's Code method, a field-list
+// helper), or its body calls a name from encodeSinkNames or any method on a
+// transport.Codec.
 func functionFeedsEncoding(pass *lintcore.Pass, fn *ast.FuncDecl) bool {
 	if fn.Body == nil {
 		return false
 	}
-	if fn.Name != nil && fn.Name.Name == "EncodePayload" {
-		return true
+	for _, f := range fn.Type.Params.List {
+		if lintcore.NamedTypeIs(pass.TypesInfo.TypeOf(f.Type), "internal/transport", "Codec") {
+			return true
+		}
 	}
 	return bodyFeedsEncoding(pass, fn.Body)
 }
@@ -210,9 +211,9 @@ func bodyFeedsEncoding(pass *lintcore.Pass, body ast.Node) bool {
 			sinky = true
 			return false
 		}
-		// Any method on the wire codec's Writer counts: w.U64(...) etc.
+		// Any method on the wire codec counts: c.U64(...) etc.
 		if recv := pass.TypesInfo.TypeOf(sel.X); recv != nil &&
-			lintcore.NamedTypeIs(recv, "internal/transport", "Writer") {
+			lintcore.NamedTypeIs(recv, "internal/transport", "Codec") {
 			sinky = true
 			return false
 		}

@@ -15,13 +15,13 @@ func SeededDraw(seed int64, n int) int {
 
 // EncodeSorted is the sanctioned collect-then-sort pattern: the map's
 // iteration order never reaches the encoder.
-func (m Table) EncodeSorted(w *transport.Writer) {
+func (m Table) EncodeSorted(c *transport.Codec) {
 	keys := make([]uint64, 0, len(m.Entries))
 	for k := range m.Entries {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		w.U64(k)
+		c.U64(&k)
 	}
 }

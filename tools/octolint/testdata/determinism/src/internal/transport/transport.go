@@ -1,9 +1,9 @@
 // Package transport is a fixture stub of the repo's wire codec surface:
-// just enough for determinism's Writer-method sink detection.
+// just enough for determinism's Codec sink detection.
 package transport
 
-// Writer is the codec writer stub.
-type Writer struct{}
+// Codec is the wire codec stub.
+type Codec struct{}
 
-// U64 writes v.
-func (w *Writer) U64(v uint64) {}
+// U64 codes *p.
+func (c *Codec) U64(p *uint64) {}
