@@ -43,14 +43,15 @@ var seededRuns = []struct {
 			AttackRate: 1, ManipulateFingers: true, ConsistentPredRate: 0.5,
 		}))
 	}},
-	{"efficiency-octopus", func(*testing.T) any {
-		cfg := DefaultEfficiencyConfig()
-		cfg.Nodes = 100
-		cfg.Lookups = 60
-		cfg.WarmUp = 2 * time.Minute
-		cfg.BandwidthWindow = 2 * time.Minute
-		return RunOctopusEfficiency(cfg)
+	// Table 2's rejoin path: churned slots come back through the CA.
+	{"security-churn", func(*testing.T) any {
+		cfg := digestSecurity(adversary.Strategy{AttackRate: 1, BiasLookups: true})
+		cfg.ChurnMean = 10 * time.Minute
+		return RunSecurity(cfg)
 	}},
+	{"efficiency-octopus", func(*testing.T) any { return RunOctopusEfficiency(digestEfficiency()) }},
+	{"efficiency-chord", func(*testing.T) any { return RunChordEfficiency(digestEfficiency()) }},
+	{"efficiency-halo", func(*testing.T) any { return RunHaloEfficiency(digestEfficiency()) }},
 	{"load-managed", func(*testing.T) any { return RunLoad(digestLoad(DefaultLoadConfig)) }},
 	{"load-sequential", func(*testing.T) any { return RunLoad(digestLoad(SequentialLoadConfig)) }},
 	{"storage", func(*testing.T) any {
@@ -116,6 +117,15 @@ func digestSecurity(strategy adversary.Strategy) SecurityConfig {
 		LookupEvery: time.Minute,
 		Seed:        1,
 	}
+}
+
+func digestEfficiency() EfficiencyConfig {
+	cfg := DefaultEfficiencyConfig()
+	cfg.Nodes = 100
+	cfg.Lookups = 60
+	cfg.WarmUp = 2 * time.Minute
+	cfg.BandwidthWindow = 2 * time.Minute
+	return cfg
 }
 
 func digestLoad(mk func() LoadConfig) LoadConfig {
