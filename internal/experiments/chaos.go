@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -144,6 +143,10 @@ type ChaosPhase struct {
 	LookupSuccess, HitRate float64
 }
 
+func (p *ChaosPhase) kv() kvTally {
+	return kvTally{&p.Gets, &p.Hits, &p.Misses, &p.Unwritten, &p.Puts, &p.PutOK}
+}
+
 func (p *ChaosPhase) finalize() {
 	if p.Lookups > 0 {
 		p.LookupSuccess = float64(p.LookupOK) / float64(p.Lookups)
@@ -183,24 +186,15 @@ type ChaosResult struct {
 
 // RunChaos executes one chaos experiment.
 func RunChaos(cfg ChaosConfig) ChaosResult {
-	sim := simnet.New(cfg.Seed)
-	net := simnet.NewNetwork(sim, king.New(cfg.Seed), cfg.N+1)
 	coreCfg := core.DefaultConfig()
 	coreCfg.RoutingTier = cfg.Tier
 	coreCfg.EstimatedSize = cfg.N
 	coreCfg.StoreReplicas = cfg.Replicas
 	// A cache hit would mask routing damage this suite exists to measure.
 	coreCfg.LookupCacheSize = 0
-	nw, err := core.BuildNetwork(net, cfg.N, coreCfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: chaos harness build failed: %v", err))
-	}
+	sim, net, nw := deploy(cfg.Seed, king.New(cfg.Seed), cfg.N, coreCfg)
 	storeCfg := store.Config{SyncEvery: cfg.SyncEvery}
-	stores := make([]*store.Store, cfg.N)
-	for i, node := range nw.Nodes {
-		stores[i] = store.New(node, storeCfg)
-		stores[i].Start()
-	}
+	stores := startStores(nw, storeCfg)
 	if cfg.Collector != nil {
 		cfg.Collector.Register(net)
 		for _, node := range nw.Nodes {
@@ -227,19 +221,12 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		nw.Ring.Kill(transport.Addr(addr))
 	}
 	storm.OnRejoin = func(addr simnet.Address) {
-		alive := nw.Ring.AlivePeers()
-		if len(alive) == 0 {
-			res.RejoinFailed++
-			return
-		}
-		bootstrap := alive[sim.Rand().Intn(len(alive))]
-		nw.Rejoin(transport.Addr(addr), bootstrap, coreCfg, func(node *core.Node, err error) {
+		rejoinRandom(nw, sim.Rand(), addr, coreCfg, func(node *core.Node, err error) {
 			if err != nil {
 				res.RejoinFailed++
 				return
 			}
-			st := store.New(node, storeCfg)
-			st.Start()
+			st := startStore(node, storeCfg)
 			stores[addr] = st
 			if cfg.Collector != nil {
 				cfg.Collector.Register(node)
@@ -257,78 +244,27 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	// the read was issued.
 	cur := &res.Baseline
 	stopTraffic := false
-	acked := make(map[id.ID]bool)
-	keys := make([]id.ID, cfg.Keys)
-	for i := range keys {
-		keys[i] = id.FromBytes([]byte(fmt.Sprintf("chaos-key-%d", i)))
-	}
-
-	lookupArrivals := rand.New(rand.NewSource(cfg.Seed + 101))
-	var scheduleLookup func()
-	scheduleLookup = func() {
-		dt := time.Duration(lookupArrivals.ExpFloat64() / cfg.LookupRate * float64(time.Second))
-		sim.After(dt, func() {
-			if stopTraffic {
-				return
+	stopped := func() bool { return stopTraffic }
+	poisson(sim, rand.New(rand.NewSource(cfg.Seed+101)), cfg.LookupRate, stopped, func(rng *rand.Rand) {
+		gw := nw.Nodes[rng.Intn(cfg.ServingNodes)]
+		key := id.ID(rng.Uint64())
+		gw.AnonLookup(key, func(owner chord.Peer, _ core.LookupStats, err error) {
+			cur.Lookups++
+			if err == nil && owner == nw.Ring.Owner(key) {
+				cur.LookupOK++
 			}
-			gw := nw.Nodes[lookupArrivals.Intn(cfg.ServingNodes)]
-			key := id.ID(lookupArrivals.Uint64())
-			gw.AnonLookup(key, func(owner chord.Peer, _ core.LookupStats, err error) {
-				cur.Lookups++
-				if err == nil && owner == nw.Ring.Owner(key) {
-					cur.LookupOK++
-				}
-			})
-			scheduleLookup()
 		})
-	}
-	scheduleLookup()
-
-	opArrivals := rand.New(rand.NewSource(cfg.Seed + 202))
-	seq := 0
-	var scheduleOp func()
-	scheduleOp = func() {
-		dt := time.Duration(opArrivals.ExpFloat64() / cfg.OpRate * float64(time.Second))
-		sim.After(dt, func() {
-			if stopTraffic {
-				return
-			}
-			gw := stores[opArrivals.Intn(cfg.ServingNodes)]
-			key := keys[opArrivals.Intn(len(keys))]
-			if opArrivals.Float64() < cfg.ReadFraction {
-				written := acked[key] // when issued: a Put may be acknowledged mid-Get
-				gw.Get(key, func(r store.GetResult) {
-					cur.Gets++
-					switch {
-					case r.Found:
-						cur.Hits++
-					case !written:
-						cur.Unwritten++
-					default:
-						cur.Misses++
-					}
-				})
-			} else {
-				seq++
-				value := []byte(fmt.Sprintf("chaos-value-%d", seq))
-				gw.Put(key, value, func(r store.PutResult) {
-					cur.Puts++
-					if r.Err == nil {
-						cur.PutOK++
-						acked[key] = true
-					}
-				})
-			}
-			scheduleOp()
-		})
-	}
-	scheduleOp()
+	})
+	mix := newKVMix(sim, stores, cfg.ServingNodes, cfg.Keys, cfg.ReadFraction, "chaos-key-%d", "chaos-value-%d")
+	mix.tally = cur.kv()
+	poisson(sim, rand.New(rand.NewSource(cfg.Seed+202)), cfg.OpRate, stopped, mix.arrive)
 
 	// Phase 1: calm baseline.
 	sim.Run(sim.Now() + cfg.Baseline)
 
 	// Phase 2: the storm.
 	cur = &res.Storm
+	mix.tally = cur.kv()
 	stormStart := sim.Now()
 	storm.Run(cfg.Script)
 	sim.Run(stormStart + cfg.StormHold)
@@ -361,6 +297,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	// Phase 3: measured post-recovery window — the acceptance numbers.
 	if res.Recovered {
 		cur = &res.PostRecovery
+		mix.tally = cur.kv()
 		sim.Run(sim.Now() + cfg.PostRecovery)
 	}
 	stopTraffic = true

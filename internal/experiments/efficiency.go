@@ -121,203 +121,145 @@ func paperCoreConfig() core.Config {
 	return cfg
 }
 
-// patientChordConfig waits out PlanetLab stragglers instead of timing out:
-// the paper's measurements run to completion ("a lookup is not completed
-// until all redundant lookups' results are returned").
-func patientChordConfig() chord.Config {
+// table3Scheme is one system of Table 3: the seed offsets its runs draw
+// from, its latency run's timing, and how to stand it up on a simulator.
+type table3Scheme struct {
+	name string
+	// The latency run's simulator is seeded with Seed+seed and its lookup
+	// stream with Seed+seed+1; each bandwidth run likewise with bwSeed.
+	seed, bwSeed int64
+	// warm precedes the latency run's lookups, gap spaces them and drain
+	// lets the last ones finish; bwWarm precedes the bandwidth window.
+	warm, gap, drain, bwWarm time.Duration
+	// build stands the system up on a fresh simulator seeded with seed;
+	// bigNet sizes it for the bandwidth runs.
+	build func(seed int64, bigNet bool) (*simnet.Simulator, *simnet.Network, lookupFunc)
+}
+
+// lookupFunc resolves key from node from and reports the latency or the
+// failure.
+type lookupFunc func(from simnet.Address, key id.ID, done func(time.Duration, error))
+
+// runTable3 measures one row: latency over cfg.Lookups spaced lookups from
+// random nodes, then per-node bandwidth with every node looking a key up
+// every 5 and every 10 minutes.
+func runTable3(cfg EfficiencyConfig, s table3Scheme) SchemeEfficiency {
+	out := SchemeEfficiency{Name: s.name, BandwidthKbps: map[time.Duration]float64{}}
+	sim, _, lookup := s.build(cfg.Seed+s.seed, false)
+	sim.Run(s.warm)
+	rng := rand.New(rand.NewSource(cfg.Seed + s.seed + 1))
+	lat := &metrics.Sample{}
+	for i := 0; i < cfg.Lookups; i++ {
+		lookup(simnet.Address(rng.Intn(cfg.Nodes)), id.ID(rng.Uint64()), func(d time.Duration, err error) {
+			if err != nil {
+				out.Failures++
+				return
+			}
+			lat.AddDuration(d)
+		})
+		sim.Run(sim.Now() + s.gap)
+	}
+	sim.Run(sim.Now() + s.drain)
+	out.MeanLatency = time.Duration(lat.Mean() * float64(time.Second))
+	out.MedianLatency = time.Duration(lat.Median() * float64(time.Second))
+	out.CDF = lat.CDF(50)
+
+	for _, every := range []time.Duration{5 * time.Minute, 10 * time.Minute} {
+		sim, net, lookup := s.build(cfg.Seed+s.bwSeed, true)
+		rng := rand.New(rand.NewSource(cfg.Seed + s.bwSeed + 1))
+		for i := 0; i < cfg.Nodes; i++ {
+			addr := simnet.Address(i)
+			sim.Every(every, func() { lookup(addr, id.ID(rng.Uint64()), func(time.Duration, error) {}) })
+		}
+		traffic := func() (total uint64) {
+			for i := 0; i < cfg.Nodes; i++ {
+				st := net.Stats(simnet.Address(i))
+				total += st.BytesSent + st.BytesReceived
+			}
+			return total
+		}
+		sim.Run(s.bwWarm)
+		before := traffic()
+		sim.Run(sim.Now() + cfg.BandwidthWindow)
+		// (sent+received)/2 per node over the window.
+		bytesPerNode := float64(traffic()-before) / 2 / float64(cfg.Nodes)
+		out.BandwidthKbps[every] = bytesPerNode * 8 / 1000 / cfg.BandwidthWindow.Seconds()
+	}
+	return out
+}
+
+// chordRing builds the baselines' plain Chord ring. The latency runs wait
+// out PlanetLab stragglers instead of timing out: the paper's measurements
+// run to completion ("a lookup is not completed until all redundant
+// lookups' results are returned"). The bandwidth runs size tables as a
+// 1 000 000-node ring would.
+func chordRing(cfg EfficiencyConfig, seed int64, bigNet bool) (*simnet.Simulator, *simnet.Network, *chord.Ring) {
+	sim := simnet.New(seed)
+	net := simnet.NewNetwork(sim, cfg.latencyModel(), cfg.Nodes)
 	ccfg := chord.DefaultConfig()
-	ccfg.RPCTimeout = 15 * time.Second
-	return ccfg
+	if bigNet {
+		ccfg.Fingers = cfg.BigNetFingers
+	} else {
+		ccfg.RPCTimeout = 15 * time.Second
+	}
+	return sim, net, chord.BuildRing(net, ccfg, cfg.Nodes, nil)
 }
 
 // RunChordEfficiency measures the Chord baseline.
 func RunChordEfficiency(cfg EfficiencyConfig) SchemeEfficiency {
-	out := SchemeEfficiency{Name: "Chord", BandwidthKbps: map[time.Duration]float64{}}
-	// Latency run.
-	sim := simnet.New(cfg.Seed)
-	net := simnet.NewNetwork(sim, cfg.latencyModel(), cfg.Nodes)
-	ring := chord.BuildRing(net, patientChordConfig(), cfg.Nodes, nil)
-	sim.Run(30 * time.Second)
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	lat := &metrics.Sample{}
-	done := 0
-	for i := 0; i < cfg.Lookups; i++ {
-		node := ring.Node(simnet.Address(rng.Intn(cfg.Nodes)))
-		node.Lookup(id.ID(rng.Uint64()), func(_ chord.Peer, ls chord.LookupStats, err error) {
-			done++
-			if err != nil {
-				out.Failures++
-				return
+	return runTable3(cfg, table3Scheme{
+		name: "Chord", seed: 0, bwSeed: 7,
+		warm: 30 * time.Second, gap: 20 * time.Millisecond, drain: time.Minute,
+		build: func(seed int64, bigNet bool) (*simnet.Simulator, *simnet.Network, lookupFunc) {
+			sim, net, ring := chordRing(cfg, seed, bigNet)
+			return sim, net, func(from simnet.Address, key id.ID, done func(time.Duration, error)) {
+				ring.Node(from).Lookup(key, func(_ chord.Peer, ls chord.LookupStats, err error) { done(ls.Latency(), err) })
 			}
-			lat.AddDuration(ls.Latency())
-		})
-		sim.Run(sim.Now() + 20*time.Millisecond)
-	}
-	sim.Run(sim.Now() + time.Minute)
-	out.MeanLatency = time.Duration(lat.Mean() * float64(time.Second))
-	out.MedianLatency = time.Duration(lat.Median() * float64(time.Second))
-	out.CDF = lat.CDF(50)
-
-	// Bandwidth runs (1M-node table sizing).
-	for _, interval := range []time.Duration{5 * time.Minute, 10 * time.Minute} {
-		out.BandwidthKbps[interval] = chordBandwidth(cfg, interval)
-	}
-	return out
-}
-
-func chordBandwidth(cfg EfficiencyConfig, lookupEvery time.Duration) float64 {
-	sim := simnet.New(cfg.Seed + 7)
-	net := simnet.NewNetwork(sim, cfg.latencyModel(), cfg.Nodes)
-	ccfg := chord.DefaultConfig()
-	ccfg.Fingers = cfg.BigNetFingers
-	ring := chord.BuildRing(net, ccfg, cfg.Nodes, nil)
-	rng := rand.New(rand.NewSource(cfg.Seed + 8))
-	for i := 0; i < cfg.Nodes; i++ {
-		addr := simnet.Address(i)
-		sim.Every(lookupEvery, func() {
-			ring.Node(addr).Lookup(id.ID(rng.Uint64()), func(chord.Peer, chord.LookupStats, error) {})
-		})
-	}
-	start := sim.Now()
-	sim.Run(start + cfg.BandwidthWindow)
-	return perNodeKbps(net, cfg.Nodes, cfg.BandwidthWindow)
-}
-
-// perNodeKbps averages (sent+received)/2 per node over the window.
-func perNodeKbps(net *simnet.Network, nodes int, window time.Duration) float64 {
-	var total uint64
-	for i := 0; i < nodes; i++ {
-		st := net.Stats(simnet.Address(i))
-		total += st.BytesSent + st.BytesReceived
-	}
-	bytesPerNode := float64(total) / 2 / float64(nodes)
-	return bytesPerNode * 8 / 1000 / window.Seconds()
+		},
+	})
 }
 
 // RunHaloEfficiency measures Halo with the paper's 8×4 degree-2 setup.
 func RunHaloEfficiency(cfg EfficiencyConfig) SchemeEfficiency {
-	out := SchemeEfficiency{Name: "Halo", BandwidthKbps: map[time.Duration]float64{}}
-	sim := simnet.New(cfg.Seed + 2)
-	net := simnet.NewNetwork(sim, cfg.latencyModel(), cfg.Nodes)
-	ring := chord.BuildRing(net, patientChordConfig(), cfg.Nodes, nil)
-	sim.Run(30 * time.Second)
-	rng := rand.New(rand.NewSource(cfg.Seed + 3))
-	lat := &metrics.Sample{}
-	for i := 0; i < cfg.Lookups; i++ {
-		client := halo.NewClient(ring.Node(simnet.Address(rng.Intn(cfg.Nodes))), halo.DefaultConfig())
-		client.Lookup(id.ID(rng.Uint64()), func(_ chord.Peer, st halo.Stats, err error) {
-			if err != nil {
-				out.Failures++
-				return
+	return runTable3(cfg, table3Scheme{
+		name: "Halo", seed: 2, bwSeed: 9,
+		warm: 30 * time.Second, gap: 50 * time.Millisecond, drain: 2 * time.Minute,
+		build: func(seed int64, bigNet bool) (*simnet.Simulator, *simnet.Network, lookupFunc) {
+			sim, net, ring := chordRing(cfg, seed, bigNet)
+			return sim, net, func(from simnet.Address, key id.ID, done func(time.Duration, error)) {
+				halo.NewClient(ring.Node(from), halo.DefaultConfig()).Lookup(key,
+					func(_ chord.Peer, st halo.Stats, err error) { done(st.Latency(), err) })
 			}
-			lat.AddDuration(st.Latency())
-		})
-		sim.Run(sim.Now() + 50*time.Millisecond)
-	}
-	sim.Run(sim.Now() + 2*time.Minute)
-	out.MeanLatency = time.Duration(lat.Mean() * float64(time.Second))
-	out.MedianLatency = time.Duration(lat.Median() * float64(time.Second))
-	out.CDF = lat.CDF(50)
-
-	for _, interval := range []time.Duration{5 * time.Minute, 10 * time.Minute} {
-		out.BandwidthKbps[interval] = haloBandwidth(cfg, interval)
-	}
-	return out
-}
-
-func haloBandwidth(cfg EfficiencyConfig, lookupEvery time.Duration) float64 {
-	sim := simnet.New(cfg.Seed + 9)
-	net := simnet.NewNetwork(sim, cfg.latencyModel(), cfg.Nodes)
-	ccfg := chord.DefaultConfig()
-	ccfg.Fingers = cfg.BigNetFingers
-	ring := chord.BuildRing(net, ccfg, cfg.Nodes, nil)
-	rng := rand.New(rand.NewSource(cfg.Seed + 10))
-	for i := 0; i < cfg.Nodes; i++ {
-		addr := simnet.Address(i)
-		sim.Every(lookupEvery, func() {
-			client := halo.NewClient(ring.Node(addr), halo.DefaultConfig())
-			client.Lookup(id.ID(rng.Uint64()), func(chord.Peer, halo.Stats, error) {})
-		})
-	}
-	start := sim.Now()
-	sim.Run(start + cfg.BandwidthWindow)
-	return perNodeKbps(net, cfg.Nodes, cfg.BandwidthWindow)
+		},
+	})
 }
 
 // RunOctopusEfficiency measures the full Octopus stack.
 func RunOctopusEfficiency(cfg EfficiencyConfig) SchemeEfficiency {
-	out := SchemeEfficiency{Name: "Octopus", BandwidthKbps: map[time.Duration]float64{}}
-	sim := simnet.New(cfg.Seed + 4)
-	coreCfg := paperCoreConfig()
-	coreCfg.EstimatedSize = cfg.Nodes
-	// Octopus abandons straggling queries quickly and re-routes around
-	// them (its table-based convergence is redundant across answers);
-	// Halo, by contrast, must wait for all 32 branches. This asymmetric
-	// reaction to stragglers is exactly why Octopus beats Halo on
-	// PlanetLab despite doing more work (§7).
-	coreCfg.QueryTimeout = 3 * time.Second
-	net := simnet.NewNetwork(sim, cfg.latencyModel(), cfg.Nodes+1)
-	nw, err := core.BuildNetwork(net, cfg.Nodes, coreCfg)
-	if err != nil {
-		return out
-	}
-	sim.Run(cfg.WarmUp)
-	rng := rand.New(rand.NewSource(cfg.Seed + 5))
-	lat := &metrics.Sample{}
-	for i := 0; i < cfg.Lookups; i++ {
-		node := nw.Node(simnet.Address(rng.Intn(cfg.Nodes)))
-		node.AnonLookup(id.ID(rng.Uint64()), func(_ chord.Peer, ls core.LookupStats, err error) {
-			if err != nil {
-				out.Failures++
-				return
+	return runTable3(cfg, table3Scheme{
+		name: "Octopus", seed: 4, bwSeed: 11,
+		// Spacing keeps relay pools from draining between lookups; the
+		// bandwidth window skips the deployment transient.
+		warm: cfg.WarmUp, gap: 500 * time.Millisecond, drain: time.Minute, bwWarm: 2 * time.Minute,
+		build: func(seed int64, bigNet bool) (*simnet.Simulator, *simnet.Network, lookupFunc) {
+			coreCfg := paperCoreConfig()
+			if bigNet {
+				coreCfg.EstimatedSize = 1_000_000 // bound checker sized for the big net
+				coreCfg.Chord.Fingers = cfg.BigNetFingers
+			} else {
+				coreCfg.EstimatedSize = cfg.Nodes
+				// Octopus abandons straggling queries quickly and re-routes
+				// around them (its table-based convergence is redundant
+				// across answers); Halo, by contrast, must wait for all 32
+				// branches. This asymmetric reaction to stragglers is
+				// exactly why Octopus beats Halo on PlanetLab despite doing
+				// more work (§7).
+				coreCfg.QueryTimeout = 3 * time.Second
 			}
-			lat.AddDuration(ls.Latency())
-		})
-		// Spacing keeps relay pools from draining between lookups.
-		sim.Run(sim.Now() + 500*time.Millisecond)
-	}
-	sim.Run(sim.Now() + time.Minute)
-	out.MeanLatency = time.Duration(lat.Mean() * float64(time.Second))
-	out.MedianLatency = time.Duration(lat.Median() * float64(time.Second))
-	out.CDF = lat.CDF(50)
-
-	for _, interval := range []time.Duration{5 * time.Minute, 10 * time.Minute} {
-		out.BandwidthKbps[interval] = octopusBandwidth(cfg, interval)
-	}
-	return out
-}
-
-func octopusBandwidth(cfg EfficiencyConfig, lookupEvery time.Duration) float64 {
-	sim := simnet.New(cfg.Seed + 11)
-	coreCfg := paperCoreConfig()
-	coreCfg.EstimatedSize = 1_000_000 // bound checker sized for the big net
-	coreCfg.Chord.Fingers = cfg.BigNetFingers
-	net := simnet.NewNetwork(sim, cfg.latencyModel(), cfg.Nodes+1)
-	nw, err := core.BuildNetwork(net, cfg.Nodes, coreCfg)
-	if err != nil {
-		return 0
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 12))
-	for i := 0; i < cfg.Nodes; i++ {
-		addr := simnet.Address(i)
-		sim.Every(lookupEvery, func() {
-			nw.Node(addr).AnonLookup(id.ID(rng.Uint64()),
-				func(chord.Peer, core.LookupStats, error) {})
-		})
-	}
-	// Skip the deployment transient, then measure a steady-state window.
-	sim.Run(2 * time.Minute)
-	var before uint64
-	for i := 0; i < cfg.Nodes; i++ {
-		st := nw.Net.Stats(simnet.Address(i))
-		before += st.BytesSent + st.BytesReceived
-	}
-	sim.Run(sim.Now() + cfg.BandwidthWindow)
-	var after uint64
-	for i := 0; i < cfg.Nodes; i++ {
-		st := nw.Net.Stats(simnet.Address(i))
-		after += st.BytesSent + st.BytesReceived
-	}
-	bytesPerNode := float64(after-before) / 2 / float64(cfg.Nodes)
-	return bytesPerNode * 8 / 1000 / cfg.BandwidthWindow.Seconds()
+			sim, net, nw := deploy(seed, cfg.latencyModel(), cfg.Nodes, coreCfg)
+			return sim, net, func(from simnet.Address, key id.ID, done func(time.Duration, error)) {
+				nw.Node(from).AnonLookup(key, func(_ chord.Peer, ls core.LookupStats, err error) { done(ls.Latency(), err) })
+			}
+		},
+	})
 }

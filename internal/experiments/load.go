@@ -142,8 +142,6 @@ type LoadResult struct {
 
 // RunLoad executes one load experiment.
 func RunLoad(cfg LoadConfig) LoadResult {
-	sim := simnet.New(cfg.Seed)
-	net := simnet.NewNetwork(sim, king.New(cfg.Seed), cfg.N+1)
 	coreCfg := core.DefaultConfig()
 	coreCfg.RoutingTier = cfg.Tier
 	coreCfg.EstimatedSize = cfg.N
@@ -151,13 +149,7 @@ func RunLoad(cfg LoadConfig) LoadResult {
 	coreCfg.PairPoolTarget = cfg.Pool
 	coreCfg.LookupCacheSize = cfg.CacheSize
 	coreCfg.LookupCacheTTL = cfg.CacheTTL
-	nw, err := core.BuildNetwork(net, cfg.N, coreCfg)
-	if err != nil {
-		// A build failure is harness misconfiguration, not a measurable
-		// outcome: a silent zero result would flow NaN speedups into the
-		// headline digests instead of failing visibly.
-		panic(fmt.Sprintf("experiments: load harness build failed: %v", err))
-	}
+	sim, _, nw := deploy(cfg.Seed, king.New(cfg.Seed), cfg.N, coreCfg)
 	sim.Run(cfg.WarmUp)
 
 	services := make([]*core.LookupService, cfg.ServingNodes)
@@ -193,31 +185,20 @@ func RunLoad(cfg LoadConfig) LoadResult {
 		hot[i] = id.ID(hotRng.Uint64())
 	}
 
-	// Open-loop Poisson arrivals: exponential inter-arrival times at the
-	// configured aggregate rate, routed to a uniformly random serving
-	// node under a uniformly random client label. Keys follow the
-	// HotKeys/HotFraction popularity skew.
-	arrivals := rand.New(rand.NewSource(cfg.Seed + 101))
+	// Arrivals go to a uniformly random serving node under a uniformly
+	// random client label. Keys follow the HotKeys/HotFraction popularity
+	// skew.
 	end := sim.Now() + cfg.Duration
-	var schedule func()
-	schedule = func() {
-		dt := time.Duration(arrivals.ExpFloat64() / cfg.Rate * float64(time.Second))
-		sim.After(dt, func() {
-			if sim.Now() >= end {
-				return
-			}
-			res.Offered++
-			svc := services[arrivals.Intn(len(services))]
-			client := fmt.Sprintf("c%02d", arrivals.Intn(cfg.Clients))
-			key := id.ID(arrivals.Uint64())
-			if len(hot) > 0 && arrivals.Float64() < cfg.HotFraction {
-				key = hot[arrivals.Intn(len(hot))]
-			}
-			svc.Enqueue(client, key, record)
-			schedule()
-		})
-	}
-	schedule()
+	poisson(sim, rand.New(rand.NewSource(cfg.Seed+101)), cfg.Rate, until(sim, end), func(rng *rand.Rand) {
+		res.Offered++
+		svc := services[rng.Intn(len(services))]
+		client := fmt.Sprintf("c%02d", rng.Intn(cfg.Clients))
+		key := id.ID(rng.Uint64())
+		if len(hot) > 0 && rng.Float64() < cfg.HotFraction {
+			key = hot[rng.Intn(len(hot))]
+		}
+		svc.Enqueue(client, key, record)
+	})
 	sim.Run(end)
 	// Drain: everything queued or in flight completes or times out.
 	sim.Run(end + 2*time.Minute)

@@ -95,16 +95,10 @@ type SecurityResult struct {
 // population and drive per-node lookups, and track the identification
 // mechanisms' progress.
 func RunSecurity(cfg SecurityConfig) SecurityResult {
-	sim := simnet.New(cfg.Seed)
-	lat := king.New(cfg.Seed)
-	net := simnet.NewNetwork(sim, lat, cfg.N+1) // +1: the CA's address slot
 	coreCfg := paperCoreConfig()
 	coreCfg.EstimatedSize = cfg.N
 	coreCfg.DoSDefense = cfg.DoSDefense
-	nw, err := core.BuildNetwork(net, cfg.N, coreCfg)
-	if err != nil {
-		return SecurityResult{}
-	}
+	sim, _, nw := deploy(cfg.Seed, king.New(cfg.Seed), cfg.N, coreCfg)
 	advRng := rand.New(rand.NewSource(cfg.Seed + 1))
 	adv := adversary.Install(nw, cfg.F, cfg.Strategy, advRng)
 
@@ -158,11 +152,8 @@ func RunSecurity(cfg SecurityConfig) SecurityResult {
 		}
 	}
 
-	// Churn (Table 2): replacements keep their predecessor's role. Every
-	// rejoin goes through the SAME wire path a real joiner takes
-	// (core.Network.Rejoin): the replacement obtains its certificate from
-	// the CA with a CertIssueReq over the simulated network and enters
-	// through the JoinReq handshake.
+	// Churn (Table 2): replacements keep their predecessor's role and
+	// rejoin through the wire path a real joiner takes.
 	if cfg.ChurnMean > 0 {
 		churner := simnet.NewChurner(sim, cfg.ChurnMean)
 		churner.OnDeath = func(addr simnet.Address) {
@@ -177,12 +168,7 @@ func RunSecurity(cfg SecurityConfig) SecurityResult {
 				// to certify churning attackers back in once caught.
 				return
 			}
-			alive := nw.Ring.AlivePeers()
-			if len(alive) == 0 {
-				return
-			}
-			bootstrap := alive[sim.Rand().Intn(len(alive))]
-			nw.Rejoin(addr, bootstrap, coreCfg, func(node *core.Node, err error) {
+			rejoinRandom(nw, sim.Rand(), addr, coreCfg, func(node *core.Node, err error) {
 				if err != nil {
 					return // a failed online join leaves the slot empty until the next cycle
 				}

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/core"
-	"github.com/octopus-dht/octopus/internal/id"
 	"github.com/octopus-dht/octopus/internal/king"
-	"github.com/octopus-dht/octopus/internal/metrics"
-	"github.com/octopus-dht/octopus/internal/simnet"
 	"github.com/octopus-dht/octopus/internal/store"
 	"github.com/octopus-dht/octopus/internal/transport"
 )
@@ -97,78 +93,20 @@ type StorageResult struct {
 
 // RunStorage executes one storage experiment.
 func RunStorage(cfg StorageConfig) StorageResult {
-	sim := simnet.New(cfg.Seed)
-	net := simnet.NewNetwork(sim, king.New(cfg.Seed), cfg.N+1)
 	coreCfg := core.DefaultConfig()
 	coreCfg.RoutingTier = cfg.Tier
 	coreCfg.EstimatedSize = cfg.N
 	coreCfg.StoreReplicas = cfg.Replicas
-	nw, err := core.BuildNetwork(net, cfg.N, coreCfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: storage harness build failed: %v", err))
-	}
-
+	sim, _, nw := deploy(cfg.Seed, king.New(cfg.Seed), cfg.N, coreCfg)
 	storeCfg := store.Config{SyncEvery: cfg.SyncEvery}
-	stores := make([]*store.Store, cfg.N)
-	for i, node := range nw.Nodes {
-		stores[i] = store.New(node, storeCfg)
-		stores[i].Start()
-	}
+	stores := startStores(nw, storeCfg)
 	sim.Run(cfg.WarmUp)
 
 	var res StorageResult
-	putLat, getLat := &metrics.Sample{}, &metrics.Sample{}
-	// acked tracks keys with at least one acknowledged write — the
-	// denominator of the hit rate.
-	acked := make(map[id.ID]bool)
-	keys := make([]id.ID, cfg.Keys)
-	for i := range keys {
-		keys[i] = id.FromBytes([]byte(fmt.Sprintf("storage-key-%d", i)))
-	}
-
-	arrivals := rand.New(rand.NewSource(cfg.Seed + 202))
+	mix := newKVMix(sim, stores, cfg.ServingNodes, cfg.Keys, cfg.ReadFraction, "storage-key-%d", "value-%d")
+	mix.tally = kvTally{&res.Gets, &res.Hits, &res.Misses, &res.Unwritten, &res.Puts, &res.PutOK}
 	end := sim.Now() + cfg.Duration
-	seq := 0
-	var schedule func()
-	schedule = func() {
-		dt := time.Duration(arrivals.ExpFloat64() / cfg.Rate * float64(time.Second))
-		sim.After(dt, func() {
-			if sim.Now() >= end {
-				return
-			}
-			gw := stores[arrivals.Intn(cfg.ServingNodes)]
-			key := keys[arrivals.Intn(len(keys))]
-			start := sim.Now()
-			if arrivals.Float64() < cfg.ReadFraction {
-				res.Gets++
-				written := acked[key] // when issued: a Put may be acknowledged mid-Get
-				gw.Get(key, func(r store.GetResult) {
-					getLat.AddDuration(sim.Now() - start)
-					switch {
-					case r.Found:
-						res.Hits++
-					case !written:
-						res.Unwritten++
-					default:
-						res.Misses++
-					}
-				})
-			} else {
-				res.Puts++
-				seq++
-				value := []byte(fmt.Sprintf("value-%d", seq))
-				gw.Put(key, value, func(r store.PutResult) {
-					putLat.AddDuration(sim.Now() - start)
-					if r.Err == nil {
-						res.PutOK++
-						acked[key] = true
-					}
-				})
-			}
-			schedule()
-		})
-	}
-	schedule()
+	poisson(sim, rand.New(rand.NewSource(cfg.Seed+202)), cfg.Rate, until(sim, end), mix.arrive)
 
 	// Scripted churn: kill a non-gateway node at evenly spaced points, and
 	// rejoin a replacement (fresh online identity) 15 seconds later. The
@@ -184,20 +122,13 @@ func RunStorage(cfg StorageConfig) StorageResult {
 			nw.Ring.Kill(victim)
 			res.Kills++
 			sim.After(15*time.Second, func() {
-				alive := nw.Ring.AlivePeers()
-				if len(alive) == 0 {
-					return
-				}
-				bootstrap := alive[churnRng.Intn(len(alive))]
-				nw.Rejoin(victim, bootstrap, coreCfg, func(node *core.Node, err error) {
+				rejoinRandom(nw, churnRng, victim, coreCfg, func(node *core.Node, err error) {
 					if err != nil {
 						return // refused or unreachable: the ring stays one smaller
 					}
 					res.Rejoins++
-					st := store.New(node, storeCfg)
-					st.Start()
-					stores[victim] = st
-					st.PullOwnedRange(func(int, error) {})
+					stores[victim] = startStore(node, storeCfg)
+					stores[victim].PullOwnedRange(func(int, error) {})
 				})
 			})
 		})
@@ -210,12 +141,12 @@ func RunStorage(cfg StorageConfig) StorageResult {
 	if denom := res.Hits + res.Misses; denom > 0 {
 		res.HitRate = float64(res.Hits) / float64(denom)
 	}
-	res.PutP50 = time.Duration(putLat.Percentile(50) * float64(time.Second))
-	res.PutP95 = time.Duration(putLat.Percentile(95) * float64(time.Second))
-	res.PutP99 = time.Duration(putLat.Percentile(99) * float64(time.Second))
-	res.GetP50 = time.Duration(getLat.Percentile(50) * float64(time.Second))
-	res.GetP95 = time.Duration(getLat.Percentile(95) * float64(time.Second))
-	res.GetP99 = time.Duration(getLat.Percentile(99) * float64(time.Second))
+	res.PutP50 = time.Duration(mix.putLat.Percentile(50) * float64(time.Second))
+	res.PutP95 = time.Duration(mix.putLat.Percentile(95) * float64(time.Second))
+	res.PutP99 = time.Duration(mix.putLat.Percentile(99) * float64(time.Second))
+	res.GetP50 = time.Duration(mix.getLat.Percentile(50) * float64(time.Second))
+	res.GetP95 = time.Duration(mix.getLat.Percentile(95) * float64(time.Second))
+	res.GetP99 = time.Duration(mix.getLat.Percentile(99) * float64(time.Second))
 	for _, st := range stores {
 		s := st.Stats()
 		res.Pulled += s.PulledEntries
