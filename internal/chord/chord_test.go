@@ -249,14 +249,12 @@ func TestGetTableRespectsFlags(t *testing.T) {
 func TestSignedTables(t *testing.T) {
 	sim := simnet.New(7)
 	net := simnet.NewNetwork(sim, simnet.ConstantLatency{D: time.Millisecond}, 10)
-	cfg := DefaultConfig()
-	cfg.SignTables = true
 	scheme := xcrypto.SimScheme{}
 	identFor := func(self Peer) *Identity {
 		kp, _ := scheme.GenerateKey(sim.Rand())
 		return &Identity{Scheme: scheme, Key: kp}
 	}
-	ring := BuildRing(net, cfg, 10, identFor)
+	ring := BuildRing(net, DefaultConfig(), 10, identFor)
 	node := ring.Node(0)
 	rt := node.Table(true, false)
 	if rt.Sig == nil {

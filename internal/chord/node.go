@@ -33,9 +33,6 @@ type Config struct {
 	FixFingersEvery time.Duration
 	// RPCTimeout bounds every request/response exchange.
 	RPCTimeout time.Duration
-	// SignTables attaches owner signatures and timestamps to all routing
-	// tables (required by Octopus; baselines leave it off).
-	SignTables bool
 	// DisableFingerUpdates suppresses the built-in finger-update timer.
 	// Octopus sets it and runs its own secured finger updates (§4.5).
 	DisableFingerUpdates bool
@@ -248,7 +245,7 @@ func (n *Node) Table(includeSucc, includePred bool) RoutingTable {
 }
 
 func (n *Node) signTable(rt *RoutingTable) {
-	if n.Cfg.SignTables && n.ident != nil {
+	if n.ident != nil {
 		// Signing failures cannot occur with the in-tree schemes on
 		// well-formed keys; a nil Sig would simply fail verification
 		// downstream, which is the correct degraded behaviour.

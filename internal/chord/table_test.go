@@ -99,7 +99,6 @@ func signedNode(t *testing.T) *Node {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.SignTables = true
 	n := NewNode(net, cfg, Peer{ID: 0xabcdef, Addr: 0}, &Identity{Scheme: scheme, Key: kp})
 	for i, p := range goldenPeers(0x100, cfg.Fingers) {
 		if i%3 == 1 { // some slots invalid, as a live table has

@@ -29,8 +29,9 @@ import (
 
 // Config carries every Octopus protocol parameter. Defaults follow §5.1.
 type Config struct {
-	// Chord configures the underlying routing layer. SignTables is
-	// forced on — Octopus requires signed, timestamped tables.
+	// Chord configures the underlying routing layer. Octopus requires
+	// signed, timestamped tables, which a chord node publishes once it
+	// holds an identity.
 	Chord chord.Config
 	// WalkLength is l, the number of hops per random-walk phase
 	// (Appendix I); the full walk visits 2l nodes.
@@ -113,7 +114,7 @@ const (
 // DefaultConfig returns the paper's §5.1 parameters.
 func DefaultConfig() Config {
 	return Config{
-		Chord:             defaultChordConfig(),
+		Chord:             chord.DefaultConfig(),
 		WalkLength:        3,
 		WalkEvery:         15 * time.Second,
 		SurveilEvery:      60 * time.Second,
@@ -129,10 +130,4 @@ func DefaultConfig() Config {
 		EstimatedSize:     1000,
 		BoundFactor:       8,
 	}
-}
-
-func defaultChordConfig() chord.Config {
-	cfg := chord.DefaultConfig()
-	cfg.SignTables = true
-	return cfg
 }

@@ -724,10 +724,7 @@ func (nw *Network) Rejoin(addr transport.Addr, bootstrap chord.Peer, cfg Config,
 	}
 	self := chord.Peer{ID: id.ID(rng.Uint64()), Addr: addr}
 
-	chordCfg := cfg.Chord
-	chordCfg.SignTables = true
-	chordCfg.DisableFingerUpdates = true
-	cn := chord.NewNode(nw.Net, chordCfg, self, nil)
+	cn := chord.NewNode(nw.Net, cfg.Chord, self, nil)
 	node := New(cn, cfg, nw.CA.Addr(), nw.Dir)
 	cn.Start()
 

@@ -58,15 +58,12 @@ func BuildNetworkLocal(tr transport.Transport, n int, cfg Config,
 	}
 	dir.SetCAKey(auth.PublicKey())
 
-	chordCfg := cfg.Chord
-	chordCfg.SignTables = true
-	chordCfg.DisableFingerUpdates = true
 	identFor := NewIdentityFactory(dir, auth, tr.Rand())
 	// The ring is built paused: on a concurrent transport a started node
 	// is already serving RPCs from its serialization context, so the core
 	// wrap below (which mutates the chord node) must happen before any
 	// node goes live.
-	ring := chord.BuildRingPaused(tr, chordCfg, n, identFor)
+	ring := chord.BuildRingPaused(tr, cfg.Chord, n, identFor)
 
 	caAddr := transport.Addr(n)
 	ca := NewCA(tr, caAddr, dir, auth)

@@ -106,13 +106,11 @@ type Node struct {
 	Extra transport.Handler
 }
 
-// New builds an Octopus node over an existing Chord node (whose tables must
-// be signed — SignTables is forced on). caAddr is the CA's network address;
-// dir supplies certificate material for verifying table signatures.
+// New builds an Octopus node over an existing Chord node, which signs its
+// tables once it holds an identity. caAddr is the CA's network address; dir
+// supplies certificate material for verifying table signatures.
 func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Node {
 	cfg.Chord = cn.Cfg
-	cfg.Chord.SignTables = true
-	cn.Cfg.SignTables = true
 	n := &Node{cfg: cfg, Chord: cn, tr: cn.Transport(), caAddr: caAddr, dir: dir}
 	// How long the node holds state for somebody's query, decided here and
 	// nowhere else: routes and tombstones outlive the query and its

@@ -166,10 +166,7 @@ func (d *daemon) startJoined(ctx context.Context) error {
 	}
 
 	cfg := d.coreConfig(len(grant.Endpoints) - 1)
-	chordCfg := cfg.Chord
-	chordCfg.SignTables = true
-	chordCfg.DisableFingerUpdates = true
-	cn := chord.NewNode(tr, chordCfg, self,
+	cn := chord.NewNode(tr, cfg.Chord, self,
 		&chord.Identity{Scheme: scheme, Key: kp, Cert: grant.Cert})
 	node := core.New(cn, cfg, adm.CAAddr, dir)
 	inContext(tr, self.Addr, func() {
