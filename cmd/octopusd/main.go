@@ -163,7 +163,6 @@ func main() {
 	section("Observability")
 	strFlag(&opts.MetricsListen, "metrics-listen", "", "serve Prometheus text metrics on http://ADDR/metrics and the span buffer on /trace")
 	intFlag(&opts.TraceBuffer, "trace-buffer", 0, "per-hop span ring-buffer capacity (0 disables tracing)")
-	strFlag(&opts.TraceRedact, "trace-redact", "anonymous", "span redaction: \"anonymous\" scrubs identities and trace ids at record time; \"off\" exports raw spans (debugging only — breaks the anonymity guarantee)")
 	durFlag(&opts.StatusEach, "status-every", 5*time.Second, "period of the status log line")
 
 	flag.Usage = sectionedUsage

@@ -54,7 +54,6 @@ type Options struct {
 
 	MetricsListen string
 	TraceBuffer   int
-	TraceRedact   string
 }
 
 // daemon is one running process. The block from tr to leave is what a
@@ -104,16 +103,7 @@ func Run(ctx context.Context, opts Options) error {
 func (d *daemon) start(ctx context.Context) error {
 	opts := d.opts
 	if opts.TraceBuffer > 0 {
-		mode := obs.RedactAnonymous
-		switch opts.TraceRedact {
-		case "", "anonymous":
-		case "off":
-			mode = obs.RedactOff
-			log.Printf("WARNING: -trace-redact=off exports raw trace ids and target keys; an observer of the telemetry can link initiators to targets")
-		default:
-			return fmt.Errorf("-trace-redact must be \"anonymous\" or \"off\", got %q", opts.TraceRedact)
-		}
-		d.tracer = obs.NewTracer(opts.TraceBuffer, mode)
+		d.tracer = obs.NewTracer(opts.TraceBuffer, obs.RedactAnonymous)
 		d.collector.Register(d.tracer)
 	}
 
@@ -208,9 +198,6 @@ func (d *daemon) serveMetrics() error {
 			Dropped uint64     `json:"dropped"`
 			Spans   []obs.Span `json:"spans"`
 		}{Mode: "anonymous", Dropped: d.tracer.Dropped(), Spans: d.tracer.Spans()}
-		if d.tracer.Mode() == obs.RedactOff {
-			out.Mode = "off"
-		}
 		if out.Spans == nil {
 			out.Spans = []obs.Span{}
 		}

@@ -49,7 +49,6 @@ func testOptions() Options {
 		ServeTO:      60 * time.Second,
 		ServeStore:   true,
 		StoreSync:    5 * time.Second,
-		TraceRedact:  "anonymous",
 	}
 }
 
