@@ -5,14 +5,16 @@
 //
 // Two signature schemes are provided behind one interface:
 //
-//   - ECDSAScheme: real ECDSA over P-256, used by the public facade, the
-//     examples, and the crypto test-suite.
-//   - SimScheme: a hash-based stand-in with the same 40-byte wire size,
-//     used inside the discrete-event simulations where millions of
-//     sign/verify operations occur. It detects any tampering and binds
-//     content to a key pair, which is the property the protocol logic
-//     relies on; the simulated adversary never forges signatures, matching
-//     the paper's assumption that ECDSA is secure.
+//   - ECDSAScheme: real ECDSA over P-256. Only the crypto test-suite and
+//     the benchmark's sign/verify probes use it so far.
+//   - SimScheme: a hash-based stand-in with the same 40-byte wire size.
+//     Everything that builds a ring signs with it: the discrete-event
+//     simulations, where millions of sign/verify operations occur, the
+//     public facade (which builds through core.BuildNetwork with it) and
+//     octopusd. It detects any tampering and binds content to a key
+//     pair, which is the property the protocol logic relies on, but
+//     anyone holding the public key can sign: the simulated adversary
+//     never forges, matching the paper's assumption that ECDSA is secure.
 //
 // See README.md for the substitution rationale.
 package xcrypto
