@@ -100,7 +100,10 @@ func seedKeys(t *testing.T) bool {
 	lnA, lnB := loopback(t), loopback(t)
 	a, b := lnA.Addr().String(), lnB.Addr().String()
 	ring := filepath.Join(t.TempDir(), "ring.json")
-	spec, _ := json.Marshal(daemon.RingConfig{Seed: 7, Nodes: []string{a, a, a, a, b, b, b, b}, CA: a})
+	spec, err := json.Marshal(daemon.RingConfig{Seed: 7, Nodes: []string{a, a, a, a, b, b, b, b}, CA: a})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(ring, spec, 0o644); err != nil {
 		t.Fatal(err)
 	}
