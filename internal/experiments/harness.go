@@ -33,10 +33,8 @@ func deploy(seed int64, lat simnet.LatencyModel, n int, cfg core.Config) (*simne
 }
 
 // poisson runs an open-loop Poisson arrival process: exponential gaps at
-// rate per second, drawn from rng, until stop reports true. Open loop on
-// purpose: a closed loop would slow its own offered load down when the
-// system saturates, hiding the ceiling. Each arrival draws its choices from
-// the same rng before the next gap is drawn.
+// rate per second, drawn from rng, until stop reports true. Each arrival
+// draws its choices from the same rng before the next gap is drawn.
 func poisson(sim *simnet.Simulator, rng *rand.Rand, rate float64, stop func() bool, arrive func(rng *rand.Rand)) {
 	var next func()
 	next = func() {
