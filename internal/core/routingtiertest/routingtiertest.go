@@ -94,26 +94,42 @@ func lookupFrom(t *testing.T, h transporttest.Harness, node *core.Node,
 	}
 }
 
-// tierStats reads one node's tier stats from inside the host's
-// serialization context — FingerTier.Stats walks live chord state, so a
-// plain call from the test goroutine would race on concurrent backends.
-func tierStats(t *testing.T, h transporttest.Harness, nw *core.Network,
-	addr transport.Addr) chord.TierStats {
+// onHost evaluates read inside addr's serialization context — tier stats
+// and successor lists are live protocol state, so a plain call from the test
+// goroutine would race on concurrent backends.
+func onHost[T any](t *testing.T, h transporttest.Harness, addr transport.Addr, read func() T) T {
 	t.Helper()
-	done := make(chan chord.TierStats, 1)
-	h.Tr.After(addr, 0, func() { done <- nw.Node(addr).Tier().Stats() })
+	done := make(chan T, 1)
+	h.Tr.After(addr, 0, func() { done <- read() })
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		select {
-		case s := <-done:
-			return s
+		case v := <-done:
+			return v
 		default:
 			if time.Now().After(deadline) {
-				t.Fatalf("tier stats read from node %d never completed", addr)
+				t.Fatalf("read from node %d never completed", addr)
 			}
 			h.Advance(tick)
 		}
 	}
+}
+
+// tierStats reads one node's tier stats.
+func tierStats(t *testing.T, h transporttest.Harness, nw *core.Network,
+	addr transport.Addr) chord.TierStats {
+	return onHost(t, h, addr, func() chord.TierStats { return nw.Node(addr).Tier().Stats() })
+}
+
+// firstSuccessor reads one node's first successor.
+func firstSuccessor(t *testing.T, h transporttest.Harness, nw *core.Network,
+	addr transport.Addr) chord.Peer {
+	return onHost(t, h, addr, func() chord.Peer {
+		if succs := nw.Node(addr).Chord.Successors(); len(succs) > 0 {
+			return succs[0]
+		}
+		return chord.NoPeer
+	})
 }
 
 // tierEntries reports one node's tier table size.
@@ -200,22 +216,25 @@ func testChurnStaleness(t *testing.T, mk transporttest.Factory, tier string) {
 		}
 	}
 
-	// The failure detector (stabilization probes) must notice the crash
-	// and, for the one-hop tier, EDRA must spread it to every live node.
+	// The failure detector (stabilization probes) must notice the crash:
+	// on the finger tier no live node keeps the victim as its first
+	// successor, and on the one-hop tier EDRA must spread it to every
+	// live node.
 	waitFor(t, h, 60*time.Second, func() bool {
-		if tier != core.TierOneHop {
-			return true
-		}
 		for i := 0; i < ringSize; i++ {
-			if i == int(victim) {
-				continue
-			}
-			if tierEntries(t, h, nw, transport.Addr(i)) != ringSize-1 {
+			addr := transport.Addr(i)
+			switch {
+			case addr == victim:
+			case tier == core.TierOneHop:
+				if tierEntries(t, h, nw, addr) != ringSize-1 {
+					return false
+				}
+			case firstSuccessor(t, h, nw, addr).Addr == victim:
 				return false
 			}
 		}
 		return true
-	}, "one-hop tables never dropped the crashed node")
+	}, "the crashed node was never dropped")
 
 	// Ownership moved: lookups for any key must match the post-kill ring.
 	node := nw.Node(0)
