@@ -318,14 +318,11 @@ func (tl *tableLookup) step() {
 
 // issue sends one query to the candidate at position i and wires its
 // response back into the engine. It reports whether the query could be sent
-// at all.
+// at all; one that could not is neither counted nor marked, so the candidate
+// stays first in line. Responses always arrive asynchronously.
 func (tl *tableLookup) issue(i int) bool {
-	tl.cands[i].queried = true
 	next := tl.cands[i].peer
-	tl.stats.Queries++
-	tl.stats.Queried = append(tl.stats.Queried, next)
-	tl.inFlight++
-	sent := tl.send(next, func(resp transport.Message, err error) {
+	if !tl.send(next, func(resp transport.Message, err error) {
 		tl.inFlight--
 		if tl.finished {
 			return // late response: the lookup already concluded
@@ -334,11 +331,14 @@ func (tl *tableLookup) issue(i int) bool {
 			tl.handleResponse(next, resp)
 		}
 		tl.step()
-	})
-	if !sent {
-		tl.inFlight--
+	}) {
+		return false
 	}
-	return sent
+	tl.cands[i].queried = true
+	tl.stats.Queries++
+	tl.stats.Queried = append(tl.stats.Queried, next)
+	tl.inFlight++
+	return true
 }
 
 // handleResponse verifies and absorbs one queried node's signed table.

@@ -473,3 +473,47 @@ func TestUnpaddedLookupQueriesLikePadded(t *testing.T) {
 		t.Errorf("%d queries over %d lookups: the comparison needs lookups that converge over several tables", queried, lookups)
 	}
 }
+
+// A query that could not be sent, for want of a relay pair, is neither
+// counted nor marked: Stats.Queries counts only what went out, and the
+// candidate is retried once a reply frees the window.
+func TestUnsentQueryNotCounted(t *testing.T) {
+	seeds := []chord.Peer{{ID: 3000, Addr: 1}, {ID: 5000, Addr: 2}, {ID: 7000, Addr: 3}}
+	var ended error
+	tl, _ := newCandidateLookup(9000, seeds, func(_ chord.Peer, _ DirectLookupResult, err error) { ended = err })
+	tl.alpha = 3
+	var (
+		sent    []id.ID
+		replies []func(transport.Message, error)
+		pairs   = 1
+	)
+	tl.send = func(p chord.Peer, done func(transport.Message, error)) bool {
+		if pairs == 0 {
+			return false
+		}
+		pairs--
+		sent, replies = append(sent, p.ID), append(replies, done)
+		return true
+	}
+	counted := func(when string, want ...id.ID) {
+		t.Helper()
+		queried := make([]id.ID, len(tl.stats.Queried))
+		for i, p := range tl.stats.Queried {
+			queried[i] = p.ID
+		}
+		if !slices.Equal(sent, want) || tl.stats.Queries != len(sent) || !slices.Equal(queried, sent) {
+			t.Fatalf("%s: sent %v, want %v; stats count %d queries to %v", when, sent, want, tl.stats.Queries, queried)
+		}
+	}
+
+	tl.step() // one pair: 7000 goes out, 5000 cannot
+	counted("first step", 7000)
+	pairs = 1
+	replies[0](nil, transport.ErrTimeout)
+	counted("after the first reply", 7000, 5000)
+	replies[1](nil, transport.ErrTimeout) // no pair for 3000 and nothing in flight
+	counted("at the end", 7000, 5000)
+	if !tl.finished || ended != ErrNoRelays {
+		t.Errorf("finished %v with %v, want ErrNoRelays", tl.finished, ended)
+	}
+}
