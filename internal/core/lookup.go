@@ -61,10 +61,10 @@ type DirectLookupResult struct {
 //
 // The engine keeps up to alpha queries in flight (Kademlia-style iterative
 // parallelism): each response re-fills the window from the best unqueried
-// candidates, late responses arriving after the lookup finished are
-// discarded, and a node is never queried twice. At alpha = 1 the schedule
-// is exactly the paper's sequential lookup — one query, absorb, next query
-// — so seeded simulator runs are unchanged.
+// candidates, and a node is never queried twice. The lookup answers once its
+// result is settled (see step), without waiting for stragglers. At alpha = 1
+// the schedule is exactly the paper's sequential lookup — one query, absorb,
+// next query — so seeded simulator runs are unchanged.
 type tableLookup struct {
 	n              *Node
 	key            id.ID
@@ -88,7 +88,6 @@ type tableLookup struct {
 	// nodes remembered by distant fingertables.
 	ownerBest     chord.Peer
 	ownerEvidence chord.RoutingTable
-	ownerSrcDist  uint64
 	ownerFound    bool
 }
 
@@ -96,6 +95,7 @@ type tableLookup struct {
 type candidate struct {
 	peer    chord.Peer
 	queried bool
+	pending bool // queried and not yet answered
 }
 
 // find returns where x is, or would be inserted, in the ID-sorted candidate
@@ -161,10 +161,7 @@ func (tl *tableLookup) seed() {
 func (n *Node) newTableLookup(key id.ID, padded bool,
 	send func(chord.Peer, func(transport.Message, error)) bool,
 	finish func(chord.Peer, DirectLookupResult, error)) *tableLookup {
-	alpha := n.cfg.LookupParallelism
-	if alpha < 1 {
-		alpha = 1
-	}
+	alpha := max(1, n.cfg.LookupParallelism)
 	if n.tier.FullState() {
 		// A full-state tier seeds the key's immediate predecessor
 		// directly, so one confirming query resolves the owner; extra
@@ -192,9 +189,10 @@ func (n *Node) newTableLookup(key id.ID, padded bool,
 // lies in [self, key) and, within the interval the choice is made from,
 // clockwise distance from the node grows with position in the set: walking
 // back from the key, the first unqueried candidate is the furthest one, and
-// the first candidate outside the interval ends the walk.
-func (tl *tableLookup) bestUnqueried() (int, bool) {
-	i, _ := tl.find(tl.key)
+// the first candidate outside the interval ends the walk. When there is
+// none, pending reports whether a query in flight targets the interval.
+func (tl *tableLookup) bestUnqueried() (i int, ok, pending bool) {
+	i, _ = tl.find(tl.key)
 	for range tl.cands {
 		if i == 0 {
 			i = len(tl.cands)
@@ -205,10 +203,11 @@ func (tl *tableLookup) bestUnqueried() (int, bool) {
 			break
 		}
 		if !c.queried {
-			return i, true
+			return i, true, false
 		}
+		pending = pending || c.pending
 	}
-	return 0, false
+	return 0, false, pending
 }
 
 // dummyTarget draws where a dummy query goes: uniformly from what the lookup
@@ -224,7 +223,8 @@ func (tl *tableLookup) dummyTarget(rng *rand.Rand) (chord.Peer, bool) {
 
 // recordOwnerCandidate checks whether a queried node's successor list
 // vouches for the key's owner: walking owner → succ[0] → succ[1] …, the
-// owner of the key is the first entry at/after it.
+// owner of the key is the first entry at/after it. The queried node closest
+// to the key, the last one in (self, key), vouches.
 func (tl *tableLookup) recordOwnerCandidate(t chord.RoutingTable) {
 	prev := t.Owner.ID
 	for _, s := range t.Successors {
@@ -232,11 +232,8 @@ func (tl *tableLookup) recordOwnerCandidate(t chord.RoutingTable) {
 			continue
 		}
 		if id.Between(tl.key, prev, s.ID) {
-			srcDist := tl.n.Chord.Self.ID.Distance(t.Owner.ID)
-			if !tl.ownerFound || srcDist > tl.ownerSrcDist {
-				tl.ownerBest, tl.ownerEvidence = s, t
-				tl.ownerSrcDist = srcDist
-				tl.ownerFound = true
+			if !tl.ownerFound || id.StrictBetween(t.Owner.ID, tl.ownerEvidence.Owner.ID, tl.key) {
+				tl.ownerBest, tl.ownerEvidence, tl.ownerFound = s, t, true
 			}
 			return
 		}
@@ -271,7 +268,10 @@ func (tl *tableLookup) absorb(from chord.Peer, t chord.RoutingTable) {
 
 // step fills the query window up to alpha and decides termination. It runs
 // once at launch and once after every response; with alpha = 1 each call
-// issues at most one query, reproducing the sequential schedule exactly.
+// issues at most one query and runs with none in flight, reproducing the
+// sequential schedule exactly. With nothing left to query, the lookup answers
+// without waiting for the queries in flight once it is settled: none of them
+// can improve on closestQueried, whose own successor list named the owner.
 func (tl *tableLookup) step() {
 	if tl.finished {
 		return
@@ -293,12 +293,11 @@ func (tl *tableLookup) step() {
 			}
 			return
 		}
-		next, ok := tl.bestUnqueried()
+		next, ok, pending := tl.bestUnqueried()
 		if !ok {
-			if tl.inFlight > 0 {
-				// Outstanding queries may still widen the candidate
-				// set; re-evaluate when they answer.
-				return
+			settled := !pending && tl.ownerFound && tl.ownerEvidence.Owner.ID == tl.closestQueried.ID
+			if tl.inFlight > 0 && !settled {
+				return // re-evaluate when they answer
 			}
 			if !tl.ownerFound {
 				tl.done(chord.NoPeer, ErrLookupNoRoute)
@@ -317,16 +316,14 @@ func (tl *tableLookup) step() {
 }
 
 // issue sends one query to the candidate at position i and wires its
-// response back into the engine. It reports whether the query could be sent
-// at all; one that could not is neither counted nor marked, so the candidate
-// stays first in line. Responses always arrive asynchronously.
+// response, which always arrives asynchronously, back into the engine. It
+// reports whether the query was sent; one that was not is not recorded.
 func (tl *tableLookup) issue(i int) bool {
 	next := tl.cands[i].peer
 	if !tl.send(next, func(resp transport.Message, err error) {
 		tl.inFlight--
-		if tl.finished {
-			return // late response: the lookup already concluded
-		}
+		j, _ := tl.find(next.ID)
+		tl.cands[j].pending = false
 		if err == nil {
 			tl.handleResponse(next, resp)
 		}
@@ -334,20 +331,24 @@ func (tl *tableLookup) issue(i int) bool {
 	}) {
 		return false
 	}
-	tl.cands[i].queried = true
+	tl.cands[i].queried, tl.cands[i].pending = true, true
 	tl.stats.Queries++
 	tl.stats.Queried = append(tl.stats.Queried, next)
 	tl.inFlight++
 	return true
 }
 
-// handleResponse verifies and absorbs one queried node's signed table.
+// handleResponse verifies one queried node's signed table and buffers it for
+// finger surveillance (§4.4), even after the lookup settled; until then it
+// also absorbs it.
 func (tl *tableLookup) handleResponse(next chord.Peer, resp transport.Message) {
 	table, err := tl.n.signedTableOf(resp, nil, next)
 	if err != nil {
-		// Wrong responder (address reuse after churn) or bad
-		// signature: discard.
-		tl.stats.Rejected++
+		tl.stats.Rejected++ // wrong responder (address reuse) or bad signature
+		return
+	}
+	tl.n.evidence.bufferTable(table)
+	if tl.finished {
 		return
 	}
 	if id.StrictBetween(next.ID, tl.closestQueried.ID, tl.key) {
@@ -355,7 +356,6 @@ func (tl *tableLookup) handleResponse(next chord.Peer, resp transport.Message) {
 	}
 	tl.absorb(next, table)
 	tl.recordOwnerCandidate(table)
-	tl.n.evidence.bufferTable(table)
 }
 
 func (tl *tableLookup) done(owner chord.Peer, err error) {

@@ -51,7 +51,7 @@ func refLookup(self, key, closest id.ID, ids []id.ID, queried func(i int) bool) 
 
 func checkBestUnqueried(t *testing.T, tl *tableLookup) {
 	t.Helper()
-	got, gotOK := tl.bestUnqueried()
+	got, gotOK, _ := tl.bestUnqueried()
 	want, wantOK := refBestUnqueried(tl)
 	if gotOK != wantOK || (wantOK && got != want) {
 		t.Fatalf("bestUnqueried = (%d, %v), the full scan says (%d, %v); self %v key %v closestQueried %v, %d candidates",

@@ -344,7 +344,7 @@ func TestBestUnqueriedNeverRepeats(t *testing.T) {
 	if len(*sent) != 30 {
 		t.Errorf("%d queries, want the 30 candidates inside (1000, 9000)", len(*sent))
 	}
-	if _, ok := tl.bestUnqueried(); ok {
+	if _, ok, _ := tl.bestUnqueried(); ok {
 		t.Error("bestUnqueried offers a peer although every eligible one has been queried")
 	}
 }
@@ -515,5 +515,177 @@ func TestUnsentQueryNotCounted(t *testing.T) {
 	counted("at the end", 7000, 5000)
 	if !tl.finished || ended != ErrNoRelays {
 		t.Errorf("finished %v with %v, want ErrNoRelays", tl.finished, ended)
+	}
+}
+
+// settleRing is a stabilized 60-node ring, an initiator on it, and five
+// consecutive members p[0..4] halfway around from the initiator: the key just
+// after p[3] is owned by p[4], and p[0..3] precede it in order.
+func settleRing(t *testing.T) (*testNet, *Node, []chord.Peer, id.ID) {
+	t.Helper()
+	nw := buildTestNet(t, 23, 60, nil)
+	nw.Sim.Run(40 * time.Second)
+	node := nw.Node(0)
+	ring := nw.Ring.AlivePeers()
+	half := node.Self().ID.Add(1 << 63)
+	far := max(0, slices.IndexFunc(ring, func(p chord.Peer) bool { return p.ID >= half }))
+	var p []chord.Peer
+	for i := range 5 {
+		p = append(p, ring[(far+i)%len(ring)])
+	}
+	return nw, node, p, p[3].ID.Add(1)
+}
+
+// settleLookup starts an unpadded lookup for key on node whose tier hands it
+// exactly seeds, all queried at once. It returns the engine and each query's
+// reply callback by target address.
+func settleLookup(node *Node, key id.ID, seeds []chord.Peer, finish func(chord.Peer, DirectLookupResult, error)) (*tableLookup, map[transport.Addr]func(transport.Message, error)) {
+	node.tier = seedTier{seeds: seeds}
+	replies := map[transport.Addr]func(transport.Message, error){}
+	tl := node.newTableLookup(key, false, func(p chord.Peer, done func(transport.Message, error)) bool {
+		replies[p.Addr] = done
+		return true
+	}, finish)
+	tl.alpha = len(seeds)
+	tl.step()
+	return tl, replies
+}
+
+// tableReply is q's own signed table as a GetTableReq answer.
+func tableReply(nw *testNet, q chord.Peer) chord.GetTableResp {
+	return chord.GetTableResp{Table: nw.Nodes[q.Addr].Chord.Table(true, false)}
+}
+
+// An α = 3 lookup over simnet whose first reply comes from the node closest
+// to the key, with its successor list naming the owner, answers then: the two
+// queries behind it are still in flight. It returns the owner an α = 1 lookup
+// returns, after the same single query.
+func TestSettledLookupSkipsStragglers(t *testing.T) {
+	nw, node, _, _ := settleRing(t)
+	f := nw.Ring.Owner(node.Self().ID.Add(1 << 62)) // a finger, far outside the successor window
+	key := f.ID.Add(1)                              // nothing lies between f and the key
+
+	lookup := func(alpha int) (chord.Peer, LookupStats, time.Duration, int) {
+		node.cfg.LookupParallelism = alpha
+		var (
+			owner   chord.Peer
+			stats   LookupStats
+			took    time.Duration
+			replied int
+			ended   = -1
+		)
+		start := nw.Sim.Now()
+		tl := node.newTableLookup(key, false, func(p chord.Peer, done func(transport.Message, error)) bool {
+			delay := time.Duration(0)
+			if p != f {
+				delay = 5 * time.Second // the stragglers
+			}
+			nw.Sim.After(delay, func() {
+				node.tr.Call(node.Self().Addr, p.Addr, chord.GetTableReq{IncludeSuccessors: true}, node.cfg.Chord.RPCTimeout,
+					func(m transport.Message, err error) { replied++; done(m, err) })
+			})
+			return true
+		}, func(o chord.Peer, _ DirectLookupResult, err error) {
+			if ended >= 0 || err != nil {
+				t.Fatalf("α=%d: finish called again or failed: %v", alpha, err)
+			}
+			owner, took, ended = o, nw.Sim.Now()-start, replied
+		})
+		tl.step()
+		nw.Sim.Run(nw.Sim.Now() + time.Minute)
+		stats = tl.stats
+		return owner, stats, took, ended
+	}
+
+	owner1, st1, _, _ := lookup(1)
+	owner3, st3, took, replied := lookup(3)
+	if want := nw.Ring.Owner(key); owner1 != want || owner3 != want {
+		t.Fatalf("owners α=1 %v, α=3 %v; want %v", owner1, owner3, want)
+	}
+	if st1.Queries != 1 || st1.Queried[0] != f {
+		t.Fatalf("α=1 queried %v, want only %v", st1.Queried, f)
+	}
+	if st3.Queries != 3 || st3.Queried[0] != f {
+		t.Fatalf("α=3 queried %v, want %v and two stragglers", st3.Queried, f)
+	}
+	if replied != 1 || took >= time.Second {
+		t.Errorf("α=3 answered after %v with %d replies in; want it settled by the first reply, before the stragglers", took, replied)
+	}
+}
+
+// A lookup does not answer while a query in flight targets a node between
+// closestQueried and the key, nor while closestQueried's own successor list
+// has not named the owner — even with nothing left to query.
+func TestSettleWaitsForCloserQueryAndOwner(t *testing.T) {
+	nw, node, p, key := settleRing(t)
+	var owner chord.Peer
+	var res DirectLookupResult
+	finish := func(o chord.Peer, r DirectLookupResult, err error) {
+		if err != nil {
+			t.Fatalf("lookup failed: %v", err)
+		}
+		owner, res = o, r
+	}
+
+	// p[2]'s table names the owner p[4], but p[3] is still in flight.
+	tl, replies := settleLookup(node, key, p[2:4], finish)
+	replies[p[2].Addr](tableReply(nw, p[2]), nil)
+	if tl.finished {
+		t.Fatal("answered while the query to p[3], closer to the key than closestQueried, was in flight")
+	}
+	replies[p[3].Addr](tableReply(nw, p[3]), nil)
+	if !tl.finished || owner != p[4] || res.Evidence.Owner != p[3] {
+		t.Fatalf("after p[3] answered: finished %v, owner %v by %v's table; want %v by %v's", tl.finished, owner, res.Evidence.Owner, p[4], p[3])
+	}
+
+	// p[2] names the owner, then p[3] answers with a validly signed table
+	// that names no successor: nothing is left to query and the only query
+	// in flight, to p[1], lies behind closestQueried, but the owner was not
+	// named by closestQueried's own successor list.
+	bare := nw.Nodes[p[3].Addr].Chord.Table(true, false).Clone()
+	bare.Successors = nil
+	ident := nw.Nodes[p[3].Addr].Chord.Identity()
+	if err := bare.Sign(ident.Scheme, ident.Key); err != nil {
+		t.Fatal(err)
+	}
+	owner = chord.NoPeer
+	tl, replies = settleLookup(node, key, p[1:4], finish)
+	replies[p[2].Addr](tableReply(nw, p[2]), nil)
+	replies[p[3].Addr](chord.GetTableResp{Table: bare}, nil)
+	if tl.finished || tl.closestQueried != p[3] || !tl.ownerFound {
+		t.Fatalf("finished %v at closestQueried %v (owner found %v), though %v never named the owner", tl.finished, tl.closestQueried, tl.ownerFound, p[3])
+	}
+	replies[p[1].Addr](tableReply(nw, p[1]), nil)
+	if !tl.finished || owner != p[4] || res.Evidence.Owner != p[2] {
+		t.Fatalf("after p[1] answered: finished %v, owner %v by %v's table; want %v by %v's", tl.finished, owner, res.Evidence.Owner, p[4], p[2])
+	}
+}
+
+// Replies that arrive after the lookup settled are still verified: a valid
+// table reaches the finger-surveillance buffer, while another node's table or
+// a bad signature does not.
+func TestLateRepliesVerifiedAndBuffered(t *testing.T) {
+	nw, node, p, key := settleRing(t)
+	node.evidence.tableBuffer = tableRing{}
+	tl, replies := settleLookup(node, key, p[:4], func(chord.Peer, DirectLookupResult, error) {})
+	replies[p[3].Addr](tableReply(nw, p[3]), nil)
+	if !tl.finished {
+		t.Fatal("the lookup did not settle on p[3]'s reply")
+	}
+	forged := nw.Nodes[p[0].Addr].Chord.Table(true, false).Clone()
+	forged.Timestamp++ // no longer what p[0] signed
+	replies[p[0].Addr](chord.GetTableResp{Table: forged}, nil)
+	replies[p[1].Addr](tableReply(nw, p[0]), nil) // p[0]'s table in p[1]'s reply
+	replies[p[2].Addr](tableReply(nw, p[2]), nil)
+
+	var buffered []chord.Peer
+	for i := range node.evidence.tableBuffer.len() {
+		buffered = append(buffered, node.evidence.tableBuffer.at(i).Owner)
+	}
+	if want := []chord.Peer{p[3], p[2]}; !slices.Equal(buffered, want) {
+		t.Errorf("buffered tables of %v, want %v: the late valid reply only", buffered, want)
+	}
+	if tl.stats.Rejected != 2 {
+		t.Errorf("%d replies rejected, want the forged and the misattributed one", tl.stats.Rejected)
 	}
 }
