@@ -6,14 +6,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
 	"github.com/octopus-dht/octopus/internal/core"
 	"github.com/octopus-dht/octopus/internal/daemon"
 	"github.com/octopus-dht/octopus/internal/id"
+	"github.com/octopus-dht/octopus/internal/transport"
 	"github.com/octopus-dht/octopus/internal/transport/nettransport"
 	"github.com/octopus-dht/octopus/internal/xcrypto"
 )
@@ -30,6 +33,8 @@ var openAttacks = []struct {
 }{
 	{"forge-table", 1, forgeTable},
 	{"seed-keys", 16, seedKeys},
+	{"qid-initiator", 2, qidInitiator},
+	{"phantom-finger", 3, phantomFinger},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -146,6 +151,85 @@ func seedKeys(t *testing.T) bool {
 	}
 	cert, err := procB.Auth.Issue(id.ID(0xbad), 0, forger.Public, 0)
 	return err == nil && procA.Dir.VerifyCert(cert)
+}
+
+// qidInitiator lets every relay of a simnet ring read the RelayForward frames
+// it legitimately receives, through a wrapped Chord.Extra, while one node runs
+// anonymous lookups. A relay that got a frame from another relay, not from
+// the initiator, names the initiator from the low 16 bits of the query id. It
+// succeeds when such relays saw the initiator's queries and every name they
+// read is right.
+func qidInitiator(t *testing.T) bool {
+	nw := buildNet(t, 5, 40)
+	nw.Sim.Run(2 * time.Minute) // stock the relay-pair pools
+	initiator := nw.Nodes[0].Self().Addr
+	// The ground truth: the query ids the initiator started, that is, sent
+	// to a first relay without having relayed them itself.
+	relayed, started := map[uint64]bool{}, map[uint64]bool{}
+	var later []uint64 // query ids relays got from another relay
+	for _, relay := range nw.Nodes {
+		deliver, self := relay.Chord.Extra, relay.Self().Addr
+		relay.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+			if f, ok := req.(core.RelayForward); ok {
+				switch {
+				case self == initiator:
+					relayed[f.QID] = true
+				case from == initiator:
+					started[f.QID] = started[f.QID] || !relayed[f.QID]
+				default:
+					later = append(later, f.QID)
+				}
+			}
+			return deliver(from, req)
+		}
+	}
+	for i := range 4 {
+		nw.Nodes[0].AnonLookup(id.ID(uint64(i+1)*0x9e3779b97f4a7c15), func(chord.Peer, core.LookupStats, error) {})
+	}
+	nw.Sim.Run(nw.Sim.Now() + time.Minute)
+	named := 0
+	for _, qid := range later {
+		if !started[qid] {
+			continue
+		}
+		if transport.Addr(qid&0xffff) != initiator {
+			return false
+		}
+		named++
+	}
+	return named > 0
+}
+
+// phantomFinger rejoins a crashed slot and has a peer fetch the joiner's
+// signed table straight away. It succeeds when the table names the zero peer
+// Peer{ID: 0, Addr: 0} as a finger and the peer's directory accepts it.
+func phantomFinger(t *testing.T) bool {
+	nw := buildNet(t, 9, 16)
+	nw.Sim.Run(20 * time.Second)
+	const slot, peer = transport.Addr(5), transport.Addr(1)
+	nw.Ring.Kill(slot)
+	nw.Sim.Run(nw.Sim.Now() + 10*time.Second)
+	cfg := core.DefaultConfig()
+	cfg.EstimatedSize = 16
+	var (
+		table   chord.RoutingTable
+		fetched bool
+	)
+	nw.Rejoin(slot, nw.Nodes[0].Self(), cfg, func(joiner *core.Node, err error) {
+		if err != nil {
+			t.Fatalf("rejoin: %v", err)
+		}
+		nw.Net.Call(peer, slot, chord.GetTableReq{IncludeSuccessors: true}, time.Second,
+			func(resp transport.Message, err error) {
+				r, ok := resp.(chord.GetTableResp)
+				table, fetched = r.Table, ok && err == nil
+			})
+	})
+	nw.Sim.Run(nw.Sim.Now() + 10*time.Second)
+	if !fetched {
+		t.Fatal("the joiner's table was never fetched")
+	}
+	return slices.Contains(table.Fingers, chord.Peer{ID: 0, Addr: 0}) && nw.Dir.VerifyTable(table)
 }
 
 func loopback(t *testing.T) net.Listener {
