@@ -569,7 +569,6 @@ func TestSettledLookupSkipsStragglers(t *testing.T) {
 		node.cfg.LookupParallelism = alpha
 		var (
 			owner   chord.Peer
-			stats   LookupStats
 			took    time.Duration
 			replied int
 			ended   = -1
@@ -593,8 +592,7 @@ func TestSettledLookupSkipsStragglers(t *testing.T) {
 		})
 		tl.step()
 		nw.Sim.Run(nw.Sim.Now() + time.Minute)
-		stats = tl.stats
-		return owner, stats, took, ended
+		return owner, tl.stats, took, ended
 	}
 
 	owner1, st1, _, _ := lookup(1)
