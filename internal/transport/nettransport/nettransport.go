@@ -9,17 +9,19 @@
 // A Transport instance is one process's view of a deployment: an endpoint
 // table mapping every address slot to a TCP "host:port", a listener serving
 // the slots whose endpoint is this process's own (the local hosts), and
-// dial-on-demand persistent connections to every other endpoint. The
+// dial-on-demand persistent connections to every other endpoint; frames for
+// an endpoint that is not listening yet wait out the redial backoff. The
 // per-host serialization contract is honored by internal/transport/actor,
 // the runtime chantransport shares — one actor loop per local host runs that
 // host's handler, RPC callbacks, and timer callbacks — so protocol state
 // stays lock-free no matter which backend it runs on.
 //
 // RPCs are correlated by a per-process request id carried in the frame
-// header. Requests that are dropped (dead host, selective-DoS handler,
-// connection loss, peer down) surface to the caller as transport.ErrTimeout
-// after the caller's deadline, matching the other backends: on a real
-// network, silence is the only honest failure signal.
+// header. Requests that are lost (dead host, selective-DoS handler,
+// connection loss) surface to the caller as transport.ErrTimeout after the
+// caller's deadline, matching the other backends: on a real network, silence
+// is the only honest failure signal. A request the transport knows never
+// left (its dial failed, its queue was full) fails with ErrTimeout at once.
 //
 // Traffic accounting follows the conformance contract: exactly
 // Message.Size() bytes — the codec frame, which is what the experiments
@@ -63,10 +65,9 @@ type Config struct {
 	// bootstrap state (ring identifiers, key material) is derived
 	// deterministically from this stream.
 	Seed int64
-	// RedialBackoff is the quiet period after a failed dial during which
-	// outbound frames to that endpoint are dropped without redialing
-	// (default 250ms). Drops surface as RPC timeouts, the same signal a
-	// dead peer produces.
+	// RedialBackoff is the pause between dial attempts to one endpoint
+	// after a failed dial (default 250ms). Frames queued meanwhile wait
+	// for the next dial; they are dropped only if it fails too.
 	RedialBackoff time.Duration
 }
 
@@ -290,8 +291,8 @@ func (t *Transport) CodecErrors() uint64 { return t.codecErrors.Load() }
 // ProtocolErrors reports malformed frames and misaddressed traffic.
 func (t *Transport) ProtocolErrors() uint64 { return t.protoErrors.Load() }
 
-// SendDrops reports outbound frames dropped before reaching the wire
-// (unreachable peer, full queue). Each one surfaces as an RPC timeout.
+// SendDrops reports frames dropped before reaching the wire: an unknown
+// endpoint, a full queue, or a failed dial or write made after queueing.
 func (t *Transport) SendDrops() uint64 { return t.sendDrops.Load() }
 
 // Dials reports completed outbound connection attempts; values above the
@@ -862,11 +863,11 @@ func (l *link) releaseBatch(batch []*transport.Buf) {
 }
 
 // run drains the queue. Connection policy: dial on the first frame; after a
-// failed dial, drop frames for RedialBackoff before trying again (so a dead
-// peer costs one dial timeout per backoff window, not per frame); on a
-// write error, redial once immediately and retry the whole batch — a
-// restarted peer leaves a stale connection whose first write fails, and the
-// frames are still deliverable over a fresh one.
+// failed dial, hold the next batch until RedialBackoff has passed, then dial
+// (a dead peer costs one dial per backoff, a peer that starts late loses
+// nothing); on a write error, redial at once and retry the whole batch — a
+// restarted peer leaves a stale connection whose first write fails. A batch
+// is dropped only when the dial, or the write, made after it was queued fails.
 func (l *link) run() {
 	defer l.t.wg.Done()
 	var conn net.Conn
@@ -877,38 +878,36 @@ func (l *link) run() {
 		}
 	}()
 	for {
+		var batch []*transport.Buf
 		select {
 		case <-l.t.done:
 			return
 		case first := <-l.ch:
-			batch := l.gather(first)
-			if conn == nil {
-				if time.Since(lastFail) < l.t.cfg.RedialBackoff {
-					l.dropBatch(batch)
-					continue
-				}
-				if conn = l.dial(); conn == nil {
-					lastFail = time.Now()
-					l.dropBatch(batch)
-					continue
-				}
-			}
-			if err := l.writeBatch(conn, batch); err != nil {
-				conn.Close()
-				if conn = l.dial(); conn == nil {
-					lastFail = time.Now()
-					l.dropBatch(batch)
-					continue
-				}
-				if err := l.writeBatch(conn, batch); err != nil {
-					conn.Close()
-					conn = nil
-					lastFail = time.Now()
-					l.dropBatch(batch)
-					continue
-				}
-			}
-			l.releaseBatch(batch)
+			batch = l.gather(first)
 		}
+		if conn == nil {
+			if wait := time.Until(lastFail.Add(l.t.cfg.RedialBackoff)); wait > 0 {
+				select {
+				case <-l.t.done: // Close fails the pending calls
+					l.releaseBatch(batch)
+					return
+				case <-time.After(wait):
+				}
+			}
+			conn = l.dial()
+		}
+		if conn != nil && l.writeBatch(conn, batch) != nil {
+			conn.Close()
+			if conn = l.dial(); conn != nil && l.writeBatch(conn, batch) != nil {
+				conn.Close()
+				conn = nil
+			}
+		}
+		if conn == nil {
+			lastFail = time.Now()
+			l.dropBatch(batch)
+			continue
+		}
+		l.releaseBatch(batch)
 	}
 }

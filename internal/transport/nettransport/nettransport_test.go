@@ -441,3 +441,105 @@ func TestNetTransportFaultConformance(t *testing.T) {
 		}
 	})
 }
+
+// lateProc builds a transport for slot 0 whose peer endpoint (slot 1) is not
+// listening yet, and makes its first frame to that endpoint fail its dial.
+func lateProc(t *testing.T, backoff time.Duration) (a *nettransport.Transport, epB string) {
+	t.Helper()
+	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen a: %v", err)
+	}
+	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("reserve b: %v", err)
+	}
+	epB = lnB.Addr().String()
+	lnB.Close() // dials to b are refused until b starts
+	a, err = nettransport.New(nettransport.Config{
+		Listener: lnA, Self: lnA.Addr().String(),
+		Endpoints: []string{lnA.Addr().String(), epB}, Seed: 1,
+		RedialBackoff: backoff,
+	})
+	if err != nil {
+		t.Fatalf("transport a: %v", err)
+	}
+	a.Bind(0, func(transport.Addr, transport.Message) (transport.Message, bool) { return nil, false })
+	a.After(0, 0, func() { a.Send(0, 1, transporttest.Echo{N: 0}) })
+	deadline := time.Now().Add(10 * time.Second)
+	for a.SendDrops() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the first frame to the absent peer was never dropped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return a, epB
+}
+
+// TestFramesHeldThroughRedialBackoff pins the start-order contract: after a
+// failed dial, frames queued during the redial backoff wait for the next dial
+// instead of being dropped, so a peer process that starts inside the backoff
+// receives them. Only the frame whose own dial failed counts as a drop.
+func TestFramesHeldThroughRedialBackoff(t *testing.T) {
+	a, epB := lateProc(t, time.Second)
+	defer a.Close()
+
+	ch := callFrom(a, 0, 1, transporttest.Echo{N: 1}, 10*time.Second)
+	a.After(0, 0, func() { a.Send(0, 1, transporttest.Echo{N: 2}) })
+
+	got := make(chan uint64, 4)
+	b, err := nettransport.New(nettransport.Config{
+		Listen: epB, Self: epB, Endpoints: []string{a.Self(), epB}, Seed: 1,
+	})
+	if err != nil {
+		t.Fatalf("transport b on %s: %v", epB, err)
+	}
+	defer b.Close()
+	b.Bind(1, func(_ transport.Addr, m transport.Message) (transport.Message, bool) {
+		e := m.(transporttest.Echo)
+		got <- e.N
+		return transporttest.Echo{N: e.N + 40}, true
+	})
+
+	if r := waitRPC(t, ch, 20*time.Second); r.err != nil {
+		t.Fatalf("call issued during the backoff: %v", r.err)
+	} else if e := r.msg.(transporttest.Echo); e.N != 41 {
+		t.Fatalf("echo N = %d, want 41", e.N)
+	}
+	seen := map[uint64]bool{}
+	for !seen[2] {
+		select {
+		case n := <-got:
+			seen[n] = true
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the one-way frame sent during the backoff never arrived (got %v)", seen)
+		}
+	}
+	if seen[0] {
+		t.Error("the frame whose dial failed was delivered")
+	}
+	if d := a.SendDrops(); d != 1 {
+		t.Errorf("send drops = %d, want 1 (the first batch only)", d)
+	}
+}
+
+// TestCloseDuringRedialHold closes a transport while its link holds a batch
+// through the redial backoff: Close returns without waiting the backoff out,
+// and the held call fails with ErrClosed.
+func TestCloseDuringRedialHold(t *testing.T) {
+	a, _ := lateProc(t, time.Minute)
+	ch := callFrom(a, 0, 1, transporttest.Echo{N: 1}, time.Minute)
+	time.Sleep(100 * time.Millisecond) // let the writer pick the frame up
+
+	start := time.Now()
+	a.Close()
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("Close took %v during a one-minute backoff", took)
+	}
+	if r := waitRPC(t, ch, 10*time.Second); !errors.Is(r.err, transport.ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", r.err)
+	}
+	if d := a.SendDrops(); d != 1 {
+		t.Errorf("send drops = %d, want 1 (the first batch only)", d)
+	}
+}
