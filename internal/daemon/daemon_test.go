@@ -283,8 +283,8 @@ func TestInProcessJoinLeave(t *testing.T) {
 
 	// B first, and A only once B is fully up (the metrics page is the last
 	// thing a daemon brings up), so that A's first dial to B succeeds. The
-	// CA's announce of a joiner is a one-way send: were A's link to B
-	// still in redial backoff at the first admission, B would learn the
+	// CA's announce of a joiner is a one-way send: were B not listening
+	// yet when A dials it for the first admission, B would learn the
 	// joiner's slot only from the 30 s re-announce.
 	optsB := testOptions()
 	optsB.Config, optsB.Listen, optsB.MetricsListen, optsB.TraceBuffer = cfgPath, epB, epMetrics, 64
