@@ -16,6 +16,7 @@ import (
 	"github.com/octopus-dht/octopus/internal/core"
 	"github.com/octopus-dht/octopus/internal/daemon"
 	"github.com/octopus-dht/octopus/internal/id"
+	"github.com/octopus-dht/octopus/internal/store"
 	"github.com/octopus-dht/octopus/internal/transport"
 	"github.com/octopus-dht/octopus/internal/transport/nettransport"
 	"github.com/octopus-dht/octopus/internal/xcrypto"
@@ -35,6 +36,7 @@ var openAttacks = []struct {
 	{"seed-keys", 16, seedKeys},
 	{"qid-initiator", 2, qidInitiator},
 	{"phantom-finger", 3, phantomFinger},
+	{"store-max-version", 4, storeMaxVersion},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -230,6 +232,51 @@ func phantomFinger(t *testing.T) bool {
 		t.Fatal("the joiner's table was never fetched")
 	}
 	return slices.Contains(table.Fingers, chord.Peer{ID: 0, Addr: 0}) && nw.Dir.VerifyTable(table)
+}
+
+// storeMaxVersion has a ring member hand-build a ReplicateReq carrying the
+// largest version, 2^64-1, and send it to a key's owner and replicas. An
+// honest Put of the key then has to stamp a version above that one. It
+// succeeds when, after the Put is acknowledged and one sync interval has
+// passed, a replica still serves the attacker's value.
+func storeMaxVersion(t *testing.T) bool {
+	const syncEvery = 10 * time.Second
+	nw := buildNet(t, 2, 40)
+	stores := make([]*store.Store, len(nw.Nodes))
+	for i, node := range nw.Nodes {
+		stores[i] = store.New(node, store.Config{SyncEvery: syncEvery})
+		stores[i].Start()
+	}
+	sim := nw.Sim
+	sim.Run(30 * time.Second)
+
+	key, forged := id.FromBytes([]byte("store-max-version")), []byte("the attacker's value")
+	owner := nw.Ring.Owner(key)
+	replicas := nw.Nodes[owner.Addr].Chord.Successors()[:core.DefaultConfig().StoreReplicas-1]
+	attacker := nw.Ring.Owner(replicas[len(replicas)-1].ID + 1).Addr
+	for _, holder := range append([]chord.Peer{owner}, replicas...) {
+		nw.Net.Call(attacker, holder.Addr, store.ReplicateReq{Entries: []store.KV{{Key: key, Version: ^uint64(0), Value: forged}}},
+			time.Second, func(transport.Message, error) {})
+	}
+	sim.Run(sim.Now() + time.Second)
+
+	var put *store.PutResult
+	stores[0].Put(key, []byte("the honest value"), func(r store.PutResult) { put = &r })
+	sim.Run(sim.Now() + 30*time.Second)
+	if put == nil || put.Err != nil {
+		t.Fatalf("the honest put was not acknowledged: %+v", put)
+	}
+	sim.Run(sim.Now() + syncEvery)
+	served := false
+	for _, r := range replicas {
+		nw.Net.Call(attacker, r.Addr, store.FetchReq{Key: key}, time.Second, func(resp transport.Message, err error) {
+			if f, ok := resp.(store.FetchResp); ok && err == nil && string(f.Value) == string(forged) {
+				served = true
+			}
+		})
+	}
+	sim.Run(sim.Now() + time.Second)
+	return served
 }
 
 func loopback(t *testing.T) net.Listener {
