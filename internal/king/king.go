@@ -36,29 +36,12 @@ const (
 
 // Model is a deterministic pairwise latency model. It implements
 // simnet.LatencyModel. The zero value is not usable; construct with New.
-//
-// A Model belongs to one goroutine, like the simulator it serves: Base keeps
-// the latencies it last computed in an unlocked memo. Give each goroutine a
-// model of its own; equal seeds make equal models.
+// A Model is immutable once built, so goroutines may share one; equal seeds
+// make equal models.
 type Model struct {
 	seed  uint64
 	mu    float64 // log-normal location for one-way latency in seconds
 	sigma float64
-	// memo is direct-mapped on a hash of the pair. An RPC pays the same
-	// pair on both legs and a node keeps talking to the same few peers, so
-	// most lookups hit although a ring has far more pairs than slots.
-	memo []memoEntry
-}
-
-// memoBits sizes the memo: 2^14 entries of 16 bytes, four to a cache line.
-const memoBits = 14
-
-// memoEntry is one remembered pair: its two 32-bit addresses, the smaller in
-// the high half. The zero entry matches no pair: Base answers a == b before it
-// looks.
-type memoEntry struct {
-	pair uint64
-	base time.Duration
 }
 
 var _ simnet.LatencyModel = (*Model)(nil)
@@ -75,7 +58,7 @@ func NewWith(seed int64, meanRTT time.Duration, sigma float64) *Model {
 	meanOneWay := meanRTT.Seconds() / 2
 	// For X ~ LogNormal(mu, sigma), E[X] = exp(mu + sigma^2/2).
 	mu := math.Log(meanOneWay) - sigma*sigma/2
-	return &Model{seed: uint64(seed), mu: mu, sigma: sigma, memo: make([]memoEntry, 1<<memoBits)}
+	return &Model{seed: uint64(seed), mu: mu, sigma: sigma}
 }
 
 // splitmix64 is a fast, well-mixed 64-bit hash step used to derive
@@ -89,7 +72,8 @@ func splitmix64(x uint64) uint64 {
 
 // Base returns the deterministic one-way latency between a and b. It is
 // symmetric: Base(a, b) == Base(b, a). The self-latency Base(a, a) is a
-// small constant loopback delay.
+// small constant loopback delay. Any other pair draws two independent
+// uniform(0,1] variates hashed from the pair, then a log-normal.
 func (m *Model) Base(a, b simnet.Address) time.Duration {
 	if a == b {
 		return 100 * time.Microsecond
@@ -98,17 +82,6 @@ func (m *Model) Base(a, b simnet.Address) time.Duration {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	pair := lo<<32 | hi&(1<<32-1)
-	e := &m.memo[pair*0x9e3779b97f4a7c15>>(64-memoBits)]
-	if e.pair != pair {
-		*e = memoEntry{pair: pair, base: m.compute(lo, hi)}
-	}
-	return e.base
-}
-
-// compute is the latency of the ordered pair lo < hi, from scratch: two
-// independent uniform(0,1] variates hashed from the pair, then a log-normal.
-func (m *Model) compute(lo, hi uint64) time.Duration {
 	h := splitmix64(m.seed ^ splitmix64(lo^splitmix64(hi)))
 	u1 := float64(h>>11)/(1<<53) + 1e-12
 	u2 := float64(splitmix64(h)>>11)/(1<<53) + 1e-12

@@ -158,34 +158,3 @@ func BenchmarkSample(b *testing.B) {
 		m.Sample(simnet.Address(i), simnet.Address(i*7+3), rng)
 	}
 }
-
-// TestBaseMemoMatchesCompute: with far more live pairs than memo slots every
-// slot is overwritten over and over, and Base must still return what the
-// unmemoised computation does, in either argument order — including right
-// after a colliding pair evicted the entry.
-func TestBaseMemoMatchesCompute(t *testing.T) {
-	pairs := 1_000_000
-	if testing.Short() {
-		pairs = 100_000
-	}
-	m := New(11)
-	rng := rand.New(rand.NewSource(11))
-	var recent [64][2]simnet.Address // revisited, so hits are exercised as well as evictions
-	for i := 0; i < pairs; i++ {
-		a, b := simnet.Address(rng.Intn(1<<20)), simnet.Address(rng.Intn(1<<20))
-		switch i % 4 {
-		case 1:
-			a, b = recent[rng.Intn(len(recent))][0], recent[rng.Intn(len(recent))][1]
-		case 2:
-			a = simnet.Address(rng.Intn(1 << 30))
-		}
-		recent[i%len(recent)] = [2]simnet.Address{a, b}
-		want := 100 * time.Microsecond
-		if a != b {
-			want = m.compute(uint64(min(a, b)), uint64(max(a, b)))
-		}
-		if got, rev := m.Base(a, b), m.Base(b, a); got != want || rev != want {
-			t.Fatalf("pair %d: Base(%d, %d) = %v, reversed %v, unmemoised %v", i, a, b, got, rev, want)
-		}
-	}
-}
