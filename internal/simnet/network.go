@@ -67,18 +67,13 @@ type host struct {
 //
 // Like the simulator it runs on, a Network belongs to one goroutine: Call,
 // Send and every handler and callback run on the goroutine that steps the
-// simulator. The records of finished calls and sends wait in two unlocked
-// free lists for the next Call or Send, and the latency model may memoise on
-// the same assumption. Dropped and the obs readers are the exceptions, for
-// tests that poll a running simulation.
+// simulator. Dropped and the obs readers are the exceptions, for tests that
+// poll a running simulation.
 type Network struct {
 	sim    *Simulator
 	lat    LatencyModel
 	hosts  []host
 	faults *Faults
-	// freeCalls and freeSends chain the records no queue entry points to.
-	freeCalls *call
-	freeSends *send
 	// dropped is incremented on the simulator goroutine but read by test
 	// goroutines polling a running simulation, so it must be atomic.
 	dropped atomic.Uint64
@@ -194,22 +189,17 @@ type send struct {
 	n        *Network
 	from, to Address
 	msg      Message
-	next     *send // in the free list
 }
 
 func (d *send) fire() {
-	n, from, to, msg := d.n, d.from, d.to, d.msg
-	// Its one queue entry has just fired: the record is free before the
-	// handler runs, so a Send from inside the handler can take it.
-	d.msg, d.next = nil, n.freeSends
-	n.freeSends = d
-	h := n.hosts[to]
+	n := d.n
+	h := n.hosts[d.to]
 	if !h.alive || h.handler == nil {
 		n.dropped.Add(1)
 		return
 	}
-	n.account(from, to, msg)
-	h.handler(from, msg)
+	n.account(d.from, d.to, d.msg)
+	h.handler(d.from, d.msg)
 }
 
 // Send delivers a one-way message. The destination's handler runs after the
@@ -222,13 +212,7 @@ func (n *Network) Send(from, to Address, msg Message) {
 	if !ok {
 		return
 	}
-	d := n.freeSends
-	if d == nil {
-		d = &send{n: n}
-	} else {
-		n.freeSends, d.next = d.next, nil
-	}
-	d.from, d.to, d.msg = from, to, msg
+	d := &send{n: n, from: from, to: to, msg: msg}
 	n.sim.schedule(&d.timer, delay, d)
 }
 
@@ -242,20 +226,6 @@ type call struct {
 	msg           Message // the request, then the response
 	answered      bool    // msg is the response, on its way back
 	cb            func(Message, error)
-	next          *call // in the free list
-}
-
-// release returns the record to the free list if neither of its timers is
-// queued: a leg may outlive the deadline (a late response) and the deadline
-// outlives a leg that was dropped, and whichever fires last finds the other
-// gone. Callers are done with the record before they call it.
-func (c *call) release() {
-	if c.deadline.pos != 0 || c.leg.pos != 0 {
-		return
-	}
-	n := c.n
-	c.msg, c.cb, c.answered = nil, nil, false
-	c.next, n.freeCalls = n.freeCalls, c
 }
 
 // callDeadline is the call's timeout event; the call itself is its leg event.
@@ -264,25 +234,20 @@ type callDeadline call
 func (c *callDeadline) fire() {
 	cb := c.cb
 	c.cb = nil
-	(*call)(c).release()
 	cb(nil, ErrTimeout)
 }
 
 func (c *call) fire() {
 	if !c.answered {
 		c.deliver()
-		c.release() // unless deliver queued the response leg
 		return
 	}
-	cb, resp := c.cb, c.msg
-	if cb == nil {
-		c.release()
+	if c.cb == nil {
 		return // timeout already fired
 	}
 	c.deadline.Cancel()
-	c.n.account(c.to, c.from, resp)
-	c.release()
-	cb(resp, nil)
+	c.n.account(c.to, c.from, c.msg)
+	c.cb(c.msg, nil)
 }
 
 // deliver hands the request to its destination and sends the response on its
@@ -317,13 +282,7 @@ func (n *Network) Call(from, to Address, req Message, timeout time.Duration, cb 
 		n.sim.After(0, func() { cb(nil, ErrUnreachable) })
 		return
 	}
-	c := n.freeCalls
-	if c == nil {
-		c = &call{n: n}
-	} else {
-		n.freeCalls, c.next = c.next, nil
-	}
-	c.from, c.to, c.msg, c.cb = from, to, req, cb
+	c := &call{n: n, from: from, to: to, msg: req, cb: cb}
 	n.sim.schedule(&c.deadline, timeout, (*callDeadline)(c))
 	delay, fwdOK := n.transmit(from, to)
 	if !fwdOK {

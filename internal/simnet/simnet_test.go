@@ -241,6 +241,11 @@ type testMsg struct{ bytes int }
 
 func (m testMsg) Size() int { return m.bytes }
 
+// seqMsg is a payload that tells one request or response from another.
+type seqMsg struct{ seq int }
+
+func (seqMsg) Size() int { return 8 }
+
 func TestRPCRoundTrip(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s, ConstantLatency{D: 10 * time.Millisecond}, 2)
@@ -309,15 +314,111 @@ func TestRPCUnreachable(t *testing.T) {
 	}
 }
 
+// TestTimeoutDoesNotDoubleFire: an answered call hears its response once,
+// and every way a call can die unanswered — request lost by the fault layer,
+// dead host, handler drop, response lost, a response that lands after the
+// deadline, a request still in flight at the deadline and then dropped — ends
+// in exactly one ErrTimeout at the deadline; a late response never reaches
+// the caller. Two calls made while the late legs are still queued each get
+// their own answer.
 func TestTimeoutDoesNotDoubleFire(t *testing.T) {
+	const lat, timeout = 10 * time.Millisecond, 50 * time.Millisecond
+	cases := []struct {
+		name  string
+		setup func(n *Network)
+		want  error
+	}{
+		{"answered", func(*Network) {}, nil},
+		{"request lost in flight", func(n *Network) { n.InstallFaults().SetLinkLoss(0, 1, 1) }, ErrTimeout},
+		{"dead host", func(n *Network) { n.SetAlive(1, false) }, ErrTimeout},
+		{"handler drops", func(n *Network) {
+			n.Bind(1, func(Address, Message) (Message, bool) { return nil, false })
+		}, ErrTimeout},
+		{"response lost in flight", func(n *Network) { n.InstallFaults().SetLinkLoss(1, 0, 1) }, ErrTimeout},
+		{"response lands after the deadline", func(n *Network) {
+			n.lat = ConstantLatency{D: timeout * 3 / 4}
+		}, ErrTimeout},
+		{"request outlives the deadline, then dropped", func(n *Network) {
+			n.lat = ConstantLatency{D: 2 * timeout}
+			n.SetAlive(1, false)
+		}, ErrTimeout},
+		{"request and response both outlive the deadline", func(n *Network) {
+			n.lat = ConstantLatency{D: 2 * timeout}
+		}, ErrTimeout},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(1)
+			n := NewNetwork(s, ConstantLatency{D: lat}, 3)
+			echo := func(_ Address, req Message) (Message, bool) { return req, true }
+			n.Bind(1, echo)
+			n.Bind(2, echo)
+			c.setup(n)
+			var errs []error
+			n.Call(0, 1, seqMsg{seq: 1}, timeout, func(_ Message, err error) { errs = append(errs, err) })
+			s.Run(timeout)
+			if len(errs) != 1 || errs[0] != c.want {
+				t.Fatalf("by the deadline the caller heard %v, want one %v", errs, c.want)
+			}
+			got := [2]int{}
+			for i := range got {
+				n.Call(0, 2, seqMsg{seq: 10 + i}, time.Second, func(m Message, err error) {
+					if err == nil {
+						got[i] = m.(seqMsg).seq
+					}
+				})
+			}
+			s.RunAll()
+			if len(errs) != 1 {
+				t.Fatalf("the caller heard %v, want nothing after the deadline", errs)
+			}
+			if got != [2]int{10, 11} {
+				t.Errorf("two calls made meanwhile were answered %v, want [10 11]", got)
+			}
+		})
+	}
+}
+
+// TestChainedCallsKeepTheirOwnResponses chains calls from inside callbacks,
+// with a Send and a second Call riding along, and checks every callback
+// against the request it was registered for.
+func TestChainedCallsKeepTheirOwnResponses(t *testing.T) {
 	s := New(1)
-	n := NewNetwork(s, ConstantLatency{D: 10 * time.Millisecond}, 2)
-	n.Bind(1, func(Address, Message) (Message, bool) { return testMsg{}, true })
-	calls := 0
-	n.Call(0, 1, testMsg{}, time.Hour, func(Message, error) { calls++ })
+	n := NewNetwork(s, ConstantLatency{D: time.Millisecond}, 3)
+	oneWay := 0
+	n.Bind(1, func(_ Address, req Message) (Message, bool) {
+		return seqMsg{seq: req.(seqMsg).seq + 1_000_000}, true
+	})
+	n.Bind(2, func(_ Address, req Message) (Message, bool) {
+		oneWay += req.(seqMsg).seq
+		return nil, false
+	})
+	const chain = 1000
+	answered, side := 0, 0
+	var next func(i int)
+	next = func(i int) {
+		n.Call(0, 1, seqMsg{seq: i}, time.Second, func(resp Message, err error) {
+			if err != nil || resp.(seqMsg).seq != i+1_000_000 {
+				t.Fatalf("call %d answered with %v, %v", i, resp, err)
+			}
+			answered++
+			if i+1 < chain {
+				n.Send(0, 2, seqMsg{seq: i})
+				next(i + 1)
+				n.Call(0, 1, seqMsg{seq: -i}, time.Second, func(resp Message, err error) {
+					if err != nil || resp.(seqMsg).seq != -i+1_000_000 {
+						t.Fatalf("side call %d answered with %v, %v", i, resp, err)
+					}
+					side++
+				})
+			}
+		})
+	}
+	next(0)
 	s.RunAll()
-	if calls != 1 {
-		t.Errorf("callback fired %d times, want 1", calls)
+	if answered != chain || side != chain-1 || oneWay != (chain-1)*(chain-2)/2 {
+		t.Fatalf("%d chained and %d side calls answered, one-way sum %d; want %d, %d, %d",
+			answered, side, oneWay, chain, chain-1, (chain-1)*(chain-2)/2)
 	}
 }
 
@@ -377,6 +478,36 @@ func TestSendOneWay(t *testing.T) {
 	s.RunAll()
 	if got == nil || got.Size() != 9 {
 		t.Errorf("one-way message not delivered: %v", got)
+	}
+}
+
+// TestSendsChainedFromHandlerArriveInOrder: each delivery sends the next
+// message from inside its handler, and a Send to a dead host counts exactly
+// one drop.
+func TestSendsChainedFromHandlerArriveInOrder(t *testing.T) {
+	s := New(1)
+	n := NewNetwork(s, ConstantLatency{D: time.Millisecond}, 3)
+	var got []int
+	n.Bind(1, func(_ Address, m Message) (Message, bool) {
+		seq := m.(seqMsg).seq
+		got = append(got, seq)
+		if seq < 100 {
+			n.Send(1, 1, seqMsg{seq: seq + 1})
+		}
+		return nil, false
+	})
+	n.Bind(2, func(Address, Message) (Message, bool) { return nil, false })
+	n.SetAlive(2, false)
+	n.Send(0, 1, seqMsg{seq: 0})
+	n.Send(0, 2, seqMsg{seq: -1})
+	s.RunAll()
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("deliveries %v, want 0..100 in order", got)
+		}
+	}
+	if len(got) != 101 || n.Dropped() != 1 {
+		t.Errorf("%d deliveries, %d dropped; want 101, 1", len(got), n.Dropped())
 	}
 }
 
