@@ -1,11 +1,14 @@
 package adversary
 
 import (
+	"bytes"
+	"crypto/rand"
 	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -37,6 +40,7 @@ var openAttacks = []struct {
 	{"qid-initiator", 2, qidInitiator},
 	{"phantom-finger", 3, phantomFinger},
 	{"store-max-version", 4, storeMaxVersion},
+	{"onion-malleable", 21, onionMalleable},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -44,20 +48,7 @@ var openAttacks = []struct {
 // attack's line; a regression or a newly found hole adds one. The file holds
 // one "name item" line per attack that succeeds.
 func TestOpenAttacks(t *testing.T) {
-	body, err := os.ReadFile(openAttacksFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed := map[string]int{}
-	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			t.Fatalf("%s: malformed line %q, want \"name item\"", openAttacksFile, line)
-		}
-		if listed[f[0]], err = strconv.Atoi(f[1]); err != nil {
-			t.Fatalf("%s: malformed line %q: %v", openAttacksFile, line, err)
-		}
-	}
+	listed := readOpenAttacks(t)
 	for _, a := range openAttacks {
 		item, open := listed[a.name]
 		delete(listed, a.name)
@@ -72,6 +63,64 @@ func TestOpenAttacks(t *testing.T) {
 	}
 	for name := range listed {
 		t.Errorf("%s lists %q, which no attack in the table mounts", openAttacksFile, name)
+	}
+}
+
+// readOpenAttacks parses testdata/open_attacks.txt into name → ROADMAP item.
+func readOpenAttacks(t *testing.T) map[string]int {
+	t.Helper()
+	body, err := os.ReadFile(openAttacksFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			t.Fatalf("%s: malformed line %q, want \"name item\"", openAttacksFile, line)
+		}
+		if listed[f[0]], err = strconv.Atoi(f[1]); err != nil {
+			t.Fatalf("%s: malformed line %q: %v", openAttacksFile, line, err)
+		}
+	}
+	return listed
+}
+
+// attackTag is how a Known limitations bullet of DEPLOYMENT.md names the
+// attack that demonstrates it.
+var attackTag = regexp.MustCompile("Attack\\s+line:\\s+`([a-z0-9-]+)`")
+
+// TestOpenAttacksMatchDeployment binds testdata/open_attacks.txt to the
+// "Known limitations" section of docs/DEPLOYMENT.md: every open attack is
+// tagged in exactly one bullet there, and every tag names an open attack. A
+// fix that deletes an attack's line deletes or rewrites its bullet too.
+func TestOpenAttacksMatchDeployment(t *testing.T) {
+	const doc = "../../docs/DEPLOYMENT.md"
+	body, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(body), "\n## Known limitations\n")
+	if !ok {
+		t.Fatalf("%s has no \"## Known limitations\" section", doc)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	tagged := map[string][]int{} // name → the bullets that tag it
+	for i, bullet := range strings.Split(section, "\n- ")[1:] {
+		for _, m := range attackTag.FindAllStringSubmatch(bullet, -1) {
+			tagged[m[1]] = append(tagged[m[1]], i+1)
+		}
+	}
+	listed := readOpenAttacks(t)
+	for name := range listed {
+		if n := len(tagged[name]); n != 1 {
+			t.Errorf("%s lists %s, which %s's Known limitations tag in %d bullets, want exactly 1", openAttacksFile, name, doc, n)
+		}
+	}
+	for name, bullets := range tagged {
+		if _, ok := listed[name]; !ok {
+			t.Errorf("%s: Known limitations bullet %d tags %s, which %s does not list", doc, bullets[0], name, openAttacksFile)
+		}
 	}
 }
 
@@ -277,6 +326,38 @@ func storeMaxVersion(t *testing.T) bool {
 	}
 	sim.Run(sim.Now() + time.Second)
 	return served
+}
+
+// onionMalleable builds a two-relay onion with xcrypto.Build and peels it
+// with xcrypto.Peel, as examples/anoncomm does, after a party holding no key
+// has flipped one bit of the outer layer's encrypted next hop (the 8 bytes
+// after the 16-byte IV) and one bit of the payload (the onion's last byte:
+// CTR layers nest, so it lies over the payload's last byte). It succeeds when
+// both relays peel without an error and read a next hop or payload other
+// than the one built.
+func onionMalleable(t *testing.T) bool {
+	keys := make([][]byte, 2)
+	for i := range keys {
+		k, err := xcrypto.NewOnionKey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = k
+	}
+	payload := []byte("lookup key 42")
+	nexts := []int64{7, xcrypto.ExitHop}
+	onion, err := xcrypto.Build(rand.Reader, keys, nexts, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onion[16+7] ^= 1
+	onion[len(onion)-1] ^= 1
+	next, inner, err := xcrypto.Peel(keys[0], onion)
+	if err != nil {
+		return false
+	}
+	exit, got, err := xcrypto.Peel(keys[1], inner)
+	return err == nil && (next != nexts[0] || exit != nexts[1] || !bytes.Equal(got, payload))
 }
 
 func loopback(t *testing.T) net.Listener {
