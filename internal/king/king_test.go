@@ -3,6 +3,7 @@ package king
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -139,6 +140,45 @@ func TestNewWithCustomMean(t *testing.T) {
 	meanRTT := 2 * sum / n
 	if meanRTT < 18*time.Millisecond || meanRTT > 22*time.Millisecond {
 		t.Errorf("custom mean RTT = %v, want ≈20ms", meanRTT)
+	}
+}
+
+// TestModelSharedAcrossGoroutines: a Model holds no mutable state, so
+// goroutines sharing one, each walking the pairs in its own order, read the
+// latencies a lone caller reads. Run it under -race to check the sharing.
+func TestModelSharedAcrossGoroutines(t *testing.T) {
+	pairs := 20_000
+	if testing.Short() {
+		pairs = 2_000
+	}
+	m := New(11)
+	rng := rand.New(rand.NewSource(11))
+	a := make([]simnet.Address, pairs)
+	b := make([]simnet.Address, pairs)
+	want := make([]time.Duration, pairs)
+	for i := range a {
+		a[i], b[i] = simnet.Address(rng.Intn(1<<20)), simnet.Address(rng.Intn(1<<20))
+		want[i] = m.Base(a[i], b[i])
+	}
+	const workers = 4
+	bad := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(pairs) {
+				if m.Base(a[i], b[i]) != want[i] || m.Base(b[i], a[i]) != want[i] {
+					bad[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, n := range bad {
+		if n != 0 {
+			t.Errorf("goroutine %d read %d of %d pairs differently from a lone caller", w, n, pairs)
+		}
 	}
 }
 
