@@ -117,7 +117,9 @@ func (tl *tableLookup) find(x id.ID) (int, bool) {
 // A padded lookup draws its dummy targets from everything it knows, so it
 // keeps every peer. Otherwise the set is read only by bestUnqueried, which
 // never looks outside (closestQueried, key); and since closestQueried only
-// moves to a peer inside that interval, a peer outside it now stays outside.
+// moves to a peer inside that interval, a peer outside it now stays outside:
+// it is never learned again, and handleResponse drops it from the set once
+// closestQueried passes it.
 func (tl *tableLookup) keeps(x id.ID) bool {
 	return tl.padded || id.StrictBetween(x, tl.closestQueried.ID, tl.key)
 }
@@ -145,14 +147,20 @@ func (tl *tableLookup) learn(p chord.Peer, seed bool) {
 // (valid fingers, then the successor list), keeping seeded paper-mode runs
 // bit-identical; a full-state tier returns a bounded neighborhood tightly
 // preceding the key, which normally contains the owner's immediate
-// predecessor.
+// predecessor. A padded lookup reserves room for the peers the tables will
+// add; any other, which drops peers as closestQueried passes them, reserves
+// room for the seeds alone.
 func (tl *tableLookup) seed() {
 	if tl.seeded {
 		return
 	}
 	tl.seeded = true
 	seeds := tl.n.tier.Candidates(tl.key)
-	tl.cands = make([]candidate, 0, 4*len(seeds))
+	size := len(seeds)
+	if tl.padded {
+		size *= 4
+	}
+	tl.cands = make([]candidate, 0, size)
 	for _, p := range seeds {
 		tl.learn(p, true)
 	}
@@ -189,8 +197,9 @@ func (n *Node) newTableLookup(key id.ID, padded bool,
 // lies in [self, key) and, within the interval the choice is made from,
 // clockwise distance from the node grows with position in the set: walking
 // back from the key, the first unqueried candidate is the furthest one, and
-// the first candidate outside the interval ends the walk. When there is
-// none, pending reports whether a query in flight targets the interval.
+// the first candidate outside the interval ends the walk (only a padded
+// lookup keeps any; see keeps). When there is none, pending reports whether
+// a query in flight targets the interval.
 func (tl *tableLookup) bestUnqueried() (i int, ok, pending bool) {
 	i, _ = tl.find(tl.key)
 	for range tl.cands {
@@ -322,8 +331,9 @@ func (tl *tableLookup) issue(i int) bool {
 	next := tl.cands[i].peer
 	if !tl.send(next, func(resp transport.Message, err error) {
 		tl.inFlight--
-		j, _ := tl.find(next.ID)
-		tl.cands[j].pending = false
+		if j, found := tl.find(next.ID); found { // else dropped as behind closestQueried
+			tl.cands[j].pending = false
+		}
 		if err == nil {
 			tl.handleResponse(next, resp)
 		}
@@ -353,6 +363,7 @@ func (tl *tableLookup) handleResponse(next chord.Peer, resp transport.Message) {
 	}
 	if id.StrictBetween(next.ID, tl.closestQueried.ID, tl.key) {
 		tl.closestQueried = next
+		tl.cands = slices.DeleteFunc(tl.cands, func(c candidate) bool { return !tl.keeps(c.peer.ID) })
 	}
 	tl.absorb(next, table)
 	tl.recordOwnerCandidate(table)

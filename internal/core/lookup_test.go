@@ -411,6 +411,12 @@ func TestSeedsTakenOnFirstNeed(t *testing.T) {
 // the target's own signed table, or by a timeout for every fifth identifier.
 // It returns the peers queried, in order, and how the lookup ended.
 func replayLookup(nw *testNet, node *Node, key id.ID, padded bool, alpha int, seed int64) ([]chord.Peer, chord.Peer, DirectLookupResult, error) {
+	return replay(nw, node, key, padded, alpha, seed, func(*tableLookup) {})
+}
+
+// replay is replayLookup calling after with the engine once it has launched
+// and again after every reply.
+func replay(nw *testNet, node *Node, key id.ID, padded bool, alpha int, seed int64, after func(*tableLookup)) ([]chord.Peer, chord.Peer, DirectLookupResult, error) {
 	type query struct {
 		target chord.Peer
 		done   func(transport.Message, error)
@@ -428,15 +434,17 @@ func replayLookup(nw *testNet, node *Node, key id.ID, padded bool, alpha int, se
 	tl.alpha = alpha
 	rng := rand.New(rand.NewSource(seed))
 	tl.step()
+	after(tl)
 	for len(queue) > 0 {
 		i := rng.Intn(len(queue))
 		q := queue[i]
 		queue = slices.Delete(queue, i, i+1)
 		if q.target.ID%5 == 0 {
 			q.done(nil, transport.ErrTimeout)
-			continue
+		} else {
+			q.done(chord.GetTableResp{Table: nw.Nodes[q.target.Addr].Chord.Table(true, false)}, nil)
 		}
-		q.done(chord.GetTableResp{Table: nw.Nodes[q.target.Addr].Chord.Table(true, false)}, nil)
+		after(tl)
 	}
 	return tl.stats.Queried, owner, result, ended
 }
@@ -686,4 +694,98 @@ func TestLateRepliesVerifiedAndBuffered(t *testing.T) {
 	if tl.stats.Rejected != 2 {
 		t.Errorf("%d replies rejected, want the forged and the misattributed one", tl.stats.Rejected)
 	}
+}
+
+// checkPruned fails unless every candidate of an unpadded lookup lies strictly
+// inside (closestQueried, key), the only peers a query can still go to.
+func checkPruned(t *testing.T, tl *tableLookup) {
+	t.Helper()
+	for _, c := range tl.cands {
+		if !id.StrictBetween(c.peer.ID, tl.closestQueried.ID, tl.key) {
+			t.Fatalf("key %v: candidate %v is kept although closestQueried %v has passed it", tl.key, c.peer.ID, tl.closestQueried.ID)
+		}
+	}
+}
+
+// An unpadded lookup drops every candidate closestQueried passes, after every
+// reply, and reserves no more than its seeds: its array only grows when the
+// candidates still ahead of closestQueried outnumber them, and append then
+// doubles it and rounds up to an allocator size class, which wastes at most
+// an eighth. So its capacity stays within the larger of the seed count and
+// 9/4 of the most candidates it has held at once. A reply from a candidate
+// already dropped, at α = 3, neither panics nor touches another candidate.
+func TestPruneBehindClosest(t *testing.T) {
+	t.Run("replayed lookups", func(t *testing.T) {
+		nw := buildTestNet(t, 19, 150, nil)
+		nw.Sim.Run(40 * time.Second)
+		rng := rand.New(rand.NewSource(29))
+		dropped := 0 // queried peers no longer in the set when the lookup ends
+		for _, node := range nw.Nodes[:20] {
+			for range 8 {
+				key := id.ID(rng.Uint64())
+				seeds := len(node.tier.Candidates(key))
+				for _, alpha := range []int{1, 3} {
+					peak := 0
+					var last *tableLookup
+					replay(nw, node, key, false, alpha, rng.Int63(), func(tl *tableLookup) {
+						checkPruned(t, tl)
+						peak = max(peak, len(tl.cands))
+						if limit := max(seeds, 9*peak/4); cap(tl.cands) > limit {
+							t.Fatalf("key %v α=%d: capacity %d for %d seeds and at most %d candidates held, want at most %d",
+								key, alpha, cap(tl.cands), seeds, peak, limit)
+						}
+						last = tl
+					})
+					for _, q := range last.stats.Queried {
+						if _, found := last.find(q.ID); !found {
+							dropped++
+						}
+					}
+				}
+			}
+		}
+		if dropped == 0 {
+			t.Error("no queried peer was ever dropped: the check needs lookups that converge over several tables")
+		}
+	})
+
+	// p[2] answers first: p[0] and p[1], still in flight, fall behind it
+	// and are dropped, and the query to p[3], which p[2]'s table names,
+	// goes out. p[1]'s reply must leave p[3] pending, so the lookup waits
+	// for p[3] and its successor list vouches for the owner p[4].
+	t.Run("α=3, reply from a dropped candidate while another is in flight", func(t *testing.T) {
+		nw, node, p, key := settleRing(t)
+		var res DirectLookupResult
+		tl, replies := settleLookup(node, key, p[:3], func(_ chord.Peer, r DirectLookupResult, _ error) { res = r })
+		replies[p[2].Addr](tableReply(nw, p[2]), nil)
+		checkPruned(t, tl)
+		if ids := candidateIDs(tl); !slices.Equal(ids, []id.ID{p[3].ID}) || !tl.cands[0].pending {
+			t.Fatalf("candidates %v after p[2] answered, want p[3] %v alone and pending", ids, p[3].ID)
+		}
+		replies[p[1].Addr](nil, transport.ErrTimeout)
+		if !tl.cands[0].pending || tl.finished {
+			t.Fatalf("p[1]'s reply cleared p[3]'s pending flag (%v) or ended the lookup (%v)", !tl.cands[0].pending, tl.finished)
+		}
+		replies[p[3].Addr](tableReply(nw, p[3]), nil)
+		if !tl.finished || res.Owner != p[4] || res.Evidence.Owner != p[3] {
+			t.Fatalf("finished %v, owner %v by %v's table; want %v by %v's", tl.finished, res.Owner, res.Evidence.Owner, p[4], p[3])
+		}
+		replies[p[0].Addr](tableReply(nw, p[0]), nil)
+	})
+
+	// p[3] answers first and settles the lookup with nothing left in the
+	// set; the replies of the dropped p[0] and p[1] come after.
+	t.Run("α=3, replies from dropped candidates once the set is empty", func(t *testing.T) {
+		nw, node, p, key := settleRing(t)
+		tl, replies := settleLookup(node, key, []chord.Peer{p[0], p[1], p[3]}, func(chord.Peer, DirectLookupResult, error) {})
+		replies[p[3].Addr](tableReply(nw, p[3]), nil)
+		if !tl.finished || len(tl.cands) != 0 {
+			t.Fatalf("finished %v with candidates %v, want settled on p[3] with none left", tl.finished, candidateIDs(tl))
+		}
+		replies[p[1].Addr](nil, transport.ErrTimeout)
+		replies[p[0].Addr](tableReply(nw, p[0]), nil)
+		if tl.inFlight != 0 {
+			t.Errorf("%d queries in flight after every reply", tl.inFlight)
+		}
+	})
 }
