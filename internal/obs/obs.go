@@ -21,7 +21,8 @@
 package obs
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -115,29 +116,34 @@ func (s *Snapshot) HistogramTotal(name string) (count uint64, sum float64) {
 	return count, sum
 }
 
-// sortKey orders samples deterministically: by name, then label pairs.
-func sortKey(name string, labels []Label) string {
-	k := name
-	for _, l := range labels {
-		k += "\x00" + l.Key + "\x01" + l.Value
-	}
-	return k
-}
-
 // normalize sorts the snapshot into the deterministic order the exporter
 // and tests rely on.
 func (s *Snapshot) normalize() {
-	byKey := func(sm []Sample) func(i, j int) bool {
-		return func(i, j int) bool {
-			return sortKey(sm[i].Name, sm[i].Labels) < sortKey(sm[j].Name, sm[j].Labels)
+	sample := func(x Sample) (string, []Label) { return x.Name, x.Labels }
+	sortSeries(s.Counters, sample)
+	sortSeries(s.Gauges, sample)
+	sortSeries(s.Histograms, func(h HistogramData) (string, []Label) { return h.Name, h.Labels })
+}
+
+// sortSeries orders series by name, then label pairs, building each one's
+// sort key once; series with equal keys keep their order.
+func sortSeries[T any](xs []T, series func(T) (string, []Label)) {
+	type keyed struct {
+		k string
+		x T
+	}
+	ks := make([]keyed, len(xs))
+	for i, x := range xs {
+		name, labels := series(x)
+		ks[i] = keyed{name, x}
+		for _, l := range labels {
+			ks[i].k += "\x00" + l.Key + "\x01" + l.Value
 		}
 	}
-	sort.SliceStable(s.Counters, byKey(s.Counters))
-	sort.SliceStable(s.Gauges, byKey(s.Gauges))
-	sort.SliceStable(s.Histograms, func(i, j int) bool {
-		return sortKey(s.Histograms[i].Name, s.Histograms[i].Labels) <
-			sortKey(s.Histograms[j].Name, s.Histograms[j].Labels)
-	})
+	slices.SortStableFunc(ks, func(a, b keyed) int { return strings.Compare(a.k, b.k) })
+	for i, kx := range ks {
+		xs[i] = kx.x
+	}
 }
 
 // Source is the one interface every instrumented subsystem implements:

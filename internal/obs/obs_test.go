@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -228,5 +229,56 @@ func TestValidateSnapshot(t *testing.T) {
 	errs := ValidateSnapshot(&s)
 	if len(errs) != 2 {
 		t.Fatalf("got %d errors, want 2: %v", len(errs), errs)
+	}
+}
+
+// goldenCollector is the fixture behind testdata/writetext.golden: sources
+// registered out of name order, series that tie on name and labels (the sort
+// must keep them in the order they were added), label values that need each
+// escape and values that need none, names inside and outside the catalog,
+// and histograms with and without labels.
+func goldenCollector() *Collector {
+	c := NewCollector()
+	lat := NewHistogram("octopus_lookup_latency_seconds", []float64{0.001, 0.5, 1}, L("node", `gw"1\`))
+	for _, v := range []float64{0.0005, 0.25, 0.75, 3} {
+		lat.Observe(v)
+	}
+	c.Register(lat)
+	bare := NewHistogram("octopus_unlisted_seconds", []float64{2})
+	bare.Observe(1.5)
+	c.Register(bare)
+	c.Register(FuncSource(func(s *Snapshot) {
+		s.AddCounter("octopus_service_rejected_total", 3, L("reason", "queue"))
+		s.AddCounter("octopus_lookups_started_total", 7, L("node", "10"))
+		s.AddCounter("octopus_lookups_started_total", 8, L("node", "9"))
+		s.AddCounter("octopus_lookups_started_total", 1, L("node", "9"))
+		s.AddCounter("octopus_lookups_started_total", 2, L("node", "line\nbreak"), L("x", `back\slash "quoted"`))
+		s.AddCounter("octopus_lookups_started_total", 4)
+		s.AddGauge("octopus_pool_pairs", 2.5, L("node", ""))
+		s.AddGauge("octopus_pool_pairs", 1.5e-7, L("node", "9"), L("a", "\\\n\""))
+		s.AddGauge("octopus_pool_pairs", 12345.678, L("node", "9"))
+	}))
+	c.Register(FuncSource(func(s *Snapshot) {
+		s.AddGauge("octopus_tier_entries", 64, L("tier", "onehop"))
+		s.AddCounter("octopus_a_unlisted_total", 1, L("k", `\n`))
+		s.AddCounter("octopus_lookups_started_total", 5, L("node", "9"))
+	}))
+	return c
+}
+
+// TestWriteTextGolden pins the exporter's output, byte for byte, to
+// testdata/writetext.golden, which was captured from WriteText as it stood
+// before it built its escaper once and computed each sort key once.
+func TestWriteTextGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/writetext.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := WriteText(&b, goldenCollector().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("WriteText differs from testdata/writetext.golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

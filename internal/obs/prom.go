@@ -3,8 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -15,88 +16,67 @@ import (
 // a family keep the snapshot's deterministic order.
 func WriteText(w io.Writer, s *Snapshot) error {
 	type family struct {
-		name  string
 		typ   string
-		lines []string
+		lines strings.Builder
 	}
 	fams := map[string]*family{}
-	var order []string
-	add := func(name, typ, line string) {
+	add := func(name, typ, series string, labels []Label, value string) {
 		f := fams[name]
 		if f == nil {
-			f = &family{name: name, typ: typ}
+			f = &family{typ: typ}
 			fams[name] = f
-			order = append(order, name)
 		}
-		f.lines = append(f.lines, line)
+		f.lines.WriteString(series)
+		writeLabels(&f.lines, labels)
+		f.lines.WriteString(" " + value + "\n")
 	}
-
 	for _, c := range s.Counters {
-		add(c.Name, "counter", fmt.Sprintf("%s%s %s", c.Name, renderLabels(c.Labels), formatValue(c.Value)))
+		add(c.Name, "counter", c.Name, c.Labels, formatValue(c.Value))
 	}
 	for _, g := range s.Gauges {
-		add(g.Name, "gauge", fmt.Sprintf("%s%s %s", g.Name, renderLabels(g.Labels), formatValue(g.Value)))
+		add(g.Name, "gauge", g.Name, g.Labels, formatValue(g.Value))
 	}
 	for _, h := range s.Histograms {
-		bucketLabels := func(le string) string {
-			ls := make([]Label, 0, len(h.Labels)+1)
-			ls = append(ls, h.Labels...)
-			ls = append(ls, L("le", le))
-			return renderLabels(ls)
-		}
+		le := append(slices.Clip(h.Labels), L("le", ""))
 		for _, b := range h.Buckets {
-			add(h.Name, "histogram", fmt.Sprintf("%s_bucket%s %d",
-				h.Name, bucketLabels(formatValue(b.UpperBound)), b.Count))
+			le[len(le)-1].Value = formatValue(b.UpperBound)
+			add(h.Name, "histogram", h.Name+"_bucket", le, strconv.FormatUint(b.Count, 10))
 		}
-		add(h.Name, "histogram", fmt.Sprintf("%s_bucket%s %d",
-			h.Name, bucketLabels("+Inf"), h.Count))
-		add(h.Name, "histogram", fmt.Sprintf("%s_sum%s %s", h.Name, renderLabels(h.Labels), formatValue(h.Sum)))
-		add(h.Name, "histogram", fmt.Sprintf("%s_count%s %d", h.Name, renderLabels(h.Labels), h.Count))
+		le[len(le)-1].Value = "+Inf"
+		add(h.Name, "histogram", h.Name+"_bucket", le, strconv.FormatUint(h.Count, 10))
+		add(h.Name, "histogram", h.Name+"_sum", h.Labels, formatValue(h.Sum))
+		add(h.Name, "histogram", h.Name+"_count", h.Labels, strconv.FormatUint(h.Count, 10))
 	}
-
-	sort.Strings(order)
-	for _, name := range order {
-		f := fams[name]
+	for _, name := range slices.Sorted(maps.Keys(fams)) {
 		help := name
 		if def, ok := LookupMetric(name); ok {
 			help = def.Help
 		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, f.typ); err != nil {
+		f := fams[name]
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s", name, help, name, f.typ, f.lines.String()); err != nil {
 			return err
-		}
-		for _, line := range f.lines {
-			if _, err := io.WriteString(w, line+"\n"); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// renderLabels formats a label set as {k="v",...}, or "" when empty.
-func renderLabels(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
+// writeLabels appends a label set as {k="v",...}, or nothing when empty.
+func writeLabels(b *strings.Builder, labels []Label) {
+	sep := "{"
+	for _, l := range labels {
+		b.WriteString(sep + l.Key + `="`)
+		_, _ = labelEscaper.WriteString(b, l.Value)
 		b.WriteByte('"')
+		sep = ","
 	}
-	b.WriteByte('}')
-	return b.String()
+	if len(labels) > 0 {
+		b.WriteByte('}')
+	}
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value. It is built once: a value that needs
+// no escape, nearly every one, is written as it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
 // formatValue renders a float the way Prometheus clients do: integers
 // without a decimal point, everything else in shortest round-trip form.
