@@ -19,6 +19,7 @@ import (
 	"github.com/octopus-dht/octopus/internal/core"
 	"github.com/octopus-dht/octopus/internal/daemon"
 	"github.com/octopus-dht/octopus/internal/id"
+	"github.com/octopus-dht/octopus/internal/simnet"
 	"github.com/octopus-dht/octopus/internal/store"
 	"github.com/octopus-dht/octopus/internal/transport"
 	"github.com/octopus-dht/octopus/internal/transport/nettransport"
@@ -41,6 +42,8 @@ var openAttacks = []struct {
 	{"phantom-finger", 3, phantomFinger},
 	{"store-max-version", 4, storeMaxVersion},
 	{"onion-malleable", 21, onionMalleable},
+	{"edra-forged-leave", 19, func(t *testing.T) bool { return edraForged(t, false) }},
+	{"edra-forged-join", 19, func(t *testing.T) bool { return edraForged(t, true) }},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -358,6 +361,50 @@ func onionMalleable(t *testing.T) bool {
 	}
 	exit, got, err := xcrypto.Peel(keys[1], inner)
 	return err == nil && (next != nexts[0] || exit != nexts[1] || !bytes.Equal(got, payload))
+}
+
+// edraForged has one member of a 64-node one-hop simnet ring send one
+// hand-built TierEventNotify, at the depth a node that detected the event
+// itself sends it, to one peer, which applies it and passes it on. The forged
+// event is the leave of a live honest node or, when join is set, the join of
+// a peer nobody runs. It succeeds when, within 20 s, at least half of the
+// other members' tables, read through Node.Tier, have lost the live node or
+// gained the made-up one.
+func edraForged(t *testing.T, join bool) bool {
+	const n, depth = 64, 6 // depth: ceil(log2 n), the EDRA levels of a full table
+	sim := simnet.New(19)
+	cfg := core.DefaultConfig()
+	cfg.EstimatedSize, cfg.RoutingTier = n, core.TierOneHop
+	nw, err := core.BuildNetwork(simnet.NewNetwork(sim, simnet.ConstantLatency{D: 10 * time.Millisecond}, n+1), n, cfg)
+	if err != nil {
+		t.Fatalf("BuildNetwork: %v", err)
+	}
+	sim.Run(5 * time.Second)
+	attacker, receiver := nw.Nodes[0].Self(), nw.Nodes[1].Self()
+	subject, listed := nw.Nodes[2].Self(), false
+	forged := core.TierEventNotify{TTL: depth, Leaves: []id.ID{subject.ID}}
+	if join {
+		subject, listed = chord.Peer{ID: subject.ID + 1, Addr: 999}, true
+		forged = core.TierEventNotify{TTL: depth, Joins: []chord.Peer{subject}}
+	}
+	nw.Net.Send(attacker.Addr, receiver.Addr, forged)
+	for end := sim.Now() + 20*time.Second; sim.Now() < end; {
+		sim.Run(sim.Now() + time.Second)
+		others, rewritten := 0, 0
+		for _, node := range nw.Nodes {
+			if self := node.Self(); self == attacker || self == subject {
+				continue
+			}
+			others++
+			if slices.Contains(node.Tier().Candidates(subject.ID), subject) == listed {
+				rewritten++
+			}
+		}
+		if 2*rewritten >= others {
+			return true
+		}
+	}
+	return false
 }
 
 func loopback(t *testing.T) net.Listener {
