@@ -1,15 +1,15 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sync/atomic"
 	"time"
 )
 
-// qidTableMax caps every per-query table. Sized from tcp-lookup-uniform, the
-// busiest committed workload: ≈ 30 lookups/s × ≈ 94 forwards each (walks and
-// dummies included) over 64 nodes is ≈ 44 forwards/s per node, 3 600 entries
-// over the 82 s evidence retention; 1<<17 is 36× that, and 2.3× what a node on
-// every path would hold (a path has 4 distinct relays, so ≤ 1/4 of forwards).
+// qidTableMax caps every per-query table. On tcp-lookup-uniform, the busiest
+// workload, a node holds ≈ 2 900 entries (35 lookups/s × 65 forwards / 64 nodes
+// × 82 s); 1<<17 is 45× that, 2.8× a node on every path (≤ ¼ of forwards).
 const qidTableMax = 1 << 17
 
 type qidPut struct {
@@ -22,18 +22,20 @@ type qidPut struct {
 // A table has one ttl and one size bound, and no timers: every access first
 // retires, in put order, the puts whose time is up, and put retires the oldest
 // when the table is full. Retiring a put deletes whatever its qid holds THEN,
-// even what a later put of the same qid wrote — as a delete-timer per put
-// would, and as the seeded digests replay (ROADMAP item 5 records what a
-// deadline per entry moves). A qid is live only while one of its puts is
-// queued, so max bounds both. Host serialization context only.
+// even a later put's value, as the seeded digests replay (ROADMAP item 5). A
+// qid is live only while one of its puts is queued, so max bounds both. A Go
+// map never shrinks, and a swiss table out of room to tombstones doubles, so
+// retire rebuilds map and queue at their live size once the puts retired since
+// outnumber twice those queued: amortised O(1) per put. Host context only.
 type qidTable[V any] struct {
 	now     func() time.Duration
 	ttl     time.Duration
 	max     int
 	evicted *atomic.Uint64 // puts retired early because the table was full
 
-	live map[uint64]V
-	puts []qidPut // in put order, which one ttl makes due order
+	live    map[uint64]V
+	puts    []qidPut // in put order, which one ttl makes due order
+	retired int      // puts retired since live and puts were allocated
 }
 
 func newQidTable[V any](now func() time.Duration, ttl time.Duration, evicted *atomic.Uint64) *qidTable[V] {
@@ -42,13 +44,16 @@ func newQidTable[V any](now func() time.Duration, ttl time.Duration, evicted *at
 
 func (t *qidTable[V]) retireOldest() {
 	delete(t.live, t.puts[0].qid)
-	t.puts = t.puts[1:]
+	t.puts, t.retired = t.puts[1:], t.retired+1
 }
 
 // retire retires every put whose time is up.
 func (t *qidTable[V]) retire() {
 	for now := t.now(); len(t.puts) > 0 && t.puts[0].due <= now; {
 		t.retireOldest()
+	}
+	if t.retired > 2*len(t.puts)+32 { // the 32: a near-empty table rebuilds rarely
+		t.live, t.puts, t.retired = maps.Clone(t.live), slices.Clone(t.puts), 0
 	}
 }
 
@@ -84,9 +89,4 @@ func (t *qidTable[V]) set(qid uint64, v V) bool {
 		t.live[qid] = v
 	}
 	return ok
-}
-
-func (t *qidTable[V]) len() int {
-	t.retire()
-	return len(t.live)
 }

@@ -1,10 +1,18 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// len reports how many qids the table holds.
+func (t *qidTable[V]) len() int {
+	t.retire()
+	return len(t.live)
+}
 
 // TestQidTable drives one table (ttl 10 s, at most 3 puts) through scripted
 // steps on a hand-turned clock.
@@ -106,5 +114,135 @@ func TestQidTable(t *testing.T) {
 				t.Errorf("evictions = %d, want %d", got, c.evicted)
 			}
 		})
+	}
+}
+
+// refQidTable is the plain model a qidTable must agree with: a queue of puts
+// that only ever grows at the back, a head that walks it, and a map that is
+// never rebuilt.
+type refQidTable struct {
+	ttl     time.Duration
+	max     int
+	live    map[uint64]int
+	puts    []qidPut
+	head    int
+	evicted uint64
+}
+
+func (r *refQidTable) retire(now time.Duration) {
+	for r.head < len(r.puts) && r.puts[r.head].due <= now {
+		delete(r.live, r.puts[r.head].qid)
+		r.head++
+	}
+}
+
+func (r *refQidTable) put(now time.Duration, qid uint64, v int) {
+	r.retire(now)
+	if len(r.puts)-r.head >= r.max {
+		delete(r.live, r.puts[r.head].qid)
+		r.head++
+		r.evicted++
+	}
+	r.live[qid] = v
+	r.puts = append(r.puts, qidPut{qid: qid, due: now + r.ttl})
+}
+
+// TestQidTableMatchesReference replays a seeded sequence of puts, gets, takes,
+// sets and lens, in bursts and with clock jumps, against a table and the plain
+// model above. Every result and the eviction count must agree, and the bound
+// is small enough that the table both evicts and rebuilds along the way.
+func TestQidTableMatchesReference(t *testing.T) {
+	const ttl, bound = time.Second, 24
+	var now time.Duration
+	var evicted atomic.Uint64
+	tab := newQidTable[int](func() time.Duration { return now }, ttl, &evicted)
+	tab.max = bound
+	ref := &refQidTable{ttl: ttl, max: bound, live: map[uint64]int{}}
+	rng := rand.New(rand.NewSource(1))
+	rebuilds := 0
+	for i := range 200_000 {
+		switch d := rng.Intn(100); {
+		case d < 2:
+			now += ttl + time.Duration(rng.Int63n(int64(ttl))) // a jump past every deadline
+		case d < 60:
+			now += time.Duration(rng.Int63n(int64(ttl / 20)))
+		} // else a burst: no time passes
+		qid := uint64(rng.Intn(64))
+		retired := tab.retired
+		ref.retire(now)
+		switch op := rng.Intn(5); op {
+		case 0:
+			tab.put(qid, i)
+			ref.put(now, qid, i)
+		case 1, 2:
+			want, wantOK := ref.live[qid]
+			name, get := "get", tab.get
+			if op == 2 {
+				name, get = "take", tab.take
+				delete(ref.live, qid)
+			}
+			if got, ok := get(qid); got != want || ok != wantOK {
+				t.Fatalf("op %d at %v: %s(%d) = %d, %v; want %d, %v", i, now, name, qid, got, ok, want, wantOK)
+			}
+		case 3:
+			_, want := ref.live[qid]
+			if want {
+				ref.live[qid] = i
+			}
+			if got := tab.set(qid, i); got != want {
+				t.Fatalf("op %d at %v: set(%d) = %v, want %v", i, now, qid, got, want)
+			}
+		case 4:
+			if got, want := tab.len(), len(ref.live); got != want {
+				t.Fatalf("op %d at %v: len = %d, want %d", i, now, got, want)
+			}
+		}
+		if tab.retired < retired {
+			rebuilds++
+		}
+	}
+	if got := evicted.Load(); got != ref.evicted || got == 0 {
+		t.Errorf("evictions = %d, the model's %d; want equal and nonzero", got, ref.evicted)
+	}
+	if rebuilds == 0 {
+		t.Error("the table never rebuilt: the sequence does not exercise it")
+	}
+}
+
+// TestQidTableGivesBackRoom fills a table with 2^16 puts, lets all but 256
+// of them retire, and requires the heap the table then retains to be less
+// than four times what a fresh table holding the same 256 entries retains.
+// A map that is only ever deleted from keeps the room of its largest burst.
+func TestQidTableGivesBackRoom(t *testing.T) {
+	const n, kept, ttl, at = 1 << 16, 256, 10 * time.Second, 4 * time.Second
+	// retained puts qids from..n-1, the last kept of them at the time at, and
+	// reports the heap the table holds once the others are due: the live heap
+	// after a forced GC with the table, less the same without it.
+	retained := func(from uint64) int64 {
+		now := time.Duration(0)
+		var evicted atomic.Uint64
+		tab := newQidTable[backRoute](func() time.Duration { return now }, ttl, &evicted)
+		for q := from; q < n; q++ {
+			if q == n-kept {
+				now = at
+			}
+			tab.put(q, backRoute{prev: 1, delay: time.Second})
+		}
+		now = ttl + at/2 // the first n-kept puts are due, the last kept are not
+		if got := tab.len(); got != kept {
+			t.Fatalf("the table holds %d entries, want %d", got, kept)
+		}
+		var with, without runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&with)
+		runtime.KeepAlive(tab)
+		runtime.GC()
+		runtime.ReadMemStats(&without)
+		return int64(with.HeapAlloc) - int64(without.HeapAlloc)
+	}
+	churned, fresh := retained(0), retained(n-kept)
+	t.Logf("%d entries retain %d B after a burst of %d, %d B in a fresh table", kept, churned, n, fresh)
+	if churned > 4*max(fresh, 1) {
+		t.Errorf("after the burst retired the table retains %d B, want under 4 × %d B (a fresh table holding the same entries)", churned, fresh)
 	}
 }
