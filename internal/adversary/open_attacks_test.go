@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -44,6 +45,7 @@ var openAttacks = []struct {
 	{"onion-malleable", 21, onionMalleable},
 	{"edra-forged-leave", 19, func(t *testing.T) bool { return edraForged(t, false) }},
 	{"edra-forged-join", 19, func(t *testing.T) bool { return edraForged(t, true) }},
+	{"relay-route-flood", 4, relayRouteFlood},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -405,6 +407,76 @@ func edraForged(t *testing.T, join bool) bool {
 		}
 	}
 	return false
+}
+
+// relayRouteFlood has an honest node of a 16-node simnet ring send a victim
+// relay a hand-built RelayForward: an exit query that the victim holds for a
+// random pause of up to 3 s. At the same instant another ring member sends
+// the victim 1<<17 hand-built RelayForwards with fresh query ids, as many as
+// core's qidTableMax, and drops the receipts they earn. It succeeds when the
+// honest query's back-route is evicted, so the exit's answer never reaches
+// the honest node. Once the flood's routes are due, the victim must give back
+// the heap they took.
+func relayRouteFlood(t *testing.T) bool {
+	const flood, qid = 1 << 17, 1 << 62
+	nw := buildNet(t, 4, 16)
+	sim := nw.Sim
+	sim.Run(20 * time.Second)
+	honest, victim, attacker := nw.Nodes[0].Self().Addr, nw.Nodes[1].Self().Addr, nw.Nodes[2]
+	answered := map[uint64]bool{}
+	deliver := nw.Nodes[0].Chord.Extra
+	nw.Nodes[0].Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+		if r, ok := req.(core.RelayReply); ok && r.QID >= qid {
+			answered[r.QID] = true
+		}
+		return deliver(from, req)
+	}
+	drop := attacker.Chord.Extra
+	attacker.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+		if _, ok := req.(core.Receipt); ok {
+			return nil, false
+		}
+		return drop(from, req)
+	}
+	query := func(q uint64, delay time.Duration) {
+		exit := &core.ExitAction{Target: nw.Nodes[3].Self().Addr, Req: chord.PingReq{}}
+		nw.Net.Send(honest, victim, core.RelayForward{QID: q, Exit: exit, Delay: delay, Depth: 1})
+	}
+	query(qid, 0) // unflooded, the answer comes back
+	sim.Run(sim.Now() + time.Second)
+	if !answered[qid] {
+		t.Fatal("the victim relayed no answer to an unflooded query")
+	}
+	// The simulator's event queue, a slice, keeps the room the flood's
+	// messages take; claim it first, so the heap read below is the victim's.
+	for range 2 * flood {
+		sim.After(0, func() {})
+	}
+	sim.Run(sim.Now())
+	before := liveHeap()
+
+	query(qid+1, 3*time.Second)
+	for q := range uint64(flood) {
+		nw.Net.Send(attacker.Self().Addr, victim, core.RelayForward{QID: qid + 2 + q, Depth: 1})
+	}
+	sim.Run(sim.Now() + 10*time.Second)
+	flooded := liveHeap()
+	sim.Run(sim.Now() + time.Minute) // the flood's routes are due
+	after := liveHeap()
+	runtime.KeepAlive(nw)
+	t.Logf("live heap %d kB before the flood, %d kB after it, %d kB once it is due", before>>10, flooded>>10, after>>10)
+	if 4*(after-before) > flooded-before {
+		t.Errorf("once the flood is due the heap is %d kB above its level before the flood, more than a quarter of the %d kB the flood took", (after-before)>>10, (flooded-before)>>10)
+	}
+	return !answered[qid+1]
+}
+
+// liveHeap is the heap in use after a forced collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func loopback(t *testing.T) net.Listener {
