@@ -211,10 +211,10 @@ func TestSelectiveDropInstalls(t *testing.T) {
 	nw.Net.Send(honest, evil, core.RelayForward{QID: 1, Depth: 1})
 	nw.Net.Send(evil, honest, core.RelayForward{QID: 2, Depth: 1})
 	nw.Sim.Run(time.Minute)
-	if got := nw.Node(evil).Stats().RelayedForwards; got != 0 {
+	if got := nw.Node(evil).Stats().RelayedForwards.Load(); got != 0 {
 		t.Errorf("dropper relayed %d queries at AttackRate=1, want 0", got)
 	}
-	if nw.Node(honest).Stats().RelayedForwards == 0 {
+	if nw.Node(honest).Stats().RelayedForwards.Load() == 0 {
 		t.Error("honest node relayed nothing: the drop is not selective")
 	}
 }

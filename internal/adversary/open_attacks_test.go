@@ -46,6 +46,7 @@ var openAttacks = []struct {
 	{"edra-forged-leave", 19, func(t *testing.T) bool { return edraForged(t, false) }},
 	{"edra-forged-join", 19, func(t *testing.T) bool { return edraForged(t, true) }},
 	{"relay-route-flood", 4, relayRouteFlood},
+	{"walk-owner-swap", 3, walkOwnerSwap},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -469,6 +470,52 @@ func relayRouteFlood(t *testing.T) bool {
 		t.Errorf("once the flood is due the heap is %d kB above its level before the flood, more than a quarter of the %d kB the flood took", (after-before)>>10, (flooded-before)>>10)
 	}
 	return !answered[qid+1]
+}
+
+// walkOwnerSwap makes every finger of one walker of a 16-node simnet ring a
+// colluder. The walker queries its first walk hop directly; that hop answers
+// the table request with the table of another colluder C, which C signed
+// itself. It succeeds when the walker draws its next phase-1 hop from C's
+// table: the first hop sees that directly, because it carries the walker's
+// next table query as the exit relay.
+func walkOwnerSwap(t *testing.T) bool {
+	nw := buildNet(t, 6, 16)
+	walker := nw.Nodes[0]
+	fingers := walker.Chord.Fingers()
+	var c *core.Node
+	for _, node := range nw.Nodes[1:] {
+		if !slices.Contains(fingers, node.Self()) {
+			c = node
+			break
+		}
+	}
+	if c == nil {
+		t.Fatal("every node is the walker's finger: no colluder left to stand in")
+	}
+	var served []chord.Peer // the fingers of the last table a first hop swapped in
+	swapped := false
+	for _, f := range fingers {
+		m := nw.Node(f.Addr)
+		m.Chord.Intercept = func(from transport.Addr, req, resp transport.Message, ok bool) (transport.Message, bool) {
+			if from != walker.Self().Addr || req != (chord.GetTableReq{}) {
+				return resp, ok
+			}
+			table := c.Chord.Table(false, false)
+			served = table.Fingers
+			return chord.GetTableResp{Table: table}, true
+		}
+		deliver := m.Chord.Extra
+		m.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+			if fwd, ok := req.(core.RelayForward); ok && from == walker.Self().Addr && fwd.Exit != nil {
+				swapped = swapped || slices.ContainsFunc(served, func(p chord.Peer) bool { return p.Addr == fwd.Exit.Target })
+			}
+			return deliver(from, req)
+		}
+	}
+	for end := nw.Sim.Now() + 30*time.Second; !swapped && nw.Sim.Now() < end; {
+		nw.Sim.Run(nw.Sim.Now() + time.Second)
+	}
+	return swapped
 }
 
 // liveHeap is the heap in use after a forced collection.

@@ -103,7 +103,7 @@ func (c *lookupCache) flush() bool {
 // membership event. Nil-safe (caching off).
 func (n *Node) flushLookupCache() {
 	if n.lcache != nil && n.lcache.flush() {
-		n.stats.cacheFlushes.Add(1)
+		n.stats.CacheFlushes.Add(1)
 	}
 }
 

@@ -192,7 +192,7 @@ func TestNodeStatsRaceOverlappingLookups(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = node.Stats()
+				_ = node.Stats().LookupsCompleted.Load()
 				_ = node.PoolSize()
 				time.Sleep(time.Millisecond)
 			}
@@ -228,7 +228,7 @@ func TestNodeStatsRaceOverlappingLookups(t *testing.T) {
 	// verification overlapped across hosts while the lookups ran.
 	walkers := 0
 	for i := 0; i < n; i++ {
-		if nw.Node(transport.Addr(i)).Stats().WalksCompleted > 0 {
+		if nw.Node(transport.Addr(i)).Stats().WalksCompleted.Load() > 0 {
 			walkers++
 		}
 	}
@@ -236,11 +236,11 @@ func TestNodeStatsRaceOverlappingLookups(t *testing.T) {
 		t.Errorf("only %d of %d nodes completed a walk; the overlap this test is for did not happen", walkers, n)
 	}
 	st := node.Stats()
-	if st.LookupsStarted != lookups {
-		t.Errorf("LookupsStarted = %d, want %d", st.LookupsStarted, lookups)
+	if started := st.LookupsStarted.Load(); started != lookups {
+		t.Errorf("LookupsStarted = %d, want %d", started, lookups)
 	}
-	if st.LookupsCompleted+st.LookupsFailed != lookups {
-		t.Errorf("completed %d + failed %d != %d", st.LookupsCompleted, st.LookupsFailed, lookups)
+	if completed, failed := st.LookupsCompleted.Load(), st.LookupsFailed.Load(); completed+failed != lookups {
+		t.Errorf("completed %d + failed %d != %d", completed, failed, lookups)
 	}
 }
 
@@ -308,13 +308,13 @@ func TestManagedPoolNeverHandsOutEvictedPair(t *testing.T) {
 	}
 	aged := len(node.pairs.stock)
 	sim.Run(sim.Now() + pairMaxAge + time.Minute)
-	before := node.Stats().PairsDiscarded
+	before := node.Stats().PairsDiscarded.Load()
 	if _, err := node.pairs.take(nil); err == nil {
 		// Whatever was returned must be freshly synthesized from
 		// fingers, not one of the aged entries.
-		if node.Stats().PairsDiscarded < before+uint64(aged) {
+		if node.Stats().PairsDiscarded.Load() < before+uint64(aged) {
 			t.Errorf("aged pairs not discarded: %d -> %d (had %d)",
-				before, node.Stats().PairsDiscarded, aged)
+				before, node.Stats().PairsDiscarded.Load(), aged)
 		}
 	}
 }

@@ -127,11 +127,11 @@ func TestRandomWalkFillsPool(t *testing.T) {
 	nw.Sim.Run(2 * time.Minute)
 	node := nw.Node(0)
 	if node.PoolSize() == 0 {
-		t.Fatalf("relay pool empty after 2 minutes of walks (stats: %+v)", node.Stats())
+		t.Fatalf("relay pool empty after 2 minutes of walks (%d walks started, %d failed)",
+			node.Stats().WalksStarted.Load(), node.Stats().WalksFailed.Load())
 	}
-	st := node.Stats()
-	if st.WalksCompleted == 0 {
-		t.Errorf("no walks completed: %+v", st)
+	if node.Stats().WalksCompleted.Load() == 0 {
+		t.Errorf("no walks completed of %d started", node.Stats().WalksStarted.Load())
 	}
 	// Walks must also feed the finger-surveillance buffer.
 	if node.evidence.tableBuffer.len() == 0 {
@@ -530,7 +530,7 @@ func TestFingerUpdateInstallsVettedOwner(t *testing.T) {
 	if got := node.Chord.Fingers()[slot]; got != want {
 		t.Errorf("finger %d = %v after the update, want %v", slot, got, want)
 	}
-	if got := node.Stats().ReportsSent; got != 0 {
+	if got := node.Stats().ReportsSent.Load(); got != 0 {
 		t.Errorf("%d reports for an honest update", got)
 	}
 }
@@ -556,7 +556,7 @@ func TestFingerUpdateVetoesBiasedOwner(t *testing.T) {
 	if got := node.Chord.Fingers()[slot]; got != want {
 		t.Errorf("finger %d = %v after a biased update, want it left at %v", slot, got, want)
 	}
-	if got := node.Stats().ReportsSent; got != 1 {
+	if got := node.Stats().ReportsSent.Load(); got != 1 {
 		t.Errorf("%d reports sent, want one against %v", got, evil)
 	}
 }

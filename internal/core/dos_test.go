@@ -126,7 +126,7 @@ func TestLateReplyCancelsDropReport(t *testing.T) {
 				RelayReply{QID: qid, Failed: true, Depth: 4})
 		}
 		nw.Sim.Run(start + 5*time.Second)
-		return initiator.Stats().ReportsSent
+		return initiator.Stats().ReportsSent.Load()
 	}
 
 	if got := run(false); got != 1 {

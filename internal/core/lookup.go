@@ -400,24 +400,24 @@ func (n *Node) AnonLookup(key id.ID, cb func(chord.Peer, LookupStats, error)) {
 // successor list names the nodes immediately after the owner — the replica
 // set internal/store fans reads out to when the owner itself is gone.
 func (n *Node) AnonLookupFull(key id.ID, cb func(chord.Peer, DirectLookupResult, LookupStats, error)) {
-	n.stats.lookupsStarted.Add(1)
+	n.stats.LookupsStarted.Add(1)
 	if n.lcache != nil {
 		if res, ok := n.lcache.get(key); ok {
 			// Served from the cache: no queries, no relay pairs. cb runs
 			// synchronously, like the ErrNoRelays path.
-			n.stats.cacheHits.Add(1)
-			n.stats.lookupsCompleted.Add(1)
+			n.stats.CacheHits.Add(1)
+			n.stats.LookupsCompleted.Add(1)
 			now := n.tr.Now()
 			st := LookupStats{Started: now, Finished: now}
 			n.observeLookup(key, RelayPair{}, st, nil)
 			cb(res.Owner, res, st, nil)
 			return
 		}
-		n.stats.cacheMisses.Add(1)
+		n.stats.CacheMisses.Add(1)
 	}
 	head, err := n.pairs.take(nil)
 	if err != nil {
-		n.stats.lookupsFailed.Add(1)
+		n.stats.LookupsFailed.Add(1)
 		now := n.tr.Now()
 		st := LookupStats{Started: now, Finished: now}
 		n.observeLookup(key, RelayPair{}, st, err)
@@ -450,9 +450,9 @@ func (n *Node) AnonLookupFull(key id.ID, cb func(chord.Peer, DirectLookupResult,
 		}
 		tl.stats.PairsUsed++ // the head pair
 		if err != nil {
-			n.stats.lookupsFailed.Add(1)
+			n.stats.LookupsFailed.Add(1)
 		} else {
-			n.stats.lookupsCompleted.Add(1)
+			n.stats.LookupsCompleted.Add(1)
 			n.cacheLookupResult(key, owner, res)
 		}
 		n.observeLookup(key, head, tl.stats, err)
@@ -509,7 +509,7 @@ func (n *Node) sendDummy(head RelayPair, tl *tableLookup) {
 	}
 	tl.stats.Dummies++
 	tl.stats.PairsUsed++
-	n.stats.dummiesSent.Add(1)
+	n.stats.DummiesSent.Add(1)
 	n.paths.anonQuery(head, pair, target, chord.GetTableReq{IncludeSuccessors: true},
 		func(transport.Message, error) {}) // dummy answers are discarded
 }

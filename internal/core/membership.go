@@ -514,7 +514,7 @@ func (n *Node) handleRevocation(m RevocationAnnounce) {
 		!n.dir.Scheme().Verify(caKey, attestedRevocation(m.Node), m.Sig) {
 		return
 	}
-	n.stats.revocations.Add(1)
+	n.stats.Revocations.Add(1)
 	n.dir.Revoke(m.Node)
 	// The evicted identity may be a cached owner or live in cached
 	// successor-list evidence.
@@ -557,10 +557,10 @@ func (ca *CA) grantResp(g grant, wantRoster bool) CertIssueResp {
 // verify from the first stabilization round.
 func (n *Node) admitJoin(m chord.JoinReq) bool {
 	if !n.vetJoin(m) {
-		n.stats.joinsRejected.Add(1)
+		n.stats.JoinsRejected.Add(1)
 		return false
 	}
-	n.stats.joinsAdmitted.Add(1)
+	n.stats.JoinsAdmitted.Add(1)
 	n.dir.Register(m.Cert.Node, m.Cert.Key)
 	// The admitting predecessor is the first to learn a join that has no
 	// CA broadcast behind it (simulated churn): feed it into the one-hop
@@ -605,7 +605,7 @@ func (n *Node) vetLeave(m chord.LeaveReq) bool {
 	if !n.dir.Scheme().Verify(key, chord.LeaveStatement(m.Who), m.Sig) {
 		return false
 	}
-	n.stats.leaves.Add(1)
+	n.stats.Leaves.Add(1)
 	// A verified leave is a one-hop membership event too.
 	if n.onehop != nil {
 		n.onehop.noteLeave(m.Who.ID)
@@ -641,7 +641,7 @@ func (n *Node) handleAnnounce(m EndpointAnnounce) {
 			reg.SetEndpoint(m.Who.Addr, m.Endpoint)
 		}
 	}
-	n.stats.announces.Add(1)
+	n.stats.Announces.Add(1)
 	// A verified announce means membership shifted: a joiner may now own
 	// keys that cached lookups still attribute to its successor.
 	n.flushLookupCache()

@@ -10,47 +10,18 @@ import (
 	"github.com/octopus-dht/octopus/internal/transport"
 )
 
-// nodeCounters is the live, concurrency-safe form of obs.NodeCounters,
-// the canonical snapshot type nodes publish through obs.Collector. Counters
-// are bumped from the node's serialization context but read by daemons,
-// services, and tests from arbitrary goroutines; atomics make that safe
-// without dragging a lock into the protocol hot path.
-type nodeCounters struct {
-	lookupsStarted, lookupsCompleted, lookupsFailed, queriesSent, dummiesSent,
-	walksStarted, walksCompleted, walksFailed, reportsSent, fallbackPairs,
-	checksRun, relayedForwards, relayedReplies, relayStateEvictions, refillWalks,
-	pairsDiscarded, cacheHits, cacheMisses, cacheFlushes, announces, revocations,
-	joinsAdmitted, joinsRejected, leaves, neighborsDropped atomic.Uint64
-}
-
-func (c *nodeCounters) snapshot() obs.NodeCounters {
-	return obs.NodeCounters{
-		LookupsStarted:      c.lookupsStarted.Load(),
-		LookupsCompleted:    c.lookupsCompleted.Load(),
-		LookupsFailed:       c.lookupsFailed.Load(),
-		QueriesSent:         c.queriesSent.Load(),
-		DummiesSent:         c.dummiesSent.Load(),
-		WalksStarted:        c.walksStarted.Load(),
-		WalksCompleted:      c.walksCompleted.Load(),
-		WalksFailed:         c.walksFailed.Load(),
-		ReportsSent:         c.reportsSent.Load(),
-		FallbackPairs:       c.fallbackPairs.Load(),
-		ChecksRun:           c.checksRun.Load(),
-		RelayedForwards:     c.relayedForwards.Load(),
-		RelayedReplies:      c.relayedReplies.Load(),
-		RelayStateEvictions: c.relayStateEvictions.Load(),
-		RefillWalks:         c.refillWalks.Load(),
-		PairsDiscarded:      c.pairsDiscarded.Load(),
-		CacheHits:           c.cacheHits.Load(),
-		CacheMisses:         c.cacheMisses.Load(),
-		CacheFlushes:        c.cacheFlushes.Load(),
-		Announces:           c.announces.Load(),
-		Revocations:         c.revocations.Load(),
-		JoinsAdmitted:       c.joinsAdmitted.Load(),
-		JoinsRejected:       c.joinsRejected.Load(),
-		Leaves:              c.leaves.Load(),
-		NeighborsDropped:    c.neighborsDropped.Load(),
-	}
+// NodeStats is a node's activity counters. They are bumped from the node's
+// serialization context but read with Load by daemons, services, and tests
+// from arbitrary goroutines; atomics make that safe without dragging a lock
+// into the protocol hot path.
+type NodeStats struct {
+	LookupsStarted, LookupsCompleted, LookupsFailed, QueriesSent, DummiesSent,
+	WalksStarted, WalksCompleted, WalksFailed, ReportsSent, FallbackPairs,
+	ChecksRun, RelayedForwards, RelayedReplies, RelayStateEvictions, RefillWalks,
+	PairsDiscarded, CacheHits, CacheMisses, CacheFlushes atomic.Uint64
+	// Membership events observed by this node.
+	Announces, Revocations, JoinsAdmitted, JoinsRejected, Leaves,
+	NeighborsDropped atomic.Uint64
 }
 
 // Node is one Octopus participant.
@@ -82,7 +53,7 @@ type Node struct {
 	// pairs stocks the relay pairs anonymous operations draw from.
 	pairs *pairPool
 
-	stats nodeCounters
+	stats NodeStats
 	stops []func()
 
 	// tracer, when set, records per-hop spans for the anonymous paths
@@ -118,7 +89,7 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 	// CA's delayed investigation.
 	routeTTL := 4 * cfg.QueryTimeout
 	evidenceTTL := cfg.Chord.RPCTimeout + 20*cfg.QueryTimeout
-	evicted := &n.stats.relayStateEvictions
+	evicted := &n.stats.RelayStateEvictions
 	n.relay = &relay{n: n, routes: newQidTable[backRoute](n.tr.Now, routeTTL, evicted)}
 	n.evidence = &evidence{
 		n:          n,
@@ -136,7 +107,7 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 	cn.Extra = n.handleExtra
 	cn.OnNeighborTable = n.evidence.recordProof
 	cn.OnNeighborDropped = func(p chord.Peer) {
-		n.stats.neighborsDropped.Add(1)
+		n.stats.NeighborsDropped.Add(1)
 		n.flushLookupCache()
 		// The failure detector is the one-hop tier's local event source:
 		// a dropped neighbor becomes an EDRA leave event.
@@ -165,9 +136,9 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 // Self returns the node's peer identity.
 func (n *Node) Self() chord.Peer { return n.Chord.Self }
 
-// Stats returns a snapshot of the activity counters. Safe from any
-// goroutine.
-func (n *Node) Stats() obs.NodeCounters { return n.stats.snapshot() }
+// Stats returns the node's live activity counters; read each with Load,
+// from any goroutine.
+func (n *Node) Stats() *NodeStats { return &n.stats }
 
 // Config returns the node's configuration.
 func (n *Node) Config() Config { return n.cfg }
@@ -207,8 +178,7 @@ func (n *Node) nodeLabel() obs.Label {
 // histogram. Call before Start.
 func (n *Node) AttachObs(c *obs.Collector) {
 	if n.obsLookupLat == nil {
-		n.obsLookupLat = obs.NewHistogram(
-			"octopus_lookup_latency_seconds", obs.LatencyBuckets, n.nodeLabel())
+		n.obsLookupLat = obs.NewHistogram(obs.LookupLatency, obs.LatencyBuckets, n.nodeLabel())
 	}
 	c.Register(n.obsLookupLat)
 	c.Register(n)
@@ -217,47 +187,47 @@ func (n *Node) AttachObs(c *obs.Collector) {
 // CollectObs implements obs.Source: every node counter plus the
 // relay-pair pool depth, labeled by node address.
 func (n *Node) CollectObs(s *obs.Snapshot) {
-	st := n.stats.snapshot()
+	st := &n.stats
 	l := n.nodeLabel()
-	s.AddCounter("octopus_lookups_started_total", float64(st.LookupsStarted), l)
-	s.AddCounter("octopus_lookups_completed_total", float64(st.LookupsCompleted), l)
-	s.AddCounter("octopus_lookups_failed_total", float64(st.LookupsFailed), l)
-	s.AddCounter("octopus_lookup_queries_total", float64(st.QueriesSent), l)
-	s.AddCounter("octopus_lookup_dummies_total", float64(st.DummiesSent), l)
-	s.AddCounter("octopus_walks_started_total", float64(st.WalksStarted), l)
-	s.AddCounter("octopus_walks_completed_total", float64(st.WalksCompleted), l)
-	s.AddCounter("octopus_walks_failed_total", float64(st.WalksFailed), l)
-	s.AddCounter("octopus_dos_reports_total", float64(st.ReportsSent), l)
-	s.AddCounter("octopus_pool_fallback_pairs_total", float64(st.FallbackPairs), l)
-	s.AddCounter("octopus_surveillance_checks_total", float64(st.ChecksRun), l)
-	s.AddCounter("octopus_relay_forwards_total", float64(st.RelayedForwards), l)
-	s.AddCounter("octopus_relay_replies_total", float64(st.RelayedReplies), l)
-	s.AddCounter("octopus_relay_state_evictions_total", float64(st.RelayStateEvictions), l)
-	s.AddCounter("octopus_pool_refill_walks_total", float64(st.RefillWalks), l)
-	s.AddCounter("octopus_pool_pairs_discarded_total", float64(st.PairsDiscarded), l)
-	s.AddCounter("octopus_lookup_cache_hits_total", float64(st.CacheHits), l)
-	s.AddCounter("octopus_lookup_cache_misses_total", float64(st.CacheMisses), l)
-	s.AddCounter("octopus_lookup_cache_flushes_total", float64(st.CacheFlushes), l)
-	event := func(kind string, v uint64) {
-		s.AddCounter("octopus_membership_events_total", float64(v), l, obs.L("event", kind))
+	s.AddCounter(obs.LookupsStarted, float64(st.LookupsStarted.Load()), l)
+	s.AddCounter(obs.LookupsCompleted, float64(st.LookupsCompleted.Load()), l)
+	s.AddCounter(obs.LookupsFailed, float64(st.LookupsFailed.Load()), l)
+	s.AddCounter(obs.LookupQueries, float64(st.QueriesSent.Load()), l)
+	s.AddCounter(obs.LookupDummies, float64(st.DummiesSent.Load()), l)
+	s.AddCounter(obs.WalksStarted, float64(st.WalksStarted.Load()), l)
+	s.AddCounter(obs.WalksCompleted, float64(st.WalksCompleted.Load()), l)
+	s.AddCounter(obs.WalksFailed, float64(st.WalksFailed.Load()), l)
+	s.AddCounter(obs.DoSReports, float64(st.ReportsSent.Load()), l)
+	s.AddCounter(obs.PoolFallbackPairs, float64(st.FallbackPairs.Load()), l)
+	s.AddCounter(obs.SurveillanceChecks, float64(st.ChecksRun.Load()), l)
+	s.AddCounter(obs.RelayForwards, float64(st.RelayedForwards.Load()), l)
+	s.AddCounter(obs.RelayReplies, float64(st.RelayedReplies.Load()), l)
+	s.AddCounter(obs.RelayStateEvictions, float64(st.RelayStateEvictions.Load()), l)
+	s.AddCounter(obs.PoolRefillWalks, float64(st.RefillWalks.Load()), l)
+	s.AddCounter(obs.PoolPairsDiscarded, float64(st.PairsDiscarded.Load()), l)
+	s.AddCounter(obs.LookupCacheHits, float64(st.CacheHits.Load()), l)
+	s.AddCounter(obs.LookupCacheMisses, float64(st.CacheMisses.Load()), l)
+	s.AddCounter(obs.LookupCacheFlushes, float64(st.CacheFlushes.Load()), l)
+	event := func(kind string, v *atomic.Uint64) {
+		s.AddCounter(obs.MembershipEvents, float64(v.Load()), l, obs.L("event", kind))
 	}
-	event("announce", st.Announces)
-	event("revocation", st.Revocations)
-	event("join_admitted", st.JoinsAdmitted)
-	event("join_rejected", st.JoinsRejected)
-	event("leave", st.Leaves)
-	event("neighbor_dropped", st.NeighborsDropped)
-	s.AddGauge("octopus_pool_pairs", float64(n.PoolSize()), l)
+	event("announce", &st.Announces)
+	event("revocation", &st.Revocations)
+	event("join_admitted", &st.JoinsAdmitted)
+	event("join_rejected", &st.JoinsRejected)
+	event("leave", &st.Leaves)
+	event("neighbor_dropped", &st.NeighborsDropped)
+	s.AddGauge(obs.PoolPairs, float64(n.PoolSize()), l)
 
 	ts := n.tier.Stats()
 	tl := obs.L("tier", n.tier.Name())
-	s.AddGauge("octopus_tier_entries", float64(ts.Entries), l, tl)
-	s.AddGauge("octopus_tier_staleness_seconds", ts.Staleness.Seconds(), l, tl)
-	s.AddCounter("octopus_tier_events_total", float64(ts.EventsApplied), l, tl)
+	s.AddGauge(obs.TierEntries, float64(ts.Entries), l, tl)
+	s.AddGauge(obs.TierStaleness, ts.Staleness.Seconds(), l, tl)
+	s.AddCounter(obs.TierEvents, float64(ts.EventsApplied), l, tl)
 	dir := func(d string, bytes, msgs uint64) {
 		dl := obs.L("direction", d)
-		s.AddCounter("octopus_tier_maintenance_bytes_total", float64(bytes), l, tl, dl)
-		s.AddCounter("octopus_tier_maintenance_msgs_total", float64(msgs), l, tl, dl)
+		s.AddCounter(obs.TierMaintenanceBytes, float64(bytes), l, tl, dl)
+		s.AddCounter(obs.TierMaintenanceMsgs, float64(msgs), l, tl, dl)
 	}
 	dir("sent", ts.BytesSent, ts.MsgsSent)
 	dir("received", ts.BytesReceived, ts.MsgsReceived)

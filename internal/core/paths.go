@@ -118,7 +118,7 @@ func (p *paths) chainQuery(route []chord.Peer, target chord.Peer, req transport.
 // DoSDefense on, a silent loss triggers the Appendix II reporting path.
 func (p *paths) anonQuery(head, pair RelayPair, target chord.Peer, req transport.Message, cb func(transport.Message, error)) {
 	n := p.n
-	n.stats.queriesSent.Add(1)
+	n.stats.QueriesSent.Add(1)
 	route := []chord.Peer{head.First, head.Second, pair.First, pair.Second}
 	var qid uint64
 	qid = p.chainQuery(route, target, req, n.cfg.QueryTimeout, 1,

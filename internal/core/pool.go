@@ -82,7 +82,7 @@ type pairPool struct {
 	tr    transport.Transport
 	self  chord.Peer
 	max   int // relayPoolMax
-	stats *nodeCounters
+	stats *NodeStats
 	// candidates lists, in draw order, the peers synth builds a fallback
 	// pair from; walk runs one relay-selection walk and tells done whether
 	// its pair was stocked.
@@ -167,7 +167,7 @@ func (p *pairPool) usable(e pooledPair) bool {
 // discard drops the unusable entry at stock[i]; the last entry takes its
 // place (a no-op reordering when i is the last).
 func (p *pairPool) discard(i int) {
-	p.stats.pairsDiscarded.Add(1)
+	p.stats.PairsDiscarded.Add(1)
 	last := len(p.stock) - 1
 	p.stock[i] = p.stock[last]
 	p.setStock(p.stock[:last])
@@ -272,7 +272,7 @@ func (p *pairPool) synth(exclude *RelayPair) (RelayPair, error) {
 	if j >= i {
 		j++
 	}
-	p.stats.fallbackPairs.Add(1)
+	p.stats.FallbackPairs.Add(1)
 	return RelayPair{First: candidates[i], Second: candidates[j]}, nil
 }
 
@@ -306,7 +306,7 @@ func (p *pairPool) refill() {
 	// would refill the fingers could never run.
 	for !p.paused && len(p.stock)+p.inflight < p.target && p.inflight < pairRefillParallel {
 		p.inflight++
-		p.stats.refillWalks.Add(1)
+		p.stats.RefillWalks.Add(1)
 		p.walk(func(grew bool) {
 			p.inflight--
 			if grew {

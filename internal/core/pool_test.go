@@ -41,7 +41,7 @@ func testPool(bad map[id.ID]bool) (*pairPool, *simnet.Simulator) {
 		tr:         simnet.NewNetwork(sim, simnet.ConstantLatency{D: time.Millisecond}, 0),
 		self:       testPeer(99),
 		max:        8,
-		stats:      &nodeCounters{},
+		stats:      &NodeStats{},
 		candidates: func() []chord.Peer { return nil },
 	}
 	if bad != nil {
@@ -96,7 +96,7 @@ func TestPairPoolPassiveHandsOutEverything(t *testing.T) {
 			t.Fatalf("take = %+v, %v; want %+v", got, err, stocked[i])
 		}
 	}
-	if d := p.stats.pairsDiscarded.Load(); d != 0 {
+	if d := p.stats.PairsDiscarded.Load(); d != 0 {
 		t.Errorf("passive pool discarded %d pairs", d)
 	}
 	if p.size() != 0 {
@@ -129,7 +129,7 @@ func TestPairPoolManagedDiscardsUnusable(t *testing.T) {
 			var got RelayPair
 			var err error
 			// peek draws at random: repeat until both entries were met.
-			for i := 0; i < 32 && p.stats.pairsDiscarded.Load() == 0; i++ {
+			for i := 0; i < 32 && p.stats.PairsDiscarded.Load() == 0; i++ {
 				if draw == "take" {
 					got, err = p.take(nil)
 				} else {
@@ -139,7 +139,7 @@ func TestPairPoolManagedDiscardsUnusable(t *testing.T) {
 					t.Fatalf("%s/%s: drew %+v, %v; want the good pair", c.name, draw, got, err)
 				}
 			}
-			if d := p.stats.pairsDiscarded.Load(); d != 1 {
+			if d := p.stats.PairsDiscarded.Load(); d != 1 {
 				t.Errorf("%s/%s: %d pairs discarded, want 1", c.name, draw, d)
 			}
 			for _, left := range stockOf(p) {
@@ -203,7 +203,7 @@ func TestPairPoolDryFallsBackToSynth(t *testing.T) {
 			t.Fatalf("synthesized %+v from candidates {3, 4}", got)
 		}
 	}
-	if f := p.stats.fallbackPairs.Load(); f != 10 {
+	if f := p.stats.FallbackPairs.Load(); f != 10 {
 		t.Errorf("fallback pairs = %d, want 10", f)
 	}
 	// A managed pool vets fallback relays too; one candidate left is not a
@@ -257,7 +257,7 @@ func TestPairPoolRefill(t *testing.T) {
 	if len(p.stock) != p.target || p.inflight != 0 {
 		t.Fatalf("stock %d, in flight %d; want %d, 0", len(p.stock), p.inflight, p.target)
 	}
-	if w := p.stats.refillWalks.Load(); w != uint64(p.target) {
+	if w := p.stats.RefillWalks.Load(); w != uint64(p.target) {
 		t.Errorf("refill walks = %d, want %d", w, p.target)
 	}
 
@@ -326,7 +326,7 @@ func TestPairPoolBeatWalksOnlyBelowTarget(t *testing.T) {
 	if len(*walks) != 100 {
 		t.Errorf("below target: %d walks over 100 beats, want one per beat", len(*walks))
 	}
-	if r := p.stats.refillWalks.Load(); r != 0 || p.inflight != pairRefillParallel || !p.paused {
+	if r := p.stats.RefillWalks.Load(); r != 0 || p.inflight != pairRefillParallel || !p.paused {
 		t.Errorf("beat walks went through refill: %d refill walks, in flight %d, paused=%v",
 			r, p.inflight, p.paused)
 	}
@@ -355,13 +355,13 @@ func TestPairPoolBeatLeavesExpiryToTheDraw(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			p.beat()
 		}
-		if len(p.stock) != target || len(*walks) != 0 || p.stats.pairsDiscarded.Load() != 0 {
+		if len(p.stock) != target || len(*walks) != 0 || p.stats.PairsDiscarded.Load() != 0 {
 			t.Fatalf("%s: 100 beats left %d pairs, started %d walks and discarded %d; want %d, 0, 0",
-				c.name, len(p.stock), len(*walks), p.stats.pairsDiscarded.Load(), target)
+				c.name, len(p.stock), len(*walks), p.stats.PairsDiscarded.Load(), target)
 		}
 		// The spoiled pair is the newest, so the next take meets it.
 		p.take(nil)
-		if d := int(p.stats.pairsDiscarded.Load()); d != c.expired {
+		if d := int(p.stats.PairsDiscarded.Load()); d != c.expired {
 			t.Fatalf("%s: take discarded %d pairs, want %d", c.name, d, c.expired)
 		}
 		// Finish every walk as it is started; keep beating.
@@ -403,9 +403,9 @@ func TestPairPoolBeatPassiveWalksEveryTick(t *testing.T) {
 	if walks != 200 {
 		t.Errorf("%d walks over 200 beats, want one per beat", walks)
 	}
-	if len(p.stock) != p.max || p.stats.pairsDiscarded.Load() != 0 {
+	if len(p.stock) != p.max || p.stats.PairsDiscarded.Load() != 0 {
 		t.Errorf("passive beat touched the stock: %d pairs left of %d, %d discarded",
-			len(p.stock), p.max, p.stats.pairsDiscarded.Load())
+			len(p.stock), p.max, p.stats.PairsDiscarded.Load())
 	}
 }
 
@@ -453,7 +453,7 @@ func TestIdleManagedRingWalksOnlyToRestock(t *testing.T) {
 			if node.evidence.tableBuffer.len() == 0 {
 				t.Fatalf("t=%v node %d: table buffer empty, finger surveillance starved", now, i)
 			}
-			c := node.stats.checksRun.Load()
+			c := node.stats.ChecksRun.Load()
 			if c <= checks[i] {
 				t.Fatalf("t=%v node %d: no surveillance check in the last %v (%d so far)", now, i, cfg.SurveilEvery, c)
 			}
@@ -461,7 +461,7 @@ func TestIdleManagedRingWalksOnlyToRestock(t *testing.T) {
 		}
 	}
 	for i, node := range nw.Nodes {
-		if w := node.stats.walksStarted.Load(); w > maxWalks {
+		if w := node.stats.WalksStarted.Load(); w > maxWalks {
 			t.Errorf("node %d started %d walks in %v idle, want at most %d", i, w, idle, maxWalks)
 		}
 	}

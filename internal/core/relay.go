@@ -33,7 +33,7 @@ type relay struct {
 // then forward inward or perform the exit query.
 func (r *relay) forward(from transport.Addr, m RelayForward) {
 	n, self := r.n, r.n.Chord.Self
-	n.stats.relayedForwards.Add(1)
+	n.stats.RelayedForwards.Add(1)
 	n.tr.Send(self.Addr, from, Receipt{QID: m.QID, Issuer: self, Sig: r.sign(receiptBuf(m.QID, self))})
 	r.routes.put(m.QID, backRoute{prev: from, delay: m.Delay})
 
@@ -103,7 +103,7 @@ func (r *relay) recordHopSpan(name string, qid uint64, start time.Duration, from
 
 // carry takes somebody else's reply one hop further back.
 func (r *relay) carry(m RelayReply) {
-	r.n.stats.relayedReplies.Add(1)
+	r.n.stats.RelayedReplies.Add(1)
 	m.Depth++
 	r.reply(m)
 }

@@ -203,7 +203,7 @@ func TestPerQueryTablesBounded(t *testing.T) {
 	if _, ok := victim.evidence.receipts.get(1); ok {
 		t.Error("the oldest receipt survived a full table")
 	}
-	if got := victim.Stats().RelayStateEvictions; got < 3*3*bound {
+	if got := victim.Stats().RelayStateEvictions.Load(); got < 3*3*bound {
 		t.Errorf("octopus_relay_state_evictions_total = %d, want at least %d", got, 3*3*bound)
 	}
 }

@@ -92,14 +92,7 @@ type LookupService struct {
 	closed    bool
 	nextJob   uint64
 
-	// Cross-goroutine observability.
-	submitted      atomic.Uint64
-	completed      atomic.Uint64
-	failed         atomic.Uint64
-	rejectedQueue  atomic.Uint64
-	rejectedClient atomic.Uint64
-	activeGauge    atomic.Int64
-	queuedGauge    atomic.Int64
+	stats ServiceStats
 
 	// obsWait is the queue-wait histogram AttachObs registers; nil-safe
 	// at the observation site.
@@ -122,25 +115,22 @@ func NewLookupService(n *Node, cfg ServiceConfig) *LookupService {
 // Node returns the serving node.
 func (s *LookupService) Node() *Node { return s.n }
 
-// Stats snapshots the service counters; safe from any goroutine.
-func (s *LookupService) Stats() obs.ServiceCounters {
-	return obs.ServiceCounters{
-		Submitted:      s.submitted.Load(),
-		Completed:      s.completed.Load(),
-		Failed:         s.failed.Load(),
-		RejectedQueue:  s.rejectedQueue.Load(),
-		RejectedClient: s.rejectedClient.Load(),
-		Active:         int(s.activeGauge.Load()),
-		Queued:         int(s.queuedGauge.Load()),
-	}
+// ServiceStats is a LookupService's counters and gauges, written in the
+// node's serialization context and read with Load from any goroutine.
+type ServiceStats struct {
+	Submitted, Completed, Failed, RejectedQueue, RejectedClient atomic.Uint64
+	// Active and Queued are current gauges.
+	Active, Queued atomic.Int64
 }
+
+// Stats returns the service's live counters; read each with Load.
+func (s *LookupService) Stats() *ServiceStats { return &s.stats }
 
 // AttachObs registers the service's counters, gauges, and queue-wait
 // histogram with the collector.
 func (s *LookupService) AttachObs(c *obs.Collector) {
 	if s.obsWait == nil {
-		s.obsWait = obs.NewHistogram(
-			"octopus_service_wait_seconds", obs.LatencyBuckets, s.n.nodeLabel())
+		s.obsWait = obs.NewHistogram(obs.ServiceWait, obs.LatencyBuckets, s.n.nodeLabel())
 	}
 	c.Register(s.obsWait)
 	c.Register(s)
@@ -148,15 +138,15 @@ func (s *LookupService) AttachObs(c *obs.Collector) {
 
 // CollectObs implements obs.Source.
 func (s *LookupService) CollectObs(snap *obs.Snapshot) {
-	st := s.Stats()
+	st := &s.stats
 	l := s.n.nodeLabel()
-	snap.AddCounter("octopus_service_lookups_submitted_total", float64(st.Submitted), l)
-	snap.AddCounter("octopus_service_lookups_completed_total", float64(st.Completed), l)
-	snap.AddCounter("octopus_service_lookups_failed_total", float64(st.Failed), l)
-	snap.AddCounter("octopus_service_rejected_total", float64(st.RejectedQueue), l, obs.L("reason", "queue"))
-	snap.AddCounter("octopus_service_rejected_total", float64(st.RejectedClient), l, obs.L("reason", "client"))
-	snap.AddGauge("octopus_service_active_lookups", float64(st.Active), l)
-	snap.AddGauge("octopus_service_queued_lookups", float64(st.Queued), l)
+	snap.AddCounter(obs.ServiceSubmitted, float64(st.Submitted.Load()), l)
+	snap.AddCounter(obs.ServiceCompleted, float64(st.Completed.Load()), l)
+	snap.AddCounter(obs.ServiceFailed, float64(st.Failed.Load()), l)
+	snap.AddCounter(obs.ServiceRejected, float64(st.RejectedQueue.Load()), l, obs.L("reason", "queue"))
+	snap.AddCounter(obs.ServiceRejected, float64(st.RejectedClient.Load()), l, obs.L("reason", "client"))
+	snap.AddGauge(obs.ServiceActive, float64(st.Active.Load()), l)
+	snap.AddGauge(obs.ServiceQueued, float64(st.Queued.Load()), l)
 }
 
 // Enqueue submits one lookup on behalf of client. It may be called from
@@ -203,7 +193,7 @@ func (s *LookupService) cancelQueued(jobID <-chan uint64) {
 				continue
 			}
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			s.queuedGauge.Store(int64(len(s.queue)))
+			s.stats.Queued.Store(int64(len(s.queue)))
 			s.perClient[job.client]--
 			if s.perClient[job.client] <= 0 {
 				delete(s.perClient, job.client)
@@ -221,7 +211,7 @@ func (s *LookupService) Close() {
 		s.closed = true
 		queued := s.queue
 		s.queue = nil
-		s.queuedGauge.Store(0)
+		s.stats.Queued.Store(0)
 		for _, job := range queued {
 			s.perClient[job.client]--
 			if s.perClient[job.client] <= 0 {
@@ -236,18 +226,18 @@ func (s *LookupService) Close() {
 // QUEUED (the handle cancelQueued removes it by), and 0 when it was
 // rejected or started immediately.
 func (s *LookupService) submit(client string, key id.ID, cb func(ServiceResult)) uint64 {
-	s.submitted.Add(1)
+	s.stats.Submitted.Add(1)
 	if s.closed {
 		cb(ServiceResult{Err: ErrServiceClosed})
 		return 0
 	}
 	if s.perClient[client] >= s.cfg.PerClient {
-		s.rejectedClient.Add(1)
+		s.stats.RejectedClient.Add(1)
 		cb(ServiceResult{Err: ErrClientBusy})
 		return 0
 	}
 	if s.active >= s.cfg.Workers && len(s.queue) >= s.cfg.Queue {
-		s.rejectedQueue.Add(1)
+		s.stats.RejectedQueue.Add(1)
 		cb(ServiceResult{Err: ErrServiceBusy})
 		return 0
 	}
@@ -259,27 +249,27 @@ func (s *LookupService) submit(client string, key id.ID, cb func(ServiceResult))
 		return 0
 	}
 	s.queue = append(s.queue, job)
-	s.queuedGauge.Store(int64(len(s.queue)))
+	s.stats.Queued.Store(int64(len(s.queue)))
 	return job.id
 }
 
 // start runs in host context with a free worker slot.
 func (s *LookupService) start(job svcJob) {
 	s.active++
-	s.activeGauge.Store(int64(s.active))
+	s.stats.Active.Store(int64(s.active))
 	wait := s.n.tr.Now() - job.enqueued
 	s.obsWait.ObserveDuration(wait)
 	s.n.AnonLookup(job.key, func(owner chord.Peer, stats LookupStats, err error) {
 		s.active--
-		s.activeGauge.Store(int64(s.active))
+		s.stats.Active.Store(int64(s.active))
 		s.perClient[job.client]--
 		if s.perClient[job.client] <= 0 {
 			delete(s.perClient, job.client)
 		}
 		if err != nil {
-			s.failed.Add(1)
+			s.stats.Failed.Add(1)
 		} else {
-			s.completed.Add(1)
+			s.stats.Completed.Add(1)
 		}
 		job.cb(ServiceResult{Owner: owner, Stats: stats, Wait: wait, Err: err})
 		s.pump()
@@ -291,7 +281,7 @@ func (s *LookupService) pump() {
 	for !s.closed && s.active < s.cfg.Workers && len(s.queue) > 0 {
 		job := s.queue[0]
 		s.queue = s.queue[1:]
-		s.queuedGauge.Store(int64(len(s.queue)))
+		s.stats.Queued.Store(int64(len(s.queue)))
 		s.start(job)
 	}
 }

@@ -67,8 +67,9 @@ func TestLookupServiceBackpressure(t *testing.T) {
 		t.Error("queued lookups reported zero wait time")
 	}
 	st := svc.Stats()
-	if st.Submitted != 9 || st.Completed != 5 || st.Active != 0 || st.Queued != 0 {
-		t.Errorf("stats = %+v, want 9 submitted / 5 completed / idle", st)
+	if st.Submitted.Load() != 9 || st.Completed.Load() != 5 || st.Active.Load() != 0 || st.Queued.Load() != 0 {
+		t.Errorf("stats = %d submitted / %d completed / %d active / %d queued, want 9 / 5 / idle",
+			st.Submitted.Load(), st.Completed.Load(), st.Active.Load(), st.Queued.Load())
 	}
 
 	// After the quota drains, the same clients are served again.
@@ -96,8 +97,8 @@ func TestLookupServiceBackpressure(t *testing.T) {
 		}))
 	}
 	sim.Run(sim.Now() + time.Millisecond) // submits land; third job queues
-	if st := svc.Stats(); st.Queued != 1 {
-		t.Fatalf("expected 1 queued job before cancel, got %+v", st)
+	if q := svc.Stats().Queued.Load(); q != 1 {
+		t.Fatalf("expected 1 queued job before cancel, got %d", q)
 	}
 	cancels[2]() // withdraw the queued one
 	cancels[2]() // double-cancel must be safe
@@ -108,8 +109,8 @@ func TestLookupServiceBackpressure(t *testing.T) {
 	}
 	cancels[0]() // already completed: no-op
 	sim.Run(sim.Now() + time.Minute)
-	if st := svc.Stats(); st.Active != 0 || st.Queued != 0 {
-		t.Errorf("service not idle after cancellations: %+v", st)
+	if st := svc.Stats(); st.Active.Load() != 0 || st.Queued.Load() != 0 {
+		t.Errorf("service not idle after cancellations: %d active, %d queued", st.Active.Load(), st.Queued.Load())
 	}
 	served = 0
 	svc.Enqueue("c", key(300), func(res ServiceResult) {

@@ -65,7 +65,7 @@ func (n *Node) neighborSurveillance() {
 		}
 	})
 	if sent {
-		n.stats.checksRun.Add(1)
+		n.stats.ChecksRun.Add(1)
 	}
 }
 
@@ -125,7 +125,7 @@ func (n *Node) fingerSurveillance() {
 		// fall back to the tightest matching ideal.
 		ideal = matchIdealFinger(table.Owner.ID, claimed.ID)
 	}
-	n.stats.checksRun.Add(1)
+	n.stats.ChecksRun.Add(1)
 	n.consistencyCheck(ideal, claimed, func(closer chord.Peer, evidence []chord.RoutingTable, err error) {
 		if n.OnFingerCheck != nil {
 			n.OnFingerCheck(table.Owner, claimed, err == nil && closer.Valid(), err)
@@ -303,7 +303,7 @@ func (n *Node) signedTableOf(resp transport.Message, err error, owner chord.Peer
 
 // report submits a surveillance report to the CA.
 func (n *Node) report(msg ReportMsg) {
-	n.stats.reportsSent.Add(1)
+	n.stats.ReportsSent.Add(1)
 	n.tr.Call(n.Chord.Self.Addr, n.caAddr, msg, n.cfg.Chord.RPCTimeout,
 		func(transport.Message, error) {})
 }

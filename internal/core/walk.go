@@ -44,17 +44,17 @@ type walkResult struct {
 // managed pool's walk-ahead refill, which learns through done whether the
 // stock grew.
 func (n *Node) startWalk(done func(grew bool)) {
-	n.stats.walksStarted.Add(1)
+	n.stats.WalksStarted.Add(1)
 	n.runWalk(func(res walkResult, err error) {
 		for _, t := range res.tables {
 			n.evidence.bufferTable(t)
 		}
 		if err != nil {
-			n.stats.walksFailed.Add(1)
+			n.stats.WalksFailed.Add(1)
 			done(false)
 			return
 		}
-		n.stats.walksCompleted.Add(1)
+		n.stats.WalksCompleted.Add(1)
 		done(n.pairs.add(res.pair))
 	})
 }

@@ -295,7 +295,7 @@ func (d *daemon) warmAndLookup() error {
 		var walks uint64
 		inContext(d.tr, self.Addr, func() {
 			pool = node.PoolSize()
-			walks = node.Stats().WalksCompleted
+			walks = node.Stats().WalksCompleted.Load()
 		})
 		if pool >= opts.WarmPairs {
 			log.Printf("relay pool stocked: %d pairs after %d walks", pool, walks)
@@ -397,26 +397,26 @@ func inContext(tr transport.Transport, addr transport.Addr, fn func()) {
 func (d *daemon) logStatus() {
 	s := d.collector.Snapshot()
 	line := fmt.Sprintf("status: pool=%d walks=%d lookups=%d queries=%d wire=%s out / %s in",
-		int(s.GaugeSum("octopus_pool_pairs")),
-		uint64(s.CounterSum("octopus_walks_completed_total")),
-		uint64(s.CounterSum("octopus_lookups_completed_total")),
-		uint64(s.CounterSum("octopus_lookup_queries_total")),
-		fmtBytes(uint64(s.CounterSum("octopus_transport_bytes_sent_total"))),
-		fmtBytes(uint64(s.CounterSum("octopus_transport_bytes_received_total"))))
+		int(s.GaugeSum(obs.PoolPairs)),
+		uint64(s.CounterSum(obs.WalksCompleted)),
+		uint64(s.CounterSum(obs.LookupsCompleted)),
+		uint64(s.CounterSum(obs.LookupQueries)),
+		fmtBytes(uint64(s.CounterSum(obs.TransportBytesSent))),
+		fmtBytes(uint64(s.CounterSum(obs.TransportBytesReceived))))
 	if d.svc != nil {
 		line += fmt.Sprintf(" | served=%d failed=%d busy=%d active=%d queued=%d",
-			uint64(s.CounterSum("octopus_service_lookups_completed_total")),
-			uint64(s.CounterSum("octopus_service_lookups_failed_total")),
-			uint64(s.CounterSum("octopus_service_rejected_total")),
-			int(s.GaugeSum("octopus_service_active_lookups")),
-			int(s.GaugeSum("octopus_service_queued_lookups")))
+			uint64(s.CounterSum(obs.ServiceCompleted)),
+			uint64(s.CounterSum(obs.ServiceFailed)),
+			uint64(s.CounterSum(obs.ServiceRejected)),
+			int(s.GaugeSum(obs.ServiceActive)),
+			int(s.GaugeSum(obs.ServiceQueued)))
 	}
 	if d.gateway != nil {
 		line += fmt.Sprintf(" | store: keys=%d puts=%d gets=%d hits=%d",
-			int(s.GaugeSum("octopus_store_keys")),
-			uint64(s.CounterSum("octopus_store_puts_total")),
-			uint64(s.CounterSum("octopus_store_gets_total")),
-			uint64(s.CounterSum("octopus_store_hits_total")))
+			int(s.GaugeSum(obs.StoreKeys)),
+			uint64(s.CounterSum(obs.StorePuts)),
+			uint64(s.CounterSum(obs.StoreGets)),
+			uint64(s.CounterSum(obs.StoreHits)))
 	}
 	log.Print(line)
 }

@@ -155,20 +155,21 @@ func TestBootstrapDispatcher(t *testing.T) {
 			resp, _ := dispatch("192.0.2.1:40000", far)
 			first <- resp
 		}()
-		waitFor(t, 5*time.Second, "the first lookup to occupy a worker", func() bool { return svc.Stats().Active == 1 })
+		waitFor(t, 5*time.Second, "the first lookup to occupy a worker", func() bool { return svc.Stats().Active.Load() == 1 })
 
 		// Same IP, another port: refused at once on the per-client quota.
 		resp, ok := dispatch("192.0.2.1:40001", far)
 		if r, _ := resp.(core.ClientLookupResp); !ok || !r.Busy {
 			t.Fatalf("second connection from the same IP got %#v, want Busy", resp)
 		}
-		if got := svc.Stats().RejectedClient; got != 1 {
+		if got := svc.Stats().RejectedClient.Load(); got != 1 {
 			t.Fatalf("per-client rejections = %d, want 1", got)
 		}
 		// Another IP is not charged to that quota.
 		dispatch("192.0.2.2:40000", far)
-		if got := svc.Stats(); got.RejectedClient != 1 || got.Submitted != 3 {
-			t.Fatalf("after a request from another IP: %+v, want 3 submitted and still 1 per-client rejection", got)
+		if st := svc.Stats(); st.RejectedClient.Load() != 1 || st.Submitted.Load() != 3 {
+			t.Fatalf("after a request from another IP: %d submitted, %d per-client rejections, want 3 and still 1",
+				st.Submitted.Load(), st.RejectedClient.Load())
 		}
 		<-first
 	})

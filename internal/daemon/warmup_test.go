@@ -65,7 +65,7 @@ func TestLateProcessWarmsUp(t *testing.T) {
 	var failed uint64
 	for _, node := range procB.Nodes {
 		if node != nil {
-			failed += node.Stats().WalksFailed
+			failed += node.Stats().WalksFailed.Load()
 		}
 	}
 	if failed != 0 {

@@ -219,9 +219,9 @@ func RunLoad(cfg LoadConfig) LoadResult {
 		c.Register(nw.Node(simnet.Address(i)))
 	}
 	snap := c.Snapshot()
-	res.FallbackPairs = uint64(snap.CounterSum("octopus_pool_fallback_pairs_total"))
-	res.RefillWalks = uint64(snap.CounterSum("octopus_pool_refill_walks_total"))
-	res.CacheHits = uint64(snap.CounterSum("octopus_lookup_cache_hits_total"))
+	res.FallbackPairs = uint64(snap.CounterSum(obs.PoolFallbackPairs))
+	res.RefillWalks = uint64(snap.CounterSum(obs.PoolRefillWalks))
+	res.CacheHits = uint64(snap.CounterSum(obs.LookupCacheHits))
 	// Maintenance traffic is ring-wide, not a serving-node property: every
 	// node pays the tier's dissemination cost.
 	for i := 0; i < cfg.N; i++ {

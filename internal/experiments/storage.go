@@ -148,9 +148,8 @@ func RunStorage(cfg StorageConfig) StorageResult {
 	res.GetP95 = time.Duration(mix.getLat.Percentile(95) * float64(time.Second))
 	res.GetP99 = time.Duration(mix.getLat.Percentile(99) * float64(time.Second))
 	for _, st := range stores {
-		s := st.Stats()
-		res.Pulled += s.PulledEntries
-		res.ReplicaEntries += s.ReplicaEntries
+		res.Pulled += st.Stats().PulledEntries.Load()
+		res.ReplicaEntries += st.Stats().ReplicaEntries.Load()
 	}
 	return res
 }

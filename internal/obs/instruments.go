@@ -42,9 +42,9 @@ type Histogram struct {
 // NewHistogram creates a histogram with the given ascending upper bounds
 // (observations above the last bound land only in the implicit +Inf
 // bucket).
-func NewHistogram(name string, bounds []float64, labels ...Label) *Histogram {
+func NewHistogram(def HistogramDef, bounds []float64, labels ...Label) *Histogram {
 	return &Histogram{
-		name:   name,
+		name:   def.name,
 		labels: labels,
 		bounds: bounds,
 		counts: make([]atomic.Uint64, len(bounds)),
@@ -102,5 +102,5 @@ func (h *Histogram) CollectObs(s *Snapshot) {
 	}
 	data.Count = h.count.Load()
 	data.Sum = math.Float64frombits(h.sum.Load())
-	s.AddHistogram(data)
+	s.Histograms = append(s.Histograms, data)
 }

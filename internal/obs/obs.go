@@ -3,10 +3,9 @@
 // store, all transport backends, and the simulator) registers against, and
 // that every consumer (the Prometheus-text exporter, octopusd's status
 // loop, octopus-bench, and the experiments' headline numbers) reads from.
-// It replaces the four bespoke stats surfaces that grew up independently
-// (node, service, transport, and simulator drop counters) — the structs
-// defined here are the only stats types; the transitional aliases the
-// migration left behind have been deleted.
+// Every metric is declared once, in catalog.go, as a value only this package
+// can make; the counters themselves live in the package that increments
+// them, and each source emits them by catalog value from CollectObs.
 //
 // obs is a leaf package: it imports only the standard library, because the
 // packages it instruments import it. Nothing here draws randomness,
@@ -66,51 +65,40 @@ type Snapshot struct {
 }
 
 // AddCounter appends one counter sample.
-func (s *Snapshot) AddCounter(name string, v float64, labels ...Label) {
-	s.Counters = append(s.Counters, Sample{Name: name, Labels: labels, Value: v})
+func (s *Snapshot) AddCounter(c CounterDef, v float64, labels ...Label) {
+	s.Counters = append(s.Counters, Sample{Name: c.name, Labels: labels, Value: v})
 }
 
 // AddGauge appends one gauge sample.
-func (s *Snapshot) AddGauge(name string, v float64, labels ...Label) {
-	s.Gauges = append(s.Gauges, Sample{Name: name, Labels: labels, Value: v})
+func (s *Snapshot) AddGauge(g GaugeDef, v float64, labels ...Label) {
+	s.Gauges = append(s.Gauges, Sample{Name: g.name, Labels: labels, Value: v})
 }
 
-// AddHistogram appends one histogram series.
-func (s *Snapshot) AddHistogram(h HistogramData) {
-	s.Histograms = append(s.Histograms, h)
-}
+// CounterSum sums every sample of a counter across labels — the aggregation
+// consumers use when per-node series don't matter (e.g. the load experiment
+// summing pool-refill counters across all serving nodes).
+func (s *Snapshot) CounterSum(c CounterDef) float64 { return sampleSum(s.Counters, c.name) }
 
-// CounterSum sums every counter sample with the given name across labels —
-// the aggregation consumers use when per-node series don't matter (e.g. the
-// load experiment summing pool-refill counters across all serving nodes).
-func (s *Snapshot) CounterSum(name string) float64 {
-	var sum float64
-	for _, c := range s.Counters {
-		if c.Name == name {
-			sum += c.Value
+// GaugeSum sums every sample of a gauge across labels.
+func (s *Snapshot) GaugeSum(g GaugeDef) float64 { return sampleSum(s.Gauges, g.name) }
+
+func sampleSum(samples []Sample, name string) float64 {
+	var total float64
+	for _, x := range samples {
+		if x.Name == name {
+			total += x.Value
 		}
 	}
-	return sum
-}
-
-// GaugeSum sums every gauge sample with the given name.
-func (s *Snapshot) GaugeSum(name string) float64 {
-	var sum float64
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			sum += g.Value
-		}
-	}
-	return sum
+	return total
 }
 
 // HistogramTotal returns the summed observation count and value sum of every
-// histogram series with the given name.
-func (s *Snapshot) HistogramTotal(name string) (count uint64, sum float64) {
-	for _, h := range s.Histograms {
-		if h.Name == name {
-			count += h.Count
-			sum += h.Sum
+// series of a histogram.
+func (s *Snapshot) HistogramTotal(h HistogramDef) (count uint64, sum float64) {
+	for _, d := range s.Histograms {
+		if d.Name == h.name {
+			count += d.Count
+			sum += d.Sum
 		}
 	}
 	return count, sum
@@ -213,64 +201,8 @@ type Traffic struct {
 // one backend, so the three transport implementations share one shape.
 func EmitTraffic(s *Snapshot, backend string, t Traffic) {
 	l := L("backend", backend)
-	s.AddCounter("octopus_transport_bytes_sent_total", float64(t.BytesSent), l)
-	s.AddCounter("octopus_transport_bytes_received_total", float64(t.BytesReceived), l)
-	s.AddCounter("octopus_transport_msgs_sent_total", float64(t.MsgsSent), l)
-	s.AddCounter("octopus_transport_msgs_received_total", float64(t.MsgsReceived), l)
-}
-
-// NodeCounters is the canonical per-node protocol counter set (anonymous
-// lookups, relay-pair pool, surveillance walks, relaying, lookup cache, and
-// membership events).
-type NodeCounters struct {
-	LookupsStarted      uint64
-	LookupsCompleted    uint64
-	LookupsFailed       uint64
-	QueriesSent         uint64
-	DummiesSent         uint64
-	WalksStarted        uint64
-	WalksCompleted      uint64
-	WalksFailed         uint64
-	ReportsSent         uint64
-	FallbackPairs       uint64
-	ChecksRun           uint64
-	RelayedForwards     uint64
-	RelayedReplies      uint64
-	RelayStateEvictions uint64 // per-query entries retired early: table full
-	RefillWalks         uint64
-	PairsDiscarded      uint64
-	CacheHits           uint64
-	CacheMisses         uint64
-	CacheFlushes        uint64
-	// Membership events observed by this node.
-	Announces        uint64
-	Revocations      uint64
-	JoinsAdmitted    uint64
-	JoinsRejected    uint64
-	Leaves           uint64
-	NeighborsDropped uint64
-}
-
-// ServiceCounters is the canonical LookupService accounting.
-type ServiceCounters struct {
-	Submitted      uint64
-	Completed      uint64
-	Failed         uint64
-	RejectedQueue  uint64
-	RejectedClient uint64
-	// Active and Queued are current gauges.
-	Active, Queued int
-}
-
-// StoreCounters is the canonical store accounting.
-type StoreCounters struct {
-	Puts, PutFailures  uint64
-	Gets, Hits, Misses uint64
-	ReplicaBatches     uint64
-	ReplicaEntries     uint64
-	PulledEntries      uint64
-	HandoffEntries     uint64
-	StoresServed       uint64
-	FetchesServed      uint64
-	Keys               int
+	s.AddCounter(TransportBytesSent, float64(t.BytesSent), l)
+	s.AddCounter(TransportBytesReceived, float64(t.BytesReceived), l)
+	s.AddCounter(TransportMsgsSent, float64(t.MsgsSent), l)
+	s.AddCounter(TransportMsgsReceived, float64(t.MsgsReceived), l)
 }

@@ -17,28 +17,28 @@ func TestCollectorSnapshotSortedAndNilSafe(t *testing.T) {
 
 	c := NewCollector()
 	c.Register(FuncSource(func(s *Snapshot) {
-		s.AddCounter("octopus_z_total", 1)
-		s.AddCounter("octopus_a_total", 2, L("node", "9"))
-		s.AddCounter("octopus_a_total", 3, L("node", "10"))
-		s.AddGauge("octopus_pool_pairs", 4, L("node", "1"))
+		s.AddCounter(TraceSpansDropped, 1)
+		s.AddCounter(LookupsStarted, 2, L("node", "9"))
+		s.AddCounter(LookupsStarted, 3, L("node", "10"))
+		s.AddGauge(PoolPairs, 4, L("node", "1"))
 	}))
 	s := c.Snapshot()
 	if len(s.Counters) != 3 || len(s.Gauges) != 1 {
 		t.Fatalf("unexpected snapshot shape: %+v", s)
 	}
-	if s.Counters[0].Name != "octopus_a_total" || s.Counters[2].Name != "octopus_z_total" {
+	if s.Counters[0].Name != "octopus_lookups_started_total" || s.Counters[2].Name != "octopus_trace_spans_dropped_total" {
 		t.Errorf("counters not sorted by name: %+v", s.Counters)
 	}
-	if got := s.CounterSum("octopus_a_total"); got != 5 {
+	if got := s.CounterSum(LookupsStarted); got != 5 {
 		t.Errorf("CounterSum = %v, want 5", got)
 	}
-	if got := s.GaugeSum("octopus_pool_pairs"); got != 4 {
+	if got := s.GaugeSum(PoolPairs); got != 4 {
 		t.Errorf("GaugeSum = %v, want 4", got)
 	}
 }
 
 func TestHistogramObserve(t *testing.T) {
-	h := NewHistogram("octopus_lookup_latency_seconds", []float64{0.1, 1, 10})
+	h := NewHistogram(LookupLatency, []float64{0.1, 1, 10})
 	var nilH *Histogram
 	nilH.Observe(1) // nil-safe
 	nilH.ObserveDuration(time.Second)
@@ -65,14 +65,14 @@ func TestHistogramObserve(t *testing.T) {
 	if d.Sum != 55.55 {
 		t.Errorf("sum=%v, want 55.55", d.Sum)
 	}
-	count, sum := s.HistogramTotal("octopus_lookup_latency_seconds")
+	count, sum := s.HistogramTotal(LookupLatency)
 	if count != 4 || sum != 55.55 {
 		t.Errorf("HistogramTotal = %d, %v", count, sum)
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram("octopus_lookup_latency_seconds", LatencyBuckets)
+	h := NewHistogram(LookupLatency, LatencyBuckets)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -96,13 +96,13 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestWriteTextFormat(t *testing.T) {
 	c := NewCollector()
-	h := NewHistogram("octopus_lookup_latency_seconds", []float64{0.5, 1}, L("node", "3"))
+	h := NewHistogram(LookupLatency, []float64{0.5, 1}, L("node", "3"))
 	h.Observe(0.25)
 	h.Observe(2)
 	c.Register(h)
 	c.Register(FuncSource(func(s *Snapshot) {
-		s.AddCounter("octopus_lookups_started_total", 7, L("node", "3"))
-		s.AddGauge("octopus_pool_pairs", 2, L("node", "3"))
+		s.AddCounter(LookupsStarted, 7, L("node", "3"))
+		s.AddGauge(PoolPairs, 2, L("node", "3"))
 	}))
 	var b strings.Builder
 	if err := WriteText(&b, c.Snapshot()); err != nil {
@@ -192,46 +192,6 @@ func TestTracerRingBuffer(t *testing.T) {
 	}
 }
 
-func TestCatalogValid(t *testing.T) {
-	if err := ValidateCatalog(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateName(t *testing.T) {
-	cases := []struct {
-		name, typ string
-		ok        bool
-	}{
-		{"octopus_lookups_started_total", "counter", true},
-		{"octopus_pool_pairs", "gauge", true},
-		{"octopus_lookup_latency_seconds", "histogram", true},
-		{"lookups_total", "counter", false},            // no prefix
-		{"octopus_lookups", "counter", false},          // counter without _total
-		{"octopus_pool_pairs_total", "gauge", false},   // gauge with _total
-		{"octopus_lookup_latency", "histogram", false}, // no unit
-		{"octopus_Bad_total", "counter", false},        // uppercase
-		{"octopus_x_total", "weird", false},            // unknown type
-	}
-	for _, c := range cases {
-		err := ValidateName(c.name, c.typ)
-		if (err == nil) != c.ok {
-			t.Errorf("ValidateName(%q, %q) = %v, want ok=%v", c.name, c.typ, err, c.ok)
-		}
-	}
-}
-
-func TestValidateSnapshot(t *testing.T) {
-	var s Snapshot
-	s.AddCounter("octopus_lookups_started_total", 1)
-	s.AddCounter("octopus_not_in_catalog_total", 1)
-	s.AddGauge("octopus_lookups_completed_total", 1) // registered as counter
-	errs := ValidateSnapshot(&s)
-	if len(errs) != 2 {
-		t.Fatalf("got %d errors, want 2: %v", len(errs), errs)
-	}
-}
-
 // goldenCollector is the fixture behind testdata/writetext.golden: sources
 // registered out of name order, series that tie on name and labels (the sort
 // must keep them in the order they were added), label values that need each
@@ -239,29 +199,29 @@ func TestValidateSnapshot(t *testing.T) {
 // and histograms with and without labels.
 func goldenCollector() *Collector {
 	c := NewCollector()
-	lat := NewHistogram("octopus_lookup_latency_seconds", []float64{0.001, 0.5, 1}, L("node", `gw"1\`))
+	lat := NewHistogram(LookupLatency, []float64{0.001, 0.5, 1}, L("node", `gw"1\`))
 	for _, v := range []float64{0.0005, 0.25, 0.75, 3} {
 		lat.Observe(v)
 	}
 	c.Register(lat)
-	bare := NewHistogram("octopus_unlisted_seconds", []float64{2})
+	bare := NewHistogram(HistogramDef{"octopus_unlisted_seconds"}, []float64{2})
 	bare.Observe(1.5)
 	c.Register(bare)
 	c.Register(FuncSource(func(s *Snapshot) {
-		s.AddCounter("octopus_service_rejected_total", 3, L("reason", "queue"))
-		s.AddCounter("octopus_lookups_started_total", 7, L("node", "10"))
-		s.AddCounter("octopus_lookups_started_total", 8, L("node", "9"))
-		s.AddCounter("octopus_lookups_started_total", 1, L("node", "9"))
-		s.AddCounter("octopus_lookups_started_total", 2, L("node", "line\nbreak"), L("x", `back\slash "quoted"`))
-		s.AddCounter("octopus_lookups_started_total", 4)
-		s.AddGauge("octopus_pool_pairs", 2.5, L("node", ""))
-		s.AddGauge("octopus_pool_pairs", 1.5e-7, L("node", "9"), L("a", "\\\n\""))
-		s.AddGauge("octopus_pool_pairs", 12345.678, L("node", "9"))
+		s.AddCounter(ServiceRejected, 3, L("reason", "queue"))
+		s.AddCounter(LookupsStarted, 7, L("node", "10"))
+		s.AddCounter(LookupsStarted, 8, L("node", "9"))
+		s.AddCounter(LookupsStarted, 1, L("node", "9"))
+		s.AddCounter(LookupsStarted, 2, L("node", "line\nbreak"), L("x", `back\slash "quoted"`))
+		s.AddCounter(LookupsStarted, 4)
+		s.AddGauge(PoolPairs, 2.5, L("node", ""))
+		s.AddGauge(PoolPairs, 1.5e-7, L("node", "9"), L("a", "\\\n\""))
+		s.AddGauge(PoolPairs, 12345.678, L("node", "9"))
 	}))
 	c.Register(FuncSource(func(s *Snapshot) {
-		s.AddGauge("octopus_tier_entries", 64, L("tier", "onehop"))
-		s.AddCounter("octopus_a_unlisted_total", 1, L("k", `\n`))
-		s.AddCounter("octopus_lookups_started_total", 5, L("node", "9"))
+		s.AddGauge(TierEntries, 64, L("tier", "onehop"))
+		s.AddCounter(CounterDef{"octopus_a_unlisted_total"}, 1, L("k", `\n`))
+		s.AddCounter(LookupsStarted, 5, L("node", "9"))
 	}))
 	return c
 }

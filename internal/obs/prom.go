@@ -12,8 +12,8 @@ import (
 
 // WriteText renders a snapshot in the Prometheus text exposition format
 // (version 0.0.4): one # HELP / # TYPE header per metric family (help text
-// and type come from the catalog), then one line per series. Series within
-// a family keep the snapshot's deterministic order.
+// from the catalog, type from the kind it was emitted as), then one line per
+// series. Series within a family keep the snapshot's deterministic order.
 func WriteText(w io.Writer, s *Snapshot) error {
 	type family struct {
 		typ   string
@@ -48,12 +48,8 @@ func WriteText(w io.Writer, s *Snapshot) error {
 		add(h.Name, "histogram", h.Name+"_count", h.Labels, strconv.FormatUint(h.Count, 10))
 	}
 	for _, name := range slices.Sorted(maps.Keys(fams)) {
-		help := name
-		if def, ok := LookupMetric(name); ok {
-			help = def.Help
-		}
 		f := fams[name]
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s", name, help, name, f.typ, f.lines.String()); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s", name, helpText(name), name, f.typ, f.lines.String()); err != nil {
 			return err
 		}
 	}

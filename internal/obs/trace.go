@@ -65,7 +65,7 @@ var sensitiveAttrs = map[string]bool{
 }
 
 // SensitiveAttr reports whether redaction would scrub the given attribute
-// key (exported for the adversary-side telemetry analysis and metriclint).
+// key (exported for the adversary-side telemetry analysis).
 func SensitiveAttr(key string) bool { return sensitiveAttrs[key] }
 
 // Tracer records spans into a bounded ring buffer. Recording is cheap and
@@ -173,6 +173,6 @@ func (t *Tracer) CollectObs(s *Snapshot) {
 	t.mu.Lock()
 	n, dropped := len(t.spans), t.dropped
 	t.mu.Unlock()
-	s.AddGauge("octopus_trace_spans", float64(n))
-	s.AddCounter("octopus_trace_spans_dropped_total", float64(dropped))
+	s.AddGauge(TraceSpans, float64(n))
+	s.AddCounter(TraceSpansDropped, float64(dropped))
 }

@@ -17,5 +17,5 @@ func (n *Network) CollectObs(s *obs.Snapshot) {
 		agg.MsgsReceived += st.MsgsReceived
 	}
 	obs.EmitTraffic(s, "simnet", agg)
-	s.AddCounter("octopus_simnet_dropped_total", float64(n.dropped.Load()))
+	s.AddCounter(obs.SimnetDropped, float64(n.dropped.Load()))
 }

@@ -60,18 +60,12 @@ type entry struct {
 	value   []byte
 }
 
-// counters is the live concurrency-safe form of obs.StoreCounters, the
-// canonical snapshot type the store publishes through obs.Collector.
-type counters struct {
-	puts, putFailures  atomic.Uint64
-	gets, hits, misses atomic.Uint64
-	replicaBatches     atomic.Uint64
-	replicaEntries     atomic.Uint64
-	pulledEntries      atomic.Uint64
-	handoffEntries     atomic.Uint64
-	storesServed       atomic.Uint64
-	fetchesServed      atomic.Uint64
-	keysGauge          atomic.Int64
+// Stats is a store's activity counters and key gauge, written in the node's
+// serialization context and read with Load from any goroutine.
+type Stats struct {
+	Puts, PutFailures, Gets, Hits, Misses, ReplicaBatches, ReplicaEntries,
+	PulledEntries, HandoffEntries, StoresServed, FetchesServed atomic.Uint64
+	Keys atomic.Int64
 }
 
 // Store is one node's slice of the replicated key-value subsystem. All
@@ -91,7 +85,7 @@ type Store struct {
 	inflight int
 	stops    []func()
 
-	stats counters
+	stats Stats
 
 	// obsPut/obsGet are the Put/Get latency histograms AttachObs
 	// registers; nil-safe at the observation sites.
@@ -150,31 +144,16 @@ func (s *Store) Stop() {
 	s.stops = nil
 }
 
-// Stats snapshots the activity counters; safe from any goroutine.
-func (s *Store) Stats() obs.StoreCounters {
-	return obs.StoreCounters{
-		Puts:           s.stats.puts.Load(),
-		PutFailures:    s.stats.putFailures.Load(),
-		Gets:           s.stats.gets.Load(),
-		Hits:           s.stats.hits.Load(),
-		Misses:         s.stats.misses.Load(),
-		ReplicaBatches: s.stats.replicaBatches.Load(),
-		ReplicaEntries: s.stats.replicaEntries.Load(),
-		PulledEntries:  s.stats.pulledEntries.Load(),
-		HandoffEntries: s.stats.handoffEntries.Load(),
-		StoresServed:   s.stats.storesServed.Load(),
-		FetchesServed:  s.stats.fetchesServed.Load(),
-		Keys:           int(s.stats.keysGauge.Load()),
-	}
-}
+// Stats returns the store's live counters; read each with Load.
+func (s *Store) Stats() *Stats { return &s.stats }
 
 // AttachObs registers the store's counters, key gauge, and Put/Get latency
 // histograms with the collector.
 func (s *Store) AttachObs(c *obs.Collector) {
 	l := s.nodeLabel()
 	if s.obsPut == nil {
-		s.obsPut = obs.NewHistogram("octopus_store_put_seconds", obs.LatencyBuckets, l)
-		s.obsGet = obs.NewHistogram("octopus_store_get_seconds", obs.LatencyBuckets, l)
+		s.obsPut = obs.NewHistogram(obs.StorePutLatency, obs.LatencyBuckets, l)
+		s.obsGet = obs.NewHistogram(obs.StoreGetLatency, obs.LatencyBuckets, l)
 	}
 	c.Register(s.obsPut)
 	c.Register(s.obsGet)
@@ -188,24 +167,24 @@ func (s *Store) nodeLabel() obs.Label {
 // CollectObs implements obs.Source: every Stats counter plus the key
 // gauge, labeled by node address.
 func (s *Store) CollectObs(snap *obs.Snapshot) {
-	st := s.Stats()
+	st := &s.stats
 	l := s.nodeLabel()
-	snap.AddCounter("octopus_store_puts_total", float64(st.Puts), l)
-	snap.AddCounter("octopus_store_put_failures_total", float64(st.PutFailures), l)
-	snap.AddCounter("octopus_store_gets_total", float64(st.Gets), l)
-	snap.AddCounter("octopus_store_hits_total", float64(st.Hits), l)
-	snap.AddCounter("octopus_store_misses_total", float64(st.Misses), l)
-	snap.AddCounter("octopus_store_replica_batches_total", float64(st.ReplicaBatches), l)
-	snap.AddCounter("octopus_store_replica_entries_total", float64(st.ReplicaEntries), l)
-	snap.AddCounter("octopus_store_pulled_entries_total", float64(st.PulledEntries), l)
-	snap.AddCounter("octopus_store_handoff_entries_total", float64(st.HandoffEntries), l)
-	snap.AddCounter("octopus_store_stores_served_total", float64(st.StoresServed), l)
-	snap.AddCounter("octopus_store_fetches_served_total", float64(st.FetchesServed), l)
-	snap.AddGauge("octopus_store_keys", float64(st.Keys), l)
+	snap.AddCounter(obs.StorePuts, float64(st.Puts.Load()), l)
+	snap.AddCounter(obs.StorePutFailures, float64(st.PutFailures.Load()), l)
+	snap.AddCounter(obs.StoreGets, float64(st.Gets.Load()), l)
+	snap.AddCounter(obs.StoreHits, float64(st.Hits.Load()), l)
+	snap.AddCounter(obs.StoreMisses, float64(st.Misses.Load()), l)
+	snap.AddCounter(obs.StoreReplicaBatches, float64(st.ReplicaBatches.Load()), l)
+	snap.AddCounter(obs.StoreReplicaEntries, float64(st.ReplicaEntries.Load()), l)
+	snap.AddCounter(obs.StorePulledEntries, float64(st.PulledEntries.Load()), l)
+	snap.AddCounter(obs.StoreHandoffEntries, float64(st.HandoffEntries.Load()), l)
+	snap.AddCounter(obs.StoreStoresServed, float64(st.StoresServed.Load()), l)
+	snap.AddCounter(obs.StoreFetchesServed, float64(st.FetchesServed.Load()), l)
+	snap.AddGauge(obs.StoreKeys, float64(st.Keys.Load()), l)
 }
 
 // Len reports the number of locally held entries; safe from any goroutine.
-func (s *Store) Len() int { return int(s.stats.keysGauge.Load()) }
+func (s *Store) Len() int { return int(s.stats.Keys.Load()) }
 
 // Has reports whether the store holds a copy of key. Host context only.
 func (s *Store) Has(key id.ID) bool {
@@ -235,7 +214,7 @@ func (s *Store) handle(req transport.Message) (transport.Message, bool) {
 // response does not wait for the fan-out — replica acknowledgements only
 // feed counters, and the periodic sync re-offers the entry anyway.
 func (s *Store) handleStore(m StoreReq) StoreResp {
-	s.stats.storesServed.Add(1)
+	s.stats.StoresServed.Add(1)
 	if len(m.Value) > MaxValueSize {
 		return StoreResp{}
 	}
@@ -248,7 +227,7 @@ func (s *Store) handleStore(m StoreReq) StoreResp {
 }
 
 func (s *Store) handleFetch(m FetchReq) FetchResp {
-	s.stats.fetchesServed.Add(1)
+	s.stats.FetchesServed.Add(1)
 	e, ok := s.data[m.Key]
 	if !ok {
 		return FetchResp{}
@@ -300,7 +279,7 @@ func (s *Store) upsert(key id.ID, value []byte, version uint64) (uint64, bool) {
 	}
 	s.data[key] = entry{version: version, value: value}
 	if !ok {
-		s.stats.keysGauge.Store(int64(len(s.data)))
+		s.stats.Keys.Store(int64(len(s.data)))
 	}
 	return version, true
 }
@@ -340,12 +319,12 @@ func (s *Store) replicaTargets() []chord.Peer {
 }
 
 func (s *Store) replicateTo(p chord.Peer, entries []KV) {
-	s.stats.replicaBatches.Add(1)
+	s.stats.ReplicaBatches.Add(1)
 	s.tr.Call(s.n.Self().Addr, p.Addr, ReplicateReq{Entries: entries},
 		s.n.Config().Chord.RPCTimeout,
 		func(resp transport.Message, err error) {
 			if r, ok := resp.(ReplicateResp); err == nil && ok {
-				s.stats.replicaEntries.Add(uint64(r.Stored))
+				s.stats.ReplicaEntries.Add(uint64(r.Stored))
 			}
 		})
 }
@@ -422,7 +401,7 @@ func (s *Store) PullOwnedRange(cb func(pulled int, err error)) {
 					s.upsert(e.Key, e.Value, e.Version)
 				}
 			}
-			s.stats.pulledEntries.Add(uint64(len(r.Entries)))
+			s.stats.PulledEntries.Add(uint64(len(r.Entries)))
 			cb(len(r.Entries), nil)
 		})
 }
@@ -458,7 +437,7 @@ func (s *Store) Handover(cb func(handed int, err error)) {
 			end = len(all)
 		}
 		batch := all[at:end]
-		s.stats.replicaBatches.Add(1)
+		s.stats.ReplicaBatches.Add(1)
 		s.tr.Call(s.n.Self().Addr, target.Addr, ReplicateReq{Entries: batch},
 			s.n.Config().Chord.RPCTimeout,
 			func(resp transport.Message, err error) {
@@ -467,7 +446,7 @@ func (s *Store) Handover(cb func(handed int, err error)) {
 				}
 				remaining--
 				if remaining == 0 {
-					s.stats.handoffEntries.Add(uint64(len(all)))
+					s.stats.HandoffEntries.Add(uint64(len(all)))
 					cb(len(all), firstErr)
 				}
 			})
@@ -503,17 +482,17 @@ type GetResult struct {
 // periodic sync would. cb is invoked exactly once, from the node's
 // serialization context.
 func (s *Store) Put(key id.ID, value []byte, cb func(PutResult)) {
-	s.stats.puts.Add(1)
+	s.stats.Puts.Add(1)
 	cb = timedCb(s, s.obsPut, cb)
 	if len(value) > MaxValueSize {
-		s.stats.putFailures.Add(1)
+		s.stats.PutFailures.Add(1)
 		cb(PutResult{Err: ErrValueTooLarge})
 		return
 	}
 	s.n.AnonLookupFull(key, func(owner chord.Peer, _ core.DirectLookupResult,
 		stats core.LookupStats, err error) {
 		if err != nil {
-			s.stats.putFailures.Add(1)
+			s.stats.PutFailures.Add(1)
 			cb(PutResult{Stats: stats, Err: err})
 			return
 		}
@@ -528,7 +507,7 @@ func (s *Store) Put(key id.ID, value []byte, cb func(PutResult)) {
 					}
 				}
 				if res.Err != nil {
-					s.stats.putFailures.Add(1)
+					s.stats.PutFailures.Add(1)
 					// The resolved owner did not take the write — if it
 					// came from the lookup cache it may be long gone, so
 					// the retry must re-resolve.
@@ -547,12 +526,12 @@ func (s *Store) Put(key id.ID, value []byte, cb func(PutResult)) {
 // at the replication factor. cb is invoked exactly once, from the node's
 // serialization context.
 func (s *Store) Get(key id.ID, cb func(GetResult)) {
-	s.stats.gets.Add(1)
+	s.stats.Gets.Add(1)
 	cb = timedCb(s, s.obsGet, cb)
 	s.n.AnonLookupFull(key, func(owner chord.Peer, res core.DirectLookupResult,
 		stats core.LookupStats, err error) {
 		if err != nil {
-			s.stats.misses.Add(1)
+			s.stats.Misses.Add(1)
 			cb(GetResult{Stats: stats, Err: err})
 			return
 		}
@@ -616,7 +595,7 @@ func (s *Store) readCandidates(owner chord.Peer, res core.DirectLookupResult) []
 func (s *Store) tryFetch(key id.ID, owner chord.Peer, cands []chord.Peer, i int,
 	stats core.LookupStats, cb func(GetResult)) {
 	if i >= len(cands) {
-		s.stats.misses.Add(1)
+		s.stats.Misses.Add(1)
 		// Every candidate derived from this owner resolution failed; a
 		// cached resolution this stale must not shape the next attempt.
 		s.n.InvalidateLookup(key)
@@ -626,7 +605,7 @@ func (s *Store) tryFetch(key id.ID, owner chord.Peer, cands []chord.Peer, i int,
 	cand := cands[i]
 	if cand.ID == s.n.Self().ID {
 		if e, ok := s.data[key]; ok {
-			s.stats.hits.Add(1)
+			s.stats.Hits.Add(1)
 			cb(GetResult{Found: true, Value: e.value, Version: e.version,
 				Owner: owner, Tried: i + 1, Stats: stats})
 			return
@@ -637,7 +616,7 @@ func (s *Store) tryFetch(key id.ID, owner chord.Peer, cands []chord.Peer, i int,
 	s.n.AnonRPC(cand, FetchReq{Key: key}, func(resp transport.Message, err error) {
 		if err == nil {
 			if r, ok := resp.(FetchResp); ok && r.Found {
-				s.stats.hits.Add(1)
+				s.stats.Hits.Add(1)
 				cb(GetResult{Found: true, Value: r.Value, Version: r.Version,
 					Owner: owner, Tried: i + 1, Stats: stats})
 				return

@@ -14,10 +14,10 @@ func (t *Transport) CollectObs(s *obs.Snapshot) {
 
 	backend := obs.L("backend", "net")
 	in, out := t.Frames()
-	s.AddCounter("octopus_transport_frames_total", float64(in), backend, obs.L("direction", "in"))
-	s.AddCounter("octopus_transport_frames_total", float64(out), backend, obs.L("direction", "out"))
-	s.AddCounter("octopus_transport_send_drops_total", float64(t.SendDrops()), backend)
-	s.AddCounter("octopus_transport_dials_total", float64(t.Dials()), backend)
-	s.AddCounter("octopus_transport_codec_errors_total", float64(t.CodecErrors()), backend)
-	s.AddCounter("octopus_transport_protocol_errors_total", float64(t.ProtocolErrors()), backend)
+	s.AddCounter(obs.TransportFrames, float64(in), backend, obs.L("direction", "in"))
+	s.AddCounter(obs.TransportFrames, float64(out), backend, obs.L("direction", "out"))
+	s.AddCounter(obs.TransportSendDrops, float64(t.SendDrops()), backend)
+	s.AddCounter(obs.TransportDials, float64(t.Dials()), backend)
+	s.AddCounter(obs.TransportCodecErrors, float64(t.CodecErrors()), backend)
+	s.AddCounter(obs.TransportProtocolErrors, float64(t.ProtocolErrors()), backend)
 }

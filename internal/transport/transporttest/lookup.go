@@ -144,7 +144,7 @@ func testConcurrentLookups(t *testing.T, mk Factory) {
 	// services, not just the WalkEvery timer.
 	var refills uint64
 	for i := 0; i < servingNodes; i++ {
-		refills += nw.Node(transport.Addr(i)).Stats().RefillWalks
+		refills += nw.Node(transport.Addr(i)).Stats().RefillWalks.Load()
 	}
 	if refills == 0 {
 		t.Error("managed pool never launched a walk-ahead refill")

@@ -219,14 +219,14 @@ func (n *Network) NodeStats(index int) Stats {
 	node := n.inner.Nodes[index]
 	s := node.Stats()
 	return Stats{
-		LookupsCompleted: s.LookupsCompleted,
-		LookupsFailed:    s.LookupsFailed,
-		QueriesSent:      s.QueriesSent,
-		DummiesSent:      s.DummiesSent,
-		WalksCompleted:   s.WalksCompleted,
+		LookupsCompleted: s.LookupsCompleted.Load(),
+		LookupsFailed:    s.LookupsFailed.Load(),
+		QueriesSent:      s.QueriesSent.Load(),
+		DummiesSent:      s.DummiesSent.Load(),
+		WalksCompleted:   s.WalksCompleted.Load(),
 		RelayPoolSize:    node.PoolSize(),
-		ChecksRun:        s.ChecksRun,
-		ReportsSent:      s.ReportsSent,
+		ChecksRun:        s.ChecksRun.Load(),
+		ReportsSent:      s.ReportsSent.Load(),
 	}
 }
 
