@@ -5,7 +5,7 @@ package obs
 // so an emission site names a metric by its catalog value: an unregistered
 // name, or a counter emitted as a gauge, does not compile. The exporter
 // takes HELP text from the catalog, and DEPLOYMENT.md's "Metric catalog"
-// table mirrors it row for row (TestDeploymentDocMatchesCatalog).
+// table mirrors it row for row (TestRealDeploymentDocInSync).
 
 // CounterDef, GaugeDef and HistogramDef name one catalog metric of their
 // kind. The zero value names nothing.

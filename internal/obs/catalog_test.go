@@ -127,9 +127,9 @@ func diffCatalogDoc(defs []metricDef, doc string) []string {
 	return drift
 }
 
-// TestDeploymentDocMatchesCatalog binds docs/DEPLOYMENT.md's "Metric
-// catalog" table to the catalog declared in catalog.go, row for row.
-func TestDeploymentDocMatchesCatalog(t *testing.T) {
+// TestRealDeploymentDocInSync binds docs/DEPLOYMENT.md's "Metric catalog"
+// table to the catalog declared in catalog.go, row for row.
+func TestRealDeploymentDocInSync(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/DEPLOYMENT.md")
 	if err != nil {
 		t.Fatal(err)
@@ -139,36 +139,105 @@ func TestDeploymentDocMatchesCatalog(t *testing.T) {
 	}
 }
 
-func TestDiffCatalogDoc(t *testing.T) {
-	defs := []metricDef{
-		{name: "octopus_a_total", kind: "counter", help: "Counts a."},
-		{name: "octopus_b", kind: "gauge", help: "Measures b."},
+var testDefs = []metricDef{
+	{name: "octopus_a_total", kind: "counter", help: "Counts a."},
+	{name: "octopus_b", kind: "gauge", help: "Measures b."},
+}
+
+// inSyncDoc mirrors testDefs. The backticks around b are doc styling, and
+// the row after the next heading lies outside the table.
+const inSyncDoc = "## Monitoring\n\n### Metric catalog\n\n| Metric | Type | Meaning |\n|---|---|---|\n" +
+	"| `octopus_a_total` | counter | Counts a. |\n| `octopus_b` | gauge | Measures `b`. |\n\n### Next section\n" +
+	"| `octopus_c_total` | counter | Outside the section. |\n"
+
+// wantDrift fails t unless drift holds one complaint per entry of want,
+// each mentioning its entry.
+func wantDrift(t *testing.T, drift []string, want ...string) {
+	t.Helper()
+	if len(drift) != len(want) {
+		t.Fatalf("drift = %q, want %d complaints", drift, len(want))
 	}
-	const inSync = "## Monitoring\n\n### Metric catalog\n\n| Metric | Type | Meaning |\n|---|---|---|\n" +
-		"| `octopus_a_total` | counter | Counts a. |\n| `octopus_b` | gauge | Measures `b`. |\n\n### Next section\n" +
-		"| `octopus_c_total` | counter | Outside the section. |\n"
-	cases := []struct {
-		name, old, new string
-		want           []string // one substring per expected complaint
-	}{
-		{"in sync", "", "", nil},
-		{"row deleted", "| `octopus_b` | gauge | Measures `b`. |\n", "", []string{"octopus_b is in the catalog"}},
-		{"row for an unregistered name", "\n### Next", "| `octopus_gone_total` | counter | Removed. |\n\n### Next",
-			[]string{"octopus_gone_total, which is not"}},
-		{"kind and meaning edited", "| gauge | Measures `b`.", "| counter | Measures c.",
-			[]string{"the doc says counter", "Measures c."}},
-		{"no section", "### Metric catalog", "### Metrics", []string{"no \"### Metric catalog\" section"}},
+	for i, w := range want {
+		if !strings.Contains(drift[i], w) {
+			t.Errorf("complaint %q, want it to mention %q", drift[i], w)
+		}
 	}
-	for _, c := range cases {
-		drift := diffCatalogDoc(defs, strings.Replace(inSync, c.old, c.new, 1))
-		if len(drift) != len(c.want) {
-			t.Errorf("%s: drift = %q, want %d complaints", c.name, drift, len(c.want))
-			continue
+}
+
+func TestDocInSync(t *testing.T) {
+	wantDrift(t, diffCatalogDoc(testDefs, inSyncDoc))
+}
+
+func TestDocMissingMetric(t *testing.T) {
+	doc := strings.Replace(inSyncDoc, "| `octopus_b` | gauge | Measures `b`. |\n", "", 1)
+	wantDrift(t, diffCatalogDoc(testDefs, doc), "octopus_b is in the catalog")
+}
+
+func TestDocStaleRow(t *testing.T) {
+	doc := strings.Replace(inSyncDoc, "\n### Next", "| `octopus_gone_total` | counter | Removed. |\n\n### Next", 1)
+	wantDrift(t, diffCatalogDoc(testDefs, doc), "octopus_gone_total, which is not")
+}
+
+func TestDocTypeAndHelpDrift(t *testing.T) {
+	doc := strings.Replace(inSyncDoc, "| gauge | Measures `b`.", "| counter | Measures c.", 1)
+	wantDrift(t, diffCatalogDoc(testDefs, doc), "the doc says counter", "Measures c.")
+}
+
+func TestDocSectionMissing(t *testing.T) {
+	doc := strings.Replace(inSyncDoc, "### Metric catalog", "### Metrics", 1)
+	wantDrift(t, diffCatalogDoc(testDefs, doc), "no \"### Metric catalog\" section")
+}
+
+// snapshotErrors reports each series of s whose name is not in the catalog
+// or is filed under a kind other than its catalog kind. Outside this package
+// the def types rule both out; inside it a def can be written as a struct
+// literal, so the package's own emitters are checked against the catalog.
+func snapshotErrors(s *Snapshot) []error {
+	kinds := map[string]string{}
+	for _, d := range catalog {
+		kinds[d.name] = d.kind
+	}
+	var errs []error
+	check := func(name, kind string) {
+		switch k, ok := kinds[name]; {
+		case !ok:
+			errs = append(errs, fmt.Errorf("%s: not in the catalog", name))
+		case k != kind:
+			errs = append(errs, fmt.Errorf("%s: emitted as %s, declared as %s", name, kind, k))
 		}
-		for i, want := range c.want {
-			if !strings.Contains(drift[i], want) {
-				t.Errorf("%s: complaint %q, want it to mention %q", c.name, drift[i], want)
-			}
-		}
+	}
+	for _, x := range s.Counters {
+		check(x.Name, "counter")
+	}
+	for _, x := range s.Gauges {
+		check(x.Name, "gauge")
+	}
+	for _, x := range s.Histograms {
+		check(x.Name, "histogram")
+	}
+	return errs
+}
+
+func TestValidateSnapshot(t *testing.T) {
+	c := NewCollector()
+	c.Register(FuncSource(func(s *Snapshot) { EmitTraffic(s, "test", Traffic{1, 2, 3, 4}) }))
+	c.Register(NewTracer(4, RedactAnonymous))
+	for _, h := range []HistogramDef{LookupLatency, ServiceWait, StorePutLatency, StoreGetLatency} {
+		c.Register(NewHistogram(h, []float64{1}))
+	}
+	s := c.Snapshot()
+	if n := len(s.Counters) + len(s.Gauges) + len(s.Histograms); n != 10 {
+		t.Fatalf("the package's emitters gave %d series, want 10", n)
+	}
+	if errs := snapshotErrors(s); len(errs) != 0 {
+		t.Fatalf("the package's emitters: %v", errs)
+	}
+
+	var bad Snapshot
+	bad.AddCounter(LookupsStarted, 1)
+	bad.AddCounter(CounterDef{"octopus_not_in_catalog_total"}, 1)
+	bad.AddGauge(GaugeDef{"octopus_lookups_completed_total"}, 1) // declared a counter
+	if errs := snapshotErrors(&bad); len(errs) != 2 {
+		t.Fatalf("got %d errors, want 2: %v", len(errs), errs)
 	}
 }
