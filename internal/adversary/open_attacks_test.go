@@ -47,6 +47,7 @@ var openAttacks = []struct {
 	{"edra-forged-join", 19, func(t *testing.T) bool { return edraForged(t, true) }},
 	{"relay-route-flood", 4, relayRouteFlood},
 	{"walk-owner-swap", 3, walkOwnerSwap},
+	{"response-inject", 25, responseInject},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -516,6 +517,66 @@ func walkOwnerSwap(t *testing.T) bool {
 		nw.Sim.Run(nw.Sim.Now() + time.Second)
 	}
 	return swapped
+}
+
+// responseInject runs nodes A and B as two nettransport processes on
+// loopback; B's handler never answers. A asks B for a stored value, and a
+// process that holds no slot dials A and writes one hand-built response
+// frame that claims to come from B, carrying a guessed request id: the
+// first one a fresh process draws. It succeeds when A's pending call
+// completes with the forged value.
+func responseInject(t *testing.T) bool {
+	lnA, lnB := loopback(t), loopback(t)
+	endpoints := []string{lnA.Addr().String(), lnB.Addr().String()}
+	const a, b = transport.Addr(0), transport.Addr(1)
+	start := func(ln net.Listener) *nettransport.Transport {
+		tr, err := nettransport.New(nettransport.Config{Listener: ln, Endpoints: endpoints, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tr.Close)
+		return tr
+	}
+	trA, trB := start(lnA), start(lnB)
+	trB.Bind(b, func(transport.Addr, transport.Message) (transport.Message, bool) { return nil, false })
+
+	forged := store.FetchResp{Found: true, Version: 1, Value: []byte("the attacker's value")}
+	got := make(chan transport.Message, 1)
+	trA.Call(a, b, store.FetchReq{Key: id.FromString("response-inject")}, time.Second,
+		func(resp transport.Message, err error) {
+			if err != nil {
+				resp = nil
+			}
+			got <- resp
+		})
+
+	payload, err := transport.Encode(forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frame layout of docs/PROTOCOL.md §3.1: length, kind, from, to,
+	// request id, codec payload.
+	var (
+		w               = &transport.Codec{}
+		length          = uint32(1 + 6 + 6 + 8 + len(payload))
+		kind            = uint8(0x03) // response
+		from, to        = b, a
+		guess    uint64 = 1
+	)
+	w.U32(&length)
+	w.U8(&kind)
+	w.Addr(&from)
+	w.Addr(&to)
+	w.U64(&guess)
+	conn, err := net.Dial("tcp", endpoints[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append(w.Bytes(), payload...)); err != nil {
+		t.Fatal(err)
+	}
+	return reflect.DeepEqual(<-got, forged)
 }
 
 // liveHeap is the heap in use after a forced collection.
