@@ -522,9 +522,9 @@ func walkOwnerSwap(t *testing.T) bool {
 // responseInject runs nodes A and B as two nettransport processes on
 // loopback; B's handler never answers. A asks B for a stored value, and a
 // process that holds no slot dials A and writes one hand-built response
-// frame that claims to come from B, carrying a guessed request id: the
-// first one a fresh process draws. It succeeds when A's pending call
-// completes with the forged value.
+// frame that claims to come from B, carrying a guessed request id: 1, the
+// first value of a counter. It succeeds when A's pending call completes
+// with the forged value.
 func responseInject(t *testing.T) bool {
 	lnA, lnB := loopback(t), loopback(t)
 	endpoints := []string{lnA.Addr().String(), lnB.Addr().String()}

@@ -16,12 +16,14 @@
 // host's handler, RPC callbacks, and timer callbacks — so protocol state
 // stays lock-free no matter which backend it runs on.
 //
-// RPCs are correlated by a per-process request id carried in the frame
-// header. Requests that are lost (dead host, selective-DoS handler,
-// connection loss) surface to the caller as transport.ErrTimeout after the
-// caller's deadline, matching the other backends: on a real network, silence
-// is the only honest failure signal. A request the transport knows never
-// left (its dial failed, its queue was full) fails with ErrTimeout at once.
+// RPCs are correlated by a request id carried in the frame header, drawn
+// at random per call so that a party off the path cannot guess a pending
+// one; a response's `from` is still the writer's own claim. Requests that
+// are lost (dead host, selective-DoS handler, connection loss) surface to
+// the caller as transport.ErrTimeout after the caller's deadline, matching
+// the other backends: on a real network, silence is the only honest
+// failure signal. A request the transport knows never left (its dial
+// failed, its queue was full) fails with ErrTimeout at once.
 //
 // Traffic accounting follows the conformance contract: exactly
 // Message.Size() bytes — the codec frame, which is what the experiments
@@ -34,9 +36,11 @@ package nettransport
 
 import (
 	"bufio"
+	crand "crypto/rand"
 	"fmt"
 	"io"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -124,13 +128,15 @@ type Transport struct {
 	links   map[string]*link
 	pending map[uint64]*pendingCall
 	conns   map[net.Conn]struct{} // accepted connections, for Close
+	// reqIDs draws request ids under mu. It is keyed from crypto/rand,
+	// never from cfg.Seed, which every process of a deployment shares.
+	reqIDs *randv2.ChaCha8
 
-	nextReq atomic.Uint64
-	rng     *rand.Rand
-	start   time.Time
-	wg      sync.WaitGroup
-	done    chan struct{}
-	closed  atomic.Bool
+	rng    *rand.Rand
+	start  time.Time
+	wg     sync.WaitGroup
+	done   chan struct{}
+	closed atomic.Bool
 
 	dropped     atomic.Uint64
 	codecErrors atomic.Uint64
@@ -166,6 +172,8 @@ func New(cfg Config) (*Transport, error) {
 	if self == "" {
 		self = ln.Addr().String()
 	}
+	var key [32]byte
+	crand.Read(key[:]) // never fails since Go 1.24
 	t := &Transport{
 		cfg:       cfg,
 		self:      self,
@@ -175,6 +183,7 @@ func New(cfg Config) (*Transport, error) {
 		links:     make(map[string]*link),
 		pending:   make(map[uint64]*pendingCall),
 		conns:     make(map[net.Conn]struct{}),
+		reqIDs:    randv2.NewChaCha8(key),
 		rng:       actor.NewRand(cfg.Seed),
 		start:     time.Now(),
 		done:      make(chan struct{}),
@@ -441,27 +450,21 @@ func (t *Transport) Call(from, to transport.Addr, req transport.Message,
 		t.hostAt(from).Post(func() { cb(nil, transport.ErrUnreachable) })
 		return
 	}
-	id := t.nextReq.Add(1)
-	fb, size, err := frameFor(frameRequest, from, to, id, req)
-	if err != nil {
-		t.codecErrors.Add(1)
-		t.hostAt(from).Post(func() { cb(nil, transport.ErrUnreachable) })
-		return
-	}
 	pc := &pendingCall{from: from, to: to, cb: cb}
-	// Register and arm atomically: a timer fired against an unregistered
-	// entry would leave the call pending forever, and an entry without a
-	// timer would break Close and the response path. The timer callback
-	// itself serializes on the same mutex via takePending.
+	// Draw, register and arm atomically: the id must be unique among
+	// pending calls, a timer fired against an unregistered entry would
+	// leave the call pending forever, and an entry without a timer would
+	// break Close and the response path. The timer callback itself
+	// serializes on the same mutex via takePending.
 	t.mu.Lock()
 	if t.closed.Load() {
 		// Close has run (or is running) its pending drain; an entry
 		// inserted now would leak until its timer fired.
 		t.mu.Unlock()
-		fb.Release()
 		t.hostAt(from).Post(func() { cb(nil, transport.ErrClosed) })
 		return
 	}
+	id := t.newReqID()
 	t.pending[id] = pc
 	pc.timer = time.AfterFunc(timeout, func() {
 		if got := t.takePending(id, nil); got != nil {
@@ -469,7 +472,27 @@ func (t *Transport) Call(from, to transport.Addr, req transport.Message,
 		}
 	})
 	t.mu.Unlock()
+	fb, size, err := frameFor(frameRequest, from, to, id, req)
+	if err != nil {
+		t.codecErrors.Add(1)
+		if t.takePending(id, nil) != nil {
+			pc.timer.Stop()
+			t.hostAt(from).Post(func() { cb(nil, transport.ErrUnreachable) })
+		}
+		return
+	}
 	t.enqueue(frameRequest, from, to, id, fb, size)
+}
+
+// newReqID draws the id of a new call; t.mu must be held. A party that
+// sees none of this transport's frames cannot guess a pending id, and one
+// that sees some learns nothing about the others. Zero is the one-way id.
+func (t *Transport) newReqID() uint64 {
+	for {
+		if id := t.reqIDs.Uint64(); id != 0 && t.pending[id] == nil {
+			return id
+		}
+	}
 }
 
 // takePending removes and returns the pending call for id. The map removal
