@@ -8,8 +8,6 @@
 // real sockets between them.
 //
 //	go run ./examples/multiprocess
-//
-// Run it from the repository root (it shells out to `go build`).
 package main
 
 import (
@@ -41,9 +39,9 @@ func run() error {
 
 	bin := filepath.Join(dir, "octopusd")
 	fmt.Println("Building octopusd ...")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/octopusd")
+	build := exec.Command("go", "build", "-o", bin, "github.com/octopus-dht/octopus/cmd/octopusd")
 	if out, err := build.CombinedOutput(); err != nil {
-		return fmt.Errorf("go build ./cmd/octopusd: %v\n%s", err, out)
+		return fmt.Errorf("go build octopusd: %v\n%s", err, out)
 	}
 
 	eps, err := freePorts(2)

@@ -12,8 +12,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -23,14 +25,14 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const n = 32
-	fmt.Printf("Starting %d hosts, one goroutine each, 500µs wire latency ...\n", n)
+	fmt.Fprintf(w, "Starting %d hosts, one goroutine each, 500µs wire latency ...\n", n)
 	net := chantransport.New(n, 1, chantransport.WithLatency(500*time.Microsecond))
 	defer net.Close()
 
@@ -45,7 +47,7 @@ func run() error {
 
 	rng := rand.New(rand.NewSource(2))
 	keys := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
-	fmt.Println("\nIterative Chord lookups over the wire codec:")
+	fmt.Fprintln(w, "\nIterative Chord lookups over the wire codec:")
 	// One timer reset per lookup, not one time.After allocation per
 	// iteration (the timer would otherwise live until it fires).
 	timeout := time.NewTimer(10 * time.Second)
@@ -84,7 +86,7 @@ func run() error {
 			if out.owner != want {
 				status = fmt.Sprintf("MISMATCH (want %v)", want)
 			}
-			fmt.Printf("  %-8s -> node %2d  (%d hops, %v wall time) %s\n",
+			fmt.Fprintf(w, "  %-8s -> node %2d  (%d hops, %v wall time) %s\n",
 				key, out.owner.Addr, out.stats.Hops, out.stats.Latency().Round(time.Millisecond), status)
 		case <-timeout.C:
 			return fmt.Errorf("lookup %q timed out", key)
@@ -98,10 +100,10 @@ func run() error {
 		sent += st.BytesSent
 		msgs += st.MsgsSent
 	}
-	fmt.Printf("\nWire totals: %d messages, %d bytes serialized through the codec\n", msgs, sent)
+	fmt.Fprintf(w, "\nWire totals: %d messages, %d bytes serialized through the codec\n", msgs, sent)
 	if errs := net.CodecErrors(); errs != 0 {
 		return fmt.Errorf("%d messages lacked a wire codec", errs)
 	}
-	fmt.Println("Codec errors: 0 — every message that moved had a real wire format.")
+	fmt.Fprintln(w, "Codec errors: 0 — every message that moved had a real wire format.")
 	return nil
 }
