@@ -1,7 +1,6 @@
 // Command octopus-bench regenerates every table and figure of the paper's
 // evaluation. Each subcommand prints the same rows or series the paper
-// reports; see README.md for the experiment index and for
-// recorded paper-vs-measured results.
+// reports.
 //
 // Usage:
 //
