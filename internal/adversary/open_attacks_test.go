@@ -3,7 +3,9 @@ package adversary
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,6 +51,7 @@ var openAttacks = []struct {
 	{"relay-route-flood", 4, relayRouteFlood},
 	{"walk-owner-swap", 3, walkOwnerSwap},
 	{"response-inject", 25, responseInject},
+	{"frame-origin-spoof", 25, frameOriginSpoof},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -577,6 +581,97 @@ func responseInject(t *testing.T) bool {
 		t.Fatal(err)
 	}
 	return reflect.DeepEqual(<-got, forged)
+}
+
+// frameOriginSpoof runs an 8-node ring and its CA in one nettransport
+// process, except member v, whose endpoint is a bare listener that records
+// what arrives. A third process dials the ring's listener and writes one
+// hand-built RelayForward frame from v to relay r: an exit query that pings
+// another member. The relay's handler takes the frame's from as the previous
+// hop, so it records v as the query's back-route. It succeeds when the exit's
+// answer, a RelayReply for the attacker's query id, reaches v, which never
+// sent the query.
+func frameOriginSpoof(t *testing.T) bool {
+	const n, r, v, target, qid = 8, transport.Addr(0), transport.Addr(1), transport.Addr(2), uint64(1 << 62)
+	lnA, lnV := loopback(t), loopback(t)
+	t.Cleanup(func() { lnV.Close() })
+	endpoints := make([]string, n+1) // n members and the CA
+	for i := range endpoints {
+		endpoints[i] = lnA.Addr().String()
+	}
+	endpoints[v] = lnV.Addr().String()
+	tr, err := nettransport.New(nettransport.Config{Listener: lnA, Endpoints: endpoints, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	cfg := core.DefaultConfig()
+	cfg.EstimatedSize = n
+	if _, err := core.BuildNetworkLocal(tr, n, cfg, func(a transport.Addr) bool { return a != v }); err != nil {
+		t.Fatal(err)
+	}
+
+	// v reads every frame the ring writes to it, until the ring's
+	// transport closes; the layout is that of docs/PROTOCOL.md §3.1.
+	replied := make(chan struct{})
+	var once sync.Once
+	go func() {
+		for {
+			conn, err := lnV.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					var length [4]byte
+					if _, err := io.ReadFull(conn, length[:]); err != nil {
+						return
+					}
+					frame := make([]byte, binary.BigEndian.Uint32(length[:]))
+					if _, err := io.ReadFull(conn, frame); err != nil || len(frame) < 1+6+6+8 {
+						return
+					}
+					m, err := transport.Decode(frame[1+6+6+8:])
+					if reply, ok := m.(core.RelayReply); err == nil && ok && reply.QID == qid {
+						once.Do(func() { close(replied) })
+					}
+				}
+			}()
+		}
+	}()
+
+	fwd := core.RelayForward{QID: qid, Exit: &core.ExitAction{Target: target, Req: chord.PingReq{}}, Depth: 1}
+	payload, err := transport.Encode(fwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		w        = &transport.Codec{}
+		length   = uint32(1 + 6 + 6 + 8 + len(payload))
+		kind     = uint8(0x01) // one-way, as every RelayForward travels
+		from, to = v, r
+		reqID    uint64
+	)
+	w.U32(&length)
+	w.U8(&kind)
+	w.Addr(&from)
+	w.Addr(&to)
+	w.U64(&reqID)
+	conn, err := net.Dial("tcp", lnA.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append(w.Bytes(), payload...)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-replied:
+		return true
+	case <-time.After(5 * time.Second):
+		return false
+	}
 }
 
 // liveHeap is the heap in use after a forced collection.
