@@ -97,7 +97,7 @@ type EndpointAnnounce struct {
 func (m EndpointAnnounce) Size() int { return transport.EncodedSize(m) }
 
 // RingAdmitReq is the bootstrap-channel admission request: what a slotless
-// `octopusd -join` process sends (nettransport.BootstrapCall) to any daemon
+// `octopusd -join` process sends (nettransport.ClientConn) to any daemon
 // of a live deployment. The daemon relays it to the CA as a CertIssueReq
 // and returns the grant together with the deployment pointers the joiner
 // cannot know yet.

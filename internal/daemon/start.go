@@ -224,7 +224,12 @@ func (d *daemon) startJoined(ctx context.Context) error {
 // the attempts run out or ctx is cancelled; a refusal is final.
 func requestAdmission(ctx context.Context, contact string, req core.RingAdmitReq) (core.RingAdmitResp, error) {
 	for attempt := 1; attempt <= 5 && ctx.Err() == nil; attempt++ {
-		resp, err := nettransport.BootstrapCall(contact, req, 10*time.Second)
+		var resp transport.Message
+		cc, err := nettransport.DialClient(contact, 10*time.Second)
+		if err == nil {
+			resp, err = cc.Call(req, 10*time.Second)
+			cc.Close()
+		}
 		if err != nil {
 			log.Printf("admission attempt %d: %v", attempt, err)
 			time.Sleep(time.Second)

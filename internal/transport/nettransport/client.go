@@ -11,13 +11,13 @@ import (
 	"github.com/octopus-dht/octopus/internal/transport"
 )
 
-// ClientConn is a persistent bootstrap-channel connection: one TCP dial,
-// many request/response exchanges. It is the client side of a daemon's
-// 0x05xx serving path (docs/PROTOCOL.md §7) — where BootstrapCall pays a
-// dial per request, a ClientConn amortizes the connection across a whole
-// session of lookups. Calls are matched to responses by request id, and
-// the daemon answers one connection's requests in order, so a ClientConn
-// is also the unit of per-client queueing on the server.
+// ClientConn is a bootstrap-channel connection: one TCP dial, any number of
+// request/response exchanges. It is the client side of a daemon's 0x05xx
+// serving path and of an `octopusd -join` admission (docs/PROTOCOL.md §7);
+// a lookup client keeps one open for a whole session, a joiner dials one
+// for its single RingAdmitReq. Calls are matched to responses by request
+// id, and the daemon answers one connection's requests in order, so a
+// ClientConn is also the unit of per-client queueing on the server.
 //
 // A ClientConn is safe for concurrent use; calls are serialized on the
 // connection.
@@ -50,33 +50,37 @@ func (c *ClientConn) Close() error {
 // timeout. The connection is poisoned (closed) on framing errors; callers
 // should redial.
 func (c *ClientConn) Call(req transport.Message, timeout time.Duration) (transport.Message, error) {
-	payload, err := transport.Encode(req)
-	if err != nil {
-		return nil, err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
 		return nil, fmt.Errorf("nettransport: client connection closed")
 	}
 	id := c.nextID
+	fb, _, err := frameFor(frameRequest, transport.NoAddr, transport.NoAddr, id, req)
+	if err != nil {
+		return nil, err
+	}
 	c.nextID++
-	deadline := time.Now().Add(timeout)
-	c.conn.SetDeadline(deadline)
-	frame := appendFrame(frameRequest, transport.NoAddr, transport.NoAddr, id, payload)
-	if err := writeAll(c.conn, frame); err != nil {
+	c.conn.SetDeadline(time.Now().Add(timeout))
+	_, err = c.conn.Write(fb.B)
+	fb.Release()
+	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("nettransport: client write: %w", err)
 	}
 	for {
-		h, respPayload, err := readFrame(c.br, DefaultMaxFrame)
+		h, fb, err := readFrameBuf(c.br, DefaultMaxFrame)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("nettransport: client read: %w", err)
 		}
 		if h.kind != frameResponse || h.reqID != id {
+			fb.Release()
 			continue // stale response from an abandoned earlier call
 		}
-		return transport.Decode(respPayload)
+		// Decode copies every field out, so the buffer can go back now.
+		resp, err := transport.Decode(fb.B[frameHeaderSize:])
+		fb.Release()
+		return resp, err
 	}
 }

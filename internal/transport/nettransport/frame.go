@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 
 	"github.com/octopus-dht/octopus/internal/transport"
 )
@@ -65,15 +64,6 @@ func (h *frameHeader) code(c *transport.Codec) {
 	c.Addr(&h.from)
 	c.Addr(&h.to)
 	c.U64(&h.reqID)
-}
-
-// appendFrame builds a complete wire frame (length prefix included).
-func appendFrame(kind uint8, from, to transport.Addr, reqID uint64, payload []byte) []byte {
-	c, n := &transport.Codec{}, uint32(frameHeaderSize+len(payload))
-	c.U32(&n)
-	h := frameHeader{kind, from, to, reqID}
-	h.code(c)
-	return append(c.Bytes(), payload...)
 }
 
 // frameFor encodes msg as one complete wire frame in a pooled buffer —
@@ -145,29 +135,4 @@ func readFrameBuf(br *bufio.Reader, max int) (frameHeader, *transport.Buf, error
 		return frameHeader{}, nil, fmt.Errorf("%w: 0x%02x", errBadKind, h.kind)
 	}
 	return h, fb, nil
-}
-
-// readFrame reads one frame from br. The returned payload is a fresh slice
-// (the pooled buffer behind readFrameBuf is copied out and recycled). Used
-// off the hot path: bootstrap exchanges and the framing tests.
-func readFrame(br *bufio.Reader, max int) (frameHeader, []byte, error) {
-	h, fb, err := readFrameBuf(br, max)
-	if err != nil {
-		return h, nil, err
-	}
-	payload := append([]byte(nil), fb.B[frameHeaderSize:]...)
-	fb.Release()
-	return h, payload, nil
-}
-
-// writeAll writes b fully to conn, treating a short write as an error.
-func writeAll(conn net.Conn, b []byte) error {
-	for len(b) > 0 {
-		n, err := conn.Write(b)
-		if err != nil {
-			return err
-		}
-		b = b[n:]
-	}
-	return nil
 }

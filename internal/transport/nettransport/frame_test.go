@@ -11,8 +11,18 @@ import (
 	"github.com/octopus-dht/octopus/internal/transport"
 )
 
-// TestFrameRoundTrip drives appendFrame → readFrame with random headers and
-// payloads.
+// appendFrame builds a complete wire frame (length prefix included) around
+// raw payload bytes, which need not be a codec frame.
+func appendFrame(kind uint8, from, to transport.Addr, reqID uint64, payload []byte) []byte {
+	c, n := &transport.Codec{}, uint32(frameHeaderSize+len(payload))
+	c.U32(&n)
+	h := frameHeader{kind, from, to, reqID}
+	h.code(c)
+	return append(c.Bytes(), payload...)
+}
+
+// TestFrameRoundTrip drives appendFrame → readFrameBuf with random headers
+// and payloads.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	kinds := []uint8{frameOneway, frameRequest, frameResponse}
@@ -28,16 +38,17 @@ func TestFrameRoundTrip(t *testing.T) {
 		rng.Read(payload)
 
 		frame := appendFrame(kind, from, to, reqID, payload)
-		h, got, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxFrame)
+		h, fb, err := readFrameBuf(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxFrame)
 		if err != nil {
-			t.Fatalf("readFrame: %v", err)
+			t.Fatalf("readFrameBuf: %v", err)
 		}
 		if h.kind != kind || h.from != from || h.to != to || h.reqID != reqID {
 			t.Fatalf("header = %+v, want kind=%d from=%v to=%v reqID=%d", h, kind, from, to, reqID)
 		}
-		if !bytes.Equal(got, payload) {
+		if got := fb.B[frameHeaderSize:]; !bytes.Equal(got, payload) {
 			t.Fatalf("payload mismatch: %d vs %d bytes", len(got), len(payload))
 		}
+		fb.Release()
 	}
 }
 
@@ -45,7 +56,10 @@ func TestFrameRoundTrip(t *testing.T) {
 // undersized length prefixes, truncation, unknown kinds, and clean EOF.
 func TestFrameReaderRejects(t *testing.T) {
 	read := func(b []byte, max int) error {
-		_, _, err := readFrame(bufio.NewReader(bytes.NewReader(b)), max)
+		_, fb, err := readFrameBuf(bufio.NewReader(bytes.NewReader(b)), max)
+		if err == nil {
+			fb.Release()
+		}
 		return err
 	}
 	valid := appendFrame(frameRequest, 1, 2, 3, []byte("payload"))
@@ -154,13 +168,14 @@ func FuzzReadFrame(f *testing.F) {
 		const max = 1 << 16
 		br := bufio.NewReader(bytes.NewReader(data))
 		for {
-			h, payload, err := readFrame(br, max)
+			h, fb, err := readFrameBuf(br, max)
 			if err != nil {
 				return // any error terminates the stream; that's the contract
 			}
-			if len(payload) > max {
-				t.Fatalf("payload %d bytes exceeds max %d", len(payload), max)
+			if len(fb.B) > max {
+				t.Fatalf("frame %d bytes exceeds max %d", len(fb.B), max)
 			}
+			fb.Release()
 			if h.kind != frameOneway && h.kind != frameRequest && h.kind != frameResponse {
 				t.Fatalf("invalid kind 0x%02x escaped validation", h.kind)
 			}

@@ -754,48 +754,13 @@ func (t *Transport) serveBootstrap(c net.Conn, h frameHeader, payload []byte) er
 		return nil
 	}
 	c.SetWriteDeadline(time.Now().Add(writeTimeout))
-	err = writeAll(c, fb.B)
+	_, err = c.Write(fb.B)
 	fb.Release()
 	if err != nil {
 		return err
 	}
 	t.framesOut.Add(1)
 	return nil
-}
-
-// BootstrapCall performs a single request/response exchange with a process
-// that serves `endpoint`, without holding any slot in (or even knowing) the
-// deployment's address table: dial, send one bootstrap frame, read the
-// response off the same connection. It is how an `octopusd -join` process
-// asks to be admitted before it can construct its Transport.
-func BootstrapCall(endpoint string, req transport.Message, timeout time.Duration) (transport.Message, error) {
-	payload, err := transport.Encode(req)
-	if err != nil {
-		return nil, err
-	}
-	c, err := net.DialTimeout("tcp", endpoint, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	deadline := time.Now().Add(timeout)
-	c.SetDeadline(deadline)
-	const bootstrapReqID = 1
-	frame := appendFrame(frameRequest, transport.NoAddr, transport.NoAddr, bootstrapReqID, payload)
-	if err := writeAll(c, frame); err != nil {
-		return nil, fmt.Errorf("nettransport: bootstrap write: %w", err)
-	}
-	br := bufio.NewReaderSize(c, 64<<10)
-	for {
-		h, respPayload, err := readFrame(br, DefaultMaxFrame)
-		if err != nil {
-			return nil, fmt.Errorf("nettransport: bootstrap read: %w", err)
-		}
-		if h.kind != frameResponse || h.reqID != bootstrapReqID {
-			continue // not ours; a broken peer could interleave frames
-		}
-		return transport.Decode(respPayload)
-	}
 }
 
 // link is the outbound leg to one endpoint: a bounded frame queue drained
@@ -859,7 +824,8 @@ drain:
 func (l *link) writeBatch(conn net.Conn, batch []*transport.Buf) error {
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if len(batch) == 1 {
-		return writeAll(conn, batch[0].B)
+		_, err := conn.Write(batch[0].B)
+		return err
 	}
 	bufs := l.bufs[:0]
 	for _, fb := range batch {

@@ -43,10 +43,11 @@ func TestRequestIDsUnguessable(t *testing.T) {
 		br := bufio.NewReader(conn)
 		ids := make([]uint64, n)
 		for i := range ids {
-			h, _, err := readFrame(br, DefaultMaxFrame)
+			h, fb, err := readFrameBuf(br, DefaultMaxFrame)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fb.Release()
 			ids[i] = h.reqID
 		}
 		return ids

@@ -58,7 +58,7 @@ var globalRandFuncs = map[string]bool{
 // not trigger (the loop then ranges over a slice).
 var encodeSinkNames = map[string]bool{
 	"Encode": true, "EncodeTo": true, "EncodeBuf": true,
-	"Send": true, "Call": true, "BootstrapCall": true, "AnonRPC": true,
+	"Send": true, "Call": true, "AnonRPC": true,
 	"Sum64": true,
 }
 
