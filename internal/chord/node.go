@@ -105,10 +105,9 @@ type Node struct {
 	// it to invalidate cached lookup results: any membership shift can
 	// move key ownership.
 	OnNeighborDropped func(p Peer)
-	// Tier, when set, overrides the peer set next-hop selection routes
-	// through (handleFindNext and the FindNext-driven Lookup). Nil routes
-	// through the node's own fingers + successor list — exactly what a
-	// FingerTier returns, so installing one is behaviorally identical. A
+	// Tier is the peer set next-hop selection routes through
+	// (handleFindNext and the FindNext-driven Lookup). NewNode installs a
+	// FingerTier over the node's own fingers + successor list. A
 	// full-state tier makes the node answer FindNext with the key's
 	// immediate predecessor, collapsing vanilla lookups to O(1) hops.
 	Tier RoutingTier
@@ -117,15 +116,15 @@ type Node struct {
 // NewNode creates a node bound to addr on the transport. It does not start
 // timers or bind the handler; call Start (or Ring helpers) for that.
 func NewNode(tr transport.Transport, cfg Config, self Peer, ident *Identity) *Node {
-	return &Node{
+	n := &Node{
 		Cfg:     cfg,
 		Self:    self,
 		tr:      tr,
 		ident:   ident,
 		fingers: make([]Peer, cfg.Fingers),
-		succs:   nil,
-		preds:   nil,
 	}
+	n.Tier = NewFingerTier(n)
+	return n
 }
 
 // Transport returns the transport the node speaks over.
@@ -301,12 +300,9 @@ func (n *Node) ownerAmongSuccessors(key id.ID) (Peer, bool) {
 }
 
 // closestPreceding picks the known peer most tightly preceding key, drawn
-// from the routing tier when one is installed.
+// from the node's routing tier.
 func (n *Node) closestPreceding(key id.ID) (Peer, bool) {
-	peers := n.knownPeers()
-	if n.Tier != nil {
-		peers = n.Tier.Candidates(key)
-	}
+	peers := n.Tier.Candidates(key)
 	ids := make([]id.ID, len(peers))
 	for i, p := range peers {
 		ids[i] = p.ID

@@ -119,7 +119,7 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 	cn.VetLeave = n.vetLeave
 	switch cfg.RoutingTier {
 	case "", TierFinger:
-		n.tier = chord.NewFingerTier(cn)
+		n.tier = cn.Tier
 	case TierOneHop:
 		n.onehop = newOneHopTier(n)
 		n.tier = n.onehop
