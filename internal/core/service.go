@@ -194,10 +194,7 @@ func (s *LookupService) cancelQueued(jobID <-chan uint64) {
 			}
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			s.stats.Queued.Store(int64(len(s.queue)))
-			s.perClient[job.client]--
-			if s.perClient[job.client] <= 0 {
-				delete(s.perClient, job.client)
-			}
+			s.release(job.client)
 			return
 		}
 	})
@@ -213,10 +210,7 @@ func (s *LookupService) Close() {
 		s.queue = nil
 		s.stats.Queued.Store(0)
 		for _, job := range queued {
-			s.perClient[job.client]--
-			if s.perClient[job.client] <= 0 {
-				delete(s.perClient, job.client)
-			}
+			s.release(job.client)
 			job.cb(ServiceResult{Err: ErrServiceClosed})
 		}
 	})
@@ -262,10 +256,7 @@ func (s *LookupService) start(job svcJob) {
 	s.n.AnonLookup(job.key, func(owner chord.Peer, stats LookupStats, err error) {
 		s.active--
 		s.stats.Active.Store(int64(s.active))
-		s.perClient[job.client]--
-		if s.perClient[job.client] <= 0 {
-			delete(s.perClient, job.client)
-		}
+		s.release(job.client)
 		if err != nil {
 			s.stats.Failed.Add(1)
 		} else {
@@ -274,6 +265,15 @@ func (s *LookupService) start(job svcJob) {
 		job.cb(ServiceResult{Owner: owner, Stats: stats, Wait: wait, Err: err})
 		s.pump()
 	})
+}
+
+// release gives back one of client's per-client quota slots (host
+// context), forgetting the client once it holds none.
+func (s *LookupService) release(client string) {
+	s.perClient[client]--
+	if s.perClient[client] <= 0 {
+		delete(s.perClient, client)
+	}
 }
 
 // pump starts queued jobs while worker slots are free (host context).
