@@ -4,7 +4,7 @@
 // The protocol layers (internal/chord, internal/core) are written in
 // continuation-passing style against the Transport interface: one-way sends,
 // request/response RPCs with timeouts, liveness toggles, per-host traffic
-// accounting, and host-scoped timers. Two implementations ship with the
+// accounting, and host-scoped timers. Three implementations ship with the
 // repository:
 //
 //   - internal/simnet: the deterministic discrete-event simulator used by
@@ -12,15 +12,17 @@
 //     runs with the same seed are bit-for-bit reproducible.
 //   - internal/transport/chantransport: a concurrent in-process transport
 //     with one goroutine per host and real channels, which serializes every
-//     message through the wire codec on each send. It is the bridge toward
-//     a socket-backed deployment: any code that runs over it performs real
-//     encode/decode round-trips and real concurrency.
+//     message through the wire codec on each send, so code that runs over
+//     it performs real encode/decode round-trips under real concurrency.
+//   - internal/transport/nettransport: the socket-backed transport that
+//     octopusd deploys, carrying the same codec frames over TCP between
+//     processes and machines.
 //
 // The Transport contract deliberately keeps protocol code free of locks: for
 // a given host address, the transport invokes the bound Handler, RPC
 // callbacks, and timer callbacks serially, never concurrently. The simulator
-// satisfies this trivially (it is single-threaded); chantransport satisfies
-// it with a per-host actor loop.
+// satisfies this trivially (it is single-threaded); both concurrent backends
+// satisfy it with the per-host actor loop of internal/transport/actor.
 package transport
 
 import (
