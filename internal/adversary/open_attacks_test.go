@@ -554,32 +554,8 @@ func responseInject(t *testing.T) bool {
 			got <- resp
 		})
 
-	payload, err := transport.Encode(forged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The frame layout of docs/PROTOCOL.md §3.1: length, kind, from, to,
-	// request id, codec payload.
-	var (
-		w               = &transport.Codec{}
-		length          = uint32(1 + 6 + 6 + 8 + len(payload))
-		kind            = uint8(0x03) // response
-		from, to        = b, a
-		guess    uint64 = 1
-	)
-	w.U32(&length)
-	w.U8(&kind)
-	w.Addr(&from)
-	w.Addr(&to)
-	w.U64(&guess)
-	conn, err := net.Dial("tcp", endpoints[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(append(w.Bytes(), payload...)); err != nil {
-		t.Fatal(err)
-	}
+	const response, guess = 0x03, 1
+	writeFrame(t, endpoints[0], response, b, a, guess, forged)
 	return reflect.DeepEqual(<-got, forged)
 }
 
@@ -641,36 +617,38 @@ func frameOriginSpoof(t *testing.T) bool {
 		}
 	}()
 
+	const oneway = 0x01 // as every RelayForward travels
 	fwd := core.RelayForward{QID: qid, Exit: &core.ExitAction{Target: target, Req: chord.PingReq{}}, Depth: 1}
-	payload, err := transport.Encode(fwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		w        = &transport.Codec{}
-		length   = uint32(1 + 6 + 6 + 8 + len(payload))
-		kind     = uint8(0x01) // one-way, as every RelayForward travels
-		from, to = v, r
-		reqID    uint64
-	)
-	w.U32(&length)
-	w.U8(&kind)
-	w.Addr(&from)
-	w.Addr(&to)
-	w.U64(&reqID)
-	conn, err := net.Dial("tcp", lnA.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(append(w.Bytes(), payload...)); err != nil {
-		t.Fatal(err)
-	}
+	writeFrame(t, lnA.Addr().String(), oneway, v, r, 0, fwd)
 	select {
 	case <-replied:
 		return true
 	case <-time.After(5 * time.Second):
 		return false
+	}
+}
+
+// writeFrame dials endpoint as a process that holds no slot and writes one
+// hand-built frame carrying m, in the layout of docs/PROTOCOL.md §3.1:
+// length, kind, from, to, request id, codec payload.
+func writeFrame(t *testing.T, endpoint string, kind uint8, from, to transport.Addr, reqID uint64, m transport.Message) {
+	payload, err := transport.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, length := &transport.Codec{}, uint32(1+6+6+8+len(payload))
+	w.U32(&length)
+	w.U8(&kind)
+	w.Addr(&from)
+	w.Addr(&to)
+	w.U64(&reqID)
+	conn, err := net.Dial("tcp", endpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(append(w.Bytes(), payload...)); err != nil {
+		t.Fatal(err)
 	}
 }
 
