@@ -52,6 +52,7 @@ var openAttacks = []struct {
 	{"walk-owner-swap", 3, walkOwnerSwap},
 	{"response-inject", 25, responseInject},
 	{"frame-origin-spoof", 25, frameOriginSpoof},
+	{"receipt-replay", 20, receiptReplay},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -521,6 +522,70 @@ func walkOwnerSwap(t *testing.T) bool {
 		nw.Sim.Run(nw.Sim.Now() + time.Second)
 	}
 	return swapped
+}
+
+// receiptReplay has an honest initiator I of a 60-node simnet ring send a
+// hand-built query along the path I → A → B → C → D, laid out as core's
+// anonymous queries are: B's layer carries the relay delay. Colluder D drops
+// forwards, so the query vanishes and I files the drop report core's
+// initiator files. Colluder A hands B's receipt back to B at once, and it
+// reaches B before B forwards, so B keeps its own receipt and refuses C's.
+// It succeeds when the CA revokes the honest B. Without the replay the CA
+// must revoke D and leave B alone.
+func receiptReplay(t *testing.T) bool {
+	run := func(replay bool) (revokedB, revokedD bool) {
+		nw := buildNet(t, 13, 60)
+		sim := nw.Sim
+		sim.Run(30 * time.Second)
+		peer := func(i int) chord.Peer { return nw.Nodes[i].Self() }
+		initiator, a, b, c, d, target := peer(0), peer(1), peer(2), peer(3), peer(4), peer(5)
+		qid := uint64(0xbeef)<<16 | uint64(initiator.Addr)&0xffff
+
+		headReceipt, answered := false, false
+		deliverI := nw.Nodes[0].Chord.Extra
+		nw.Nodes[0].Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+			switch m := req.(type) {
+			case core.Receipt:
+				headReceipt = headReceipt || m.QID == qid && m.Issuer.ID == a.ID
+			case core.RelayReply:
+				answered = answered || m.QID == qid
+			}
+			return deliverI(from, req)
+		}
+		deliverA := nw.Nodes[1].Chord.Extra
+		nw.Nodes[1].Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+			if r, ok := req.(core.Receipt); ok && replay && r.QID == qid {
+				nw.Net.Send(a.Addr, r.Issuer.Addr, r) // B's own receipt, back to B
+			}
+			return deliverA(from, req)
+		}
+		deliverD := nw.Nodes[4].Chord.Extra
+		nw.Nodes[4].Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+			if _, ok := req.(core.RelayForward); ok {
+				return nil, false
+			}
+			return deliverD(from, req)
+		}
+
+		cfg := nw.Nodes[0].Config()
+		exit := &core.RelayForward{QID: qid, Exit: &core.ExitAction{Target: target.Addr, Req: chord.GetTableReq{}}, Depth: 1}
+		toD := &core.RelayForward{QID: qid, Next: d.Addr, Inner: exit, Depth: 2}
+		toC := &core.RelayForward{QID: qid, Next: c.Addr, Inner: toD, Delay: cfg.RelayDelayMax, Depth: 3}
+		nw.Net.Send(initiator.Addr, a.Addr, core.RelayForward{QID: qid, Next: b.Addr, Inner: toC, Depth: 4})
+		sim.Run(sim.Now() + cfg.QueryTimeout)
+		if answered || !headReceipt {
+			t.Fatalf("replay %v: the query was answered (%v) or A issued no receipt (%v)", replay, answered, !headReceipt)
+		}
+		report := core.ReportMsg{Kind: core.ReportSelectiveDrop, Relays: []chord.Peer{a, b, c, d}, QID: qid, HasHeadReceipt: true}
+		nw.Net.Call(initiator.Addr, nw.CA.Addr(), report, cfg.Chord.RPCTimeout, func(transport.Message, error) {})
+		sim.Run(sim.Now() + 5*time.Minute)
+		return nw.CA.Revoked(b.ID), nw.CA.Revoked(d.ID)
+	}
+	if b, d := run(false); b || !d {
+		t.Fatalf("without the replay the CA revoked B: %v, the dropper D: %v; want only D", b, d)
+	}
+	b, _ := run(true)
+	return b
 }
 
 // responseInject runs nodes A and B as two nettransport processes on

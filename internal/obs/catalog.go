@@ -118,7 +118,7 @@ var (
 	TransportBytesReceived  = counter("octopus_transport_bytes_received_total", "Codec bytes received, labeled by backend.")
 	TransportMsgsSent       = counter("octopus_transport_msgs_sent_total", "Messages sent, labeled by backend.")
 	TransportMsgsReceived   = counter("octopus_transport_msgs_received_total", "Messages received, labeled by backend.")
-	TransportFrames         = counter("octopus_transport_frames_total", "Wire frames, labeled by backend and direction (in, out).")
+	TransportFrames         = counter("octopus_transport_frames_total", "Frames, labeled by backend and direction (in, out); a frame between two of a process's own slots counts both ways without a socket.")
 	TransportSendDrops      = counter("octopus_transport_send_drops_total", "Outbound frames dropped before the wire (unreachable peer, full queue).")
 	TransportDials          = counter("octopus_transport_dials_total", "Completed outbound connection attempts.")
 	TransportCodecErrors    = counter("octopus_transport_codec_errors_total", "Messages that failed to encode or decode.")

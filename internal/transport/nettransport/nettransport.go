@@ -29,9 +29,9 @@
 // Message.Size() bytes — the codec frame, which is what the experiments
 // model — are accounted per delivered message. For hosts in other processes
 // delivery cannot be observed, so a sender accounts a remote-bound message
-// when it hands the frame to the connection writer. Framing overhead (the
-// 25-byte length prefix + header per message) is tracked separately via
-// Frames().
+// when it hands the frame to the connection writer. A frame between two of a
+// process's own slots skips the socket, but is decoded, delivered and
+// accounted like one that crossed it; Frames() counts both kinds.
 package nettransport
 
 import (
@@ -308,9 +308,8 @@ func (t *Transport) SendDrops() uint64 { return t.sendDrops.Load() }
 // peer count indicate reconnects.
 func (t *Transport) Dials() uint64 { return t.dials.Load() }
 
-// Frames reports frames read from and handed to the wire. Multiplying by
-// the fixed 25-byte frame overhead gives the framing bytes that traffic stats
-// (which accounts codec bytes, per the conformance contract) excludes.
+// Frames reports frames taken in and handed out, including those between
+// two of this process's own slots, which skip the socket.
 func (t *Transport) Frames() (in, out uint64) {
 	return t.framesIn.Load(), t.framesOut.Load()
 }
@@ -424,15 +423,9 @@ func (t *Transport) Every(owner transport.Addr, period time.Duration, fn func())
 
 // Send implements transport.Transport: one frame, no response expected.
 func (t *Transport) Send(from, to transport.Addr, msg transport.Message) {
-	if !t.inTable(to) {
-		return
+	if t.inTable(to) {
+		t.enqueue(frameOneway, from, to, 0, msg)
 	}
-	fb, size, err := frameFor(frameOneway, from, to, 0, msg)
-	if err != nil {
-		t.codecErrors.Add(1)
-		return
-	}
-	t.enqueue(frameOneway, from, to, 0, fb, size)
 }
 
 // Call implements transport.Transport. The request id in the frame header
@@ -472,16 +465,7 @@ func (t *Transport) Call(from, to transport.Addr, req transport.Message,
 		}
 	})
 	t.mu.Unlock()
-	fb, size, err := frameFor(frameRequest, from, to, id, req)
-	if err != nil {
-		t.codecErrors.Add(1)
-		if t.takePending(id, nil) != nil {
-			pc.timer.Stop()
-			t.hostAt(from).Post(func() { cb(nil, transport.ErrUnreachable) })
-		}
-		return
-	}
-	t.enqueue(frameRequest, from, to, id, fb, size)
+	t.enqueue(frameRequest, from, to, id, req)
 }
 
 // newReqID draws the id of a new call; t.mu must be held. A party that
@@ -515,23 +499,35 @@ func (t *Transport) takePending(id uint64, from *transport.Addr) *pendingCall {
 	return pc
 }
 
-// enqueue hands a framed message (built by frameFor, codec payload of
-// `size` bytes) to the destination endpoint's writer. Remote-bound messages
-// are accounted to the local sender here; local-bound messages (which still
-// travel the wire, through the loopback) are accounted at delivery, where
-// liveness of the destination is known. Ownership of fb passes to the link
-// writer on success and is released here on every drop path.
-func (t *Transport) enqueue(kind uint8, from, to transport.Addr, reqID uint64, fb *transport.Buf, size int) {
-	ep := t.Endpoint(to)
-	if ep == "" {
-		// Slot exists but its endpoint is not known yet (an announce is
-		// still in flight).
-		fb.Release()
-		t.dropRequest(kind, reqID)
+// enqueue frames msg and hands it on: to dispatch, minus its length prefix,
+// for one of this process's own slots (accounted at delivery, where the
+// destination's liveness is known); to the endpoint's link writer for any
+// other (accounted to the local sender here, as delivery cannot be observed).
+// A request that cannot be encoded fails with ErrUnreachable. Ownership of
+// the frame passes on, or ends here on every drop path.
+func (t *Transport) enqueue(kind uint8, from, to transport.Addr, reqID uint64, msg transport.Message) {
+	fb, size, err := frameFor(kind, from, to, reqID, msg)
+	if err != nil {
+		t.codecErrors.Add(1)
+		t.failRequest(kind, reqID, transport.ErrUnreachable)
 		return
 	}
-	l := t.linkTo(ep)
-	if l == nil {
+	var l *link
+	switch ep := t.Endpoint(to); {
+	case ep == t.self && !t.closed.Load():
+		t.framesOut.Add(1)
+		if len(fb.B)-4 > DefaultMaxFrame { // the bound every reader enforces
+			fb.Release()
+			t.protoErrors.Add(1)
+			return
+		}
+		fb.B = fb.B[4:]
+		t.dispatch(frameHeader{kind, from, to, reqID}, fb)
+		return
+	case ep != "" && ep != t.self:
+		l = t.linkTo(ep)
+	}
+	if l == nil { // closed, or an endpoint whose announce is still in flight
 		fb.Release()
 		t.dropRequest(kind, reqID)
 		return
@@ -539,9 +535,7 @@ func (t *Transport) enqueue(kind uint8, from, to transport.Addr, reqID uint64, f
 	select {
 	case l.ch <- fb:
 		t.framesOut.Add(1)
-		if t.hostAt(to) == nil {
-			t.hostAt(from).AddSent(size)
-		}
+		t.hostAt(from).AddSent(size)
 	default:
 		fb.Release()
 		t.dropRequest(kind, reqID)
@@ -556,12 +550,17 @@ func (t *Transport) enqueue(kind uint8, from, to transport.Addr, reqID uint64, f
 // remote caller observes its own timeout.)
 func (t *Transport) dropRequest(kind uint8, reqID uint64) {
 	t.sendDrops.Add(1)
+	t.failRequest(kind, reqID, transport.ErrTimeout)
+}
+
+// failRequest fails the pending call of a request frame with err at once.
+func (t *Transport) failRequest(kind uint8, reqID uint64, err error) {
 	if kind != frameRequest {
 		return
 	}
 	if pc := t.takePending(reqID, nil); pc != nil {
 		pc.timer.Stop()
-		t.hostAt(pc.from).Post(func() { pc.cb(nil, transport.ErrTimeout) })
+		t.hostAt(pc.from).Post(func() { pc.cb(nil, err) })
 	}
 }
 
@@ -583,7 +582,7 @@ func (t *Transport) dropFrame(fb *transport.Buf) {
 	t.dropRequest(h.kind, h.reqID)
 }
 
-// dispatch routes one inbound frame, taking ownership of its pooled buffer.
+// dispatch routes one read or in-process frame, taking ownership of its buffer.
 func (t *Transport) dispatch(h frameHeader, fb *transport.Buf) {
 	t.framesIn.Add(1)
 	switch h.kind {
@@ -635,12 +634,7 @@ func (t *Transport) dispatchRequest(h frameHeader, fb *transport.Buf) {
 			t.protoErrors.Add(1)
 			return
 		}
-		respFrame, respSize, err := frameFor(frameResponse, h.to, h.from, h.reqID, resp)
-		if err != nil {
-			t.codecErrors.Add(1)
-			return
-		}
-		t.enqueue(frameResponse, h.to, h.from, h.reqID, respFrame, respSize)
+		t.enqueue(frameResponse, h.to, h.from, h.reqID, resp)
 	})
 }
 

@@ -4,20 +4,22 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
 	"github.com/octopus-dht/octopus/internal/id"
+	"github.com/octopus-dht/octopus/internal/obs"
 	"github.com/octopus-dht/octopus/internal/transport"
 	"github.com/octopus-dht/octopus/internal/transport/nettransport"
 	"github.com/octopus-dht/octopus/internal/transport/transporttest"
 )
 
-// newLoopback builds a transport whose entire endpoint table points at its
-// own listener: every frame — including host-to-host traffic inside the one
-// process — crosses a real TCP connection through the loopback interface.
-func newLoopback(t *testing.T, hosts int) *nettransport.Transport {
+// oneProc builds one transport that serves every slot of its endpoint
+// table: all host-to-host traffic stays inside the process and never
+// touches a socket.
+func oneProc(t *testing.T, hosts int) *nettransport.Transport {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,11 +42,98 @@ func newLoopback(t *testing.T, hosts int) *nettransport.Transport {
 	return tr
 }
 
+// split spreads a deployment's slots over two Transports that share one
+// endpoint table, the in-test stand-in for two OS processes: slot i lives
+// on transport i mod 2. A suite run on it takes both delivery paths —
+// in-process between slots of one parity, over TCP between the two — and
+// each transport.Transport method goes to the transport that owns the slot
+// it names (Send and Call to the owner of from). Now and Rand come from
+// transport 0, so every host reads one clock and one seeded stream.
+type split [2]*nettransport.Transport
+
+func newSplit(t *testing.T, hosts int) split {
+	t.Helper()
+	var lns [2]net.Listener
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		lns[i] = ln
+	}
+	eps := make([]string, max(hosts, 2)) // transport 1 needs a slot of its own
+	for i := range eps {
+		eps[i] = lns[i%2].Addr().String()
+	}
+	var s split
+	for i, ln := range lns {
+		tr, err := nettransport.New(nettransport.Config{
+			Listener: ln, Self: ln.Addr().String(), Endpoints: eps, Seed: 1,
+		})
+		if err != nil {
+			s.Close()
+			t.Fatalf("nettransport.New: %v", err)
+		}
+		s[i] = tr
+	}
+	return s
+}
+
+// harness wraps the split for the shared suites.
+func (s split) harness(concurrent bool) transporttest.Harness {
+	return transporttest.Harness{
+		Tr:         s,
+		Advance:    func(d time.Duration) { time.Sleep(d) },
+		Close:      s.Close,
+		Concurrent: concurrent,
+		// A frame to another process is accounted when it leaves.
+		SenderAccountsRemote: true,
+	}
+}
+
+func (s split) of(a transport.Addr) *nettransport.Transport { return s[a&1] }
+
+func (s split) Close() {
+	for _, tr := range s {
+		if tr != nil {
+			tr.Close()
+		}
+	}
+}
+
+func (s split) Bind(a transport.Addr, h transport.Handler) { s.of(a).Bind(a, h) }
+func (s split) SetAlive(a transport.Addr, alive bool)      { s.of(a).SetAlive(a, alive) }
+func (s split) Alive(a transport.Addr) bool                { return s.of(a).Alive(a) }
+func (s split) Stats(a transport.Addr) obs.Traffic         { return s.of(a).Stats(a) }
+func (s split) Now() time.Duration                         { return s[0].Now() }
+func (s split) Rand() *rand.Rand                           { return s[0].Rand() }
+func (s split) Send(from, to transport.Addr, m transport.Message) {
+	s.of(from).Send(from, to, m)
+}
+func (s split) Call(from, to transport.Addr, req transport.Message, timeout time.Duration, cb func(transport.Message, error)) {
+	s.of(from).Call(from, to, req, timeout, cb)
+}
+func (s split) After(owner transport.Addr, d time.Duration, fn func()) transport.Timer {
+	return s.of(owner).After(owner, d, fn)
+}
+func (s split) Every(owner transport.Addr, period time.Duration, fn func()) func() {
+	return s.of(owner).Every(owner, period, fn)
+}
+
 // TestNetTransportConformance pins the socket backend to the same semantics
-// as simnet and chantransport: the full shared suite, every frame over TCP.
+// as simnet and chantransport: the full shared suite over two processes, so
+// frames between slots of one parity stay in-process and the rest cross TCP.
 func TestNetTransportConformance(t *testing.T) {
 	transporttest.RunConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
-		tr := newLoopback(t, hosts)
+		return newSplit(t, hosts).harness(false)
+	})
+}
+
+// TestNetTransportOneProcessConformance runs the same suite with every slot
+// in one process, where no frame touches a socket.
+func TestNetTransportOneProcessConformance(t *testing.T) {
+	transporttest.RunConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
+		tr := oneProc(t, hosts)
 		return transporttest.Harness{
 			Tr:      tr,
 			Advance: func(d time.Duration) { time.Sleep(d) },
@@ -54,35 +143,24 @@ func TestNetTransportConformance(t *testing.T) {
 }
 
 // TestNetTransportChurnConformance runs the dynamic-membership suite with
-// every join, leave, and suspicion probe crossing real TCP sockets.
+// joins, leaves, and suspicion probes crossing real TCP sockets.
 func TestNetTransportChurnConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time churn convergence over TCP")
 	}
 	transporttest.RunChurnConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
-		tr := newLoopback(t, hosts)
-		return transporttest.Harness{
-			Tr:      tr,
-			Advance: func(d time.Duration) { time.Sleep(d) },
-			Close:   tr.Close,
-		}
+		return newSplit(t, hosts).harness(false)
 	})
 }
 
 // TestNetTransportLookupConformance runs the concurrent-lookup suite with
-// every query of every overlapping anonymous lookup crossing real TCP.
+// the queries of overlapping anonymous lookups crossing real TCP.
 func TestNetTransportLookupConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time lookup convergence over TCP")
 	}
 	transporttest.RunLookupConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
-		tr := newLoopback(t, hosts)
-		return transporttest.Harness{
-			Tr:         tr,
-			Advance:    func(d time.Duration) { time.Sleep(d) },
-			Close:      tr.Close,
-			Concurrent: true,
-		}
+		return newSplit(t, hosts).harness(true)
 	})
 }
 
@@ -313,16 +391,17 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	t.Fatalf("rpc never succeeded after peer restart: %v", last)
 }
 
-// TestGarbageOnTheWire connects raw TCP clients that speak nonsense at the
+// TestGarbageOnTheWire connects raw TCP clients that speak nonsense at a
 // listener; the transport must drop those connections, count protocol
-// errors, and keep serving well-formed traffic.
+// errors, and keep serving well-formed traffic on that same listener.
 func TestGarbageOnTheWire(t *testing.T) {
-	tr := newLoopback(t, 2)
-	defer tr.Close()
-	tr.Bind(0, func(from transport.Addr, m transport.Message) (transport.Message, bool) {
+	a, b, epB := twoProcs(t)
+	defer a.Close()
+	defer b.Close()
+	b.Bind(1, func(from transport.Addr, m transport.Message) (transport.Message, bool) {
 		return m, true
 	})
-	tr.Bind(1, func(transport.Addr, transport.Message) (transport.Message, bool) { return nil, false })
+	a.Bind(0, func(transport.Addr, transport.Message) (transport.Message, bool) { return nil, false })
 
 	payloads := [][]byte{
 		[]byte("GET / HTTP/1.1\r\n\r\n"),     // not a frame at all
@@ -332,32 +411,34 @@ func TestGarbageOnTheWire(t *testing.T) {
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 	}
 	for _, p := range payloads {
-		c, err := net.Dial("tcp", tr.Addr().String())
+		c, err := net.Dial("tcp", epB)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
 		c.Write(p)
 		c.Close()
 	}
-	// Well-formed traffic still flows.
-	r := waitRPC(t, callFrom(tr, 1, 0, transporttest.Echo{N: 7}, 5*time.Second), 10*time.Second)
+	// Well-formed traffic still flows, through the listener that got the
+	// garbage.
+	r := waitRPC(t, callFrom(a, 0, 1, transporttest.Echo{N: 7}, 5*time.Second), 10*time.Second)
 	if r.err != nil {
 		t.Fatalf("rpc after garbage: %v", r.err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tr.ProtocolErrors() < uint64(len(payloads)) && time.Now().Before(deadline) {
+	for b.ProtocolErrors() < uint64(len(payloads)) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := tr.ProtocolErrors(); got < uint64(len(payloads)) {
+	if got := b.ProtocolErrors(); got < uint64(len(payloads)) {
 		t.Errorf("protocol errors = %d, want >= %d", got, len(payloads))
 	}
 }
 
 // TestChordRingOverNetTransport runs the real Chord stack — stabilization,
-// iterative lookups, signed tables — with every RPC crossing a TCP socket.
+// iterative lookups, signed tables — over two processes, so half its RPCs
+// cross a TCP socket.
 func TestChordRingOverNetTransport(t *testing.T) {
 	const n = 16
-	tr := newLoopback(t, n)
+	tr := newSplit(t, n)
 	defer tr.Close()
 
 	cfg := chord.DefaultConfig()
@@ -409,12 +490,13 @@ func TestChordRingOverNetTransport(t *testing.T) {
 			t.Fatalf("lookup %d never completed", i)
 		}
 	}
-	if errs := tr.CodecErrors(); errs != 0 {
-		t.Errorf("codec errors on the wire: %d", errs)
-	}
-	in, out := tr.Frames()
-	if in == 0 || out == 0 {
-		t.Errorf("frames in/out = %d/%d, want both nonzero", in, out)
+	for _, p := range tr {
+		if errs := p.CodecErrors(); errs != 0 {
+			t.Errorf("codec errors on the wire: %d", errs)
+		}
+		if in, out := p.Frames(); in == 0 || out == 0 || p.Dials() == 0 {
+			t.Errorf("frames in/out = %d/%d, dials %d, want all nonzero", in, out, p.Dials())
+		}
 	}
 	var bytes uint64
 	for i := 0; i < n; i++ {
@@ -426,19 +508,14 @@ func TestChordRingOverNetTransport(t *testing.T) {
 }
 
 // TestNetTransportFaultConformance runs the hostile-network suite — lossy
-// link, mid-RPC partition, storm join/leave — with every retry, timeout,
-// and churned join crossing real TCP sockets.
+// link, mid-RPC partition, storm join/leave — with retries, timeouts, and
+// churned joins crossing real TCP sockets.
 func TestNetTransportFaultConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time fault convergence over TCP")
 	}
 	transporttest.RunFaultConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
-		tr := newLoopback(t, hosts)
-		return transporttest.Harness{
-			Tr:      tr,
-			Advance: func(d time.Duration) { time.Sleep(d) },
-			Close:   tr.Close,
-		}
+		return newSplit(t, hosts).harness(false)
 	})
 }
 
@@ -541,5 +618,74 @@ func TestCloseDuringRedialHold(t *testing.T) {
 	}
 	if d := a.SendDrops(); d != 1 {
 		t.Errorf("send drops = %d, want 1 (the first batch only)", d)
+	}
+}
+
+// TestLocalFramesSkipTheSocket pins the in-process path: an RPC and a
+// one-way send between two slots of one transport dial nothing, count each
+// of their three frames once out and once in, and account exactly the
+// codec bytes on both hosts.
+func TestLocalFramesSkipTheSocket(t *testing.T) {
+	tr := oneProc(t, 2)
+	defer tr.Close()
+	req := transporttest.Echo{N: 1, Payload: []byte("request")}
+	resp := transporttest.Echo{N: 2, Payload: []byte("response, longer")}
+	note := transporttest.Echo{N: 3, Payload: []byte("one-way")}
+	got := make(chan transporttest.Echo, 1)
+	tr.Bind(1, func(_ transport.Addr, m transport.Message) (transport.Message, bool) {
+		if e := m.(transporttest.Echo); e.N == note.N {
+			got <- e
+			return nil, false
+		}
+		return resp, true
+	})
+	tr.Bind(0, func(transport.Addr, transport.Message) (transport.Message, bool) { return nil, false })
+
+	r := waitRPC(t, callFrom(tr, 0, 1, req, 5*time.Second), 10*time.Second)
+	if r.err != nil || r.msg.(transporttest.Echo).N != resp.N {
+		t.Fatalf("local rpc = %+v", r)
+	}
+	tr.After(0, 0, func() { tr.Send(0, 1, note) })
+	select {
+	case <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("local one-way send never arrived")
+	}
+
+	if d := tr.Dials(); d != 0 {
+		t.Errorf("dials = %d, want 0", d)
+	}
+	if in, out := tr.Frames(); in != 3 || out != 3 {
+		t.Errorf("frames in/out = %d/%d, want 3/3", in, out)
+	}
+	sent := uint64(req.Size() + note.Size())
+	if st := tr.Stats(0); st.MsgsSent != 2 || st.BytesSent != sent || st.MsgsReceived != 1 || st.BytesReceived != uint64(resp.Size()) {
+		t.Errorf("caller stats = %+v, want 2 msgs / %d bytes sent, 1 / %d received", st, sent, resp.Size())
+	}
+	if st := tr.Stats(1); st.MsgsReceived != 2 || st.BytesReceived != sent || st.MsgsSent != 1 || st.BytesSent != uint64(resp.Size()) {
+		t.Errorf("callee stats = %+v, want 2 msgs / %d bytes received, 1 / %d sent", st, sent, resp.Size())
+	}
+}
+
+// TestLocalCallRacingClose closes a transport while a call between two of
+// its own slots is in flight, its request queued for or inside a handler
+// that never answers: the call still gets exactly one callback.
+func TestLocalCallRacingClose(t *testing.T) {
+	for i := range 20 {
+		tr := oneProc(t, 2)
+		tr.Bind(1, func(transport.Addr, transport.Message) (transport.Message, bool) { return nil, false })
+		var calls atomic.Int32
+		errs := make(chan error, 2)
+		tr.Call(0, 1, transporttest.Echo{N: 1}, time.Minute, func(_ transport.Message, err error) {
+			calls.Add(1)
+			errs <- err
+		})
+		tr.Close() // runs every callback still queued before it returns
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("round %d: %d callbacks, want 1", i, n)
+		}
+		if err := <-errs; !errors.Is(err, transport.ErrClosed) && !errors.Is(err, transport.ErrTimeout) {
+			t.Fatalf("round %d: err = %v, want ErrClosed or ErrTimeout", i, err)
+		}
 	}
 }

@@ -2,26 +2,19 @@ package nettransport_test
 
 import (
 	"testing"
-	"time"
 
 	"github.com/octopus-dht/octopus/internal/core/routingtiertest"
 	"github.com/octopus-dht/octopus/internal/transport/transporttest"
 )
 
 // TestNetTransportRoutingTierConformance certifies both routing tiers over
-// real TCP loopback sockets: framing, reconnects, and wall-clock timers all
-// sit under the tier maintenance traffic.
+// two processes, half the tier maintenance traffic on real TCP loopback
+// sockets: framing, reconnects, and wall-clock timers all sit under it.
 func TestNetTransportRoutingTierConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routing tier conformance over TCP is slow; skipped with -short")
 	}
 	routingtiertest.Run(t, func(t *testing.T, hosts int) transporttest.Harness {
-		tr := newLoopback(t, hosts)
-		return transporttest.Harness{
-			Tr:         tr,
-			Advance:    func(d time.Duration) { time.Sleep(d) },
-			Close:      func() { tr.Close() },
-			Concurrent: true,
-		}
+		return newSplit(t, hosts).harness(true)
 	})
 }

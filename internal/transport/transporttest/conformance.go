@@ -56,6 +56,12 @@ type Harness struct {
 	// so suites that model concurrent clients fall back to interleaved
 	// submission when this is false.
 	Concurrent bool
+	// SenderAccountsRemote reports that some slots live in another process
+	// (nettransport split over two Transports): a sender accounts a message
+	// to such a slot when it hands the frame to the socket, because its
+	// delivery cannot be observed, so a send to a dead host there is
+	// accounted at the sender though the receiver drops it.
+	SenderAccountsRemote bool
 }
 
 // Factory builds a fresh harness with the given number of host slots.
@@ -273,7 +279,7 @@ func testSendDead(t *testing.T, mk Factory) {
 	if st := h.Tr.Stats(0); st.MsgsReceived != 0 {
 		t.Errorf("dead host accounted %d received msgs, want 0", st.MsgsReceived)
 	}
-	if st := h.Tr.Stats(1); st.MsgsSent != 0 {
+	if st := h.Tr.Stats(1); st.MsgsSent != 0 && !h.SenderAccountsRemote {
 		t.Errorf("sender accounted %d sent msgs to a dead host, want 0", st.MsgsSent)
 	}
 }
