@@ -330,17 +330,10 @@ func (t *Transport) Close() {
 	for c := range t.conns {
 		c.Close()
 	}
-	inFlight := make([]*pendingCall, 0, len(t.pending))
 	for id, pc := range t.pending {
-		pc.timer.Stop()
-		delete(t.pending, id)
-		inFlight = append(inFlight, pc)
+		t.finish(id, pc, nil, transport.ErrClosed, 0)
 	}
 	t.mu.Unlock()
-	for _, pc := range inFlight {
-		cb := pc.cb
-		t.hostAt(pc.from).Post(func() { cb(nil, transport.ErrClosed) })
-	}
 	// The snapshot orders against a concurrent SetEndpoint/AddEndpoint:
 	// either its host is in the snapshot and gets closed, or it observes
 	// closed and creates no host.
@@ -448,7 +441,7 @@ func (t *Transport) Call(from, to transport.Addr, req transport.Message,
 	// pending calls, a timer fired against an unregistered entry would
 	// leave the call pending forever, and an entry without a timer would
 	// break Close and the response path. The timer callback itself
-	// serializes on the same mutex via takePending.
+	// serializes on the same mutex via settle.
 	t.mu.Lock()
 	if t.closed.Load() {
 		// Close has run (or is running) its pending drain; an entry
@@ -459,11 +452,7 @@ func (t *Transport) Call(from, to transport.Addr, req transport.Message,
 	}
 	id := t.newReqID()
 	t.pending[id] = pc
-	pc.timer = time.AfterFunc(timeout, func() {
-		if got := t.takePending(id, nil); got != nil {
-			t.hostAt(got.from).Post(func() { got.cb(nil, transport.ErrTimeout) })
-		}
-	})
+	pc.timer = time.AfterFunc(timeout, func() { t.settle(id, nil, nil, transport.ErrTimeout, 0) })
 	t.mu.Unlock()
 	t.enqueue(frameRequest, from, to, id, req)
 }
@@ -479,24 +468,36 @@ func (t *Transport) newReqID() uint64 {
 	}
 }
 
-// takePending removes and returns the pending call for id. The map removal
-// is the atomic race arbiter between the response path and the timeout
-// path: whichever takes the entry delivers the single callback. A non-nil
-// `from` additionally requires the response to originate from the address
-// the request targeted; on mismatch the entry is left in place (the frame
-// is spoofed or corrupt, and the real response or timeout is still owed).
-func (t *Transport) takePending(id uint64, from *transport.Addr) *pendingCall {
+// settle ends the pending call for id with (msg, err). Taking the entry is
+// the race arbiter between the response, timeout and drop paths: whichever
+// takes it delivers the single callback. A non-nil `from` additionally
+// requires the response to originate from the address the request
+// targeted; on mismatch the entry is left in place (the frame is spoofed or
+// corrupt, and the real response or timeout is still owed).
+func (t *Transport) settle(id uint64, from *transport.Addr, msg transport.Message, err error, size int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pc := t.pending[id]
-	if pc == nil {
-		return nil
+	if pc := t.pending[id]; pc != nil && (from == nil || *from == pc.to) {
+		t.finish(id, pc, msg, err, size)
 	}
-	if from != nil && *from != pc.to {
-		return nil
-	}
+}
+
+// finish removes a pending call and posts its callback, which accounts a
+// response's size bytes; t.mu must be held. Every path posts under t.mu, and
+// Close drains pending under it before it shuts any mailbox: so a call is
+// either posted to a mailbox still open or left to that drain. A post made
+// after the unlock could land in a mailbox Close had shut meanwhile, and the
+// callback would be lost.
+func (t *Transport) finish(id uint64, pc *pendingCall, msg transport.Message, err error, size int) {
 	delete(t.pending, id)
-	return pc
+	pc.timer.Stop()
+	t.hostAt(pc.from).Post(func() {
+		if err == nil {
+			t.hostAt(pc.to).AddSent(size)
+			t.hostAt(pc.from).AddReceived(size)
+		}
+		pc.cb(msg, err)
+	})
 }
 
 // enqueue frames msg and hands it on: to dispatch, minus its length prefix,
@@ -555,12 +556,8 @@ func (t *Transport) dropRequest(kind uint8, reqID uint64) {
 
 // failRequest fails the pending call of a request frame with err at once.
 func (t *Transport) failRequest(kind uint8, reqID uint64, err error) {
-	if kind != frameRequest {
-		return
-	}
-	if pc := t.takePending(reqID, nil); pc != nil {
-		pc.timer.Stop()
-		t.hostAt(pc.from).Post(func() { pc.cb(nil, err) })
+	if kind == frameRequest {
+		t.settle(reqID, nil, nil, err, 0)
 	}
 }
 
@@ -652,16 +649,7 @@ func (t *Transport) dispatchResponse(h frameHeader, fb *transport.Buf) {
 		t.codecErrors.Add(1)
 		return
 	}
-	pc := t.takePending(h.reqID, &h.from)
-	if pc == nil {
-		return // late, duplicate, or misattributed response
-	}
-	pc.timer.Stop()
-	t.hostAt(pc.from).Post(func() {
-		t.hostAt(h.from).AddSent(size)
-		t.hostAt(pc.from).AddReceived(size)
-		pc.cb(msg, nil)
-	})
+	t.settle(h.reqID, &h.from, msg, nil, size) // a late, duplicate or misattributed one settles nothing
 }
 
 // acceptLoop serves inbound connections until Close.

@@ -689,3 +689,23 @@ func TestLocalCallRacingClose(t *testing.T) {
 		}
 	}
 }
+
+// TestCallSettlingDuringClose races a call's settlement against Close: 20 000
+// rounds of a call between two slots of one transport, with a timeout of
+// 0–49 µs, each followed at once by Close. Whichever settles it — the
+// response, the timer or Close's drain — the call gets exactly one callback
+// by the time Close returns.
+func TestCallSettlingDuringClose(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := range 20_000 {
+		tr := oneProc(t, 2)
+		tr.Bind(1, func(_ transport.Addr, m transport.Message) (transport.Message, bool) { return m, true })
+		var calls atomic.Int32
+		timeout := time.Duration(rng.Intn(50)) * time.Microsecond
+		tr.Call(0, 1, transporttest.Echo{N: 1}, timeout, func(transport.Message, error) { calls.Add(1) })
+		tr.Close()
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("round %d (timeout %v): %d callbacks, want 1", i, timeout, n)
+		}
+	}
+}
