@@ -45,6 +45,7 @@ var openAttacks = []struct {
 	{"qid-initiator", 2, qidInitiator},
 	{"phantom-finger", 3, phantomFinger},
 	{"store-max-version", 4, storeMaxVersion},
+	{"store-forged-value", 27, storeForgedValue},
 	{"onion-malleable", 21, onionMalleable},
 	{"edra-forged-leave", 19, func(t *testing.T) bool { return edraForged(t, false) }},
 	{"edra-forged-join", 19, func(t *testing.T) bool { return edraForged(t, true) }},
@@ -340,6 +341,56 @@ func storeMaxVersion(t *testing.T) bool {
 	return served
 }
 
+// storeForgedValue has the owner of a key answer every FetchReq for it with
+// a value of its own, through a Chord.Extra wrap, while it serves the store's
+// writes as usual. One node Puts the key honestly; two others then Get it.
+// It succeeds when both readers get the owner's value: Get asks the owner
+// first and returns the first copy found, and no value carries its writer's
+// signature.
+func storeForgedValue(t *testing.T) bool {
+	nw := buildNet(t, 3, 40)
+	stores := make([]*store.Store, len(nw.Nodes))
+	for i, node := range nw.Nodes {
+		stores[i] = store.New(node, store.Config{})
+		stores[i].Start()
+	}
+	sim := nw.Sim
+	sim.Run(30 * time.Second)
+
+	key, forged := id.FromBytes([]byte("store-forged-value")), []byte("the owner's value")
+	owner := nw.Node(nw.Ring.Owner(key).Addr)
+	serve := owner.Chord.Extra
+	owner.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+		if f, ok := req.(store.FetchReq); ok && f.Key == key {
+			return store.FetchResp{Found: true, Version: 1, Value: forged}, true
+		}
+		return serve(from, req)
+	}
+	var others []*store.Store
+	for i, node := range nw.Nodes {
+		if node != owner {
+			others = append(others, stores[i])
+		}
+	}
+
+	var put *store.PutResult
+	others[0].Put(key, []byte("the honest value"), func(r store.PutResult) { put = &r })
+	sim.Run(sim.Now() + 30*time.Second)
+	if put == nil || put.Err != nil {
+		t.Fatalf("the honest put was not acknowledged: %+v", put)
+	}
+	forgedReads := 0
+	for _, reader := range others[1:3] {
+		reader.Get(key, func(r store.GetResult) {
+			if r.Found && bytes.Equal(r.Value, forged) {
+				forgedReads++
+			}
+		})
+	}
+	sim.Run(sim.Now() + 30*time.Second)
+	return forgedReads == 2
+}
+
 // onionMalleable builds a two-relay onion with xcrypto.Build and peels it
 // with xcrypto.Peel, as examples/anoncomm does, after a party holding no key
 // has flipped one bit of the outer layer's encrypted next hop (the 8 bytes
@@ -422,8 +473,9 @@ func edraForged(t *testing.T, join bool) bool {
 // the victim 1<<17 hand-built RelayForwards with fresh query ids, as many as
 // core's qidTableMax, and drops the receipts they earn. It succeeds when the
 // honest query's back-route is evicted, so the exit's answer never reaches
-// the honest node. Once the flood's routes are due, the victim must give back
-// the heap they took.
+// the honest node; a table that evicts by sender cuts the flooder's own
+// oldest routes instead. Once the flood's routes are due, the victim must
+// give back the heap they took.
 func relayRouteFlood(t *testing.T) bool {
 	const flood, qid = 1 << 17, 1 << 62
 	nw := buildNet(t, 4, 16)

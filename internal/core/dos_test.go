@@ -189,7 +189,7 @@ func TestWitnessStatementsServedToCA(t *testing.T) {
 	w := nw.Node(3).Self()
 	st := WitnessResp{QID: 77, Delivered: false, Witness: w, Statement: []byte("sig")}
 	relay.evidence.statements.put(77, []WitnessResp{st})
-	relay.evidence.receipts.put(42, Receipt{QID: 42, Issuer: w})
+	relay.evidence.receipts.add(42, w, []byte("sig"))
 
 	resp := relay.evidence.answer(ProofReq{QID: 77})
 	if len(resp.Statements) != 1 || resp.Statements[0].QID != 77 {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
 	"github.com/octopus-dht/octopus/internal/id"
+	"github.com/octopus-dht/octopus/internal/transport"
 )
 
 // evidence is what the node keeps so that it, or the CA on its behalf, can
@@ -26,8 +29,64 @@ type evidence struct {
 
 	// receipts holds, per query, the next hop's signed receipt; statements
 	// the witnesses' signed outcomes of a delivery this node had retried.
-	receipts   *qidTable[Receipt]
+	receipts   *receiptTable
 	statements *qidTable[[]WitnessResp]
+}
+
+// heldReceipt is a receipt as evidence holds it: 16 pointer-free bytes, so
+// the map of them is never scanned by the collector. The qid is the map key;
+// the signature lives in the table's arena, after its uvarint length.
+type heldReceipt struct {
+	issuer id.ID
+	addr   transport.Addr
+	sig    uint32 // offset into receiptTable.sigs
+}
+
+// receiptTable is the receipts' qidTable and the arena their signatures live
+// in, of any scheme's length. The arena is rewritten at its live size
+// whenever the table rebuilds, so retired signatures go with their entries.
+type receiptTable struct {
+	*qidTable[heldReceipt]
+	sigs []byte
+}
+
+func newReceiptTable(t *qidTable[heldReceipt]) *receiptTable {
+	r := &receiptTable{qidTable: t}
+	t.onRebuild = r.compact
+	return r
+}
+
+// add holds a receipt for qid, replacing what qid held.
+func (r *receiptTable) add(qid uint64, issuer chord.Peer, sig []byte) {
+	r.put(qid, heldReceipt{issuer: issuer.ID, addr: issuer.Addr}) // a rebuild here moves the arena
+	h := r.live[qid]
+	h.sig = uint32(len(r.sigs))
+	r.sigs = append(binary.AppendUvarint(r.sigs, uint64(len(sig))), sig...)
+	r.live[qid] = h
+}
+
+// receipt rebuilds the wire receipt held for qid.
+func (r *receiptTable) receipt(qid uint64) (Receipt, bool) {
+	h, ok := r.get(qid)
+	if !ok {
+		return Receipt{}, false
+	}
+	n, w := binary.Uvarint(r.sigs[h.sig:])
+	sig := r.sigs[int(h.sig)+w:][:n]
+	return Receipt{QID: qid, Issuer: chord.Peer{ID: h.issuer, Addr: h.addr}, Sig: slices.Clone(sig)}, true
+}
+
+// compact copies the live signatures into an arena of their size.
+func (r *receiptTable) compact() {
+	var sigs []byte
+	for qid, h := range r.live {
+		n, w := binary.Uvarint(r.sigs[h.sig:])
+		from := int(h.sig)
+		h.sig = uint32(len(sigs))
+		sigs = append(sigs, r.sigs[from:from+w+int(n)]...)
+		r.live[qid] = h
+	}
+	r.sigs = slices.Clone(sigs)
 }
 
 // tableRing keeps the most recent tables in a fixed ring: once full, a push
@@ -110,7 +169,7 @@ func (e *evidence) bufferedTable(rng *rand.Rand) (chord.RoutingTable, bool) {
 // receipt here and convict this node.
 func (e *evidence) addReceipt(r Receipt) {
 	if _, held := e.receipts.get(r.QID); !held && e.n.dir.VerifyReceipt(r) {
-		e.receipts.put(r.QID, r)
+		e.receipts.add(r.QID, r.Issuer, r.Sig)
 	}
 }
 
@@ -141,7 +200,7 @@ func (e *evidence) answer(m ProofReq) ProofResp {
 		resp.Proofs = append(resp.Proofs, e.proofQueue.at(i))
 	}
 	if m.QID != 0 {
-		if r, ok := e.receipts.get(m.QID); ok {
+		if r, ok := e.receipts.receipt(m.QID); ok {
 			resp.Receipts = append(resp.Receipts, r)
 		}
 		sts, _ := e.statements.get(m.QID)

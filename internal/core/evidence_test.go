@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/octopus-dht/octopus/internal/chord"
 	"github.com/octopus-dht/octopus/internal/transport"
@@ -102,6 +105,74 @@ func TestTableRing(t *testing.T) {
 					t.Fatalf("keep %d, push %d: at(%d) = table %d, want %d", keep, i, j, got, ref[j].Timestamp)
 				}
 			}
+		}
+	}
+}
+
+// TestHeldReceiptsRoundTripAndStaySmall adds 100 000 signed receipts through
+// addReceipt, forces the rebuild that rewrites the signature arena, and
+// requires each receipt back byte for byte. A held receipt must cost at most
+// 120 B of live heap — its map slot, queue slot and signature — where a held
+// wire Receipt and its separately allocated signature cost ≈166 B. Signatures
+// of other schemes' lengths must round-trip through the arena too.
+func TestHeldReceiptsRoundTripAndStaySmall(t *testing.T) {
+	const n, perReceipt = 100_000, 120
+	if size := unsafe.Sizeof(heldReceipt{}); size != 16 {
+		t.Fatalf("a held receipt is %d B, want 16", size)
+	}
+	nw := buildTestNet(t, 5, 8, nil)
+	holder := nw.Node(0)
+	sent := make([]Receipt, n)
+	for i := range sent {
+		sent[i] = signedReceipt(nw.Node(transport.Addr(1+i%7)), uint64(i+1)<<16)
+	}
+	var evicted atomic.Uint64
+	now := func() time.Duration { return 0 }
+	e := &evidence{n: holder,
+		receipts:   newReceiptTable(newQidTable(now, time.Minute, &evicted, func(r heldReceipt) transport.Addr { return r.addr })),
+		statements: holder.evidence.statements,
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, r := range sent {
+		e.addReceipt(r)
+	}
+	e.receipts.retired = 1 << 30 // as if that many puts had retired: the next access rebuilds
+	e.receipts.retire()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("%d held receipts take %d B of live heap each", n, per)
+	if per > perReceipt {
+		t.Errorf("a held receipt takes %d B of live heap, want at most %d", per, perReceipt)
+	}
+
+	for i, r := range sent {
+		if got, ok := e.receipts.receipt(r.QID); !ok || !reflect.DeepEqual(got, r) {
+			t.Fatalf("receipt %d: held %+v, %v; want %+v", i, got, ok, r)
+		}
+	}
+	for _, r := range sent[:3] {
+		if got := e.answer(ProofReq{QID: r.QID}).Receipts; len(got) != 1 || !reflect.DeepEqual(got[0], r) {
+			t.Errorf("answer for qid %d gave receipts %+v, want %+v", r.QID, got, r)
+		}
+	}
+
+	issuer := nw.Node(1).Self()
+	for _, size := range []int{1, 64, 72, 127, 128, 300} {
+		sig := make([]byte, size)
+		for i := range sig {
+			sig[i] = byte(size + i)
+		}
+		qid := uint64(1<<40 + size)
+		e.receipts.add(qid, issuer, sig)
+		e.receipts.retired = 1 << 30
+		want := Receipt{QID: qid, Issuer: issuer, Sig: sig}
+		if got, ok := e.receipts.receipt(qid); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("a %d-byte signature came back as %+v, %v", size, got, ok)
 		}
 	}
 }

@@ -89,18 +89,25 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 	// CA's delayed investigation.
 	routeTTL := 4 * cfg.QueryTimeout
 	evidenceTTL := cfg.Chord.RPCTimeout + 20*cfg.QueryTimeout
+	// Each table evicts fairly among the peers whose messages created its
+	// entries: the previous hop, the receipt's signed issuer, the witness,
+	// and for tombstones the node itself.
 	evicted := &n.stats.RelayStateEvictions
-	n.relay = &relay{n: n, routes: newQidTable[backRoute](n.tr.Now, routeTTL, evicted)}
+	n.relay = &relay{n: n, routes: newQidTable(n.tr.Now, routeTTL, evicted,
+		func(r backRoute) transport.Addr { return r.prev })}
 	n.evidence = &evidence{
 		n:          n,
 		fingerProv: make(map[id.ID]chord.RoutingTable),
-		receipts:   newQidTable[Receipt](n.tr.Now, evidenceTTL, evicted),
-		statements: newQidTable[[]WitnessResp](n.tr.Now, evidenceTTL, evicted),
+		receipts: newReceiptTable(newQidTable(n.tr.Now, evidenceTTL, evicted,
+			func(r heldReceipt) transport.Addr { return r.addr })),
+		statements: newQidTable(n.tr.Now, evidenceTTL, evicted,
+			func(sts []WitnessResp) transport.Addr { return sts[0].Witness.Addr }),
 	}
 	n.paths = &paths{
-		n:        n,
-		pending:  make(map[uint64]*pendingQuery),
-		timedOut: newQidTable[bool](n.tr.Now, routeTTL, evicted),
+		n:       n,
+		pending: make(map[uint64]*pendingQuery),
+		timedOut: newQidTable(n.tr.Now, routeTTL, evicted,
+			func(bool) transport.Addr { return n.Chord.Self.Addr }),
 	}
 	n.lcache = newLookupCache(cfg.LookupCacheSize, cfg.LookupCacheTTL, n.tr.Now)
 	cn.Cfg.DisableFingerUpdates = true

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/octopus-dht/octopus/internal/transport"
 )
 
 // len reports how many qids the table holds.
@@ -14,8 +17,11 @@ func (t *qidTable[V]) len() int {
 	return len(t.live)
 }
 
-// TestQidTable drives one table (ttl 10 s, at most 3 puts) through scripted
-// steps on a hand-turned clock.
+// byFirstByte is the sender of a scripted value: "a1" and "a2" are a's.
+func byFirstByte(v string) transport.Addr { return transport.Addr(v[0]) }
+
+// TestQidTable drives one table (ttl 10 s, at most 3 puts unless a case says
+// otherwise) through scripted steps on a hand-turned clock.
 func TestQidTable(t *testing.T) {
 	const s = time.Second
 	type step struct {
@@ -29,64 +35,80 @@ func TestQidTable(t *testing.T) {
 		name    string
 		steps   []step
 		evicted uint64
+		max     int // 0: 3
 	}{
 		{"puts retire in put order", []step{
 			{0, "put", 1, "a", 0}, {2 * s, "put", 2, "b", 0}, {4 * s, "put", 3, "c", 0},
 			{9 * s, "len", 0, "", 3},
 			{10 * s, "len", 0, "", 2}, {10 * s, "get", 1, "", 0}, {10 * s, "get", 2, "b", 0},
 			{12 * s, "len", 0, "", 1}, {14 * s, "len", 0, "", 0},
-		}, 0},
+		}, 0, 0},
 		{"get and take miss once the deadline has passed", []step{
 			{0, "put", 1, "a", 0}, {0, "put", 2, "b", 0},
 			{10*s - 1, "get", 1, "a", 0},
 			{10 * s, "get", 1, "", 0}, {10 * s, "take", 2, "", 0},
-		}, 0},
+		}, 0, 0},
 		{"take removes, and only once", []step{
 			{0, "put", 1, "a", 0}, {s, "take", 1, "a", 0}, {s, "take", 1, "", 0}, {s, "len", 0, "", 0},
-		}, 0},
+		}, 0, 0},
 		{"set replaces the value but does not extend its life", []step{
 			{0, "put", 1, "a", 0}, {9 * s, "set", 1, "b", 1}, {9 * s, "get", 1, "b", 0},
 			{10 * s, "get", 1, "", 0}, {10 * s, "set", 1, "c", 0}, {10 * s, "len", 0, "", 0},
-		}, 0},
+		}, 0, 0},
 		{"set of an absent qid stores nothing", []step{
 			{0, "set", 7, "x", 0}, {0, "len", 0, "", 0},
-		}, 0},
+		}, 0, 0},
 		{"take of a re-put qid returns the later value", []step{
 			{0, "put", 1, "a", 0}, {s, "take", 1, "a", 0}, {2 * s, "put", 1, "b", 0},
 			{3 * s, "take", 1, "b", 0}, {3 * s, "get", 1, "", 0},
-		}, 0},
+		}, 0, 0},
 		// Kept on purpose, not a bug to fix here: a retired put deletes
 		// whatever its qid holds at that moment, exactly as the per-put
 		// delete-timers this table replaced did, and qids ARE re-put while
 		// live (a witness re-sending a RelayForward after a lost receipt).
 		// The seeded chaos digest replays through it; a deadline per entry
-		// moves that digest. Recorded in ROADMAP item 5's re-pin batch.
+		// moves that digest. ROADMAP items 23 and 2 own that change.
 		{"QUIRK: an earlier put's deadline retires a later put of the same qid", []step{
 			{0, "put", 1, "a", 0}, {5 * s, "put", 1, "b", 0},
 			{10*s - 1, "get", 1, "b", 0},
 			{10 * s, "get", 1, "", 0}, // b was due at 15 s
 			{11 * s, "put", 1, "c", 0},
 			{15 * s, "get", 1, "", 0}, // and b's own deadline now retires c
-		}, 0},
-		{"a full table retires its oldest put first", []step{
-			{0, "put", 1, "a", 0}, {s, "put", 2, "b", 0}, {2 * s, "put", 3, "c", 0},
-			{3 * s, "put", 4, "d", 0},
-			{3 * s, "get", 1, "", 0}, {3 * s, "get", 2, "b", 0}, {3 * s, "len", 0, "", 3},
-			{4 * s, "put", 5, "e", 0}, {4 * s, "get", 2, "", 0}, {4 * s, "len", 0, "", 3},
-		}, 2},
-		{"taken entries still count against the bound until their time is up", []step{
+		}, 0, 0},
+		{"a full table of one sender retires its oldest put first", []step{
+			{0, "put", 1, "a1", 0}, {s, "put", 2, "a2", 0}, {2 * s, "put", 3, "a3", 0},
+			{3 * s, "put", 4, "a4", 0},
+			{3 * s, "get", 1, "", 0}, {3 * s, "get", 2, "a2", 0}, {3 * s, "len", 0, "", 3},
+			{4 * s, "put", 5, "a5", 0}, {4 * s, "get", 2, "", 0}, {4 * s, "len", 0, "", 3},
+		}, 2, 0},
+		{"taken entries count against the bound until the table is full, then go first", []step{
 			{0, "put", 1, "a", 0}, {0, "put", 2, "b", 0}, {0, "put", 3, "c", 0},
 			{s, "take", 1, "a", 0}, {s, "take", 2, "b", 0},
-			{2 * s, "put", 4, "d", 0}, {2 * s, "len", 0, "", 2},
+			{2 * s, "put", 4, "d", 0}, {2 * s, "len", 0, "", 2}, {2 * s, "get", 3, "c", 0},
 			{10 * s, "len", 0, "", 1}, {10 * s, "put", 5, "e", 0},
-		}, 1},
+		}, 2, 0},
+		{"a full table cuts the sender holding the most, not the oldest put", []step{
+			{0, "put", 1, "a1", 0}, {s, "put", 2, "b1", 0}, {s, "put", 3, "b2", 0}, {s, "put", 4, "b3", 0},
+			{2 * s, "put", 5, "c1", 0}, // a holds 1 of 4, under its share of 2; b holds 3
+			{2 * s, "get", 1, "a1", 0}, {2 * s, "get", 2, "", 0}, {2 * s, "get", 3, "b2", 0},
+			{3 * s, "put", 6, "b4", 0}, // three senders: only b, at 2, holds its share of 4/3
+			{3 * s, "get", 1, "a1", 0}, {3 * s, "get", 3, "", 0}, {3 * s, "get", 5, "c1", 0},
+			{3 * s, "len", 0, "", 4},
+		}, 2, 4},
+		{"a re-put counts for whoever the qid now holds", []step{
+			{0, "put", 1, "a1", 0}, {0, "put", 2, "a2", 0}, {s, "put", 3, "b1", 0},
+			{s, "put", 3, "b2", 0}, {s, "put", 3, "b3", 0}, // b: one entry, three puts
+			{2 * s, "put", 4, "a3", 0},
+			{2 * s, "get", 1, "a1", 0}, {2 * s, "get", 2, "a2", 0}, {2 * s, "get", 3, "", 0},
+			{2 * s, "len", 0, "", 3},
+		}, 3, 5},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var now time.Duration
 			var evicted atomic.Uint64
-			tab := newQidTable[string](func() time.Duration { return now }, 10*s, &evicted)
-			tab.max = 3
+			tab := newQidTable(func() time.Duration { return now }, 10*s, &evicted, byFirstByte)
+			tab.max = cmp.Or(c.max, 3)
 			for i, st := range c.steps {
 				now = st.at
 				switch st.op {
@@ -118,44 +140,105 @@ func TestQidTable(t *testing.T) {
 }
 
 // refQidTable is the plain model a qidTable must agree with: a queue of puts
-// that only ever grows at the back, a head that walks it, and a map that is
-// never rebuilt.
+// that only ever grows at the back, a head that walks it, puts evicted in
+// place, and a map that is never rebuilt. Its values are ints, each sender's
+// the value mod refSenders.
 type refQidTable struct {
 	ttl     time.Duration
 	max     int
 	live    map[uint64]int
-	puts    []qidPut
+	puts    []refPut
 	head    int
+	queued  int // puts from head on, less the evicted ones
 	evicted uint64
+	cut     uint64 // evictions that took a live entry
 }
 
+type refPut struct {
+	qidPut
+	gone bool // evicted from the middle of the queue
+}
+
+const refSenders = 4
+
+func refSender(v int) transport.Addr { return transport.Addr(v % refSenders) }
+
 func (r *refQidTable) retire(now time.Duration) {
-	for r.head < len(r.puts) && r.puts[r.head].due <= now {
-		delete(r.live, r.puts[r.head].qid)
+	for r.head < len(r.puts) && (r.puts[r.head].gone || r.puts[r.head].due <= now) {
+		if !r.puts[r.head].gone {
+			delete(r.live, r.puts[r.head].qid)
+			r.queued--
+		}
 		r.head++
+	}
+}
+
+// evict is the fair-share rule spelled out: count each queued put for the
+// sender of what its qid holds; walk the level down from max until cutting
+// every sender to it leaves keep, max less an eighth, puts that hold
+// something; then retire nobody's puts, and each sender's oldest puts above
+// the level.
+func (r *refQidTable) evict() {
+	keep := r.max - max(r.max/8, 1)
+	count, nobodys := map[transport.Addr]int{}, 0
+	for _, p := range r.puts[r.head:] {
+		if v, ok := r.live[p.qid]; ok && !p.gone {
+			count[refSender(v)]++
+		} else if !p.gone {
+			nobodys++
+		}
+	}
+	need, level := r.queued-nobodys-keep, r.max
+	for ; level > 0; level-- {
+		freed := 0
+		for _, n := range count {
+			freed += max(n-level, 0)
+		}
+		if freed >= need {
+			break
+		}
+	}
+	for i := r.head; i < len(r.puts); i++ {
+		p := &r.puts[i]
+		if p.gone {
+			continue
+		}
+		if v, ok := r.live[p.qid]; ok {
+			s := refSender(v)
+			if count[s] <= level {
+				continue
+			}
+			count[s]--
+			delete(r.live, p.qid)
+			r.cut++
+		}
+		p.gone = true
+		r.queued--
+		r.evicted++
 	}
 }
 
 func (r *refQidTable) put(now time.Duration, qid uint64, v int) {
 	r.retire(now)
-	if len(r.puts)-r.head >= r.max {
-		delete(r.live, r.puts[r.head].qid)
-		r.head++
-		r.evicted++
+	if r.queued >= r.max {
+		r.evict()
 	}
 	r.live[qid] = v
-	r.puts = append(r.puts, qidPut{qid: qid, due: now + r.ttl})
+	r.puts = append(r.puts, refPut{qidPut: qidPut{qid: qid, due: now + r.ttl}})
+	r.queued++
 }
 
 // TestQidTableMatchesReference replays a seeded sequence of puts, gets, takes,
 // sets and lens, in bursts and with clock jumps, against a table and the plain
-// model above. Every result and the eviction count must agree, and the bound
-// is small enough that the table both evicts and rebuilds along the way.
+// model above. In alternate stretches half the values are one sender's, or
+// the senders share evenly. Every result and the
+// eviction count must agree, and the bound is small enough that the table
+// evicts, cuts live entries and rebuilds along the way.
 func TestQidTableMatchesReference(t *testing.T) {
 	const ttl, bound = time.Second, 24
 	var now time.Duration
 	var evicted atomic.Uint64
-	tab := newQidTable[int](func() time.Duration { return now }, ttl, &evicted)
+	tab := newQidTable(func() time.Duration { return now }, ttl, &evicted, refSender)
 	tab.max = bound
 	ref := &refQidTable{ttl: ttl, max: bound, live: map[uint64]int{}}
 	rng := rand.New(rand.NewSource(1))
@@ -168,12 +251,17 @@ func TestQidTableMatchesReference(t *testing.T) {
 			now += time.Duration(rng.Int63n(int64(ttl / 20)))
 		} // else a burst: no time passes
 		qid := uint64(rng.Intn(64))
+		sender := rng.Intn(refSenders)
+		if i/10_000%2 == 0 {
+			sender = max(rng.Intn(2*refSenders)-refSenders, 0) // sender 0 for half
+		}
+		v := i*refSenders + sender
 		retired := tab.retired
 		ref.retire(now)
 		switch op := rng.Intn(5); op {
 		case 0:
-			tab.put(qid, i)
-			ref.put(now, qid, i)
+			tab.put(qid, v)
+			ref.put(now, qid, v)
 		case 1, 2:
 			want, wantOK := ref.live[qid]
 			name, get := "get", tab.get
@@ -187,9 +275,9 @@ func TestQidTableMatchesReference(t *testing.T) {
 		case 3:
 			_, want := ref.live[qid]
 			if want {
-				ref.live[qid] = i
+				ref.live[qid] = v
 			}
-			if got := tab.set(qid, i); got != want {
+			if got := tab.set(qid, v); got != want {
 				t.Fatalf("op %d at %v: set(%d) = %v, want %v", i, now, qid, got, want)
 			}
 		case 4:
@@ -201,11 +289,74 @@ func TestQidTableMatchesReference(t *testing.T) {
 			rebuilds++
 		}
 	}
-	if got := evicted.Load(); got != ref.evicted || got == 0 {
-		t.Errorf("evictions = %d, the model's %d; want equal and nonzero", got, ref.evicted)
+	if got := evicted.Load(); got != ref.evicted || ref.cut == 0 {
+		t.Errorf("evictions = %d, the model's %d (%d of live entries); want equal, and some live", got, ref.evicted, ref.cut)
 	}
 	if rebuilds == 0 {
 		t.Error("the table never rebuilt: the sequence does not exercise it")
+	}
+}
+
+// TestQidTableFairShare is the fairness property: a sender whose live count
+// stays under its share — the seven eighths of max an eviction keeps, ÷
+// (senders holding entries) — never loses an entry to eviction, however many
+// others flood and however: with fresh qids, with re-puts of their own qids,
+// or with takes that leave puts holding nothing behind. Two honest senders
+// each keep as many entries of a 64-entry table as stay under their share;
+// the colluders send the other messages in turn, so each of them holds
+// about its share too.
+func TestQidTableFairShare(t *testing.T) {
+	const ttl, bound = time.Second, 64
+	honest := []transport.Addr{100, 101}
+	for _, colluders := range []int{1, 2, 6, 30} {
+		perHonest := (bound - bound/8 - 1) / (colluders + len(honest)) // the most under its share
+		var now time.Duration
+		var evicted atomic.Uint64
+		tab := newQidTable(func() time.Duration { return now }, ttl, &evicted, func(r backRoute) transport.Addr { return r.prev })
+		tab.max = bound
+		held := map[uint64]backRoute{} // the honest senders' entries, with delay as their due
+		rng := rand.New(rand.NewSource(int64(colluders)))
+		for i := range 50_000 {
+			if rng.Intn(5) == 0 {
+				now += time.Duration(rng.Int63n(int64(ttl / 10)))
+			}
+			counts, oldest := map[transport.Addr]int{}, map[transport.Addr]uint64{}
+			for q, r := range held {
+				if r.delay <= now {
+					delete(held, q)
+				} else if counts[r.prev]++; oldest[r.prev] == 0 || q < oldest[r.prev] {
+					oldest[r.prev] = q
+				}
+			}
+			fresh := uint64(i + 1)
+			switch h := honest[rng.Intn(len(honest))]; {
+			case rng.Intn(3) == 0 && counts[h] < perHonest:
+				tab.put(fresh, backRoute{prev: h})
+				held[fresh] = backRoute{prev: h, delay: now + ttl}
+			case rng.Intn(20) == 0 && counts[h] > 0: // an honest reply consumes a route
+				tab.take(oldest[h])
+				delete(held, oldest[h])
+			default:
+				c := transport.Addr(i % colluders)
+				own := uint64(1<<40 + int(c)<<8 + rng.Intn(4))
+				switch op := rng.Intn(8); {
+				case op < 5:
+					tab.put(fresh, backRoute{prev: c})
+				case op < 7: // a re-put of one of its own few qids
+					tab.put(own, backRoute{prev: c})
+				default:
+					tab.take(own)
+				}
+			}
+			for q, r := range held {
+				if got, ok := tab.get(q); !ok || got.prev != r.prev {
+					t.Fatalf("%d colluders, op %d at %v: honest %d lost qid %d while holding %d of %d", colluders, i, now, r.prev, q, counts[r.prev], bound)
+				}
+			}
+		}
+		if evicted.Load() == 0 {
+			t.Fatalf("%d colluders: the table never evicted, so the flood does not exercise it", colluders)
+		}
 	}
 }
 
@@ -221,7 +372,7 @@ func TestQidTableGivesBackRoom(t *testing.T) {
 	retained := func(from uint64) int64 {
 		now := time.Duration(0)
 		var evicted atomic.Uint64
-		tab := newQidTable[backRoute](func() time.Duration { return now }, ttl, &evicted)
+		tab := newQidTable(func() time.Duration { return now }, ttl, &evicted, func(r backRoute) transport.Addr { return r.prev })
 		for q := from; q < n; q++ {
 			if q == n-kept {
 				now = at

@@ -277,7 +277,7 @@ func (n *Node) updateFingerSlot(slot int) {
 // signedTable vets the outcome (resp, err) of a GetTableReq: the query must
 // have succeeded and the table's signature must verify. It does not tie the
 // table to whoever was asked: walk phase 1, alone among the signed-table
-// fetches, never has (ROADMAP item 5 records it) and calls this directly;
+// fetches, never has (ROADMAP item 3 records it) and calls this directly;
 // everything else goes through signedTableOf.
 func (n *Node) signedTable(resp transport.Message, err error) (chord.RoutingTable, error) {
 	r, ok := resp.(chord.GetTableResp)
