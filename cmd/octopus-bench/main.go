@@ -102,27 +102,15 @@ func run(w io.Writer, args []string) error {
 	return fn(w, opt)
 }
 
-func scaled(base int, scale float64, floor int) int {
-	v := int(float64(base) * scale)
-	if v < floor {
-		return floor
-	}
-	return v
-}
-
-func scaledDur(base time.Duration, scale float64, floor time.Duration) time.Duration {
-	v := time.Duration(float64(base) * scale)
-	if v < floor {
-		return floor
-	}
-	return v
+func scaled[T int | time.Duration](base T, scale float64, floor T) T {
+	return max(T(float64(base)*scale), floor)
 }
 
 // securityConfig assembles a scaled §5 configuration.
 func securityConfig(opt options) experiments.SecurityConfig {
 	cfg := experiments.DefaultSecurityConfig()
 	cfg.N = scaled(1000, opt.scale, 200)
-	cfg.Duration = scaledDur(1000*time.Second, 1, 1000*time.Second)
+	cfg.Duration = scaled(1000*time.Second, 1, 1000*time.Second)
 	cfg.SampleEvery = 50 * time.Second
 	cfg.Seed = opt.seed
 	return cfg
@@ -179,12 +167,13 @@ func table3(w io.Writer, opt options) error {
 	return nil
 }
 
-// securitySeries runs one attack and prints its malicious-fraction decay.
-func securitySeries(w io.Writer, opt options, title string, strategy func(rate float64) adversary.Strategy) error {
+// securitySeries runs one attack and prints its malicious-fraction decay;
+// attack sets up the run at each attack rate.
+func securitySeries(w io.Writer, opt options, title string, attack func(cfg *experiments.SecurityConfig, rate float64)) error {
 	fmt.Fprintln(w, title)
 	for _, rate := range []float64{1.0, 0.5} {
 		cfg := securityConfig(opt)
-		cfg.Strategy = strategy(rate)
+		attack(&cfg, rate)
 		res := experiments.RunSecurity(cfg)
 		fmt.Fprintf(w, "-- attack rate = %.0f%% --\n", rate*100)
 		fmt.Fprint(w, res.MaliciousSeries().Format("fraction of malicious nodes"))
@@ -195,8 +184,8 @@ func securitySeries(w io.Writer, opt options, title string, strategy func(rate f
 
 func fig3a(w io.Writer, opt options) error {
 	return securitySeries(w, opt, "== Fig 3(a): malicious nodes remaining under lookup bias attack ==",
-		func(rate float64) adversary.Strategy {
-			return adversary.Strategy{AttackRate: rate, BiasLookups: true}
+		func(cfg *experiments.SecurityConfig, rate float64) {
+			cfg.Strategy = adversary.Strategy{AttackRate: rate, BiasLookups: true}
 		})
 }
 
@@ -216,15 +205,15 @@ func fig3b(w io.Writer, opt options) error {
 
 func fig3c(w io.Writer, opt options) error {
 	return securitySeries(w, opt, "== Fig 3(c): malicious nodes remaining under fingertable manipulation ==",
-		func(rate float64) adversary.Strategy {
-			return adversary.Strategy{AttackRate: rate, ManipulateFingers: true, ConsistentPredRate: 0.5}
+		func(cfg *experiments.SecurityConfig, rate float64) {
+			cfg.Strategy = adversary.Strategy{AttackRate: rate, ManipulateFingers: true, ConsistentPredRate: 0.5}
 		})
 }
 
 func fig4(w io.Writer, opt options) error {
 	return securitySeries(w, opt, "== Fig 4: malicious nodes remaining under fingertable pollution ==",
-		func(rate float64) adversary.Strategy {
-			return adversary.Strategy{
+		func(cfg *experiments.SecurityConfig, rate float64) {
+			cfg.Strategy = adversary.Strategy{
 				AttackRate: rate, BiasLookups: true,
 				ManipulateFingers: true, ConsistentPredRate: 0.5,
 			}
@@ -326,7 +315,7 @@ func load(w io.Writer, opt options) error {
 	if opt.nodes > 0 {
 		base.N = opt.nodes
 	}
-	base.Duration = scaledDur(base.Duration, opt.scale, 45*time.Second)
+	base.Duration = scaled(base.Duration, opt.scale, 45*time.Second)
 	base.Tier = opt.tier
 	base.Seed = opt.seed
 	if opt.metricsOut != "" {
@@ -394,7 +383,7 @@ func storage(w io.Writer, opt options) error {
 	if opt.nodes > 0 {
 		base.N = opt.nodes
 	}
-	base.Duration = scaledDur(base.Duration, opt.scale, 45*time.Second)
+	base.Duration = scaled(base.Duration, opt.scale, 45*time.Second)
 	base.Tier = opt.tier
 	base.Seed = opt.seed
 	rows := []struct {
@@ -434,7 +423,7 @@ func chaos(w io.Writer, opt options) error {
 	if opt.nodes > 0 {
 		cfg.N = opt.nodes
 	}
-	cfg.PostRecovery = scaledDur(cfg.PostRecovery, opt.scale, time.Minute)
+	cfg.PostRecovery = scaled(cfg.PostRecovery, opt.scale, time.Minute)
 	cfg.Tier = opt.tier
 	cfg.Seed = opt.seed
 	if opt.metricsOut != "" {
@@ -478,16 +467,10 @@ func chaos(w io.Writer, opt options) error {
 }
 
 func fig9(w io.Writer, opt options) error {
-	fmt.Fprintln(w, "== Fig 9: malicious nodes remaining under selective DoS ==")
-	for _, rate := range []float64{1.0, 0.5} {
-		cfg := securityConfig(opt)
-		cfg.Strategy = adversary.Strategy{AttackRate: rate, SelectiveDrop: true}
-		cfg.LookupEvery = time.Minute
-		cfg.DoSDefense = true
-		res := experiments.RunSecurity(cfg)
-		fmt.Fprintf(w, "-- attack rate = %.0f%% --\n", rate*100)
-		fmt.Fprint(w, res.MaliciousSeries().Format("fraction of malicious nodes"))
-	}
-	fmt.Fprintln(w)
-	return nil
+	return securitySeries(w, opt, "== Fig 9: malicious nodes remaining under selective DoS ==",
+		func(cfg *experiments.SecurityConfig, rate float64) {
+			cfg.Strategy = adversary.Strategy{AttackRate: rate, SelectiveDrop: true}
+			cfg.LookupEvery = time.Minute
+			cfg.DoSDefense = true
+		})
 }

@@ -76,10 +76,7 @@ type pathObservation struct {
 func SimulateTimingAttack(cfg TimingConfig) TimingResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	lat := king.New(cfg.Seed)
-	paths := int(float64(cfg.N) * cfg.ConcurrentRate)
-	if paths < 2 {
-		paths = 2
-	}
+	paths := max(int(float64(cfg.N)*cfg.ConcurrentRate), 2)
 
 	// One observation per concurrent path. Addresses are drawn uniformly
 	// from the population; only the latencies of the A→B and B→C→Di

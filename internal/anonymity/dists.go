@@ -28,11 +28,7 @@ type distXi struct {
 }
 
 func (x *distXi) at(d int) float64 {
-	b := logBin(d)
-	if b >= nBins {
-		b = nBins - 1
-	}
-	return x.density[b]
+	return x.density[min(logBin(d), nBins-1)]
 }
 
 // distGamma is γ(i, z): where the target sits inside a TRUE estimation
@@ -48,11 +44,7 @@ type distGamma struct {
 
 // rangeEntropy returns H(T | T ∈ range of size z) under γ.
 func (g *distGamma) rangeEntropy(z int) float64 {
-	b := logBin(z)
-	if b >= nBins {
-		b = nBins - 1
-	}
-	return g.entropyCache[b]
+	return g.entropyCache[min(logBin(z), nBins-1)]
 }
 
 // distChi is χ(x, y): the joint probability that a TRUE linkable set has x
@@ -122,11 +114,7 @@ func preSim(ring *Ring, rng *rand.Rand, runs int, linkProb func() []bool, queryC
 				minD = d
 			}
 		}
-		b := logBin(minD)
-		if b >= nBins {
-			b = nBins - 1
-		}
-		xiCounts[b]++
+		xiCounts[min(logBin(minD), nBins-1)]++
 		// χ: subset shape of the true linkable set.
 		chi.p[[2]int{len(linked), logBin(ring.LargestHop(linked))}]++
 		// γ: the target's position inside the true estimation range
@@ -134,14 +122,8 @@ func preSim(ring *Ring, rng *rand.Rand, runs int, linkProb func() []bool, queryC
 		lo, size := ring.EstimateRange(linked)
 		loc := ring.Dist(lo, owner)
 		if loc >= 0 && loc <= size {
-			zb := logBin(size)
-			if zb >= nBins {
-				zb = nBins - 1
-			}
-			dec := loc * 10 / (size + 1)
-			if dec > 9 {
-				dec = 9
-			}
+			zb := min(logBin(size), nBins-1)
+			dec := min(loc*10/(size+1), 9)
 			gammaCounts[zb][dec]++
 		}
 	}

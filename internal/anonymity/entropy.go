@@ -242,14 +242,7 @@ func binomial(rng *rand.Rand, n int, p float64) int {
 	}
 	mean := float64(n) * p
 	sd := math.Sqrt(mean * (1 - p))
-	k := int(mean + sd*rng.NormFloat64() + 0.5)
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
+	return min(max(int(mean+sd*rng.NormFloat64()+0.5), 0), n)
 }
 
 // Analyze computes both entropies.
@@ -272,10 +265,7 @@ func (a *Analyzer) HInitiator() float64 {
 	cfg := a.cfg
 	rng := a.rng
 	idealHon := math.Log2(float64(cfg.N) * (1 - cfg.F))
-	concurrent := int(cfg.Alpha * float64(cfg.N))
-	if concurrent < 1 {
-		concurrent = 1
-	}
+	concurrent := max(int(cfg.Alpha*float64(cfg.N)), 1)
 
 	var sum float64
 	for t := 0; t < cfg.Trials; t++ {
@@ -331,11 +321,7 @@ func (a *Analyzer) HInitiator() float64 {
 				sum += 0
 			case firstMal > 0:
 				cone := float64(a.ring.Dist(path[firstMal-1], target))
-				h := math.Log2(math.Max(2, cone))
-				if h > idealHon {
-					h = idealHon
-				}
-				sum += h
+				sum += min(math.Log2(math.Max(2, cone)), idealHon)
 			default:
 				sum += idealHon
 			}

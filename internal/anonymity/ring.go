@@ -205,9 +205,7 @@ func (r *Ring) EstimateRange(queried []int) (lo, size int) {
 			}
 			if capNode >= 0 {
 				capPos := (capNode - 1 + r.n) % r.n
-				if d := r.Dist(last, capPos); d < bound {
-					bound = d
-				}
+				bound = min(bound, r.Dist(last, capPos))
 			}
 			if next == cur {
 				break
@@ -215,10 +213,7 @@ func (r *Ring) EstimateRange(queried []int) (lo, size int) {
 			cur = next
 		}
 	}
-	if bound <= 0 {
-		bound = 1
-	}
-	return lo, bound
+	return lo, max(bound, 1)
 }
 
 // SubsetConsistent implements the dummy-filtering test (Appendix III): a

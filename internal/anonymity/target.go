@@ -23,10 +23,7 @@ func (a *Analyzer) HTarget() float64 {
 	cfg := a.cfg
 	rng := a.rng
 	idealFull := math.Log2(float64(cfg.N))
-	concurrent := int(cfg.Alpha * float64(cfg.N))
-	if concurrent < 1 {
-		concurrent = 1
-	}
+	concurrent := max(int(cfg.Alpha*float64(cfg.N)), 1)
 
 	// Pre-estimate the probability that a random concurrent lookup has at
 	// least one observed query linkable to a shared B relay (used by the
@@ -110,10 +107,7 @@ func (a *Analyzer) HTarget() float64 {
 				}
 				others := binomial(rng, concurrent-1, pBLink)
 				own := a.subsetEntropy(bObserved, idealFull)
-				h := math.Log2(float64(1+others)) + own
-				if h > idealFull {
-					h = idealFull
-				}
+				h := min(math.Log2(float64(1+others))+own, idealFull)
 				sum += cfg.F*math.Log2(math.Max(1, float64(binomial(rng, concurrent, cfg.F)))) +
 					(1-cfg.F)*h
 			default:
@@ -122,10 +116,7 @@ func (a *Analyzer) HTarget() float64 {
 				// every observed query of every concurrent lookup.
 				perLookup := a.expectedObservedPerLookup()
 				total := float64(len(anyObserved)) + float64(concurrent-1)*perLookup
-				h := math.Log2(math.Max(1, total)) + a.gamma.rangeEntropy(a.ring.N()-1)
-				if h > idealFull {
-					h = idealFull
-				}
+				h := min(math.Log2(math.Max(1, total))+a.gamma.rangeEntropy(a.ring.N()-1), idealFull)
 				sum += cfg.F*math.Log2(math.Max(1, float64(binomial(rng, concurrent, cfg.F)))) +
 					(1-cfg.F)*h
 			}
@@ -238,10 +229,7 @@ func (a *Analyzer) subsetEntropy(linked []obsQuery, ideal float64) float64 {
 			h += -p*math.Log2(p) + p*ranges[i]
 		}
 	}
-	if h > ideal {
-		h = ideal
-	}
-	return h
+	return min(h, ideal)
 }
 
 // estimatePBLink estimates the probability that a random lookup has at
@@ -290,11 +278,7 @@ func (a *Analyzer) nisanTarget(path []int, link queryLink, ideal float64) float6
 		return ideal
 	}
 	_, size := a.ring.EstimateRange(observed)
-	h := a.gamma.rangeEntropy(size)
-	if h > ideal {
-		h = ideal
-	}
-	return h
+	return min(a.gamma.rangeEntropy(size), ideal)
 }
 
 // torskTarget: a malicious buddy learns the key outright; otherwise the

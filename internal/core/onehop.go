@@ -227,10 +227,7 @@ func (t *oneHopTier) RelayCandidates() []chord.Peer {
 	if len(v) == 0 {
 		return nil
 	}
-	stride := (len(v) + oneHopRelayMax - 1) / oneHopRelayMax
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max((len(v)+oneHopRelayMax-1)/oneHopRelayMax, 1)
 	out := make([]chord.Peer, 0, oneHopRelayMax)
 	for i := 0; i < len(v); i += stride {
 		out = append(out, v[i])

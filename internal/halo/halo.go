@@ -139,10 +139,7 @@ func (c *Client) search(key id.ID, degree, redundancy int, stats *Stats, cb func
 	for i := 0; i < redundancy; i++ {
 		// The i-th knuckle lives just before key - 2^(top-i octave):
 		// its high finger points at (or immediately past) key's owner.
-		exp := id.Bits - 1 - i
-		if exp < 0 {
-			exp = 0
-		}
+		exp := max(id.Bits-1-i, 0)
 		knuckleKey := key.Sub(1 << uint(exp))
 		stats.Branches++
 		c.search(knuckleKey, degree-1, c.cfg.InnerKnuckles, stats, func(knuckle chord.Peer, err error) {

@@ -94,11 +94,7 @@ func (m *Model) Base(a, b simnet.Address) time.Duration {
 // JitterWindow returns the jitter window for a transmission with the given
 // base latency: min(10 ms, 10 % of the latency), per Acharya & Saltz.
 func JitterWindow(base time.Duration) time.Duration {
-	w := time.Duration(float64(base) * JitterFraction)
-	if w > MaxJitter {
-		w = MaxJitter
-	}
-	return w
+	return min(time.Duration(float64(base)*JitterFraction), MaxJitter)
 }
 
 // Sample returns the latency of a single transmission: the base latency plus

@@ -60,14 +60,7 @@ func (s *Sample) Percentile(p float64) float64 {
 		return 0
 	}
 	s.ensureSorted()
-	idx := int(math.Ceil(p/100*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return s.values[idx]
+	return s.values[min(max(int(math.Ceil(p/100*float64(n)))-1, 0), n-1)]
 }
 
 // Median returns the 50th percentile.

@@ -86,10 +86,7 @@ type Tracer struct {
 // NewTracer returns a tracer holding at most capacity spans (older spans
 // are overwritten and counted as dropped).
 func NewTracer(capacity int, mode RedactionMode) *Tracer {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Tracer{mode: mode, spans: make([]Span, 0, capacity)}
+	return &Tracer{mode: mode, spans: make([]Span, 0, max(capacity, 1))}
 }
 
 // Mode reports the tracer's redaction mode. Nil-safe: a nil tracer is

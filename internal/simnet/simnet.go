@@ -102,9 +102,7 @@ func (s *Simulator) After(delay time.Duration, fn func()) *Timer {
 
 // schedule queues ev on t, which must not be queued already.
 func (s *Simulator) schedule(t *Timer, delay time.Duration, ev event) {
-	if delay < 0 {
-		delay = 0
-	}
+	delay = max(delay, 0)
 	t.sim, t.ev = s, ev
 	s.events = append(s.events, slot{at: s.now + delay, seq: s.seq, t: t})
 	s.seq++
@@ -231,9 +229,7 @@ func (s *Simulator) Run(until time.Duration) uint64 {
 	for len(s.events) > 0 && s.events[0].at <= until {
 		s.Step()
 	}
-	if s.now < until {
-		s.now = until
-	}
+	s.now = max(s.now, until)
 	return s.fired - start
 }
 

@@ -183,10 +183,7 @@ func (s *Storm) up() []Address {
 
 func (s *Storm) massKill(frac float64) {
 	up := s.up()
-	k := int(float64(len(up)) * frac)
-	if k > len(up) {
-		k = len(up)
-	}
+	k := min(int(float64(len(up))*frac), len(up))
 	// Victims are a seeded shuffle prefix: correlated (simultaneous), yet
 	// replayable.
 	perm := s.sim.Rand().Perm(len(up))

@@ -359,11 +359,7 @@ func (s *Store) sync() {
 	}
 	for _, p := range targets {
 		for at := 0; at < len(owned); at += chunkSize {
-			end := at + chunkSize
-			if end > len(owned) {
-				end = len(owned)
-			}
-			s.replicateTo(p, owned[at:end])
+			s.replicateTo(p, owned[at:min(at+chunkSize, len(owned))])
 		}
 	}
 }
@@ -432,11 +428,7 @@ func (s *Store) Handover(cb func(handed int, err error)) {
 	remaining := (len(all) + chunkSize - 1) / chunkSize
 	var firstErr error
 	for at := 0; at < len(all); at += chunkSize {
-		end := at + chunkSize
-		if end > len(all) {
-			end = len(all)
-		}
-		batch := all[at:end]
+		batch := all[at:min(at+chunkSize, len(all))]
 		s.stats.ReplicaBatches.Add(1)
 		s.tr.Call(s.n.Self().Addr, target.Addr, ReplicateReq{Entries: batch},
 			s.n.Config().Chord.RPCTimeout,
