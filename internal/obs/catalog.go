@@ -62,7 +62,7 @@ var (
 	PoolPairsDiscarded  = counter("octopus_pool_pairs_discarded_total", "Pooled pairs dropped by freshness/liveness vetting.")
 	RelayForwards       = counter("octopus_relay_forwards_total", "Anonymous queries this node forwarded as a relay.")
 	RelayReplies        = counter("octopus_relay_replies_total", "Anonymous replies this node carried back as a relay.")
-	RelayStateEvictions = counter("octopus_relay_state_evictions_total", "Per-query relay state (reverse routes, tombstones, receipts, witness statements) retired early because a table was full: is someone exhausting my relay state?")
+	RelayStateEvictions = counter("octopus_relay_state_evictions_total", "Per-query relay state (reverse routes, tombstones, receipts, witness statements) retired early because a table was full, an eighth of the table per eviction pass: is someone exhausting my relay state?")
 	WalksStarted        = counter("octopus_walks_started_total", "Random walks started (relay-pair discovery).")
 	WalksCompleted      = counter("octopus_walks_completed_total", "Random walks that produced a relay pair.")
 	WalksFailed         = counter("octopus_walks_failed_total", "Random walks that died en route.")
