@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	mrand "math/rand"
+	"slices"
 	"time"
 
 	"github.com/octopus-dht/octopus"
@@ -47,13 +48,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("relay selection: %w", err)
 		}
-		dup := false
-		for _, r := range relays {
-			if r == res.OwnerIndex {
-				dup = true
-			}
-		}
-		if !dup && res.OwnerIndex != 5 {
+		if !slices.Contains(relays, res.OwnerIndex) && res.OwnerIndex != 5 {
 			relays = append(relays, res.OwnerIndex)
 			fmt.Printf("  relay %d selected: node %3d (lookup sent %d real + %d dummy queries)\n",
 				len(relays), res.OwnerIndex, res.Queries, res.Dummies)

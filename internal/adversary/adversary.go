@@ -9,6 +9,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -107,13 +108,8 @@ func (a *Adversary) ReplaceAt(addr simnet.Address, node *core.Node) {
 		return
 	}
 	// Drop the dead colluder's peer record and add the replacement.
-	out := a.Colluders[:0]
-	for _, c := range a.Colluders {
-		if c.Addr != addr {
-			out = append(out, c)
-		}
-	}
-	a.Colluders = append(out, node.Self())
+	dead := func(c chord.Peer) bool { return c.Addr == addr }
+	a.Colluders = append(slices.DeleteFunc(a.Colluders, dead), node.Self())
 	sort.Slice(a.Colluders, func(i, j int) bool {
 		return a.Colluders[i].ID < a.Colluders[j].ID
 	})

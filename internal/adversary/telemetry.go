@@ -11,7 +11,8 @@
 package adversary
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"github.com/octopus-dht/octopus/internal/obs"
@@ -112,15 +113,8 @@ func AnalyzeTelemetry(spans []obs.Span) TelemetryReport {
 		}
 	}
 
-	sort.Slice(rep.Links, func(i, j int) bool {
-		a, b := rep.Links[i], rep.Links[j]
-		if a.Initiator != b.Initiator {
-			return a.Initiator < b.Initiator
-		}
-		if a.Target != b.Target {
-			return a.Target < b.Target
-		}
-		return a.Via < b.Via
+	slices.SortFunc(rep.Links, func(a, b TelemetryLink) int {
+		return cmp.Or(cmp.Compare(a.Initiator, b.Initiator), cmp.Compare(a.Target, b.Target), cmp.Compare(a.Via, b.Via))
 	})
 	return rep
 }

@@ -3,6 +3,7 @@ package anonymity
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Scheme selects which lookup protocol's observation model to analyze.
@@ -107,14 +108,7 @@ type queryLink struct {
 	iObserved bool
 }
 
-func (l queryLink) anyLinkable() bool {
-	for _, b := range l.linkable {
-		if b {
-			return true
-		}
-	}
-	return false
-}
+func (l queryLink) anyLinkable() bool { return slices.Contains(l.linkable, true) }
 
 // sampleQueryLinkability draws which of a lookup's q queries are observed
 // and linkable to the initiator under the scheme's observation process
@@ -284,13 +278,8 @@ func (a *Analyzer) HInitiator() float64 {
 		if cfg.Scheme == SchemeTorsk {
 			tObserved = tObserved || link.buddyMal
 		}
-		if cfg.Scheme == SchemeChord {
-			for _, o := range link.observed {
-				if o {
-					tObserved = true
-					break
-				}
-			}
+		if cfg.Scheme == SchemeChord && slices.Contains(link.observed, true) {
+			tObserved = true
 		}
 		if !tObserved {
 			sum += idealHon
@@ -309,13 +298,7 @@ func (a *Analyzer) HInitiator() float64 {
 			// paths route through the observed predecessor — a region
 			// comparable to that hop's distance from the target
 			// (distance roughly halves per hop).
-			firstMal := -1
-			for i := range link.observed {
-				if link.observed[i] {
-					firstMal = i
-					break
-				}
-			}
+			firstMal := slices.Index(link.observed, true)
 			switch {
 			case firstMal == 0:
 				sum += 0

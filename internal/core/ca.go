@@ -358,11 +358,9 @@ func (ca *CA) chainStep(m ReportMsg, cur chord.Peer, committed chord.RoutingTabl
 					!ca.verified(proof) {
 					continue
 				}
-				for idx, s := range proof.Successors {
-					if s.ID == m.Missing.ID && idx < retain {
-						done(cur, m.Kind) // dropped a retainable input
-						return
-					}
+				if i := slices.IndexFunc(proof.Successors, func(s chord.Peer) bool { return s.ID == m.Missing.ID }); i >= 0 && i < retain {
+					done(cur, m.Kind) // dropped a retainable input
+					return
 				}
 				if !haveProof || proof.Timestamp > newest.Timestamp {
 					newest, haveProof = proof, true

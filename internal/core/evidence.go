@@ -166,11 +166,14 @@ func (e *evidence) bufferedTable(rng *rand.Rand) (chord.RoutingTable, bool) {
 // addReceipt keeps a receipt whose signature verifies unless the query has
 // one: first valid wins. A forgery can then neither displace the real receipt
 // nor take its place beforehand — either way the CA would find no valid
-// receipt here and convict this node.
-func (e *evidence) addReceipt(r Receipt) {
-	if _, held := e.receipts.get(r.QID); !held && e.n.dir.VerifyReceipt(r) {
-		e.receipts.add(r.QID, r.Issuer, r.Sig)
+// receipt here and convict this node. It reports whether it stored r.
+func (e *evidence) addReceipt(r Receipt) bool {
+	_, held := e.receipts.get(r.QID)
+	if held || !e.n.dir.VerifyReceipt(r) {
+		return false
 	}
+	e.receipts.add(r.QID, r.Issuer, r.Sig)
+	return true
 }
 
 // hasReceipt reports whether the query's next hop acknowledged delivery.

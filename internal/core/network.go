@@ -94,7 +94,6 @@ func BuildNetworkLocal(tr transport.Transport, n int, cfg Config,
 		if node == nil {
 			continue
 		}
-		node := node
 		// Octopus timers start from inside the host's serialization
 		// context: the chord layer is live by now, so a plain
 		// StartProtocols call from the builder goroutine would race

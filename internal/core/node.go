@@ -91,10 +91,12 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 	evidenceTTL := cfg.Chord.RPCTimeout + 20*cfg.QueryTimeout
 	// Each table evicts fairly among the peers whose messages created its
 	// entries: the previous hop, the receipt's signed issuer, the witness,
-	// and for tombstones the node itself.
+	// and for tombstones the node itself. A receipt watch lives as long as
+	// its timer.
 	evicted := &n.stats.RelayStateEvictions
 	n.relay = &relay{n: n, routes: newQidTable(n.tr.Now, routeTTL, evicted,
-		func(r backRoute) transport.Addr { return r.prev })}
+		func(r backRoute) transport.Addr { return r.prev }),
+		watches: newQidTable(n.tr.Now, cfg.Chord.RPCTimeout, evicted, func(w watch) transport.Addr { return w.from })}
 	n.evidence = &evidence{
 		n:          n,
 		fingerProv: make(map[id.ID]chord.RoutingTable),
@@ -290,7 +292,9 @@ func (n *Node) handleExtra(from transport.Addr, req transport.Message) (transpor
 			n.relay.carry(m)
 		}
 	case Receipt:
-		n.evidence.addReceipt(m)
+		if n.evidence.addReceipt(m) {
+			n.relay.disarm(m.QID)
+		}
 	case ProofReq:
 		return n.evidence.answer(m), true
 	case WitnessReq:

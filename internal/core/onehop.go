@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -377,17 +378,13 @@ func (t *oneHopTier) handleEventNotify(m TierEventNotify) {
 // until the responder reports no more. From is the resume cursor (ID-order
 // exclusive start).
 func (t *oneHopTier) requestSync(from id.ID) {
-	var target chord.Peer
-	for _, s := range t.n.Chord.Successors() {
-		if s.Valid() && s.ID != t.n.Chord.Self.ID {
-			target = s
-			break
-		}
-	}
-	if !target.Valid() {
+	succs := t.n.Chord.Successors()
+	i := slices.IndexFunc(succs, func(s chord.Peer) bool { return s.Valid() && s.ID != t.n.Chord.Self.ID })
+	if i < 0 {
 		t.synced = true // nobody to ask: a singleton ring is its own table
 		return
 	}
+	target := succs[i]
 	req := TierSyncReq{From: from, Max: uint16(tierSyncPage)}
 	t.bytesSent.Add(uint64(req.Size()))
 	t.msgsSent.Add(1)

@@ -26,6 +26,16 @@ type backRoute struct {
 type relay struct {
 	n      *Node
 	routes *qidTable[backRoute] // per forwarded query, where its reply goes back to
+	// watches holds, per inward forward, its armed receipt watch until the
+	// receipt is stored or the watch fires.
+	watches *qidTable[watch]
+}
+
+// watch is an armed receipt watch and the previous hop whose forward armed
+// it.
+type watch struct {
+	timer transport.Timer
+	from  transport.Addr
 }
 
 // forward handles one RelayForward: issue a signed delivery receipt to the
@@ -57,7 +67,7 @@ func (r *relay) forward(from transport.Addr, m RelayForward) {
 		case m.Inner != nil && m.Next != transport.NoAddr:
 			r.recordHopSpan("relay.forward", m.QID, t0, from, m.Next)
 			n.tr.Send(self.Addr, m.Next, *m.Inner)
-			r.watchReceipt(m.QID, m.Next, m.Inner)
+			r.watchReceipt(m.QID, from, m.Next, m.Inner)
 		}
 	})
 }
@@ -128,20 +138,29 @@ func (r *relay) sign(msg *transport.Buf) []byte {
 	return nil
 }
 
-// watchReceipt arms the witness protocol: if no receipt for qid arrives
-// from the next hop within the RPC timeout, up to two witnesses retry the
-// delivery independently.
-func (r *relay) watchReceipt(qid uint64, next transport.Addr, payload *RelayForward) {
+// watchReceipt arms the witness protocol for a forward from prev: if no
+// receipt for qid arrives from the next hop within the RPC timeout, up to two
+// witnesses retry the delivery independently.
+func (r *relay) watchReceipt(qid uint64, prev, next transport.Addr, payload *RelayForward) {
 	n := r.n
-	n.tr.After(n.Chord.Self.Addr, n.cfg.Chord.RPCTimeout, func() {
+	r.watches.put(qid, watch{from: prev, timer: n.tr.After(n.Chord.Self.Addr, n.cfg.Chord.RPCTimeout, func() {
 		if n.evidence.hasReceipt(qid) {
-			return // delivered
+			return // delivered, though the watch was not disarmed
 		}
 		for _, w := range r.pickWitnesses(2, next) {
 			n.tr.Send(n.Chord.Self.Addr, w.Addr,
 				WitnessReq{QID: qid, Deliver: next, Payload: payload})
 		}
-	})
+	})})
+}
+
+// disarm ends qid's receipt watch; evidence has just stored its receipt.
+// Only a fresh store disarms: a forged or repeated receipt leaves the watch
+// to its fire-time check.
+func (r *relay) disarm(qid uint64) {
+	if w, ok := r.watches.take(qid); ok {
+		w.timer.Cancel()
+	}
 }
 
 // pickWitnesses draws up to k witnesses from the node's neighbor lists (the

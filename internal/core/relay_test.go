@@ -109,8 +109,8 @@ func TestGarbageWitnessRespNotStored(t *testing.T) {
 
 // perQueryEntries sums everything n holds for individual queries.
 func perQueryEntries(n *Node) int {
-	return n.relay.routes.len() + n.evidence.receipts.len() + n.evidence.statements.len() +
-		n.paths.timedOut.len() + len(n.paths.pending)
+	return n.relay.routes.len() + n.relay.watches.len() + n.evidence.receipts.len() +
+		n.evidence.statements.len() + n.paths.timedOut.len() + len(n.paths.pending)
 }
 
 // TestPerQueryStateDrains: whatever a node holds for a query — its own or a
@@ -155,8 +155,8 @@ func TestPerQueryStateDrains(t *testing.T) {
 	nw.Sim.Run(nw.Sim.Now() + time.Minute + retention)
 	for _, n := range nw.Nodes {
 		if got := perQueryEntries(n); got != 0 {
-			t.Errorf("node %d still holds %d per-query entries (routes %d, receipts %d, statements %d, tombstones %d, pending %d)",
-				n.Self().Addr, got, n.relay.routes.len(), n.evidence.receipts.len(),
+			t.Errorf("node %d still holds %d per-query entries (routes %d, watches %d, receipts %d, statements %d, tombstones %d, pending %d)",
+				n.Self().Addr, got, n.relay.routes.len(), n.relay.watches.len(), n.evidence.receipts.len(),
 				n.evidence.statements.len(), n.paths.timedOut.len(), len(n.paths.pending))
 		}
 	}
@@ -205,5 +205,81 @@ func TestPerQueryTablesBounded(t *testing.T) {
 	}
 	if got := victim.Stats().RelayStateEvictions.Load(); got < 3*3*bound {
 		t.Errorf("octopus_relay_state_evictions_total = %d, want at least %d", got, 3*3*bound)
+	}
+}
+
+// TestReceiptWatchEndsAtReceipt: a relay's receipt watch ends when the next
+// hop's receipt is stored, leaving no handle and no queued timeout behind; a
+// withheld receipt still recruits two witnesses at the RPC timeout; and a
+// receipt that evidence refuses — forged, or one more for a qid already held —
+// disarms nothing, so no peer can switch the witness protocol off.
+func TestReceiptWatchEndsAtReceipt(t *testing.T) {
+	nw := buildTestNet(t, 43, 12, nil)
+	nw.Sim.Run(5 * time.Second)
+	relay, next, dropper := nw.Node(2), nw.Node(3), nw.Node(4)
+	prev := nw.Node(1).Self().Addr
+	dropForwards(dropper)
+	witnessReqs := map[uint64]int{}
+	for _, n := range nw.Nodes {
+		deliver := n.Chord.Extra
+		n.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+			if w, ok := req.(WitnessReq); ok {
+				witnessReqs[w.QID]++
+			}
+			return deliver(from, req)
+		}
+	}
+	// queued runs f at the simulator's current instant and returns how many
+	// events it left queued.
+	queued := func(f func()) int {
+		before := nw.Sim.Pending()
+		f()
+		return nw.Sim.Pending() - before
+	}
+	forward := func(qid uint64, to *Node) int {
+		return queued(func() {
+			relay.relay.forward(prev, RelayForward{QID: qid, Next: to.Self().Addr, Inner: &RelayForward{QID: qid, Depth: 1}, Depth: 2})
+		})
+	}
+	receive := func(from *Node, r Receipt) int {
+		return queued(func() { relay.handleExtra(from.Self().Addr, r) })
+	}
+	armed := func(qid uint64) bool {
+		_, ok := relay.relay.watches.get(qid)
+		return ok
+	}
+	const delivered, withheld, forged, repeated = 0xFEED0001, 0xFEED0002, 0xFEED0003, 0xFEED0004
+
+	// The receipt to the previous hop, the inner layer, and the watch.
+	if got := forward(delivered, next); got != 3 {
+		t.Fatalf("a forward queued %d events, want 3", got)
+	}
+	if got := receive(next, signedReceipt(next, delivered)); got != -1 || armed(delivered) {
+		t.Errorf("the next hop's receipt changed the queue by %d events (armed after: %v), want its watch gone", got, armed(delivered))
+	}
+
+	forward(withheld, dropper)
+	forward(forged, dropper)
+	bad := Receipt{QID: forged, Issuer: dropper.Self(), Sig: []byte("not a signature")}
+	if got := receive(nw.Node(7), bad); got != 0 || !armed(forged) {
+		t.Errorf("a forged receipt changed the queue by %d events (armed after: %v), want the watch kept", got, armed(forged))
+	}
+
+	// A receipt already held for the qid (a colliding earlier forward's)
+	// refuses the next one; its watch stays, and its firing finds the receipt.
+	receive(next, signedReceipt(next, repeated))
+	forward(repeated, next)
+	if got := receive(next, signedReceipt(next, repeated)); got != 0 || !armed(repeated) {
+		t.Errorf("a repeated receipt changed the queue by %d events (armed after: %v), want the watch kept", got, armed(repeated))
+	}
+
+	nw.Sim.Run(nw.Sim.Now() + relay.cfg.Chord.RPCTimeout + time.Second)
+	for qid, want := range map[uint64]int{delivered: 0, withheld: 2, forged: 2, repeated: 0} {
+		if got := witnessReqs[qid]; got != want {
+			t.Errorf("qid %#x: %d WitnessReqs sent, want %d", qid, got, want)
+		}
+		if armed(qid) {
+			t.Errorf("qid %#x: a watch is still held after the RPC timeout", qid)
+		}
 	}
 }

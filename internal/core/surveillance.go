@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -19,20 +20,9 @@ import (
 // as manipulation — that tolerance is what keeps the false-positive rate at
 // zero under churn (Table 2).
 func OmittedFromSuccessors(t chord.RoutingTable, who chord.Peer) bool {
-	if who.ID == t.Owner.ID {
-		return false
-	}
-	for _, s := range t.Successors {
-		if s.ID == who.ID {
-			return false
-		}
-	}
-	for _, s := range t.Successors {
-		if id.StrictBetween(who.ID, t.Owner.ID, s.ID) {
-			return true
-		}
-	}
-	return false
+	listed := func(s chord.Peer) bool { return s.ID == who.ID }
+	farther := func(s chord.Peer) bool { return id.StrictBetween(who.ID, t.Owner.ID, s.ID) }
+	return who.ID != t.Owner.ID && !slices.ContainsFunc(t.Successors, listed) && slices.ContainsFunc(t.Successors, farther)
 }
 
 // neighborSurveillance is one round of secret neighbor surveillance (§4.3,

@@ -2,7 +2,8 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -108,7 +109,7 @@ type LogEntry struct {
 // fault layer is installed on demand by partition/burst events.
 func NewStorm(net *Network, population []Address) *Storm {
 	pop := append([]Address(nil), population...)
-	sort.Slice(pop, func(i, j int) bool { return pop[i] < pop[j] })
+	slices.Sort(pop)
 	return &Storm{
 		sim:        net.Sim(),
 		net:        net,
@@ -149,7 +150,6 @@ func (s *Storm) logf(format string, args ...any) {
 // their offsets.
 func (s *Storm) Run(script []StormEvent) {
 	for _, ev := range script {
-		ev := ev
 		s.sim.After(ev.At, func() { s.fire(ev) })
 	}
 }
@@ -200,14 +200,9 @@ func (s *Storm) massKill(frac float64) {
 
 func (s *Storm) flashRejoin(spread time.Duration) {
 	// Deterministic iteration order: the down set sorted by address.
-	down := make([]Address, 0, len(s.downSet))
-	for a := range s.downSet {
-		down = append(down, a)
-	}
-	sort.Slice(down, func(i, j int) bool { return down[i] < down[j] })
+	down := slices.Sorted(maps.Keys(s.downSet))
 	s.logf("flash-rejoin: %d nodes over %v", len(down), spread)
 	for _, addr := range down {
-		addr := addr
 		delete(s.downSet, addr)
 		var dt time.Duration
 		if spread > 0 {
@@ -229,8 +224,7 @@ func (s *Storm) rollingPartition(dur time.Duration, groups int) {
 	hold := dur / time.Duration(groups)
 	n := len(s.population)
 	s.logf("rolling-partition: %d windows of %v over %d slots (asymmetric)", groups, hold, n)
-	for g := 0; g < groups; g++ {
-		g := g
+	for g := range groups {
 		lo, hi := g*n/groups, (g+1)*n/groups
 		if lo >= hi {
 			continue // more windows than slots: nothing in this one

@@ -3,6 +3,7 @@ package store
 import (
 	"cmp"
 	"errors"
+	"maps"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -288,12 +289,7 @@ func (s *Store) upsert(key id.ID, value []byte, version uint64) (uint64, bool) {
 // is not deterministic, and every multi-entry sweep (sync, pull, handover)
 // must send in a seed-stable order for simulated runs to reproduce.
 func (s *Store) sortedKeys() []id.ID {
-	keys := make([]id.ID, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
+	return slices.Sorted(maps.Keys(s.data))
 }
 
 // replicaTargets returns the first StoreReplicas-1 distinct live-listed
@@ -553,13 +549,7 @@ func (s *Store) readCandidates(owner chord.Peer, res core.DirectLookupResult) []
 	out := []chord.Peer{owner}
 	seen := map[id.ID]bool{owner.ID: true}
 	addAfterOwner := func(ps []chord.Peer) {
-		at := -1
-		for i, p := range ps {
-			if p.ID == owner.ID {
-				at = i
-				break
-			}
-		}
+		at := slices.IndexFunc(ps, func(p chord.Peer) bool { return p.ID == owner.ID })
 		if at < 0 {
 			return
 		}

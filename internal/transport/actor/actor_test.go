@@ -1,6 +1,7 @@
 package actor_test
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"github.com/octopus-dht/octopus/internal/transport/actor"
 )
 
-// TestMailboxFIFOAcrossGrowth grows the ring while its head is mid-slice:
-// 20 posts, the loop parks on the 10th, 40 more arrive from another
-// goroutine, and all 60 must still run in posting order.
+// TestMailboxFIFOAcrossGrowth grows the mailbox while the loop runs a batch
+// taken from it: 20 posts, the loop parks on the 10th, 40 more arrive from
+// another goroutine, and all 60 must still run in posting order.
 func TestMailboxFIFOAcrossGrowth(t *testing.T) {
 	var wg sync.WaitGroup
 	h := actor.Start(&wg)
@@ -97,5 +98,60 @@ func TestNilHostTimersNeverFire(t *testing.T) {
 	h.Close()
 	if fired.Load() {
 		t.Error("a nil host ran fn")
+	}
+}
+
+// TestWaitingTimersCostNoGoroutine: a waiting After or Every is an entry in
+// its host's heap, so 64 hosts holding 8 Every and 10 000 After between them
+// run one goroutine each and nothing more.
+func TestWaitingTimersCostNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	hosts := make([]*actor.Host, 64)
+	for i := range hosts {
+		hosts[i] = actor.Start(&wg)
+	}
+	defer func() {
+		for _, h := range hosts {
+			h.Close()
+		}
+		wg.Wait()
+	}()
+	fn := func() { t.Error("a timer an hour away fired") }
+	for i, h := range hosts {
+		for range 8 {
+			h.Every(time.Hour, fn)
+		}
+		for j := i; j < 10_000; j += len(hosts) {
+			h.After(time.Hour+time.Duration(j), fn)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // let every loop park
+	if got, want := runtime.NumGoroutine(), before+len(hosts); got > want {
+		t.Errorf("%d goroutines with the timers armed, want at most %d (one per host)", got, want)
+	}
+}
+
+// TestLateEverySkipsMissedPeriods: a tick held up by a busy loop runs once
+// when the loop frees up, not once per period it overran. After 8 periods
+// busy, the ticks are at most the late one plus those due on phase since
+// (queued periods would add 7 more).
+func TestLateEverySkipsMissedPeriods(t *testing.T) {
+	var wg sync.WaitGroup
+	h := actor.Start(&wg)
+	defer func() { h.Close(); wg.Wait() }()
+	const period = 10 * time.Millisecond
+	var ticks atomic.Int32
+	stop := h.Every(period, func() { ticks.Add(1) })
+	defer stop()
+	busy := make(chan struct{})
+	h.Post(func() { <-busy })
+	time.Sleep(8 * period)
+	close(busy)
+	freed := time.Now()
+	time.Sleep(3 * period)
+	got := ticks.Load()
+	if limit := 2 + int32(time.Since(freed)/period); got > limit {
+		t.Errorf("%d ticks ran in the %d periods after the loop was busy for 8, want at most %d", got, limit-2, limit)
 	}
 }

@@ -156,11 +156,7 @@ func (n *Network) deliver(from, to transport.Addr, frame *transport.Buf,
 			respond(resp, handled)
 		}
 	}
-	if n.latency > 0 {
-		time.AfterFunc(n.latency, func() { h.Post(receive) })
-		return
-	}
-	h.Post(receive)
+	h.After(n.latency, receive) // with no latency, a plain post
 }
 
 // Send implements transport.Transport: one serialized, one-way delivery.
@@ -232,11 +228,7 @@ func (n *Network) Call(from, to transport.Addr, req transport.Message,
 			caller.AddReceived(size)
 			cb(msg, nil)
 		}
-		if n.latency > 0 {
-			time.AfterFunc(n.latency, func() { caller.Post(back) })
-			return
-		}
-		caller.Post(back)
+		caller.After(n.latency, back)
 	})
 }
 

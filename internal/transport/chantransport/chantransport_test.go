@@ -19,9 +19,10 @@ func TestChanTransportConformance(t *testing.T) {
 	transporttest.RunConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
 		net := chantransport.New(hosts, 1)
 		return transporttest.Harness{
-			Tr:      net,
-			Advance: func(d time.Duration) { time.Sleep(d) },
-			Close:   net.Close,
+			Tr:         net,
+			Advance:    func(d time.Duration) { time.Sleep(d) },
+			Close:      net.Close,
+			Concurrent: true,
 		}
 	})
 }
@@ -64,9 +65,10 @@ func TestConformanceWithLatency(t *testing.T) {
 	transporttest.RunConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
 		net := chantransport.New(hosts, 1, chantransport.WithLatency(time.Millisecond))
 		return transporttest.Harness{
-			Tr:      net,
-			Advance: func(d time.Duration) { time.Sleep(d) },
-			Close:   net.Close,
+			Tr:         net,
+			Advance:    func(d time.Duration) { time.Sleep(d) },
+			Close:      net.Close,
+			Concurrent: true,
 		}
 	})
 }

@@ -320,6 +320,7 @@ func (t *Transport) Frames() (in, out uint64) {
 // posted to the host mailboxes before those mailboxes close (a closed
 // mailbox still drains what was already queued), so no caller is left
 // waiting on an answer that can never arrive and no pending entry leaks.
+// A Call made after Close gets no callback at all: see Call.
 func (t *Transport) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
@@ -423,7 +424,10 @@ func (t *Transport) Send(from, to transport.Addr, msg transport.Message) {
 
 // Call implements transport.Transport. The request id in the frame header
 // correlates the response; exactly one of {response, ErrTimeout,
-// ErrUnreachable} reaches cb, on the caller's actor loop.
+// ErrUnreachable, ErrClosed} reaches cb, on the caller's actor loop. A call
+// that finds the transport closed registers nothing and posts ErrClosed,
+// which the loop runs unless Close has already shut it; once it has, as
+// for every call made after Close returns, cb never runs.
 func (t *Transport) Call(from, to transport.Addr, req transport.Message,
 	timeout time.Duration, cb func(transport.Message, error)) {
 	if t.closed.Load() {

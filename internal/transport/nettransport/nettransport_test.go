@@ -125,7 +125,7 @@ func (s split) Every(owner transport.Addr, period time.Duration, fn func()) func
 // frames between slots of one parity stay in-process and the rest cross TCP.
 func TestNetTransportConformance(t *testing.T) {
 	transporttest.RunConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
-		return newSplit(t, hosts).harness(false)
+		return newSplit(t, hosts).harness(true)
 	})
 }
 
@@ -135,9 +135,10 @@ func TestNetTransportOneProcessConformance(t *testing.T) {
 	transporttest.RunConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
 		tr := oneProc(t, hosts)
 		return transporttest.Harness{
-			Tr:      tr,
-			Advance: func(d time.Duration) { time.Sleep(d) },
-			Close:   tr.Close,
+			Tr:         tr,
+			Advance:    func(d time.Duration) { time.Sleep(d) },
+			Close:      tr.Close,
+			Concurrent: true,
 		}
 	})
 }
@@ -306,10 +307,19 @@ func TestClosePendingRPCFailFast(t *testing.T) {
 		t.Errorf("pending RPC took %v to fail after Close", took)
 	}
 
-	// New calls after Close also fail fast (no leaked pending entries,
-	// no timers): the callback simply cannot be delivered to a closed
-	// mailbox, but the transport must not panic or hang.
-	a.Call(0, 1, transporttest.Echo{N: 2}, time.Minute, func(transport.Message, error) {})
+	// A call made after Close is transport.Transport.Call's one exception:
+	// no host loop is left to run its callback, so none runs. It must not
+	// panic, hang, or leave a pending entry behind.
+	called := make(chan error, 1)
+	a.Call(0, 1, transporttest.Echo{N: 2}, time.Minute, func(_ transport.Message, err error) { called <- err })
+	select {
+	case err := <-called:
+		t.Errorf("a call made after Close got a callback (%v)", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if n := nettransport.PendingCalls(a); n != 0 {
+		t.Errorf("%d calls pending after Close", n)
+	}
 }
 
 // TestDroppedRequestFailsFast pins the reconnect/drop contract: when the

@@ -99,8 +99,10 @@ type Transport interface {
 	// if any, is discarded.
 	Send(from, to Addr, msg Message)
 	// Call performs a request/response RPC. Exactly one invocation of cb
-	// happens: with the response, or with ErrTimeout / ErrUnreachable. The
-	// callback runs in the serialization context of `from`.
+	// happens: with the response, or with ErrTimeout / ErrUnreachable /
+	// ErrClosed. The callback runs in the serialization context of `from`.
+	// The one exception is a Call made once the transport's Close has shut
+	// that context: nothing is left to run cb in, so it never runs.
 	Call(from, to Addr, req Message, timeout time.Duration, cb func(Message, error))
 	// Stats returns a copy of the traffic counters for addr. Byte counts
 	// follow the wire codec: a transport accounts exactly Message.Size()
@@ -120,7 +122,9 @@ type Transport interface {
 	After(owner Addr, delay time.Duration, fn func()) Timer
 	// Every schedules fn to run repeatedly with the given period, starting
 	// one period from now, in the serialization context of owner. The
-	// returned stop function cancels future firings.
+	// returned stop function cancels future firings. A tick that runs late
+	// keeps the schedule's phase: the periods it overran are skipped, not
+	// queued, and the next tick is the first one due after it.
 	Every(owner Addr, period time.Duration, fn func()) (stop func())
 }
 

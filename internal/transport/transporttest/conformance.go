@@ -110,6 +110,9 @@ func RunConformance(t *testing.T, mk Factory) {
 	t.Run("AfterAndCancel", func(t *testing.T) { testAfterAndCancel(t, mk) })
 	t.Run("EveryRepeatsUntilStopped", func(t *testing.T) { testEvery(t, mk) })
 	t.Run("EveryNonPositivePeriod", func(t *testing.T) { testEveryNonPositivePeriod(t, mk) })
+	t.Run("ManyAftersHalfCancelled", func(t *testing.T) { testManyAftersHalfCancelled(t, mk) })
+	t.Run("ForeignAfterWakesParkedHost", func(t *testing.T) { testForeignAfterWakes(t, mk) })
+	t.Run("NoTimerRunsAfterClose", func(t *testing.T) { testNoTimerAfterClose(t, mk) })
 	t.Run("NowMonotone", func(t *testing.T) { testNowMonotone(t, mk) })
 	t.Run("HandlerSerialization", func(t *testing.T) { testSerialization(t, mk) })
 	t.Run("PipelinedCallsOneLink", func(t *testing.T) { testPipelinedCalls(t, mk) })
@@ -408,6 +411,101 @@ func testEveryNonPositivePeriod(t *testing.T, mk Factory) {
 			t.Errorf("period %v: ticker kept firing after stop: %d -> %d", period, n, after)
 		}
 		closeH(h)
+	}
+}
+
+// testManyAftersHalfCancelled arms 1 000 timers on one host with deadlines
+// spread over a few milliseconds, cancels every other one, and wants exactly
+// the 500 left to run, once each.
+func testManyAftersHalfCancelled(t *testing.T, mk Factory) {
+	h := mk(t, 1)
+	defer closeH(h)
+	h.Tr.Bind(0, echoHandler)
+	const n = 1000
+	var runs [n]atomic.Int32
+	var total atomic.Int32
+	armed := make(chan struct{})
+	h.Tr.After(0, 0, func() { // armed on the loop, so none fires before its cancel
+		for i := range n {
+			tm := h.Tr.After(0, tick+time.Duration(i%37)*100*time.Microsecond, func() {
+				runs[i].Add(1)
+				total.Add(1)
+			})
+			if i%2 == 1 {
+				tm.Cancel()
+			}
+		}
+		close(armed)
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for total.Load() < n/2 && time.Now().Before(deadline) {
+		h.Advance(tick)
+	}
+	h.Advance(2 * tick)
+	select {
+	case <-armed:
+	default:
+		t.Fatal("the arming callback never ran")
+	}
+	for i := range runs {
+		if got, want := runs[i].Load(), int32(1-i%2); got != want {
+			t.Fatalf("timer %d ran %d times, want %d (cancelled: %v)", i, got, want, i%2 == 1)
+		}
+	}
+}
+
+// testForeignAfterWakes: a host whose only timers are an hour away is parked
+// until then; an After armed from outside its loop, due now or one tick from
+// now, must still run promptly.
+func testForeignAfterWakes(t *testing.T, mk Factory) {
+	h := mk(t, 1)
+	defer closeH(h)
+	h.Tr.Bind(0, echoHandler)
+	h.Tr.After(0, time.Hour, func() {})
+	defer h.Tr.Every(0, time.Hour, func() {})()
+	h.Advance(tick) // let the loop park on its far deadline
+	for _, delay := range []time.Duration{0, tick} {
+		ran := make(chan struct{}, 1)
+		arm := func() { h.Tr.After(0, delay, func() { ran <- struct{}{} }) }
+		if h.Concurrent {
+			go arm()
+		} else {
+			arm()
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for len(ran) == 0 && time.Now().Before(deadline) {
+			h.Advance(tick)
+		}
+		if len(ran) == 0 {
+			t.Fatalf("After(owner, %v, fn) from outside the loop never ran while the host held only far deadlines", delay)
+		}
+	}
+}
+
+// testNoTimerAfterClose: on a concurrent backend, no After or Every callback
+// runs once the transport's Close has returned.
+func testNoTimerAfterClose(t *testing.T, mk Factory) {
+	h := mk(t, 1)
+	if !h.Concurrent {
+		t.Skip("a single-goroutine transport runs nothing unless driven")
+	}
+	h.Tr.Bind(0, echoHandler)
+	var closed atomic.Bool
+	var late atomic.Int32
+	fn := func() {
+		if closed.Load() {
+			late.Add(1)
+		}
+	}
+	for i := range 4 {
+		h.Tr.After(0, time.Duration(i)*tick/2, fn)
+		h.Tr.Every(0, tick/4, fn)
+	}
+	h.Close()
+	closed.Store(true)
+	time.Sleep(4 * tick)
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d timer callbacks ran after Close", n)
 	}
 }
 

@@ -17,6 +17,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -162,12 +164,7 @@ func parsePragmas(fset *token.FileSet, files []*ast.File) (out []pragma, bad []F
 }
 
 func knownNames() string {
-	names := make([]string, 0, len(knownAnalyzers))
-	for n := range knownAnalyzers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
+	return strings.Join(slices.Sorted(maps.Keys(knownAnalyzers)), ", ")
 }
 
 // suppressed reports whether a pragma covers the finding: same file, same

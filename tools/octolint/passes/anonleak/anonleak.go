@@ -33,6 +33,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/octopus-dht/octopus/tools/octolint/lintcore"
@@ -80,13 +81,7 @@ func run(pass *lintcore.Pass) error {
 		return nil // the redaction seam itself
 	}
 	sensitive := loadSensitiveKeys(lintcore.RepoRoot(pass.DocRoot, pass.Dir))
-	inProtocol := false
-	for _, p := range protocolPkgs {
-		if lintcore.PkgPathIs(pkgPath, p) {
-			inProtocol = true
-			break
-		}
-	}
+	inProtocol := slices.ContainsFunc(protocolPkgs, func(p string) bool { return lintcore.PkgPathIs(pkgPath, p) })
 
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file) {

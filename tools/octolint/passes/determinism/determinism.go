@@ -20,6 +20,7 @@ package determinism
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"github.com/octopus-dht/octopus/tools/octolint/lintcore"
 )
@@ -64,13 +65,7 @@ var encodeSinkNames = map[string]bool{
 
 func run(pass *lintcore.Pass) error {
 	pkgPath := lintcore.BasePkgPath(pass.Pkg.Path())
-	inSeeded := false
-	for _, p := range seededPkgs {
-		if lintcore.PkgPathIs(pkgPath, p) {
-			inSeeded = true
-			break
-		}
-	}
+	inSeeded := slices.ContainsFunc(seededPkgs, func(p string) bool { return lintcore.PkgPathIs(pkgPath, p) })
 
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file) {
