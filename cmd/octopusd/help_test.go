@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 
 	"github.com/octopus-dht/octopus/internal/daemon"
@@ -36,5 +37,26 @@ func TestHelpGolden(t *testing.T) {
 	}
 	if got := stderr.Bytes(); !bytes.Equal(got, want) {
 		t.Errorf("-help output differs from testdata/help.golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestLinksNoHTTPStack keeps net/http and the TLS stack it pulls in out of
+// the daemon's link: -metrics-listen is served by internal/daemon's own
+// bounded responder, and anything it serves later (pprof output among it)
+// goes through that responder, never net/http/pprof.
+func TestLinksNoHTTPStack(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	out, err := exec.Command(goBin, "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		switch pkg {
+		case "net/http", "crypto/tls", "crypto/x509":
+			t.Errorf("octopusd links %s", pkg)
+		}
 	}
 }

@@ -7,12 +7,18 @@
 package daemon
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
-	"net/http"
+	"net/textproto"
+	"strings"
+	"sync"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -75,11 +81,10 @@ type daemon struct {
 	// service, stores, the transport) and one span tracer shared by all
 	// local nodes. The collector always exists — the status log line reads
 	// from it — but HTTP serving and tracing are opt-in.
-	collector   *obs.Collector
-	tracer      *obs.Tracer
-	svc         *core.LookupService
-	metrics     *http.Server
-	metricsDone chan struct{}
+	collector *obs.Collector
+	tracer    *obs.Tracer
+	svc       *core.LookupService
+	metrics   *responder
 }
 
 // Run brings the process up in the mode opts selects, serves until ctx is
@@ -151,8 +156,7 @@ func (d *daemon) start(ctx context.Context) error {
 // stop releases whatever start got as far as acquiring.
 func (d *daemon) stop() {
 	if d.metrics != nil {
-		d.metrics.Close()
-		<-d.metricsDone
+		d.metrics.stop()
 	}
 	if d.tr != nil {
 		d.tr.Close()
@@ -180,8 +184,8 @@ func (d *daemon) coreConfig(n int) core.Config {
 	return cfg
 }
 
-// serveMetrics starts the observability HTTP listener, or does nothing when
-// the flag is unset.
+// serveMetrics starts the observability listener, or does nothing when the
+// flag is unset.
 func (d *daemon) serveMetrics() error {
 	if d.opts.MetricsListen == "" {
 		return nil
@@ -190,27 +194,126 @@ func (d *daemon) serveMetrics() error {
 	if err != nil {
 		return fmt.Errorf("metrics listener: %w", err)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Handler(d.collector))
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		out := struct {
-			Mode    string     `json:"mode"`
-			Dropped uint64     `json:"dropped"`
-			Spans   []obs.Span `json:"spans"`
-		}{Mode: "anonymous", Dropped: d.tracer.Dropped(), Spans: d.tracer.Spans()}
-		if out.Spans == nil {
-			out.Spans = []obs.Span{}
+	d.metrics = newResponder(ln, func(path string, body *bytes.Buffer) string {
+		switch path {
+		case "/metrics":
+			_ = obs.WriteText(body, d.collector.Snapshot())
+			return "text/plain; version=0.0.4; charset=utf-8"
+		case "/trace":
+			out := struct {
+				Mode    string     `json:"mode"`
+				Dropped uint64     `json:"dropped"`
+				Spans   []obs.Span `json:"spans"`
+			}{Mode: "anonymous", Dropped: d.tracer.Dropped(), Spans: d.tracer.Spans()}
+			if out.Spans == nil {
+				out.Spans = []obs.Span{}
+			}
+			_ = json.NewEncoder(body).Encode(out)
+			return "application/json"
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		return ""
 	})
-	d.metrics, d.metricsDone = &http.Server{Handler: mux}, make(chan struct{})
-	go func() {
-		defer close(d.metricsDone)
-		d.metrics.Serve(ln) // returns once stop closes the server
-	}()
 	log.Printf("serving metrics on http://%s/metrics", ln.Addr())
 	return nil
+}
+
+// responder is the -metrics-listen server: HTTP/1.1 GETs only, one request
+// per connection, each on its own goroutine under one deadline and a bounded
+// head, so a peer that stalls or sends an endless head holds a goroutine for
+// at most exchangeTimeout. It stands in for net/http, which would link TLS,
+// x509 and HTTP/2 into the daemon to answer two GETs.
+type responder struct {
+	ln    net.Listener
+	page  func(path string, body *bytes.Buffer) (contentType string) // "" when nothing is served at path
+	mu    sync.Mutex
+	conns map[net.Conn]struct{} // open connections; nil once stop has begun
+	wg    sync.WaitGroup        // the accept loop and every connection
+}
+
+const (
+	exchangeTimeout = 5 * time.Second
+	maxRequestLine  = 4 << 10
+	maxRequestHead  = 8 << 10
+)
+
+func newResponder(ln net.Listener, page func(string, *bytes.Buffer) string) *responder {
+	r := &responder{ln: ln, page: page, conns: map[net.Conn]struct{}{}}
+	r.wg.Add(1)
+	go r.accept()
+	return r
+}
+
+func (r *responder) accept() {
+	defer r.wg.Done()
+	for {
+		c, err := r.ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		} else if err != nil { // out of file descriptors, say: let open exchanges end
+			time.Sleep(100 * time.Millisecond)
+			continue
+		}
+		r.mu.Lock()
+		if r.conns == nil {
+			r.mu.Unlock()
+			c.Close()
+			return
+		}
+		r.conns[c] = struct{}{}
+		r.wg.Add(1)
+		r.mu.Unlock()
+		go func() {
+			defer r.wg.Done()
+			r.exchange(c)
+			c.Close()
+			r.mu.Lock()
+			delete(r.conns, c)
+			r.mu.Unlock()
+		}()
+	}
+}
+
+// exchange answers one request. A head that is malformed, cut short or over
+// its bounds gets no response at all, and no response echoes the request.
+func (r *responder) exchange(c net.Conn) {
+	_ = c.SetDeadline(time.Now().Add(exchangeTimeout))
+	head := textproto.NewReader(bufio.NewReader(io.LimitReader(c, maxRequestHead)))
+	line, err := head.ReadLine()
+	method, rest, _ := strings.Cut(line, " ")
+	target, proto, _ := strings.Cut(rest, " ")
+	if err != nil || len(line) > maxRequestLine || method == "" || !strings.HasPrefix(target, "/") || !strings.HasPrefix(proto, "HTTP/1.") {
+		return
+	}
+	if _, err := head.ReadMIMEHeader(); err != nil {
+		return
+	}
+	path, _, _ := strings.Cut(target, "?")
+	var body bytes.Buffer
+	status, ctype := "200 OK", ""
+	if method != "GET" {
+		status = "405 Method Not Allowed"
+	} else if ctype = r.page(path, &body); ctype == "" {
+		status = "404 Not Found"
+	}
+	if ctype == "" {
+		ctype = "text/plain; charset=utf-8"
+		body.WriteString(status + "\n")
+	}
+	_, _ = fmt.Fprintf(c, "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s",
+		status, ctype, body.Len(), body.Bytes())
+}
+
+// stop closes the listener and every open connection, and returns once
+// their goroutines have exited.
+func (r *responder) stop() {
+	r.ln.Close()
+	r.mu.Lock()
+	for c := range r.conns {
+		c.Close()
+	}
+	r.conns = nil
+	r.mu.Unlock()
+	r.wg.Wait()
 }
 
 // bootstrapDispatcher routes bootstrap-channel frames: ClientLookupReq to

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"net/http"
 	"slices"
 	"strconv"
 	"strings"
@@ -81,13 +80,4 @@ func formatValue(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Handler serves the collector's current snapshot at every request — mount
-// it at /metrics.
-func Handler(c *Collector) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WriteText(w, c.Snapshot())
-	})
 }

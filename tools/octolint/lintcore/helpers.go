@@ -21,9 +21,7 @@ func PkgPathIs(path, target string) bool {
 // appends to in-package test compilations, so scope checks see the plain
 // import path.
 func BasePkgPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
+	path, _, _ = strings.Cut(path, " ")
 	return path
 }
 
@@ -31,23 +29,18 @@ func BasePkgPath(path string) string {
 // package-level function, a method, or nil for indirect calls through
 // function values, built-ins, and type conversions.
 func CalleeObject(info *types.Info, call *ast.CallExpr) types.Object {
+	var name *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if o := info.Uses[fun]; o != nil {
-			if _, ok := o.(*types.Func); ok {
-				return o
-			}
-		}
+		name = fun
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
 			return sel.Obj() // method or field call
 		}
-		// Qualified identifier: pkg.Func.
-		if o := info.Uses[fun.Sel]; o != nil {
-			if _, ok := o.(*types.Func); ok {
-				return o
-			}
-		}
+		name = fun.Sel // qualified identifier: pkg.Func
+	}
+	if fn, ok := info.Uses[name].(*types.Func); ok {
+		return fn
 	}
 	return nil
 }
@@ -56,12 +49,8 @@ func CalleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 // function of the package identified by pkgTarget (matched with
 // PkgPathIs). Methods do not match.
 func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgTarget, name string) bool {
-	obj := CalleeObject(info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Name() != name {
-		return false
-	}
-	if fn.Signature().Recv() != nil {
+	fn, ok := CalleeObject(info, call).(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Name() != name || fn.Signature().Recv() != nil {
 		return false
 	}
 	return PkgPathIs(fn.Pkg().Path(), pkgTarget)
@@ -70,45 +59,36 @@ func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgTarget, name string) boo
 // NamedTypeIs reports whether t (after unwrapping pointers and aliases)
 // is the named type pkgTarget.name.
 func NamedTypeIs(t types.Type, pkgTarget, name string) bool {
-	if t == nil {
-		return false
-	}
 	t = types.Unalias(t)
 	if p, ok := t.(*types.Pointer); ok {
 		t = types.Unalias(p.Elem())
 	}
 	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Name() != name || obj.Pkg() == nil {
-		return false
-	}
-	return PkgPathIs(obj.Pkg().Path(), pkgTarget)
+	return ok && n.Obj().Name() == name && n.Obj().Pkg() != nil && PkgPathIs(n.Obj().Pkg().Path(), pkgTarget)
 }
 
 // SubtreeHasType reports whether any expression in the subtree rooted at
 // e has one of the given named types (pkgTarget, name pairs flattened as
 // [path1, name1, path2, name2, ...]).
 func SubtreeHasType(info *types.Info, e ast.Expr, pairs ...string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	return AnyNode(e, func(n ast.Node) bool {
 		ex, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		t := info.TypeOf(ex)
-		for i := 0; i+1 < len(pairs); i += 2 {
-			if NamedTypeIs(t, pairs[i], pairs[i+1]) {
-				found = true
-				return false
+		for i := 0; ok && i+1 < len(pairs); i += 2 {
+			if NamedTypeIs(info.TypeOf(ex), pairs[i], pairs[i+1]) {
+				return true
 			}
 		}
-		return true
+		return false
+	})
+}
+
+// AnyNode reports whether match holds for any node of the subtree rooted at
+// root, and stops the walk at the first that does.
+func AnyNode(root ast.Node, match func(ast.Node) bool) bool {
+	found := false
+	ast.Inspect(root, func(n ast.Node) bool {
+		found = found || n != nil && match(n)
+		return !found
 	})
 	return found
 }

@@ -13,13 +13,13 @@
 package lintcore
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -101,12 +101,10 @@ func (f Finding) String() string {
 // pragmaPrefix introduces an escape pragma comment.
 const pragmaPrefix = "//octolint:allow"
 
-// pragma is one parsed //octolint:allow comment.
+// pragma is one parsed //octolint:allow comment. Its reason must be there
+// but is for the reader only.
 type pragma struct {
-	file     string
-	line     int
 	analyzer string
-	reason   string
 	posn     token.Position
 }
 
@@ -123,40 +121,20 @@ func parsePragmas(fset *token.FileSet, files []*ast.File) (out []pragma, bad []F
 					continue
 				}
 				posn := fset.Position(c.Pos())
-				rest := strings.TrimPrefix(c.Text, pragmaPrefix)
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					bad = append(bad, Finding{
-						Analyzer: "octolint",
-						Posn:     posn,
-						Message:  "malformed pragma: want //octolint:allow <analyzer> <reason>",
-					})
+				fields := strings.Fields(strings.TrimPrefix(c.Text, pragmaPrefix))
+				var problem string
+				switch {
+				case len(fields) == 0:
+					problem = "malformed pragma: want //octolint:allow <analyzer> <reason>"
+				case !KnownAnalyzer(fields[0]):
+					problem = fmt.Sprintf("pragma names unknown analyzer %q (known: %s)", fields[0], knownNames())
+				case len(fields) < 2:
+					problem = fmt.Sprintf("pragma for %q has no reason; a suppression must say why", fields[0])
+				default:
+					out = append(out, pragma{analyzer: fields[0], posn: posn})
 					continue
 				}
-				name := fields[0]
-				if !KnownAnalyzer(name) {
-					bad = append(bad, Finding{
-						Analyzer: "octolint",
-						Posn:     posn,
-						Message:  fmt.Sprintf("pragma names unknown analyzer %q (known: %s)", name, knownNames()),
-					})
-					continue
-				}
-				if len(fields) < 2 {
-					bad = append(bad, Finding{
-						Analyzer: "octolint",
-						Posn:     posn,
-						Message:  fmt.Sprintf("pragma for %q has no reason; a suppression must say why", name),
-					})
-					continue
-				}
-				out = append(out, pragma{
-					file:     posn.Filename,
-					line:     posn.Line,
-					analyzer: name,
-					reason:   strings.Join(fields[1:], " "),
-					posn:     posn,
-				})
+				bad = append(bad, Finding{Analyzer: "octolint", Posn: posn, Message: problem})
 			}
 		}
 	}
@@ -172,10 +150,8 @@ func knownNames() string {
 // pragma on its own line annotating the statement below).
 func suppressed(f Finding, pragmas []pragma) bool {
 	for _, p := range pragmas {
-		if p.analyzer != f.Analyzer || p.file != f.Posn.Filename {
-			continue
-		}
-		if p.line == f.Posn.Line || p.line == f.Posn.Line-1 {
+		if p.analyzer == f.Analyzer && p.posn.Filename == f.Posn.Filename &&
+			(p.posn.Line == f.Posn.Line || p.posn.Line == f.Posn.Line-1) {
 			return true
 		}
 	}
@@ -212,15 +188,9 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 			kept = append(kept, f)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i].Posn, kept[j].Posn
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return kept[i].Message < kept[j].Message
+	slices.SortFunc(kept, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Posn.Filename, b.Posn.Filename), cmp.Compare(a.Posn.Line, b.Posn.Line),
+			strings.Compare(a.Message, b.Message))
 	})
 	return kept, nil
 }

@@ -21,6 +21,7 @@ package lintcore
 // runs only on the packages named on the `go vet` command line.
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -132,27 +133,13 @@ func RunVetCfg(cfgPath, docRoot string, analyzers []*Analyzer) int {
 	}
 
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				writeVetx(&cfg)
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "octolint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	pkg, info, err := checkTypes(fset, &cfg, files)
+	files, pkg, info, err := checkTypes(fset, &cfg)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			writeVetx(&cfg)
 			return 0
 		}
-		fmt.Fprintf(os.Stderr, "octolint: typecheck %s: %v\n", cfg.ImportPath, err)
+		fmt.Fprintf(os.Stderr, "octolint: %v\n", err)
 		return 1
 	}
 
@@ -174,16 +161,20 @@ func RunVetCfg(cfgPath, docRoot string, analyzers []*Analyzer) int {
 	return 2
 }
 
-// checkTypes typechecks the package using the export data the go command
-// handed us for every dependency.
-func checkTypes(fset *token.FileSet, cfg *VetConfig, files []*ast.File) (*types.Package, *types.Info, error) {
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
+// checkTypes parses the package's files and typechecks them using the
+// export data the go command handed us for every dependency.
+func checkTypes(fset *token.FileSet, cfg *VetConfig) ([]*ast.File, *types.Package, *types.Info, error) {
+	var files []*ast.File
+	for _, name := range cfg.GoFiles {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		files = append(files, f)
 	}
 	// The lookup func receives canonical (post-ImportMap) package paths
 	// and must return that package's export data stream.
-	gcImporter := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
+	gcImporter := importer.ForCompiler(fset, cmp.Or(cfg.Compiler, "gc"), func(path string) (io.ReadCloser, error) {
 		file, ok := cfg.PackageFile[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -205,28 +196,20 @@ func checkTypes(fset *token.FileSet, cfg *VetConfig, files []*ast.File) (*types.
 	}
 	info := NewTypesInfo()
 	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if firstErr != nil {
-		err = firstErr
+	if err = cmp.Or(firstErr, err); err != nil {
+		return nil, nil, nil, fmt.Errorf("typecheck %s: %w", cfg.ImportPath, err)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, info, nil
+	return files, pkg, info, nil
 }
 
 // goVersionFor sanitizes cfg.GoVersion for types.Config: the go command
 // may hand over entries like "go1.24.0" or module-style versions;
 // go/types wants "go1.N" (or empty for "latest").
 func goVersionFor(cfg *VetConfig) string {
-	v := cfg.GoVersion
-	if !strings.HasPrefix(v, "go1.") {
+	if !strings.HasPrefix(cfg.GoVersion, "go1.") {
 		return ""
 	}
-	parts := strings.SplitN(v, ".", 3)
-	if len(parts) >= 2 {
-		return parts[0] + "." + parts[1]
-	}
-	return v
+	return strings.Join(strings.SplitN(cfg.GoVersion, ".", 3)[:2], ".")
 }
 
 // mapImporter applies cfg.ImportMap before delegating to the export-data

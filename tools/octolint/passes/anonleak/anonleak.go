@@ -113,8 +113,7 @@ func checkAttrCall(pass *lintcore.Pass, call *ast.CallExpr, sensitive map[string
 
 // checkAttrLiteral handles obs.Attr{Key: ..., Value: ...} literals.
 func checkAttrLiteral(pass *lintcore.Pass, lit *ast.CompositeLit, sensitive map[string]bool) {
-	t := pass.TypesInfo.TypeOf(lit)
-	if !lintcore.NamedTypeIs(t, "internal/obs", "Attr") {
+	if !lintcore.NamedTypeIs(pass.TypesInfo.TypeOf(lit), "internal/obs", "Attr") {
 		return
 	}
 	var key, value ast.Expr
@@ -182,8 +181,7 @@ var logSinkFuncs = map[string]map[string]bool{
 // buffers are functional string building, not an export, and are not
 // flagged.
 func checkLogCall(pass *lintcore.Pass, call *ast.CallExpr) {
-	obj := lintcore.CalleeObject(pass.TypesInfo, call)
-	fn, ok := obj.(*types.Func)
+	fn, ok := lintcore.CalleeObject(pass.TypesInfo, call).(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return
 	}
@@ -219,12 +217,8 @@ func isStdStream(info *types.Info, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	obj := info.Uses[sel.Sel]
-	v, ok := obj.(*types.Var)
-	if !ok || v.Pkg() == nil || v.Pkg().Path() != "os" {
-		return false
-	}
-	return v.Name() == "Stdout" || v.Name() == "Stderr"
+	v, ok := info.Uses[sel.Sel].(*types.Var)
+	return ok && v.Pkg() != nil && v.Pkg().Path() == "os" && (v.Name() == "Stdout" || v.Name() == "Stderr")
 }
 
 // loadSensitiveKeys parses the sensitiveAttrs map literal out of

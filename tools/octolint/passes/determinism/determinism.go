@@ -98,10 +98,12 @@ func checkDecl(pass *lintcore.Pass, decl ast.Decl, inSeeded bool) {
 }
 
 func checkCall(pass *lintcore.Pass, call *ast.CallExpr, inSeeded bool) {
+	path, name := randFunc(pass.TypesInfo, call)
 	// Time-seeded RNG sources are wrong in every package: a source seeded
 	// from the clock is both nondeterministic and (for key material)
 	// recoverable by an attacker who can bound the start time.
-	if isRandConstructor(pass.TypesInfo, call) && len(call.Args) > 0 {
+	switch name {
+	case "NewSource", "New", "NewPCG", "NewChaCha8", "NewZipf":
 		for _, arg := range call.Args {
 			if subtreeReadsClock(pass.TypesInfo, arg) {
 				pass.Reportf(call.Pos(),
@@ -119,55 +121,33 @@ func checkCall(pass *lintcore.Pass, call *ast.CallExpr, inSeeded bool) {
 			"time.Now in a seeded package; use the transport clock (virtual under simnet) so seeded runs replay bit-identically")
 		return
 	}
-	if obj := lintcore.CalleeObject(pass.TypesInfo, call); obj != nil {
-		if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Signature().Recv() == nil {
-			path := fn.Pkg().Path()
-			if (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[fn.Name()] {
-				pass.Reportf(call.Pos(),
-					"global %s.%s draws from the process-wide entropy-seeded source; use a *rand.Rand derived from the run seed", path, fn.Name())
-			}
-		}
+	if globalRandFuncs[name] {
+		pass.Reportf(call.Pos(),
+			"global %s.%s draws from the process-wide entropy-seeded source; use a *rand.Rand derived from the run seed", path, name)
 	}
 }
 
-// isRandConstructor matches rand.NewSource / rand.New / rand.NewPCG /
-// rand.NewChaCha8 from math/rand or math/rand/v2.
-func isRandConstructor(info *types.Info, call *ast.CallExpr) bool {
-	obj := lintcore.CalleeObject(info, call)
-	fn, ok := obj.(*types.Func)
+// randFunc returns the package path and name of the math/rand or
+// math/rand/v2 package-level function the call invokes; name is "" for any
+// other call.
+func randFunc(info *types.Info, call *ast.CallExpr) (path, name string) {
+	fn, ok := lintcore.CalleeObject(info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Signature().Recv() != nil {
-		return false
+		return "", ""
 	}
-	path := fn.Pkg().Path()
-	if path != "math/rand" && path != "math/rand/v2" {
-		return false
+	if path = fn.Pkg().Path(); path != "math/rand" && path != "math/rand/v2" {
+		return "", ""
 	}
-	switch fn.Name() {
-	case "NewSource", "New", "NewPCG", "NewChaCha8", "NewZipf":
-		return true
-	}
-	return false
+	return path, fn.Name()
 }
 
 // subtreeReadsClock reports whether the expression contains a call to
 // time.Now or a Unix/UnixNano/UnixMicro/UnixMilli conversion of one.
 func subtreeReadsClock(info *types.Info, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	return lintcore.AnyNode(e, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if lintcore.IsPkgFunc(info, call, "time", "Now") {
-			found = true
-			return false
-		}
-		return true
+		return ok && lintcore.IsPkgFunc(info, call, "time", "Now")
 	})
-	return found
 }
 
 // functionFeedsEncoding reports whether the function emits encoded/wire/hash
@@ -189,32 +169,16 @@ func functionFeedsEncoding(pass *lintcore.Pass, fn *ast.FuncDecl) bool {
 // bodyFeedsEncoding reports whether the subtree contains a call that emits
 // encoded/wire/hash output.
 func bodyFeedsEncoding(pass *lintcore.Pass, body ast.Node) bool {
-	sinky := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if sinky {
-			return false
-		}
+	return lintcore.AnyNode(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return false
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if encodeSinkNames[sel.Sel.Name] {
-			sinky = true
-			return false
-		}
 		// Any method on the wire codec counts: c.U64(...) etc.
-		if recv := pass.TypesInfo.TypeOf(sel.X); recv != nil &&
-			lintcore.NamedTypeIs(recv, "internal/transport", "Codec") {
-			sinky = true
-			return false
-		}
-		return true
+		return ok && (encodeSinkNames[sel.Sel.Name] ||
+			lintcore.NamedTypeIs(pass.TypesInfo.TypeOf(sel.X), "internal/transport", "Codec"))
 	})
-	return sinky
 }
 
 // sortedAfterLoop recognizes the sanctioned collect-then-sort idiom: the
@@ -288,8 +252,7 @@ func markSortedTargets(info *types.Info, st ast.Stmt, targets, sorted map[types.
 		if !ok {
 			return true
 		}
-		obj := lintcore.CalleeObject(info, call)
-		fn, ok := obj.(*types.Func)
+		fn, ok := lintcore.CalleeObject(info, call).(*types.Func)
 		if !ok || fn.Pkg() == nil {
 			return true
 		}
