@@ -9,6 +9,9 @@ package octopus
 
 import (
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,18 +200,40 @@ func tierLoadConfig(tier string) experiments.LoadConfig {
 // is that claim as a number: the benchmark fails below 4 (seed 1 reads 6.14).
 // Runs minutes, not seconds (two to four on a 2-core box), so it runs
 // nightly, not in tier-1: pass -timeout 15m and -benchtime 1x.
+// peak-rss-MB is the process's VmHWM after both runs and finger-peak-rss-MB
+// after the finger run alone, the 10k memory figures ROADMAP item 8 tracks
+// (0 where /proc is missing). Run the benchmark alone (-run '^$' -bench
+// TierLoad10k), or an earlier one's peak counts.
 func BenchmarkTierLoad10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		finger := experiments.RunLoad(tierLoadConfig(core.TierFinger))
+		b.ReportMetric(peakRSSMB(), "finger-peak-rss-MB")
 		onehop := experiments.RunLoad(tierLoadConfig(core.TierOneHop))
 		gain := finger.P95.Seconds() / onehop.P95.Seconds()
 		b.ReportMetric(finger.P95.Seconds(), "finger-p95-s")
 		b.ReportMetric(onehop.P95.Seconds(), "onehop-p95-s")
 		b.ReportMetric(gain, "p95-gain")
+		b.ReportMetric(peakRSSMB(), "peak-rss-MB")
 		if gain < 4 {
 			b.Fatalf("finger p95 %v / one-hop p95 %v = %.3f, want ≥ 4", finger.P95, onehop.P95, gain)
 		}
 	}
+}
+
+// peakRSSMB reads the process's peak resident set (VmHWM) in MB from
+// /proc/self/status, or 0 when the file or the line is missing.
+func peakRSSMB() float64 {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, _ := strconv.ParseFloat(strings.TrimSpace(strings.TrimSuffix(rest, "kB")), 64)
+			return kb / 1024
+		}
+	}
+	return 0
 }
 
 // --- Ablations ---

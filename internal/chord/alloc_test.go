@@ -28,6 +28,16 @@ func TestVerifySigAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTableAllocatesOnlyItsSignature: on unchanged routing state Table
+// serves the node's snapshot, so its one allocation is the signature.
+func TestTableAllocatesOnlyItsSignature(t *testing.T) {
+	n := signedNode(t)
+	n.Table(true, true)
+	if allocs := testing.AllocsPerRun(200, func() { n.Table(true, true) }); allocs != 1 {
+		t.Errorf("Table allocates %v times per call on unchanged state, want 1", allocs)
+	}
+}
+
 // TestTableCodecAllocations pins the codec on the message that dominates the
 // wire, a signed lookup table of 12 fingers and 6 successors: encoding into a
 // reused buffer and Size() allocate nothing; Decode and DecodeBorrowed on a

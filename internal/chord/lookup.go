@@ -42,16 +42,12 @@ func (s LookupStats) Latency() time.Duration { return s.Finished - s.Started }
 // every queried node and the initiator contacts intermediate nodes directly
 // — the two anonymity defects Octopus corrects.
 func (n *Node) Lookup(key id.ID, cb func(Peer, LookupStats, error)) {
-	n.lookupFrom(NoPeer, key, cb)
+	n.LookupVia(NoPeer, key, cb)
 }
 
 // LookupVia starts the iterative lookup at the given first hop instead of
-// the local routing state (used by joins).
+// the local routing state (used by joins); NoPeer starts it locally.
 func (n *Node) LookupVia(first Peer, key id.ID, cb func(Peer, LookupStats, error)) {
-	n.lookupFrom(first, key, cb)
-}
-
-func (n *Node) lookupFrom(first Peer, key id.ID, cb func(Peer, LookupStats, error)) {
 	stats := LookupStats{Started: n.tr.Now()}
 	finish := func(owner Peer, err error) {
 		stats.Finished = n.tr.Now()
@@ -100,26 +96,12 @@ func (n *Node) lookupFrom(first Peer, key id.ID, cb func(Peer, LookupStats, erro
 		step(first)
 		return
 	}
-	// Resolve locally when possible.
-	if len(n.preds) > 0 && n.preds[0].Valid() &&
-		id.Between(key, n.preds[0].ID, n.Self.ID) {
-		finish(n.Self, nil)
-		return
+	// The first step is the node answering itself.
+	if r := n.handleFindNext(FindNextReq{Key: key}); r.Done {
+		finish(r.Owner, nil)
+	} else {
+		step(r.Next)
 	}
-	if owner, ok := n.ownerAmongSuccessors(key); ok {
-		finish(owner, nil)
-		return
-	}
-	next, ok := n.closestPreceding(key)
-	if !ok {
-		if len(n.succs) > 0 {
-			finish(n.succs[0], nil)
-		} else {
-			finish(n.Self, nil) // singleton ring
-		}
-		return
-	}
-	step(next)
 }
 
 // Join bootstraps a fresh node into the ring via any live member. Since the

@@ -75,6 +75,7 @@ type Node struct {
 	fingers []Peer
 	succs   []Peer
 	preds   []Peer
+	snap    snapshot
 	nextFix int
 	running bool
 	stops   []func()
@@ -197,47 +198,85 @@ func (n *Node) Stop() {
 	n.tr.SetAlive(n.Self.Addr, false)
 }
 
-// Table assembles the node's routing table for a querier, signing it when
-// the node runs in signed mode. The table owns its storage — one peers array
-// shared by the three lists, each capped at its own length — so what a
-// receiver keeps never aliases this node's state.
-func (n *Node) Table(includeSucc, includePred bool) RoutingTable {
-	total := len(n.fingers)
-	if includeSucc {
-		total += len(n.succs)
+// snapshot is the node's routing state in one array that is never written:
+// the valid fingers, then the successors, then the predecessors. Tables and
+// the validFingers and knownPeers views are slices of it, each capped at its
+// own length, so an append reallocates instead of writing into the array.
+// succs and preds are nil when the live list was nil, which the wire format
+// tells apart from empty.
+type snapshot struct {
+	peers        []Peer
+	exps         []uint8 // exps[i] is the exponent of finger i
+	succs, preds []Peer
+}
+
+func (s *snapshot) fingers() []Peer { return s.peers[:len(s.exps):len(s.exps)] }
+
+// current returns the snapshot, rebuilt when the live lists no longer hold
+// its content. Those are written in place at many sites, so staleness is a
+// comparison of at most Fingers + 2·Successors peers, not an invalidation
+// each write site must remember; it allocates nothing.
+func (n *Node) current() *snapshot {
+	if s := &n.snap; s.peers != nil && n.holds(s) {
+		return s
 	}
-	if includePred {
-		total += len(n.preds)
-	}
-	peers := make([]Peer, 0, total)
+	peers := make([]Peer, 0, len(n.fingers)+len(n.succs)+len(n.preds))
 	exps := make([]uint8, 0, len(n.fingers))
 	for slot, f := range n.fingers {
 		if f.Valid() {
 			peers = append(peers, f)
-			exps = append(exps, uint8(id.Bits-n.Cfg.Fingers+slot))
+			exps = append(exps, n.fingerExp(slot))
 		}
 	}
-	// carve appends a list to the array; nil stays nil ("not requested")
-	// and empty stays empty, which the wire format tells apart.
-	carve := func(list []Peer) []Peer {
-		if list == nil {
-			return nil
-		}
-		at := len(peers)
-		peers = append(peers, list...)
-		return peers[at:len(peers):len(peers)]
+	nf, ns := len(peers), len(n.succs)
+	peers = append(append(peers, n.succs...), n.preds...)
+	n.snap = snapshot{peers: peers, exps: exps[:nf:nf]}
+	if n.succs != nil {
+		n.snap.succs = peers[nf : nf+ns : nf+ns]
 	}
+	if n.preds != nil {
+		n.snap.preds = peers[nf+ns : len(peers) : len(peers)]
+	}
+	return &n.snap
+}
+
+// holds reports whether the live lists have the snapshot's content.
+func (n *Node) holds(s *snapshot) bool {
+	j := 0
+	for slot, f := range n.fingers {
+		if !f.Valid() {
+			continue
+		}
+		if j == len(s.exps) || s.peers[j] != f || s.exps[j] != n.fingerExp(slot) {
+			return false
+		}
+		j++
+	}
+	same := func(a, b []Peer) bool { return (a == nil) == (b == nil) && slices.Equal(a, b) }
+	return j == len(s.exps) && same(s.succs, n.succs) && same(s.preds, n.preds)
+}
+
+func (n *Node) fingerExp(slot int) uint8 { return uint8(id.Bits - n.Cfg.Fingers + slot) }
+
+// Table assembles the node's routing table for a querier, signing it when
+// the node runs in signed mode. Its lists are the node's snapshot, shared by
+// every table issued while the routing state holds still; only Timestamp and
+// Sig are the table's own. A table never aliases the node's live lists, so
+// what a receiver keeps stays as it was signed. Lists that were not
+// requested are nil.
+func (n *Node) Table(includeSucc, includePred bool) RoutingTable {
+	s := n.current()
 	rt := RoutingTable{
 		Owner:      n.Self,
-		Fingers:    peers[:len(peers):len(peers)],
-		FingerExps: exps,
+		Fingers:    s.fingers(),
+		FingerExps: s.exps,
 		Timestamp:  n.tr.Now(),
 	}
 	if includeSucc {
-		rt.Successors = carve(n.succs)
+		rt.Successors = s.succs
 	}
 	if includePred {
-		rt.Predecessors = carve(n.preds)
+		rt.Predecessors = s.preds
 	}
 	n.signTable(&rt)
 	return rt
@@ -252,37 +291,24 @@ func (n *Node) signTable(rt *RoutingTable) {
 	}
 }
 
-func (n *Node) validFingers() []Peer {
-	out := make([]Peer, 0, len(n.fingers))
-	for _, f := range n.fingers {
-		if f.Valid() {
-			out = append(out, f)
-		}
-	}
-	return out
-}
+// validFingers returns the valid fingers, a capped view of the snapshot.
+func (n *Node) validFingers() []Peer { return n.current().fingers() }
 
-// knownPeers returns every peer the node can route through.
+// knownPeers returns every peer the node can route through: the valid
+// fingers, then the successors, a capped view of the snapshot.
 func (n *Node) knownPeers() []Peer {
-	out := make([]Peer, 0, len(n.fingers)+len(n.succs))
-	out = append(out, n.validFingers()...)
-	out = append(out, n.succs...)
-	return out
+	s := n.current()
+	k := len(s.exps) + len(s.succs)
+	return s.peers[:k:k]
 }
 
 // OwnerInSuccessors resolves a key against the node's own successor list:
 // when the key falls within the list's span, the owner is known locally
-// with no network traffic. Octopus's lookups use it both as a fast path and
-// to keep low finger slots fresh (their ideal positions sit inside the
-// successor window).
+// with no network traffic. Scanning self → succs[0] → succs[1] ..., the
+// owner is the first node whose ID the key does not exceed. Octopus's
+// lookups use it both as a fast path and to keep low finger slots fresh
+// (their ideal positions sit inside the successor window).
 func (n *Node) OwnerInSuccessors(key id.ID) (Peer, bool) {
-	return n.ownerAmongSuccessors(key)
-}
-
-// ownerAmongSuccessors checks whether the key's owner is directly known:
-// scanning self → succs[0] → succs[1] ... the owner is the first node whose
-// ID the key does not exceed.
-func (n *Node) ownerAmongSuccessors(key id.ID) (Peer, bool) {
 	if key == n.Self.ID {
 		return n.Self, true
 	}
@@ -368,7 +394,7 @@ func (n *Node) handleFindNext(m FindNextReq) FindNextResp {
 		id.Between(m.Key, n.preds[0].ID, n.Self.ID) {
 		return FindNextResp{Done: true, Owner: n.Self}
 	}
-	if owner, ok := n.ownerAmongSuccessors(m.Key); ok {
+	if owner, ok := n.OwnerInSuccessors(m.Key); ok {
 		return FindNextResp{Done: true, Owner: owner}
 	}
 	next, ok := n.closestPreceding(m.Key)
@@ -385,29 +411,21 @@ func (n *Node) handleFindNext(m FindNextReq) FindNextResp {
 }
 
 func (n *Node) handleStabilize(m StabilizeReq) StabilizeResp {
+	s := n.current()
+	rt := RoutingTable{Owner: n.Self, Timestamp: n.tr.Now()}
+	back := NoPeer
 	if m.Clockwise {
-		rt := RoutingTable{
-			Owner:      n.Self,
-			Successors: slices.Clone(n.succs),
-			Timestamp:  n.tr.Now(),
-		}
-		n.signTable(&rt)
-		back := NoPeer
+		rt.Successors = s.succs
 		if len(n.preds) > 0 {
 			back = n.preds[0]
 		}
-		return StabilizeResp{Table: rt, Back: back}
-	}
-	rt := RoutingTable{
-		Owner:        n.Self,
-		Predecessors: slices.Clone(n.preds),
-		Timestamp:    n.tr.Now(),
+	} else {
+		rt.Predecessors = s.preds
+		if len(n.succs) > 0 {
+			back = n.succs[0]
+		}
 	}
 	n.signTable(&rt)
-	back := NoPeer
-	if len(n.succs) > 0 {
-		back = n.succs[0]
-	}
 	return StabilizeResp{Table: rt, Back: back}
 }
 
@@ -491,35 +509,23 @@ func (n *Node) absorbStabilize(target Peer, r StabilizeResp, clockwise bool) {
 		n.dropNeighbor(target, clockwise)
 		return
 	}
-	if clockwise {
-		list := mergeNeighborList(n.Self, target, r.Table.Successors, n.Cfg.Successors)
-		// Chord's predecessor probe: if our successor knows a closer
-		// predecessor than us, it becomes our new first successor.
-		if r.Back.Valid() && id.StrictBetween(r.Back.ID, n.Self.ID, target.ID) {
-			list = insertFront(list, r.Back, n.Cfg.Successors)
-		}
-		n.succs = list
-		if n.OnNeighborTable != nil {
-			n.OnNeighborTable(target, r.Table)
-		}
-		if len(n.succs) > 0 {
-			n.tr.Call(n.Self.Addr, n.succs[0].Addr,
-				NotifyReq{Clockwise: true, Who: n.Self}, n.Cfg.RPCTimeout,
-				func(transport.Message, error) {})
-		}
-		return
+	// Chord's predecessor probe, both ways: a node the neighbor knows
+	// between itself and us becomes our nearest neighbor on that side.
+	list, theirs, closer := &n.succs, r.Table.Successors, id.StrictBetween(r.Back.ID, n.Self.ID, target.ID)
+	if !clockwise {
+		list, theirs, closer = &n.preds, r.Table.Predecessors, id.StrictBetween(r.Back.ID, target.ID, n.Self.ID)
 	}
-	list := mergeNeighborList(n.Self, target, r.Table.Predecessors, n.Cfg.Successors)
-	if r.Back.Valid() && id.StrictBetween(r.Back.ID, target.ID, n.Self.ID) {
-		list = insertFront(list, r.Back, n.Cfg.Successors)
+	merged := mergeNeighborList(n.Self, target, theirs, n.Cfg.Successors)
+	if r.Back.Valid() && closer {
+		merged = insertFront(merged, r.Back, n.Cfg.Successors)
 	}
-	n.preds = list
+	*list = merged
 	if n.OnNeighborTable != nil {
 		n.OnNeighborTable(target, r.Table)
 	}
-	if len(n.preds) > 0 {
-		n.tr.Call(n.Self.Addr, n.preds[0].Addr,
-			NotifyReq{Clockwise: false, Who: n.Self}, n.Cfg.RPCTimeout,
+	if len(*list) > 0 {
+		n.tr.Call(n.Self.Addr, (*list)[0].Addr,
+			NotifyReq{Clockwise: clockwise, Who: n.Self}, n.Cfg.RPCTimeout,
 			func(transport.Message, error) {})
 	}
 }

@@ -43,7 +43,9 @@ func (p Peer) Valid() bool { return p.Addr != transport.NoAddr }
 // A table is immutable once built: its slices are never written through, so
 // copies of the struct may share them — across messages (the simulator
 // delivers by reference), proof queues and table buffers — without a deep
-// copy. Whoever needs a changed table changes a Clone.
+// copy. The tables one node issues while its routing state holds still share
+// its snapshot (Node.Table), never its live lists. Whoever needs a changed
+// table changes a Clone.
 type RoutingTable struct {
 	Owner Peer
 	// Fingers lists the owner's valid fingers; FingerExps[i] is the

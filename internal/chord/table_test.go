@@ -112,7 +112,8 @@ func signedNode(t *testing.T) *Node {
 }
 
 // TestTableOwnsItsStorage is the immutability rule from the serving side: a
-// table shares nothing with the node that built it, its three lists cannot
+// table shares nothing with the live lists of the node that built it (only
+// its snapshot, see TestTableSharesUnchangedState), its three lists cannot
 // grow into each other although they share one array, and nil ("not
 // requested") stays distinct from empty.
 func TestTableOwnsItsStorage(t *testing.T) {
@@ -154,5 +155,76 @@ func TestTableOwnsItsStorage(t *testing.T) {
 	}
 	if rt := n.Table(false, false); rt.Fingers == nil || rt.FingerExps == nil || len(rt.Fingers) != 0 {
 		t.Errorf("a finger-less table must carry empty, non-nil fingers and exponents: %#v / %#v", rt.Fingers, rt.FingerExps)
+	}
+}
+
+// TestTableSharesUnchangedState pins the snapshot: tables issued while the
+// routing state holds still share one array and differ only in Timestamp and
+// Sig; every kind of write to the live lists shows in the next table and in
+// no earlier one; and appends to a view or a table cannot reach the snapshot.
+func TestTableSharesUnchangedState(t *testing.T) {
+	n := signedNode(t)
+	sim := n.tr.(*simnet.Network).Sim()
+	issue := func() RoutingTable {
+		sim.Run(n.tr.Now() + time.Second)
+		return n.Table(true, true)
+	}
+	a, b := issue(), issue()
+	if &a.Fingers[0] != &b.Fingers[0] {
+		t.Error("two tables of unchanged state do not share their fingers")
+	}
+	if a.Timestamp == b.Timestamp || bytes.Equal(a.Sig, b.Sig) {
+		t.Error("tables of unchanged state share a timestamp or a signature")
+	}
+	b.Timestamp, b.Sig = a.Timestamp, a.Sig
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("tables of unchanged state differ beyond Timestamp and Sig:\n%+v\n%+v", a, b)
+	}
+
+	issued := []RoutingTable{a}
+	wants := []RoutingTable{a.Clone()}
+	for _, change := range []struct {
+		name  string
+		apply func()
+		shows func(RoutingTable) bool
+	}{
+		{"in-place finger write", func() { n.fingers[0] = NoPeer }, func(rt RoutingTable) bool {
+			return len(rt.Fingers) == len(a.Fingers)-1 && rt.Fingers[0] == a.Fingers[1]
+		}},
+		{"SetFinger", func() { n.SetFinger(1, Peer{ID: 7, Addr: 7}) }, func(rt RoutingTable) bool {
+			return rt.Fingers[0] == Peer{ID: 7, Addr: 7} && rt.FingerExps[0] == n.fingerExp(1)
+		}},
+		{"SetSuccessors of the same length", func() { n.SetSuccessors(goldenPeers(0x400, len(n.succs))) }, func(rt RoutingTable) bool {
+			return reflect.DeepEqual(rt.Successors, goldenPeers(0x400, len(a.Successors)))
+		}},
+		{"SetPredecessors(nil)", func() { n.SetPredecessors(nil) }, func(rt RoutingTable) bool {
+			return rt.Predecessors == nil
+		}},
+	} {
+		change.apply()
+		rt := issue()
+		if !change.shows(rt) {
+			t.Errorf("%s: the next table does not show it: %+v", change.name, rt)
+		}
+		issued, wants = append(issued, rt), append(wants, rt.Clone())
+		for i, old := range issued {
+			if !reflect.DeepEqual(old, wants[i]) {
+				t.Errorf("%s: table %d changed after it was issued", change.name, i)
+			}
+			if !old.VerifySig(n.ident.Scheme, n.ident.Key.Public) {
+				t.Errorf("%s: table %d no longer verifies", change.name, i)
+			}
+		}
+	}
+
+	n.SetPredecessors(goldenPeers(0x300, len(n.succs)))
+	before := n.Table(true, true)
+	want := before.Clone()
+	_ = append(n.knownPeers(), Peer{ID: 8, Addr: 8})
+	_ = append(n.validFingers(), Peer{ID: 8, Addr: 8})
+	_ = append(before.Fingers, Peer{ID: 9, Addr: 9})
+	_ = append(before.Successors, Peer{ID: 9, Addr: 9})
+	if after := n.Table(true, true); !reflect.DeepEqual(after, want) || !reflect.DeepEqual(before, want) {
+		t.Errorf("appends to a view or a table reached the snapshot:\n got %+v\nwant %+v", after, want)
 	}
 }

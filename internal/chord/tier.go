@@ -34,7 +34,8 @@ type RoutingTier interface {
 	// candidate set from. A finger tier returns everything it can route
 	// through; a full-state tier returns a bounded neighborhood tightly
 	// preceding key (plus the successor window) so per-lookup cost stays
-	// O(1) in the table size.
+	// O(1) in the table size. Callers only read the result: it may be a
+	// view of the tier's own state.
 	Candidates(key id.ID) []Peer
 	// RelayCandidates returns peers usable as fallback anonymization
 	// relays when the walk-fed pool runs dry. Kept separate from
@@ -92,7 +93,7 @@ func (t *FingerTier) FullState() bool { return false }
 
 // Candidates implements RoutingTier: every peer the node can route
 // through — valid fingers first, then the successor list, mirroring
-// knownPeers.
+// knownPeers, a view of the node's snapshot that its tables share.
 func (t *FingerTier) Candidates(id.ID) []Peer {
 	peers := t.n.knownPeers()
 	t.entries.Store(int64(len(peers)))
