@@ -54,6 +54,7 @@ var openAttacks = []struct {
 	{"response-inject", 25, responseInject},
 	{"frame-origin-spoof", 25, frameOriginSpoof},
 	{"receipt-replay", 20, receiptReplay},
+	{"drop-report-frames-exit", 20, dropReportFramesExit},
 }
 
 // TestOpenAttacks fails whenever the set of attacks that succeed differs
@@ -576,37 +577,70 @@ func walkOwnerSwap(t *testing.T) bool {
 	return swapped
 }
 
-// receiptReplay has an honest initiator I of a 60-node simnet ring send a
-// hand-built query along the path I → A → B → C → D, laid out as core's
-// anonymous queries are: B's layer carries the relay delay. Colluder D drops
-// forwards, so the query vanishes and I files the drop report core's
-// initiator files. Colluder A hands B's receipt back to B at once, and it
-// reaches B before B forwards, so B keeps its own receipt and refuses C's.
-// It succeeds when the CA revokes the honest B. Without the replay the CA
-// must revoke D and leave B alone.
+// chainQueryNet is a 60-node simnet ring after 30 s, with an initiator I,
+// relays A, B, C and D and a target among its first six nodes.
+type chainQueryNet struct {
+	*testNet
+	initiator, target chord.Peer
+	relays            []chord.Peer // A, B, C, D
+	qid               uint64
+}
+
+func newChainQueryNet(t *testing.T) *chainQueryNet {
+	nw := buildNet(t, 13, 60)
+	nw.Sim.Run(30 * time.Second)
+	peer := func(i int) chord.Peer { return nw.Nodes[i].Self() }
+	initiator := peer(0)
+	return &chainQueryNet{testNet: nw, initiator: initiator, target: peer(5),
+		relays: []chord.Peer{peer(1), peer(2), peer(3), peer(4)},
+		qid:    uint64(0xbeef)<<16 | uint64(initiator.Addr)&0xffff}
+}
+
+// send sends a hand-built query along I → A → B → C → D, laid out as core's
+// anonymous queries are: B's layer carries the relay delay. It runs for one
+// query timeout.
+func (nw *chainQueryNet) send() {
+	cfg := nw.Nodes[0].Config()
+	a, b, c, d := nw.relays[0], nw.relays[1], nw.relays[2], nw.relays[3]
+	exit := &core.RelayForward{QID: nw.qid, Exit: &core.ExitAction{Target: nw.target.Addr, Req: chord.GetTableReq{}}, Depth: 1}
+	toD := &core.RelayForward{QID: nw.qid, Next: d.Addr, Inner: exit, Depth: 2}
+	toC := &core.RelayForward{QID: nw.qid, Next: c.Addr, Inner: toD, Delay: cfg.RelayDelayMax, Depth: 3}
+	nw.Net.Send(nw.initiator.Addr, a.Addr, core.RelayForward{QID: nw.qid, Next: b.Addr, Inner: toC, Depth: 4})
+	nw.Sim.Run(nw.Sim.Now() + cfg.QueryTimeout)
+}
+
+// report files the drop report core's initiator files for a query that
+// vanished with its head receipt held, and runs the CA's investigation.
+func (nw *chainQueryNet) report() {
+	report := core.ReportMsg{Kind: core.ReportSelectiveDrop, Relays: nw.relays, QID: nw.qid, HasHeadReceipt: true}
+	nw.Net.Call(nw.initiator.Addr, nw.CA.Addr(), report, nw.Nodes[0].Config().Chord.RPCTimeout, func(transport.Message, error) {})
+	nw.Sim.Run(nw.Sim.Now() + 5*time.Minute)
+}
+
+// receiptReplay has an honest initiator I send a query along I → A → B → C
+// → D (chainQueryNet). Colluder D drops forwards, so the query vanishes and I
+// files the drop report. Colluder A hands B's receipt back to B at once, and
+// it reaches B before B forwards, so B keeps its own receipt and refuses
+// C's. It succeeds when the CA revokes the honest B. Without the replay the
+// CA must revoke D and leave B alone.
 func receiptReplay(t *testing.T) bool {
 	run := func(replay bool) (revokedB, revokedD bool) {
-		nw := buildNet(t, 13, 60)
-		sim := nw.Sim
-		sim.Run(30 * time.Second)
-		peer := func(i int) chord.Peer { return nw.Nodes[i].Self() }
-		initiator, a, b, c, d, target := peer(0), peer(1), peer(2), peer(3), peer(4), peer(5)
-		qid := uint64(0xbeef)<<16 | uint64(initiator.Addr)&0xffff
-
+		nw := newChainQueryNet(t)
+		a, b, d := nw.relays[0], nw.relays[1], nw.relays[3]
 		headReceipt, answered := false, false
 		deliverI := nw.Nodes[0].Chord.Extra
 		nw.Nodes[0].Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
 			switch m := req.(type) {
 			case core.Receipt:
-				headReceipt = headReceipt || m.QID == qid && m.Issuer.ID == a.ID
+				headReceipt = headReceipt || m.QID == nw.qid && m.Issuer.ID == a.ID
 			case core.RelayReply:
-				answered = answered || m.QID == qid
+				answered = answered || m.QID == nw.qid
 			}
 			return deliverI(from, req)
 		}
 		deliverA := nw.Nodes[1].Chord.Extra
 		nw.Nodes[1].Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
-			if r, ok := req.(core.Receipt); ok && replay && r.QID == qid {
+			if r, ok := req.(core.Receipt); ok && replay && r.QID == nw.qid {
 				nw.Net.Send(a.Addr, r.Issuer.Addr, r) // B's own receipt, back to B
 			}
 			return deliverA(from, req)
@@ -618,19 +652,11 @@ func receiptReplay(t *testing.T) bool {
 			}
 			return deliverD(from, req)
 		}
-
-		cfg := nw.Nodes[0].Config()
-		exit := &core.RelayForward{QID: qid, Exit: &core.ExitAction{Target: target.Addr, Req: chord.GetTableReq{}}, Depth: 1}
-		toD := &core.RelayForward{QID: qid, Next: d.Addr, Inner: exit, Depth: 2}
-		toC := &core.RelayForward{QID: qid, Next: c.Addr, Inner: toD, Delay: cfg.RelayDelayMax, Depth: 3}
-		nw.Net.Send(initiator.Addr, a.Addr, core.RelayForward{QID: qid, Next: b.Addr, Inner: toC, Depth: 4})
-		sim.Run(sim.Now() + cfg.QueryTimeout)
+		nw.send()
 		if answered || !headReceipt {
 			t.Fatalf("replay %v: the query was answered (%v) or A issued no receipt (%v)", replay, answered, !headReceipt)
 		}
-		report := core.ReportMsg{Kind: core.ReportSelectiveDrop, Relays: []chord.Peer{a, b, c, d}, QID: qid, HasHeadReceipt: true}
-		nw.Net.Call(initiator.Addr, nw.CA.Addr(), report, cfg.Chord.RPCTimeout, func(transport.Message, error) {})
-		sim.Run(sim.Now() + 5*time.Minute)
+		nw.report()
 		return nw.CA.Revoked(b.ID), nw.CA.Revoked(d.ID)
 	}
 	if b, d := run(false); b || !d {
@@ -638,6 +664,35 @@ func receiptReplay(t *testing.T) bool {
 	}
 	b, _ := run(true)
 	return b
+}
+
+// dropReportFramesExit has a colluding initiator I send a query along honest
+// relays I → A → B → C → D (chainQueryNet), which all forward it, and D's
+// answer reaches I. I then files the drop report anyway, claiming A's
+// receipt. It succeeds when the CA revokes the honest exit D: the CA checks
+// no head receipt, finds each of A, B and C holding its next hop's receipt,
+// and asks the exit for no proof that it replied.
+func dropReportFramesExit(t *testing.T) bool {
+	nw := newChainQueryNet(t)
+	answered := false
+	deliverI := nw.Nodes[0].Chord.Extra
+	nw.Nodes[0].Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+		if m, ok := req.(core.RelayReply); ok && m.QID == nw.qid && !m.Failed {
+			answered = true
+		}
+		return deliverI(from, req)
+	}
+	nw.send()
+	if !answered {
+		t.Fatal("the honest path did not answer the query")
+	}
+	nw.report()
+	for _, p := range nw.relays[:3] {
+		if nw.CA.Revoked(p.ID) {
+			t.Fatalf("the CA revoked honest relay %v before the exit", p)
+		}
+	}
+	return nw.CA.Revoked(nw.relays[3].ID)
 }
 
 // responseInject runs nodes A and B as two nettransport processes on

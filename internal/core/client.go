@@ -35,9 +35,6 @@ type ClientLookupReq struct {
 	Key id.ID
 }
 
-// Size implements transport.Message.
-func (m ClientLookupReq) Size() int { return transport.EncodedSize(m) }
-
 // WireType implements transport.Wire.
 func (ClientLookupReq) WireType() uint16 { return wireClientLookupReq }
 
@@ -66,9 +63,6 @@ type ClientLookupResp struct {
 	LatencyMicros uint64
 	WaitMicros    uint64
 }
-
-// Size implements transport.Message.
-func (m ClientLookupResp) Size() int { return transport.EncodedSize(m) }
 
 // WireType implements transport.Wire.
 func (ClientLookupResp) WireType() uint16 { return wireClientLookupResp }

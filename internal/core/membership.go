@@ -41,9 +41,6 @@ type CertIssueReq struct {
 	WantRoster bool
 }
 
-// Size implements transport.Message.
-func (m CertIssueReq) Size() int { return transport.EncodedSize(m) }
-
 // CertIssueResp carries the CA's admission verdict and, on success, the
 // issued certificate plus everything a fresh process needs to participate:
 // the CA public key, the identity roster, and the endpoint table.
@@ -70,9 +67,6 @@ type CertIssueResp struct {
 	SlotSeqs []uint64
 }
 
-// Size implements transport.Message.
-func (m CertIssueResp) Size() int { return transport.EncodedSize(m) }
-
 // EndpointAnnounce is broadcast by the CA when it admits a joiner: one
 // one-way message per known process, carrying the joiner's certificate and
 // endpoint so every process can extend its directory and address table
@@ -93,9 +87,6 @@ type EndpointAnnounce struct {
 	Sig []byte
 }
 
-// Size implements transport.Message.
-func (m EndpointAnnounce) Size() int { return transport.EncodedSize(m) }
-
 // RingAdmitReq is the bootstrap-channel admission request: what a slotless
 // `octopusd -join` process sends (nettransport.ClientConn) to any daemon
 // of a live deployment. The daemon relays it to the CA as a CertIssueReq
@@ -106,9 +97,6 @@ type RingAdmitReq struct {
 	Key      xcrypto.PublicKey
 	Endpoint string
 }
-
-// Size implements transport.Message.
-func (m RingAdmitReq) Size() int { return transport.EncodedSize(m) }
 
 // RingAdmitResp answers a RingAdmitReq.
 type RingAdmitResp struct {
@@ -121,9 +109,6 @@ type RingAdmitResp struct {
 	// Bootstrap is a live ring member the joiner should join through.
 	Bootstrap chord.Peer
 }
-
-// Size implements transport.Message.
-func (m RingAdmitResp) Size() int { return transport.EncodedSize(m) }
 
 // CertRetireReq tells the CA a certified joiner is departing for good: the
 // CA drops the grant from its re-announce set, releases the endpoint's
@@ -138,16 +123,10 @@ type CertRetireReq struct {
 	Sig []byte
 }
 
-// Size implements transport.Message.
-func (m CertRetireReq) Size() int { return transport.EncodedSize(m) }
-
 // CertRetireResp acknowledges a retirement.
 type CertRetireResp struct {
 	OK bool
 }
-
-// Size implements transport.Message.
-func (m CertRetireResp) Size() int { return transport.EncodedSize(m) }
 
 // RevocationAnnounce is broadcast by the CA when it revokes an identity,
 // so every process's directory learns the revocation — without it, the
@@ -159,9 +138,6 @@ type RevocationAnnounce struct {
 	// Sig is the CA's attestation over the revocation statement.
 	Sig []byte
 }
-
-// Size implements transport.Message.
-func (m RevocationAnnounce) Size() int { return transport.EncodedSize(m) }
 
 // Wire type codes of the core half of the membership registry (0x03xx).
 const (

@@ -50,9 +50,6 @@ type ExitAction struct {
 	Req    transport.Message
 }
 
-// Size implements transport.Message.
-func (m RelayForward) Size() int { return transport.EncodedSize(m) }
-
 // RelayReply carries a query answer one hop back toward the initiator. Each
 // relay forwards it to the predecessor it recorded for QID.
 type RelayReply struct {
@@ -66,9 +63,6 @@ type RelayReply struct {
 	Depth int
 }
 
-// Size implements transport.Message.
-func (m RelayReply) Size() int { return transport.EncodedSize(m) }
-
 // WalkSeedReq delivers the phase-2 random seed to U_l, the last node of
 // phase 1 (Appendix I). U_l performs the second phase, collecting signed
 // fingertables, and returns them for verification.
@@ -77,9 +71,6 @@ type WalkSeedReq struct {
 	Seed   int64
 	Hops   int
 }
-
-// Size implements transport.Message.
-func (m WalkSeedReq) Size() int { return transport.EncodedSize(m) }
 
 // WalkSeedResp returns every fingertable U_l collected in phase 2, each
 // signed by its owner, so the initiator can re-derive the seed-driven
@@ -90,9 +81,6 @@ type WalkSeedResp struct {
 	OK     bool
 }
 
-// Size implements transport.Message.
-func (m WalkSeedResp) Size() int { return transport.EncodedSize(m) }
-
 // Receipt acknowledges delivery of a relayed message (Appendix II). It is
 // signed by the issuer so it can serve as evidence before the CA.
 type Receipt struct {
@@ -100,9 +88,6 @@ type Receipt struct {
 	Issuer chord.Peer
 	Sig    []byte
 }
-
-// Size implements transport.Message.
-func (m Receipt) Size() int { return transport.EncodedSize(m) }
 
 // WitnessReq asks a witness (a successor/predecessor of the requester) to
 // independently deliver a message to a suspected dropper's next hop and
@@ -113,9 +98,6 @@ type WitnessReq struct {
 	Payload *RelayForward
 }
 
-// Size implements transport.Message.
-func (m WitnessReq) Size() int { return transport.EncodedSize(m) }
-
 // WitnessResp returns the witness's receipt or signed failure statement.
 type WitnessResp struct {
 	QID       uint64
@@ -123,9 +105,6 @@ type WitnessResp struct {
 	Statement []byte // witness signature over the outcome
 	Witness   chord.Peer
 }
-
-// Size implements transport.Message.
-func (m WitnessResp) Size() int { return transport.EncodedSize(m) }
 
 // --- CA protocol messages (§4.6, Fig. 2) ---
 
@@ -174,9 +153,6 @@ type ReportMsg struct {
 	HasHeadReceipt bool
 }
 
-// Size implements transport.Message.
-func (m ReportMsg) Size() int { return transport.EncodedSize(m) }
-
 // ProofReq is the CA asking a node for its pollution proofs: the most
 // recent signed successor lists it received during stabilization, or — in
 // selective-DoS investigations — the receipts and witness statements for a
@@ -191,9 +167,6 @@ type ProofReq struct {
 	// the secured finger update (§4.5).
 	FingerClaim chord.Peer
 }
-
-// Size implements transport.Message.
-func (m ProofReq) Size() int { return transport.EncodedSize(m) }
 
 // ProofResp carries the node's current signed successor list plus its proof
 // queue.
@@ -210,11 +183,31 @@ type ProofResp struct {
 	Statements []WitnessResp
 }
 
-// Size implements transport.Message.
-func (m ProofResp) Size() int { return transport.EncodedSize(m) }
-
 // ReportAck acknowledges a report.
 type ReportAck struct{}
 
-// Size implements transport.Message.
-func (m ReportAck) Size() int { return transport.EncodedSize(m) }
+// Size implements transport.Message: the length of the real encoding.
+func (m RelayForward) Size() int       { return transport.EncodedSize(m) }
+func (m RelayReply) Size() int         { return transport.EncodedSize(m) }
+func (m WalkSeedReq) Size() int        { return transport.EncodedSize(m) }
+func (m WalkSeedResp) Size() int       { return transport.EncodedSize(m) }
+func (m Receipt) Size() int            { return transport.EncodedSize(m) }
+func (m WitnessReq) Size() int         { return transport.EncodedSize(m) }
+func (m WitnessResp) Size() int        { return transport.EncodedSize(m) }
+func (m ReportMsg) Size() int          { return transport.EncodedSize(m) }
+func (m ProofReq) Size() int           { return transport.EncodedSize(m) }
+func (m ProofResp) Size() int          { return transport.EncodedSize(m) }
+func (m ReportAck) Size() int          { return transport.EncodedSize(m) }
+func (m CertIssueReq) Size() int       { return transport.EncodedSize(m) }
+func (m CertIssueResp) Size() int      { return transport.EncodedSize(m) }
+func (m EndpointAnnounce) Size() int   { return transport.EncodedSize(m) }
+func (m RingAdmitReq) Size() int       { return transport.EncodedSize(m) }
+func (m RingAdmitResp) Size() int      { return transport.EncodedSize(m) }
+func (m CertRetireReq) Size() int      { return transport.EncodedSize(m) }
+func (m CertRetireResp) Size() int     { return transport.EncodedSize(m) }
+func (m RevocationAnnounce) Size() int { return transport.EncodedSize(m) }
+func (m TierEventNotify) Size() int    { return transport.EncodedSize(m) }
+func (m TierSyncReq) Size() int        { return transport.EncodedSize(m) }
+func (m TierSyncResp) Size() int       { return transport.EncodedSize(m) }
+func (m ClientLookupReq) Size() int    { return transport.EncodedSize(m) }
+func (m ClientLookupResp) Size() int   { return transport.EncodedSize(m) }

@@ -86,7 +86,10 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 	// How long the node holds state for somebody's query, decided here and
 	// nowhere else: routes and tombstones outlive the query and its
 	// dropped-query pings; receipts and statements the witness round and the
-	// CA's delayed investigation.
+	// CA's delayed investigation. The CA asks only relays for receipts, so
+	// what a node holds is its next hop's receipt for each forward it
+	// relayed; its first relay's receipt for its own query is one bit of
+	// the pending query (paths.takeHeadReceipt).
 	routeTTL := 4 * cfg.QueryTimeout
 	evidenceTTL := cfg.Chord.RPCTimeout + 20*cfg.QueryTimeout
 	// Each table evicts fairly among the peers whose messages created its
@@ -292,7 +295,7 @@ func (n *Node) handleExtra(from transport.Addr, req transport.Message) (transpor
 			n.relay.carry(m)
 		}
 	case Receipt:
-		if n.evidence.addReceipt(m) {
+		if !n.paths.takeHeadReceipt(m) && n.evidence.addReceipt(m) {
 			n.relay.disarm(m.QID)
 		}
 	case ProofReq:

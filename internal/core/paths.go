@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/chord"
@@ -19,9 +20,16 @@ var ErrExitFailed = errors.New("core: exit relay could not reach the queried nod
 var ErrNoRelays = errors.New("core: relay pool empty and no fallback available")
 
 // pendingQuery is initiator-side state for one outstanding anonymous query.
+// head is its first relay, or NoPeer when the node is on its own route. The
+// head's receipt is read only by the dropped-query report, and the CA never
+// asks the initiator for it, so a valid one is kept as the headReceipt bit
+// and ends with the query; any other receipt for the qid is evidence's.
 type pendingQuery struct {
-	cb    func(transport.Message, error)
-	timer transport.Timer
+	cb          func(transport.Message, error)
+	timer       transport.Timer
+	qid         uint64
+	head        chord.Peer
+	headReceipt bool
 }
 
 // paths is the node's role as initiator of anonymous paths: it allocates
@@ -69,19 +77,32 @@ func (p *paths) deliver(m RelayReply) bool {
 	return p.timedOut.set(m.QID, true)
 }
 
+// takeHeadReceipt reports whether r is the first relay's receipt for one of
+// the node's pending queries. Such a receipt sets the query's bit when it
+// verifies exactly as evidence.addReceipt would verify it; every other
+// receipt is left to evidence.
+func (p *paths) takeHeadReceipt(r Receipt) bool {
+	q, ok := p.pending[r.QID]
+	if !ok || !q.head.Valid() || r.Issuer != q.head {
+		return false
+	}
+	q.headReceipt = q.headReceipt || p.n.dir.VerifyReceipt(r)
+	return true
+}
+
 // chainQuery sends req through an arbitrary relay route and returns the
-// query identifier. With a valid target the final relay acts as exit and
-// queries target; with target == chord.NoPeer the final relay consumes req
-// itself (Local delivery). delayAt, when >= 0, selects the route index that
-// must add the random anti-timing delay. cb is invoked exactly once, always
-// asynchronously.
+// pending query (nil for an empty route). With a valid target the final
+// relay acts as exit and queries target; with target == chord.NoPeer the
+// final relay consumes req itself (Local delivery). delayAt, when >= 0,
+// selects the route index that must add the random anti-timing delay. cb is
+// invoked exactly once, always asynchronously.
 func (p *paths) chainQuery(route []chord.Peer, target chord.Peer, req transport.Message,
-	timeout time.Duration, delayAt int, cb func(transport.Message, error)) uint64 {
+	timeout time.Duration, delayAt int, cb func(transport.Message, error)) *pendingQuery {
 	n := p.n
 	if len(route) == 0 {
 		// Degenerate direct query (bootstrap only).
 		n.tr.Call(n.Chord.Self.Addr, target.Addr, req, timeout, cb)
-		return 0
+		return nil
 	}
 	p.qidSeq++
 	qid := p.qidSeq<<16 | uint64(n.Chord.Self.Addr)&0xffff
@@ -106,9 +127,15 @@ func (p *paths) chainQuery(route []chord.Peer, target chord.Peer, req transport.
 			q.cb(nil, ErrQueryTimeout)
 		}
 	})
-	p.pending[qid] = &pendingQuery{cb: cb, timer: timer}
+	q := &pendingQuery{cb: cb, timer: timer, qid: qid, head: route[0]}
+	// On its own route the node is a relay too, and its receipt watch reads
+	// evidence (ROADMAP 20(d): a walk back through its initiator).
+	if slices.ContainsFunc(route, func(r chord.Peer) bool { return r.Addr == n.Chord.Self.Addr }) {
+		q.head = chord.NoPeer
+	}
+	p.pending[qid] = q
 	n.tr.Send(n.Chord.Self.Addr, route[0].Addr, *inner)
-	return qid
+	return q
 }
 
 // anonQuery sends req to target through the 4-relay anonymous path
@@ -120,15 +147,15 @@ func (p *paths) anonQuery(head, pair RelayPair, target chord.Peer, req transport
 	n := p.n
 	n.stats.QueriesSent.Add(1)
 	route := []chord.Peer{head.First, head.Second, pair.First, pair.Second}
-	var qid uint64
-	qid = p.chainQuery(route, target, req, n.cfg.QueryTimeout, 1,
+	var q *pendingQuery
+	q = p.chainQuery(route, target, req, n.cfg.QueryTimeout, 1,
 		func(resp transport.Message, err error) {
-			// chainQuery completes strictly asynchronously, so qid is
+			// chainQuery completes strictly asynchronously, so q is
 			// assigned by the time this runs. Only a silent loss
 			// implicates the path; an explicit exit failure means the
 			// relays all did their job (the target was unreachable).
 			if errors.Is(err, ErrQueryTimeout) && n.cfg.DoSDefense {
-				p.reportDroppedQuery(qid, route)
+				p.reportDroppedQuery(q.qid, route, q.headReceipt || n.evidence.hasReceipt(q.qid))
 			}
 			cb(resp, err)
 		})
@@ -137,10 +164,10 @@ func (p *paths) anonQuery(head, pair RelayPair, target chord.Peer, req transport
 // reportDroppedQuery implements the initiator side of Appendix II: when a
 // query reply misses its deadline and the path relays are still alive, the
 // initiator hands the relay identities to the CA, which walks the receipt
-// trail to locate the dropper.
-func (p *paths) reportDroppedQuery(qid uint64, relays []chord.Peer) {
+// trail to locate the dropper. hasHead is whether a valid receipt for the
+// query arrived.
+func (p *paths) reportDroppedQuery(qid uint64, relays []chord.Peer, hasHead bool) {
 	n := p.n
-	hasHead := n.evidence.hasReceipt(qid)
 	alive, total := 0, len(relays)
 	for _, r := range relays {
 		n.tr.Call(n.Chord.Self.Addr, r.Addr, chord.PingReq{}, n.cfg.Chord.RPCTimeout,

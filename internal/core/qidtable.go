@@ -11,8 +11,10 @@ import (
 )
 
 // qidTableMax caps every per-query table. On tcp-lookup-uniform, the busiest
-// workload, a node holds ≈ 2 900 entries (35 lookups/s × 65 forwards / 64 nodes
-// × 82 s); 1<<17 is 45× that, 2.8× a node on every path (≤ ¼ of forwards).
+// workload, a node holds ≈ 2 000 receipts (35 lookups/s × 45 relayed forwards
+// / 64 nodes × 82 s; the 19 of a lookup's 64 forwards that an initiator sends
+// leave none); 1<<17 is 65× that, 2.7× a node on every path (one receipt per
+// path, ≈ 17 paths per lookup).
 const qidTableMax = 1 << 17
 
 type qidPut struct {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -282,4 +283,161 @@ func TestReceiptWatchEndsAtReceipt(t *testing.T) {
 			t.Errorf("qid %#x: a watch is still held after the RPC timeout", qid)
 		}
 	}
+}
+
+// ownQID reports whether qid is one of n's own queries (paths.chainQuery
+// puts the initiator's address in its low bits).
+func ownQID(n *Node, qid uint64) bool { return qid&0xffff == uint64(n.Self().Addr)&0xffff }
+
+// TestHeadReceiptHeldAsABit: after anonymous lookups and walks, no node holds
+// a receipt for its own query in its receipt table, unless it was a relay on
+// that query's route; and every relay holds its next hop's receipt for each
+// forward it relayed, which is what the CA asks it for.
+func TestHeadReceiptHeldAsABit(t *testing.T) {
+	nw := buildTestNet(t, 37, 60, nil)
+	nw.Sim.Run(60 * time.Second)
+	type hop struct {
+		node transport.Addr
+		qid  uint64
+	}
+	onRoute := map[hop]bool{}                // a forward of qid reached node
+	sentTo := map[hop][]transport.Addr{}     // where node forwarded qid
+	headReceipts := map[transport.Addr]int{} // receipts for own queries off their route
+	for _, n := range nw.Nodes {
+		self, deliver := n.Self().Addr, n.Chord.Extra
+		n.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+			switch m := req.(type) {
+			case RelayForward:
+				onRoute[hop{self, m.QID}] = true
+				if m.Inner != nil {
+					sentTo[hop{self, m.QID}] = append(sentTo[hop{self, m.QID}], m.Next)
+				}
+			case Receipt:
+				if ownQID(n, m.QID) && !onRoute[hop{self, m.QID}] {
+					headReceipts[self]++
+				}
+			}
+			return deliver(from, req)
+		}
+	}
+	walks, lookups := nw.Node(0).Stats().WalksCompleted.Load(), 0
+	for i := 0; i < 10; i++ {
+		node := nw.Node(transport.Addr(i * 5))
+		nw.Net.After(node.Self().Addr, 0, func() {
+			node.AnonLookup(id.ID(uint64(i+1)<<58), func(chord.Peer, LookupStats, error) { lookups++ })
+		})
+	}
+	nw.Sim.Run(nw.Sim.Now() + 30*time.Second)
+	for _, n := range nw.Nodes {
+		for _, stop := range n.stops {
+			stop()
+		}
+		n.stops = nil
+	}
+	// In-flight walks finish; everything stays within evidence retention.
+	nw.Sim.Run(nw.Sim.Now() + 30*time.Second)
+	if lookups != 10 || nw.Node(0).Stats().WalksCompleted.Load() == walks || len(headReceipts) < 10 {
+		t.Fatalf("%d of 10 lookups finished, node 0 completed %d walks, %d initiators got a head receipt",
+			lookups, nw.Node(0).Stats().WalksCompleted.Load()-walks, len(headReceipts))
+	}
+
+	for _, n := range nw.Nodes {
+		for qid := range n.evidence.receipts.live {
+			if ownQID(n, qid) && !onRoute[hop{n.Self().Addr, qid}] {
+				t.Errorf("node %d holds a receipt for its own query %#x, which it did not relay", n.Self().Addr, qid)
+			}
+		}
+	}
+	for h, next := range sentTo {
+		r, ok := nw.Node(h.node).evidence.receipts.receipt(h.qid)
+		if !ok || !slices.Contains(next, r.Issuer.Addr) {
+			t.Errorf("relay %d forwarded %#x to %v but holds receipt %+v (%v)", h.node, h.qid, next, r, ok)
+		}
+	}
+}
+
+// TestHeadReceiptReportedOnDrop: a query whose exit drops it is reported to
+// the CA with HasHeadReceipt true when the first relay's receipt reached the
+// initiator, and false when it did not.
+func TestHeadReceiptReportedOnDrop(t *testing.T) {
+	for _, receipted := range []bool{true, false} {
+		nw := buildTestNet(t, 13, 60, func(cfg *Config) { cfg.DoSDefense = true })
+		nw.Sim.Run(30 * time.Second)
+		initiator, a, exit := nw.Node(0), nw.Node(1), nw.Node(4)
+		dropForwards(exit)
+		if !receipted {
+			deliver := initiator.Chord.Extra
+			initiator.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+				if r, ok := req.(Receipt); ok && r.Issuer == a.Self() {
+					return nil, false
+				}
+				return deliver(from, req)
+			}
+		}
+		head := RelayPair{First: a.Self(), Second: nw.Node(2).Self()}
+		pair := RelayPair{First: nw.Node(3).Self(), Second: exit.Self()}
+		initiator.paths.anonQuery(head, pair, nw.Node(5).Self(), chord.GetTableReq{}, func(transport.Message, error) {})
+		qid := initiator.paths.qidSeq<<16 | uint64(initiator.Self().Addr)&0xffff
+		var reports []ReportMsg
+		nw.Net.Bind(nw.CA.Addr(), func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+			if m, ok := req.(ReportMsg); ok && m.QID == qid {
+				reports = append(reports, m)
+			}
+			return nw.CA.handle(from, req)
+		})
+		nw.Sim.Run(nw.Sim.Now() + time.Minute)
+		if len(reports) != 1 || reports[0].HasHeadReceipt != receipted {
+			t.Errorf("A's receipt delivered %v: reports %+v, want one with HasHeadReceipt %v", receipted, reports, receipted)
+		}
+	}
+}
+
+// TestHeadReceiptOldPaths: a receipt for a pending query stays evidence's
+// when the node is on the query's route, or when its issuer is not the
+// query's first relay. Either way a receipt watch or a witness statement
+// reads it there.
+func TestHeadReceiptOldPaths(t *testing.T) {
+	t.Run("initiator on its own route", func(t *testing.T) {
+		// I → A → I → A, as a walk that passes back through its initiator:
+		// I relays to A, and must hold A's receipt for it.
+		nw := buildTestNet(t, 43, 12, nil)
+		nw.Sim.Run(5 * time.Second)
+		initiator, a := nw.Node(0), nw.Node(1)
+		witnessReqs := 0
+		for _, n := range nw.Nodes {
+			deliver := n.Chord.Extra
+			n.Chord.Extra = func(from transport.Addr, req transport.Message) (transport.Message, bool) {
+				if _, ok := req.(WitnessReq); ok {
+					witnessReqs++
+				}
+				return deliver(from, req)
+			}
+		}
+		var err error = ErrQueryTimeout
+		q := initiator.paths.chainQuery([]chord.Peer{a.Self(), initiator.Self(), a.Self()}, nw.Node(5).Self(),
+			chord.GetTableReq{}, initiator.cfg.QueryTimeout, -1, func(_ transport.Message, e error) { err = e })
+		nw.Sim.Run(nw.Sim.Now() + initiator.cfg.Chord.RPCTimeout + time.Second)
+		got := initiator.evidence.answer(ProofReq{QID: q.qid}).Receipts
+		if err != nil || len(got) != 1 || got[0].Issuer != a.Self() || witnessReqs != 0 {
+			t.Errorf("query error %v; as a relay the initiator holds %+v and recruited %d witnesses, want A's receipt and none",
+				err, got, witnessReqs)
+		}
+	})
+	t.Run("issuer not the first relay", func(t *testing.T) {
+		// A misses B's receipt for I's query and asks I to witness: I retries
+		// the delivery to B, and its statement must say B took it.
+		nw := buildTestNet(t, 43, 12, nil)
+		nw.Sim.Run(5 * time.Second)
+		initiator, a, b := nw.Node(0), nw.Node(1), nw.Node(2)
+		nw.Node(5).Stop() // the exit's query times out: I's query stays pending
+		q := initiator.paths.chainQuery([]chord.Peer{a.Self(), b.Self()}, nw.Node(5).Self(),
+			chord.GetTableReq{}, initiator.cfg.QueryTimeout, -1, func(transport.Message, error) {})
+		nw.Net.Send(a.Self().Addr, initiator.Self().Addr,
+			WitnessReq{QID: q.qid, Deliver: b.Self().Addr, Payload: &RelayForward{QID: q.qid, Depth: 1}})
+		nw.Sim.Run(nw.Sim.Now() + initiator.cfg.Chord.RPCTimeout + time.Second)
+		sts, _ := a.evidence.statements.get(q.qid)
+		if len(sts) != 1 || !sts[0].Delivered || !initiator.evidence.hasReceipt(q.qid) {
+			t.Errorf("witness I returned %+v and holds B's receipt: %v; want Delivered and held", sts, initiator.evidence.hasReceipt(q.qid))
+		}
+	})
 }

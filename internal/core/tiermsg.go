@@ -27,9 +27,6 @@ type TierEventNotify struct {
 	Leaves []id.ID
 }
 
-// Size implements transport.Message.
-func (m TierEventNotify) Size() int { return transport.EncodedSize(m) }
-
 // TierSyncReq asks a peer for one page of its one-hop table in ID order,
 // starting strictly after From. Max bounds the page size.
 type TierSyncReq struct {
@@ -37,18 +34,12 @@ type TierSyncReq struct {
 	Max  uint16
 }
 
-// Size implements transport.Message.
-func (m TierSyncReq) Size() int { return transport.EncodedSize(m) }
-
 // TierSyncResp returns one table page; More tells the joiner to chain
 // another request from the last returned ID.
 type TierSyncResp struct {
 	More  bool
 	Peers []chord.Peer
 }
-
-// Size implements transport.Message.
-func (m TierSyncResp) Size() int { return transport.EncodedSize(m) }
 
 // WireType implements transport.Wire.
 func (TierEventNotify) WireType() uint16 { return wireTierEventNotify }
