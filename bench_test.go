@@ -22,7 +22,6 @@ import (
 	"github.com/octopus-dht/octopus/internal/experiments"
 	"github.com/octopus-dht/octopus/internal/id"
 	"github.com/octopus-dht/octopus/internal/transport"
-	"github.com/octopus-dht/octopus/internal/transport/chantransport"
 	"github.com/octopus-dht/octopus/internal/xcrypto"
 )
 
@@ -266,11 +265,10 @@ func BenchmarkAblationPathSplitting(b *testing.B) {
 
 // --- Transport & codec hot path ---
 //
-// The wire codec and the transport RPC loop are the hot path of any real
-// deployment: every message of every lookup crosses them. These benchmarks
-// track encode/decode/size cost for the dominant message (a signed routing
-// table) and the full serialized RPC round-trip over the concurrent
-// channel transport.
+// The wire codec is the hot path of any real deployment: every message of
+// every lookup crosses it. These benchmarks track encode/decode/size cost
+// for the dominant message (a signed routing table); bench's probes time
+// the RPC round trip.
 
 // benchTable builds a representative signed table: 12 fingers with
 // exponents, 6 successors, a 40-byte signature.
@@ -377,33 +375,4 @@ func benchSignedTable(b *testing.B) (chord.RoutingTable, xcrypto.Scheme, xcrypto
 		b.Fatal(err)
 	}
 	return rt, scheme, kp
-}
-
-// BenchmarkChanTransportRPC measures the full serialized round-trip:
-// encode → deliver to the callee goroutine → decode → handle → encode →
-// deliver back → decode.
-func BenchmarkChanTransportRPC(b *testing.B) {
-	net := chantransport.New(2, 1)
-	defer net.Close()
-	resp := benchTable()
-	net.Bind(0, func(transport.Addr, transport.Message) (transport.Message, bool) {
-		return resp, true
-	})
-	net.Bind(1, func(transport.Addr, transport.Message) (transport.Message, bool) {
-		return nil, false
-	})
-	var req transport.Message = chord.GetTableReq{IncludeSuccessors: true}
-	done := make(chan error, 1)
-	// Hoisted so the loop measures the transport round-trip, not the
-	// harness's own closure construction.
-	cb := func(_ transport.Message, err error) { done <- err }
-	call := func() { net.Call(1, 0, req, 5*time.Second, cb) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.After(1, 0, call)
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-	}
 }

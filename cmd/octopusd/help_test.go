@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/octopus-dht/octopus/internal/core"
 	"github.com/octopus-dht/octopus/internal/daemon"
 )
 
@@ -58,5 +62,50 @@ func TestLinksNoHTTPStack(t *testing.T) {
 		case "net/http", "crypto/tls", "crypto/x509":
 			t.Errorf("octopusd links %s", pkg)
 		}
+	}
+}
+
+// TestDeploymentDocRelayDelay binds DEPLOYMENT.md's "shipped relay delay"
+// limitation to the values it states: -relay-delay-max's default as
+// help.golden pins it, and core.DefaultConfig's RelayDelayMax, the paper's
+// 100 ms. A change to either default must rewrite that bullet.
+func TestDeploymentDocRelayDelay(t *testing.T) {
+	help, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^  -relay-delay-max duration\n.*\(default ([^)]+)\)$`).FindSubmatch(help)
+	if m == nil {
+		t.Fatal("help.golden: no default for -relay-delay-max")
+	}
+	shipped, err := time.ParseDuration(string(m[1]))
+	if err != nil {
+		t.Fatalf("help.golden: -relay-delay-max default %q: %v", m[1], err)
+	}
+	doc, err := os.ReadFile("../../docs/DEPLOYMENT.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = "- **The shipped relay delay"
+	i := bytes.Index(doc, []byte(head))
+	if i < 0 {
+		t.Fatalf("DEPLOYMENT.md: no bullet starting %q", head)
+	}
+	bullet := string(doc[i+len(head):])
+	if j := strings.Index(bullet, "\n- "); j >= 0 {
+		bullet = bullet[:j]
+	}
+	bullet = strings.Join(strings.Fields(bullet), " ")
+	paper := core.DefaultConfig().RelayDelayMax
+	for _, want := range []string{
+		fmt.Sprintf("defaults it to %d ms", shipped.Milliseconds()),
+		fmt.Sprintf("`core.DefaultConfig`'s %d ms", paper.Milliseconds()),
+	} {
+		if !strings.Contains(bullet, want) {
+			t.Errorf("DEPLOYMENT.md's relay-delay bullet does not say %q:\n%s", want, bullet)
+		}
+	}
+	if strings.Contains(bullet, "half of the paper's") && 2*shipped != paper {
+		t.Errorf("DEPLOYMENT.md calls %v half of %v", shipped, paper)
 	}
 }

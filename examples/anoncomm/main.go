@@ -5,7 +5,7 @@
 // property that defeats the relay-exhaustion attack of Wang et al.).
 //
 // The circuit payloads here use the repository's REAL onion cryptography
-// (AES-128-CTR layers, internal/xcrypto) rather than the simulator's
+// (authenticated AES-128-GCM layers, internal/xcrypto) rather than the simulator's
 // structural model.
 //
 //	go run ./examples/anoncomm
@@ -55,7 +55,7 @@ func run() error {
 		}
 	}
 
-	// Build a real onion for the circuit: one AES-128-CTR layer per relay.
+	// Build a real onion for the circuit: one AES-128-GCM layer per relay.
 	keys := make([][]byte, 3)
 	for i := range keys {
 		k, err := xcrypto.NewOnionKey(rand.Reader)
@@ -72,6 +72,15 @@ func run() error {
 	}
 	fmt.Printf("\nCircuit %d -> %d -> %d, onion %d bytes for a %d-byte payload\n",
 		relays[0], relays[1], relays[2], len(onion), len(payload))
+
+	// A party on the path holds no key but can flip bits in transit. Each
+	// layer is authenticated, so the relay refuses the altered onion.
+	tampered := slices.Clone(onion)
+	tampered[len(tampered)/2] ^= 1
+	if _, _, err = xcrypto.Peel(keys[0], tampered); err == nil {
+		return fmt.Errorf("relay 1 accepted a tampered onion")
+	}
+	fmt.Printf("  one bit flipped in transit: relay 1 refuses it (%v)\n", err)
 
 	// Each relay peels exactly one layer.
 	cur := onion

@@ -1,9 +1,10 @@
-// Wiretransport: run the DHT stack over the concurrent channel transport
-// instead of the deterministic simulator.
+// Wiretransport: run the DHT stack over the socket transport, every host
+// in this one process, instead of the deterministic simulator.
 //
-// Every RPC below crosses host boundaries as encoded bytes — the same
-// binary wire format a socket deployment would use — and every host runs
-// its own goroutine. This is the "unbound from the simulator" proof: the
+// Every RPC below crosses host boundaries as encoded bytes — the binary wire
+// format the socket deployment uses — and every host runs its own
+// goroutine. The endpoint table names only this process, so no frame
+// touches a socket. This is the "unbound from the simulator" proof: the
 // identical chord.Node state machines drive stabilization, finger repair,
 // and iterative lookups with no virtual clock anywhere.
 //
@@ -21,7 +22,7 @@ import (
 	"github.com/octopus-dht/octopus/internal/chord"
 	"github.com/octopus-dht/octopus/internal/id"
 	"github.com/octopus-dht/octopus/internal/transport"
-	"github.com/octopus-dht/octopus/internal/transport/chantransport"
+	"github.com/octopus-dht/octopus/internal/transport/nettransport"
 )
 
 func main() {
@@ -32,8 +33,15 @@ func main() {
 
 func run(w io.Writer) error {
 	const n = 32
-	fmt.Fprintf(w, "Starting %d hosts, one goroutine each, 500µs wire latency ...\n", n)
-	net := chantransport.New(n, 1, chantransport.WithLatency(500*time.Microsecond))
+	fmt.Fprintf(w, "Starting %d hosts in one process, one goroutine each ...\n", n)
+	eps := make([]string, n)
+	for i := range eps {
+		eps[i] = "local"
+	}
+	net, err := nettransport.New(nettransport.Config{Listen: "127.0.0.1:0", Self: "local", Endpoints: eps, Seed: 1})
+	if err != nil {
+		return err
+	}
 	defer net.Close()
 
 	cfg := chord.DefaultConfig()

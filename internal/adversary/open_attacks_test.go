@@ -395,10 +395,10 @@ func storeForgedValue(t *testing.T) bool {
 // onionMalleable builds a two-relay onion with xcrypto.Build and peels it
 // with xcrypto.Peel, as examples/anoncomm does, after a party holding no key
 // has flipped one bit of the outer layer's encrypted next hop (the 8 bytes
-// after the 16-byte IV) and one bit of the payload (the onion's last byte:
-// CTR layers nest, so it lies over the payload's last byte). It succeeds when
-// both relays peel without an error and read a next hop or payload other
-// than the one built.
+// after the 12-byte nonce) and one bit of the onion's last byte. It
+// succeeds when both relays peel without an error and read a next hop or
+// payload other than the one built. Closed: each layer is sealed with
+// AES-GCM, so the first Peel refuses the tampered layer.
 func onionMalleable(t *testing.T) bool {
 	keys := make([][]byte, 2)
 	for i := range keys {
@@ -414,7 +414,7 @@ func onionMalleable(t *testing.T) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onion[16+7] ^= 1
+	onion[12+7] ^= 1
 	onion[len(onion)-1] ^= 1
 	next, inner, err := xcrypto.Peel(keys[0], onion)
 	if err != nil {

@@ -29,6 +29,21 @@ func TestRingOwner(t *testing.T) {
 	}
 }
 
+// TestNewRingFingerExponents pins the finger spans NewRing gives a ring:
+// every exponent from 12, just above the expected gap, to 63, half the
+// 64-bit ring, once each and in order.
+func TestNewRingFingerExponents(t *testing.T) {
+	ring, _ := testRing(t, 100)
+	if len(ring.fingerExps) != 64-12 {
+		t.Fatalf("%d finger exponents, want %d", len(ring.fingerExps), 64-12)
+	}
+	for i, e := range ring.fingerExps {
+		if e != uint(12+i) {
+			t.Fatalf("finger exponent %d = %d, want %d", i, e, 12+i)
+		}
+	}
+}
+
 func TestRingDist(t *testing.T) {
 	ring, _ := testRing(t, 100)
 	if ring.Dist(10, 10) != 0 {

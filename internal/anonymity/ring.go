@@ -45,11 +45,9 @@ func NewRing(n int, succListK int, rng *rand.Rand) *Ring {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	// Fingers span from just above the expected gap up to half the ring,
 	// mirroring the useful (distinct) fingers of a real deployment.
-	exps := make([]uint, 0, 40)
+	exps := make([]uint, 0, 64-12)
 	for e := uint(12); e < 64; e++ {
-		if 1<<e > uint64(0) { // always true; kept for clarity
-			exps = append(exps, e)
-		}
+		exps = append(exps, e)
 	}
 	return &Ring{ids: ids, n: n, fingerExps: exps, succListK: succListK}
 }

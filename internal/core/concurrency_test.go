@@ -11,7 +11,7 @@ import (
 	"github.com/octopus-dht/octopus/internal/id"
 	"github.com/octopus-dht/octopus/internal/simnet"
 	"github.com/octopus-dht/octopus/internal/transport"
-	"github.com/octopus-dht/octopus/internal/transport/chantransport"
+	"github.com/octopus-dht/octopus/internal/transport/nettransport"
 )
 
 // TestSeededIndexWalkerVerifierAgree pins the phase-2 derivation contract:
@@ -147,14 +147,21 @@ func TestSeededIndexDecorrelated(t *testing.T) {
 
 // TestNodeStatsRaceOverlappingLookups is the -race regression test for the
 // stats counters: several anonymous lookups (and one walk cadence) overlap
-// on a single node over the concurrent channel transport while the test
-// goroutine reads Stats() and PoolSize() — exactly the daemon's
-// status-loop access pattern. Before the counters became atomics this
-// raced the moment a lookup and a reader (or two transports' timers)
-// overlapped.
+// on a single node over a one-process nettransport (every slot its own
+// goroutine, no socket) while the test goroutine reads Stats() and
+// PoolSize() — exactly the daemon's status-loop access pattern. Before the
+// counters became atomics this raced the moment a lookup and a reader (or
+// two transports' timers) overlapped.
 func TestNodeStatsRaceOverlappingLookups(t *testing.T) {
 	const n = 24
-	tr := chantransport.New(n+1, 11)
+	eps := make([]string, n+1)
+	for i := range eps {
+		eps[i] = "local"
+	}
+	tr, err := nettransport.New(nettransport.Config{Listen: "127.0.0.1:0", Self: "local", Endpoints: eps, Seed: 11})
+	if err != nil {
+		t.Fatalf("nettransport.New: %v", err)
+	}
 	defer tr.Close()
 	cfg := DefaultConfig()
 	cfg.EstimatedSize = n

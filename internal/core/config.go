@@ -17,8 +17,9 @@
 //
 // The package speaks exclusively through transport.Transport: the same
 // state machines run deterministically on internal/simnet and concurrently
-// on internal/transport/chantransport (see README.md for the substitution
-// notes on the signature scheme and latency model).
+// on internal/transport/nettransport, in one process or across many (see
+// README.md for the substitution notes on the signature scheme and latency
+// model).
 package core
 
 import (

@@ -101,12 +101,6 @@ func StrictBetween(x, a, b ID) bool {
 	return x > a || x < b
 }
 
-// Clockwise reports whether walking clockwise from base reaches x no later
-// than y, i.e. Distance(base, x) <= Distance(base, y).
-func Clockwise(base, x, y ID) bool {
-	return base.Distance(x) <= base.Distance(y)
-}
-
 // ClosestPreceding returns the element of candidates with the greatest
 // clockwise distance from base that still strictly precedes key (i.e. lies in
 // the open interval (base, key)). It returns base itself and false when no

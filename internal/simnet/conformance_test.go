@@ -61,3 +61,18 @@ func TestSimnetFaultConformance(t *testing.T) {
 		}
 	})
 }
+
+// TestSimnetCloseContract runs the Close-contract suite on the simulator.
+// It has no Close, so each call must settle exactly once as the virtual
+// clock runs past its deadline; a response that arrives after the timeout
+// is dropped.
+func TestSimnetCloseContract(t *testing.T) {
+	transporttest.RunCloseContract(t, func(t *testing.T, hosts int) transporttest.Harness {
+		sim := simnet.New(1)
+		net := simnet.NewNetwork(sim, simnet.ConstantLatency{D: time.Millisecond}, hosts)
+		return transporttest.Harness{
+			Tr:      net,
+			Advance: func(d time.Duration) { sim.Run(sim.Now() + d) },
+		}
+	}, 20_000)
+}

@@ -1,5 +1,6 @@
-// Package actor is the per-host runtime the two concurrent transports
-// (chantransport and nettransport) share: one goroutine per host runs the
+// Package actor is the per-host runtime of the concurrent transports
+// (nettransport, and chantransport, bench's probe fixture): one goroutine
+// per host runs the
 // host's unbounded mailbox and its deadline heap of After and Every timers,
 // beside the host's handler/liveness/traffic state and a lock-guarded seeded
 // random source. Every callback addressed to a host runs on its loop, which

@@ -1,26 +1,18 @@
-// Package chantransport is a concurrent in-process transport: one goroutine
-// per host, unbounded channel-backed mailboxes, and a real wire round-trip —
-// every Send and every RPC leg is serialized through the transport codec
-// ([]byte on the "wire") and decoded on the receiving side.
+// Package chantransport is the fixture of bench's in-process RPC probe
+// (chantransport.rpc_rtt_us_p50) and nothing else: one actor loop per host
+// (internal/transport/actor), and every Send and every RPC leg encoded
+// through the transport codec and decoded on the receiving side.
 //
-// It is the concurrency counterpart to internal/simnet: where the simulator
-// proves protocol logic under deterministic virtual time, chantransport
-// proves the same logic (and the codecs) under true parallelism and real
-// time. It honors the transport.Transport serialization contract with a
-// per-host actor loop (internal/transport/actor): a host's handler, RPC
-// callbacks, and timer callbacks all run on that host's goroutine, so
-// protocol state stays lock-free.
-//
-// Unlike the simulator, messages cross host boundaries only as bytes; a
-// message type without a registered codec cannot travel at all, which makes
-// this transport the enforcement point for "everything that goes on the
-// wire has a wire format".
+// The concurrent in-process backend of the repository is a one-process
+// nettransport, whose endpoint table names only itself: it runs the same
+// actor loops and codec, and keeps the Close contract this package does not
+// (a call in flight at Close gets no callback here). Delete this package
+// once the probe retires; only bench may import it until then.
 package chantransport
 
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/octopus-dht/octopus/internal/obs"
@@ -31,37 +23,21 @@ import (
 // Network is a set of concurrently running hosts wired by serialized
 // in-process links.
 type Network struct {
-	hosts   []*actor.Host
-	rng     *rand.Rand
-	start   time.Time
-	latency time.Duration
-	wg      sync.WaitGroup
-
-	dropped     atomic.Uint64
-	codecErrors atomic.Uint64
+	hosts []*actor.Host
+	rng   *rand.Rand
+	start time.Time
+	wg    sync.WaitGroup
 }
 
 var _ transport.Transport = (*Network)(nil)
 
-// Option configures a Network.
-type Option func(*Network)
-
-// WithLatency adds a fixed one-way delivery delay to every message.
-func WithLatency(d time.Duration) Option {
-	return func(n *Network) { n.latency = d }
-}
-
-// New starts a network of n host slots. seed drives Rand(); concurrent
-// schedules are inherently nondeterministic, but seeding keeps protocol
-// randomness reproducible in aggregate. Call Close when done.
-func New(n int, seed int64, opts ...Option) *Network {
+// New starts a network of n host slots. seed drives Rand(). Call Close
+// when done.
+func New(n int, seed int64) *Network {
 	nw := &Network{
 		hosts: make([]*actor.Host, n),
 		rng:   actor.NewRand(seed),
 		start: time.Now(),
-	}
-	for _, opt := range opts {
-		opt(nw)
 	}
 	for i := range nw.hosts {
 		nw.hosts[i] = actor.Start(&nw.wg)
@@ -77,16 +53,6 @@ func (n *Network) Close() {
 	}
 	n.wg.Wait()
 }
-
-// Size returns the number of host slots.
-func (n *Network) Size() int { return len(n.hosts) }
-
-// Dropped reports messages dropped by dead hosts or handlers.
-func (n *Network) Dropped() uint64 { return n.dropped.Load() }
-
-// CodecErrors reports messages that could not be encoded or decoded. A
-// nonzero value means some message type lacks a registered wire codec.
-func (n *Network) CodecErrors() uint64 { return n.codecErrors.Load() }
 
 // hostAt returns the host of addr, nil when addr is out of range.
 func (n *Network) hostAt(addr transport.Addr) *actor.Host {
@@ -127,26 +93,21 @@ func (n *Network) Every(owner transport.Addr, period time.Duration, fn func()) (
 
 // deliver moves an encoded frame to `to`, decodes it there, and invokes the
 // handler on the receiver's loop. respond, when non-nil, receives the
-// handler's answer (still on the receiver's loop). The frame buffer is
-// pooled: the receiving closure releases it once the bytes are decoded (or
-// dropped), so steady-state traffic recycles its buffers.
+// handler's answer (still on the receiver's loop). The receiving closure
+// releases the pooled frame buffer once the bytes are decoded or dropped.
 func (n *Network) deliver(from, to transport.Addr, frame *transport.Buf,
 	respond func(resp transport.Message, ok bool)) {
 	h := n.hostAt(to)
-	// One closure serves both the direct and the delayed path: it is the
-	// per-message allocation, so it is not duplicated per hop.
-	receive := func() {
+	h.Post(func() {
 		hd, ok := h.Handler()
 		if !ok {
 			frame.Release()
-			n.dropped.Add(1)
 			return
 		}
 		msg, err := transport.Decode(frame.B)
 		size := len(frame.B)
 		frame.Release()
 		if err != nil {
-			n.codecErrors.Add(1)
 			return
 		}
 		n.hostAt(from).AddSent(size)
@@ -155,8 +116,7 @@ func (n *Network) deliver(from, to transport.Addr, frame *transport.Buf,
 		if respond != nil {
 			respond(resp, handled)
 		}
-	}
-	h.After(n.latency, receive) // with no latency, a plain post
+	})
 }
 
 // Send implements transport.Transport: one serialized, one-way delivery.
@@ -166,7 +126,6 @@ func (n *Network) Send(from, to transport.Addr, msg transport.Message) {
 	}
 	frame, err := transport.EncodeBuf(msg)
 	if err != nil {
-		n.codecErrors.Add(1)
 		return
 	}
 	n.deliver(from, to, frame, nil)
@@ -183,7 +142,6 @@ func (n *Network) Call(from, to transport.Addr, req transport.Message,
 	}
 	frame, err := transport.EncodeBuf(req)
 	if err != nil {
-		n.codecErrors.Add(1)
 		caller.Post(func() { cb(nil, transport.ErrUnreachable) })
 		return
 	}
@@ -198,15 +156,13 @@ func (n *Network) Call(from, to transport.Addr, req transport.Message,
 	})
 	n.deliver(from, to, frame, func(resp transport.Message, handled bool) {
 		if !handled {
-			n.dropped.Add(1)
 			return // caller will observe the timeout
 		}
 		respFrame, err := transport.EncodeBuf(resp)
 		if err != nil {
-			n.codecErrors.Add(1)
 			return
 		}
-		back := func() {
+		caller.Post(func() {
 			if done {
 				respFrame.Release()
 				return // timeout already fired
@@ -216,10 +172,7 @@ func (n *Network) Call(from, to transport.Addr, req transport.Message,
 			respFrame.Release()
 			if err != nil {
 				// A corrupt response is a lost message, not a fast
-				// failure: leave the RPC outstanding so the caller
-				// observes the real timeout, and keep the codec
-				// counter as the visible symptom.
-				n.codecErrors.Add(1)
+				// failure: the caller observes the real timeout.
 				return
 			}
 			done = true
@@ -227,13 +180,6 @@ func (n *Network) Call(from, to transport.Addr, req transport.Message,
 			n.hostAt(to).AddSent(size)
 			caller.AddReceived(size)
 			cb(msg, nil)
-		}
-		caller.After(n.latency, back)
+		})
 	})
-}
-
-// CollectObs implements obs.Source: aggregate traffic across every host,
-// safe to call from any goroutine while the network runs.
-func (n *Network) CollectObs(s *obs.Snapshot) {
-	obs.EmitTraffic(s, "chan", actor.SumStats(n.hosts))
 }

@@ -1,20 +1,21 @@
 // Package nettransport is the socket-backed transport.Transport: protocol
 // messages cross real TCP connections as length-prefixed frames around the
-// binary wire codec. It is the deployment end of the repository's fidelity
+// binary wire codec. It is the concurrent end of the repository's fidelity
 // ladder — internal/simnet proves protocol logic under deterministic virtual
-// time, internal/transport/chantransport proves it under true parallelism,
-// and nettransport runs the identical state machines between OS processes
-// and machines (see docs/DEPLOYMENT.md).
+// time; one nettransport serving every slot proves it under true
+// parallelism with no socket; nettransport spread over processes runs the
+// identical state machines between OS processes and machines (see
+// docs/DEPLOYMENT.md).
 //
 // A Transport instance is one process's view of a deployment: an endpoint
 // table mapping every address slot to a TCP "host:port", a listener serving
 // the slots whose endpoint is this process's own (the local hosts), and
 // dial-on-demand persistent connections to every other endpoint; frames for
 // an endpoint that is not listening yet wait out the redial backoff. The
-// per-host serialization contract is honored by internal/transport/actor,
-// the runtime chantransport shares — one actor loop per local host runs that
-// host's handler, RPC callbacks, and timer callbacks — so protocol state
-// stays lock-free no matter which backend it runs on.
+// per-host serialization contract is honored by internal/transport/actor —
+// one actor loop per local host runs that host's handler, RPC callbacks, and
+// timer callbacks — so protocol state stays lock-free no matter which
+// backend it runs on.
 //
 // RPCs are correlated by a request id carried in the frame header, drawn
 // at random per call so that a party off the path cannot guess a pending

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
-	"sync/atomic"
+	"runtime"
 	"testing"
 	"time"
 
@@ -121,26 +121,105 @@ func (s split) Every(owner transport.Addr, period time.Duration, fn func()) func
 }
 
 // TestNetTransportConformance pins the socket backend to the same semantics
-// as simnet and chantransport: the full shared suite over two processes, so
-// frames between slots of one parity stay in-process and the rest cross TCP.
+// as simnet: the full shared suite over two processes, so frames between
+// slots of one parity stay in-process and the rest cross TCP.
 func TestNetTransportConformance(t *testing.T) {
 	transporttest.RunConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
 		return newSplit(t, hosts).harness(true)
 	})
 }
 
-// TestNetTransportOneProcessConformance runs the same suite with every slot
-// in one process, where no frame touches a socket.
-func TestNetTransportOneProcessConformance(t *testing.T) {
-	transporttest.RunConformance(t, func(t *testing.T, hosts int) transporttest.Harness {
+// oneProcHarness adapts oneProc to the shared suites.
+func oneProcHarness(concurrent bool) transporttest.Factory {
+	return func(t *testing.T, hosts int) transporttest.Harness {
 		tr := oneProc(t, hosts)
 		return transporttest.Harness{
 			Tr:         tr,
 			Advance:    func(d time.Duration) { time.Sleep(d) },
 			Close:      tr.Close,
-			Concurrent: true,
+			Concurrent: concurrent,
 		}
+	}
+}
+
+// TestNetTransportOneProcessConformance runs the same suite with every slot
+// in one process, where no frame touches a socket.
+func TestNetTransportOneProcessConformance(t *testing.T) {
+	transporttest.RunConformance(t, oneProcHarness(true))
+}
+
+// TestNetTransportOneProcessChurnConformance runs the dynamic-membership
+// suite with every slot in one process: joins, leaves and suspicion probes
+// race live stabilization on real host goroutines, every message through
+// the wire codec.
+func TestNetTransportOneProcessChurnConformance(t *testing.T) {
+	transporttest.RunChurnConformance(t, oneProcHarness(false))
+}
+
+// TestNetTransportOneProcessLookupConformance runs the concurrent-lookup
+// suite in one process: overlapping α-parallel anonymous lookups, pool
+// refills and service queueing race under the race detector.
+func TestNetTransportOneProcessLookupConformance(t *testing.T) {
+	transporttest.RunLookupConformance(t, oneProcHarness(true))
+}
+
+// TestNetTransportOneProcessFaultConformance runs the hostile-network suite
+// in one process, where a kill races in-flight deliveries on the hosts'
+// own loops.
+func TestNetTransportOneProcessFaultConformance(t *testing.T) {
+	transporttest.RunFaultConformance(t, oneProcHarness(false))
+}
+
+// TestNetTransportCloseContract and TestNetTransportOneProcessCloseContract
+// check that every call gets exactly one callback through Close. Over two
+// processes each round dials a TCP connection, so that harness runs fewer
+// rounds than the one that opens none.
+func TestNetTransportCloseContract(t *testing.T) {
+	transporttest.RunCloseContract(t, func(t *testing.T, hosts int) transporttest.Harness {
+		return newSplit(t, hosts).harness(true)
+	}, 2000)
+}
+
+func TestNetTransportOneProcessCloseContract(t *testing.T) {
+	transporttest.RunCloseContract(t, oneProcHarness(true), 20_000)
+}
+
+// TestAwaitDeadlineDropsLateResult checks transport.Await over a concurrent
+// backend: at its deadline it returns (zero, false); the late done that
+// follows neither blocks the host's loop nor leaves a goroutine behind.
+func TestAwaitDeadlineDropsLateResult(t *testing.T) {
+	defer transporttest.CheckGoroutineLeak(t, runtime.NumGoroutine())
+	tr := oneProc(t, 1)
+	stuck := false
+	defer func() {
+		if !stuck { // Close would wait forever on a blocked host loop
+			tr.Close()
+		}
+	}()
+
+	const late = 100 * time.Millisecond
+	delivered := make(chan struct{})
+	v, ok := transport.Await(tr, 0, 10*time.Millisecond, func(done func(int)) {
+		tr.After(0, late, func() {
+			done(7)
+			close(delivered)
+		})
 	})
+	if ok || v != 0 {
+		t.Fatalf("Await past its deadline = (%d, %v), want (0, false)", v, ok)
+	}
+	stall := time.NewTimer(5 * time.Second)
+	defer stall.Stop()
+	select {
+	case <-delivered:
+	case <-stall.C:
+		stuck = true
+		t.Fatal("the late done blocked the host's loop")
+	}
+	// The host still serves its context after the dropped answer.
+	if v, ok := transport.Await(tr, 0, 5*time.Second, func(done func(int)) { done(9) }); !ok || v != 9 {
+		t.Fatalf("Await after a dropped answer = (%d, %v), want (9, true)", v, ok)
+	}
 }
 
 // TestNetTransportChurnConformance runs the dynamic-membership suite with
@@ -674,48 +753,5 @@ func TestLocalFramesSkipTheSocket(t *testing.T) {
 	}
 	if st := tr.Stats(1); st.MsgsReceived != 2 || st.BytesReceived != sent || st.MsgsSent != 1 || st.BytesSent != uint64(resp.Size()) {
 		t.Errorf("callee stats = %+v, want 2 msgs / %d bytes received, 1 / %d sent", st, sent, resp.Size())
-	}
-}
-
-// TestLocalCallRacingClose closes a transport while a call between two of
-// its own slots is in flight, its request queued for or inside a handler
-// that never answers: the call still gets exactly one callback.
-func TestLocalCallRacingClose(t *testing.T) {
-	for i := range 20 {
-		tr := oneProc(t, 2)
-		tr.Bind(1, func(transport.Addr, transport.Message) (transport.Message, bool) { return nil, false })
-		var calls atomic.Int32
-		errs := make(chan error, 2)
-		tr.Call(0, 1, transporttest.Echo{N: 1}, time.Minute, func(_ transport.Message, err error) {
-			calls.Add(1)
-			errs <- err
-		})
-		tr.Close() // runs every callback still queued before it returns
-		if n := calls.Load(); n != 1 {
-			t.Fatalf("round %d: %d callbacks, want 1", i, n)
-		}
-		if err := <-errs; !errors.Is(err, transport.ErrClosed) && !errors.Is(err, transport.ErrTimeout) {
-			t.Fatalf("round %d: err = %v, want ErrClosed or ErrTimeout", i, err)
-		}
-	}
-}
-
-// TestCallSettlingDuringClose races a call's settlement against Close: 20 000
-// rounds of a call between two slots of one transport, with a timeout of
-// 0–49 µs, each followed at once by Close. Whichever settles it — the
-// response, the timer or Close's drain — the call gets exactly one callback
-// by the time Close returns.
-func TestCallSettlingDuringClose(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := range 20_000 {
-		tr := oneProc(t, 2)
-		tr.Bind(1, func(_ transport.Addr, m transport.Message) (transport.Message, bool) { return m, true })
-		var calls atomic.Int32
-		timeout := time.Duration(rng.Intn(50)) * time.Microsecond
-		tr.Call(0, 1, transporttest.Echo{N: 1}, timeout, func(transport.Message, error) { calls.Add(1) })
-		tr.Close()
-		if n := calls.Load(); n != 1 {
-			t.Fatalf("round %d (timeout %v): %d callbacks, want 1", i, timeout, n)
-		}
 	}
 }

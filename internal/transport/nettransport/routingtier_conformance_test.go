@@ -18,3 +18,10 @@ func TestNetTransportRoutingTierConformance(t *testing.T) {
 		return newSplit(t, hosts).harness(true)
 	})
 }
+
+// TestNetTransportOneProcessRoutingTierConformance certifies both routing
+// tiers with every slot in one process: tier maintenance (EDRA flushes,
+// sync paging) races real host goroutines under -race.
+func TestNetTransportOneProcessRoutingTierConformance(t *testing.T) {
+	routingtiertest.Run(t, oneProcHarness(true))
+}

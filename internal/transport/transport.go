@@ -4,25 +4,27 @@
 // The protocol layers (internal/chord, internal/core) are written in
 // continuation-passing style against the Transport interface: one-way sends,
 // request/response RPCs with timeouts, liveness toggles, per-host traffic
-// accounting, and host-scoped timers. Three implementations ship with the
-// repository:
+// accounting, and host-scoped timers. Two implementations carry the
+// protocol:
 //
 //   - internal/simnet: the deterministic discrete-event simulator used by
 //     every experiment. Single-goroutine, virtual time, seeded randomness;
 //     runs with the same seed are bit-for-bit reproducible.
-//   - internal/transport/chantransport: a concurrent in-process transport
-//     with one goroutine per host and real channels, which serializes every
-//     message through the wire codec on each send, so code that runs over
-//     it performs real encode/decode round-trips under real concurrency.
 //   - internal/transport/nettransport: the socket-backed transport that
-//     octopusd deploys, carrying the same codec frames over TCP between
-//     processes and machines.
+//     octopusd deploys, one goroutine per host, carrying codec frames over
+//     TCP between processes and machines. One Transport that serves every
+//     slot is the concurrent in-process backend: each message still takes
+//     a real encode/decode round trip, and no frame touches a socket.
+//
+// internal/transport/chantransport implements the interface too, but only
+// as the fixture of bench's in-process RPC probe; it goes when the probe
+// retires.
 //
 // The Transport contract deliberately keeps protocol code free of locks: for
 // a given host address, the transport invokes the bound Handler, RPC
 // callbacks, and timer callbacks serially, never concurrently. The simulator
-// satisfies this trivially (it is single-threaded); both concurrent backends
-// satisfy it with the per-host actor loop of internal/transport/actor.
+// satisfies this trivially (it is single-threaded); nettransport satisfies
+// it with the per-host actor loop of internal/transport/actor.
 package transport
 
 import (

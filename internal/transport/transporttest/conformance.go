@@ -51,7 +51,7 @@ type Harness struct {
 	// Close releases the transport (may be nil).
 	Close func()
 	// Concurrent reports that the transport may be driven from multiple
-	// test goroutines at once (chantransport, nettransport). The
+	// test goroutines at once (nettransport, chantransport). The
 	// single-goroutine simulator is pumped from the test goroutine only,
 	// so suites that model concurrent clients fall back to interleaved
 	// submission when this is false.

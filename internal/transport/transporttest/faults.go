@@ -27,8 +27,8 @@ import (
 //     a ring that routes correctly.
 //
 // All three run on every backend: the simulator reproduces them
-// deterministically, chantransport and nettransport run them under real
-// concurrency (CI adds -race).
+// deterministically, nettransport in one and in two processes runs them
+// under real concurrency (CI adds -race).
 
 // RunFaultConformance runs the fault suite against the factory.
 func RunFaultConformance(t *testing.T, mk Factory) {

@@ -19,8 +19,8 @@ import (
 // LookupService — then verifies every answer against the deterministic
 // initial topology. Under -race this pins the whole concurrent hot path:
 // α-parallel query windows, the managed relay-pair pool's walk-ahead
-// refills, atomic stats, and the service's queueing, across all three
-// backends.
+// refills, atomic stats, and the service's queueing, on simnet and on
+// nettransport in one and in two processes.
 
 // lookupRingSize is the served ring's population (+1 slot for the CA).
 const lookupRingSize = 16

@@ -8,10 +8,12 @@ import (
 	"io"
 )
 
-// Onion encryption (§4.1): a query is wrapped in one AES-128-CTR layer per
+// Onion encryption (§4.1): a query is wrapped in one AES-128-GCM layer per
 // relay so that each relay learns only its predecessor and successor on the
 // path. The forward onion is built by the initiator and peeled hop by hop;
-// the reply is wrapped hop by hop and unwrapped by the initiator.
+// the reply is wrapped hop by hop and unwrapped by the initiator. GCM
+// authenticates each layer, so Peel refuses a layer in which any bit was
+// flipped by a party without the layer's key.
 
 // Onion layer wire layout, after decryption with the relay's key:
 //
@@ -19,21 +21,22 @@ import (
 //	payload length    uint32 (4 bytes)
 //	payload           variable
 //
-// The encrypted layer is prefixed with the 16-byte CTR IV.
+// The sealed layer is the 12-byte GCM nonce, that plaintext encrypted, and
+// the 16-byte GCM tag.
 
 // ExitHop marks the final layer of a forward onion: the holder of this layer
 // is the exit relay and the payload is the cleartext query.
 const ExitHop int64 = -1
 
 const (
-	onionIVSize     = aes.BlockSize
+	onionNonceSize  = 12
 	onionHeaderSize = 12
 )
 
 // Errors returned by onion operations.
 var (
 	ErrOnionKeySize   = errors.New("xcrypto: onion key must be 16 bytes (AES-128)")
-	ErrOnionCorrupt   = errors.New("xcrypto: onion layer corrupt or truncated")
+	ErrOnionCorrupt   = errors.New("xcrypto: onion layer corrupt, truncated or tampered with")
 	ErrOnionEmptyPath = errors.New("xcrypto: onion path must contain at least one relay")
 )
 
@@ -46,7 +49,7 @@ func NewOnionKey(rng io.Reader) ([]byte, error) {
 	return k, nil
 }
 
-func ctrStream(key, iv []byte) (cipher.Stream, error) {
+func layerAEAD(key []byte) (cipher.AEAD, error) {
 	if len(key) != 16 {
 		return nil, ErrOnionKeySize
 	}
@@ -54,27 +57,25 @@ func ctrStream(key, iv []byte) (cipher.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cipher.NewCTR(block, iv), nil
+	return cipher.NewGCM(block)
 }
 
-// encryptLayer produces iv ∥ CTR(key, next ∥ len ∥ payload).
+// encryptLayer produces nonce ∥ GCM(key, nonce, next ∥ len ∥ payload).
 func encryptLayer(key []byte, next int64, payload []byte, rng io.Reader) ([]byte, error) {
-	iv := make([]byte, onionIVSize)
-	if _, err := io.ReadFull(rng, iv); err != nil {
-		return nil, err
-	}
-	stream, err := ctrStream(key, iv)
+	aead, err := layerAEAD(key)
 	if err != nil {
 		return nil, err
 	}
-	plain := make([]byte, onionHeaderSize+len(payload))
+	n := onionNonceSize + onionHeaderSize + len(payload)
+	out := make([]byte, n, n+aead.Overhead())
+	nonce, plain := out[:onionNonceSize], out[onionNonceSize:]
+	if _, err := io.ReadFull(rng, nonce); err != nil {
+		return nil, err
+	}
 	binary.BigEndian.PutUint64(plain[0:8], uint64(next))
 	binary.BigEndian.PutUint32(plain[8:12], uint32(len(payload)))
 	copy(plain[onionHeaderSize:], payload)
-	out := make([]byte, onionIVSize+len(plain))
-	copy(out, iv)
-	stream.XORKeyStream(out[onionIVSize:], plain)
-	return out, nil
+	return aead.Seal(nonce, nonce, plain, nil), nil // sealed in place
 }
 
 // Build constructs a forward onion for the given path. keys[i] is shared
@@ -99,20 +100,22 @@ func Build(rng io.Reader, keys [][]byte, nexts []int64, payload []byte) ([]byte,
 
 // Peel removes one layer with the relay's key, returning the next-hop
 // address and the inner onion (or the cleartext payload when next ==
-// ExitHop).
+// ExitHop). A layer sealed under another key, or altered in any bit, fails
+// with ErrOnionCorrupt.
 func Peel(key, onion []byte) (next int64, inner []byte, err error) {
-	if len(onion) < onionIVSize+onionHeaderSize {
-		return 0, nil, ErrOnionCorrupt
-	}
-	stream, err := ctrStream(key, onion[:onionIVSize])
+	aead, err := layerAEAD(key)
 	if err != nil {
 		return 0, nil, err
 	}
-	plain := make([]byte, len(onion)-onionIVSize)
-	stream.XORKeyStream(plain, onion[onionIVSize:])
+	if len(onion) < onionNonceSize+onionHeaderSize+aead.Overhead() {
+		return 0, nil, ErrOnionCorrupt
+	}
+	plain, err := aead.Open(nil, onion[:onionNonceSize], onion[onionNonceSize:], nil)
+	if err != nil {
+		return 0, nil, ErrOnionCorrupt
+	}
 	next = int64(binary.BigEndian.Uint64(plain[0:8]))
-	n := binary.BigEndian.Uint32(plain[8:12])
-	if int(n) != len(plain)-onionHeaderSize {
+	if n := binary.BigEndian.Uint32(plain[8:12]); int(n) != len(plain)-onionHeaderSize {
 		return 0, nil, ErrOnionCorrupt
 	}
 	return next, plain[onionHeaderSize:], nil

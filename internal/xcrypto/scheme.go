@@ -49,8 +49,6 @@ type Scheme interface {
 	Sign(kp KeyPair, msg []byte) ([]byte, error)
 	// Verify reports whether sig is a valid signature on msg under pub.
 	Verify(pub PublicKey, msg, sig []byte) bool
-	// SigSize returns the accounted wire size of a signature in bytes.
-	SigSize() int
 }
 
 // ErrBadKey is returned when a key pair is malformed for the scheme.
@@ -125,9 +123,6 @@ func (ECDSAScheme) Verify(pub PublicKey, msg, sig []byte) bool {
 	return ecdsa.Verify(pk, sum[:], r, s)
 }
 
-// SigSize implements Scheme. The accounted size follows the paper.
-func (ECDSAScheme) SigSize() int { return SigWireSize }
-
 // SimScheme is the simulation signer: Sign(msg) = SHA-256(pub ∥ msg)
 // truncated to 40 bytes. Any party can verify; tampering with either the
 // message or the claimed signer is detected. It is NOT unforgeable — the
@@ -181,6 +176,3 @@ func (SimScheme) Verify(pub PublicKey, msg, sig []byte) bool {
 	return bytes.Equal(sig[:sha256.Size], sum[:]) &&
 		bytes.Equal(sig[sha256.Size:], sum[:SigWireSize-sha256.Size])
 }
-
-// SigSize implements Scheme.
-func (SimScheme) SigSize() int { return SigWireSize }

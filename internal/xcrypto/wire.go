@@ -28,10 +28,12 @@ const (
 	KeyWireSize = 16
 )
 
-// OnionWireOverhead returns the per-layer overhead of onion encryption on
-// the wire: the next-hop endpoint plus the layer's AES-CTR IV block. The
-// relay-message codec (internal/core) reserves exactly these bytes per
-// layer, so accounted sizes match a genuinely onion-encrypted message.
+// OnionWireOverhead returns the per-layer overhead of onion encryption that
+// the relay-message codec (internal/core) reserves on the wire: the next-hop
+// endpoint plus one AES block, the IV of the AES-CTR layer it models. The
+// AES-GCM layer xcrypto.Build seals is 12 B larger (a 12-byte nonce and a
+// 16-byte tag in place of the IV); ROADMAP item 2 re-prices the reservation
+// when onions go on the wire.
 func OnionWireOverhead(layers int) int {
 	return layers * (AddrWireSize + AESBlockSize)
 }

@@ -10,13 +10,13 @@
 // protocol introspection. The full machinery (anonymous relay paths, random
 // walks, dummy queries, surveillance, CA investigations) runs underneath
 // exactly as in the paper. The protocol stack itself is transport-agnostic
-// (internal/transport): the simulator used here is one backend, the
-// concurrent channel transport (internal/transport/chantransport) runs the
-// same state machines over real goroutines with every message serialized
-// through the binary wire codec, and the socket transport
-// (internal/transport/nettransport) runs them across OS processes over TCP
-// — see cmd/octopusd and docs/DEPLOYMENT.md for multi-process deployments,
-// and README.md for the architecture map.
+// (internal/transport): the simulator used here is one backend, and the
+// socket transport (internal/transport/nettransport) is the other. It runs
+// the same state machines over real goroutines with every message
+// serialized through the binary wire codec, in one process that serves
+// every slot (examples/wiretransport) or across OS processes over TCP — see
+// cmd/octopusd and docs/DEPLOYMENT.md for multi-process deployments, and
+// README.md for the architecture map.
 //
 // # Quick start
 //
