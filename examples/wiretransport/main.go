@@ -38,7 +38,7 @@ func run(w io.Writer) error {
 	for i := range eps {
 		eps[i] = "local"
 	}
-	net, err := nettransport.New(nettransport.Config{Listen: "127.0.0.1:0", Self: "local", Endpoints: eps, Seed: 1})
+	net, err := nettransport.New(nettransport.Config{Self: "local", Endpoints: eps, Seed: 1})
 	if err != nil {
 		return err
 	}

@@ -46,6 +46,29 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	})
 }
 
+// TestLookupHoldsOnlyWhatItKeeps pins what a §4.5 finger-update lookup in
+// flight holds, since every node starts a dozen at once each FixFingersEvery
+// boundary: room for the seeds it keeps, not for every seed the tier named,
+// and no owner-evidence table until a successor list vouches for an owner.
+func TestLookupHoldsOnlyWhatItKeeps(t *testing.T) {
+	tl, sent := newCandidateLookup(9000, []chord.Peer{
+		{ID: 3000, Addr: 1}, {ID: 12000, Addr: 2}, {ID: 5000, Addr: 3}, {ID: 500, Addr: 4}, {ID: 8000, Addr: 5},
+	}, nil)
+	tl.padded = false
+	tl.step()
+	if len(*sent) != 3 || len(tl.cands) != 3 || cap(tl.cands) != 3 {
+		t.Errorf("%d queries sent, %d candidates in room for %d; want the 3 seeds inside (self, key) and room for them alone",
+			len(*sent), len(tl.cands), cap(tl.cands))
+	}
+	if tl.ownerEvidence != nil {
+		t.Errorf("a lookup no table has answered holds owner evidence %+v", *tl.ownerEvidence)
+	}
+	tl.recordOwnerCandidate(tableOf(chord.Peer{ID: 8000, Addr: 5}, 1, chord.Peer{ID: 9500, Addr: 6}))
+	if tl.ownerEvidence == nil || tl.ownerEvidence.Owner.ID != 8000 || tl.ownerBest.ID != 9500 {
+		t.Errorf("after 8000 vouched for 9500: best %v, evidence %+v", tl.ownerBest, tl.ownerEvidence)
+	}
+}
+
 // BenchmarkSeededIndex measures one phase-2 hop draw at a table-sized width.
 func BenchmarkSeededIndex(b *testing.B) {
 	b.ReportAllocs()

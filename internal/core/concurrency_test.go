@@ -158,7 +158,7 @@ func TestNodeStatsRaceOverlappingLookups(t *testing.T) {
 	for i := range eps {
 		eps[i] = "local"
 	}
-	tr, err := nettransport.New(nettransport.Config{Listen: "127.0.0.1:0", Self: "local", Endpoints: eps, Seed: 11})
+	tr, err := nettransport.New(nettransport.Config{Self: "local", Endpoints: eps, Seed: 11})
 	if err != nil {
 		t.Fatalf("nettransport.New: %v", err)
 	}

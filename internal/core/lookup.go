@@ -83,12 +83,12 @@ type tableLookup struct {
 	// node at/after the key in the successor list of a queried
 	// predecessor. ownerBest tracks the candidate vouched for by the
 	// queried node closest to the key, with its signed table as
-	// evidence. Relying on queried successor lists (instead of any
-	// stale merged entry) keeps lookups from resolving to long-dead
-	// nodes remembered by distant fingertables.
+	// evidence; that table is nil until a candidate is recorded, which
+	// most lookups in flight have not done. Relying on queried successor
+	// lists (instead of any stale merged entry) keeps lookups from
+	// resolving to long-dead nodes remembered by distant fingertables.
 	ownerBest     chord.Peer
-	ownerEvidence chord.RoutingTable
-	ownerFound    bool
+	ownerEvidence *chord.RoutingTable
 }
 
 // candidate is one peer the lookup knows of.
@@ -149,14 +149,19 @@ func (tl *tableLookup) learn(p chord.Peer, seed bool) {
 // preceding the key, which normally contains the owner's immediate
 // predecessor. A padded lookup reserves room for the peers the tables will
 // add; any other, which drops peers as closestQueried passes them, reserves
-// room for the seeds alone.
+// room for the seeds it keeps alone.
 func (tl *tableLookup) seed() {
 	if tl.seeded {
 		return
 	}
 	tl.seeded = true
 	seeds := tl.n.tier.Candidates(tl.key)
-	size := len(seeds)
+	size := 0
+	for _, p := range seeds {
+		if tl.keeps(p.ID) {
+			size++
+		}
+	}
 	if tl.padded {
 		size *= 4
 	}
@@ -241,9 +246,12 @@ func (tl *tableLookup) recordOwnerCandidate(t chord.RoutingTable) {
 			continue
 		}
 		if id.Between(tl.key, prev, s.ID) {
-			if !tl.ownerFound || id.StrictBetween(t.Owner.ID, tl.ownerEvidence.Owner.ID, tl.key) {
-				tl.ownerBest, tl.ownerEvidence, tl.ownerFound = s, t, true
+			if tl.ownerEvidence == nil {
+				tl.ownerEvidence = new(chord.RoutingTable)
+			} else if !id.StrictBetween(t.Owner.ID, tl.ownerEvidence.Owner.ID, tl.key) {
+				return
 			}
+			tl.ownerBest, *tl.ownerEvidence = s, t // done hands out a copy
 			return
 		}
 		prev = s.ID
@@ -304,11 +312,11 @@ func (tl *tableLookup) step() {
 		}
 		next, ok, pending := tl.bestUnqueried()
 		if !ok {
-			settled := !pending && tl.ownerFound && tl.ownerEvidence.Owner.ID == tl.closestQueried.ID
+			settled := !pending && tl.ownerEvidence != nil && tl.ownerEvidence.Owner.ID == tl.closestQueried.ID
 			if tl.inFlight > 0 && !settled {
 				return // re-evaluate when they answer
 			}
-			if !tl.ownerFound {
+			if tl.ownerEvidence == nil {
 				tl.done(chord.NoPeer, ErrLookupNoRoute)
 				return
 			}
@@ -378,8 +386,8 @@ func (tl *tableLookup) done(owner chord.Peer, err error) {
 	res := DirectLookupResult{Owner: owner}
 	// An owner resolved inside the local successor window was known
 	// without asking anyone: there is no table to show for it.
-	if owner.Valid() && tl.ownerFound && tl.ownerBest.ID == owner.ID {
-		res.Evidence, res.HasEvidence = tl.ownerEvidence, true
+	if owner.Valid() && tl.ownerEvidence != nil && tl.ownerBest.ID == owner.ID {
+		res.Evidence, res.HasEvidence = *tl.ownerEvidence, true
 	}
 	tl.finish(owner, res, err)
 }

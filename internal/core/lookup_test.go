@@ -658,8 +658,8 @@ func TestSettleWaitsForCloserQueryAndOwner(t *testing.T) {
 	tl, replies = settleLookup(node, key, p[1:4], finish)
 	replies[p[2].Addr](tableReply(nw, p[2]), nil)
 	replies[p[3].Addr](chord.GetTableResp{Table: bare}, nil)
-	if tl.finished || tl.closestQueried != p[3] || !tl.ownerFound {
-		t.Fatalf("finished %v at closestQueried %v (owner found %v), though %v never named the owner", tl.finished, tl.closestQueried, tl.ownerFound, p[3])
+	if tl.finished || tl.closestQueried != p[3] || tl.ownerEvidence == nil {
+		t.Fatalf("finished %v at closestQueried %v (owner found %v), though %v never named the owner", tl.finished, tl.closestQueried, tl.ownerEvidence != nil, p[3])
 	}
 	replies[p[1].Addr](tableReply(nw, p[1]), nil)
 	if !tl.finished || owner != p[4] || res.Evidence.Owner != p[2] {

@@ -495,9 +495,7 @@ func (n *Node) handleRevocation(m RevocationAnnounce) {
 	// The evicted identity may be a cached owner or live in cached
 	// successor-list evidence.
 	n.flushLookupCache()
-	if n.onehop != nil {
-		n.onehop.noteLeave(m.Node)
-	}
+	n.onehop.noteLeave(m.Node)
 }
 
 // grantResp assembles the admission response for a (possibly re-issued)
@@ -541,9 +539,7 @@ func (n *Node) admitJoin(m chord.JoinReq) bool {
 	// The admitting predecessor is the first to learn a join that has no
 	// CA broadcast behind it (simulated churn): feed it into the one-hop
 	// tier so EDRA spreads it.
-	if n.onehop != nil {
-		n.onehop.noteJoin(m.Who)
-	}
+	n.onehop.noteJoin(m.Who)
 	return true
 }
 
@@ -557,16 +553,7 @@ func (n *Node) vetJoin(m chord.JoinReq) bool {
 	// Certificates never expire (§4.6), so revocation must bite HERE:
 	// a revoked node's certificate still verifies, and without this
 	// check it could simply re-join the ring.
-	if n.dir.Revoked(c.Node) {
-		return false
-	}
-	if !n.dir.VerifyCert(c) {
-		return false
-	}
-	if c.Expiry != 0 && n.tr.Now() > c.Expiry {
-		return false
-	}
-	return true
+	return !n.dir.Revoked(c.Node) && n.dir.VerifyCert(c) && (c.Expiry == 0 || n.tr.Now() <= c.Expiry)
 }
 
 // vetLeave is the node-side leave check installed as the chord layer's
@@ -575,17 +562,12 @@ func (n *Node) vetJoin(m chord.JoinReq) bool {
 // LeaveReq{Who: victim} to the victim's neighbors — an eviction primitive.
 func (n *Node) vetLeave(m chord.LeaveReq) bool {
 	key, ok := n.dir.Key(m.Who.ID)
-	if !ok {
-		return false
-	}
-	if !n.dir.Scheme().Verify(key, chord.LeaveStatement(m.Who), m.Sig) {
+	if !ok || !n.dir.Scheme().Verify(key, chord.LeaveStatement(m.Who), m.Sig) {
 		return false
 	}
 	n.stats.Leaves.Add(1)
 	// A verified leave is a one-hop membership event too.
-	if n.onehop != nil {
-		n.onehop.noteLeave(m.Who.ID)
-	}
+	n.onehop.noteLeave(m.Who.ID)
 	return true
 }
 
@@ -621,9 +603,7 @@ func (n *Node) handleAnnounce(m EndpointAnnounce) {
 	// A verified announce means membership shifted: a joiner may now own
 	// keys that cached lookups still attribute to its successor.
 	n.flushLookupCache()
-	if n.onehop != nil {
-		n.onehop.noteJoin(m.Who)
-	}
+	n.onehop.noteJoin(m.Who)
 }
 
 // NewAdmissionRelay returns the bootstrap-request handler an octopusd

@@ -84,8 +84,9 @@ func BuildNetworkLocal(tr transport.Transport, n int, cfg Config,
 	}
 	ca.OnRevoke = func(p chord.Peer, _ ReportKind) { nw.Eject(p) }
 	ring.StartLocal(local)
-	// Ground truth for full-state tiers, computed once: per-node
-	// AlivePeers copies would cost O(n²) allocations at 10k nodes.
+	// Ground truth for full-state tiers, sorted once and shared: every
+	// node's table aliases it until its first change, so a 10k ring holds
+	// one copy of the membership, not one per node.
 	var seedPeers []chord.Peer
 	if cfg.RoutingTier == TierOneHop {
 		seedPeers = ring.AlivePeers()

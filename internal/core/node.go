@@ -36,7 +36,7 @@ type Node struct {
 	// The finger tier wraps the chord node's own state; the one-hop tier
 	// owns a full table maintained over the 0x08xx registry. onehop is the
 	// same object when that tier is selected (nil otherwise), typed for
-	// the membership hooks that feed it.
+	// the membership hooks that feed it; those are no-ops on nil.
 	tier   chord.RoutingTier
 	onehop *oneHopTier
 
@@ -123,9 +123,7 @@ func New(cn *chord.Node, cfg Config, caAddr transport.Addr, dir *Directory) *Nod
 		n.flushLookupCache()
 		// The failure detector is the one-hop tier's local event source:
 		// a dropped neighbor becomes an EDRA leave event.
-		if n.onehop != nil {
-			n.onehop.noteLeave(p.ID)
-		}
+		n.onehop.noteLeave(p.ID)
 	}
 	cn.AdmitJoin = n.admitJoin
 	cn.VetLeave = n.vetLeave
@@ -161,7 +159,8 @@ func (n *Node) Tier() chord.RoutingTier { return n.tier }
 // SeedTier installs ground-truth membership into a full-state tier (a
 // no-op for the finger tier). Simulated deployments call it at build time
 // to model the converged steady state a real deployment reaches after its
-// joins complete. Host serialization context only.
+// joins complete. peers must be sorted by ID and never written again: the
+// tier shares the array. Host serialization context only.
 func (n *Node) SeedTier(peers []chord.Peer) {
 	if n.onehop != nil {
 		n.onehop.seed(peers)

@@ -50,10 +50,13 @@ type oneHopTier struct {
 	n *Node
 
 	// table holds every known live member in ID order. A flat sorted
-	// slice, not a map: lookups binary-search it, seeding 10k-node
-	// simulations is a memcpy per node instead of 10k map inserts, and
-	// membership events are rare enough that O(n) splices don't matter.
-	table []chord.Peer
+	// slice, not a map: lookups binary-search it, and membership events
+	// are rare enough that O(n) splices don't matter. A seeded table
+	// aliases the one array every node of the build was seeded with
+	// (shared) until its first change, so a 10k-node simulation holds
+	// one copy of the ring, not one per node.
+	table  []chord.Peer
+	shared bool
 
 	// events buffers membership events awaiting EDRA propagation, keyed
 	// by subject so a burst of duplicate detections aggregates into one
@@ -135,10 +138,10 @@ func (t *oneHopTier) start() {
 }
 
 // seed installs the full membership view (build-time ground truth for
-// simulated steady-state deployments). Host serialization context only.
+// simulated steady-state deployments): peers, sorted by ID, which the table
+// shares until its first change. Host serialization context only.
 func (t *oneHopTier) seed(peers []chord.Peer) {
-	t.table = append(t.table[:0], peers...)
-	sort.Slice(t.table, func(i, j int) bool { return t.table[i].ID < t.table[j].ID })
+	t.table, t.shared = slices.Clip(peers), true
 	t.upsert(t.n.Chord.Self)
 	t.synced = true
 	t.entriesGauge.Store(int64(len(t.table)))
@@ -151,18 +154,25 @@ func (t *oneHopTier) find(nid id.ID) (int, bool) {
 	return i, i < len(t.table) && t.table[i].ID == nid
 }
 
-// upsert adds or refreshes one table entry.
+// own gives the tier a private copy of a shared table before it writes.
+func (t *oneHopTier) own() {
+	if t.shared {
+		t.table, t.shared = slices.Clone(t.table), false
+	}
+}
+
+// upsert adds or refreshes one table entry; an entry already held as p is
+// left alone.
 func (t *oneHopTier) upsert(p chord.Peer) {
-	if !p.Valid() {
+	i, ok := t.find(p.ID)
+	if !p.Valid() || ok && t.table[i] == p {
 		return
 	}
-	i, ok := t.find(p.ID)
+	t.own()
 	if ok {
 		t.table[i] = p
 	} else {
-		t.table = append(t.table, chord.Peer{})
-		copy(t.table[i+1:], t.table[i:])
-		t.table[i] = p
+		t.table = slices.Insert(t.table, i, p)
 	}
 	t.entriesGauge.Store(int64(len(t.table)))
 }
@@ -173,12 +183,10 @@ func (t *oneHopTier) remove(node id.ID) {
 	if !ok {
 		return
 	}
-	t.table = append(t.table[:i], t.table[i+1:]...)
+	t.own()
+	t.table = slices.Delete(t.table, i, i+1)
 	t.entriesGauge.Store(int64(len(t.table)))
 }
-
-// view returns the sorted table.
-func (t *oneHopTier) view() []chord.Peer { return t.table }
 
 // rho is the EDRA level count: ceil(log2(table size)).
 func (t *oneHopTier) rho() int {
@@ -197,7 +205,7 @@ func (t *oneHopTier) rho() int {
 // after one query; the rest of the window is the fallback schedule when
 // an entry turns out stale.
 func (t *oneHopTier) Candidates(key id.ID) []chord.Peer {
-	v := t.view()
+	v := t.table
 	if len(v) == 0 {
 		return nil
 	}
@@ -224,7 +232,7 @@ func (t *oneHopTier) Candidates(key id.ID) []chord.Peer {
 // of the table, spreading fallback relays around the whole ring without
 // drawing randomness (seeded runs must not consume extra RNG draws).
 func (t *oneHopTier) RelayCandidates() []chord.Peer {
-	v := t.view()
+	v := t.table
 	if len(v) == 0 {
 		return nil
 	}
@@ -255,17 +263,19 @@ func (t *oneHopTier) Stats() chord.TierStats {
 }
 
 // noteJoin records a locally observed join: apply and schedule for EDRA
-// propagation at full TTL.
+// propagation at full TTL. Like noteLeave, it is a no-op on the nil tier of
+// a node that runs the finger tier.
 func (t *oneHopTier) noteJoin(p chord.Peer) {
-	if !p.Valid() {
-		return
+	if t != nil && p.Valid() {
+		t.apply(tierEvent{join: true, peer: p, ttl: t.rho()})
 	}
-	t.apply(tierEvent{join: true, peer: p, ttl: t.rho()})
 }
 
 // noteLeave records a locally observed leave/failure/revocation.
 func (t *oneHopTier) noteLeave(node id.ID) {
-	t.apply(tierEvent{peer: chord.Peer{ID: node}, ttl: t.rho()})
+	if t != nil {
+		t.apply(tierEvent{peer: chord.Peer{ID: node}, ttl: t.rho()})
+	}
 }
 
 // apply updates the table with one event and buffers it for propagation
@@ -280,13 +290,10 @@ func (t *oneHopTier) apply(ev tierEvent) {
 		if t.n.dir.Revoked(ev.peer.ID) {
 			return
 		}
-		if i, ok := t.find(ev.peer.ID); ok && t.table[i].Addr == ev.peer.Addr {
-			// Already known (e.g. both the CA announce and an EDRA copy
-			// arrived): nothing to apply, but the event may still need
-			// wider propagation, so fall through to the buffer merge.
-		} else {
-			t.upsert(ev.peer)
-		}
+		// A peer already known (e.g. both the CA announce and an EDRA
+		// copy arrived) leaves the table alone, but the event may still
+		// need wider propagation: on to the buffer merge.
+		t.upsert(ev.peer)
 	} else {
 		t.remove(ev.peer.ID)
 	}
@@ -315,7 +322,7 @@ func (t *oneHopTier) flush() {
 	if len(t.events) == 0 {
 		return
 	}
-	v := t.view()
+	v := t.table
 	self := t.n.Chord.Self
 	// Locate self in the sorted view for stride addressing.
 	si := sort.Search(len(v), func(k int) bool { return v[k].ID >= self.ID })
@@ -420,7 +427,7 @@ func (t *oneHopTier) requestSync(from id.ID) {
 func (t *oneHopTier) handleSyncReq(m TierSyncReq) TierSyncResp {
 	t.bytesRecv.Add(uint64(m.Size()))
 	t.msgsRecv.Add(1)
-	v := t.view()
+	v := t.table
 	max := int(m.Max)
 	if max <= 0 {
 		max = tierSyncPage

@@ -37,6 +37,7 @@ package nettransport
 
 import (
 	"bufio"
+	"cmp"
 	crand "crypto/rand"
 	"fmt"
 	"io"
@@ -58,7 +59,8 @@ type Config struct {
 	// Slots whose endpoint equals Self are served by this process.
 	Endpoints []string
 	// Listen is the TCP address to listen on. Ignored when Listener is
-	// set.
+	// set; when both are empty, New binds 127.0.0.1:0, so a transport
+	// nothing needs to dial exposes no port beyond loopback.
 	Listen string
 	// Listener, when non-nil, is a pre-bound listener to serve on (lets
 	// tests grab a kernel-assigned port before building the table).
@@ -160,10 +162,11 @@ func New(cfg Config) (*Transport, error) {
 	}
 	ln := cfg.Listener
 	if ln == nil {
+		addr := cmp.Or(cfg.Listen, "127.0.0.1:0")
 		var err error
-		ln, err = net.Listen("tcp", cfg.Listen)
+		ln, err = net.Listen("tcp", addr)
 		if err != nil {
-			return nil, fmt.Errorf("nettransport: listen %s: %w", cfg.Listen, err)
+			return nil, fmt.Errorf("nettransport: listen %s: %w", addr, err)
 		}
 	}
 	self := cfg.Self

@@ -755,3 +755,16 @@ func TestLocalFramesSkipTheSocket(t *testing.T) {
 		t.Errorf("callee stats = %+v, want 2 msgs / %d bytes received, 1 / %d sent", st, sent, resp.Size())
 	}
 }
+
+// TestDefaultListenIsLoopback: a transport given neither Listen nor Listener
+// binds loopback only, so a one-process ring exposes no port to the network.
+func TestDefaultListenIsLoopback(t *testing.T) {
+	tr, err := nettransport.New(nettransport.Config{Self: "local", Endpoints: []string{"local", "local"}})
+	if err != nil {
+		t.Fatalf("nettransport.New: %v", err)
+	}
+	defer tr.Close()
+	if a, ok := tr.Addr().(*net.TCPAddr); !ok || !a.IP.IsLoopback() || a.Port == 0 {
+		t.Errorf("default listener bound %v, want a kernel-assigned loopback port", tr.Addr())
+	}
+}
