@@ -10,6 +10,7 @@ package octopus
 import (
 	"math/rand"
 	"os"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"testing"
@@ -201,15 +202,24 @@ func tierLoadConfig(tier string) experiments.LoadConfig {
 // nightly, not in tier-1: pass -timeout 15m and -benchtime 1x.
 // peak-rss-MB is the process's VmHWM after both runs and finger-peak-rss-MB
 // after the finger run alone, the 10k memory figures ROADMAP item 8 tracks
-// (0 where /proc is missing). It also fails above 800 peak-rss-MB: three
-// runs on a 2-core box read 567 to 617, so the bound leaves 30 % over the
-// highest for GC timing and the box's spread, and a one-hop tier that copied
-// the ring per node again (3.7 GB) trips it. Run the benchmark alone (-run '^$' -bench
-// TierLoad10k), or an earlier one's peak counts.
+// (0 where /proc is missing). finger-live-peak-MB and
+// finger-heap-goal-peak-MB are the highest live heap and heap goal the
+// collector reported during the finger run, sampled every 10 ms: they move
+// with what the finger-update bursts hold, where VmHWM also counts what the
+// runtime keeps mapped and spreads by tens of MB from run to run. It also
+// fails above 800 peak-rss-MB: three runs on a 2-core box read 567 to 617,
+// so the bound leaves 30 % over the highest for GC timing and the box's
+// spread, and a one-hop tier that copied the ring per node again (3.7 GB)
+// trips it. Run the benchmark alone (-run '^$' -bench TierLoad10k), or an
+// earlier one's peak counts.
 func BenchmarkTierLoad10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		stop := sampleHeapPeaks()
 		finger := experiments.RunLoad(tierLoadConfig(core.TierFinger))
+		live, goal := stop()
 		b.ReportMetric(peakRSSMB(), "finger-peak-rss-MB")
+		b.ReportMetric(live, "finger-live-peak-MB")
+		b.ReportMetric(goal, "finger-heap-goal-peak-MB")
 		onehop := experiments.RunLoad(tierLoadConfig(core.TierOneHop))
 		gain := finger.P95.Seconds() / onehop.P95.Seconds()
 		b.ReportMetric(finger.P95.Seconds(), "finger-p95-s")
@@ -223,6 +233,34 @@ func BenchmarkTierLoad10k(b *testing.B) {
 		if peak > 800 {
 			b.Fatalf("peak RSS %.1f MB, want ≤ 800", peak)
 		}
+	}
+}
+
+// sampleHeapPeaks reads the collector's live heap and heap goal every 10 ms
+// on a goroutine of its own, which touches nothing but runtime/metrics, until
+// stop is called; stop returns the highest of each, in MB.
+func sampleHeapPeaks() (stop func() (liveMB, goalMB float64)) {
+	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}}
+	var live, goal uint64
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			metrics.Read(samples)
+			live, goal = max(live, samples[0].Value.Uint64()), max(goal, samples[1].Value.Uint64())
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() (float64, float64) {
+		close(quit)
+		<-done
+		return float64(live) / (1 << 20), float64(goal) / (1 << 20)
 	}
 }
 

@@ -34,8 +34,8 @@ type RoutingTier interface {
 	// candidate set from. A finger tier returns everything it can route
 	// through; a full-state tier returns a bounded neighborhood tightly
 	// preceding key (plus the successor window) so per-lookup cost stays
-	// O(1) in the table size. Callers only read the result: it may be a
-	// view of the tier's own state.
+	// O(1) in the table size. A lookup holds the result for its whole
+	// life: it may be a view only of state the tier never writes again.
 	Candidates(key id.ID) []Peer
 	// RelayCandidates returns peers usable as fallback anonymization
 	// relays when the walk-fed pool runs dry. Kept separate from

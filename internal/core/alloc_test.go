@@ -4,9 +4,12 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
+	"unsafe"
 
 	"github.com/octopus-dht/octopus/internal/chord"
 	"github.com/octopus-dht/octopus/internal/id"
+	"github.com/octopus-dht/octopus/internal/transport"
 )
 
 // TestHotPathsAllocateNothing pins three paths that run per walk hop, per
@@ -48,17 +51,28 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 
 // TestLookupHoldsOnlyWhatItKeeps pins what a §4.5 finger-update lookup in
 // flight holds, since every node starts a dozen at once each FixFingersEvery
-// boundary: room for the seeds it keeps, not for every seed the tier named,
-// and no owner-evidence table until a successor list vouches for an owner.
+// boundary: the tier's seeds read in place from the node's routing snapshot,
+// room for its α queried seeds alone until a table answers, 16 bytes per
+// candidate, and no owner-evidence table until a successor list vouches for
+// an owner. A padded lookup still holds every seed, since its dummy draw
+// indexes them all.
 func TestLookupHoldsOnlyWhatItKeeps(t *testing.T) {
-	tl, sent := newCandidateLookup(9000, []chord.Peer{
-		{ID: 3000, Addr: 1}, {ID: 12000, Addr: 2}, {ID: 5000, Addr: 3}, {ID: 500, Addr: 4}, {ID: 8000, Addr: 5},
-	}, nil)
+	seeds := []chord.Peer{
+		{ID: 3000, Addr: 1}, {ID: 12000, Addr: 2}, {ID: 5000, Addr: 3}, {ID: 500, Addr: 4},
+		{ID: 8000, Addr: 5}, {ID: 4000, Addr: 6}, {ID: 6000, Addr: 7},
+	}
+	tl, sent := newCandidateLookup(9000, seeds, nil)
 	tl.padded = false
 	tl.step()
-	if len(*sent) != 3 || len(tl.cands) != 3 || cap(tl.cands) != 3 {
-		t.Errorf("%d queries sent, %d candidates in room for %d; want the 3 seeds inside (self, key) and room for them alone",
-			len(*sent), len(tl.cands), cap(tl.cands))
+	if len(*sent) != tl.alpha || len(tl.cands) != tl.alpha || cap(tl.cands) != tl.alpha {
+		t.Errorf("%d queries sent, %d candidates in room for %d; want the %d best of the 5 seeds inside (self, key) and room for them alone",
+			len(*sent), len(tl.cands), cap(tl.cands), tl.alpha)
+	}
+	if unsafe.SliceData(tl.seeds) != unsafe.SliceData(seeds) || len(tl.seeds) != len(seeds) {
+		t.Error("the lookup does not hold the tier's seeds as the tier returned them")
+	}
+	if size := unsafe.Sizeof(candidate{}); size != 16 {
+		t.Errorf("a candidate takes %d bytes, want 16", size)
 	}
 	if tl.ownerEvidence != nil {
 		t.Errorf("a lookup no table has answered holds owner evidence %+v", *tl.ownerEvidence)
@@ -66,6 +80,40 @@ func TestLookupHoldsOnlyWhatItKeeps(t *testing.T) {
 	tl.recordOwnerCandidate(tableOf(chord.Peer{ID: 8000, Addr: 5}, 1, chord.Peer{ID: 9500, Addr: 6}))
 	if tl.ownerEvidence == nil || tl.ownerEvidence.Owner.ID != 8000 || tl.ownerBest.ID != 9500 {
 		t.Errorf("after 8000 vouched for 9500: best %v, evidence %+v", tl.ownerBest, tl.ownerEvidence)
+	}
+
+	// On a finger tier the seeds are the node's snapshot itself, the array
+	// every table the node issues shares.
+	nw := buildTestNet(t, 21, 60, nil)
+	nw.Sim.Run(40 * time.Second)
+	node := nw.Node(0)
+	key := node.Self().ID.Add(1 << 63)
+	start := func(padded bool) *tableLookup {
+		tl := node.newTableLookup(key, padded, func(chord.Peer, func(transport.Message, error)) bool { return true }, nil)
+		tl.step()
+		return tl
+	}
+	snap := node.Chord.Table(true, false)
+	inside := 0
+	for _, p := range node.tier.Candidates(key) {
+		if id.StrictBetween(p.ID, node.Self().ID, key) {
+			inside++
+		}
+	}
+	direct := start(false)
+	if unsafe.SliceData(direct.seeds) != unsafe.SliceData(snap.Fingers) || len(direct.seeds) != len(snap.Fingers)+len(snap.Successors) {
+		t.Errorf("a lookup's %d seeds are not the node's snapshot of %d fingers and %d successors",
+			len(direct.seeds), len(snap.Fingers), len(snap.Successors))
+	}
+	if inside <= direct.alpha || len(direct.cands) != direct.alpha || cap(direct.cands) != direct.alpha {
+		t.Errorf("%d candidates in room for %d, with %d seeds inside (self, key); want room for the α = %d queried alone",
+			len(direct.cands), cap(direct.cands), inside, direct.alpha)
+	}
+	padded := start(true)
+	for _, p := range node.tier.Candidates(key) {
+		if _, found := padded.find(p.ID); !found || padded.seeds != nil {
+			t.Fatalf("a padded lookup does not hold seed %v in its candidates", p)
+		}
 	}
 }
 
@@ -134,12 +182,12 @@ func absorbFixture() (merge func(i int), tl *tableLookup) {
 		}
 		for i, p := range append(slices.Clone(tables[t].Fingers), tables[t].Successors...) {
 			if i%2 == 0 {
-				tl.learn(p, false)
+				tl.learn(p)
 			}
 		}
 	}
 	for len(tl.cands) < 100 {
-		tl.learn(chord.Peer{ID: id.ID(rng.Uint64()), Addr: 4}, false)
+		tl.learn(chord.Peer{ID: id.ID(rng.Uint64()), Addr: 4})
 	}
 	known := slices.Clone(tl.cands)
 	tl.cands = make([]candidate, 0, 4*len(known))

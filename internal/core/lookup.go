@@ -28,8 +28,6 @@ type LookupStats struct {
 	Queries int
 	// Dummies is the number of dummy queries interleaved (§4.2).
 	Dummies int
-	// Queried lists the real queried nodes in order.
-	Queried []chord.Peer
 	// PairsUsed counts relay pairs consumed (head + one per query).
 	PairsUsed int
 	// Rejected counts responses discarded for bad signatures.
@@ -71,9 +69,10 @@ type tableLookup struct {
 	alpha          int
 	inFlight       int
 	finished       bool
-	seeded         bool        // the tier's seeds are in cands
-	padded         bool        // dummy queries are drawn from cands: see keeps
-	cands          []candidate // the peers kept so far, sorted by ID
+	seeded         bool         // the tier's seeds are taken
+	padded         bool         // dummy queries are drawn from cands: see keeps
+	seeds          []chord.Peer // an unpadded lookup's seeds, as the tier returned them
+	cands          []candidate  // sorted by ID: the peers tables named and the seeds queried
 	closestQueried chord.Peer
 	stats          LookupStats
 	send           func(target chord.Peer, done func(transport.Message, error)) bool
@@ -91,9 +90,10 @@ type tableLookup struct {
 	ownerEvidence *chord.RoutingTable
 }
 
-// candidate is one peer the lookup knows of.
+// candidate is one peer the lookup knows of, laid out flat to take 16 bytes.
 type candidate struct {
-	peer    chord.Peer
+	ID      id.ID
+	Addr    transport.Addr
 	queried bool
 	pending bool // queried and not yet answered
 }
@@ -104,13 +104,13 @@ func (tl *tableLookup) find(x id.ID) (int, bool) {
 	lo, hi := 0, len(tl.cands)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if tl.cands[mid].peer.ID < x {
+		if tl.cands[mid].ID < x {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(tl.cands) && tl.cands[lo].peer.ID == x
+	return lo, lo < len(tl.cands) && tl.cands[lo].ID == x
 }
 
 // keeps reports whether a peer with identifier x is worth a place in the set.
@@ -124,50 +124,39 @@ func (tl *tableLookup) keeps(x id.ID) bool {
 	return tl.padded || id.StrictBetween(x, tl.closestQueried.ID, tl.key)
 }
 
-// learn adds p if it is worth keeping. Whoever named an identifier first —
-// the tier or an earlier table — keeps the entry; only a later tier seed
-// overwrites an earlier one.
-func (tl *tableLookup) learn(p chord.Peer, seed bool) {
-	if !tl.keeps(p.ID) {
+// learn adds p if it is worth keeping and no seed or earlier peer has its ID.
+func (tl *tableLookup) learn(p chord.Peer) {
+	if !tl.keeps(p.ID) || slices.ContainsFunc(tl.seeds, func(s chord.Peer) bool { return s.ID == p.ID }) {
 		return
 	}
-	i, found := tl.find(p.ID)
-	switch {
-	case !found:
-		tl.cands = slices.Insert(tl.cands, i, candidate{peer: p})
-	case seed:
-		tl.cands[i].peer = p
+	if i, found := tl.find(p.ID); !found {
+		tl.cands = slices.Insert(tl.cands, i, candidate{ID: p.ID, Addr: p.Addr})
 	}
 }
 
-// seed puts the routing tier's candidates for the key into the set, once, on
-// first need: a key inside the local successor window resolves without them.
-// It runs before anything is queried, so no table has been absorbed yet. The
-// finger tier returns exactly the peers the engine formerly collected itself
-// (valid fingers, then the successor list), keeping seeded paper-mode runs
+// seed takes the routing tier's candidates for the key, once, on first need:
+// a key inside the local successor window resolves without them. It runs
+// before anything is queried, so no table has been absorbed yet. The finger
+// tier returns exactly the peers the engine formerly collected itself (valid
+// fingers, then the successor list), keeping seeded paper-mode runs
 // bit-identical; a full-state tier returns a bounded neighborhood tightly
 // preceding the key, which normally contains the owner's immediate
-// predecessor. A padded lookup reserves room for the peers the tables will
-// add; any other, which drops peers as closestQueried passes them, reserves
-// room for the seeds it keeps alone.
+// predecessor. An unpadded lookup holds the tier's slice, read in place, and
+// room for its first α queries; a padded one merges it into cands, backwards
+// so that a later seed wins, with room for the peers the tables will add.
 func (tl *tableLookup) seed() {
 	if tl.seeded {
 		return
 	}
 	tl.seeded = true
 	seeds := tl.n.tier.Candidates(tl.key)
-	size := 0
-	for _, p := range seeds {
-		if tl.keeps(p.ID) {
-			size++
-		}
+	if !tl.padded {
+		tl.seeds, tl.cands = seeds, make([]candidate, 0, tl.alpha)
+		return
 	}
-	if tl.padded {
-		size *= 4
-	}
-	tl.cands = make([]candidate, 0, size)
-	for _, p := range seeds {
-		tl.learn(p, true)
+	tl.cands = make([]candidate, 0, 4*len(seeds))
+	for _, p := range slices.Backward(seeds) {
+		tl.learn(p)
 	}
 }
 
@@ -182,46 +171,54 @@ func (n *Node) newTableLookup(key id.ID, padded bool,
 		// still widen the schedule one candidate at a time.
 		alpha = 1
 	}
-	tl := &tableLookup{
+	return &tableLookup{
 		n:              n,
 		key:            key,
 		alpha:          alpha,
 		padded:         padded,
 		closestQueried: n.Chord.Self,
+		stats:          LookupStats{Started: n.tr.Now()},
 		send:           send,
 		finish:         finish,
 	}
-	tl.stats.Started = n.tr.Now()
-	return tl
 }
 
-// bestUnqueried returns the position in cands of the known node most
-// tightly preceding the key that improves on closestQueried: the last
-// unqueried candidate before the key. closestQueried starts as the node
-// itself and only ever moves to a peer inside (closestQueried, key), so it
-// lies in [self, key) and, within the interval the choice is made from,
-// clockwise distance from the node grows with position in the set: walking
-// back from the key, the first unqueried candidate is the furthest one, and
-// the first candidate outside the interval ends the walk (only a padded
-// lookup keeps any; see keeps). When there is none, pending reports whether
-// a query in flight targets the interval.
-func (tl *tableLookup) bestUnqueried() (i int, ok, pending bool) {
-	i, _ = tl.find(tl.key)
+// bestUnqueried returns the known node most tightly preceding the key that
+// improves on closestQueried: the unqueried peer in (closestQueried, key)
+// furthest from it, among the seeds (of a repeated one the later; a seed in
+// cands was queried) and cands. closestQueried lies in [self, key), so in the
+// interval clockwise distance grows with position in cands: walking back from
+// the key, the first unqueried candidate is the furthest, and the first
+// outside the interval ends the walk (only a padded lookup keeps any; see
+// keeps). When there is none, pending says if a query in flight targets it.
+func (tl *tableLookup) bestUnqueried() (best chord.Peer, ok, pending bool) {
+	from := tl.closestQueried.ID
+	var far uint64
+	for _, s := range tl.seeds {
+		_, queried := tl.find(s.ID)
+		if d := from.Distance(s.ID); d >= far && !queried && id.StrictBetween(s.ID, from, tl.key) {
+			best, far, ok = s, d, true
+		}
+	}
+	i, _ := tl.find(tl.key)
 	for range tl.cands {
 		if i == 0 {
 			i = len(tl.cands)
 		}
 		i--
 		c := tl.cands[i]
-		if !id.StrictBetween(c.peer.ID, tl.closestQueried.ID, tl.key) {
+		if !id.StrictBetween(c.ID, from, tl.key) {
 			break
 		}
 		if !c.queried {
-			return i, true, false
+			if from.Distance(c.ID) > far {
+				best, ok = chord.Peer{ID: c.ID, Addr: c.Addr}, true
+			}
+			break
 		}
 		pending = pending || c.pending
 	}
-	return 0, false, pending
+	return best, ok, pending && !ok
 }
 
 // dummyTarget draws where a dummy query goes: uniformly from what the lookup
@@ -232,7 +229,8 @@ func (tl *tableLookup) dummyTarget(rng *rand.Rand) (chord.Peer, bool) {
 	if len(tl.cands) == 0 {
 		return chord.NoPeer, false
 	}
-	return tl.cands[rng.Intn(len(tl.cands))].peer, true
+	c := tl.cands[rng.Intn(len(tl.cands))]
+	return chord.Peer{ID: c.ID, Addr: c.Addr}, true
 }
 
 // recordOwnerCandidate checks whether a queried node's successor list
@@ -262,7 +260,7 @@ func (tl *tableLookup) recordOwnerCandidate(t chord.RoutingTable) {
 func (tl *tableLookup) absorb(from chord.Peer, t chord.RoutingTable) {
 	add := func(p chord.Peer) {
 		if p.Valid() && p.ID != tl.n.Chord.Self.ID {
-			tl.learn(p, false)
+			tl.learn(p)
 		}
 	}
 	bound := gapBound(tl.n.cfg.EstimatedSize, tl.n.cfg.BoundFactor)
@@ -332,11 +330,10 @@ func (tl *tableLookup) step() {
 	}
 }
 
-// issue sends one query to the candidate at position i and wires its
-// response, which always arrives asynchronously, back into the engine. It
-// reports whether the query was sent; one that was not is not recorded.
-func (tl *tableLookup) issue(i int) bool {
-	next := tl.cands[i].peer
+// issue sends one query to next and wires its response, which always arrives
+// asynchronously, back into the engine. It reports whether the query was
+// sent; one that was not is not recorded. A seed queried enters cands.
+func (tl *tableLookup) issue(next chord.Peer) bool {
 	if !tl.send(next, func(resp transport.Message, err error) {
 		tl.inFlight--
 		if j, found := tl.find(next.ID); found { // else dropped as behind closestQueried
@@ -349,9 +346,12 @@ func (tl *tableLookup) issue(i int) bool {
 	}) {
 		return false
 	}
+	i, found := tl.find(next.ID)
+	if !found {
+		tl.cands = slices.Insert(tl.cands, i, candidate{ID: next.ID, Addr: next.Addr})
+	}
 	tl.cands[i].queried, tl.cands[i].pending = true, true
 	tl.stats.Queries++
-	tl.stats.Queried = append(tl.stats.Queried, next)
 	tl.inFlight++
 	return true
 }
@@ -371,7 +371,7 @@ func (tl *tableLookup) handleResponse(next chord.Peer, resp transport.Message) {
 	}
 	if id.StrictBetween(next.ID, tl.closestQueried.ID, tl.key) {
 		tl.closestQueried = next
-		tl.cands = slices.DeleteFunc(tl.cands, func(c candidate) bool { return !tl.keeps(c.peer.ID) })
+		tl.cands = slices.DeleteFunc(tl.cands, func(c candidate) bool { return !tl.keeps(c.ID) })
 	}
 	tl.absorb(next, table)
 	tl.recordOwnerCandidate(table)
